@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-parallel-smoke bench-snapshot bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak ci
+.PHONY: all build vet test race allocs bench bench-parallel-smoke bench-snapshot bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak ci
 
 all: build
 
@@ -21,6 +21,14 @@ test:
 # and candidate-costing paths with real contention.
 race:
 	$(GO) test -race ./... -count=1
+
+# Allocation budgets: every AllocsPerRun-style test skips under -race
+# (instrumentation allocates), so the race suite alone never enforces one.
+# This runs them — the warm /query path, the never-seen-statement path
+# (parse, plan miss, /query/stream), the NN kernels, the untraced span and
+# noise-key paths — without the detector.
+allocs:
+	$(GO) test -run 'Alloc' ./internal/... -count=1
 
 # Short benchmark smoke: the two perf-critical kernels, one iteration each,
 # just to prove they still run (use `go test -bench=.` for real numbers).
@@ -105,4 +113,4 @@ crash-smoke:
 crash-soak:
 	$(GO) test -race ./test/e2e -run TestCrashRecoverySoak -count=1
 
-ci: vet build race bench bench-parallel-smoke bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak
+ci: vet build race allocs bench bench-parallel-smoke bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"sort"
 	"time"
 
 	"intellisphere/internal/obs"
-	"intellisphere/internal/optimizer"
 )
 
 // SetEventRecorder attaches (or, with nil, detaches) the wide-event
@@ -51,29 +49,8 @@ func (e *Engine) emitEvent(rec *obs.Recorder, kind, sql string, res *QueryResult
 		ev.Degraded = res.Degraded
 		if res.Plan != nil {
 			ev.EstimatedSec = res.Plan.EstimatedSec
-			ev.Systems = planSystems(res.Plan)
+			ev.Systems = res.Plan.Systems()
 		}
 	}
 	rec.Record(ev)
-}
-
-// planSystems lists the distinct systems a plan places steps on, sorted.
-// Transfer steps contribute both endpoints.
-func planSystems(p *optimizer.Plan) []string {
-	seen := make(map[string]bool, 4)
-	for i := range p.Steps {
-		st := &p.Steps[i]
-		if st.System != "" {
-			seen[st.System] = true
-		}
-		if st.From != "" {
-			seen[st.From] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

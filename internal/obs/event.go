@@ -8,11 +8,6 @@
 // Recorder and emits nothing while it is nil.
 package obs
 
-import (
-	"fmt"
-	"hash/fnv"
-)
-
 // Event is one wide query event — the per-query record rich enough to audit
 // the cost estimator after the fact (estimated vs actual cost, chosen
 // systems, cache verdict) and to debug the serving path (admission outcome,
@@ -60,7 +55,15 @@ type Event struct {
 // StatementHash returns the canonical statement hash used in events:
 // FNV-1a 64 of the raw statement text, in fixed-width hex.
 func StatementHash(sql string) string {
-	h := fnv.New64a()
-	h.Write([]byte(sql))
-	return fmt.Sprintf("%016x", h.Sum64())
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(sql); i++ {
+		h = (h ^ uint64(sql[i])) * 1099511628211
+	}
+	const hexDigits = "0123456789abcdef"
+	var out [16]byte
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = hexDigits[h&0xf]
+		h >>= 4
+	}
+	return string(out[:])
 }

@@ -399,15 +399,20 @@ func TestFileSinkDrainAndRotate(t *testing.T) {
 	}
 }
 
-func TestStatementHashStable(t *testing.T) {
-	a := StatementHash("SELECT 1")
-	if a != StatementHash("SELECT 1") {
-		t.Fatal("hash not deterministic")
-	}
-	if len(a) != 16 {
-		t.Fatalf("hash %q not 16 hex chars", a)
-	}
-	if a == StatementHash("SELECT 2") {
-		t.Fatal("distinct statements collided (astronomically unlikely)")
+// TestStatementHashPinned pins the hash to the values hash/fnv's New64a and
+// fmt's %016x produced before the hash was inlined: event logs written by
+// older builds must keep joining on stmt_hash.
+func TestStatementHashPinned(t *testing.T) {
+	for _, tc := range []struct{ sql, want string }{
+		{"", "cbf29ce484222325"},
+		{"SELECT 1", "199e7bca63ea84f2"},
+		{"SELECT a1 FROM t10000_100 WHERE a1 < 100", "84edf7d3bfe86fae"},
+		{"SELECT größe FROM tabelle_ü", "20579146f92383b5"},
+		{"SELECT users.a1 FROM users JOIN events ON users.a1 = events.a1", "df2f60ee096f9d97"},
+		{"\x00\xff", "0831c907b4ea2b60"},
+	} {
+		if got := StatementHash(tc.sql); got != tc.want {
+			t.Errorf("StatementHash(%q) = %q, want %q", tc.sql, got, tc.want)
+		}
 	}
 }

@@ -1,0 +1,41 @@
+package optimizer
+
+import (
+	"testing"
+
+	"intellisphere/internal/sqlparse"
+)
+
+// TestPlanMissAllocs pins what a plan-cache miss allocates, per statement
+// family of the serving path (the cache is off, so every Plan call is the
+// miss path: bind, derive the specs, cost every placement, assemble). The
+// budgets sit about 20 % above the counts at the time of writing: 7, 7 and
+// 18 (of which the sub-op join estimator's own bookkeeping is about 10),
+// where the fmt-and-map bookkeeping this path used to do took 34, 33 and 80.
+func TestPlanMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	f := newFixture(t)
+	f.opt.Workers = 1 // a parallel sweep allocates its goroutines' bookkeeping
+	for _, tc := range []struct {
+		sql    string
+		budget float64
+	}{
+		{"SELECT a1, a5 FROM t1000000_100 WHERE a5 < 1234", 8},
+		{"SELECT a100, SUM(a1), COUNT(*) FROM t10000_100 WHERE a2 < 17 GROUP BY a100", 8},
+		{"SELECT r.a1, s.a2 FROM t10000000_100 r JOIN s_orders s ON r.a1 = s.a1 WHERE r.a10 < 40123", 22},
+	} {
+		stmt, err := sqlparse.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.opt.Plan(stmt); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() { f.opt.Plan(stmt) })
+		if allocs > tc.budget {
+			t.Errorf("Plan(%q) allocates %.1f times, budget %.0f", tc.sql, allocs, tc.budget)
+		}
+	}
+}

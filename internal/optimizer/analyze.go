@@ -10,6 +10,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"intellisphere/internal/catalog"
 	"intellisphere/internal/plan"
@@ -17,32 +18,56 @@ import (
 	"intellisphere/internal/sqlparse"
 )
 
+// binding is one table of the statement under the name the query uses for
+// it (alias or table name).
+type binding struct {
+	name  string
+	table *catalog.Table
+	// sel is the combined selectivity of the WHERE predicates that touch
+	// only this binding — the filter QueryGrid pushes down when the table
+	// ships, computed once per statement.
+	sel float64
+}
+
+// predSpan records which bindings a WHERE predicate touches as the lowest
+// and highest index into analyzed.binds (-1, -1 when it names no column):
+// lo == hi is a single-table filter, lo < hi a cross-table predicate that a
+// left-deep chain can apply once binding hi has been joined in.
+type predSpan struct{ lo, hi int }
+
 // analyzed is the bound form of a statement.
 type analyzed struct {
 	stmt *sqlparse.SelectStmt
-	// bindings maps the query's table bindings (alias or name) to tables.
-	bindings map[string]*catalog.Table
-	// order lists bindings in FROM order (1 or 2 entries).
-	order []string
+	// binds lists the table bindings in FROM order. The chain is joined
+	// left-deep in that order, so the bindings available after join i are
+	// binds[:i+2].
+	binds []binding
+	// preds aligns with stmt.Where.
+	preds []predSpan
 	// exclude names systems degraded re-planning must avoid (failed or
 	// open-circuited remotes); nil for a normal plan.
 	exclude map[string]bool
+
+	// Backing for the two slices above: a statement rarely binds more than
+	// three tables or carries more than two predicates.
+	bindBuf [3]binding
+	predBuf [2]predSpan
 }
 
 // analyze resolves every table reference and checks column references.
 func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error) {
-	a := &analyzed{stmt: stmt, bindings: map[string]*catalog.Table{}}
+	a := &analyzed{stmt: stmt}
+	a.binds, a.preds = a.bindBuf[:0], a.predBuf[:0]
 	add := func(tr sqlparse.TableRef) error {
 		t, err := cat.Lookup(tr.Name)
 		if err != nil {
 			return err
 		}
 		b := tr.Binding()
-		if _, dup := a.bindings[b]; dup {
+		if a.bindingIndex(b) >= 0 {
 			return fmt.Errorf("optimizer: duplicate table binding %q", b)
 		}
-		a.bindings[b] = t
-		a.order = append(a.order, b)
+		a.binds = append(a.binds, binding{name: b, table: t, sel: 1})
 		return nil
 	}
 	if err := add(stmt.From); err != nil {
@@ -64,9 +89,11 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error)
 			continue
 		}
 		if it.Agg != sqlparse.AggNone {
-			for _, c := range it.Arg.Columns() {
-				if err := check(c); err != nil {
-					return nil, err
+			for _, t := range it.Arg.Terms {
+				if t.Col != nil {
+					if err := check(*t.Col); err != nil {
+						return nil, err
+					}
 				}
 			}
 			continue
@@ -86,11 +113,32 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error)
 			return nil, err
 		}
 	}
+	// Predicates are bound as they are checked: which bindings each touches,
+	// and the single-table ones folded into their binding's selectivity.
 	for _, p := range stmt.Where {
-		for _, c := range p.Left.Columns() {
-			if err := check(c); err != nil {
+		span := predSpan{lo: -1, hi: -1}
+		for _, t := range p.Left.Terms {
+			if t.Col == nil {
+				continue
+			}
+			b, _, err := a.resolve(*t.Col)
+			if err != nil {
 				return nil, err
 			}
+			if span.lo < 0 || b < span.lo {
+				span.lo = b
+			}
+			if b > span.hi {
+				span.hi = b
+			}
+		}
+		a.preds = append(a.preds, span)
+		if span.lo >= 0 && span.lo == span.hi {
+			s, err := a.predicateSelectivity(p, 0)
+			if err != nil {
+				return nil, err
+			}
+			a.binds[span.lo].sel *= s
 		}
 	}
 	for _, g := range stmt.GroupBy {
@@ -98,113 +146,106 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error)
 			return nil, err
 		}
 	}
+	for i := range a.binds {
+		if a.binds[i].sel <= 0 {
+			a.binds[i].sel = 1e-9
+		}
+	}
 	return a, nil
 }
 
-// resolve finds the binding and column for a reference, handling
-// unqualified names by searching every bound table (ambiguity is an error).
-func (a *analyzed) resolve(c sqlparse.ColRef) (string, catalog.Column, error) {
-	if c.Qualifier != "" {
-		t, ok := a.bindings[c.Qualifier]
-		if !ok {
-			return "", catalog.Column{}, fmt.Errorf("optimizer: unknown table binding %q", c.Qualifier)
+// bindingIndex finds a binding by the name the query uses for it (-1 when
+// there is none).
+func (a *analyzed) bindingIndex(name string) int {
+	for i := range a.binds {
+		if a.binds[i].name == name {
+			return i
 		}
+	}
+	return -1
+}
+
+// resolve finds the binding (as an index into binds) and column for a
+// reference, handling unqualified names by searching every bound table
+// (ambiguity is an error).
+func (a *analyzed) resolve(c sqlparse.ColRef) (int, catalog.Column, error) {
+	if c.Qualifier != "" {
+		b := a.bindingIndex(c.Qualifier)
+		if b < 0 {
+			return -1, catalog.Column{}, fmt.Errorf("optimizer: unknown table binding %q", c.Qualifier)
+		}
+		t := a.binds[b].table
 		col, ok := t.Schema.Column(c.Column)
 		if !ok {
-			return "", catalog.Column{}, fmt.Errorf("optimizer: table %q has no column %q", t.Name, c.Column)
+			return -1, catalog.Column{}, fmt.Errorf("optimizer: table %q has no column %q", t.Name, c.Column)
 		}
-		return c.Qualifier, col, nil
+		return b, col, nil
 	}
-	foundBinding := ""
+	found := -1
 	var foundCol catalog.Column
-	for _, b := range a.order {
-		if col, ok := a.bindings[b].Schema.Column(c.Column); ok {
-			if foundBinding != "" {
-				return "", catalog.Column{}, fmt.Errorf("optimizer: ambiguous column %q", c.Column)
+	for b := range a.binds {
+		if col, ok := a.binds[b].table.Schema.Column(c.Column); ok {
+			if found >= 0 {
+				return -1, catalog.Column{}, fmt.Errorf("optimizer: ambiguous column %q", c.Column)
 			}
-			foundBinding = b
+			found = b
 			foundCol = col
 		}
 	}
-	if foundBinding == "" {
-		return "", catalog.Column{}, fmt.Errorf("optimizer: unknown column %q", c.Column)
+	if found < 0 {
+		return -1, catalog.Column{}, fmt.Errorf("optimizer: unknown column %q", c.Column)
 	}
-	return foundBinding, foundCol, nil
+	return found, foundCol, nil
 }
 
-// projectedColumns returns the columns of one binding that survive into the
-// output (from the select list, aggregate arguments, and group-by). A star
-// select keeps every column.
-func (a *analyzed) projectedColumns(binding string) ([]string, bool, error) {
-	seen := map[string]bool{}
-	var cols []string
+// projectedSize computes the projected byte width of one binding: the
+// distinct columns of it that survive into the output (from the select
+// list, aggregate arguments, and group-by). A star select keeps every
+// column.
+func (a *analyzed) projectedSize(b int) (float64, error) {
+	var seenBuf [8]string
+	seen := seenBuf[:0]
+	width := 0
 	addRef := func(c sqlparse.ColRef) error {
-		b, col, err := a.resolve(c)
-		if err != nil {
+		cb, col, err := a.resolve(c)
+		if err != nil || cb != b {
 			return err
 		}
-		if b == binding && !seen[col.Name] {
-			seen[col.Name] = true
-			cols = append(cols, col.Name)
+		if !slices.Contains(seen, col.Name) {
+			seen = append(seen, col.Name)
+			width += col.Width
 		}
 		return nil
 	}
+	t := a.binds[b].table
 	for _, it := range a.stmt.Items {
 		if it.Star {
-			return nil, true, nil
+			return float64(t.RowSize()), nil
 		}
 		if it.Agg != sqlparse.AggNone {
-			for _, c := range it.Arg.Columns() {
-				if err := addRef(c); err != nil {
-					return nil, false, err
+			for _, term := range it.Arg.Terms {
+				if term.Col != nil {
+					if err := addRef(*term.Col); err != nil {
+						return 0, err
+					}
 				}
 			}
 			continue
 		}
 		if err := addRef(it.Col); err != nil {
-			return nil, false, err
+			return 0, err
 		}
 	}
 	for _, g := range a.stmt.GroupBy {
 		if err := addRef(g); err != nil {
-			return nil, false, err
+			return 0, err
 		}
 	}
-	return cols, false, nil
-}
-
-// projectedSize computes the projected byte width of one binding.
-func (a *analyzed) projectedSize(binding string) (float64, error) {
-	cols, star, err := a.projectedColumns(binding)
-	if err != nil {
-		return 0, err
-	}
-	t := a.bindings[binding]
-	if star {
-		return float64(t.RowSize()), nil
-	}
-	if len(cols) == 0 {
+	if len(seen) == 0 {
 		// Nothing projected from this side: a minimal key column still flows.
 		return 4, nil
 	}
-	w, err := t.Schema.ProjectedSize(cols)
-	if err != nil {
-		return 0, err
-	}
-	return float64(w), nil
-}
-
-// predicateTables returns the bindings a predicate touches.
-func (a *analyzed) predicateTables(p sqlparse.Predicate) (map[string]bool, error) {
-	out := map[string]bool{}
-	for _, c := range p.Left.Columns() {
-		b, _, err := a.resolve(c)
-		if err != nil {
-			return nil, err
-		}
-		out[b] = true
-	}
-	return out, nil
+	return float64(width), nil
 }
 
 // predicateSelectivity estimates the fraction of rows surviving p using the
@@ -215,19 +256,21 @@ func (a *analyzed) predicateTables(p sqlparse.Predicate) (map[string]bool, error
 func (a *analyzed) predicateSelectivity(p sqlparse.Predicate, keyNDVOverride float64) (float64, error) {
 	// Find the dominant (largest-NDV) column in the expression.
 	maxNDV := 0.0
-	for _, c := range p.Left.Columns() {
-		b, _, err := a.resolve(c)
+	for _, term := range p.Left.Terms {
+		if term.Col == nil {
+			continue
+		}
+		b, col, err := a.resolve(*term.Col)
 		if err != nil {
 			return 0, err
 		}
-		t := a.bindings[b]
-		ndv, err := t.NDV(c.Column)
+		ndv, err := a.binds[b].table.NDV(col.Name)
 		if err != nil {
 			return 0, err
 		}
 		// The all-zero z column has a single value; its presence in a sum
 		// does not change the distribution.
-		if col, _ := t.Schema.Column(c.Column); col.Name == "z" {
+		if col.Name == "z" {
 			ndv = 1
 		}
 		if ndv > maxNDV {
@@ -263,41 +306,14 @@ func (a *analyzed) predicateSelectivity(p sqlparse.Predicate, keyNDVOverride flo
 	}
 }
 
-// sideSelectivity multiplies the selectivities of all single-table
-// predicates on one binding.
-func (a *analyzed) sideSelectivity(binding string) (float64, error) {
-	sel := 1.0
-	for _, p := range a.stmt.Where {
-		tabs, err := a.predicateTables(p)
-		if err != nil {
-			return 0, err
-		}
-		if len(tabs) == 1 && tabs[binding] {
-			s, err := a.predicateSelectivity(p, 0)
-			if err != nil {
-				return 0, err
-			}
-			sel *= s
-		}
-	}
-	if sel <= 0 {
-		sel = 1e-9
-	}
-	return sel, nil
-}
-
 // side builds the plan.TableSide for one binding after its local filters.
-func (a *analyzed) side(binding string, joinCol string) (plan.TableSide, error) {
-	t := a.bindings[binding]
-	sel, err := a.sideSelectivity(binding)
+func (a *analyzed) side(b int, joinCol string) (plan.TableSide, error) {
+	t := a.binds[b].table
+	proj, err := a.projectedSize(b)
 	if err != nil {
 		return plan.TableSide{}, err
 	}
-	proj, err := a.projectedSize(binding)
-	if err != nil {
-		return plan.TableSide{}, err
-	}
-	rows := float64(t.Rows) * sel
+	rows := float64(t.Rows) * a.binds[b].sel
 	if rows < 1 {
 		rows = 1
 	}
@@ -330,7 +346,7 @@ func (a *analyzed) groupOutputRows(inputRows float64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		ndv, err := a.bindings[b].NDV(col.Name)
+		ndv, err := a.binds[b].table.NDV(col.Name)
 		if err != nil {
 			return 0, err
 		}
@@ -373,8 +389,8 @@ func (a *analyzed) aggOutputRowSize() (float64, int, error) {
 // excluded (degraded re-planning), in which case the first non-excluded
 // replica takes over; a table whose owner and replicas are all excluded is
 // unreachable and fails the plan.
-func (a *analyzed) systemOf(binding string) (string, error) {
-	t := a.bindings[binding]
+func (a *analyzed) systemOf(b int) (string, error) {
+	t := a.binds[b].table
 	owner := t.System
 	if owner == "" {
 		owner = querygrid.Master

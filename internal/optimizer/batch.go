@@ -21,15 +21,13 @@ type PlanResult struct {
 }
 
 // pendingStmt is one cache-missed scan or aggregation statement awaiting
-// grouped estimation. Exactly one of scan/agg is set; ests aligns with the
-// input's candidate-system order.
+// grouped estimation; ests aligns with the input's candidate-system order.
 type pendingStmt struct {
 	idx  int
 	key  string
 	stmt *sqlparse.SelectStmt
-	scan *scanInput
-	agg  *aggInput
-	ests []core.Estimate
+	in   *unaryInput
+	ests [maxPlacements]core.Estimate
 	// bad marks a statement whose estimate group failed; it re-plans through
 	// the scalar path so its own error (or success) is exactly what
 	// sequential planning would have produced.
@@ -121,63 +119,48 @@ func (o *Optimizer) PlanBatchCtx(ctx context.Context, stmts []*sqlparse.SelectSt
 			out[i].Err = err
 			continue
 		}
-		switch {
-		case len(stmt.Joins) > 0:
-			p, err := o.planUncached(ctx, stmt, nil)
+		if len(stmt.Joins) > 0 {
+			p, err := o.planAnalyzed(ctx, a)
 			done(i, key, p, err)
-		case stmt.HasAggregates() || len(stmt.GroupBy) > 0:
-			in, err := o.aggInputFor(a)
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			pend = append(pend, &pendingStmt{idx: i, key: key, stmt: stmt,
-				agg: &in, ests: make([]core.Estimate, len(in.systems))})
-		default:
-			in, err := o.scanInputFor(a)
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			pend = append(pend, &pendingStmt{idx: i, key: key, stmt: stmt,
-				scan: &in, ests: make([]core.Estimate, len(in.systems))})
+			continue
 		}
+		in, err := o.unaryInputFor(a)
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		pend = append(pend, &pendingStmt{idx: i, key: key, stmt: stmt, in: in})
 	}
 
-	// Pool candidate placements per (system, operator kind): every statement
+	// Pool candidate placements per (operator kind, system): every statement
 	// contributes one spec per candidate system, and each group resolves
-	// with a single batched estimator call.
-	scanGroups := map[string][]specRef{}
-	aggGroups := map[string][]specRef{}
+	// with a single batched estimator call — scan groups first, then
+	// aggregation groups, each in system order.
+	groups := map[groupKey][]specRef{}
 	for _, p := range pend {
-		if p.scan != nil {
-			for pos, sys := range p.scan.systems {
-				scanGroups[sys] = append(scanGroups[sys], specRef{p: p, pos: pos})
-			}
-		} else {
-			for pos, sys := range p.agg.systems {
-				aggGroups[sys] = append(aggGroups[sys], specRef{p: p, pos: pos})
-			}
+		for pos, sys := range p.in.systems.list() {
+			k := groupKey{agg: p.in.agg != nil, sys: sys}
+			groups[k] = append(groups[k], specRef{p: p, pos: pos})
 		}
 	}
-	for _, sys := range sortedKeys(scanGroups) {
-		refs := scanGroups[sys]
+	for _, k := range sortedKeys(groups) {
+		refs := groups[k]
+		if k.agg {
+			specs := make([]plan.AggSpec, len(refs))
+			for i, r := range refs {
+				specs[i] = *r.p.in.agg
+			}
+			o.resolveGroup(ctx, "aggregation", k.sys, refs, func(est core.Estimator) ([]core.Estimate, error) {
+				return core.EstimateAggs(est, specs)
+			})
+			continue
+		}
 		specs := make([]plan.ScanSpec, len(refs))
 		for i, r := range refs {
-			specs[i] = r.p.scan.spec
+			specs[i] = *r.p.in.scan
 		}
-		o.resolveGroup(ctx, "scan", sys, refs, func(est core.Estimator) ([]core.Estimate, error) {
+		o.resolveGroup(ctx, "scan", k.sys, refs, func(est core.Estimator) ([]core.Estimate, error) {
 			return core.EstimateScans(est, specs)
-		})
-	}
-	for _, sys := range sortedKeys(aggGroups) {
-		refs := aggGroups[sys]
-		specs := make([]plan.AggSpec, len(refs))
-		for i, r := range refs {
-			specs[i] = r.p.agg.spec
-		}
-		o.resolveGroup(ctx, "aggregation", sys, refs, func(est core.Estimator) ([]core.Estimate, error) {
-			return core.EstimateAggs(est, specs)
 		})
 	}
 
@@ -189,21 +172,7 @@ func (o *Optimizer) PlanBatchCtx(ctx context.Context, stmts []*sqlparse.SelectSt
 			done(p.idx, p.key, pl, err)
 			continue
 		}
-		var (
-			pl  *Plan
-			err error
-		)
-		if p.scan != nil {
-			pl, err = o.assemble(p.scan.systems, p.ests, p.scan.spec.OutputRows(), p.scan.proj,
-				func(sys string, ce core.Estimate) (candidate, error) {
-					return o.scanCandidate(*p.scan, sys, ce)
-				})
-		} else {
-			pl, err = o.assemble(p.agg.systems, p.ests, p.agg.spec.OutputRows, p.agg.spec.OutputRowSize,
-				func(sys string, ce core.Estimate) (candidate, error) {
-					return o.aggCandidate(*p.agg, sys, ce)
-				})
-		}
+		pl, err := o.assemble(p.in, p.ests[:p.in.systems.n])
 		if err == nil {
 			pl, err = o.finishPlan(p.stmt, pl)
 		}
@@ -247,25 +216,37 @@ func (o *Optimizer) resolveGroup(ctx context.Context, operator, sys string, refs
 }
 
 // assemble builds the candidate sweep from precomputed estimates and picks
-// the best placement, mirroring the scalar planScan/planAgg selection.
-func (o *Optimizer) assemble(systems []string, ests []core.Estimate, outRows, outSize float64,
-	build func(string, core.Estimate) (candidate, error)) (*Plan, error) {
-	cands := make([]candidate, len(systems))
-	for pos, sys := range systems {
-		c, err := build(sys, ests[pos])
+// the best placement, mirroring the scalar planUnary selection.
+func (o *Optimizer) assemble(in *unaryInput, ests []core.Estimate) (*Plan, error) {
+	var buf [maxPlacements]candidate
+	cands := buf[:len(ests)]
+	for pos := range cands {
+		c, err := o.price(in, in.systems.sys[pos], ests[pos])
 		if err != nil {
 			return nil, err
 		}
 		cands[pos] = c
 	}
-	return pickBest(cands, outRows, outSize), nil
+	return in.pick(cands), nil
 }
 
-func sortedKeys(m map[string][]specRef) []string {
-	keys := make([]string, 0, len(m))
+// groupKey names one pooled estimator call: an operator kind on a system.
+type groupKey struct {
+	agg bool
+	sys string
+}
+
+// sortedKeys orders the groups: scans before aggregations, then by system.
+func sortedKeys(m map[groupKey][]specRef) []groupKey {
+	keys := make([]groupKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].agg != keys[j].agg {
+			return keys[j].agg
+		}
+		return keys[i].sys < keys[j].sys
+	})
 	return keys
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -14,20 +15,21 @@ import (
 // explicit purge calls are threaded through the engine.
 //
 // The warm hit path is contention-free: the key is hashed to one of up to
-// planCacheMaxShards shards, each shard publishes an immutable copy-on-write
-// map behind an atomic pointer, and recency is a CLOCK access bit (an
-// atomic.Bool set on hit, checked first so repeated hits on a hot entry do
-// not even dirty the cache line). No lock is taken and no shared list is
-// mutated on a hit; the per-shard mutex serializes only inserts, stale
-// evictions, and Purge. Stats is likewise lock-free (per-shard atomic
-// counters plus the published map sizes), so admin/metrics scrapes never
-// block lookups.
+// planCacheMaxShards shards, each shard indexes its entries in a fixed table
+// of hash buckets whose chains are linked through atomic pointers, and
+// recency is a CLOCK access bit (an atomic.Bool set on hit, checked first so
+// repeated hits on a hot entry do not even dirty the cache line). No lock is
+// taken and no shared list is mutated on a hit; the per-shard mutex
+// serializes only inserts, stale evictions, and Purge, each of which relinks
+// one chain — O(1), however full the shard is. Stats is likewise lock-free
+// (per-shard atomic counters), so admin/metrics scrapes never block lookups.
 //
 // Cached *Plan values are shared across callers and must be treated as
 // immutable; every consumer in this repo only reads them.
 type PlanCache struct {
 	cap    int // total capacity across shards
 	mask   uint64
+	seed   maphash.Seed // bucket hash; shard choice stays deterministic
 	shards []planShard
 }
 
@@ -47,7 +49,14 @@ const (
 // atomics summed by Stats; the trailing pad keeps one shard's hot counters
 // off its neighbour's cache lines.
 type planShard struct {
-	m atomic.Pointer[map[string]*planEntry] // published read view, copy-on-write
+	// buckets is the read view: a power-of-two table of chain heads sized at
+	// construction (about two buckets per entry at capacity), never resized.
+	// Readers walk a chain with atomic loads only; writers hold mu and
+	// publish every link with an atomic store. An unlinked entry keeps its
+	// next pointer, so a reader standing on it still reaches the rest of the
+	// chain, and an entry is never linked in twice.
+	buckets []atomic.Pointer[planEntry]
+	size    atomic.Int64
 
 	hits    atomic.Uint64
 	misses  atomic.Uint64
@@ -63,17 +72,18 @@ type planShard struct {
 	_ [64]byte
 }
 
-// planEntry is immutable once published except for the CLOCK access bit
-// (lock-free) and the ring slot index (guarded by the shard mutex). put
-// replaces an entry wholesale rather than mutating it in place, so readers
-// holding an old map snapshot always see a consistent (key, gen, plan)
-// triple.
+// planEntry is immutable once published except for the CLOCK access bit and
+// the chain link (both lock-free) and the ring slot index (guarded by the
+// shard mutex). put replaces an entry wholesale rather than mutating it in
+// place, so readers always see a consistent (key, gen, plan) triple.
 type planEntry struct {
-	key  string
-	gen  uint64
-	plan *Plan
-	slot int
-	ref  atomic.Bool
+	key    string
+	gen    uint64
+	plan   *Plan
+	bucket uint64
+	slot   int
+	ref    atomic.Bool
+	next   atomic.Pointer[planEntry]
 }
 
 // NewPlanCache builds a cache bounded to capacity entries. Capacity ≤ 0
@@ -89,13 +99,16 @@ func NewPlanCache(capacity int) *PlanCache {
 	for n*2 <= planCacheMaxShards && capacity/(n*2) >= planCacheMinPerShard {
 		n *= 2
 	}
-	c := &PlanCache{cap: capacity, mask: uint64(n - 1), shards: make([]planShard, n)}
+	c := &PlanCache{cap: capacity, mask: uint64(n - 1), seed: maphash.MakeSeed(), shards: make([]planShard, n)}
 	per := (capacity + n - 1) / n
+	buckets := 1
+	for buckets < 2*per {
+		buckets *= 2
+	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.cap = per
-		m := make(map[string]*planEntry)
-		sh.m.Store(&m)
+		sh.buckets = make([]atomic.Pointer[planEntry], buckets)
 	}
 	return c
 }
@@ -119,14 +132,29 @@ func (c *PlanCache) shard(key string) *planShard {
 	return &c.shards[(h^h>>32)&c.mask]
 }
 
+// bucket maps a key to its chain within sh.
+func (c *PlanCache) bucket(sh *planShard, key string) uint64 {
+	return maphash.String(c.seed, key) & uint64(len(sh.buckets)-1)
+}
+
+// find walks a chain for key.
+func (sh *planShard) find(bucket uint64, key string) *planEntry {
+	for e := sh.buckets[bucket].Load(); e != nil; e = e.next.Load() {
+		if e.key == key {
+			return e
+		}
+	}
+	return nil
+}
+
 // get returns the cached plan for key when present and built at the current
 // generation. Stale entries are evicted on sight. The hit path performs no
 // locking and no shared-structure mutation beyond (at most) one access-bit
 // store.
 func (c *PlanCache) get(key string, gen uint64) (*Plan, bool) {
 	sh := c.shard(key)
-	ent, ok := (*sh.m.Load())[key]
-	if !ok {
+	ent := sh.find(c.bucket(sh, key), key)
+	if ent == nil {
 		sh.misses.Add(1)
 		return nil, false
 	}
@@ -143,23 +171,35 @@ func (c *PlanCache) get(key string, gen uint64) (*Plan, bool) {
 	return ent.plan, true
 }
 
+// relink replaces old in its chain by with (old's successor when with is
+// nil), reporting whether old was still linked. Callers hold sh.mu.
+func (sh *planShard) relink(old, with *planEntry) bool {
+	link := &sh.buckets[old.bucket]
+	for e := link.Load(); e != nil; e = link.Load() {
+		if e == old {
+			if with == nil {
+				with = old.next.Load()
+			} else {
+				with.next.Store(old.next.Load())
+			}
+			link.Store(with)
+			return true
+		}
+		link = &e.next
+	}
+	return false
+}
+
 // dropStale removes ent from the shard if it is still the published entry
 // for its key. Racing callers may both observe the same stale entry; only
 // the first removal mutates the shard, so counters stay exact per lookup.
 func (sh *planShard) dropStale(ent *planEntry) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	cur := *sh.m.Load()
-	if cur[ent.key] != ent {
+	if !sh.relink(ent, nil) {
 		return // already replaced or removed by a racing put/evict
 	}
-	next := make(map[string]*planEntry, len(cur))
-	for k, v := range cur {
-		if k != ent.key {
-			next[k] = v
-		}
-	}
-	sh.m.Store(&next)
+	sh.size.Add(-1)
 	sh.ring[ent.slot] = nil
 	sh.holes = append(sh.holes, ent.slot)
 }
@@ -170,17 +210,16 @@ func (sh *planShard) dropStale(ent *planEntry) {
 // MoveToFront-free analogue of LRU eviction.
 func (c *PlanCache) put(key string, gen uint64, p *Plan) {
 	sh := c.shard(key)
+	ne := &planEntry{key: key, gen: gen, plan: p, bucket: c.bucket(sh, key)}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	cur := *sh.m.Load()
-	ne := &planEntry{key: key, gen: gen, plan: p}
-	if old, ok := cur[key]; ok {
+	if old := sh.find(ne.bucket, key); old != nil {
 		// Replace in place: reuse the ring slot, publish a fresh entry so
 		// concurrent readers never see a half-updated (gen, plan) pair.
 		ne.slot = old.slot
 		ne.ref.Store(old.ref.Load())
 		sh.ring[old.slot] = ne
-		sh.publishWith(cur, ne, "")
+		sh.relink(old, ne)
 		return
 	}
 	switch {
@@ -194,47 +233,35 @@ func (c *PlanCache) put(key string, gen uint64, p *Plan) {
 	default:
 		// CLOCK sweep: terminates within two passes — the first pass clears
 		// every set access bit, so the second pass must find a victim.
-		for {
-			v := sh.ring[sh.hand]
-			if v.ref.Load() {
-				v.ref.Store(false)
-				sh.hand = (sh.hand + 1) % len(sh.ring)
-				continue
-			}
-			ne.slot = sh.hand
-			sh.ring[sh.hand] = ne
+		for sh.ring[sh.hand].ref.Load() {
+			sh.ring[sh.hand].ref.Store(false)
 			sh.hand = (sh.hand + 1) % len(sh.ring)
-			sh.evicted.Add(1)
-			sh.publishWith(cur, ne, v.key)
-			return
 		}
+		sh.relink(sh.ring[sh.hand], nil)
+		sh.size.Add(-1)
+		sh.evicted.Add(1)
+		ne.slot = sh.hand
+		sh.ring[sh.hand] = ne
+		sh.hand = (sh.hand + 1) % len(sh.ring)
 	}
-	sh.publishWith(cur, ne, "")
-}
-
-// publishWith stores a copy of cur with ne added (replacing its key) and
-// drop removed (when non-empty). Callers hold sh.mu.
-func (sh *planShard) publishWith(cur map[string]*planEntry, ne *planEntry, drop string) {
-	next := make(map[string]*planEntry, len(cur)+1)
-	for k, v := range cur {
-		if k != drop {
-			next[k] = v
-		}
-	}
-	next[ne.key] = ne
-	sh.m.Store(&next)
+	head := &sh.buckets[ne.bucket]
+	ne.next.Store(head.Load())
+	head.Store(ne)
+	sh.size.Add(1)
 }
 
 // Purge drops every entry (statistics are kept). Each shard is cleared
 // independently under its own mutex, so lookups on other shards — and
-// lock-free hits on this one until its empty map is published — are never
-// stalled behind a global stop-the-world.
+// lock-free hits on this one until its chains are cut — are never stalled
+// behind a global stop-the-world.
 func (c *PlanCache) Purge() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		m := make(map[string]*planEntry)
-		sh.m.Store(&m)
+		for b := range sh.buckets {
+			sh.buckets[b].Store(nil)
+		}
+		sh.size.Store(0)
 		sh.ring = sh.ring[:0]
 		sh.holes = sh.holes[:0]
 		sh.hand = 0
@@ -253,16 +280,15 @@ type CacheStats struct {
 	HitRate  float64 `json:"hit_rate"`
 }
 
-// Stats reports the cache counters. It is lock-free: sizes come from the
-// published per-shard maps and counters from per-shard atomics, so scrapes
-// never block the hot path. Concurrent mutation can skew Size by in-flight
+// Stats reports the cache counters. It is lock-free: sizes and counters are
+// per-shard atomics, so scrapes never block the hot path. Concurrent mutation can skew Size by in-flight
 // operations, but the counters themselves are exact (every lookup increments
 // exactly one of hits/misses).
 func (c *PlanCache) Stats() CacheStats {
 	s := CacheStats{Capacity: c.cap}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		s.Size += len(*sh.m.Load())
+		s.Size += int(sh.size.Load())
 		s.Hits += sh.hits.Load()
 		s.Misses += sh.misses.Load()
 		s.Stale += sh.stale.Load()

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,5 +230,75 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	s := c.Stats()
 	if s.Hits+s.Misses != lookups.Load() {
 		t.Errorf("hits %d + misses %d != lookups %d", s.Hits, s.Misses, lookups.Load())
+	}
+}
+
+// TestPlanCacheChainsStayConsistent drives one small shard (8 entries over 16
+// buckets, 40 keys, so chains collide and every kind of relink happens in
+// the middle of one) through a seeded run of inserts, replacements, stale
+// drops, evictions and purges. After every operation the bucket chains must
+// hold exactly the ring's live entries, once each and in their own bucket;
+// a hit must return the plan last stored under that key; and a key is
+// findable right after its put and gone right after its stale drop.
+func TestPlanCacheChainsStayConsistent(t *testing.T) {
+	c := NewPlanCache(8)
+	sh := &c.shards[0]
+	if len(c.shards) != 1 || len(sh.buckets) != 16 {
+		t.Fatalf("%d shards, %d buckets", len(c.shards), len(sh.buckets))
+	}
+	latest := map[string]*Plan{} // the plan last put under a key
+	check := func(op string) {
+		t.Helper()
+		chained := map[*planEntry]bool{}
+		for b := range sh.buckets {
+			for e := sh.buckets[b].Load(); e != nil; e = e.next.Load() {
+				if chained[e] || e.bucket != uint64(b) || sh.ring[e.slot] != e || e.plan != latest[e.key] {
+					t.Fatalf("after %s: entry %q (bucket %d, slot %d) is chained twice, misplaced, or stale", op, e.key, e.bucket, e.slot)
+				}
+				chained[e] = true
+			}
+		}
+		live := 0
+		for _, e := range sh.ring {
+			if e != nil {
+				live++
+			}
+		}
+		if live != len(chained) || live != c.Stats().Size || live > 8 || live+len(sh.holes) != len(sh.ring) {
+			t.Fatalf("after %s: %d live ring entries, %d chained, size %d, %d holes in a ring of %d",
+				op, live, len(chained), c.Stats().Size, len(sh.holes), len(sh.ring))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		key := fmt.Sprintf("stmt-%d", rng.Intn(40))
+		switch r := rng.Intn(100); {
+		case r < 45:
+			p := &Plan{}
+			latest[key] = p
+			c.put(key, 1, p)
+			check("put " + key)
+			if got, ok := c.get(key, 1); !ok || got != p {
+				t.Fatalf("get(%s) right after put = %v, %v", key, got, ok)
+			}
+		case r < 85:
+			if got, ok := c.get(key, 1); ok && got != latest[key] {
+				t.Fatalf("get(%s) returned a plan that was replaced", key)
+			}
+		case r < 99:
+			if _, ok := c.get(key, 2); ok {
+				t.Fatalf("get(%s) served a stale generation", key)
+			}
+			check("stale get " + key)
+			if sh.find(c.bucket(sh, key), key) != nil {
+				t.Fatalf("%s still chained after its stale drop", key)
+			}
+		default:
+			c.Purge()
+			check("purge")
+		}
+	}
+	if s := c.Stats(); s.Evicted == 0 || s.Stale == 0 || s.Hits == 0 {
+		t.Errorf("the run never exercised a path: %+v", s)
 	}
 }

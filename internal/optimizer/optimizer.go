@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"intellisphere/internal/catalog"
@@ -60,21 +61,36 @@ type Step struct {
 }
 
 // Describe renders the step for EXPLAIN output.
-func (s Step) Describe() string {
+func (s Step) Describe() string { return string(s.appendTo(nil)) }
+
+func (s *Step) appendTo(b []byte) []byte {
 	switch s.Kind {
 	case "transfer":
-		return fmt.Sprintf("transfer %.0f rows × %.0f B  %s → %s  (%.2fs)", s.Rows, s.RowSize, s.From, s.System, s.EstimatedSec)
+		b = appendFixed(append(b, "transfer "...), s.Rows, 0)
+		b = appendFixed(append(b, " rows × "...), s.RowSize, 0)
+		b = append(append(b, " B  "...), s.From...)
+		b = append(append(b, " → "...), s.System...)
+		b = append(b, "  "...)
 	case "join":
-		return fmt.Sprintf("join on %s via %s (%.2fs)", s.System, s.Estimate.Algorithm, s.EstimatedSec)
-	case "aggregation":
-		return fmt.Sprintf("aggregation on %s (%.2fs)", s.System, s.EstimatedSec)
-	case "scan":
-		return fmt.Sprintf("scan on %s (%.2fs)", s.System, s.EstimatedSec)
+		b = append(append(b, "join on "...), s.System...)
+		b = append(append(b, " via "...), s.Estimate.Algorithm...)
+		b = append(b, ' ')
+	case "aggregation", "scan":
+		b = append(append(b, s.Kind...), " on "...)
+		b = append(append(b, s.System...), ' ')
 	case "sort":
-		return fmt.Sprintf("sort %.0f rows on %s (%.2fs)", s.Rows, s.System, s.EstimatedSec)
+		b = appendFixed(append(b, "sort "...), s.Rows, 0)
+		b = append(append(b, " rows on "...), s.System...)
+		b = append(b, ' ')
 	default:
-		return s.Kind
+		return append(b, s.Kind...)
 	}
+	return appendSeconds(b, s.EstimatedSec)
+}
+
+// appendSeconds appends "(<sec, two decimals>s)".
+func appendSeconds(b []byte, sec float64) []byte {
+	return append(appendFixed(append(b, '('), sec, 2), "s)"...)
 }
 
 // Alternative summarizes one rejected placement for EXPLAIN output.
@@ -85,7 +101,7 @@ type Alternative struct {
 
 // Plan is a chosen physical plan with its costed alternatives. Plans are
 // immutable once built (the plan cache shares one *Plan across callers), so
-// the Explain rendering is memoized.
+// the Explain rendering and the list of systems touched are memoized.
 type Plan struct {
 	Steps        []Step
 	EstimatedSec float64
@@ -100,41 +116,63 @@ type Plan struct {
 
 	explainOnce sync.Once
 	explained   string
+	systemsOnce sync.Once
+	systems     []string
+}
+
+// Systems lists the distinct systems the plan places steps on, sorted;
+// transfer steps contribute both endpoints. The list is computed once per
+// plan and shared: callers must not modify it.
+func (p *Plan) Systems() []string {
+	p.systemsOnce.Do(func() {
+		p.systems = make([]string, 0, 4)
+		add := func(sys string) {
+			if sys != "" && !slices.Contains(p.systems, sys) {
+				p.systems = append(p.systems, sys)
+			}
+		}
+		for i := range p.Steps {
+			add(p.Steps[i].System)
+			add(p.Steps[i].From)
+		}
+		sort.Strings(p.systems)
+	})
+	return p.systems
 }
 
 // Explain renders the plan. The rendering is computed once per plan, so
 // cache hits return byte-identical output without re-formatting.
 func (p *Plan) Explain() string {
 	p.explainOnce.Do(func() {
-		var b strings.Builder
+		var buf [1024]byte // most renderings fit: the text is then copied once
+		b := buf[:0]
 		if len(p.Excluded) > 0 {
-			fmt.Fprintf(&b, "degraded plan (excluded: %s)\n", strings.Join(p.Excluded, ", "))
+			b = append(b, "degraded plan (excluded: "...)
+			for i, sys := range p.Excluded {
+				if i > 0 {
+					b = append(b, ", "...)
+				}
+				b = append(b, sys...)
+			}
+			b = append(b, ")\n"...)
 		}
-		fmt.Fprintf(&b, "plan (estimated %.2fs):\n", p.EstimatedSec)
-		for i, s := range p.Steps {
-			fmt.Fprintf(&b, "  %d. %s\n", i+1, s.Describe())
+		b = appendFixed(append(b, "plan (estimated "...), p.EstimatedSec, 2)
+		b = append(b, "s):\n"...)
+		for i := range p.Steps {
+			b = strconv.AppendInt(append(b, "  "...), int64(i+1), 10)
+			b = p.Steps[i].appendTo(append(b, ". "...))
+			b = append(b, '\n')
 		}
 		if len(p.Alternatives) > 0 {
-			b.WriteString("rejected alternatives:\n")
+			b = append(b, "rejected alternatives:\n"...)
 			for _, a := range p.Alternatives {
-				fmt.Fprintf(&b, "  - %s (%.2fs)\n", a.Description, a.EstimatedSec)
+				b = append(append(b, "  - "...), a.Description...)
+				b = append(appendSeconds(append(b, ' '), a.EstimatedSec), '\n')
 			}
 		}
-		p.explained = b.String()
+		p.explained = string(b)
 	})
 	return p.explained
-}
-
-// candidate is one placement under construction.
-type candidate struct {
-	desc  string
-	steps []Step
-	total float64
-}
-
-func (c *candidate) add(s Step) {
-	c.steps = append(c.steps, s)
-	c.total += s.EstimatedSec
 }
 
 // Plan builds the cheapest federated plan for a parsed statement, consulting
@@ -233,26 +271,31 @@ func (o *Optimizer) planUncached(ctx context.Context, stmt *sqlparse.SelectStmt,
 		return nil, err
 	}
 	a.exclude = exclude
-	var p *Plan
-	switch {
-	case len(stmt.Joins) > 0:
+	return o.planAnalyzed(ctx, a)
+}
+
+// planAnalyzed enumerates the candidates of a bound statement.
+func (o *Optimizer) planAnalyzed(ctx context.Context, a *analyzed) (*Plan, error) {
+	var (
+		p   *Plan
+		err error
+	)
+	if len(a.stmt.Joins) > 0 {
 		p, err = o.planJoin(ctx, a)
-	case stmt.HasAggregates() || len(stmt.GroupBy) > 0:
-		p, err = o.planAgg(ctx, a)
-	default:
-		p, err = o.planScan(ctx, a)
+	} else {
+		p, err = o.planUnary(ctx, a)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(exclude) > 0 {
-		p.Excluded = make([]string, 0, len(exclude))
-		for s := range exclude {
+	if len(a.exclude) > 0 {
+		p.Excluded = make([]string, 0, len(a.exclude))
+		for s := range a.exclude {
 			p.Excluded = append(p.Excluded, s)
 		}
 		sort.Strings(p.Excluded)
 	}
-	return o.finishPlan(stmt, p)
+	return o.finishPlan(a.stmt, p)
 }
 
 // finishPlan appends the final ORDER BY sort (executed on the master, where
@@ -290,96 +333,200 @@ func (o *Optimizer) estimator(system string) (core.Estimator, error) {
 	return e, nil
 }
 
-// transferStep builds a transfer step (nil when src == dst).
-func (o *Optimizer) transferStep(from, to string, rows, rowSize float64) (*Step, error) {
-	if from == to {
-		return nil, nil
+// serial reports whether a sweep over n placements runs on the calling
+// goroutine: one placement, or a worker bound of one.
+func (o *Optimizer) serial(n int) bool {
+	w := o.Workers
+	if w <= 0 {
+		w = parallel.Workers()
 	}
-	sec, err := o.Grid.TransferCost(from, to, rows, rowSize)
+	return n <= 1 || w <= 1
+}
+
+// byCost orders two costs for a stable sort (first-seen wins ties).
+func byCost(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
+}
+
+// transferStep is the plan step moving rows × rowSize bytes from → to.
+func transferStep(from, to string, rows, rowSize, sec float64) Step {
+	return Step{Kind: "transfer", From: from, System: to, Rows: rows, RowSize: rowSize, EstimatedSec: sec}
+}
+
+// maxPlacements bounds an operator's candidate systems: the owners of its at
+// most two inputs plus the master.
+const maxPlacements = 3
+
+// placements is the set of candidate systems for one operator, in sweep
+// order.
+type placements struct {
+	sys [maxPlacements]string
+	n   int
+}
+
+// list returns the systems in sweep order.
+func (ps *placements) list() []string { return ps.sys[:ps.n] }
+
+// placements enumerates candidate systems for an operator over inputs owned
+// by the given (at most two) systems: every distinct non-excluded owner plus
+// the master (which is never excluded).
+func (a *analyzed) placements(owners ...string) (ps placements) {
+	add := func(s string) {
+		for _, seen := range ps.list() {
+			if seen == s {
+				return
+			}
+		}
+		ps.sys[ps.n] = s
+		ps.n++
+	}
+	for _, s := range owners {
+		if !a.exclude[s] {
+			add(s)
+		}
+	}
+	add(querygrid.Master)
+	return ps
+}
+
+// unaryInput is everything the placement sweep of a single-table statement
+// needs — its operator is a scan or an aggregation, so exactly one of
+// scan/agg is set — shared between the single-statement path and the grouped
+// batch path. The winning plan's operator step points at the spec.
+type unaryInput struct {
+	owner string
+	// rows × rowSize filtered by sel is what QueryGrid prices when the table
+	// ships off its owner; shipRows is the row count that transfer reports.
+	rows, rowSize, sel, shipRows float64
+	// outRows × outSize is the operator's result, shipped to the master.
+	outRows, outSize float64
+	scan             *plan.ScanSpec
+	agg              *plan.AggSpec
+	systems          placements // candidate placements, in sweep order
+}
+
+// kind names the operator the way plan steps and EXPLAIN do.
+func (in *unaryInput) kind() string {
+	if in.agg != nil {
+		return "aggregation"
+	}
+	return "scan"
+}
+
+// unaryInputFor derives the operator spec of a single-table statement and
+// its candidate placements.
+func (o *Optimizer) unaryInputFor(a *analyzed) (*unaryInput, error) {
+	t := a.binds[0].table
+	owner, err := a.systemOf(0)
 	if err != nil {
 		return nil, err
 	}
-	return &Step{Kind: "transfer", From: from, System: to, Rows: rows, RowSize: rowSize, EstimatedSec: sec}, nil
-}
-
-// pickBest selects the cheapest candidate and formats the rest as
-// alternatives.
-func pickBest(cands []candidate, outRows, outSize float64) *Plan {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].total < cands[j].total })
-	best := cands[0]
-	p := &Plan{Steps: best.steps, EstimatedSec: best.total, OutputRows: outRows, OutputRowSize: outSize}
-	for _, c := range cands[1:] {
-		p.Alternatives = append(p.Alternatives, Alternative{Description: c.desc, EstimatedSec: c.total})
-	}
-	return p
-}
-
-// scanInput is everything a scan placement sweep needs, shared between the
-// single-statement path and the grouped batch path.
-type scanInput struct {
-	owner   string
-	rows    float64 // base table cardinality
-	rowSize float64
-	sel     float64
-	proj    float64
-	spec    plan.ScanSpec
-	systems []string // candidate placements, in sweep order
-}
-
-// scanInputFor derives the scan spec and its candidate placements.
-func (o *Optimizer) scanInputFor(a *analyzed) (scanInput, error) {
-	b := a.order[0]
-	t := a.bindings[b]
-	owner, err := a.systemOf(b)
-	if err != nil {
-		return scanInput{}, err
-	}
-	sel, err := a.sideSelectivity(b)
-	if err != nil {
-		return scanInput{}, err
-	}
-	proj, err := a.projectedSize(b)
-	if err != nil {
-		return scanInput{}, err
-	}
-	return scanInput{
+	in := &unaryInput{
 		owner:   owner,
 		rows:    float64(t.Rows),
 		rowSize: float64(t.RowSize()),
-		sel:     sel,
-		proj:    proj,
-		spec: plan.ScanSpec{
-			InputRows:     float64(t.Rows),
-			InputRowSize:  float64(t.RowSize()),
-			Selectivity:   sel,
-			OutputRowSize: proj,
-		},
+		sel:     a.binds[0].sel,
 		systems: a.placements(owner),
-	}, nil
+	}
+	if a.stmt.HasAggregates() || len(a.stmt.GroupBy) > 0 {
+		inRows := in.rows * in.sel
+		if inRows < 1 {
+			inRows = 1
+		}
+		outRows, err := a.groupOutputRows(inRows)
+		if err != nil {
+			return nil, err
+		}
+		outSize, numAggs, err := a.aggOutputRowSize()
+		if err != nil {
+			return nil, err
+		}
+		in.agg = &plan.AggSpec{
+			InputRows:     inRows,
+			InputRowSize:  in.rowSize,
+			OutputRows:    outRows,
+			OutputRowSize: outSize,
+			NumAggregates: numAggs,
+		}
+		in.shipRows, in.outRows, in.outSize = inRows, outRows, outSize
+		return in, nil
+	}
+	proj, err := a.projectedSize(0)
+	if err != nil {
+		return nil, err
+	}
+	in.scan = &plan.ScanSpec{
+		InputRows:     in.rows,
+		InputRowSize:  in.rowSize,
+		Selectivity:   in.sel,
+		OutputRowSize: proj,
+	}
+	in.shipRows, in.outRows, in.outSize = in.rows*in.sel, in.scan.OutputRows(), proj
+	return in, nil
 }
 
-// scanCandidate assembles the placement candidate for sys around an
-// already-computed scan estimate.
-func (o *Optimizer) scanCandidate(in scanInput, sys string, ce core.Estimate) (candidate, error) {
-	c := candidate{desc: fmt.Sprintf("scan on %s", sys)}
+// candidate is one costed placement of a single-table operator: what it
+// takes to ship the (filtered, thanks to QueryGrid pushdown) table to sys
+// unless sys owns it, run the operator there, and land the result on the
+// master. Steps are only built for the placement that wins.
+type candidate struct {
+	sys              string
+	shipSec, backSec float64
+	est              core.Estimate
+	total            float64
+}
+
+// price assembles the candidate for sys around an already-computed operator
+// estimate.
+func (o *Optimizer) price(in *unaryInput, sys string, ce core.Estimate) (candidate, error) {
+	c := candidate{sys: sys, est: ce}
 	if sys != in.owner {
-		// Ship the (filtered, thanks to QueryGrid pushdown) table first.
 		sec, err := o.Grid.TransferCostFiltered(in.owner, sys, in.rows, in.rowSize, in.sel)
 		if err != nil {
 			return candidate{}, err
 		}
-		c.add(Step{Kind: "transfer", From: in.owner, System: sys,
-			Rows: in.rows * in.sel, RowSize: in.rowSize, EstimatedSec: sec})
+		c.shipSec = sec
+		c.total += sec
 	}
-	spec := in.spec
-	c.add(Step{Kind: "scan", System: sys, Scan: &spec, EstimatedSec: ce.Seconds, Estimate: ce})
-	// Final result must land on the master.
-	if ts, err := o.transferStep(sys, querygrid.Master, in.spec.OutputRows(), in.proj); err != nil {
-		return candidate{}, err
-	} else if ts != nil {
-		c.add(*ts)
+	c.total += ce.Seconds
+	if sys != querygrid.Master {
+		sec, err := o.Grid.TransferCost(sys, querygrid.Master, in.outRows, in.outSize)
+		if err != nil {
+			return candidate{}, err
+		}
+		c.backSec = sec
+		c.total += sec
 	}
 	return c, nil
+}
+
+// pick selects the cheapest candidate (reordering cands), builds its steps,
+// and lists the rest as alternatives.
+func (in *unaryInput) pick(cands []candidate) *Plan {
+	slices.SortStableFunc(cands, func(x, y candidate) int { return byCost(x.total, y.total) })
+	best := &cands[0]
+	p := &Plan{Steps: make([]Step, 0, 3), EstimatedSec: best.total, OutputRows: in.outRows, OutputRowSize: in.outSize}
+	if best.sys != in.owner {
+		p.Steps = append(p.Steps, transferStep(in.owner, best.sys, in.shipRows, in.rowSize, best.shipSec))
+	}
+	p.Steps = append(p.Steps, Step{Kind: in.kind(), System: best.sys, Scan: in.scan, Agg: in.agg,
+		EstimatedSec: best.est.Seconds, Estimate: best.est})
+	if best.sys != querygrid.Master {
+		p.Steps = append(p.Steps, transferStep(best.sys, querygrid.Master, in.outRows, in.outSize, best.backSec))
+	}
+	if len(cands) > 1 {
+		p.Alternatives = make([]Alternative, 0, len(cands)-1)
+		for _, c := range cands[1:] {
+			p.Alternatives = append(p.Alternatives, Alternative{Description: in.kind() + " on " + c.sys, EstimatedSec: c.total})
+		}
+	}
+	return p
 }
 
 // costSpan opens one candidate-costing span (nil on untraced contexts) and
@@ -405,169 +552,74 @@ func endCostSpan(sp *trace.Span, ce core.Estimate, err error) {
 	sp.EndErr(err)
 }
 
-// planScan places a single-table filter/project.
-func (o *Optimizer) planScan(ctx context.Context, a *analyzed) (*Plan, error) {
-	in, err := o.scanInputFor(a)
+// costUnary estimates in's operator on its i-th candidate system and prices
+// the placement.
+func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, i int) (candidate, error) {
+	sys := in.systems.sys[i]
+	est, err := o.estimator(sys)
+	if err != nil {
+		return candidate{}, err
+	}
+	sp := costSpan(ctx, in.kind(), sys)
+	var ce core.Estimate
+	if in.agg != nil {
+		ce, err = est.EstimateAgg(*in.agg)
+	} else {
+		ce, err = est.EstimateScan(*in.scan)
+	}
+	endCostSpan(sp, ce, err)
+	if err != nil {
+		return candidate{}, fmt.Errorf("optimizer: %s estimate on %q: %w", in.kind(), sys, err)
+	}
+	return o.price(in, sys, ce)
+}
+
+// planUnary places a single-table filter/project or aggregation.
+func (o *Optimizer) planUnary(ctx context.Context, a *analyzed) (*Plan, error) {
+	in, err := o.unaryInputFor(a)
 	if err != nil {
 		return nil, err
 	}
 	// Every placement is costed independently (estimators are safe for
-	// concurrent use), so candidates fan out across the worker pool; the
-	// ordered results keep plan selection identical to a serial sweep.
-	cands, err := parallel.MapN(o.Workers, len(in.systems), func(i int) (candidate, error) {
-		sys := in.systems[i]
-		est, err := o.estimator(sys)
-		if err != nil {
-			return candidate{}, err
+	// concurrent use), so with workers to spare the candidates fan out
+	// across the pool; the ordered results keep plan selection identical to
+	// the serial sweep.
+	var buf [maxPlacements]candidate
+	cands := buf[:in.systems.n]
+	if o.serial(len(cands)) {
+		for i := range cands {
+			if cands[i], err = o.costUnary(ctx, in, i); err != nil {
+				return nil, err
+			}
 		}
-		sp := costSpan(ctx, "scan", sys)
-		ce, err := est.EstimateScan(in.spec)
-		endCostSpan(sp, ce, err)
-		if err != nil {
-			return candidate{}, fmt.Errorf("optimizer: scan estimate on %q: %w", sys, err)
-		}
-		return o.scanCandidate(in, sys, ce)
-	})
-	if err != nil {
+	} else if cands, err = parallel.MapN(o.Workers, len(cands), func(i int) (candidate, error) {
+		return o.costUnary(ctx, in, i)
+	}); err != nil {
 		return nil, err
 	}
-	return pickBest(cands, in.spec.OutputRows(), in.proj), nil
+	return in.pick(cands), nil
 }
 
-// placements enumerates candidate systems for an operator over inputs owned
-// by the given systems: every distinct non-excluded owner plus the master
-// (which is never excluded).
-func (a *analyzed) placements(owners ...string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range append(owners, querygrid.Master) {
-		if !seen[s] && !a.exclude[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// aggInput is everything an aggregation placement sweep needs, shared
-// between the single-statement path and the grouped batch path.
-type aggInput struct {
-	owner   string
-	rows    float64 // base table cardinality (pre-filter)
-	rowSize float64
-	sel     float64
-	spec    plan.AggSpec
-	systems []string
-}
-
-// aggInputFor derives the aggregation spec and its candidate placements.
-func (o *Optimizer) aggInputFor(a *analyzed) (aggInput, error) {
-	b := a.order[0]
-	t := a.bindings[b]
-	owner, err := a.systemOf(b)
-	if err != nil {
-		return aggInput{}, err
-	}
-	sel, err := a.sideSelectivity(b)
-	if err != nil {
-		return aggInput{}, err
-	}
-	inRows := float64(t.Rows) * sel
-	if inRows < 1 {
-		inRows = 1
-	}
-	outRows, err := a.groupOutputRows(inRows)
-	if err != nil {
-		return aggInput{}, err
-	}
-	outSize, numAggs, err := a.aggOutputRowSize()
-	if err != nil {
-		return aggInput{}, err
-	}
-	return aggInput{
-		owner:   owner,
-		rows:    float64(t.Rows),
-		rowSize: float64(t.RowSize()),
-		sel:     sel,
-		spec: plan.AggSpec{
-			InputRows:     inRows,
-			InputRowSize:  float64(t.RowSize()),
-			OutputRows:    outRows,
-			OutputRowSize: outSize,
-			NumAggregates: numAggs,
-		},
-		systems: a.placements(owner),
-	}, nil
-}
-
-// aggCandidate assembles the placement candidate for sys around an
-// already-computed aggregation estimate.
-func (o *Optimizer) aggCandidate(in aggInput, sys string, ce core.Estimate) (candidate, error) {
-	c := candidate{desc: fmt.Sprintf("aggregation on %s", sys)}
-	if sys != in.owner {
-		sec, err := o.Grid.TransferCostFiltered(in.owner, sys, in.rows, in.rowSize, in.sel)
-		if err != nil {
-			return candidate{}, err
-		}
-		c.add(Step{Kind: "transfer", From: in.owner, System: sys,
-			Rows: in.spec.InputRows, RowSize: in.rowSize, EstimatedSec: sec})
-	}
-	spec := in.spec
-	c.add(Step{Kind: "aggregation", System: sys, Agg: &spec, EstimatedSec: ce.Seconds, Estimate: ce})
-	if ts, err := o.transferStep(sys, querygrid.Master, in.spec.OutputRows, in.spec.OutputRowSize); err != nil {
-		return candidate{}, err
-	} else if ts != nil {
-		c.add(*ts)
-	}
-	return c, nil
-}
-
-// planAgg places a single-table aggregation.
-func (o *Optimizer) planAgg(ctx context.Context, a *analyzed) (*Plan, error) {
-	in, err := o.aggInputFor(a)
-	if err != nil {
-		return nil, err
-	}
-	cands, err := parallel.MapN(o.Workers, len(in.systems), func(i int) (candidate, error) {
-		sys := in.systems[i]
-		est, err := o.estimator(sys)
-		if err != nil {
-			return candidate{}, err
-		}
-		sp := costSpan(ctx, "aggregation", sys)
-		ce, err := est.EstimateAgg(in.spec)
-		endCostSpan(sp, ce, err)
-		if err != nil {
-			return candidate{}, fmt.Errorf("optimizer: aggregation estimate on %q: %w", sys, err)
-		}
-		return o.aggCandidate(in, sys, ce)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pickBest(cands, in.spec.OutputRows, in.spec.OutputRowSize), nil
-}
-
-// joinStep is one resolved left-deep join: the new table's binding, its
-// join column, and the earlier binding/column it probes (empty for CROSS).
+// joinStep is one resolved left-deep join: the new table's binding (an index
+// into analyzed.binds), its join column, and the earlier binding/column it
+// probes (-1 and empty for CROSS).
 type joinStep struct {
-	newBinding string
-	newCol     string
-	probeBind  string
-	probeCol   string
-	cross      bool
+	newBind  int
+	newCol   string
+	probe    int
+	probeCol string
+	cross    bool
 }
 
 // resolveJoins validates the join chain: every non-cross condition must
 // reference the newly joined table on one side and an already-available
-// binding on the other.
+// binding (an earlier one) on the other.
 func (a *analyzed) resolveJoins() ([]joinStep, error) {
 	steps := make([]joinStep, 0, len(a.stmt.Joins))
-	available := map[string]bool{a.order[0]: true}
 	for i := range a.stmt.Joins {
 		j := &a.stmt.Joins[i]
-		nb := a.order[i+1]
-		st := joinStep{newBinding: nb, cross: j.Cross}
+		nb := i + 1
+		st := joinStep{newBind: nb, probe: -1, cross: j.Cross}
 		if !j.Cross {
 			lb, lcol, err := a.resolve(j.Left)
 			if err != nil {
@@ -578,19 +630,93 @@ func (a *analyzed) resolveJoins() ([]joinStep, error) {
 				return nil, err
 			}
 			switch {
-			case lb == nb && available[rb]:
-				st.newCol, st.probeBind, st.probeCol = lcol.Name, rb, rcol.Name
-			case rb == nb && available[lb]:
-				st.newCol, st.probeBind, st.probeCol = rcol.Name, lb, lcol.Name
+			case lb == nb && rb < nb:
+				st.newCol, st.probe, st.probeCol = lcol.Name, rb, rcol.Name
+			case rb == nb && lb < nb:
+				st.newCol, st.probe, st.probeCol = rcol.Name, lb, lcol.Name
 			default:
 				return nil, fmt.Errorf("optimizer: join %d condition %s = %s must link %q to an earlier table",
-					i+1, j.Left, j.Right, nb)
+					i+1, j.Left, j.Right, a.binds[nb].name)
 			}
 		}
-		available[nb] = true
 		steps = append(steps, st)
 	}
 	return steps, nil
+}
+
+// joinSweep is one join of the chain awaiting placement: the operator spec,
+// where its two inputs sit, and which of them still ship as base tables.
+type joinSweep struct {
+	a    *analyzed
+	join int // 0-based position in the chain
+	spec *plan.JoinSpec
+	// The left input (spec.Left) sits on curLoc; curBase is its binding
+	// while it is still a base table, -1 once it is an intermediate result.
+	curLoc  string
+	curBase int
+	// The newly joined table (spec.Right, binding newBind) is read from
+	// nxtOwner.
+	nxtOwner string
+	newBind  int
+}
+
+// joinOption is one costed placement of a join: the transfers that bring
+// each input to sys (zero when it is already there) plus the estimate.
+type joinOption struct {
+	sys                 string
+	shipLeft, shipRight float64
+	est                 core.Estimate
+	cost                float64
+}
+
+// joinOption prices running sw's join on sys.
+func (o *Optimizer) joinOption(ctx context.Context, sw joinSweep, sys string) (joinOption, error) {
+	est, err := o.estimator(sys)
+	if err != nil {
+		return joinOption{}, err
+	}
+	opt := joinOption{sys: sys}
+	if sys != sw.curLoc {
+		if opt.shipLeft, err = o.shipInput(sw.curLoc, sys, sw.curBase, sw.a, sw.spec.Left); err != nil {
+			return joinOption{}, err
+		}
+		opt.cost += opt.shipLeft
+	}
+	if sys != sw.nxtOwner {
+		if opt.shipRight, err = o.shipInput(sw.nxtOwner, sys, sw.newBind, sw.a, sw.spec.Right); err != nil {
+			return joinOption{}, err
+		}
+		opt.cost += opt.shipRight
+	}
+	sp := costSpan(ctx, "join", sys)
+	sp.SetInt("join", sw.join+1)
+	opt.est, err = est.EstimateJoin(*sw.spec)
+	endCostSpan(sp, opt.est, err)
+	if err != nil {
+		return joinOption{}, fmt.Errorf("optimizer: join estimate on %q: %w", sys, err)
+	}
+	opt.cost += opt.est.Seconds
+	return opt, nil
+}
+
+// costJoin prices sw's join on every candidate system — concurrently when
+// there are workers to spare — into opts (or a fresh slice), in sweep order.
+func (o *Optimizer) costJoin(ctx context.Context, sw joinSweep, systems placements, opts []joinOption) ([]joinOption, error) {
+	if !o.serial(systems.n) {
+		return parallel.MapN(o.Workers, systems.n, func(i int) (joinOption, error) {
+			return o.joinOption(ctx, sw, systems.sys[i])
+		})
+	}
+	// Indexed, not ranged over systems.list(): taking systems' address would
+	// make the closure above share it, and so move it to the heap per call.
+	for i := 0; i < systems.n; i++ {
+		opt, err := o.joinOption(ctx, sw, systems.sys[i])
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, opt)
+	}
+	return opts, nil
 }
 
 // planJoin places a left-deep join chain (with optional aggregation on
@@ -603,31 +729,32 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := a.order[0]
 	baseCol := ""
-	if len(steps) > 0 && steps[0].probeBind == base {
+	if len(steps) > 0 && steps[0].probe == 0 {
 		baseCol = steps[0].probeCol
 	}
-	cur, err := a.side(base, baseCol)
+	cur, err := a.side(0, baseCol)
 	if err != nil {
 		return nil, err
 	}
-	curLoc, err := a.systemOf(base)
+	curLoc, err := a.systemOf(0)
 	if err != nil {
 		return nil, err
 	}
-	curBase := base // non-empty while the intermediate is still a base table
-	p := &Plan{}
-
-	applied := make([]bool, len(a.stmt.Where))
-	available := map[string]bool{base: true}
+	curBase := 0 // the intermediate's binding while it is still a base table
+	// Per join: at most two transfers and the join; then an aggregation and
+	// the transfer home. Each join rejects at most two placements.
+	p := &Plan{
+		Steps:        make([]Step, 0, 3*len(steps)+2),
+		Alternatives: make([]Alternative, 0, 2*len(steps)),
+	}
 
 	for i, st := range steps {
-		nxt, err := a.side(st.newBinding, st.newCol)
+		nxt, err := a.side(st.newBind, st.newCol)
 		if err != nil {
 			return nil, err
 		}
-		nxtOwner, err := a.systemOf(st.newBinding)
+		nxtOwner, err := a.systemOf(st.newBind)
 		if err != nil {
 			return nil, err
 		}
@@ -635,8 +762,8 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 		// The probe side's key statistics: NDV of the probe column on its
 		// base table, capped by the intermediate cardinality.
 		left := cur
-		if st.probeBind != "" && st.probeBind != curBase {
-			ndv, err := a.bindings[st.probeBind].NDV(st.probeCol)
+		if st.probe >= 0 && st.probe != curBase {
+			ndv, err := a.binds[st.probe].table.NDV(st.probeCol)
 			if err != nil {
 				return nil, err
 			}
@@ -655,115 +782,62 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 			}
 			outRows = left.Rows * nxt.Rows / maxNDV
 		}
-		// Cross-table predicates become applicable once all their tables
-		// are joined in.
-		available[st.newBinding] = true
+		// A cross-table predicate becomes applicable with the join that
+		// brings in the last of its tables.
 		minNDV := math.Min(left.KeyNDV, nxt.KeyNDV)
-		for pi, pred := range a.stmt.Where {
-			if applied[pi] {
+		for pi, span := range a.preds {
+			if span.lo == span.hi || span.hi != st.newBind {
 				continue
 			}
-			tabs, err := a.predicateTables(pred)
-			if err != nil {
-				return nil, err
-			}
-			if len(tabs) < 2 {
-				continue
-			}
-			all := true
-			for b := range tabs {
-				if !available[b] {
-					all = false
-					break
-				}
-			}
-			if !all {
-				continue
-			}
-			sel, err := a.predicateSelectivity(pred, minNDV)
+			sel, err := a.predicateSelectivity(a.stmt.Where[pi], minNDV)
 			if err != nil {
 				return nil, err
 			}
 			outRows *= sel
-			applied[pi] = true
 		}
 		if outRows < 1 {
 			outRows = 1
 		}
-		spec := plan.JoinSpec{Left: left, Right: nxt, OutputRows: outRows, Cartesian: st.cross}
+		// On the heap: the winning placement's step keeps pointing at it.
+		spec := &plan.JoinSpec{Left: left, Right: nxt, OutputRows: outRows, Cartesian: st.cross}
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("optimizer: join %d spec: %w", i+1, err)
 		}
 
-		// Greedy placement of this join step: cost every candidate system
-		// concurrently, then select from the ordered results exactly as a
-		// serial sweep would (first-seen wins cost ties).
-		type option struct {
-			sys   string
-			steps []Step
-			cost  float64
-		}
-		systems := a.placements(curLoc, nxtOwner)
-		options, err := parallel.MapN(o.Workers, len(systems), func(oi int) (option, error) {
-			sys := systems[oi]
-			est, err := o.estimator(sys)
-			if err != nil {
-				return option{}, err
-			}
-			opt := option{sys: sys}
-			if sys != curLoc {
-				sec, terr := o.shipInput(curLoc, sys, curBase, a, left)
-				if terr != nil {
-					return option{}, terr
-				}
-				opt.steps = append(opt.steps, Step{Kind: "transfer", From: curLoc, System: sys,
-					Rows: left.Rows, RowSize: left.RowSize, EstimatedSec: sec})
-				opt.cost += sec
-			}
-			if sys != nxtOwner {
-				sec, terr := o.shipInput(nxtOwner, sys, st.newBinding, a, nxt)
-				if terr != nil {
-					return option{}, terr
-				}
-				opt.steps = append(opt.steps, Step{Kind: "transfer", From: nxtOwner, System: sys,
-					Rows: nxt.Rows, RowSize: nxt.RowSize, EstimatedSec: sec})
-				opt.cost += sec
-			}
-			sp := costSpan(ctx, "join", sys)
-			sp.SetInt("join", i+1)
-			ce, err := est.EstimateJoin(spec)
-			endCostSpan(sp, ce, err)
-			if err != nil {
-				return option{}, fmt.Errorf("optimizer: join estimate on %q: %w", sys, err)
-			}
-			specCopy := spec
-			opt.steps = append(opt.steps, Step{Kind: "join", System: sys, Join: &specCopy,
-				EstimatedSec: ce.Seconds, Estimate: ce})
-			opt.cost += ce.Seconds
-			return opt, nil
-		})
+		// Greedy placement of this join step: cost every candidate system,
+		// then select from the ordered results (first-seen wins cost ties).
+		var optBuf [maxPlacements]joinOption
+		options, err := o.costJoin(ctx, joinSweep{a: a, join: i, spec: spec,
+			curLoc: curLoc, curBase: curBase, nxtOwner: nxtOwner, newBind: st.newBind},
+			a.placements(curLoc, nxtOwner), optBuf[:0])
 		if err != nil {
 			return nil, err
 		}
-		var best *option
-		var rejected []option
-		for oi := range options {
-			opt := options[oi]
-			if best == nil || opt.cost < best.cost {
-				if best != nil {
-					rejected = append(rejected, *best)
-				}
-				best = &opt
+		best := 0
+		var rejBuf [maxPlacements]int
+		rejected := rejBuf[:0]
+		for oi := 1; oi < len(options); oi++ {
+			if options[oi].cost < options[best].cost {
+				rejected = append(rejected, best)
+				best = oi
 			} else {
-				rejected = append(rejected, opt)
+				rejected = append(rejected, oi)
 			}
 		}
-		p.Steps = append(p.Steps, best.steps...)
-		p.EstimatedSec += best.cost
+		win := &options[best]
+		if win.sys != curLoc {
+			p.Steps = append(p.Steps, transferStep(curLoc, win.sys, left.Rows, left.RowSize, win.shipLeft))
+		}
+		if win.sys != nxtOwner {
+			p.Steps = append(p.Steps, transferStep(nxtOwner, win.sys, nxt.Rows, nxt.RowSize, win.shipRight))
+		}
+		p.Steps = append(p.Steps, Step{Kind: "join", System: win.sys, Join: spec,
+			EstimatedSec: win.est.Seconds, Estimate: win.est})
+		p.EstimatedSec += win.cost
 		for _, r := range rejected {
 			p.Alternatives = append(p.Alternatives, Alternative{
-				Description:  fmt.Sprintf("join %d on %s", i+1, r.sys),
-				EstimatedSec: p.EstimatedSec - best.cost + r.cost,
+				Description:  "join " + strconv.Itoa(i+1) + " on " + options[r].sys,
+				EstimatedSec: p.EstimatedSec - win.cost + options[r].cost,
 			})
 		}
 
@@ -774,8 +848,8 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 			ProjectedSize: spec.OutputRowSize(),
 			KeyNDV:        outRows,
 		}
-		curLoc = best.sys
-		curBase = ""
+		curLoc = win.sys
+		curBase = -1
 	}
 
 	finalRows, finalSize := cur.Rows, cur.RowSize
@@ -807,30 +881,26 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 		p.EstimatedSec += ace.Seconds
 		finalRows, finalSize = aggRows, aggSize
 	}
-	if ts, err := o.transferStep(curLoc, querygrid.Master, finalRows, finalSize); err != nil {
-		return nil, err
-	} else if ts != nil {
-		p.Steps = append(p.Steps, *ts)
-		p.EstimatedSec += ts.EstimatedSec
+	if curLoc != querygrid.Master {
+		sec, err := o.Grid.TransferCost(curLoc, querygrid.Master, finalRows, finalSize)
+		if err != nil {
+			return nil, err
+		}
+		p.Steps = append(p.Steps, transferStep(curLoc, querygrid.Master, finalRows, finalSize, sec))
+		p.EstimatedSec += sec
 	}
-	sort.SliceStable(p.Alternatives, func(x, y int) bool {
-		return p.Alternatives[x].EstimatedSec < p.Alternatives[y].EstimatedSec
-	})
+	slices.SortStableFunc(p.Alternatives, func(x, y Alternative) int { return byCost(x.EstimatedSec, y.EstimatedSec) })
 	p.OutputRows, p.OutputRowSize = finalRows, finalSize
 	return p, nil
 }
 
-// shipInput prices moving one join input to sys: base tables ship with
-// QueryGrid predicate pushdown applied to their single-table filters;
-// intermediates ship at full volume.
-func (o *Optimizer) shipInput(from, to, binding string, a *analyzed, side plan.TableSide) (float64, error) {
-	if binding != "" {
-		t := a.bindings[binding]
-		sel, err := a.sideSelectivity(binding)
-		if err != nil {
-			return 0, err
-		}
-		return o.Grid.TransferCostFiltered(from, to, float64(t.Rows), float64(t.RowSize()), sel)
+// shipInput prices moving one join input to sys: base tables (binding ≥ 0)
+// ship with QueryGrid predicate pushdown applied to their single-table
+// filters; intermediates ship at full volume.
+func (o *Optimizer) shipInput(from, to string, binding int, a *analyzed, side plan.TableSide) (float64, error) {
+	if binding >= 0 {
+		b := &a.binds[binding]
+		return o.Grid.TransferCostFiltered(from, to, float64(b.table.Rows), float64(b.table.RowSize()), b.sel)
 	}
 	return o.Grid.TransferCost(from, to, side.Rows, side.RowSize)
 }

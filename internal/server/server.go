@@ -846,7 +846,21 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	buf := getBuf()
 	defer putBuf(buf)
 	var prefix [20]byte
+	unflushed := false
 	for {
+		// Frames leave in one write per burst: while the client's next
+		// statement is already buffered, answering it comes before flushing;
+		// as soon as reading would wait for the client, everything answered
+		// so far is written out first, so a lock-step client never waits on
+		// a frame that is sitting in the response buffer. EOF and the error
+		// returns below end the handler, which flushes what is left.
+		if unflushed && !lineBuffered(br) {
+			if err := rc.Flush(); err != nil && err != http.ErrNotSupported {
+				s.encodeErrors.Inc()
+				return
+			}
+			unflushed = false
+		}
 		line, oversized, rerr := readStreamLine(br, maxStreamLine)
 		if rerr != nil {
 			if rerr != io.EOF {
@@ -898,14 +912,23 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			s.encodeErrors.Inc()
 			return
 		}
-		if err := rc.Flush(); err != nil && err != http.ErrNotSupported {
-			s.encodeErrors.Inc()
-			return
-		}
+		unflushed = true
 		if r.Context().Err() != nil {
 			return
 		}
 	}
+}
+
+// lineBuffered reports whether br already holds a complete (newline-
+// terminated) line, i.e. whether the next readStreamLine returns without
+// waiting for the client.
+func lineBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n == 0 {
+		return false
+	}
+	b, _ := br.Peek(n)
+	return bytes.IndexByte(b, '\n') >= 0
 }
 
 // readStreamLine returns the next newline-terminated statement line from br
@@ -964,6 +987,9 @@ func discardLine(br *bufio.Reader) error {
 func streamStatement(line []byte) (string, error) {
 	switch line[0] {
 	case '"':
+		if sql, ok := plainJSONString(line); ok && sql != "" {
+			return sql, nil
+		}
 		var sql string
 		if err := json.Unmarshal(line, &sql); err != nil {
 			return "", fmt.Errorf("bad statement line: %v", err)
@@ -984,4 +1010,22 @@ func streamStatement(line []byte) (string, error) {
 	default:
 		return string(line), nil
 	}
+}
+
+// plainJSONString decodes line when it is a JSON string that needs no
+// decoding — printable ASCII between two quotes, no escapes — which is what
+// a client sending SQL almost always writes. Anything else (escapes, control
+// characters, non-ASCII text that json.Unmarshal would have to validate) is
+// left to encoding/json.
+func plainJSONString(line []byte) (string, bool) {
+	if len(line) < 2 || line[len(line)-1] != '"' {
+		return "", false
+	}
+	body := line[1 : len(line)-1]
+	for _, c := range body {
+		if c < 0x20 || c >= 0x80 || c == '\\' || c == '"' {
+			return "", false
+		}
+	}
+	return string(body), true
 }

@@ -1,9 +1,6 @@
 package sqlparse
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // ColRef names a column, optionally qualified by a table name or alias.
 type ColRef struct {
@@ -17,6 +14,19 @@ func (c ColRef) String() string {
 		return c.Column
 	}
 	return c.Qualifier + "." + c.Column
+}
+
+func (c ColRef) appendTo(b []byte) []byte {
+	if c.Qualifier != "" {
+		b = append(append(b, c.Qualifier...), '.')
+	}
+	return append(b, c.Column...)
+}
+
+// appendNumber renders a literal the way fmt's %g does: the shortest text
+// that parses back to the same float64.
+func appendNumber(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // Term is one additive component of an expression: either a column
@@ -34,25 +44,26 @@ type Expr struct {
 }
 
 // String renders the expression in SQL form.
-func (e Expr) String() string {
-	var b strings.Builder
+func (e Expr) String() string { return string(e.appendTo(nil)) }
+
+func (e Expr) appendTo(b []byte) []byte {
 	for i, t := range e.Terms {
 		if i > 0 {
 			if t.Negated {
-				b.WriteString(" - ")
+				b = append(b, " - "...)
 			} else {
-				b.WriteString(" + ")
+				b = append(b, " + "...)
 			}
 		} else if t.Negated {
-			b.WriteString("-")
+			b = append(b, '-')
 		}
 		if t.Col != nil {
-			b.WriteString(t.Col.String())
+			b = t.Col.appendTo(b)
 		} else {
-			fmt.Fprintf(&b, "%g", t.Constant)
+			b = appendNumber(b, t.Constant)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // Columns returns every column referenced by the expression.
@@ -74,8 +85,12 @@ type Predicate struct {
 }
 
 // String renders the predicate in SQL form.
-func (p Predicate) String() string {
-	return fmt.Sprintf("%s %s %g", p.Left.String(), p.Op, p.Value)
+func (p Predicate) String() string { return string(p.appendTo(nil)) }
+
+func (p Predicate) appendTo(b []byte) []byte {
+	b = append(p.Left.appendTo(b), ' ')
+	b = append(append(b, p.Op...), ' ')
+	return appendNumber(b, p.Value)
 }
 
 // AggFunc enumerates the supported aggregate functions.
@@ -102,20 +117,22 @@ type SelectItem struct {
 }
 
 // String renders the item in SQL form.
-func (s SelectItem) String() string {
-	var body string
+func (s SelectItem) String() string { return string(s.appendTo(nil)) }
+
+func (s SelectItem) appendTo(b []byte) []byte {
 	switch {
 	case s.Star:
-		body = "*"
+		b = append(b, '*')
 	case s.Agg != AggNone:
-		body = fmt.Sprintf("%s(%s)", s.Agg, s.Arg.String())
+		b = append(append(b, s.Agg...), '(')
+		b = append(s.Arg.appendTo(b), ')')
 	default:
-		body = s.Col.String()
+		b = s.Col.appendTo(b)
 	}
 	if s.Alias != "" {
-		body += " AS " + s.Alias
+		b = append(append(b, " AS "...), s.Alias...)
 	}
-	return body
+	return b
 }
 
 // TableRef names a table with an optional alias.
@@ -203,63 +220,65 @@ func (s *SelectStmt) String() string {
 	return s.render()
 }
 
-// render builds the SQL text from the tree.
+// render builds the SQL text from the tree, in one buffer.
 func (s *SelectStmt) render() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+	var buf [256]byte // most statements fit: the text is then copied once
+	b := append(buf[:0], "SELECT "...)
 	for i, it := range s.Items {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(it.String())
+		b = it.appendTo(b)
 	}
-	b.WriteString(" FROM " + s.From.Name)
+	b = append(append(b, " FROM "...), s.From.Name...)
 	if s.From.Alias != "" {
-		b.WriteString(" " + s.From.Alias)
+		b = append(append(b, ' '), s.From.Alias...)
 	}
 	for i := range s.Joins {
 		j := &s.Joins[i]
 		if j.Cross {
-			b.WriteString(" CROSS JOIN " + j.Table.Name)
+			b = append(b, " CROSS JOIN "...)
 		} else {
-			b.WriteString(" JOIN " + j.Table.Name)
+			b = append(b, " JOIN "...)
 		}
+		b = append(b, j.Table.Name...)
 		if j.Table.Alias != "" {
-			b.WriteString(" " + j.Table.Alias)
+			b = append(append(b, ' '), j.Table.Alias...)
 		}
 		if !j.Cross {
-			fmt.Fprintf(&b, " ON %s = %s", j.Left.String(), j.Right.String())
+			b = j.Left.appendTo(append(b, " ON "...))
+			b = j.Right.appendTo(append(b, " = "...))
 		}
 	}
-	if len(s.Where) > 0 {
-		b.WriteString(" WHERE ")
-		for i, p := range s.Where {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			b.WriteString(p.String())
+	for i, p := range s.Where {
+		if i == 0 {
+			b = append(b, " WHERE "...)
+		} else {
+			b = append(b, " AND "...)
 		}
+		b = p.appendTo(b)
 	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, c := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c.String())
+	for i, c := range s.GroupBy {
+		if i == 0 {
+			b = append(b, " GROUP BY "...)
+		} else {
+			b = append(b, ", "...)
 		}
+		b = c.appendTo(b)
 	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.String())
+	for i, o := range s.OrderBy {
+		if i == 0 {
+			b = append(b, " ORDER BY "...)
+		} else {
+			b = append(b, ", "...)
+		}
+		b = o.Col.appendTo(b)
+		if o.Desc {
+			b = append(b, " DESC"...)
 		}
 	}
 	if s.Limit > 0 {
-		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
+		b = strconv.AppendInt(append(b, " LIMIT "...), s.Limit, 10)
 	}
-	return b.String()
+	return string(b)
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer output.
@@ -23,101 +24,235 @@ const (
 	tokKeyword // recognized SQL keywords (normalized upper-case)
 )
 
-// token is one lexeme with its source position (1-based column).
+// token is one lexeme with its source position (1-based rune column).
 type token struct {
 	kind tokenKind
 	text string
 	pos  int
 }
 
-// keywords recognized by the parser. Identifiers matching these
-// (case-insensitively) are tagged tokKeyword with upper-cased text.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "JOIN": true, "INNER": true, "ON": true,
-	"WHERE": true, "GROUP": true, "BY": true, "AND": true, "AS": true,
-	"SUM": true, "COUNT": true, "AVG": true, "MIN": true, "MAX": true,
-	"CROSS": true, "ORDER": true, "LIMIT": true, "ASC": true, "DESC": true,
-}
+// Byte classes of the ASCII range; bytes ≥ 0x80 are decoded and classified
+// through package unicode.
+const (
+	clsSpace  = 1 << iota // unicode.IsSpace
+	clsLetter             // unicode.IsLetter or '_'
+	clsDigit              // unicode.IsDigit
+	clsSymbol             // single-character symbols
+)
 
-// lex tokenizes the input. It returns a descriptive error for any character
-// it cannot form into a token.
-func lex(input string) ([]token, error) {
-	var toks []token
-	runes := []rune(input)
-	i := 0
-	for i < len(runes) {
-		r := runes[i]
-		switch {
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		switch r := rune(c); {
 		case unicode.IsSpace(r):
-			i++
+			t[c] = clsSpace
 		case unicode.IsLetter(r) || r == '_':
-			start := i
-			for i < len(runes) && (unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i]) || runes[i] == '_') {
-				i++
-			}
-			word := string(runes[start:i])
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, text: upper, pos: start + 1})
-			} else {
-				toks = append(toks, token{kind: tokIdent, text: word, pos: start + 1})
-			}
+			t[c] = clsLetter
 		case unicode.IsDigit(r):
-			start := i
-			seenDot := false
-			for i < len(runes) && (unicode.IsDigit(runes[i]) || (runes[i] == '.' && !seenDot)) {
-				if runes[i] == '.' {
-					seenDot = true
-				}
-				i++
-			}
-			// Scientific notation: 1e6, 2.5E-3.
-			if i < len(runes) && (runes[i] == 'e' || runes[i] == 'E') {
-				j := i + 1
-				if j < len(runes) && (runes[j] == '+' || runes[j] == '-') {
-					j++
-				}
-				if j < len(runes) && unicode.IsDigit(runes[j]) {
-					i = j
-					for i < len(runes) && unicode.IsDigit(runes[i]) {
-						i++
-					}
-				}
-			}
-			toks = append(toks, token{kind: tokNumber, text: string(runes[start:i]), pos: start + 1})
-		case r == '<':
-			if i+1 < len(runes) && (runes[i+1] == '=' || runes[i+1] == '>') {
-				toks = append(toks, token{kind: tokSymbol, text: string(runes[i : i+2]), pos: i + 1})
-				i += 2
-			} else {
-				toks = append(toks, token{kind: tokSymbol, text: "<", pos: i + 1})
-				i++
-			}
-		case r == '>':
-			if i+1 < len(runes) && runes[i+1] == '=' {
-				toks = append(toks, token{kind: tokSymbol, text: ">=", pos: i + 1})
-				i += 2
-			} else {
-				toks = append(toks, token{kind: tokSymbol, text: ">", pos: i + 1})
-				i++
-			}
-		case r == '!':
-			if i+1 < len(runes) && runes[i+1] == '=' {
-				toks = append(toks, token{kind: tokSymbol, text: "<>", pos: i + 1})
-				i += 2
-			} else {
-				return nil, &ParseError{Column: i + 1, msg: fmt.Sprintf("sqlparse: unexpected %q at column %d", r, i+1)}
-			}
+			t[c] = clsDigit
 		case strings.ContainsRune("=+-*,.()", r):
-			toks = append(toks, token{kind: tokSymbol, text: string(r), pos: i + 1})
-			i++
-		case r == ';':
-			// Statement terminator: stop lexing.
-			i = len(runes)
-		default:
-			return nil, &ParseError{Column: i + 1, msg: fmt.Sprintf("sqlparse: unexpected %q at column %d", r, i+1)}
+			t[c] = clsSymbol
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: len(runes) + 1})
-	return toks, nil
+	return t
+}()
+
+// symbols holds the text of every single-character symbol token, so a token
+// never allocates.
+var symbols = func() (t [utf8.RuneSelf]string) {
+	for c := range t {
+		t[c] = string(rune(c))
+	}
+	return t
+}()
+
+// lexer scans the statement text by byte offset, one token per call of next.
+// Identifier and number tokens are substrings of the input; keyword and
+// symbol tokens are constants.
+type lexer struct {
+	src string
+	off int // byte offset of the next unread byte
+	// wide counts the UTF-8 continuation bytes before off, so off-wide is the
+	// number of runes consumed and positions stay rune columns.
+	wide int
+}
+
+// class decodes the rune at byte offset i (i < len(src)) and classifies it.
+func (l *lexer) class(i int) (r rune, size int, cls uint8) {
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1, asciiClass[c]
+	}
+	r, size = utf8.DecodeRuneInString(l.src[i:])
+	switch {
+	case unicode.IsSpace(r):
+		cls = clsSpace
+	case unicode.IsLetter(r):
+		cls = clsLetter
+	case unicode.IsDigit(r):
+		cls = clsDigit
+	}
+	return r, size, cls
+}
+
+// skip advances over the run of runes whose class is in mask.
+func (l *lexer) skip(mask uint8) {
+	for l.off < len(l.src) {
+		_, size, cls := l.class(l.off)
+		if cls&mask == 0 {
+			return
+		}
+		l.off += size
+		l.wide += size - 1
+	}
+}
+
+// next returns the following token. After the statement's end (or a ';'
+// terminator) it keeps returning tokEOF. A character that cannot start a
+// token is a *ParseError.
+func (l *lexer) next() (token, error) {
+	l.skip(clsSpace)
+	if l.off >= len(l.src) {
+		return token{kind: tokEOF, pos: l.off - l.wide + 1}, nil
+	}
+	start, pos := l.off, l.off-l.wide+1
+	r, size, cls := l.class(start)
+	switch {
+	case cls == clsLetter:
+		l.skip(clsLetter | clsDigit)
+		word := l.src[start:l.off]
+		if kw := keyword(word); kw != "" {
+			return token{kind: tokKeyword, text: kw, pos: pos}, nil
+		}
+		return token{kind: tokIdent, text: word, pos: pos}, nil
+	case cls == clsDigit:
+		l.skip(clsDigit)
+		if l.off < len(l.src) && l.src[l.off] == '.' {
+			l.off++
+			l.skip(clsDigit)
+		}
+		// Scientific notation: 1e6, 2.5E-3.
+		if l.off < len(l.src) && (l.src[l.off] == 'e' || l.src[l.off] == 'E') {
+			j := l.off + 1
+			if j < len(l.src) && (l.src[j] == '+' || l.src[j] == '-') {
+				j++
+			}
+			if j < len(l.src) {
+				if _, _, c := l.class(j); c == clsDigit {
+					l.off = j
+					l.skip(clsDigit)
+				}
+			}
+		}
+		return token{kind: tokNumber, text: l.src[start:l.off], pos: pos}, nil
+	case cls == clsSymbol:
+		l.off++
+		return token{kind: tokSymbol, text: symbols[r], pos: pos}, nil
+	case r == '<':
+		l.off++
+		if l.off < len(l.src) {
+			switch l.src[l.off] {
+			case '=':
+				l.off++
+				return token{kind: tokSymbol, text: "<=", pos: pos}, nil
+			case '>':
+				l.off++
+				return token{kind: tokSymbol, text: "<>", pos: pos}, nil
+			}
+		}
+		return token{kind: tokSymbol, text: "<", pos: pos}, nil
+	case r == '>':
+		l.off++
+		if l.off < len(l.src) && l.src[l.off] == '=' {
+			l.off++
+			return token{kind: tokSymbol, text: ">=", pos: pos}, nil
+		}
+		return token{kind: tokSymbol, text: ">", pos: pos}, nil
+	case r == '!' && start+1 < len(l.src) && l.src[start+1] == '=':
+		l.off += 2
+		return token{kind: tokSymbol, text: "<>", pos: pos}, nil
+	case r == ';':
+		// Statement terminator: whatever follows is not looked at, and the
+		// end-of-input column is that of the whole text.
+		l.wide += len(l.src) - l.off - utf8.RuneCountInString(l.src[l.off:])
+		l.off = len(l.src)
+		return token{kind: tokEOF, pos: l.off - l.wide + 1}, nil
+	default:
+		// Step over the offender so that a caller draining the input for
+		// errors makes progress.
+		l.off += size
+		l.wide += size - 1
+		return token{}, &ParseError{Column: pos, msg: fmt.Sprintf("sqlparse: unexpected %q at column %d", r, pos)}
+	}
+}
+
+// keyword returns the normalized (upper-case) keyword word spells, or "" for
+// an ordinary identifier. Matching ignores case the way strings.ToUpper
+// does, which for non-ASCII words also folds a few letters onto ASCII ones
+// ("ſelect" is SELECT).
+func keyword(word string) string {
+	var buf [6]byte // the longest keyword
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			return keywordUpper(strings.ToUpper(word))
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if i < len(buf) {
+			buf[i] = c
+		}
+	}
+	if len(word) > len(buf) {
+		return ""
+	}
+	return keywordUpper(string(buf[:len(word)]))
+}
+
+// keywordUpper maps an upper-cased word onto the keyword constant it equals
+// (a switch, which the compiler dispatches on length and value: every word of
+// every statement passes through here).
+func keywordUpper(upper string) string {
+	switch upper {
+	case "SELECT":
+		return "SELECT"
+	case "FROM":
+		return "FROM"
+	case "JOIN":
+		return "JOIN"
+	case "INNER":
+		return "INNER"
+	case "ON":
+		return "ON"
+	case "WHERE":
+		return "WHERE"
+	case "GROUP":
+		return "GROUP"
+	case "BY":
+		return "BY"
+	case "AND":
+		return "AND"
+	case "AS":
+		return "AS"
+	case "SUM":
+		return "SUM"
+	case "COUNT":
+		return "COUNT"
+	case "AVG":
+		return "AVG"
+	case "MIN":
+		return "MIN"
+	case "MAX":
+		return "MAX"
+	case "CROSS":
+		return "CROSS"
+	case "ORDER":
+		return "ORDER"
+	case "LIMIT":
+		return "LIMIT"
+	case "ASC":
+		return "ASC"
+	case "DESC":
+		return "DESC"
+	}
+	return ""
 }

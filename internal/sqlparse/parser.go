@@ -7,17 +7,22 @@ import (
 
 // Parse parses one SELECT statement of the supported subset.
 func Parse(sql string) (*SelectStmt, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lx: lexer{src: sql}}
+	p.advance()
 	stmt, err := p.parseSelect()
+	if err == nil && !p.at(tokEOF, "") {
+		err = p.errorf("trailing input starting with %q", p.cur().text)
+	}
+	// A character no token can start with is reported ahead of any grammar
+	// error, wherever it sits: lex whatever the grammar did not get to.
+	for p.lexErr == nil && p.tok.kind != tokEOF {
+		p.advance()
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	if !p.at(tokEOF, "") {
-		return nil, p.errorf("trailing input starting with %q", p.cur().text)
 	}
 	// Memoize the canonical rendering before the statement escapes: parsed
 	// statements are immutable downstream and shared across goroutines (the
@@ -26,16 +31,27 @@ func Parse(sql string) (*SelectStmt, error) {
 	return stmt, nil
 }
 
+// parser is a recursive-descent parser with one token of lookahead, pulled
+// from the lexer on demand.
 type parser struct {
-	toks []token
-	i    int
+	lx  lexer
+	tok token
+	// lexErr is the first lexing failure; the grammar sees end of input from
+	// there on.
+	lexErr error
 }
 
-func (p *parser) cur() token { return p.toks[p.i] }
-func (p *parser) advance()   { p.i++ }
+func (p *parser) cur() token { return p.tok }
+
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	p.tok, p.lexErr = p.lx.next()
+}
+
 func (p *parser) at(kind tokenKind, text string) bool {
-	t := p.cur()
-	return t.kind == kind && (text == "" || t.text == text)
+	return p.tok.kind == kind && (text == "" || p.tok.text == text)
 }
 
 // ParseError is the typed form of every statement parse and lex failure,
