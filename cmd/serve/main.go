@@ -10,7 +10,7 @@
 // Endpoints:
 //
 //	POST /query        {"sql": "SELECT ..."}   plan + execute
-//	POST /query/batch  ["SELECT ...", ...]     plan together, execute in order
+//	POST /query/batch  ["SELECT ...", ...]     each statement as /query, in order
 //	POST /query/stream NDJSON statements       pipelined: length-prefixed frames back
 //	POST /explain      {"sql": "SELECT ..."}   plan only
 //	GET  /query?q=SELECT+...                   curl-friendly form of the above

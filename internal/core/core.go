@@ -65,65 +65,29 @@ type Estimator interface {
 	EstimateScan(spec plan.ScanSpec) (Estimate, error)
 }
 
-// BatchEstimator is the optional batched companion to Estimator: one call
-// predicts a whole group of same-kind operators, letting implementations
-// amortize locking and run the underlying models through their batch-major
-// kernels. Each batch method must return one estimate per spec, element-wise
-// identical to calling the scalar method per spec (the batched serving path
-// relies on that equivalence). Use the EstimateJoins/EstimateAggs/
-// EstimateScans helpers to call it with a scalar fallback.
-type BatchEstimator interface {
-	// EstimateJoinBatch predicts the elapsed times of a group of joins.
-	EstimateJoinBatch(specs []plan.JoinSpec) ([]Estimate, error)
-	// EstimateAggBatch predicts the elapsed times of a group of aggregations.
-	EstimateAggBatch(specs []plan.AggSpec) ([]Estimate, error)
-	// EstimateScanBatch predicts the elapsed times of a group of scans.
-	EstimateScanBatch(specs []plan.ScanSpec) ([]Estimate, error)
-}
-
-// EstimateJoins predicts a group of joins through e, using the batched path
-// when e implements BatchEstimator and a scalar loop otherwise. On error the
-// whole group fails with the error of the lowest failing spec (matching what
-// the serial loop would have reported first).
+// EstimateJoins predicts a group of joins through e: one EstimateJoin call per
+// spec, in order, the first error failing the group. It, EstimateAggs and
+// EstimateScans remain only because the repo benchmark's per-layer ledger
+// (bench/layers.go) compiles against them; planning calls the Estimator
+// methods directly.
 func EstimateJoins(e Estimator, specs []plan.JoinSpec) ([]Estimate, error) {
-	if be, ok := e.(BatchEstimator); ok {
-		return be.EstimateJoinBatch(specs)
-	}
-	out := make([]Estimate, len(specs))
-	for i, spec := range specs {
-		est, err := e.EstimateJoin(spec)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = est
-	}
-	return out, nil
+	return estimateEach(specs, e.EstimateJoin)
 }
 
 // EstimateAggs is EstimateJoins for aggregations.
 func EstimateAggs(e Estimator, specs []plan.AggSpec) ([]Estimate, error) {
-	if be, ok := e.(BatchEstimator); ok {
-		return be.EstimateAggBatch(specs)
-	}
-	out := make([]Estimate, len(specs))
-	for i, spec := range specs {
-		est, err := e.EstimateAgg(spec)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = est
-	}
-	return out, nil
+	return estimateEach(specs, e.EstimateAgg)
 }
 
 // EstimateScans is EstimateJoins for scans.
 func EstimateScans(e Estimator, specs []plan.ScanSpec) ([]Estimate, error) {
-	if be, ok := e.(BatchEstimator); ok {
-		return be.EstimateScanBatch(specs)
-	}
+	return estimateEach(specs, e.EstimateScan)
+}
+
+func estimateEach[S any](specs []S, estimate func(S) (Estimate, error)) ([]Estimate, error) {
 	out := make([]Estimate, len(specs))
 	for i, spec := range specs {
-		est, err := e.EstimateScan(spec)
+		est, err := estimate(spec)
 		if err != nil {
 			return nil, err
 		}

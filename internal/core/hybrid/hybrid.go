@@ -96,10 +96,9 @@ type Estimator struct {
 }
 
 var (
-	_ core.Estimator      = (*Estimator)(nil)
-	_ core.BatchEstimator = (*Estimator)(nil)
-	_ core.Feedback       = (*Estimator)(nil)
-	_ core.Versioned      = (*Estimator)(nil)
+	_ core.Estimator = (*Estimator)(nil)
+	_ core.Feedback  = (*Estimator)(nil)
+	_ core.Versioned = (*Estimator)(nil)
 )
 
 // NewEstimator validates the profile and builds the routing estimator.
@@ -223,95 +222,6 @@ func (e *Estimator) route(kind string) (core.Estimator, error) {
 	default:
 		return nil, fmt.Errorf("hybrid: %q has unknown approach %q for %s", e.profile.SystemName, want, kind)
 	}
-}
-
-// routeMany routes a batch of k same-kind operators through one approach,
-// counting all k estimates at once. When the profile has a pending
-// query-count switchover (SwitchAfter > 0) the switch could land in the
-// middle of the batch, so routing declines (ok=false) and the caller falls
-// back to per-spec scalar estimation — keeping the switchover timing
-// identical to k sequential route calls. Caller must NOT hold e.mu.
-func (e *Estimator) routeMany(kind string, k int) (est core.Estimator, ok bool, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.profile.SwitchAfter > 0 {
-		return nil, false, nil
-	}
-	e.queries += k
-	want := e.profile.Active
-	if over, o := e.profile.PerOperator[kind]; o {
-		want = over
-	}
-	switch want {
-	case core.SubOp:
-		if e.sub == nil {
-			return nil, false, fmt.Errorf("hybrid: %q routes %s to sub-op but has no models", e.profile.SystemName, kind)
-		}
-		return e.sub, true, nil
-	case core.LogicalOp:
-		if e.logical == nil {
-			return nil, false, fmt.Errorf("hybrid: %q routes %s to logical-op but has no models", e.profile.SystemName, kind)
-		}
-		return e.logical, true, nil
-	default:
-		return nil, false, fmt.Errorf("hybrid: %q has unknown approach %q for %s", e.profile.SystemName, want, kind)
-	}
-}
-
-// EstimateJoinBatch implements core.BatchEstimator: the whole group routes to
-// one approach and is predicted in a single batched call when possible,
-// element-wise identical to per-spec EstimateJoin.
-func (e *Estimator) EstimateJoinBatch(specs []plan.JoinSpec) ([]core.Estimate, error) {
-	est, ok, err := e.routeMany("join", len(specs))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		out := make([]core.Estimate, len(specs))
-		for i, spec := range specs {
-			if out[i], err = e.EstimateJoin(spec); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	return core.EstimateJoins(est, specs)
-}
-
-// EstimateAggBatch implements core.BatchEstimator.
-func (e *Estimator) EstimateAggBatch(specs []plan.AggSpec) ([]core.Estimate, error) {
-	est, ok, err := e.routeMany("aggregation", len(specs))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		out := make([]core.Estimate, len(specs))
-		for i, spec := range specs {
-			if out[i], err = e.EstimateAgg(spec); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	return core.EstimateAggs(est, specs)
-}
-
-// EstimateScanBatch implements core.BatchEstimator.
-func (e *Estimator) EstimateScanBatch(specs []plan.ScanSpec) ([]core.Estimate, error) {
-	est, ok, err := e.routeMany("scan", len(specs))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		out := make([]core.Estimate, len(specs))
-		for i, spec := range specs {
-			if out[i], err = e.EstimateScan(spec); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	return core.EstimateScans(est, specs)
 }
 
 // EstimateJoin implements core.Estimator.

@@ -19,9 +19,8 @@ type Estimator struct {
 }
 
 var (
-	_ core.Estimator      = (*Estimator)(nil)
-	_ core.BatchEstimator = (*Estimator)(nil)
-	_ core.Feedback       = (*Estimator)(nil)
+	_ core.Estimator = (*Estimator)(nil)
+	_ core.Feedback  = (*Estimator)(nil)
 )
 
 // Approach implements core.Estimator.
@@ -81,73 +80,6 @@ func (e *Estimator) EstimateScan(spec plan.ScanSpec) (core.Estimate, error) {
 		return core.Estimate{}, err
 	}
 	return toCoreEstimate(est), nil
-}
-
-// batchToCore maps a model batch result into core estimates.
-func batchToCore(ests []Estimate, err error) ([]core.Estimate, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.Estimate, len(ests))
-	for i, est := range ests {
-		out[i] = toCoreEstimate(est)
-	}
-	return out, nil
-}
-
-// EstimateJoinBatch implements core.BatchEstimator: one model call predicts
-// the whole group, element-wise identical to per-spec EstimateJoin.
-func (e *Estimator) EstimateJoinBatch(specs []plan.JoinSpec) ([]core.Estimate, error) {
-	if len(specs) == 0 {
-		return []core.Estimate{}, nil
-	}
-	if e.Join == nil {
-		return nil, core.ErrUnsupported
-	}
-	xs := make([][]float64, len(specs))
-	for i, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("logicalop: %w", err)
-		}
-		xs[i] = spec.Dims()
-	}
-	return batchToCore(e.Join.EstimateBatch(xs))
-}
-
-// EstimateAggBatch implements core.BatchEstimator.
-func (e *Estimator) EstimateAggBatch(specs []plan.AggSpec) ([]core.Estimate, error) {
-	if len(specs) == 0 {
-		return []core.Estimate{}, nil
-	}
-	if e.Agg == nil {
-		return nil, core.ErrUnsupported
-	}
-	xs := make([][]float64, len(specs))
-	for i, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("logicalop: %w", err)
-		}
-		xs[i] = spec.Dims()
-	}
-	return batchToCore(e.Agg.EstimateBatch(xs))
-}
-
-// EstimateScanBatch implements core.BatchEstimator.
-func (e *Estimator) EstimateScanBatch(specs []plan.ScanSpec) ([]core.Estimate, error) {
-	if len(specs) == 0 {
-		return []core.Estimate{}, nil
-	}
-	if e.Scan == nil {
-		return nil, core.ErrUnsupported
-	}
-	xs := make([][]float64, len(specs))
-	for i, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("logicalop: %w", err)
-		}
-		xs[i] = scanDims(spec)
-	}
-	return batchToCore(e.Scan.EstimateBatch(xs))
 }
 
 // ScanDimNames names the scan model's training dimensions.

@@ -1,7 +1,6 @@
 package logicalop
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -110,12 +109,11 @@ type Estimate struct {
 // Model is one trained logical-operator costing model (one per operator
 // kind, e.g. the seven-dimension join model of Figure 2).
 type Model struct {
-	// mu is reader/writer: the serving path (Estimate, EstimateBatch,
-	// PredictBatch and the accessors) shares the read lock — safe because
-	// nn.Regressor prediction is concurrency-safe and everything else those
-	// paths touch is only written under the exclusive lock, which the
-	// mutators (Observe, SeedLog, RefitAlpha, OfflineTune, SetAlpha,
-	// SetNeighborK) take. Concurrent estimates on different cores no longer
+	// mu is reader/writer: the serving path (Estimate, PredictBatch and the
+	// accessors) shares the read lock — safe because nn.Regressor prediction
+	// is concurrency-safe and everything else those paths touch is only
+	// written under the exclusive lock, which the mutators (Observe, SeedLog,
+	// RefitAlpha, OfflineTune, SetAlpha, SetNeighborK) take. Concurrent estimates on different cores no longer
 	// serialize on each other.
 	mu       sync.RWMutex
 	kind     string
@@ -296,83 +294,6 @@ func (m *Model) Estimate(x []float64) (Estimate, error) {
 		NNSeconds:  nnSec,
 		RegSeconds: regSec,
 	}, nil
-}
-
-// EstimateBatch predicts a group of operator instances under one lock
-// acquisition. The result is element-wise identical to calling Estimate per
-// input: the network components run through the batch-major kernel (which is
-// bit-identical to the scalar forward pass), and the Figure 3 flowchart is
-// applied per input exactly as in Estimate. Repeated identical input vectors
-// within the batch — plan candidates for the same statement often present the
-// exact same dimension vector — are computed once and memoized.
-func (m *Model) EstimateBatch(xs [][]float64) ([]Estimate, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, x := range xs {
-		if len(x) != len(m.dims) {
-			return nil, fmt.Errorf("logicalop: %s estimate with %d dims, want %d", m.kind, len(x), len(m.dims))
-		}
-	}
-	// Memo: map each input to the first occurrence of its exact bit pattern,
-	// so duplicates share one prediction (and one remedy regression).
-	uniq := make([][]float64, 0, len(xs))
-	slot := make([]int, len(xs))
-	seen := make(map[string]int, len(xs))
-	var keyBuf []byte
-	for i, x := range xs {
-		keyBuf = vecKey(keyBuf[:0], x)
-		if u, ok := seen[string(keyBuf)]; ok {
-			slot[i] = u
-			continue
-		}
-		seen[string(keyBuf)] = len(uniq)
-		slot[i] = len(uniq)
-		uniq = append(uniq, x)
-	}
-	nnSecs := m.reg.PredictAll(uniq)
-	ests := make([]Estimate, len(uniq))
-	for u, x := range uniq {
-		nnSec := nnSecs[u]
-		if nnSec < 0 {
-			nnSec = 0
-		}
-		pivots := m.pivotDims(x)
-		if len(pivots) == 0 {
-			ests[u] = Estimate{Seconds: nnSec, NNSeconds: nnSec}
-			continue
-		}
-		regSec, err := m.remedyRegression(x, pivots)
-		if err != nil {
-			ests[u] = Estimate{Seconds: nnSec, OutOfRange: true, PivotDims: pivots, NNSeconds: nnSec}
-			continue
-		}
-		if regSec < 0 {
-			regSec = 0
-		}
-		ests[u] = Estimate{
-			Seconds:    m.alpha*nnSec + (1-m.alpha)*regSec,
-			OutOfRange: true,
-			PivotDims:  pivots,
-			NNSeconds:  nnSec,
-			RegSeconds: regSec,
-		}
-	}
-	out := make([]Estimate, len(xs))
-	for i, u := range slot {
-		out[i] = ests[u]
-	}
-	return out, nil
-}
-
-// vecKey appends the exact bit pattern of x to dst, forming a memo key that
-// equates vectors iff every element is bit-identical (NaNs and signed zeros
-// never appear in operator dimensions, so bit equality is value equality
-// here).
-func vecKey(dst []byte, x []float64) []byte {
-	for _, v := range x {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
 }
 
 // pivotDims returns the dimensions whose value is way off the trained range

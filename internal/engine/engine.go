@@ -795,23 +795,27 @@ func (e *Engine) Query(sql string) (*QueryResult, error) {
 // timeout cancels in-flight remote work instead of letting it run to
 // completion behind an abandoned request.
 func (e *Engine) QueryContext(ctx context.Context, sql string) (*QueryResult, error) {
-	rec := e.events.Load()
-	if rec == nil {
-		e.queries.Inc()
-		res, err := e.query(ctx, sql)
-		if err != nil {
-			e.queryErrors.Inc()
-		}
-		return res, err
+	return e.serve(ctx, "query", sql, nil)
+}
+
+// BatchItem is one statement's outcome within a query batch: exactly one of
+// Res/Err is set.
+type BatchItem struct {
+	Res *QueryResult
+	Err error
+}
+
+// QueryBatch answers a group of statements in order, one item per statement.
+// Each statement runs exactly as QueryContext would run it alone — its own
+// parse, plan, execution, counters, stage timings and wide event (kind
+// "batch") — so a failed statement fails only its own slot and a repeat
+// inside the batch is a plan-cache hit like any other repeat.
+func (e *Engine) QueryBatch(ctx context.Context, sqls []string) []BatchItem {
+	out := make([]BatchItem, len(sqls))
+	for i, sql := range sqls {
+		out[i].Res, out[i].Err = e.serve(ctx, "batch", sql, nil)
 	}
-	start := time.Now()
-	e.queries.Inc()
-	res, err := e.query(ctx, sql)
-	if err != nil {
-		e.queryErrors.Inc()
-	}
-	e.emitEvent(rec, "query", sql, res, err, time.Since(start), 0)
-	return res, err
+	return out
 }
 
 // QueryTraced is QueryContext with span-tree tracing enabled: the whole
@@ -825,7 +829,19 @@ func (e *Engine) QueryTraced(ctx context.Context, sql string) (*QueryResult, *tr
 	// histogram exemplars and the wide event emitted along the way carry
 	// the ID the trace is retrievable under once published.
 	tr := e.traces.NewTrace(sql)
-	ctx = trace.ContextWithSpan(ctx, tr.Root)
+	res, err := e.serve(trace.ContextWithSpan(ctx, tr.Root), "query", sql, tr)
+	return res, tr, err
+}
+
+// serve runs one statement end to end and is the one place a query is
+// counted: every entry point (Query, QueryContext, QueryTraced, each
+// statement of QueryBatch) moves the query and error counters, and — when a
+// recorder is attached — reports the statement's whole parse + plan +
+// execute latency as a wide event of the given kind. A non-nil tr is the
+// trace ctx records into: it is finished, published to the ring and attached
+// to the result before the event that carries its ID is emitted. With no
+// recorder attached the path pays one atomic load and no clock reads.
+func (e *Engine) serve(ctx context.Context, kind, sql string, tr *trace.Trace) (*QueryResult, error) {
 	rec := e.events.Load()
 	var start time.Time
 	if rec != nil {
@@ -836,15 +852,19 @@ func (e *Engine) QueryTraced(ctx context.Context, sql string) (*QueryResult, *tr
 	if err != nil {
 		e.queryErrors.Inc()
 	}
-	tr.Finish(err)
-	e.traces.Record(tr)
-	if res != nil {
-		res.Trace = tr
+	var traceID uint64
+	if tr != nil {
+		tr.Finish(err)
+		e.traces.Record(tr)
+		if res != nil {
+			res.Trace = tr
+		}
+		traceID = tr.ID
 	}
 	if rec != nil {
-		e.emitEvent(rec, "query", sql, res, err, time.Since(start), tr.ID)
+		e.emitEvent(rec, kind, sql, res, err, time.Since(start), traceID)
 	}
-	return res, tr, err
+	return res, err
 }
 
 // RecentTraces returns up to n of the most recently recorded traces, newest
@@ -893,22 +913,14 @@ func (e *Engine) query(ctx context.Context, sql string) (*QueryResult, error) {
 	return res, err
 }
 
-// run executes an already built plan for a statement — the shared back half
-// of the scalar and batched query paths: execute-stage timing, and on an
-// infrastructural failure the degraded re-planning loop.
+// run executes an already built plan for a statement: execute-stage timing,
+// and on an infrastructural failure the degraded re-planning loop.
 func (e *Engine) run(ctx context.Context, stmt *sqlparse.SelectStmt, p *optimizer.Plan) (*QueryResult, error) {
 	execStart := time.Now()
 	defer func() {
 		e.executeHist.ObserveExemplar(time.Since(execStart), trace.SpanFromContext(ctx).TraceID())
 	}()
-	return e.runInto(ctx, stmt, p, &QueryResult{}, make([]float64, 0, len(p.Steps)))
-}
-
-// runInto is run with caller-provided result storage and without the
-// execute-stage timing: the batch path slab-allocates results for the whole
-// batch and chains a single clock read per statement boundary.
-func (e *Engine) runInto(ctx context.Context, stmt *sqlparse.SelectStmt, p *optimizer.Plan, res *QueryResult, actuals []float64) (*QueryResult, error) {
-	res, err := e.executeInto(ctx, stmt, p, res, actuals)
+	res, err := e.execute(ctx, stmt, p)
 	if err == nil || !e.fallback {
 		return res, err
 	}
@@ -949,18 +961,10 @@ func (e *Engine) runInto(ctx context.Context, stmt *sqlparse.SelectStmt, p *opti
 
 // execute runs every step of one plan, then computes row-level answers when
 // every referenced table is materialized.
-func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt, p *optimizer.Plan) (*QueryResult, error) {
-	return e.executeInto(ctx, stmt, p, &QueryResult{}, make([]float64, 0, len(p.Steps)))
-}
-
-// executeInto is execute with caller-provided storage: res is overwritten
-// and actuals (sliced to zero length) becomes the StepActuals backing. The
-// batch path hands out slices of one per-batch slab here, cutting the two
-// heap objects per statement the scalar path pays.
-func (e *Engine) executeInto(ctx context.Context, stmt *sqlparse.SelectStmt, p *optimizer.Plan, res *QueryResult, actuals []float64) (_ *QueryResult, err error) {
+func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt, p *optimizer.Plan) (_ *QueryResult, err error) {
 	ctx, sp := trace.Start(ctx, "execute")
 	defer func() { sp.EndErr(err) }()
-	*res = QueryResult{Plan: p, StepActuals: actuals[:0]}
+	res := &QueryResult{Plan: p, StepActuals: make([]float64, 0, len(p.Steps))}
 	for i := range p.Steps {
 		if err = ctx.Err(); err != nil {
 			return nil, err

@@ -104,6 +104,79 @@ func TestQueryEmitsWideEvents(t *testing.T) {
 	}
 }
 
+// TestBatchEventLatencyCoversWholeStatement pins what a batch statement
+// reports about itself: its wide event carries the statement's own parse +
+// plan + execute latency (so the latency SLO, /history p99 and
+// /events?min_ms= see /query/batch traffic at full weight), a statement that
+// fails before execution still reports the time it took to fail, and every
+// statement is one observation in each stage histogram it reached.
+func TestBatchEventLatencyCoversWholeStatement(t *testing.T) {
+	e := newEngine(t)
+	registerHive(t, e)
+	registerTables(t, e, "hive", ts{100000, 100}, ts{1000000, 250})
+	rec := obs.NewRecorder(obs.RecorderConfig{SampleRate: 1})
+	e.SetEventRecorder(rec)
+
+	// One never-seen statement: the three stages run once each, nested inside
+	// the interval the event must report.
+	before := e.Stats()
+	item := e.QueryBatch(context.Background(), []string{
+		"SELECT r.a1 FROM t1000000_250 r JOIN t100000_100 s ON r.a1 = s.a1 WHERE r.a1 < 4242",
+	})[0]
+	if item.Err != nil {
+		t.Fatal(item.Err)
+	}
+	after := e.Stats()
+	stages := (after.Parse.SumSeconds - before.Parse.SumSeconds) +
+		(after.Plan.SumSeconds - before.Plan.SumSeconds) +
+		(after.Execute.SumSeconds - before.Execute.SumSeconds)
+	ev := rec.Ring().Recent(1)[0]
+	if ev.Kind != "batch" || ev.Outcome != "ok" {
+		t.Fatalf("event = %s/%s", ev.Kind, ev.Outcome)
+	}
+	if stages <= 0 || ev.LatencySec+1e-9 < stages {
+		t.Errorf("event latency %.9fs does not cover parse+plan+execute %.9fs", ev.LatencySec, stages)
+	}
+
+	// Failing to parse or to plan takes time too.
+	for _, sql := range []string{"NOT SQL AT ALL", "SELECT a1 FROM missing_table"} {
+		if it := e.QueryBatch(context.Background(), []string{sql})[0]; it.Err == nil {
+			t.Fatalf("%q succeeded", sql)
+		}
+		if ev := rec.Ring().Recent(1)[0]; ev.Kind != "batch" || ev.Outcome != "error" || ev.LatencySec <= 0 {
+			t.Errorf("%q: event %s/%s with latency %v", sql, ev.Kind, ev.Outcome, ev.LatencySec)
+		}
+	}
+
+	// N statements — a cache-hit repeat among them — are N plan-stage and N
+	// execute-stage observations, as they are N queries and N events.
+	sqls := []string{
+		"SELECT a1 FROM t100000_100 WHERE a1 < 7",
+		"SELECT a2, COUNT(*) FROM t100000_100 GROUP BY a2",
+		"SELECT a1 FROM t100000_100 WHERE a1 < 7",
+	}
+	before, events := e.Stats(), rec.LatencySnapshot().Count
+	for _, it := range e.QueryBatch(context.Background(), sqls) {
+		if it.Err != nil {
+			t.Fatal(it.Err)
+		}
+	}
+	after = e.Stats()
+	n := uint64(len(sqls))
+	if got := after.Plan.Count - before.Plan.Count; got != n {
+		t.Errorf("plan histogram moved by %d for %d statements", got, n)
+	}
+	if got := after.Execute.Count - before.Execute.Count; got != n {
+		t.Errorf("execute histogram moved by %d for %d statements", got, n)
+	}
+	if got := after.Queries - before.Queries; got != n {
+		t.Errorf("queries moved by %d for %d statements", got, n)
+	}
+	if got := rec.LatencySnapshot().Count - events; got != n {
+		t.Errorf("latency histogram moved by %d for %d statements", got, n)
+	}
+}
+
 // TestEventSamplingAlwaysKeepsErrorsAndSlow pins the sampler contract: with
 // 1-in-N head sampling, errors and over-threshold queries bypass the
 // counter while ordinary queries are decimated.

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"intellisphere/internal/cluster"
@@ -83,34 +82,6 @@ func BenchmarkQueryParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			i++
-		}
-	})
-}
-
-// BenchmarkServeQueryBatchParallel runs the 16-statement QueryBatch fixture
-// concurrently; ns/op divided by 16 compares against the serial
-// BenchmarkServeQueryBatch/batch per-statement figure.
-func BenchmarkServeQueryBatchParallel(b *testing.B) {
-	e := parallelBenchEngine(b)
-	stmts := make([]string, 0, 16)
-	for len(stmts) < 16 {
-		stmts = append(stmts, batchSQLs...)
-	}
-	stmts = stmts[:16]
-	ctx := context.Background()
-	for _, it := range e.QueryBatch(ctx, stmts) { // warm
-		if it.Err != nil {
-			b.Fatal(it.Err)
-		}
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			for _, it := range e.QueryBatch(ctx, stmts) {
-				if it.Err != nil {
-					b.Fatal(it.Err)
-				}
-			}
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"intellisphere/internal/core"
 	"intellisphere/internal/datagen"
@@ -72,6 +73,9 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 	// Readers run at least explainsPerReader iterations and keep going until
 	// the mutator is done plus a short tail, so some observations are always
 	// bracketed at the final generation even when -race slows the mutator.
+	// The bound on that wait is wall-clock: a count of warm Explains stopped
+	// bounding anything once 100000 of them took less time than one TuneSystem.
+	deadline := time.Now().Add(time.Minute)
 	mutatorDone := make(chan struct{})
 	results := make([][]obs, readers)
 	var wg sync.WaitGroup
@@ -92,7 +96,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 					} else if i >= tail {
 						break
 					}
-					if i > 100000 {
+					if time.Now().After(deadline) {
 						t.Error("reader never saw the mutator finish")
 						return
 					}

@@ -150,30 +150,6 @@ func (h *Histogram) ObserveExemplar(d time.Duration, traceID uint64) {
 	h.exemplars[len(h.bounds)].Store(ex)
 }
 
-// ObserveN records n observations of d each. Batch callers use it to
-// attribute a batch's elapsed time across its statements with one bucket
-// walk and three atomic adds instead of n of each.
-func (h *Histogram) ObserveN(d time.Duration, n int) {
-	if n <= 0 {
-		return
-	}
-	sec := d.Seconds()
-	if sec < 0 {
-		sec, d = 0, 0
-	}
-	un := uint64(n)
-	st := h.stripe()
-	st.count.Add(un)
-	st.sumNanos.Add(un * uint64(d.Nanoseconds()))
-	for i, b := range h.bounds {
-		if sec <= b {
-			st.counts[i].Add(un)
-			return
-		}
-	}
-	st.overflow.Add(un)
-}
-
 // Bucket is one histogram bucket in a snapshot.
 type Bucket struct {
 	UpperBoundSec float64 `json:"le"`

@@ -1,122 +1,55 @@
 package optimizer
 
 import (
+	"context"
 	"testing"
 
 	"intellisphere/internal/sqlparse"
 )
 
-func parseAll(t *testing.T, sqls []string) []*sqlparse.SelectStmt {
-	t.Helper()
-	out := make([]*sqlparse.SelectStmt, len(sqls))
+// PlanBatchCtx is PlanCtxHit once per statement: a failed statement fails
+// only its own slot (with the scalar path's error), a repeat is answered by
+// the plan cache with the identical plan, and every statement is exactly one
+// cache lookup.
+func TestPlanBatchCtxPlansPerStatement(t *testing.T) {
+	f := newFixture(t)
+	f.opt.Cache = NewPlanCache(16)
+	sqls := []string{
+		"SELECT a1 FROM t1000000_100 WHERE a1 < 250000",
+		"SELECT a1 FROM no_such_table",
+		"SELECT a2, COUNT(*) FROM t1000000_100 GROUP BY a2",
+		"SELECT a1 FROM t1000000_100 WHERE a1 < 250000", // duplicate of 0
+	}
+	stmts := make([]*sqlparse.SelectStmt, len(sqls))
 	for i, sql := range sqls {
 		stmt, err := sqlparse.Parse(sql)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", sql, err)
 		}
-		out[i] = stmt
+		stmts[i] = stmt
 	}
-	return out
-}
-
-// PlanBatch must produce, per statement, exactly the plan (or error) that
-// Plan produces — scans and aggregations through the grouped estimate path,
-// joins through the per-statement fallback, duplicates shared.
-func TestPlanBatchMatchesPlan(t *testing.T) {
-	f := newFixture(t)
-	sqls := []string{
-		"SELECT a1 FROM t80000000_1000 WHERE a1 < 60000000",                                             // scan on hive
-		"SELECT a1 FROM s_orders WHERE a1 < 250000",                                                     // scan on spark
-		"SELECT a2, COUNT(*) FROM t1000000_100 GROUP BY a2",                                             // aggregation
-		"SELECT t1000000_100.a1 FROM t1000000_100 JOIN t100000_100 ON t1000000_100.a1 = t100000_100.a1", // join fallback
-		"SELECT a1 FROM t80000000_1000 WHERE a1 < 60000000",                                             // duplicate of 0
-		"SELECT a1 FROM local_dim",                                                                      // master-owned scan
-	}
-	stmts := parseAll(t, sqls)
-	results := f.opt.PlanBatch(stmts)
+	results := f.opt.PlanBatchCtx(context.Background(), stmts)
 	if len(results) != len(stmts) {
 		t.Fatalf("got %d results for %d statements", len(results), len(stmts))
 	}
-	for i, stmt := range stmts {
-		want, err := f.opt.Plan(stmt)
-		if err != nil {
-			t.Fatalf("Plan(%q): %v", sqls[i], err)
+	for _, i := range []int{0, 2, 3} {
+		if results[i].Err != nil || results[i].Plan == nil {
+			t.Errorf("statement %d failed beside a bad neighbour: %v", i, results[i].Err)
 		}
-		got := results[i]
-		if got.Err != nil {
-			t.Fatalf("PlanBatch[%d] (%q): %v", i, sqls[i], got.Err)
-		}
-		if got.Plan.Explain() != want.Explain() {
-			t.Errorf("statement %d: batch plan differs from scalar plan\nbatch:\n%s\nscalar:\n%s",
-				i, got.Plan.Explain(), want.Explain())
-		}
-		if got.Plan.EstimatedSec != want.EstimatedSec ||
-			got.Plan.OutputRows != want.OutputRows ||
-			got.Plan.OutputRowSize != want.OutputRowSize {
-			t.Errorf("statement %d: batch totals %v/%v/%v, scalar %v/%v/%v", i,
-				got.Plan.EstimatedSec, got.Plan.OutputRows, got.Plan.OutputRowSize,
-				want.EstimatedSec, want.OutputRows, want.OutputRowSize)
-		}
-	}
-	// Duplicates share one immutable plan.
-	if results[0].Plan != results[4].Plan {
-		t.Error("duplicate statements did not share a plan")
-	}
-}
-
-// Per-statement errors surface individually: a bad statement in the batch
-// must not fail its neighbors, and its error must match the scalar path's.
-func TestPlanBatchPerStatementErrors(t *testing.T) {
-	f := newFixture(t)
-	stmts := parseAll(t, []string{
-		"SELECT a1 FROM t1000000_100 WHERE a1 < 250000",
-		"SELECT a1 FROM no_such_table",
-	})
-	results := f.opt.PlanBatch(stmts)
-	if results[0].Err != nil || results[0].Plan == nil {
-		t.Errorf("healthy statement failed: %v", results[0].Err)
-	}
-	if results[1].Err == nil {
-		t.Fatal("unknown table accepted")
 	}
 	_, wantErr := f.opt.Plan(stmts[1])
-	if wantErr == nil || results[1].Err.Error() != wantErr.Error() {
-		t.Errorf("batch error %q, scalar error %q", results[1].Err, wantErr)
+	if results[1].Err == nil || wantErr == nil || results[1].Err.Error() != wantErr.Error() {
+		t.Errorf("bad statement: error %v, Plan reports %v", results[1].Err, wantErr)
 	}
-	// Nil statements error without disturbing the rest.
-	withNil := f.opt.PlanBatch([]*sqlparse.SelectStmt{nil, stmts[0]})
-	if withNil[0].Err == nil || withNil[1].Err != nil {
-		t.Errorf("nil handling: %v / %v", withNil[0].Err, withNil[1].Err)
+	if results[0].CacheHit || results[2].CacheHit {
+		t.Error("a first-seen statement reported a cache hit")
 	}
-}
-
-// PlanBatch is plan-cache aware in both directions: hits are served from the
-// cache, and batch-built plans are stored for later scalar lookups.
-func TestPlanBatchUsesPlanCache(t *testing.T) {
-	f := newFixture(t)
-	f.opt.Cache = NewPlanCache(16)
-	stmts := parseAll(t, []string{
-		"SELECT a1 FROM t1000000_100 WHERE a1 < 250000",
-		"SELECT a2, COUNT(*) FROM t1000000_100 GROUP BY a2",
-	})
-	// Warm the cache with the first statement only.
-	warm, err := f.opt.Plan(stmts[0])
-	if err != nil {
-		t.Fatal(err)
+	if results[3].Plan != results[0].Plan || !results[3].CacheHit {
+		t.Errorf("the repeat got plan %p (hit %v), the first occurrence %p",
+			results[3].Plan, results[3].CacheHit, results[0].Plan)
 	}
-	results := f.opt.PlanBatch(stmts)
-	if results[0].Plan != warm {
-		t.Error("batch did not serve the cached plan")
-	}
-	if results[1].Err != nil {
-		t.Fatal(results[1].Err)
-	}
-	// The batch-built aggregation plan must now satisfy a scalar lookup.
-	again, err := f.opt.Plan(stmts[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != results[1].Plan {
-		t.Error("batch-built plan was not cached for scalar planning")
+	// Four statements plus the reference Plan call above: five lookups.
+	if s := f.opt.Cache.Stats(); s.Hits+s.Misses != 5 || s.Hits != 1 {
+		t.Errorf("hits %d + misses %d, want 1 + 4", s.Hits, s.Misses)
 	}
 }

@@ -397,8 +397,7 @@ func (a *analyzed) placements(owners ...string) (ps placements) {
 
 // unaryInput is everything the placement sweep of a single-table statement
 // needs — its operator is a scan or an aggregation, so exactly one of
-// scan/agg is set — shared between the single-statement path and the grouped
-// batch path. The winning plan's operator step points at the spec.
+// scan/agg is set. The winning plan's operator step points at the spec.
 type unaryInput struct {
 	owner string
 	// rows × rowSize filtered by sel is what QueryGrid prices when the table
@@ -482,30 +481,6 @@ type candidate struct {
 	total            float64
 }
 
-// price assembles the candidate for sys around an already-computed operator
-// estimate.
-func (o *Optimizer) price(in *unaryInput, sys string, ce core.Estimate) (candidate, error) {
-	c := candidate{sys: sys, est: ce}
-	if sys != in.owner {
-		sec, err := o.Grid.TransferCostFiltered(in.owner, sys, in.rows, in.rowSize, in.sel)
-		if err != nil {
-			return candidate{}, err
-		}
-		c.shipSec = sec
-		c.total += sec
-	}
-	c.total += ce.Seconds
-	if sys != querygrid.Master {
-		sec, err := o.Grid.TransferCost(sys, querygrid.Master, in.outRows, in.outSize)
-		if err != nil {
-			return candidate{}, err
-		}
-		c.backSec = sec
-		c.total += sec
-	}
-	return c, nil
-}
-
 // pick selects the cheapest candidate (reordering cands), builds its steps,
 // and lists the rest as alternatives.
 func (in *unaryInput) pick(cands []candidate) *Plan {
@@ -553,7 +528,7 @@ func endCostSpan(sp *trace.Span, ce core.Estimate, err error) {
 }
 
 // costUnary estimates in's operator on its i-th candidate system and prices
-// the placement.
+// the placement: the estimate plus the transfers there and back.
 func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, i int) (candidate, error) {
 	sys := in.systems.sys[i]
 	est, err := o.estimator(sys)
@@ -571,7 +546,25 @@ func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, i int) (candi
 	if err != nil {
 		return candidate{}, fmt.Errorf("optimizer: %s estimate on %q: %w", in.kind(), sys, err)
 	}
-	return o.price(in, sys, ce)
+	c := candidate{sys: sys, est: ce}
+	if sys != in.owner {
+		sec, err := o.Grid.TransferCostFiltered(in.owner, sys, in.rows, in.rowSize, in.sel)
+		if err != nil {
+			return candidate{}, err
+		}
+		c.shipSec = sec
+		c.total += sec
+	}
+	c.total += ce.Seconds
+	if sys != querygrid.Master {
+		sec, err := o.Grid.TransferCost(sys, querygrid.Master, in.outRows, in.outSize)
+		if err != nil {
+			return candidate{}, err
+		}
+		c.backSec = sec
+		c.total += sec
+	}
+	return c, nil
 }
 
 // planUnary places a single-table filter/project or aggregation.

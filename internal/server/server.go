@@ -2,9 +2,8 @@
 // in front of the federated optimizer. Endpoints:
 //
 //	POST /query        {"sql": "..."}  plan + execute, returns plan and actuals
-//	POST /query/batch  ["...", ...]    plan a group of statements together
-//	                                   (amortizing parse, plan-cache, and
-//	                                   estimator work), execute in order;
+//	POST /query/batch  ["...", ...]    a group of statements, each run as
+//	                                   /query would run it, in order;
 //	                                   returns one element per statement
 //	POST /query/stream NDJSON lines    persistent high-QPS pipeline: one
 //	                                   statement per line in, one
@@ -424,18 +423,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	res, err := s.eng.QueryContext(r.Context(), sql)
-	if err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	enc := jw{b: buf}
+	if err := s.answer(r.Context(), &enc, sql); err != nil {
 		s.writeError(w, errStatus(err), err)
 		return
 	}
-	resp := toQueryResponse(sql, res)
-	buf := getBuf()
-	enc := jw{b: buf}
-	encodeQueryResponse(&enc, &resp)
 	buf.WriteByte('\n')
 	s.writeBuf(w, http.StatusOK, buf)
-	putBuf(buf)
+}
+
+// answer runs one statement through the engine and encodes its answer into
+// enc — the per-statement step /query and /query/stream share. The error is
+// also returned: a stream slot keeps the encoded error frame, /query answers
+// with its top-level error response instead.
+func (s *Server) answer(ctx context.Context, enc *jw, sql string) error {
+	res, err := s.eng.QueryContext(ctx, sql)
+	encodeAnswer(enc, sql, res, err)
+	return err
+}
+
+// encodeAnswer encodes one statement's outcome in the shape /query,
+// /query/batch elements and /query/stream frames all carry: the query
+// response, or {"sql": ..., "error": ...} when the statement failed.
+func encodeAnswer(enc *jw, sql string, res *engine.QueryResult, err error) {
+	if err != nil {
+		encodeStatementError(enc, sql, err.Error())
+		return
+	}
+	resp := toQueryResponse(sql, res)
+	encodeQueryResponse(enc, &resp)
 }
 
 // readBatch decodes a /query/batch body: a JSON array whose elements are
@@ -455,50 +473,42 @@ func readBatch(w http.ResponseWriter, r *http.Request) ([]string, error) {
 	}
 	out := make([]string, len(raw))
 	for i, m := range raw {
-		var sql string
-		if err := json.Unmarshal(m, &sql); err != nil {
-			var req statementRequest
-			if err := json.Unmarshal(m, &req); err != nil {
-				return nil, fmt.Errorf("statement %d: want {\"sql\": ...} or a string", i)
-			}
-			sql = req.SQL
+		// A string or an object decodes exactly as a /query/stream line does;
+		// any other JSON value must not fall through to the raw-SQL case.
+		if m[0] != '"' && m[0] != '{' {
+			return nil, fmt.Errorf("statement %d: want {\"sql\": ...} or a string", i)
 		}
-		if sql == "" {
-			return nil, fmt.Errorf("statement %d: empty sql", i)
+		sql, err := streamStatement(m)
+		if err != nil {
+			return nil, fmt.Errorf("statement %d: %v", i, err)
 		}
 		out[i] = sql
 	}
 	return out, nil
 }
 
-// handleQueryBatch serves POST /query/batch: the statements plan together
-// (amortizing parsing, plan-cache lookups, and estimator calls) and execute
-// in order. The response is an array aligned with the request; each element
-// is either a /query result or {"sql": ..., "error": ...}, so one failed
-// statement never fails its neighbors.
+// handleQueryBatch serves POST /query/batch: the statements run one after
+// another, each exactly as /query would run it. The response is an array
+// aligned with the request; each element is either a /query result or
+// {"sql": ..., "error": ...}, so one failed statement never fails its
+// neighbors.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	sqls, err := readBatch(w, r)
 	if err != nil {
 		s.writeError(w, requestStatus(err), err)
 		return
 	}
-	items := s.eng.QueryBatch(r.Context(), sqls)
 	buf := getBuf()
 	enc := jw{b: buf}
 	buf.WriteByte('[')
 	enc.depth++
-	for i, it := range items {
+	for i, it := range s.eng.QueryBatch(r.Context(), sqls) {
 		s.qps.Tick()
 		if i > 0 {
 			buf.WriteByte(',')
 		}
 		enc.newline()
-		if it.Err != nil {
-			encodeStatementError(&enc, sqls[i], it.Err.Error())
-			continue
-		}
-		resp := toQueryResponse(sqls[i], it.Res)
-		encodeQueryResponse(&enc, &resp)
+		encodeAnswer(&enc, sqls[i], it.Res, it.Err)
 	}
 	enc.depth--
 	enc.newline()
@@ -892,14 +902,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			encodeStatementError(&enc, string(line), perr.Error())
 		} else {
 			ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-			res, err := s.eng.QueryContext(ctx, sql)
+			s.answer(ctx, &enc, sql) // a failed statement is its slot's error frame
 			cancel()
-			if err != nil {
-				encodeStatementError(&enc, sql, err.Error())
-			} else {
-				resp := toQueryResponse(sql, res)
-				encodeQueryResponse(&enc, &resp)
-			}
 		}
 		buf.WriteByte('\n')
 		hdr := strconv.AppendInt(prefix[:0], int64(buf.Len()), 10)
@@ -983,7 +987,8 @@ func discardLine(br *bufio.Reader) error {
 }
 
 // streamStatement extracts the SQL from one stream line: a JSON string, a
-// {"sql": ...} object, or (anything else) raw SQL text.
+// {"sql": ...} object, or (anything else) raw SQL text. readBatch decodes its
+// array elements through the first two cases.
 func streamStatement(line []byte) (string, error) {
 	switch line[0] {
 	case '"':
@@ -1018,7 +1023,7 @@ func streamStatement(line []byte) (string, error) {
 // characters, non-ASCII text that json.Unmarshal would have to validate) is
 // left to encoding/json.
 func plainJSONString(line []byte) (string, bool) {
-	if len(line) < 2 || line[len(line)-1] != '"' {
+	if len(line) < 2 || line[0] != '"' || line[len(line)-1] != '"' {
 		return "", false
 	}
 	body := line[1 : len(line)-1]

@@ -37,9 +37,9 @@ runp() {
 
 run ./internal/nn 'BenchmarkNNTrain|BenchmarkForwardBatch|BenchmarkPredictAll'
 run ./internal/optimizer 'BenchmarkOptimizerPlan'
-run ./internal/engine 'BenchmarkExplain$|BenchmarkServeQueryBatch$'
+run ./internal/engine 'BenchmarkExplain$'
 run ./internal/server 'BenchmarkStreamVsHTTP'
-runp ./internal/engine 'BenchmarkExplainParallel|BenchmarkQueryParallel|BenchmarkServeQueryBatchParallel'
+runp ./internal/engine 'BenchmarkExplainParallel|BenchmarkQueryParallel'
 
 awk -v nproc="$NPROC" '
 BEGIN { print "{"; first = 1 }
