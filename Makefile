@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet bench-vet test race allocs bench bench-parallel-smoke bench-snapshot bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak ci
+.PHONY: all build vet bench-vet test race allocs loc bench bench-parallel-smoke bench-snapshot bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak ci
 
 all: build
 
@@ -36,6 +36,12 @@ race:
 # noise-key paths — without the detector.
 allocs:
 	$(GO) test -run 'Alloc' ./internal/... -count=1
+
+# Non-test Go lines per internal/* package and in total: the LOC delta a
+# simplicity PR reports next to its bench delta (run it in a clone of the
+# parent commit for the "before").
+loc:
+	sh scripts/loc.sh
 
 # Short benchmark smoke: the two perf-critical kernels, one iteration each,
 # just to prove they still run (use `go test -bench=.` for real numbers).

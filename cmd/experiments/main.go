@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -30,25 +31,33 @@ import (
 
 func main() {
 	full := flag.Bool("full", false, "run the paper-scale configuration")
-	run := flag.String("run", "all", "comma-separated experiments: fig7,fig11,fig12,fig13,fig14,table1,ablations")
+	only := flag.String("run", "all", "comma-separated experiments: fig7,fig11,fig12,fig13,fig14,table1,ablations")
 	flag.Parse()
+	if err := run(os.Stdout, *full, *only); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
 
+// run executes the experiments named in only (comma-separated, "all" for
+// everything) and writes their reports to w in the canonical order.
+func run(w io.Writer, full bool, only string) error {
 	cfg := experiments.Quick()
 	label := "quick"
-	if *full {
+	if full {
 		cfg = experiments.Full()
 		label = "full (paper-scale)"
 	}
 	env, err := experiments.NewEnv(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("IntelliSphere cost-estimation evaluation — %s configuration\n", label)
-	fmt.Printf("remote: simulated Hive (%d data nodes × %d cores, %d tables)\n\n",
+	fmt.Fprintf(w, "IntelliSphere cost-estimation evaluation — %s configuration\n", label)
+	fmt.Fprintf(w, "remote: simulated Hive (%d data nodes × %d cores, %d tables)\n\n",
 		env.Hive.Cluster().DataNodes, env.Hive.Cluster().CoresPerNode, len(env.Tables))
 
 	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
+	for _, name := range strings.Split(only, ",") {
 		want[strings.TrimSpace(strings.ToLower(name))] = true
 	}
 	all := want["all"]
@@ -76,7 +85,7 @@ func main() {
 		}
 	}
 	if len(selected) == 0 {
-		fatal(fmt.Errorf("no experiments matched -run=%q", *run))
+		return fmt.Errorf("no experiments matched -run=%q", only)
 	}
 
 	// Every selected experiment reads the shared environment without mutating
@@ -95,11 +104,12 @@ func main() {
 		return report{text: res.String(), wall: time.Since(start).Seconds()}, nil
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for i, r := range reports {
-		fmt.Printf("=== %s (%.1fs wall clock) ===\n%s\n", selected[i].name, r.wall, r.text)
+		fmt.Fprintf(w, "=== %s (%.1fs wall clock) ===\n%s\n", selected[i].name, r.wall, r.text)
 	}
+	return nil
 }
 
 // ablationsReport bundles the six ablation studies into one printable block.
@@ -131,9 +141,4 @@ func runAblations(env *experiments.Env) (fmt.Stringer, error) {
 		return nil, err
 	}
 	return ablationsReport(out), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }

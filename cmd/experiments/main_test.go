@@ -1,0 +1,53 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"regexp"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+
+var wallClock = regexp.MustCompile(`\([0-9.]+s wall clock\)`)
+
+// TestQuickGolden pins the whole quick evaluation — every figure, table and
+// ablation — byte for byte, wall-clock fields masked. The output is a pure
+// function of the seeds, so a diff here means a change moved an estimate or
+// a simulated actual; regenerate with -update only when that is intended.
+func TestQuickGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, false, "all"); err != nil {
+		t.Fatal(err)
+	}
+	got := wallClock.ReplaceAll(buf.Bytes(), []byte("(X.Xs wall clock)"))
+	const path = "testdata/quick.golden"
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("quick output differs from %s at line %d:\n got %q\nwant %q", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("quick output differs from %s: %d lines, want %d", path, len(gl), len(wl))
+}
+
+func TestRunRejectsUnknownName(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, false, "nope"); err == nil {
+		t.Fatal("unknown experiment name accepted")
+	}
+}

@@ -56,8 +56,9 @@ type Config struct {
 	// Workers never affect each other. All results are identical at any
 	// worker count.
 	Workers int
-	// PlanCacheSize bounds the optimizer's LRU plan cache. 0 selects the
-	// default (256 entries); negative disables caching entirely.
+	// PlanCacheSize bounds the optimizer's plan cache (CLOCK eviction); the
+	// statement cache in front of it holds twice as many. 0 selects the
+	// default (256 plans); negative disables caching entirely.
 	PlanCacheSize int
 	// Retry governs the retry loop around every remote plan-step call.
 	// The zero value selects the resilience defaults (3 attempts, 25ms
@@ -97,7 +98,7 @@ type Engine struct {
 	materialized *registry.Map[*rowengine.Table]
 	opt          *optimizer.Optimizer
 	fb           *feedbackBatcher
-	stmts        *stmtCache // nil when caching is disabled
+	stmts        *optimizer.Cache[*sqlparse.SelectStmt] // by raw SQL; nil when caching is disabled
 	workers      int
 
 	breakers *resilience.Group
@@ -224,7 +225,7 @@ func New(cfg Config) (*Engine, error) {
 	var cache *optimizer.PlanCache
 	if cfg.PlanCacheSize >= 0 {
 		cache = optimizer.NewPlanCache(cfg.PlanCacheSize)
-		e.stmts = newStmtCache(2 * cfg.PlanCacheSize)
+		e.stmts = optimizer.NewCache[*sqlparse.SelectStmt](2 * cache.Stats().Capacity)
 	}
 	e.opt = &optimizer.Optimizer{
 		Catalog: e.cat, Grid: e.grid, Estimators: e.estimators,
@@ -741,14 +742,16 @@ func (e *Engine) Explain(sql string) (string, error) {
 	return p.Explain(), nil
 }
 
-// parse times statement parsing into the parse-stage histogram. Parsed
-// statements are immutable downstream, so repeats of the same text are
-// served from the statement LRU.
+// parse times statement parsing into the parse-stage histogram. Parsing is
+// pure and parsed statements are read-only downstream, so repeats of the same
+// text are served from the statement cache: a second instance of the plan
+// cache's implementation, keyed by the raw SQL at a generation that never
+// moves.
 func (e *Engine) parse(ctx context.Context, sql string) (*sqlparse.SelectStmt, error) {
-	// LRU hits skip the parse histogram: nothing was parsed, and the two
+	// Cache hits skip the parse histogram: nothing was parsed, and the two
 	// clock reads per observation are measurable at serving QPS.
 	if e.stmts != nil {
-		if stmt, ok := e.stmts.get(sql); ok {
+		if stmt, ok := e.stmts.Get(sql, 0); ok {
 			if _, sp := trace.Start(ctx, "parse"); sp != nil {
 				sp.SetAttr("cache", "hit")
 				sp.End()
@@ -761,7 +764,7 @@ func (e *Engine) parse(ctx context.Context, sql string) (*sqlparse.SelectStmt, e
 	defer func() { e.parseHist.ObserveExemplar(time.Since(start), sp.TraceID()) }()
 	stmt, err := sqlparse.Parse(sql)
 	if err == nil && e.stmts != nil {
-		e.stmts.put(sql, stmt)
+		e.stmts.Put(sql, 0, stmt)
 	}
 	sp.EndErr(err)
 	return stmt, err

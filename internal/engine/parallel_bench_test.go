@@ -45,7 +45,7 @@ func parallelBenchEngine(b *testing.B) *Engine {
 }
 
 // BenchmarkExplainParallel is BenchmarkExplain/cached under RunParallel:
-// every iteration is a warm plan-cache hit (parse front cache + sharded plan
+// every iteration is a warm plan-cache hit (statement cache + sharded plan
 // cache + Explain memo), the purest read-path contention probe.
 func BenchmarkExplainParallel(b *testing.B) {
 	e := parallelBenchEngine(b)
@@ -64,7 +64,7 @@ func BenchmarkExplainParallel(b *testing.B) {
 }
 
 // BenchmarkQueryParallel executes a rotating warm statement mix end to end —
-// plan-cache hit, simulated remote execution (memoized), breaker bookkeeping,
+// plan-cache hit, simulated remote execution, breaker bookkeeping,
 // accuracy recording, feedback enqueue, stage histograms — the full /query
 // serving path per iteration.
 func BenchmarkQueryParallel(b *testing.B) {

@@ -212,7 +212,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 
 // BenchmarkExplain measures the plan-cache speedup on repeated identical
 // statements: "cold" replans every time (cache disabled), "cached" hits the
-// LRU. The issue's acceptance bar is a ≥10× gap.
+// plan cache. The issue's acceptance bar is a ≥10× gap.
 func BenchmarkExplain(b *testing.B) {
 	build := func(b *testing.B, cacheSize int) *Engine {
 		b.Helper()

@@ -6,16 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// PlanCache is a sharded, generation-stamped cache of finished plans keyed by
-// normalized statement shape. Each entry records the generation vector sum
-// (catalog + grid + estimator registry + per-estimator generations) observed
-// when the plan was built; a lookup whose current generation differs treats
-// the entry as stale and evicts it, so RegisterTable, InstallLogicalModels,
-// Switch, TuneSystem, and link recalibration all invalidate implicitly — no
-// explicit purge calls are threaded through the engine.
+// Cache is a sharded, generation-stamped, bounded cache from a string key to a
+// shared read-only value. The read path holds two: the plan cache (finished
+// plans by normalized statement text) and, in front of it, the engine's
+// statement cache (parsed statements by raw SQL, at a generation that never
+// moves: a parse cannot go stale). Each entry records the generation it was
+// stored at — for plans the vector sum (catalog + grid + estimator registry +
+// per-estimator generations) observed when the plan was built; a lookup whose
+// current generation differs treats the entry as stale and evicts it, so
+// RegisterTable, InstallLogicalModels, Switch, TuneSystem, and link
+// recalibration all invalidate implicitly — no explicit purge calls are
+// threaded through the engine.
 //
 // The warm hit path is contention-free: the key is hashed to one of up to
-// planCacheMaxShards shards, each shard indexes its entries in a fixed table
+// cacheMaxShards shards, each shard indexes its entries in a fixed table
 // of hash buckets whose chains are linked through atomic pointers, and
 // recency is a CLOCK access bit (an atomic.Bool set on hit, checked first so
 // repeated hits on a hot entry do not even dirty the cache line). No lock is
@@ -24,38 +28,41 @@ import (
 // one chain — O(1), however full the shard is. Stats is likewise lock-free
 // (per-shard atomic counters), so admin/metrics scrapes never block lookups.
 //
-// Cached *Plan values are shared across callers and must be treated as
-// immutable; every consumer in this repo only reads them.
-type PlanCache struct {
+// Cached values are shared across callers and must be treated as immutable;
+// every consumer in this repo only reads them.
+type Cache[V any] struct {
 	cap    int // total capacity across shards
 	mask   uint64
 	seed   maphash.Seed // bucket hash; shard choice stays deterministic
-	shards []planShard
+	shards []cacheShard[V]
 }
 
+// PlanCache is the cache of finished plans behind Optimizer.Cache.
+type PlanCache = Cache[*Plan]
+
 const (
-	// planCacheMaxShards bounds the shard fan-out. 16 shards is enough to
+	// cacheMaxShards bounds the shard fan-out. 16 shards is enough to
 	// spread inserts across the core counts this repo targets while keeping
 	// Stats cheap.
-	planCacheMaxShards = 16
-	// planCacheMinPerShard keeps shards from becoming so small that the
+	cacheMaxShards = 16
+	// cacheMinPerShard keeps shards from becoming so small that the
 	// CLOCK ring degenerates to direct-mapped behaviour; small caches stay
 	// single-sharded, which also preserves the exact whole-cache eviction
-	// order the LRU tests pin.
-	planCacheMinPerShard = 16
+	// order the eviction tests pin.
+	cacheMinPerShard = 16
 )
 
-// planShard is one independent slice of the cache. Counters are per-shard
+// cacheShard is one independent slice of the cache. Counters are per-shard
 // atomics summed by Stats; the trailing pad keeps one shard's hot counters
 // off its neighbour's cache lines.
-type planShard struct {
+type cacheShard[V any] struct {
 	// buckets is the read view: a power-of-two table of chain heads sized at
 	// construction (about two buckets per entry at capacity), never resized.
 	// Readers walk a chain with atomic loads only; writers hold mu and
 	// publish every link with an atomic store. An unlinked entry keeps its
 	// next pointer, so a reader standing on it still reaches the rest of the
 	// chain, and an entry is never linked in twice.
-	buckets []atomic.Pointer[planEntry]
+	buckets []atomic.Pointer[cacheEntry[V]]
 	size    atomic.Int64
 
 	hits    atomic.Uint64
@@ -65,41 +72,44 @@ type planShard struct {
 
 	mu    sync.Mutex
 	cap   int
-	ring  []*planEntry // CLOCK ring; holes (nil) left by stale eviction
-	holes []int        // free ring slots
+	ring  []*cacheEntry[V] // CLOCK ring; holes (nil) left by stale eviction
+	holes []int            // free ring slots
 	hand  int
 
 	_ [64]byte
 }
 
-// planEntry is immutable once published except for the CLOCK access bit and
+// cacheEntry is immutable once published except for the CLOCK access bit and
 // the chain link (both lock-free) and the ring slot index (guarded by the
-// shard mutex). put replaces an entry wholesale rather than mutating it in
-// place, so readers always see a consistent (key, gen, plan) triple.
-type planEntry struct {
+// shard mutex). Put replaces an entry wholesale rather than mutating it in
+// place, so readers always see a consistent (key, gen, value) triple.
+type cacheEntry[V any] struct {
 	key    string
 	gen    uint64
-	plan   *Plan
+	val    V
 	bucket uint64
 	slot   int
 	ref    atomic.Bool
-	next   atomic.Pointer[planEntry]
+	next   atomic.Pointer[cacheEntry[V]]
 }
 
-// NewPlanCache builds a cache bounded to capacity entries. Capacity ≤ 0
+// NewPlanCache builds a plan cache bounded to capacity entries (see NewCache).
+func NewPlanCache(capacity int) *PlanCache { return NewCache[*Plan](capacity) }
+
+// NewCache builds a cache bounded to capacity entries. Capacity ≤ 0
 // selects the default of 256. The shard count is the largest power of two
-// ≤ planCacheMaxShards that still leaves every shard planCacheMinPerShard
+// ≤ cacheMaxShards that still leaves every shard cacheMinPerShard
 // entries, so tiny caches (and the eviction-order tests that exercise them)
 // run single-sharded.
-func NewPlanCache(capacity int) *PlanCache {
+func NewCache[V any](capacity int) *Cache[V] {
 	if capacity <= 0 {
 		capacity = 256
 	}
 	n := 1
-	for n*2 <= planCacheMaxShards && capacity/(n*2) >= planCacheMinPerShard {
+	for n*2 <= cacheMaxShards && capacity/(n*2) >= cacheMinPerShard {
 		n *= 2
 	}
-	c := &PlanCache{cap: capacity, mask: uint64(n - 1), seed: maphash.MakeSeed(), shards: make([]planShard, n)}
+	c := &Cache[V]{cap: capacity, mask: uint64(n - 1), seed: maphash.MakeSeed(), shards: make([]cacheShard[V], n)}
 	per := (capacity + n - 1) / n
 	buckets := 1
 	for buckets < 2*per {
@@ -108,7 +118,7 @@ func NewPlanCache(capacity int) *PlanCache {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.cap = per
-		sh.buckets = make([]atomic.Pointer[planEntry], buckets)
+		sh.buckets = make([]atomic.Pointer[cacheEntry[V]], buckets)
 	}
 	return c
 }
@@ -120,7 +130,7 @@ func NewPlanCache(capacity int) *PlanCache {
 // names, predicates, and limits scattered through the string, which the
 // stride picks up at a fraction of a full-string hash's cost on the hit
 // path.
-func (c *PlanCache) shard(key string) *planShard {
+func (c *Cache[V]) shard(key string) *cacheShard[V] {
 	if c.mask == 0 {
 		return &c.shards[0]
 	}
@@ -133,12 +143,12 @@ func (c *PlanCache) shard(key string) *planShard {
 }
 
 // bucket maps a key to its chain within sh.
-func (c *PlanCache) bucket(sh *planShard, key string) uint64 {
+func (c *Cache[V]) bucket(sh *cacheShard[V], key string) uint64 {
 	return maphash.String(c.seed, key) & uint64(len(sh.buckets)-1)
 }
 
 // find walks a chain for key.
-func (sh *planShard) find(bucket uint64, key string) *planEntry {
+func (sh *cacheShard[V]) find(bucket uint64, key string) *cacheEntry[V] {
 	for e := sh.buckets[bucket].Load(); e != nil; e = e.next.Load() {
 		if e.key == key {
 			return e
@@ -147,33 +157,33 @@ func (sh *planShard) find(bucket uint64, key string) *planEntry {
 	return nil
 }
 
-// get returns the cached plan for key when present and built at the current
+// Get returns the cached value for key when present and stored at the current
 // generation. Stale entries are evicted on sight. The hit path performs no
 // locking and no shared-structure mutation beyond (at most) one access-bit
 // store.
-func (c *PlanCache) get(key string, gen uint64) (*Plan, bool) {
+func (c *Cache[V]) Get(key string, gen uint64) (v V, ok bool) {
 	sh := c.shard(key)
 	ent := sh.find(c.bucket(sh, key), key)
 	if ent == nil {
 		sh.misses.Add(1)
-		return nil, false
+		return v, false
 	}
 	if ent.gen != gen {
 		sh.dropStale(ent)
 		sh.stale.Add(1)
 		sh.misses.Add(1)
-		return nil, false
+		return v, false
 	}
 	if !ent.ref.Load() { // check-then-set: hot entries stop dirtying the line
 		ent.ref.Store(true)
 	}
 	sh.hits.Add(1)
-	return ent.plan, true
+	return ent.val, true
 }
 
 // relink replaces old in its chain by with (old's successor when with is
 // nil), reporting whether old was still linked. Callers hold sh.mu.
-func (sh *planShard) relink(old, with *planEntry) bool {
+func (sh *cacheShard[V]) relink(old, with *cacheEntry[V]) bool {
 	link := &sh.buckets[old.bucket]
 	for e := link.Load(); e != nil; e = link.Load() {
 		if e == old {
@@ -193,7 +203,7 @@ func (sh *planShard) relink(old, with *planEntry) bool {
 // dropStale removes ent from the shard if it is still the published entry
 // for its key. Racing callers may both observe the same stale entry; only
 // the first removal mutates the shard, so counters stay exact per lookup.
-func (sh *planShard) dropStale(ent *planEntry) {
+func (sh *cacheShard[V]) dropStale(ent *cacheEntry[V]) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if !sh.relink(ent, nil) {
@@ -204,18 +214,18 @@ func (sh *planShard) dropStale(ent *planEntry) {
 	sh.holes = append(sh.holes, ent.slot)
 }
 
-// put installs a plan built at the given generation, evicting via CLOCK
+// Put installs a value stored at the given generation, evicting via CLOCK
 // second-chance when the shard is full: the hand skips (and clears) entries
 // whose access bit is set, evicting the first cold entry it finds — the
 // MoveToFront-free analogue of LRU eviction.
-func (c *PlanCache) put(key string, gen uint64, p *Plan) {
+func (c *Cache[V]) Put(key string, gen uint64, v V) {
 	sh := c.shard(key)
-	ne := &planEntry{key: key, gen: gen, plan: p, bucket: c.bucket(sh, key)}
+	ne := &cacheEntry[V]{key: key, gen: gen, val: v, bucket: c.bucket(sh, key)}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if old := sh.find(ne.bucket, key); old != nil {
 		// Replace in place: reuse the ring slot, publish a fresh entry so
-		// concurrent readers never see a half-updated (gen, plan) pair.
+		// concurrent readers never see a half-updated (gen, value) pair.
 		ne.slot = old.slot
 		ne.ref.Store(old.ref.Load())
 		sh.ring[old.slot] = ne
@@ -254,7 +264,7 @@ func (c *PlanCache) put(key string, gen uint64, p *Plan) {
 // independently under its own mutex, so lookups on other shards — and
 // lock-free hits on this one until its chains are cut — are never stalled
 // behind a global stop-the-world.
-func (c *PlanCache) Purge() {
+func (c *Cache[V]) Purge() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -284,7 +294,7 @@ type CacheStats struct {
 // per-shard atomics, so scrapes never block the hot path. Concurrent mutation can skew Size by in-flight
 // operations, but the counters themselves are exact (every lookup increments
 // exactly one of hits/misses).
-func (c *PlanCache) Stats() CacheStats {
+func (c *Cache[V]) Stats() CacheStats {
 	s := CacheStats{Capacity: c.cap}
 	for i := range c.shards {
 		sh := &c.shards[i]

@@ -13,20 +13,20 @@ import (
 func TestPlanCacheLRUEviction(t *testing.T) {
 	c := NewPlanCache(2)
 	pa, pb, pc := &Plan{}, &Plan{}, &Plan{}
-	c.put("a", 1, pa)
-	c.put("b", 1, pb)
+	c.Put("a", 1, pa)
+	c.Put("b", 1, pb)
 	// Touch "a" so "b" becomes the LRU victim.
-	if got, ok := c.get("a", 1); !ok || got != pa {
+	if got, ok := c.Get("a", 1); !ok || got != pa {
 		t.Fatalf("get(a) = %v, %v", got, ok)
 	}
-	c.put("c", 1, pc)
-	if _, ok := c.get("b", 1); ok {
+	c.Put("c", 1, pc)
+	if _, ok := c.Get("b", 1); ok {
 		t.Error("LRU entry b survived eviction")
 	}
-	if got, ok := c.get("a", 1); !ok || got != pa {
+	if got, ok := c.Get("a", 1); !ok || got != pa {
 		t.Errorf("get(a) after eviction = %v, %v", got, ok)
 	}
-	if got, ok := c.get("c", 1); !ok || got != pc {
+	if got, ok := c.Get("c", 1); !ok || got != pc {
 		t.Errorf("get(c) = %v, %v", got, ok)
 	}
 	s := c.Stats()
@@ -37,13 +37,13 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 
 func TestPlanCacheStaleGeneration(t *testing.T) {
 	c := NewPlanCache(4)
-	c.put("q", 7, &Plan{})
-	if _, ok := c.get("q", 8); ok {
+	c.Put("q", 7, &Plan{})
+	if _, ok := c.Get("q", 8); ok {
 		t.Fatal("stale-generation entry served")
 	}
 	// The stale entry is evicted on sight, so even the old generation now
 	// misses.
-	if _, ok := c.get("q", 7); ok {
+	if _, ok := c.Get("q", 7); ok {
 		t.Error("stale entry not evicted")
 	}
 	s := c.Stats()
@@ -55,16 +55,16 @@ func TestPlanCacheStaleGeneration(t *testing.T) {
 func TestPlanCachePutReplacesAndPurge(t *testing.T) {
 	c := NewPlanCache(4)
 	p1, p2 := &Plan{}, &Plan{}
-	c.put("q", 1, p1)
-	c.put("q", 2, p2)
-	if got, ok := c.get("q", 2); !ok || got != p2 {
+	c.Put("q", 1, p1)
+	c.Put("q", 2, p2)
+	if got, ok := c.Get("q", 2); !ok || got != p2 {
 		t.Errorf("replaced entry = %v, %v", got, ok)
 	}
 	if s := c.Stats(); s.Size != 1 {
 		t.Errorf("size after replace = %d", s.Size)
 	}
 	c.Purge()
-	if _, ok := c.get("q", 2); ok {
+	if _, ok := c.Get("q", 2); ok {
 		t.Error("entry survived Purge")
 	}
 	if s := c.Stats(); s.Size != 0 || s.Hits != 1 {
@@ -171,11 +171,11 @@ func TestPlanCacheShardedCounters(t *testing.T) {
 	keys := make([]string, 200)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("stmt-%d", i)
-		c.put(keys[i], 1, &Plan{})
+		c.Put(keys[i], 1, &Plan{})
 	}
 	var lookups uint64
 	for _, k := range keys {
-		c.get(k, 1)
+		c.Get(k, 1)
 		lookups++
 	}
 	s := c.Stats()
@@ -202,7 +202,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	plans := make([]*Plan, 32)
 	for i := range plans {
 		plans[i] = &Plan{}
-		c.put(fmt.Sprintf("k%d", i), 1, plans[i])
+		c.Put(fmt.Sprintf("k%d", i), 1, plans[i])
 	}
 	var lookups atomic.Uint64
 	var wg sync.WaitGroup
@@ -213,12 +213,12 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				k := fmt.Sprintf("k%d", (g*7+i)%48) // 32 present, 16 missing
 				gen := uint64(1 + (i%2)*(g%2))      // mix of current and stale gens
-				if p, ok := c.get(k, gen); ok && p == nil {
+				if p, ok := c.Get(k, gen); ok && p == nil {
 					t.Error("hit returned nil plan")
 				}
 				lookups.Add(1)
 				if i%37 == 0 {
-					c.put(k, 1, plans[i%len(plans)])
+					c.Put(k, 1, plans[i%len(plans)])
 				}
 				if i%501 == 0 {
 					c.Stats()
@@ -249,10 +249,10 @@ func TestPlanCacheChainsStayConsistent(t *testing.T) {
 	latest := map[string]*Plan{} // the plan last put under a key
 	check := func(op string) {
 		t.Helper()
-		chained := map[*planEntry]bool{}
+		chained := map[*cacheEntry[*Plan]]bool{}
 		for b := range sh.buckets {
 			for e := sh.buckets[b].Load(); e != nil; e = e.next.Load() {
-				if chained[e] || e.bucket != uint64(b) || sh.ring[e.slot] != e || e.plan != latest[e.key] {
+				if chained[e] || e.bucket != uint64(b) || sh.ring[e.slot] != e || e.val != latest[e.key] {
 					t.Fatalf("after %s: entry %q (bucket %d, slot %d) is chained twice, misplaced, or stale", op, e.key, e.bucket, e.slot)
 				}
 				chained[e] = true
@@ -276,17 +276,17 @@ func TestPlanCacheChainsStayConsistent(t *testing.T) {
 		case r < 45:
 			p := &Plan{}
 			latest[key] = p
-			c.put(key, 1, p)
+			c.Put(key, 1, p)
 			check("put " + key)
-			if got, ok := c.get(key, 1); !ok || got != p {
+			if got, ok := c.Get(key, 1); !ok || got != p {
 				t.Fatalf("get(%s) right after put = %v, %v", key, got, ok)
 			}
 		case r < 85:
-			if got, ok := c.get(key, 1); ok && got != latest[key] {
+			if got, ok := c.Get(key, 1); ok && got != latest[key] {
 				t.Fatalf("get(%s) returned a plan that was replaced", key)
 			}
 		case r < 99:
-			if _, ok := c.get(key, 2); ok {
+			if _, ok := c.Get(key, 2); ok {
 				t.Fatalf("get(%s) served a stale generation", key)
 			}
 			check("stale get " + key)

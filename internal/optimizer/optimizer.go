@@ -237,7 +237,7 @@ func (o *Optimizer) planExcludingHit(ctx context.Context, stmt *sqlparse.SelectS
 	}
 	key := stmt.String()
 	gen := o.generation()
-	if p, ok := o.Cache.get(key, gen); ok {
+	if p, ok := o.Cache.Get(key, gen); ok {
 		sp.SetAttr("cache", "hit")
 		return p, true, nil
 	}
@@ -246,7 +246,7 @@ func (o *Optimizer) planExcludingHit(ctx context.Context, stmt *sqlparse.SelectS
 	if err != nil {
 		return nil, false, err
 	}
-	o.Cache.put(key, gen, p)
+	o.Cache.Put(key, gen, p)
 	return p, false, nil
 }
 

@@ -52,7 +52,6 @@ type Distributed struct {
 	noise float64
 	seed  int64
 	skew  float64
-	memo  execMemos
 }
 
 var _ System = (*Distributed)(nil)
@@ -194,12 +193,10 @@ func (d *Distributed) skewed(spec plan.JoinSpec) bool {
 }
 
 // ExecuteJoin implements System: plan the physical algorithm, then simulate.
+// The algorithm is picked before the spec is checked (ExecuteJoinWith checks
+// it, once); the selection rules are plain comparisons defined for any spec.
 func (d *Distributed) ExecuteJoin(spec plan.JoinSpec) (Execution, error) {
-	if err := spec.Validate(); err != nil {
-		return Execution{}, fmt.Errorf("remote %q: %w", d.name, err)
-	}
-	alg := d.SelectJoinAlgorithm(spec)
-	return d.ExecuteJoinWith(spec, alg)
+	return d.ExecuteJoinWith(spec, d.SelectJoinAlgorithm(spec))
 }
 
 // ExecuteJoinWith simulates the join with an explicitly chosen algorithm.
@@ -207,11 +204,6 @@ func (d *Distributed) ExecuteJoin(spec plan.JoinSpec) (Execution, error) {
 func (d *Distributed) ExecuteJoinWith(spec plan.JoinSpec, alg JoinAlgorithm) (Execution, error) {
 	if err := spec.Validate(); err != nil {
 		return Execution{}, fmt.Errorf("remote %q: %w", d.name, err)
-	}
-	jk := joinMemoKey{spec: spec, alg: alg}
-	jh := hashJoinKey(jk)
-	if ex, ok := d.memo.join.get(jh, jk); ok {
-		return ex, nil
 	}
 	var sec float64
 	switch alg {
@@ -241,9 +233,7 @@ func (d *Distributed) ExecuteJoinWith(spec plan.JoinSpec, alg JoinAlgorithm) (Ex
 	var kb [256]byte
 	key := newNoiseKey(kb[:], "join|").str(string(alg)).sep().joinDims(spec)
 	sec *= noiseBytes(key, d.seed, d.noise)
-	ex := Execution{ElapsedSec: sec, Algorithm: string(alg)}
-	d.memo.join.put(jh, jk, ex)
-	return ex, nil
+	return Execution{ElapsedSec: sec, Algorithm: string(alg)}, nil
 }
 
 // broadcastJoinTime implements the Figure 6 workflow: the driver reads the
@@ -419,10 +409,6 @@ func (d *Distributed) ExecuteAgg(spec plan.AggSpec) (Execution, error) {
 	if err := spec.Validate(); err != nil {
 		return Execution{}, fmt.Errorf("remote %q: %w", d.name, err)
 	}
-	ah := hashAggSpec(spec)
-	if ex, ok := d.memo.agg.get(ah, spec); ok {
-		return ex, nil
-	}
 	mapTasks := d.cfg.NumTasks(spec.InputRows * spec.InputRowSize)
 	mapWaves := d.cfg.TaskWaves(mapTasks)
 	aggFactor := 1 + 0.15*float64(spec.NumAggregates)
@@ -451,19 +437,13 @@ func (d *Distributed) ExecuteAgg(spec plan.AggSpec) (Execution, error) {
 	var kb [160]byte
 	key := newNoiseKey(kb[:], "agg|").aggDims(spec)
 	sec *= noiseBytes(key, d.seed, d.noise)
-	ex := Execution{ElapsedSec: sec, Algorithm: "hash_aggregation"}
-	d.memo.agg.put(ah, spec, ex)
-	return ex, nil
+	return Execution{ElapsedSec: sec, Algorithm: "hash_aggregation"}, nil
 }
 
 // ExecuteScan implements System: a map-only filter/project stage.
 func (d *Distributed) ExecuteScan(spec plan.ScanSpec) (Execution, error) {
 	if err := spec.Validate(); err != nil {
 		return Execution{}, fmt.Errorf("remote %q: %w", d.name, err)
-	}
-	sh := hashScanSpec(spec)
-	if ex, ok := d.memo.scan.get(sh, spec); ok {
-		return ex, nil
 	}
 	tasks := d.cfg.NumTasks(spec.InputRows * spec.InputRowSize)
 	waves := d.cfg.TaskWaves(tasks)
@@ -476,9 +456,7 @@ func (d *Distributed) ExecuteScan(spec plan.ScanSpec) (Execution, error) {
 		float(spec.InputRows).sep().float(spec.InputRowSize).sep().
 		float(spec.Selectivity).sep().float(spec.OutputRowSize)
 	sec *= noiseBytes(key, d.seed, d.noise)
-	ex := Execution{ElapsedSec: sec, Algorithm: "scan"}
-	d.memo.scan.put(sh, spec, ex)
-	return ex, nil
+	return Execution{ElapsedSec: sec, Algorithm: "scan"}, nil
 }
 
 // ExecuteProbe implements System. Probes follow the Figure 5 footnote
@@ -487,10 +465,6 @@ func (d *Distributed) ExecuteScan(spec plan.ScanSpec) (Execution, error) {
 func (d *Distributed) ExecuteProbe(p Probe) (Execution, error) {
 	if err := p.Validate(); err != nil {
 		return Execution{}, fmt.Errorf("remote %q: %w", d.name, err)
-	}
-	ph := hashProbe(p)
-	if ex, ok := d.memo.probe.get(ph, p); ok {
-		return ex, nil
 	}
 	read := d.costs.At(ReadDFS, p.RecordSize, true)
 	var extra float64
@@ -534,7 +508,5 @@ func (d *Distributed) ExecuteProbe(p Probe) (Execution, error) {
 		str(p.Target.String()).sep().float(p.Records).sep().
 		float(p.RecordSize).sep().float(p.BuildBytes)
 	sec *= noiseBytes(key, d.seed, d.noise)
-	ex := Execution{ElapsedSec: sec, Algorithm: "probe:" + p.Target.String()}
-	d.memo.probe.put(ph, p, ex)
-	return ex, nil
+	return Execution{ElapsedSec: sec, Algorithm: probeLabels[p.Target]}, nil
 }

@@ -105,3 +105,50 @@ func TestNoiseKeyZeroAlloc(t *testing.T) {
 		t.Fatalf("noise key path allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestExecuteZeroAlloc pins the whole simulator entry points, not just the
+// key builder: every operator on both simulator types computes its
+// Execution without allocating, on specs it has never seen (each run bumps a
+// cardinality, so nothing could be answered from a remembered result).
+func TestExecuteZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	pg, err := NewRDBMS("pg", newHiveT(t).Cluster(), Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []System{newHiveT(t), newSparkT(t), pg} {
+		n := 0.0
+		ops := []struct {
+			name string
+			run  func() (Execution, error)
+		}{
+			{"scan", func() (Execution, error) {
+				return sys.ExecuteScan(plan.ScanSpec{InputRows: 1e6 + n, InputRowSize: 100, Selectivity: 0.25, OutputRowSize: 40})
+			}},
+			{"agg", func() (Execution, error) {
+				return sys.ExecuteAgg(plan.AggSpec{InputRows: 1e6 + n, InputRowSize: 100, OutputRows: 50, OutputRowSize: 16, NumAggregates: 2})
+			}},
+			{"join", func() (Execution, error) {
+				j := bigJoin()
+				j.OutputRows += n
+				return sys.ExecuteJoin(j)
+			}},
+			{"probe", func() (Execution, error) {
+				return sys.ExecuteProbe(Probe{Target: HashBuild, Records: 1e6 + n, RecordSize: 100})
+			}},
+		}
+		for _, op := range ops {
+			allocs := testing.AllocsPerRun(200, func() {
+				n++
+				if ex, err := op.run(); err != nil || ex.ElapsedSec <= 0 {
+					t.Fatalf("%s %s: %+v, %v", sys.Name(), op.name, ex, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s allocates %v/op on a never-seen spec, want 0", sys.Name(), op.name, allocs)
+			}
+		}
+	}
+}

@@ -18,7 +18,6 @@ type RDBMS struct {
 	over  Overheads
 	noise float64
 	seed  int64
-	memo  execMemos
 }
 
 var _ System = (*RDBMS)(nil)
@@ -91,11 +90,6 @@ func (r *RDBMS) ExecuteJoin(spec plan.JoinSpec) (Execution, error) {
 	if err := spec.Validate(); err != nil {
 		return Execution{}, fmt.Errorf("remote %q: %w", r.name, err)
 	}
-	jk := joinMemoKey{spec: spec}
-	jh := hashJoinKey(jk)
-	if ex, ok := r.memo.join.get(jh, jk); ok {
-		return ex, nil
-	}
 	alg := r.SelectJoinAlgorithm(spec)
 	outSize := spec.OutputRowSize()
 	s, _ := spec.SmallSide()
@@ -121,19 +115,13 @@ func (r *RDBMS) ExecuteJoin(spec plan.JoinSpec) (Execution, error) {
 	var kb [256]byte
 	key := newNoiseKey(kb[:], "rdbms-join|").str(string(alg)).sep().joinDims(spec)
 	sec *= noiseBytes(key, r.seed, r.noise)
-	ex := Execution{ElapsedSec: sec, Algorithm: string(alg)}
-	r.memo.join.put(jh, jk, ex)
-	return ex, nil
+	return Execution{ElapsedSec: sec, Algorithm: string(alg)}, nil
 }
 
 // ExecuteAgg implements System with a single-stage hash aggregation.
 func (r *RDBMS) ExecuteAgg(spec plan.AggSpec) (Execution, error) {
 	if err := spec.Validate(); err != nil {
 		return Execution{}, fmt.Errorf("remote %q: %w", r.name, err)
-	}
-	ah := hashAggSpec(spec)
-	if ex, ok := r.memo.agg.get(ah, spec); ok {
-		return ex, nil
 	}
 	aggFactor := 1 + 0.15*float64(spec.NumAggregates)
 	inMem := r.cfg.FitsInMemory(spec.OutputRows * spec.OutputRowSize)
@@ -146,19 +134,13 @@ func (r *RDBMS) ExecuteAgg(spec plan.AggSpec) (Execution, error) {
 	var kb [160]byte
 	key := newNoiseKey(kb[:], "rdbms-agg|").aggDims(spec)
 	sec *= noiseBytes(key, r.seed, r.noise)
-	ex := Execution{ElapsedSec: sec, Algorithm: "hash_aggregation"}
-	r.memo.agg.put(ah, spec, ex)
-	return ex, nil
+	return Execution{ElapsedSec: sec, Algorithm: "hash_aggregation"}, nil
 }
 
 // ExecuteScan implements System.
 func (r *RDBMS) ExecuteScan(spec plan.ScanSpec) (Execution, error) {
 	if err := spec.Validate(); err != nil {
 		return Execution{}, fmt.Errorf("remote %q: %w", r.name, err)
-	}
-	sh := hashScanSpec(spec)
-	if ex, ok := r.memo.scan.get(sh, spec); ok {
-		return ex, nil
 	}
 	workUS := spec.InputRows*(r.costs.At(ReadDFS, spec.InputRowSize, true)+r.costs.At(Scan, spec.InputRowSize, true)) +
 		spec.OutputRows()*r.costs.At(WriteDFS, spec.OutputRowSize, true)
@@ -168,19 +150,13 @@ func (r *RDBMS) ExecuteScan(spec plan.ScanSpec) (Execution, error) {
 	key := newNoiseKey(kb[:], "rdbms-scan|").
 		float(spec.InputRows).sep().float(spec.InputRowSize).sep().float(spec.Selectivity)
 	sec *= noiseBytes(key, r.seed, r.noise)
-	ex := Execution{ElapsedSec: sec, Algorithm: "scan"}
-	r.memo.scan.put(sh, spec, ex)
-	return ex, nil
+	return Execution{ElapsedSec: sec, Algorithm: "scan"}, nil
 }
 
 // ExecuteProbe implements System; single-node probes have no task waves.
 func (r *RDBMS) ExecuteProbe(p Probe) (Execution, error) {
 	if err := p.Validate(); err != nil {
 		return Execution{}, fmt.Errorf("remote %q: %w", r.name, err)
-	}
-	ph := hashProbe(p)
-	if ex, ok := r.memo.probe.get(ph, p); ok {
-		return ex, nil
 	}
 	read := r.costs.At(ReadDFS, p.RecordSize, true)
 	var extra float64
@@ -221,7 +197,5 @@ func (r *RDBMS) ExecuteProbe(p Probe) (Execution, error) {
 	key := newNoiseKey(kb[:], "rdbms-probe|").
 		str(p.Target.String()).sep().float(p.Records).sep().float(p.RecordSize)
 	sec *= noiseBytes(key, r.seed, r.noise)
-	ex := Execution{ElapsedSec: sec, Algorithm: "probe:" + p.Target.String()}
-	r.memo.probe.put(ph, p, ex)
-	return ex, nil
+	return Execution{ElapsedSec: sec, Algorithm: probeLabels[p.Target]}, nil
 }

@@ -228,6 +228,37 @@ func TestExecuteJoinInvalid(t *testing.T) {
 	}
 }
 
+// TestExecuteJoinInvalidFromBothEntryPoints: the spec is checked once,
+// behind both public entry points, and the error keeps the system prefix.
+func TestExecuteJoinInvalidFromBothEntryPoints(t *testing.T) {
+	h := newHiveT(t)
+	negative := smallJoin()
+	negative.OutputRows = -1
+	noRows := smallJoin()
+	noRows.Left.Rows = 0
+	for _, tc := range []struct {
+		name string
+		spec plan.JoinSpec
+	}{
+		{"zero spec", plan.JoinSpec{}},
+		{"negative output", negative},
+		{"empty left side", noRows},
+	} {
+		want := tc.spec.Validate()
+		if want == nil {
+			t.Fatalf("%s: spec is valid, test is vacuous", tc.name)
+		}
+		wantText := `remote "hive": ` + want.Error()
+		_, viaOwn := h.ExecuteJoin(tc.spec)
+		_, viaWith := h.ExecuteJoinWith(tc.spec, HiveShuffleJoin)
+		for entry, err := range map[string]error{"ExecuteJoin": viaOwn, "ExecuteJoinWith": viaWith} {
+			if err == nil || err.Error() != wantText {
+				t.Errorf("%s via %s: error %v, want %q", tc.name, entry, err, wantText)
+			}
+		}
+	}
+}
+
 func TestJoinCostGrowsWithInput(t *testing.T) {
 	h := newHiveT(t)
 	small, err := h.ExecuteJoinWith(smallJoin(), HiveShuffleJoin)

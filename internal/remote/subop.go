@@ -93,6 +93,15 @@ func (s SubOp) String() string {
 	}
 }
 
+// probeLabels are the Execution.Algorithm names of the calibration probes,
+// built once so ExecuteProbe does not concatenate a string per call.
+var probeLabels = func() (l [numSubOps]string) {
+	for i := range l {
+		l[i] = "probe:" + SubOp(i).String()
+	}
+	return l
+}()
+
 // Symbol returns the paper's single-letter notation for the sub-operator
 // (Figure 5): rD, wD, rL, wL, f, b, o, c, hI, hP, m.
 func (s SubOp) Symbol() string {

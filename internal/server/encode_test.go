@@ -234,7 +234,7 @@ func TestWarmQueryAllocs(t *testing.T) {
 	sql := "SELECT a1 FROM t100000_100 WHERE a1 < 100"
 	req := httptest.NewRequest(http.MethodGet, "/query?q="+strings.ReplaceAll(sql, " ", "+"), nil)
 	w := &nullRW{h: make(http.Header)}
-	// Warm: statement LRU, plan cache, simulator memos, buffer pool.
+	// Warm: statement cache, plan cache, buffer pool.
 	for i := 0; i < 3; i++ {
 		h.ServeHTTP(w, req)
 	}

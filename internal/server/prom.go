@@ -41,7 +41,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(&b, "intellisphere_plan_cache_hits_total", "Plan-cache hits.", float64(st.PlanCache.Hits))
 	counter(&b, "intellisphere_plan_cache_misses_total", "Plan-cache misses.", float64(st.PlanCache.Misses))
 	counter(&b, "intellisphere_plan_cache_stale_total", "Plan-cache entries invalidated by a generation bump.", float64(st.PlanCache.Stale))
-	counter(&b, "intellisphere_plan_cache_evicted_total", "Plan-cache LRU evictions.", float64(st.PlanCache.Evicted))
+	counter(&b, "intellisphere_plan_cache_evicted_total", "Plan-cache CLOCK evictions.", float64(st.PlanCache.Evicted))
 	gauge(&b, "intellisphere_plan_cache_size", "Plans currently cached.", float64(st.PlanCache.Size))
 
 	adm := s.adm.Stats()

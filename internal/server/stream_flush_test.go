@@ -268,7 +268,7 @@ func TestStreamMissAllocs(t *testing.T) {
 		return b.Bytes()
 	}
 	w := &flushCounter{h: http.Header{}}
-	h.ServeHTTP(w, streamPost("/query/stream", bytes.NewReader(body(1000)))) // warm pools and simulator memos
+	h.ServeHTTP(w, streamPost("/query/stream", bytes.NewReader(body(1000)))) // warm pools
 	req := streamPost("/query/stream", bytes.NewReader(body(5000)))
 	w.body.Reset()
 	w.body.Grow(1 << 20)

@@ -26,7 +26,7 @@ func Parse(sql string) (*SelectStmt, error) {
 	}
 	// Memoize the canonical rendering before the statement escapes: parsed
 	// statements are immutable downstream and shared across goroutines (the
-	// engine's statement LRU), so the one writer is here, pre-publication.
+	// engine's statement cache), so the one writer is here, pre-publication.
 	stmt.canon = stmt.render()
 	return stmt, nil
 }
