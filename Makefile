@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet bench-vet test race allocs loc bench bench-parallel-smoke bench-snapshot bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak ci
+.PHONY: all build vet bench-vet test race allocs loc fuzz-smoke bench bench-parallel-smoke bench-snapshot bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak ci
 
 all: build
 
@@ -24,8 +24,9 @@ bench-vet:
 test:
 	$(GO) test ./... -count=1
 
-# The full suite under the race detector — exercises the parallel training
-# and candidate-costing paths with real contention.
+# The full suite under the race detector — exercises parallel training and
+# concurrent queries through the shared planner, estimators and rings with
+# real contention.
 race:
 	$(GO) test -race ./... -count=1
 
@@ -43,6 +44,16 @@ allocs:
 loc:
 	sh scripts/loc.sh
 
+# Five seconds of coverage-guided fuzzing per target over the untrusted
+# inputs that have one — SQL text, statements inside JSON — and over the
+# hand-rolled answer encoder against encoding/json. The checked-in corpora
+# under testdata/fuzz already run as plain tests in `race`; this step is what
+# looks for inputs nobody wrote down. A crasher lands in testdata/fuzz/<target>.
+fuzz-smoke:
+	$(GO) test ./internal/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStatementForms$$' -fuzztime 5s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEncodeAnswer$$' -fuzztime 5s
+
 # Short benchmark smoke: the two perf-critical kernels, one iteration each,
 # just to prove they still run (use `go test -bench=.` for real numbers).
 bench:
@@ -50,9 +61,9 @@ bench:
 	$(GO) test ./internal/optimizer -run '^$$' -bench BenchmarkOptimizerPlan -benchtime 1x
 
 # One-iteration pass over the RunParallel serving benchmarks at -cpu 1:
-# proves the parallel suite still builds and runs without paying for a real
-# multi-core sweep. Part of `make ci`; real numbers come from
-# `make bench-snapshot` (which sweeps -cpu 1,4,8).
+# proves the parallel suite still runs without paying for a real multi-core
+# sweep. Not part of `make ci` (vet already proves it builds); real numbers
+# come from `make bench-snapshot` (which sweeps -cpu 1,4,8).
 bench-parallel-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench 'Parallel' -benchtime 1x -cpu 1
 
@@ -126,4 +137,4 @@ crash-smoke:
 crash-soak:
 	$(GO) test -race ./test/e2e -run TestCrashRecoverySoak -count=1
 
-ci: vet bench-vet build race allocs bench bench-parallel-smoke bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak
+ci: vet bench-vet build race allocs bench fuzz-smoke bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak

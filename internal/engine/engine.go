@@ -49,9 +49,10 @@ type Config struct {
 	Link querygrid.LinkConfig
 	// Seed drives the master's own simulator noise.
 	Seed int64
-	// Workers bounds this engine's worker fan-out for parallel training and
-	// candidate costing. 0 uses the process default (GOMAXPROCS, or the
-	// INTELLISPHERE_WORKERS environment variable); 1 forces serial execution.
+	// Workers bounds this engine's worker fan-out for parallel training; the
+	// planner does not use it (it costs a statement's placements on the
+	// calling goroutine). 0 uses the process default (GOMAXPROCS, or the
+	// INTELLISPHERE_WORKERS environment variable); 1 forces serial training.
 	// The setting is scoped to the engine — two engines with different
 	// Workers never affect each other. All results are identical at any
 	// worker count.
@@ -228,8 +229,7 @@ func New(cfg Config) (*Engine, error) {
 		e.stmts = optimizer.NewCache[*sqlparse.SelectStmt](2 * cache.Stats().Capacity)
 	}
 	e.opt = &optimizer.Optimizer{
-		Catalog: e.cat, Grid: e.grid, Estimators: e.estimators,
-		Workers: cfg.Workers, Cache: cache,
+		Catalog: e.cat, Grid: e.grid, Estimators: e.estimators, Cache: cache,
 	}
 	return e, nil
 }

@@ -1,8 +1,9 @@
 package obs
 
 import (
-	"sync/atomic"
 	"time"
+
+	"intellisphere/internal/metrics"
 )
 
 // Sample is one time-series point: the key serving series snapshotted every
@@ -27,6 +28,8 @@ type Sample struct {
 	// QError carries the current mean q-error per "system/operator" key —
 	// a gauge passed through from the accuracy trackers, not a delta.
 	QError map[string]float64 `json:"q_error,omitempty"`
+
+	seq uint64 // position in the History ring, stamped by Append
 }
 
 // MaxQError returns the worst per-(system,operator) mean q-error in the
@@ -41,14 +44,13 @@ func (s *Sample) MaxQError() float64 {
 	return max
 }
 
-// History is a fixed-size lock-free time-series ring of Samples, the
-// embedded store behind /history and the SLO engine. Same publication
-// discipline as the event ring: one atomic increment claims a slot, one
-// atomic store publishes, readers never block the writer.
+// History is the fixed-size time-series ring of Samples, the embedded store
+// behind /history and the SLO engine: a metrics.Ring (the event ring's
+// mechanism — readers never block the collector) plus the step its samples
+// are taken at.
 type History struct {
-	step  time.Duration
-	slots []atomic.Pointer[Sample]
-	next  atomic.Uint64
+	step time.Duration
+	ring *metrics.Ring[Sample]
 }
 
 // DefaultHistorySize is the sample capacity when none is configured — at
@@ -64,7 +66,7 @@ func NewHistory(n int, step time.Duration) *History {
 	if step <= 0 {
 		step = 5 * time.Second
 	}
-	return &History{step: step, slots: make([]atomic.Pointer[Sample], n)}
+	return &History{step: step, ring: metrics.NewRing(n, func(s *Sample) *uint64 { return &s.seq })}
 }
 
 // Step reports the collector interval samples are taken at.
@@ -77,11 +79,9 @@ func (h *History) Step() time.Duration {
 
 // Append publishes one sample.
 func (h *History) Append(s *Sample) {
-	if h == nil || s == nil {
-		return
+	if h != nil {
+		h.ring.Record(s)
 	}
-	id := h.next.Add(1)
-	h.slots[int((id-1)%uint64(len(h.slots)))].Store(s)
 }
 
 // Count reports how many samples were ever appended.
@@ -89,7 +89,7 @@ func (h *History) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.next.Load()
+	return h.ring.Count()
 }
 
 // Recent returns up to n of the most recent samples, newest first (n <= 0
@@ -98,22 +98,7 @@ func (h *History) Recent(n int) []*Sample {
 	if h == nil {
 		return nil
 	}
-	if n <= 0 || n > len(h.slots) {
-		n = len(h.slots)
-	}
-	newest := h.next.Load()
-	out := make([]*Sample, 0, n)
-	for i := 0; i < n; i++ {
-		id := newest - uint64(i)
-		if id == 0 {
-			break
-		}
-		s := h.slots[int((id-1)%uint64(len(h.slots)))].Load()
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
+	return h.ring.Recent(n)
 }
 
 // Window returns the samples covering the trailing window ending at now,

@@ -1,15 +1,11 @@
 package obs
 
-import "sync/atomic"
+import "intellisphere/internal/metrics"
 
-// Ring is a fixed-size lock-free buffer of the most recent events, the same
-// shape as trace.Ring: writers claim an ID with one atomic increment and
-// publish with one atomic store; readers snapshot without blocking writers.
-// Events are immutable once published.
-type Ring struct {
-	slots []atomic.Pointer[Event]
-	next  atomic.Uint64
-}
+// Ring is the buffer of the most recent events behind /events and the file
+// sink's drain cursor: a metrics.Ring addressed by Event.ID, which Record
+// stamps (1-based, never repeating). Events are immutable once recorded.
+type Ring = metrics.Ring[Event]
 
 // DefaultRingSize is the event buffer capacity when none is configured.
 const DefaultRingSize = 1024
@@ -20,86 +16,5 @@ func NewRing(n int) *Ring {
 	if n <= 0 {
 		n = DefaultRingSize
 	}
-	return &Ring{slots: make([]atomic.Pointer[Event], n)}
-}
-
-// Record publishes an event, assigning it the next sequence ID (1-based,
-// never repeating).
-func (r *Ring) Record(ev *Event) {
-	if r == nil || ev == nil {
-		return
-	}
-	id := r.next.Add(1)
-	ev.ID = id
-	r.slots[int((id-1)%uint64(len(r.slots)))].Store(ev)
-}
-
-// Count reports how many events were ever recorded.
-func (r *Ring) Count() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.next.Load()
-}
-
-// Recent returns up to n of the most recent events, newest first (n <= 0
-// selects the whole buffer).
-func (r *Ring) Recent(n int) []*Event {
-	if r == nil {
-		return nil
-	}
-	if n <= 0 || n > len(r.slots) {
-		n = len(r.slots)
-	}
-	newest := r.next.Load()
-	out := make([]*Event, 0, n)
-	for i := 0; i < n; i++ {
-		id := newest - uint64(i)
-		if id == 0 {
-			break
-		}
-		ev := r.slots[int((id-1)%uint64(len(r.slots)))].Load()
-		// A slot may hold an older or newer event than the one addressed
-		// when writers lap the reader; keep only the addressed event so
-		// Recent never returns duplicates or out-of-order IDs.
-		if ev != nil && ev.ID == id {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Since returns events with ID > after in ascending ID order, at most max
-// of them (max <= 0 selects the whole buffer), together with the cursor to
-// pass as after on the next call and the number of events in the range that
-// were already overwritten before they could be read. The file-sink drainer
-// calls this in a loop, so events are lost only when writers lap a whole
-// ring between drains — never silently skipped by the max cap.
-func (r *Ring) Since(after uint64, max int) (evs []*Event, next uint64, lost uint64) {
-	if r == nil {
-		return nil, after, 0
-	}
-	newest := r.next.Load()
-	if newest <= after {
-		return nil, after, 0
-	}
-	lo := after + 1
-	if span := newest - after; span > uint64(len(r.slots)) {
-		lost = span - uint64(len(r.slots))
-		lo = newest - uint64(len(r.slots)) + 1
-	}
-	hi := newest
-	if max > 0 && hi-lo+1 > uint64(max) {
-		hi = lo + uint64(max) - 1
-	}
-	evs = make([]*Event, 0, hi-lo+1)
-	for id := lo; id <= hi; id++ {
-		ev := r.slots[int((id-1)%uint64(len(r.slots)))].Load()
-		if ev == nil || ev.ID != id {
-			lost++ // overwritten (or not yet published) under the reader
-			continue
-		}
-		evs = append(evs, ev)
-	}
-	return evs, hi, lost
+	return metrics.NewRing(n, func(ev *Event) *uint64 { return &ev.ID })
 }

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"testing"
 
+	"intellisphere/internal/parallel"
 	"intellisphere/internal/sqlparse"
 )
 
@@ -12,12 +13,22 @@ import (
 // budgets sit about 20 % above the counts at the time of writing: 7, 7 and
 // 18 (of which the sub-op join estimator's own bookkeeping is about 10),
 // where the fmt-and-map bookkeeping this path used to do took 34, 33 and 80.
+// The same budgets hold with a four-worker process pool: the planner costs
+// its placements on the calling goroutine whatever the worker count says.
 func TestPlanMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	t.Run("default workers", testPlanMissAllocs)
+	t.Run("four workers", func(t *testing.T) {
+		parallel.SetWorkers(4)
+		t.Cleanup(func() { parallel.SetWorkers(0) })
+		testPlanMissAllocs(t)
+	})
+}
+
+func testPlanMissAllocs(t *testing.T) {
 	f := newFixture(t)
-	f.opt.Workers = 1 // a parallel sweep allocates its goroutines' bookkeeping
 	for _, tc := range []struct {
 		sql    string
 		budget float64

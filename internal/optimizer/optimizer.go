@@ -12,7 +12,6 @@ import (
 	"intellisphere/internal/catalog"
 	"intellisphere/internal/core"
 	"intellisphere/internal/core/subop"
-	"intellisphere/internal/parallel"
 	"intellisphere/internal/plan"
 	"intellisphere/internal/querygrid"
 	"intellisphere/internal/registry"
@@ -28,10 +27,6 @@ type Optimizer struct {
 	Catalog    *catalog.Catalog
 	Grid       *querygrid.Grid
 	Estimators *registry.Map[core.Estimator]
-	// Workers bounds this optimizer's candidate-costing fan-out. 0 uses the
-	// process default (GOMAXPROCS or INTELLISPHERE_WORKERS); 1 forces serial
-	// sweeps. Plans are identical at any setting.
-	Workers int
 	// Cache, when non-nil, memoizes finished plans keyed by normalized
 	// statement shape and the current generation vector. Cached plans are
 	// byte-identical to freshly built ones — the cache only skips the
@@ -333,16 +328,6 @@ func (o *Optimizer) estimator(system string) (core.Estimator, error) {
 	return e, nil
 }
 
-// serial reports whether a sweep over n placements runs on the calling
-// goroutine: one placement, or a worker bound of one.
-func (o *Optimizer) serial(n int) bool {
-	w := o.Workers
-	if w <= 0 {
-		w = parallel.Workers()
-	}
-	return n <= 1 || w <= 1
-}
-
 // byCost orders two costs for a stable sort (first-seen wins ties).
 func byCost(x, y float64) int {
 	switch {
@@ -573,22 +558,15 @@ func (o *Optimizer) planUnary(ctx context.Context, a *analyzed) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every placement is costed independently (estimators are safe for
-	// concurrent use), so with workers to spare the candidates fan out
-	// across the pool; the ordered results keep plan selection identical to
-	// the serial sweep.
+	// The at most maxPlacements estimates cost under a microsecond each, so
+	// they are swept on the calling goroutine: handing them to workers costs
+	// several times the estimates themselves (DESIGN.md §6).
 	var buf [maxPlacements]candidate
 	cands := buf[:in.systems.n]
-	if o.serial(len(cands)) {
-		for i := range cands {
-			if cands[i], err = o.costUnary(ctx, in, i); err != nil {
-				return nil, err
-			}
+	for i := range cands {
+		if cands[i], err = o.costUnary(ctx, in, i); err != nil {
+			return nil, err
 		}
-	} else if cands, err = parallel.MapN(o.Workers, len(cands), func(i int) (candidate, error) {
-		return o.costUnary(ctx, in, i)
-	}); err != nil {
-		return nil, err
 	}
 	return in.pick(cands), nil
 }
@@ -692,26 +670,6 @@ func (o *Optimizer) joinOption(ctx context.Context, sw joinSweep, sys string) (j
 	return opt, nil
 }
 
-// costJoin prices sw's join on every candidate system — concurrently when
-// there are workers to spare — into opts (or a fresh slice), in sweep order.
-func (o *Optimizer) costJoin(ctx context.Context, sw joinSweep, systems placements, opts []joinOption) ([]joinOption, error) {
-	if !o.serial(systems.n) {
-		return parallel.MapN(o.Workers, systems.n, func(i int) (joinOption, error) {
-			return o.joinOption(ctx, sw, systems.sys[i])
-		})
-	}
-	// Indexed, not ranged over systems.list(): taking systems' address would
-	// make the closure above share it, and so move it to the heap per call.
-	for i := 0; i < systems.n; i++ {
-		opt, err := o.joinOption(ctx, sw, systems.sys[i])
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, opt)
-	}
-	return opts, nil
-}
-
 // planJoin places a left-deep join chain (with optional aggregation on
 // top). Each join is placed greedily on the system minimizing the step's
 // transfers plus estimated execution; intermediate results stay where they
@@ -799,12 +757,15 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 
 		// Greedy placement of this join step: cost every candidate system,
 		// then select from the ordered results (first-seen wins cost ties).
+		sw := joinSweep{a: a, join: i, spec: spec,
+			curLoc: curLoc, curBase: curBase, nxtOwner: nxtOwner, newBind: st.newBind}
+		systems := a.placements(curLoc, nxtOwner)
 		var optBuf [maxPlacements]joinOption
-		options, err := o.costJoin(ctx, joinSweep{a: a, join: i, spec: spec,
-			curLoc: curLoc, curBase: curBase, nxtOwner: nxtOwner, newBind: st.newBind},
-			a.placements(curLoc, nxtOwner), optBuf[:0])
-		if err != nil {
-			return nil, err
+		options := optBuf[:systems.n]
+		for oi, sys := range systems.list() {
+			if options[oi], err = o.joinOption(ctx, sw, sys); err != nil {
+				return nil, err
+			}
 		}
 		best := 0
 		var rejBuf [maxPlacements]int

@@ -1,8 +1,8 @@
 // Package parallel provides the repo-wide bounded worker pool used by the
-// training, experiment, and optimizer hot paths. Its primitives are designed
-// around one invariant: results must be bit-identical no matter how many
-// workers run. Map and ForEach get that for free (each index owns its output
-// slot); MapReduce gets it by sharding work into fixed-size chunks and
+// training and experiment hot paths. Its primitives are designed around one
+// invariant: results must be bit-identical no matter how many workers run.
+// Map and ForEach get that for free (each index owns its output slot);
+// Reducer gets it by sharding work into fixed-size chunks and
 // reducing the chunk results in ascending chunk order, so floating-point
 // accumulation order never depends on scheduling or on the pool size.
 package parallel
@@ -123,35 +123,15 @@ func MapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// MapReduce shards [0, n) into contiguous chunks of at most chunk indexes,
-// processes the chunks concurrently — each on a pooled state S — and calls
-// reduce exactly once per chunk in ascending chunk order. Because the chunk
-// boundaries depend only on n and chunk, and the reduction order is fixed,
-// the result is bit-identical for every worker count (including 1).
-//
-// newState allocates a fresh state, reset clears a recycled one before its
-// next chunk, process folds indexes [start, end) into the state, and reduce
-// folds one finished chunk state into the caller's accumulator. reduce runs
-// on the calling goroutine; process calls run concurrently with it but never
-// on the same state.
-//
-// MapReduce builds (and tears down) a Reducer per call; hot loops that run
-// many reductions back to back should hold a Reducer instead.
-func MapReduce[S any](n, chunk, workers int, newState func() S, reset func(S), process func(s S, start, end int), reduce func(s S)) {
-	if n <= 0 {
-		return
-	}
-	r := NewReducer(n, chunk, workers, newState)
-	defer r.Close()
-	r.Run(n, reset, process, reduce)
-}
-
-// Reducer is a reusable chunk-ordered reduction pipeline: per-slot states
-// and worker goroutines are allocated once at construction and reused by
-// every Run, so a hot loop (e.g. one reduction per training mini-batch)
-// performs zero steady-state heap allocations and spawns no goroutines per
-// run. The determinism contract matches MapReduce exactly: chunks reduce in
-// ascending order, so results are bit-identical at any worker count.
+// Reducer is a reusable chunk-ordered reduction pipeline: Run shards [0, n)
+// into contiguous chunks of at most chunk indexes, processes the chunks
+// concurrently — each on a pooled state S — and calls reduce exactly once per
+// chunk in ascending chunk order. Because the chunk boundaries depend only on
+// n and chunk, and the reduction order is fixed, the result is bit-identical
+// for every worker count (including 1). Per-slot states and worker goroutines
+// are allocated once at construction and reused by every Run, so a hot loop
+// (e.g. one reduction per training mini-batch) performs zero steady-state
+// heap allocations and spawns no goroutines per run.
 //
 // A Reducer is for a single caller: Run must not be invoked concurrently.
 // Close releases the worker goroutines; the zero-worker (serial) form has
@@ -238,7 +218,11 @@ func NewReducer[S any](maxN, chunk, workers int, newState func() S) *Reducer[S] 
 }
 
 // Run performs one chunk-ordered reduction over [0, n). n must not exceed
-// the maxN the Reducer was built for. reduce runs on the calling goroutine.
+// the maxN the Reducer was built for. reset clears a recycled state before
+// its next chunk, process folds indexes [start, end) into it, and reduce
+// folds one finished chunk state into the caller's accumulator. reduce runs
+// on the calling goroutine; process calls run concurrently with it but never
+// on the same state.
 func (r *Reducer[S]) Run(n int, reset func(S), process func(s S, start, end int), reduce func(s S)) {
 	if n <= 0 {
 		return

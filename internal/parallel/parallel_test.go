@@ -60,12 +60,13 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-// mapReduceSum folds noisy floats chunk by chunk; the sum must be
+// reducerSum folds noisy floats chunk by chunk; the sum must be
 // bit-identical across worker counts because reduction is chunk-ordered.
-func mapReduceSum(vals []float64, chunk, workers int) float64 {
+func reducerSum(vals []float64, chunk, workers int) float64 {
 	total := 0.0
-	MapReduce(len(vals), chunk, workers,
-		func() *float64 { return new(float64) },
+	r := NewReducer(len(vals), chunk, workers, func() *float64 { return new(float64) })
+	defer r.Close()
+	r.Run(len(vals),
 		func(s *float64) { *s = 0 },
 		func(s *float64, start, end int) {
 			for i := start; i < end; i++ {
@@ -77,28 +78,29 @@ func mapReduceSum(vals []float64, chunk, workers int) float64 {
 	return total
 }
 
-func TestMapReduceDeterministicAcrossWorkerCounts(t *testing.T) {
+func TestReducerDeterministicAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	vals := make([]float64, 1009) // prime length: exercises a ragged tail chunk
 	for i := range vals {
 		vals[i] = (rng.Float64() - 0.5) * 1e6
 	}
-	want := mapReduceSum(vals, 16, 1)
+	want := reducerSum(vals, 16, 1)
 	for _, w := range []int{2, 3, 8} {
 		for trial := 0; trial < 5; trial++ {
-			if got := mapReduceSum(vals, 16, w); got != want {
+			if got := reducerSum(vals, 16, w); got != want {
 				t.Fatalf("workers=%d trial %d: sum %v != serial %v", w, trial, got, want)
 			}
 		}
 	}
 }
 
-func TestMapReduceVisitsEveryIndexOnce(t *testing.T) {
+func TestReducerVisitsEveryIndexOnce(t *testing.T) {
 	n := 517
 	hits := make([]int, n)
 	chunks := 0
-	MapReduce(n, 32, 4,
-		func() []int { return nil },
+	r := NewReducer(n, 32, 4, func() []int { return nil })
+	defer r.Close()
+	r.Run(n,
 		func([]int) {},
 		func(s []int, start, end int) {
 			for i := start; i < end; i++ {

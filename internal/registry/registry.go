@@ -7,9 +7,10 @@
 //
 // Each mutation bumps a generation counter. Consumers that cache derived
 // state (the optimizer's plan cache) record the generation they observed and
-// treat any change as an invalidation signal. Bump allows callers to signal
-// an in-place mutation of a stored value (e.g. offline tuning of a model the
-// registry points to) without replacing the entry.
+// treat any change as an invalidation signal. A stored value mutated in place
+// (e.g. offline tuning of a model the registry points to) carries its own
+// generation (core.Versioned); the registry's counter covers only its own
+// writes.
 package registry
 
 import (
@@ -85,15 +86,6 @@ func (r *Map[V]) replace(mutate func(map[string]V)) {
 	}
 	mutate(m)
 	r.snap.Store(&state[V]{m: m, gen: old.gen + 1})
-}
-
-// Bump advances the generation without changing contents — the invalidation
-// signal for in-place mutations of stored values.
-func (r *Map[V]) Bump() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.snap.Load()
-	r.snap.Store(&state[V]{m: old.m, gen: old.gen + 1})
 }
 
 // Generation returns the mutation counter. It only ever increases.

@@ -33,11 +33,6 @@ func TestBasicOperations(t *testing.T) {
 	if got := r.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Names = %v", got)
 	}
-	gen := r.Generation()
-	r.Bump()
-	if r.Generation() != gen+1 {
-		t.Error("Bump did not advance the generation")
-	}
 	if !r.Delete("a") || r.Delete("a") {
 		t.Error("Delete semantics wrong")
 	}

@@ -90,6 +90,10 @@ func (w *jw) str(s string) {
 				b.WriteString(`\\`)
 			case '"':
 				b.WriteString(`\"`)
+			case '\b':
+				b.WriteString(`\b`)
+			case '\f':
+				b.WriteString(`\f`)
 			case '\n':
 				b.WriteString(`\n`)
 			case '\r':

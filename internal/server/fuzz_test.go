@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -77,6 +78,52 @@ func FuzzStatementForms(f *testing.F) {
 			if want == "" || slots[i].SQL != want {
 				t.Fatalf("slot %d answers statement %q, element %q holds %q", i, slots[i].SQL, el, want)
 			}
+		}
+	})
+}
+
+// FuzzEncodeAnswer is the differential oracle for encode.go, the hand-rolled
+// encoder every /query, /query/batch and /query/stream answer goes through:
+// whatever strings, floats and slice shapes an answer holds,
+// encodeQueryResponse, encodeStatementError and encodeErrorFrame must equal
+// json.Encoder with SetIndent("", " ") byte for byte. The checked-in corpus
+// (testdata/fuzz/FuzzEncodeAnswer) holds the cases encoding/json treats
+// specially: invalid UTF-8, U+2028/U+2029, <>&, control bytes, ±0, the
+// subnormal floor, both sides of the 1e-6 and 1e21 notation switches, and nil
+// against empty slices at both nesting levels. shape picks the slices, two
+// bits a field (step_actuals, excluded, columns; three for rows) plus one for
+// degraded. NaN and ±Inf are skipped: encoding/json refuses them and the
+// engine never produces them.
+func FuzzEncodeAnswer(f *testing.F) {
+	f.Fuzz(func(t *testing.T, sql, explain, msg string, est, actual, x float64, shape uint16) {
+		for _, v := range []float64{est, actual, x} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("not a JSON number")
+			}
+		}
+		resp := queryResponse{
+			SQL: sql, Explain: explain, EstimatedSec: est, ActualSec: actual,
+			StepActuals: [][]float64{nil, {}, {x}, {est, x, actual}}[shape&3],
+			Degraded:    shape>>2&1 == 1,
+			Excluded:    [][]string{nil, {}, {msg}, {sql, explain}}[shape>>3&3],
+			Columns:     [][]string{nil, {}, {explain}, {msg, "", sql}}[shape>>5&3],
+			Rows: [][][]float64{nil, {}, {nil}, {{}}, {{x}}, {{est, x}, {}, nil},
+				{{actual}, {x, x, x}}, {{-x}, {est}}}[shape>>7&7],
+		}
+		if got, want := fastEncodeResponse(&resp), refEncode(t, resp); got != want {
+			t.Errorf("encodeQueryResponse(%+v)\n got: %q\nwant: %q", resp, got, want)
+		}
+		var b bytes.Buffer
+		encodeStatementError(&jw{b: &b}, sql, msg)
+		b.WriteByte('\n')
+		if want := refEncode(t, map[string]string{"sql": sql, "error": msg}); b.String() != want {
+			t.Errorf("encodeStatementError(%q, %q)\n got: %q\nwant: %q", sql, msg, b.String(), want)
+		}
+		b.Reset()
+		encodeErrorFrame(&jw{b: &b}, explain, msg)
+		b.WriteByte('\n')
+		if want := refEncode(t, map[string]string{"code": explain, "error": msg}); b.String() != want {
+			t.Errorf("encodeErrorFrame(%q, %q)\n got: %q\nwant: %q", explain, msg, b.String(), want)
 		}
 	})
 }

@@ -3,11 +3,14 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
 	"intellisphere/internal/metrics"
 	"intellisphere/internal/obs"
+	"intellisphere/internal/trace"
 )
 
 // This file is the serving surface of the continuous-observability pipeline
@@ -16,7 +19,7 @@ import (
 //
 //	GET /events   recent wide query events from the in-memory ring
 //	              (?n= bounds, ?errors=1 / ?system= / ?min_ms= / ?since=
-//	              filter)
+//	              filter — the recentFilter /trace shares)
 //	GET /history  the embedded metrics time series
 //	              (?window=15m trailing span, ?step=10s downsampling)
 //	GET /slo      every declared objective's burn rates and alert state
@@ -109,66 +112,89 @@ type eventsResponse struct {
 	Events []*obs.Event      `json:"events"`
 }
 
-// handleEvents serves the wide-event ring. ?n= bounds the response (default
-// 100); ?errors=1 keeps only non-ok outcomes, ?system=hive keeps events
-// whose plan touched the system, ?min_ms=250 keeps slow events, ?since=ID
-// keeps events newer than a previously seen ID (poll cursor). Filters scan
-// the whole ring and n bounds the filtered output.
+// recentFilter is the query /trace and /events share over their rings: ?n=
+// bounds the response, ?errors=1 keeps failures, ?system=hive keeps entries
+// that touched the system, ?min_ms=250 keeps slow ones and, on /events only,
+// ?since=ID keeps entries newer than a previously seen ID (poll cursor).
+// Filters scan the whole ring and n bounds the filtered output.
+type recentFilter struct {
+	n          int // <= 0: unbounded
+	onlyErrors bool
+	system     string
+	minMS      float64
+	since      uint64
+}
+
+// parseRecentFilter reads the filter both endpoints accept; a missing or
+// non-positive ?n= selects defaultN.
+func parseRecentFilter(q url.Values, defaultN int) recentFilter {
+	f := recentFilter{system: q.Get("system")}
+	if f.n, _ = strconv.Atoi(q.Get("n")); f.n <= 0 {
+		f.n = defaultN
+	}
+	f.onlyErrors, _ = strconv.ParseBool(q.Get("errors"))
+	f.minMS, _ = strconv.ParseFloat(q.Get("min_ms"), 64)
+	return f
+}
+
+// entryFields is what a recentFilter reads off one ring entry. The system
+// filter is asked separately (touches): a trace answers it by walking spans.
+type entryFields struct {
+	id     uint64
+	failed bool
+	ms     float64
+}
+
+func traceFields(t *trace.Trace) entryFields {
+	return entryFields{id: t.ID, failed: t.Error != "", ms: float64(t.DurationNanos) / 1e6}
+}
+
+func eventFields(ev *obs.Event) entryFields {
+	return entryFields{id: ev.ID, failed: ev.Outcome != "ok", ms: ev.LatencySec * 1000}
+}
+
+func eventTouches(ev *obs.Event, system string) bool { return slices.Contains(ev.Systems, system) }
+
+// recentMatching returns the newest entries of a ring (read through recent)
+// that pass f, newest first and never nil. An unfiltered request reads only
+// the n newest slots.
+func recentMatching[T any](f recentFilter, recent func(int) []*T, fields func(*T) entryFields, touches func(*T, string) bool) []*T {
+	fetch := f.n
+	if f.onlyErrors || f.system != "" || f.minMS > 0 || f.since > 0 {
+		fetch = 0
+	}
+	items := recent(fetch)
+	kept := make([]*T, 0, len(items))
+	for _, v := range items {
+		if f.n > 0 && len(kept) == f.n {
+			break
+		}
+		e := fields(v)
+		if f.onlyErrors && !e.failed || e.id <= f.since || f.minMS > 0 && e.ms < f.minMS ||
+			f.system != "" && !touches(v, f.system) {
+			continue
+		}
+		kept = append(kept, v)
+	}
+	return kept
+}
+
+// handleEvents serves the wide-event ring, newest first, through a
+// recentFilter (?n= defaults to 100).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s.obs == nil {
 		s.writeObsDisabled(w)
 		return
 	}
 	q := r.URL.Query()
-	n, _ := strconv.Atoi(q.Get("n"))
-	if n <= 0 {
-		n = 100
-	}
-	onlyErrors, _ := strconv.ParseBool(q.Get("errors"))
-	system := q.Get("system")
-	minMS, _ := strconv.ParseFloat(q.Get("min_ms"), 64)
-	sinceID, _ := strconv.ParseUint(q.Get("since"), 10, 64)
+	f := parseRecentFilter(q, 100)
+	f.since, _ = strconv.ParseUint(q.Get("since"), 10, 64)
 	ring := s.obs.Rec.Ring()
-	fetch := n
-	if onlyErrors || system != "" || minMS > 0 || sinceID > 0 {
-		fetch = 0
-	}
-	out := make([]*obs.Event, 0, n)
-	for _, ev := range ring.Recent(fetch) {
-		if len(out) == n {
-			break
-		}
-		if eventMatches(ev, onlyErrors, system, minMS, sinceID) {
-			out = append(out, ev)
-		}
-	}
 	s.writeJSON(w, http.StatusOK, eventsResponse{
 		Total:  ring.Count(),
 		Stats:  s.obs.Rec.Stats(),
-		Events: out,
+		Events: recentMatching(f, ring.Recent, eventFields, eventTouches),
 	})
-}
-
-// eventMatches applies the /events query filters to one event.
-func eventMatches(ev *obs.Event, onlyErrors bool, system string, minMS float64, since uint64) bool {
-	if onlyErrors && ev.Outcome == "ok" {
-		return false
-	}
-	if since > 0 && ev.ID <= since {
-		return false
-	}
-	if minMS > 0 && ev.LatencySec*1000 < minMS {
-		return false
-	}
-	if system != "" {
-		for _, sys := range ev.Systems {
-			if sys == system {
-				return true
-			}
-		}
-		return false
-	}
-	return true
 }
 
 // historyResponse is the GET /history payload: the trailing window of

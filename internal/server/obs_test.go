@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -302,6 +303,62 @@ func TestTraceFilters(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "trace #") {
 		t.Errorf("filtered text rendering:\n%s", body)
+	}
+}
+
+// TestTraceAndEventsFiltersAgree pins the one filter both endpoints run: with
+// every query traced and every event captured, event N carries trace N's ID,
+// so a filter must keep the same trace IDs on /trace as on /events.
+func TestTraceAndEventsFiltersAgree(t *testing.T) {
+	srv, _ := newObsServer(t, obs.Config{Events: obs.RecorderConfig{SampleRate: 1}})
+	for _, q := range []string{
+		"SELECT+a1+FROM+t10000_100",
+		"SELECT+a1+FROM+no_such_table",
+		"SELECT+a5,+COUNT(a1)+FROM+t1000000_250+GROUP+BY+a5",
+		"SELECT+nope",
+		"SELECT+a1+FROM+t10000_100+WHERE+a1+<+7",
+	} {
+		resp, err := http.Get(srv.URL + "/query?trace=1&q=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	for _, tc := range []struct {
+		filter string
+		want   int // -1: any count, as long as the endpoints agree
+	}{
+		{"", 5},
+		{"n=2", 2},
+		{"errors=1", 2},
+		{"errors=1&n=1", 1},
+		{"errors=0&n=-3", 5},
+		{"system=hive", -1},
+		{"system=hive&n=1", 1},
+		{"system=hive&errors=1", 0},
+		{"system=nowhere", 0},
+		{"min_ms=0.000001", 5},
+		{"min_ms=0.000001&errors=1&n=4", 2},
+		{"min_ms=600000", 0},
+	} {
+		var traces []struct {
+			ID uint64 `json:"id"`
+		}
+		getJSON(t, srv.URL+"/trace?"+tc.filter, &traces)
+		var events eventsResponse
+		getStatusJSON(t, srv.URL+"/events?"+tc.filter, &events)
+		var fromTrace, fromEvents []uint64
+		for _, tr := range traces {
+			fromTrace = append(fromTrace, tr.ID)
+		}
+		for _, ev := range events.Events {
+			fromEvents = append(fromEvents, ev.TraceID)
+		}
+		if !slices.Equal(fromTrace, fromEvents) || tc.want >= 0 && len(fromTrace) != tc.want {
+			t.Errorf("filter %q: /trace keeps IDs %v, /events keeps trace IDs %v, want %d of them",
+				tc.filter, fromTrace, fromEvents, tc.want)
+		}
 	}
 }
 

@@ -597,43 +597,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves the recent-traces ring: GET /trace returns the last
-// traced queries as JSON span trees, newest first; ?n= bounds the count and
+// traced queries as JSON span trees, newest first, through a recentFilter
+// (?n= defaults to the whole ring; a trace has failed when it carries an
+// error, and touched a system when one of its spans ran there);
 // ?format=text renders each trace as an EXPLAIN ANALYZE-style tree instead.
-// ?errors=1 keeps only failed traces, ?system=hive keeps traces with a span
-// on the system, ?min_ms=250 keeps slow ones; filters scan the whole ring
-// and ?n= bounds the filtered output.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	n, _ := strconv.Atoi(q.Get("n"))
-	onlyErrors, _ := strconv.ParseBool(q.Get("errors"))
-	system := q.Get("system")
-	minMS, _ := strconv.ParseFloat(q.Get("min_ms"), 64)
-	filtered := onlyErrors || system != "" || minMS > 0
-	fetch := n
-	if filtered {
-		fetch = 0
-	}
-	traces := s.eng.RecentTraces(fetch)
-	if filtered {
-		// RecentTraces returned a fresh slice, so filtering in place is safe.
-		kept := traces[:0]
-		for _, t := range traces {
-			if onlyErrors && t.Error == "" {
-				continue
-			}
-			if system != "" && !t.HasSystem(system) {
-				continue
-			}
-			if minMS > 0 && float64(t.DurationNanos)/1e6 < minMS {
-				continue
-			}
-			kept = append(kept, t)
-			if n > 0 && len(kept) == n {
-				break
-			}
-		}
-		traces = kept
-	}
+	f := parseRecentFilter(r.URL.Query(), 0)
+	traces := recentMatching(f, s.eng.RecentTraces, traceFields, (*trace.Trace).HasSystem)
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if len(traces) == 0 {
@@ -644,9 +614,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			io.WriteString(w, t.Render())
 		}
 		return
-	}
-	if traces == nil {
-		traces = []*trace.Trace{}
 	}
 	s.writeJSON(w, http.StatusOK, traces)
 }

@@ -1,16 +1,12 @@
 package trace
 
-import "sync/atomic"
+import "intellisphere/internal/metrics"
 
-// Ring is a fixed-size lock-free buffer of the most recent traces. Writers
-// claim a slot with one atomic increment and publish the trace with one
-// atomic store; readers snapshot slots without blocking writers. Old traces
-// are overwritten, never freed in place, so a reader holding a *Trace keeps
-// a consistent (finished) tree.
-type Ring struct {
-	slots []atomic.Pointer[Trace]
-	next  atomic.Uint64
-}
+// Ring is the buffer of the most recent traces behind /trace: a
+// metrics.Ring addressed by Trace.ID, whose IDs NewTrace claims before the
+// query runs. A reader holding a *Trace keeps a consistent (finished) tree.
+// A nil ring is inert — tracing disabled.
+type Ring metrics.Ring[Trace]
 
 // DefaultRingSize is the trace buffer capacity when none is configured.
 const DefaultRingSize = 64
@@ -21,8 +17,10 @@ func NewRing(n int) *Ring {
 	if n <= 0 {
 		n = DefaultRingSize
 	}
-	return &Ring{slots: make([]atomic.Pointer[Trace], n)}
+	return (*Ring)(metrics.NewRing(n, func(t *Trace) *uint64 { return &t.ID }))
 }
+
+func (r *Ring) ring() *metrics.Ring[Trace] { return (*metrics.Ring[Trace])(r) }
 
 // NewTrace begins a trace whose ID is assigned eagerly — before the query
 // runs — so histogram exemplars and wide events emitted mid-query can carry
@@ -31,61 +29,19 @@ func NewRing(n int) *Ring {
 // purposes). The trace occupies no ring slot until Record publishes it.
 func (r *Ring) NewTrace(sql string) *Trace {
 	t := New(sql)
-	if r != nil {
-		t.ID = r.next.Add(1)
-		t.Root.tid = t.ID
-	}
+	t.ID = r.ring().Claim()
+	t.Root.tid = t.ID
 	return t
 }
 
 // Record publishes a finished trace. Traces without an ID (built by New or
 // NewOp rather than NewTrace) are assigned the next trace ID here; IDs start
 // at 1 and never repeat.
-func (r *Ring) Record(t *Trace) {
-	if r == nil || t == nil {
-		return
-	}
-	id := t.ID
-	if id == 0 {
-		id = r.next.Add(1)
-		t.ID = id
-		t.Root.tid = id
-	}
-	r.slots[int((id-1)%uint64(len(r.slots)))].Store(t)
-}
+func (r *Ring) Record(t *Trace) { r.ring().Record(t) }
 
-// Count reports how many traces were ever recorded.
-func (r *Ring) Count() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.next.Load()
-}
+// Count reports how many trace IDs were ever issued.
+func (r *Ring) Count() uint64 { return r.ring().Count() }
 
-// Recent returns up to n of the most recent traces, newest first (n <= 0
-// selects the whole buffer). Concurrent writers may overwrite the oldest
-// slots mid-snapshot; the returned traces are individually consistent.
-func (r *Ring) Recent(n int) []*Trace {
-	if r == nil {
-		return nil
-	}
-	if n <= 0 || n > len(r.slots) {
-		n = len(r.slots)
-	}
-	newest := r.next.Load()
-	out := make([]*Trace, 0, n)
-	for i := 0; i < n; i++ {
-		id := newest - uint64(i)
-		if id == 0 {
-			break
-		}
-		t := r.slots[int((id-1)%uint64(len(r.slots)))].Load()
-		// A slot may briefly hold an older (already overwritten) or newer
-		// trace than the one addressed; keep whatever is published — the
-		// endpoint serves "recent traces", not an exact log.
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+// Recent returns up to n of the most recent recorded traces, newest first
+// (n <= 0 selects the whole buffer).
+func (r *Ring) Recent(n int) []*Trace { return r.ring().Recent(n) }

@@ -27,7 +27,7 @@ type Attr struct {
 }
 
 // Span is one timed region of a trace. Spans form a tree; children may be
-// added concurrently (the optimizer costs candidate placements in parallel).
+// added concurrently (goroutines sharing a traced context share its span).
 // All exported fields are for rendering/serialization; mutate only through
 // the methods.
 type Span struct {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +151,37 @@ func TestRing(t *testing.T) {
 	nilRing.Record(New("x"))
 	if nilRing.Count() != 0 || nilRing.Recent(1) != nil {
 		t.Error("nil ring not inert")
+	}
+}
+
+// A traced query claims its ID when it starts and publishes when it ends, so
+// on a full ring the newest ID's slot still holds the previous lap's trace
+// while that query runs. Readers must not take it for the newest.
+func TestRingClaimedButUnpublished(t *testing.T) {
+	r := NewRing(4)
+	for i := 0; i < 4; i++ {
+		tr := r.NewTrace(fmt.Sprintf("q%d", i))
+		tr.Finish(nil)
+		r.Record(tr)
+	}
+	inflight := r.NewTrace("in flight") // ID 5 addresses the slot trace 1 sits in
+	ids := func(traces []*Trace) []uint64 {
+		out := make([]uint64, len(traces))
+		for i, tr := range traces {
+			out[i] = tr.ID
+		}
+		return out
+	}
+	if got := ids(r.Recent(1)); !slices.Equal(got, []uint64{4}) {
+		t.Errorf("Recent(1) with trace 5 in flight = %v, want [4] (the newest published)", got)
+	}
+	if got := ids(r.Recent(0)); !slices.Equal(got, []uint64{4, 3, 2}) {
+		t.Errorf("Recent(0) with trace 5 in flight = %v, want [4 3 2]", got)
+	}
+	inflight.Finish(nil)
+	r.Record(inflight)
+	if got := ids(r.Recent(0)); !slices.Equal(got, []uint64{5, 4, 3, 2}) {
+		t.Errorf("Recent(0) after publishing = %v, want [5 4 3 2]", got)
 	}
 }
 
