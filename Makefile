@@ -40,19 +40,21 @@ allocs:
 
 # Non-test Go lines per internal/* package and in total: the LOC delta a
 # simplicity PR reports next to its bench delta (run it in a clone of the
-# parent commit for the "before").
+# parent commit for the "before"). Then the surface counts: routes, cmd/serve
+# flags, /metrics/prom series.
 loc:
 	sh scripts/loc.sh
 
 # Five seconds of coverage-guided fuzzing per target over the untrusted
-# inputs that have one — SQL text, statements inside JSON — and over the
-# hand-rolled answer encoder against encoding/json. The checked-in corpora
+# inputs that have one — SQL text, statements inside JSON, admin JSON bodies
+# — and over the hand-rolled answer encoder against encoding/json. The checked-in corpora
 # under testdata/fuzz already run as plain tests in `race`; this step is what
 # looks for inputs nobody wrote down. A crasher lands in testdata/fuzz/<target>.
 fuzz-smoke:
 	$(GO) test ./internal/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStatementForms$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEncodeAnswer$$' -fuzztime 5s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzAdminBody$$' -fuzztime 5s
 
 # Short benchmark smoke: the two perf-critical kernels, one iteration each,
 # just to prove they still run (use `go test -bench=.` for real numbers).

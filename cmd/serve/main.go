@@ -16,8 +16,7 @@
 //	GET  /query?q=SELECT+...                   curl-friendly form of the above
 //	GET  /query?q=SELECT+...&trace=1           traced form: returns the span tree
 //	GET  /profiles                             registered systems and estimators
-//	GET  /metrics                              QPS, latency, cache hit rate
-//	GET  /metrics/prom                         Prometheus text exposition
+//	GET  /metrics/prom                         every counter, Prometheus text format
 //	GET  /trace?n=5&format=text                recent traced queries
 //	GET  /trace?errors=1&system=hive&min_ms=50 filtered traces
 //	GET  /events?n=100&errors=1                recent wide query events
@@ -295,7 +294,9 @@ func main() {
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		// The timeout handler bounds the work; give writes a little slack
-		// beyond it so timeout responses still reach the client.
+		// beyond it so timeout responses still reach the client. It counts
+		// from the request header, so /query/stream, which has no fixed
+		// length, moves its own deadlines as it goes.
 		WriteTimeout: *timeout + 5*time.Second,
 	}
 

@@ -149,41 +149,64 @@ type ctxlike interface {
 // hopeless deadline) or the context's error if the caller gave up while
 // queued.
 func (c *Controller) Acquire(ctx ctxlike, client string) (release func(), err error) {
+	if err := c.acquire(ctx, client); err != nil {
+		return nil, err
+	}
+	return c.releaser(), nil
+}
+
+// Hold is Acquire for a caller that keeps its slot for as long as a
+// connection lives and serves many requests on it (/query/stream): the same
+// gate and the same counters, but release only hands the slot back. How long
+// a connection stayed open is not a service time; folded into the EWMA it
+// would scale every queue-wait estimate, Retry-After hint and deadline shed
+// by the age of the last stream.
+func (c *Controller) Hold(ctx ctxlike, client string) (release func(), err error) {
+	if err := c.acquire(ctx, client); err != nil {
+		return nil, err
+	}
+	return func() { <-c.sem }, nil
+}
+
+// acquire takes a slot or says why not; the caller owes one receive from
+// c.sem on success.
+func (c *Controller) acquire(ctx ctxlike, client string) error {
 	c.offered.Add(1)
 	if !c.allowClient(client) {
 		c.rateLimited.Add(1)
-		return nil, &ShedError{Reason: ErrRateLimited, RetryAfter: c.rateRetry()}
+		return &ShedError{Reason: ErrRateLimited, RetryAfter: c.rateRetry()}
 	}
 	// Fast path: a free slot admits without queue accounting.
 	select {
 	case c.sem <- struct{}{}:
 		c.admitted.Add(1)
-		return c.releaser(), nil
+		return nil
 	default:
 	}
 	if q := c.queued.Add(1); q > int64(c.cfg.QueueDepth) {
 		c.queued.Add(-1)
 		c.shedQueueFull.Add(1)
-		return nil, &ShedError{Reason: ErrQueueFull, RetryAfter: c.estimateWait()}
+		return &ShedError{Reason: ErrQueueFull, RetryAfter: c.estimateWait()}
 	}
 	defer c.queued.Add(-1)
 	if dl, ok := ctx.Deadline(); ok {
 		if wait := c.estimateWait(); wait > dl.Sub(c.cfg.Clock()) {
 			c.shedDeadline.Add(1)
-			return nil, &ShedError{Reason: ErrDeadline, RetryAfter: wait}
+			return &ShedError{Reason: ErrDeadline, RetryAfter: wait}
 		}
 	}
 	select {
 	case c.sem <- struct{}{}:
 		c.admitted.Add(1)
-		return c.releaser(), nil
+		return nil
 	case <-ctx.Done():
 		c.canceled.Add(1)
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
-// releaser hands back the slot and feeds the service-time EWMA.
+// releaser hands back the slot and feeds the service-time EWMA with the time
+// since the slot was granted.
 func (c *Controller) releaser() func() {
 	start := c.cfg.Clock()
 	return func() {

@@ -210,3 +210,42 @@ func TestCountersReconcileUnderSaturation(t *testing.T) {
 		t.Fatalf("shed observed %d, ledger %d", shed.Load(), st.Offered-st.Admitted)
 	}
 }
+
+// TestHoldStaysOutOfServiceTime pins the unit of the service-time estimate: a
+// slot held for a connection's lifetime takes part in the gate and the
+// counters like any other, but how long the connection stayed open must not
+// reach the EWMA that the queue-wait estimate, Retry-After and the deadline
+// shed are computed from.
+func TestHoldStaysOutOfServiceTime(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c := NewController(Config{MaxInFlight: 2, Clock: func() time.Time { return now }})
+	for i := 0; i < 50; i++ {
+		release, err := c.Acquire(context.Background(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = now.Add(40 * time.Microsecond)
+		release()
+	}
+	before := c.Stats()
+	if before.AvgServiceSec != 40e-6 {
+		t.Fatalf("avg service time after 50 × 40 µs = %v", before.AvgServiceSec)
+	}
+
+	release, err := c.Hold(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.InFlight != 1 || st.Admitted != before.Admitted+1 || st.Offered != before.Offered+1 {
+		t.Errorf("a held slot is not counted like an acquired one: %+v", st)
+	}
+	now = now.Add(28 * time.Second)
+	release()
+	after := c.Stats()
+	if after.InFlight != 0 {
+		t.Errorf("in-flight after release = %d", after.InFlight)
+	}
+	if after.AvgServiceSec != before.AvgServiceSec {
+		t.Errorf("a 28 s connection moved the service-time estimate %v -> %v", before.AvgServiceSec, after.AvgServiceSec)
+	}
+}

@@ -96,16 +96,6 @@ func estimateEach[S any](specs []S, estimate func(S) (Estimate, error)) ([]Estim
 	return out, nil
 }
 
-// Versioned is implemented by estimators whose predictions can change after
-// construction (hot-swapped models, approach switches, offline tuning). The
-// generation counter only ever increases; any change means previously
-// derived state (cached plans) may be stale. Estimators that never change
-// simply don't implement it.
-type Versioned interface {
-	// Generation returns the estimator's mutation counter.
-	Generation() uint64
-}
-
 // Feedback receives actual execution outcomes. Estimators that learn online
 // (logical-op, hybrid) implement it; the engine feeds every remote execution
 // back through it (the "Logging Phase" of Figure 3).

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"intellisphere/internal/core"
 	"intellisphere/internal/core/logicalop"
@@ -92,13 +91,14 @@ type Estimator struct {
 	sub     *subop.Estimator
 	logical *logicalop.Estimator
 	queries int
-	gen     atomic.Uint64
+	// onChange, when set, is told of every in-place change to what the
+	// estimator predicts (see OnChange).
+	onChange func()
 }
 
 var (
 	_ core.Estimator = (*Estimator)(nil)
 	_ core.Feedback  = (*Estimator)(nil)
-	_ core.Versioned = (*Estimator)(nil)
 )
 
 // NewEstimator validates the profile and builds the routing estimator.
@@ -143,7 +143,7 @@ func (e *Estimator) Queries() int {
 // queries). Passing a nil model leaves the existing one in place.
 func (e *Estimator) InstallLogicalModels(join, agg, scan *logicalop.Model) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlockChanged()
 	if join != nil {
 		e.profile.LogicalJoin = join
 	}
@@ -158,38 +158,48 @@ func (e *Estimator) InstallLogicalModels(join, agg, scan *logicalop.Model) {
 		Agg:  e.profile.LogicalAgg,
 		Scan: e.profile.LogicalScan,
 	}
-	e.gen.Add(1)
 }
 
-// Generation implements core.Versioned: it advances whenever the estimator's
-// predictions may have changed (model installs, approach switches, offline
-// tuning signalled through BumpGeneration).
-func (e *Estimator) Generation() uint64 { return e.gen.Load() }
+// OnChange registers fn to run after every in-place change to what the
+// estimator predicts: a model install, a forced switch, the SwitchAfter
+// switchover. Whoever caches state derived from the estimator's answers (the
+// engine, for its plan cache) hooks its invalidation here, once, where it
+// takes the estimator in; a later call replaces the hook. fn runs without
+// the estimator's lock, after the change is visible to estimates.
+func (e *Estimator) OnChange(fn func()) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.onChange = fn
+}
 
-// BumpGeneration advances the generation counter. The engine calls it after
-// mutating the profile's models in place (offline tuning), which the
-// estimator cannot observe itself.
-func (e *Estimator) BumpGeneration() { e.gen.Add(1) }
+// unlockChanged releases e.mu and then reports a change made under it.
+func (e *Estimator) unlockChanged() {
+	fn := e.onChange
+	e.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+}
 
 // Switch forces the active approach (updating the profile so the change
 // persists with it).
 func (e *Estimator) Switch(a core.Approach) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch a {
-	case core.SubOp:
-		if e.sub == nil {
-			return fmt.Errorf("hybrid: %q has no sub-op models to switch to", e.profile.SystemName)
-		}
-	case core.LogicalOp:
-		if e.logical == nil {
-			return fmt.Errorf("hybrid: %q has no logical-op models to switch to", e.profile.SystemName)
-		}
-	default:
-		return fmt.Errorf("hybrid: cannot switch to approach %q", a)
+	var err error
+	switch {
+	case a == core.SubOp && e.sub == nil:
+		err = fmt.Errorf("hybrid: %q has no sub-op models to switch to", e.profile.SystemName)
+	case a == core.LogicalOp && e.logical == nil:
+		err = fmt.Errorf("hybrid: %q has no logical-op models to switch to", e.profile.SystemName)
+	case a != core.SubOp && a != core.LogicalOp:
+		err = fmt.Errorf("hybrid: cannot switch to approach %q", a)
+	}
+	if err != nil {
+		e.mu.Unlock()
+		return err
 	}
 	e.profile.Active = a
-	e.gen.Add(1)
+	e.unlockChanged()
 	return nil
 }
 
@@ -197,28 +207,33 @@ func (e *Estimator) Switch(a core.Approach) error {
 // overrides and the query-count switchover. Caller must NOT hold e.mu.
 func (e *Estimator) route(kind string) (core.Estimator, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.queries++
-	if e.profile.SwitchAfter > 0 && e.profile.Active == core.SubOp &&
-		e.queries > e.profile.SwitchAfter && e.logical != nil {
+	switched := e.profile.SwitchAfter > 0 && e.profile.Active == core.SubOp &&
+		e.queries > e.profile.SwitchAfter && e.logical != nil
+	if switched {
 		e.profile.Active = core.LogicalOp
-		e.gen.Add(1)
 	}
 	want := e.profile.Active
 	if over, ok := e.profile.PerOperator[kind]; ok {
 		want = over
 	}
+	sub, logical := e.sub, e.logical
+	if switched {
+		e.unlockChanged()
+	} else {
+		e.mu.Unlock()
+	}
 	switch want {
 	case core.SubOp:
-		if e.sub == nil {
+		if sub == nil {
 			return nil, fmt.Errorf("hybrid: %q routes %s to sub-op but has no models", e.profile.SystemName, kind)
 		}
-		return e.sub, nil
+		return sub, nil
 	case core.LogicalOp:
-		if e.logical == nil {
+		if logical == nil {
 			return nil, fmt.Errorf("hybrid: %q routes %s to logical-op but has no models", e.profile.SystemName, kind)
 		}
-		return e.logical, nil
+		return logical, nil
 	default:
 		return nil, fmt.Errorf("hybrid: %q has unknown approach %q for %s", e.profile.SystemName, want, kind)
 	}

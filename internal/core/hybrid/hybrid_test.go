@@ -295,3 +295,56 @@ func TestRouteErrorsWithoutModels(t *testing.T) {
 		t.Error("route to missing logical models accepted")
 	}
 }
+
+// TestOnChangeReportsEveryInPlaceChange pins the hook the engine hangs its
+// plan-cache invalidation on: it runs once per successful Switch, per
+// InstallLogicalModels and per SwitchAfter switchover — after the change is
+// visible, without the estimator's lock — and not for estimates that change
+// nothing or a Switch that is refused.
+func TestOnChangeReportsEveryInPlaceChange(t *testing.T) {
+	p := &Profile{SystemName: "c", Engine: remote.EngineHive, Active: core.SubOp,
+		SwitchAfter: 2, Policy: subop.InHouseComparable, SubOpModels: trainSubOp(t)}
+	e, err := NewEstimator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := 0
+	var seen core.Approach
+	e.OnChange(func() {
+		changes++
+		seen = e.Active() // deadlocks if the hook ran under e.mu
+	})
+	step := func(what string, want int) {
+		t.Helper()
+		if changes != want {
+			t.Fatalf("after %s: %d changes reported, want %d", what, changes, want)
+		}
+	}
+	if err := e.Switch(core.LogicalOp); err == nil {
+		t.Fatal("switch to missing logical models accepted")
+	}
+	step("a refused Switch", 0)
+	for i := 0; i < 4; i++ { // past SwitchAfter, but no logical models yet
+		if _, err := e.EstimateJoin(joinSpec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("estimates that switched nothing", 0)
+	e.InstallLogicalModels(trainLogicalJoin(t), nil, nil)
+	step("InstallLogicalModels", 1)
+	if _, err := e.EstimateJoin(joinSpec()); err != nil {
+		t.Fatal(err)
+	}
+	step("the switchover", 2)
+	if seen != core.LogicalOp {
+		t.Errorf("hook ran before the switchover was visible: active = %v", seen)
+	}
+	if _, err := e.EstimateJoin(joinSpec()); err != nil {
+		t.Fatal(err)
+	}
+	step("an estimate after the switchover", 2)
+	if err := e.Switch(core.SubOp); err != nil {
+		t.Fatal(err)
+	}
+	step("Switch", 3)
+}

@@ -442,12 +442,30 @@ func remedyFallback(px [][]float64, py []float64, q []float64) (float64, error) 
 func (m *Model) Observe(x []float64, actualSec, nnSec, regSec float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.logRec = append(m.logRec, Record{
+	m.appendLog(Record{
 		X:      append([]float64(nil), x...),
 		Actual: actualSec,
 		NNSec:  nnSec,
 		RegSec: regSec,
 	})
+}
+
+// maxLogRecords bounds the pending execution log. Only OfflineTune empties
+// it, so on a server whose tuner is off, or whose candidates keep being
+// rejected, it would otherwise grow by one record per executed step for ever
+// (and every TuneCandidate deep-copies all of it). Far above what a tune
+// needs (the tuner asks for tens of records) or an experiment logs (45).
+const maxLogRecords = 4096
+
+// appendLog adds one record, dropping the oldest at the bound: the holdout
+// and the α re-fit want the newest. Caller holds m.mu. Slicing the head off
+// costs nothing per record; append moves the live records to a fresh array
+// when this one runs out, which also lets go of the dropped ones.
+func (m *Model) appendLog(r Record) {
+	if len(m.logRec) >= maxLogRecords {
+		m.logRec = m.logRec[1:]
+	}
+	m.logRec = append(m.logRec, r)
 }
 
 // LogRecords returns a deep copy of the pending execution log. The tuner
@@ -472,7 +490,7 @@ func (m *Model) SeedLog(recs []Record) {
 	defer m.mu.Unlock()
 	for _, r := range recs {
 		r.X = append([]float64(nil), r.X...)
-		m.logRec = append(m.logRec, r)
+		m.appendLog(r)
 	}
 }
 

@@ -212,6 +212,33 @@ func TestRefitAlphaNoRemedyRecords(t *testing.T) {
 	}
 }
 
+// TestExecutionLogIsBounded: only OfflineTune empties the log, and a server
+// with the tuner off never calls it. Past the bound the oldest records go —
+// through Observe and through SeedLog alike — and the newest stay, in order.
+func TestExecutionLogIsBounded(t *testing.T) {
+	m := trainSynth(t)
+	for i := 0; i < 3*maxLogRecords; i++ {
+		m.Observe([]float64{4, 250}, float64(i), 0, 0)
+	}
+	newest := func(m *Model) {
+		t.Helper()
+		recs := m.LogRecords()
+		if m.PendingLog() != maxLogRecords || len(recs) != maxLogRecords {
+			t.Fatalf("pending log = %d (%d records), want the bound %d", m.PendingLog(), len(recs), maxLogRecords)
+		}
+		for i, r := range recs {
+			if want := float64(2*maxLogRecords + i); r.Actual != want {
+				t.Fatalf("record %d is execution %v, want %v: the newest %d in order", i, r.Actual, want, maxLogRecords)
+			}
+		}
+	}
+	newest(m)
+	seeded := trainSynth(t)
+	seeded.Observe([]float64{4, 250}, -1, 0, 0)
+	seeded.SeedLog(m.LogRecords())
+	newest(seeded)
+}
+
 func TestOfflineTuneExpandsAndImproves(t *testing.T) {
 	m := trainSynth(t)
 	if _, err := m.OfflineTune(nn.TrainConfig{}); err == nil {

@@ -222,7 +222,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.estimators.Set(querygrid.Master, selfEst)
+	e.installEstimator(querygrid.Master, selfEst)
 	var cache *optimizer.PlanCache
 	if cfg.PlanCacheSize >= 0 {
 		cache = optimizer.NewPlanCache(cfg.PlanCacheSize)
@@ -513,8 +513,23 @@ func (e *Engine) RegisterRemote(sys remote.System, est core.Estimator) error {
 	if !e.remotes.SetIfAbsent(name, sys) {
 		return fmt.Errorf("engine: remote %q already registered", name)
 	}
-	e.estimators.Set(name, est)
+	e.installEstimator(name, est)
 	return nil
+}
+
+// installEstimator is the one place an estimator enters the registry:
+// registration, snapshot restore, WAL replay, promotion and rollback all come
+// through here. The Set advances the registry's generation — part of the
+// optimizer's epoch, so plans costed by the replaced estimator go stale, and
+// what stepStateFor watches to rebuild onto the new one. A hybrid estimator
+// can also change in place (Switch, InstallLogicalModels, the SwitchAfter
+// switchover, also when a library user calls them on it directly); hooking
+// the same counter to its OnChange makes those changes invalidate too.
+func (e *Engine) installEstimator(system string, est core.Estimator) {
+	if h, ok := est.(*hybrid.Estimator); ok {
+		h.OnChange(e.estimators.Bump)
+	}
+	e.estimators.Set(system, est)
 }
 
 // RegisterRemoteSubOp registers an openbox remote, running the sub-op probe

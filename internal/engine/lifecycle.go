@@ -191,9 +191,10 @@ func (e *Engine) TuneSystem(system string, tc nn.TrainConfig) (*TuneReport, erro
 		}
 	}
 	if rep.JoinTuned || rep.AggTuned || rep.ScanTuned {
-		// Offline tuning mutates the profile's models in place, so cached
-		// plans costed against the old models are stale.
-		h.BumpGeneration()
+		// Offline tuning mutates the profile's models in place, which the
+		// estimator cannot observe itself: cached plans costed against the
+		// old models are stale.
+		e.estimators.Bump()
 		// The accuracy windows scored the pre-tune models; left alone they
 		// would keep reporting (and re-triggering on) drift the tune already
 		// fixed.

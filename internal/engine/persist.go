@@ -327,7 +327,7 @@ func (e *Engine) restoreState(data []byte) error {
 		}
 	}
 	for name, est := range ests {
-		e.estimators.Set(name, est)
+		e.installEstimator(name, est)
 	}
 	e.versions.Restore(st.Models)
 	return nil
@@ -404,7 +404,7 @@ func (e *Engine) applyProfile(system string, raw json.RawMessage) error {
 	if err != nil {
 		return fmt.Errorf("engine: rebuild estimator for %q: %w", system, err)
 	}
-	e.estimators.Set(system, est)
+	e.installEstimator(system, est)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -122,7 +123,10 @@ func TestConcurrentQueriesLogicalOpFeedback(t *testing.T) {
 // TestPlanCacheInvalidationThroughEngine checks the generation plumbing end
 // to end: repeated statements hit, and every profile/catalog mutation the
 // issue names (RegisterTable, InstallLogicalModels, Switch) makes the next
-// lookup a miss.
+// lookup a miss — the two model changes made the way a library user makes
+// them, on the registered estimator itself and not through the engine, which
+// reach the engine's epoch through the OnChange hook it attached at install
+// (TestSwitchoverInvalidatesCachedPlans does the same for the switchover).
 func TestPlanCacheInvalidationThroughEngine(t *testing.T) {
 	e := newEngine(t)
 	registerHive(t, e)
@@ -159,8 +163,8 @@ func TestPlanCacheInvalidationThroughEngine(t *testing.T) {
 		t.Fatalf("after RegisterTable: %+v", s)
 	}
 
-	// InstallLogicalModels bumps the estimator generation (nil models leave
-	// the routing untouched but still signal a profile change).
+	// InstallLogicalModels on the estimator reports to the registry (nil
+	// models leave the routing untouched but still signal a profile change).
 	est, err := e.Estimator("hive")
 	if err != nil {
 		t.Fatal(err)
@@ -189,6 +193,61 @@ func TestPlanCacheInvalidationThroughEngine(t *testing.T) {
 	}
 	if s := e.PlanCacheStats(); s.Stale != 3 {
 		t.Fatalf("after Switch: %+v", s)
+	}
+}
+
+// TestSwitchoverInvalidatesCachedPlans covers the one in-place model change
+// nobody calls: a registered profile's SwitchAfter switchover fires inside an
+// estimate, in the middle of planning some other statement, and must still
+// invalidate every plan the engine cached while sub-op costing was active.
+func TestSwitchoverInvalidatesCachedPlans(t *testing.T) {
+	e, bb, _ := newTuneRig(t) // hivebb's trained logical models, reused below
+	hive, err := remote.NewHive("hive", cluster.DefaultHive(), remote.Options{NoiseAmp: 0.01, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, _, err := subop.Train(hive, subop.TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := hybrid.NewEstimator(&hybrid.Profile{
+		SystemName: "hive", Engine: remote.EngineHive, Active: core.SubOp, SwitchAfter: 8,
+		PerOperator: map[string]core.Approach{"scan": core.SubOp, "join": core.SubOp},
+		Policy:      subop.InHouseComparable, SubOpModels: ms, LogicalAgg: bb.Profile().LogicalAgg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterRemote(hive, est); err != nil {
+		t.Fatal(err)
+	}
+	registerTables(t, e, "hive", ts{80000000, 250})
+	const sql = "SELECT a10, SUM(a1) FROM t80000000_250 GROUP BY a10"
+	before, err := e.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Active() != core.SubOp {
+		t.Fatalf("switched over after %d estimates, before the statement was cached", est.Queries())
+	}
+	stale := e.PlanCacheStats().Stale
+	for i := 0; est.Active() == core.SubOp; i++ {
+		if i > 20 {
+			t.Fatalf("no switchover after %d estimates", est.Queries())
+		}
+		if _, err := e.Explain(fmt.Sprintf("SELECT a1 FROM t80000000_250 WHERE a1 < %d", 1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := e.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.PlanCacheStats(); s.Stale != stale+1 {
+		t.Errorf("after the switchover: stale = %d, want %d", s.Stale, stale+1)
+	}
+	if after == before {
+		t.Error("the plan priced by sub-op costing is still served after the switchover to logical-op")
 	}
 }
 

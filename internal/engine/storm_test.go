@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,30 +14,21 @@ import (
 	"intellisphere/internal/querygrid"
 )
 
-// genSum mirrors optimizer.generation: the invalidation vector the plan
-// cache stamps entries with. Mutation counters only increase, so the sum is
-// monotonic and two equal reads bracket a mutation-free interval.
-func genSum(e *Engine) uint64 {
-	g := e.cat.Generation() + e.grid.Generation() + e.estimators.Generation()
-	for _, est := range e.estimators.Snapshot() {
-		if v, ok := est.(core.Versioned); ok {
-			g += v.Generation()
-		}
-	}
-	return g
-}
-
 // TestPlanCacheGenerationStorm is the sharded cache's torture test: reader
 // goroutines hammer warm Explain while a mutator loops RegisterTable /
-// SetLink / SwitchProfile / TuneSystem, each of which bumps the generation
-// vector. Under -race this exercises every lock-free path (COW shard maps,
-// CLOCK bits, stale evict-on-sight) against concurrent invalidation.
+// SetLink / SwitchProfile / TuneSystem (in-place model changes) and forced
+// TuneCandidate / RollbackModel (registry swaps of an estimator that has
+// changed in place), each of which advances the epoch. Under -race this
+// exercises every lock-free path (COW shard maps, CLOCK bits, stale
+// evict-on-sight) against concurrent invalidation.
 //
-// Staleness is asserted two ways, both sound against the engine's
-// mutate-then-bump ordering:
-//   - any Explain observed entirely at the final generation (the bracketing
-//     genSum reads both equal it) must render byte-identically to a
-//     from-scratch replan of the final state;
+// The oracle reads Optimizer.Epoch — the very counter the cache stamps
+// entries with, not a re-derivation of it — so two equal reads bracket an
+// interval in which nothing that prices a plan changed. Staleness is asserted
+// two ways, both sound against the engine's mutate-then-bump ordering:
+//   - any Explain observed entirely at the final epoch (the bracketing reads
+//     both equal it) must render byte-identically to a from-scratch replan
+//     of the final state;
 //   - after the storm, purging the cache and replanning must reproduce the
 //     cached renders exactly — a stale survivor would differ.
 //
@@ -66,7 +58,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 
 	type obs struct {
 		sql, out string
-		gen      uint64 // genSum before and after, when equal (else 0 = discard)
+		gen      uint64 // the epoch before and after, which were equal
 	}
 	const readers = 8
 	const explainsPerReader = 150
@@ -102,7 +94,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 					}
 				}
 				sql := statements[(g+i)%len(statements)]
-				g1 := genSum(e)
+				g1 := e.opt.Epoch()
 				out, err := e.Explain(sql)
 				lookups.Add(1)
 				if err != nil {
@@ -113,7 +105,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 					t.Error("empty Explain under storm")
 					return
 				}
-				if g2 := genSum(e); g1 == g2 {
+				if g2 := e.opt.Epoch(); g1 == g2 {
 					buf = append(buf, obs{sql: sql, out: out, gen: g1})
 				}
 			}
@@ -121,13 +113,14 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 		}(g)
 	}
 
-	// The mutator: every iteration bumps at least one generation component.
+	// The mutator: every step advances the epoch.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(mutatorDone)
 		slow := querygrid.DefaultLink()
 		slow.BandwidthBytesPerSec /= 4 // cheaper shipping vs default: plans re-cost
+		tune := nn.TrainConfig{Iterations: 20, Optimizer: nn.Adam, BatchSize: 32, Seed: 5}
 		for i := 0; i < 6; i++ {
 			tb, err := datagen.Table(int64(10000+i), 40, "hivebb")
 			if err != nil {
@@ -151,16 +144,36 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 				t.Errorf("storm SwitchProfile: %v", err)
 				return
 			}
-			if i%3 == 2 {
-				// Feed the log, then fold it in (an in-place model mutation
-				// plus an explicit generation bump).
+			// Feed the aggregation model's log for the tunes below.
+			for q := 0; q < 2; q++ {
 				if _, err := e.Query(statements[0]); err != nil {
 					t.Errorf("storm Query: %v", err)
 					return
 				}
 				lookups.Add(1)
-				if _, err := e.TuneSystem("hivebb", nn.TrainConfig{Iterations: 20, Optimizer: nn.Adam, BatchSize: 32, Seed: 5}); err != nil {
+			}
+			// The schedule ends on a swap of an estimator that has changed
+			// in place exactly once (the SwitchProfile above): the case in
+			// which a stamp summed over per-estimator counters stands still,
+			// left for the quiescent check below to look at.
+			switch i % 3 {
+			case 0:
+				// Fold the log into the live models in place.
+				if _, err := e.TuneSystem("hivebb", tune); err != nil {
 					t.Errorf("storm TuneSystem: %v", err)
+					return
+				}
+			case 1:
+				// Retrain a clone from the log and swap it in.
+				out, err := e.TuneCandidate(context.Background(), "hivebb", TuneOptions{Holdout: 1, MinLog: 1, Force: true, Train: tune})
+				if err != nil || !out.Promoted {
+					t.Errorf("storm TuneCandidate: %+v, %v", out, err)
+					return
+				}
+			case 2:
+				// Swap the previous version back in.
+				if _, err := e.RollbackModel("hivebb"); err != nil {
+					t.Errorf("storm RollbackModel: %v", err)
 					return
 				}
 			}
@@ -169,7 +182,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 	wg.Wait()
 
 	// Quiescent check: cached renders vs a purged, from-scratch replan.
-	finalGen := genSum(e)
+	finalGen := e.opt.Epoch()
 	fresh := make(map[string]string, len(statements))
 	cached := make(map[string]string, len(statements))
 	for _, sql := range statements {
@@ -192,11 +205,11 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 			t.Errorf("stale plan served for %q after storm:\ncached:\n%s\nfresh:\n%s", sql, cached[sql], out)
 		}
 	}
-	if g := genSum(e); g != finalGen {
-		t.Fatalf("generation moved after storm: %d -> %d", finalGen, g)
+	if g := e.opt.Epoch(); g != finalGen {
+		t.Fatalf("epoch moved after storm: %d -> %d", finalGen, g)
 	}
 
-	// Live check: every observation bracketed at the final generation must
+	// Live check: every observation bracketed at the final epoch must
 	// match the final render. The mutator finished before the slowest
 	// readers, so a healthy run has many such observations.
 	atFinal := 0

@@ -236,10 +236,9 @@ func TestAccuracyTracksLatencyFaults(t *testing.T) {
 	}
 }
 
-// TestStatsJSONRoundTrip pins the whole Stats payload as lossless JSON: what
-// /metrics serves can be decoded back into an identical Stats — no
-// infinities, no NaNs, no fields dropped by tags — including the resilience
-// and accuracy sections.
+// TestStatsJSONRoundTrip pins the whole Stats payload as lossless JSON: it
+// decodes back into an identical Stats — no infinities, no NaNs, no fields
+// dropped by tags — including the resilience and accuracy sections.
 func TestStatsJSONRoundTrip(t *testing.T) {
 	rig := newChaosRig(t, resilience.BreakerConfig{})
 	sql := rig.hiveQuery(t)

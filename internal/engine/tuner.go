@@ -295,10 +295,7 @@ func (e *Engine) TuneCandidate(ctx context.Context, system string, opts TuneOpti
 		psp.EndErr(err)
 		return nil, err
 	}
-	// Swapping the registry entry bumps its generation: cached plans costed
-	// against the old model stop matching, and the execution hot path's
-	// stepStates rebuild onto the new estimator.
-	e.estimators.Set(system, candEst)
+	e.installEstimator(system, candEst)
 	hs := out.Holdout
 	var verr error
 	out.Version, verr = e.recordModelVersion(system, modelver.OriginTuned, candJSON, &hs)
@@ -361,7 +358,7 @@ func (e *Engine) RollbackModel(system string) (*modelver.Version, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: restore archived profile %q v%d: %w", system, prev.ID, err)
 	}
-	e.estimators.Set(system, est)
+	e.installEstimator(system, est)
 	if err := e.versions.SetLive(system, prev.ID); err != nil {
 		return nil, err
 	}

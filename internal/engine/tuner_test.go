@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"intellisphere/internal/cluster"
+	"intellisphere/internal/core"
 	"intellisphere/internal/core/hybrid"
 	"intellisphere/internal/core/logicalop"
 	"intellisphere/internal/datagen"
@@ -250,6 +251,60 @@ func TestRollbackModelRestoresBytes(t *testing.T) {
 	// History is exhausted: nothing older than the restored baseline.
 	if _, err := e.RollbackModel("hivebb"); err == nil {
 		t.Error("rollback past the oldest version accepted")
+	}
+}
+
+// TestModelSwapAfterInPlaceChangeInvalidates is the regression test for the
+// plan-cache stamp that summed per-estimator counters: an estimator that had
+// changed in place exactly once (here a no-op InstallLogicalModels, then a
+// SwitchProfile on the promoted one) took its 1 out of the sum when a
+// promotion or a rollback replaced it, the registry's +1 put it back, and the
+// plan priced by the replaced model kept being served.
+func TestModelSwapAfterInPlaceChangeInvalidates(t *testing.T) {
+	e, _, inj := newTuneRig(t)
+	if err := e.InstallLogicalModels("hivebb", nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	driftRig(t, e, inj, 8)
+	explain := func() string {
+		t.Helper()
+		out, err := e.Explain(driftSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	initial := explain()
+	stale := e.PlanCacheStats().Stale
+
+	out, err := e.TuneCandidate(context.Background(), "hivebb", fastTune())
+	if err != nil || !out.Promoted {
+		t.Fatalf("TuneCandidate: %+v, %v", out, err)
+	}
+	promoted := explain()
+	if s := e.PlanCacheStats(); s.Stale != stale+1 {
+		t.Errorf("promotion after one in-place change: stale = %d, want %d", s.Stale, stale+1)
+	}
+	if promoted == initial {
+		t.Error("promotion after one in-place change: the replaced model's plan is still served")
+	}
+
+	if err := e.SwitchProfile("hivebb", core.LogicalOp); err != nil {
+		t.Fatal(err)
+	}
+	if explain() != promoted {
+		t.Error("a switch to the approach already active changed the plan")
+	}
+	stale = e.PlanCacheStats().Stale
+	if _, err := e.RollbackModel("hivebb"); err != nil {
+		t.Fatalf("RollbackModel: %v", err)
+	}
+	restored := explain()
+	if s := e.PlanCacheStats(); s.Stale != stale+1 {
+		t.Errorf("rollback after one in-place change: stale = %d, want %d", s.Stale, stale+1)
+	}
+	if restored != initial {
+		t.Errorf("rollback restored the model byte-identically but not its plan:\n%s\nwant:\n%s", restored, initial)
 	}
 }
 

@@ -1,14 +1,12 @@
 // Package metrics provides the lightweight instrumentation primitives the
-// serving layer exports on /metrics: lock-free counters, striped fixed-bucket
-// exponential latency histograms, and a sliding-window rate meter for QPS.
-// Everything is safe for concurrent use and allocation-free on the hot
-// (Observe/Inc/Tick) paths, and the write paths are striped or CAS-based so
-// concurrent recorders on different cores do not serialize on a mutex or a
-// shared cache line.
+// serving layer exports on /metrics/prom: lock-free counters and striped
+// fixed-bucket exponential latency histograms. Everything is safe for
+// concurrent use and allocation-free on the hot (Observe/Inc) paths, and the
+// write paths are striped so concurrent recorders on different cores do not
+// serialize on a mutex or a shared cache line.
 package metrics
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,19 +157,16 @@ type Bucket struct {
 	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
-// HistogramSnapshot is a point-in-time view of a histogram with
-// pre-computed quantile estimates. Buckets reports every bucket with its
-// explicit upper bound — zero counts included — so consumers (the Prometheus
+// HistogramSnapshot is a point-in-time view of a histogram. It carries no
+// quantiles: a scraper derives them from the buckets, and /history and the
+// SLOs take theirs over the delta of two snapshots (obs.deltaQuantile).
+// Buckets reports every bucket with its explicit upper bound — zero counts included — so consumers (the Prometheus
 // exposition above all) see the full, stable bucket layout; observations
 // beyond the last bound are counted in Overflow rather than as an infinite
 // bound, keeping the snapshot JSON-marshalable and round-trippable.
 type HistogramSnapshot struct {
 	Count      uint64   `json:"count"`
 	SumSeconds float64  `json:"sum_seconds"`
-	MeanSec    float64  `json:"mean_sec"`
-	P50Sec     float64  `json:"p50_sec"`
-	P95Sec     float64  `json:"p95_sec"`
-	P99Sec     float64  `json:"p99_sec"`
 	Buckets    []Bucket `json:"buckets,omitempty"`
 	// Overflow counts observations above the last bucket bound (the +Inf
 	// bucket of the Prometheus exposition).
@@ -180,15 +175,11 @@ type HistogramSnapshot struct {
 	OverflowExemplar *Exemplar `json:"overflow_exemplar,omitempty"`
 }
 
-// Snapshot captures the histogram by merging all stripes. Quantiles are
-// upper-bound estimates from the bucket layout (each quantile reports the
-// bound of the bucket that contains it, clamped to the last bound when the
-// quantile falls into the overflow region).
+// Snapshot captures the histogram by merging all stripes.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	var sumNanos uint64
 	counts := make([]uint64, len(h.bounds))
-	var total uint64
 	for i := range h.stripes {
 		st := &h.stripes[i]
 		s.Count += st.count.Load()
@@ -199,105 +190,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		}
 	}
 	s.SumSeconds = float64(sumNanos) / 1e9
-	if s.Count > 0 {
-		s.MeanSec = s.SumSeconds / float64(s.Count)
-	}
 	s.Buckets = make([]Bucket, len(h.bounds))
 	for i, b := range h.bounds {
 		s.Buckets[i] = Bucket{UpperBoundSec: b, Count: counts[i], Exemplar: h.exemplars[i].Load()}
-		total += counts[i]
 	}
 	s.OverflowExemplar = h.exemplars[len(h.bounds)].Load()
-	total += s.Overflow
-	if total == 0 {
-		return s
-	}
-	quantile := func(q float64) float64 {
-		target := uint64(math.Ceil(q * float64(total)))
-		if target == 0 {
-			target = 1
-		}
-		var cum uint64
-		for i, c := range counts {
-			cum += c
-			if cum >= target {
-				return h.bounds[i]
-			}
-		}
-		return h.bounds[len(h.bounds)-1]
-	}
-	s.P50Sec = quantile(0.50)
-	s.P95Sec = quantile(0.95)
-	s.P99Sec = quantile(0.99)
 	return s
-}
-
-// rateWindow is the sliding window width of a RateMeter.
-const rateWindow = 60
-
-// RateMeter tracks events per second over a sliding 60-second window (the
-// /metrics QPS figure). It keeps one slot per second and expires slots
-// lazily as time advances.
-//
-// Each slot is a single atomic word packing the slot's unix second (top 32
-// bits, truncated) with its event count (low 32 bits), so Tick is a CAS loop
-// with no mutex and Rate is a pure scan — a /metrics scrape never stalls the
-// per-request tick on the serving path. A slot only counts toward Rate when
-// its stamp matches the one second in the current window that maps to it, so
-// lazily-expired slots read as zero exactly as before. The 32-bit count
-// saturation point (4.29 billion events in one second) and the 136-year
-// stamp wrap are both beyond any rate this process can see.
-type RateMeter struct {
-	slots [rateWindow]atomic.Uint64
-	now   func() time.Time // injectable clock for tests
-}
-
-// NewRateMeter builds a meter using the wall clock.
-func NewRateMeter() *RateMeter { return &RateMeter{now: time.Now} }
-
-// NewRateMeterClock builds a meter reading time from now — the injectable
-// clock form, so sliding-window behaviour is testable without sleeping.
-// A nil now selects the wall clock.
-func NewRateMeterClock(now func() time.Time) *RateMeter {
-	if now == nil {
-		now = time.Now
-	}
-	return &RateMeter{now: now}
-}
-
-// Tick records one event.
-func (r *RateMeter) Tick() {
-	sec := r.now().Unix()
-	slot := &r.slots[int(sec%rateWindow)]
-	stamp := uint64(uint32(sec)) << 32
-	for {
-		v := slot.Load()
-		if v&^uint64(1<<32-1) == stamp {
-			if slot.CompareAndSwap(v, v+1) {
-				return
-			}
-		} else if slot.CompareAndSwap(v, stamp|1) {
-			return
-		}
-	}
-}
-
-// Rate returns events/second averaged over the window, counting only slots
-// that belong to the last rateWindow seconds.
-func (r *RateMeter) Rate() float64 {
-	sec := r.now().Unix()
-	var total uint64
-	for i := range r.slots {
-		v := r.slots[i].Load()
-		if v == 0 {
-			continue
-		}
-		// The one second in (sec-rateWindow, sec] that maps to slot i; the
-		// slot counts only if it was stamped for exactly that second.
-		want := sec - ((sec-int64(i))%rateWindow+rateWindow)%rateWindow
-		if uint32(v>>32) == uint32(want) {
-			total += v & (1<<32 - 1)
-		}
-	}
-	return float64(total) / rateWindow
 }

@@ -11,12 +11,14 @@ import (
 // plans by normalized statement text) and, in front of it, the engine's
 // statement cache (parsed statements by raw SQL, at a generation that never
 // moves: a parse cannot go stale). Each entry records the generation it was
-// stored at — for plans the vector sum (catalog + grid + estimator registry +
-// per-estimator generations) observed when the plan was built; a lookup whose
-// current generation differs treats the entry as stale and evicts it, so
-// RegisterTable, InstallLogicalModels, Switch, TuneSystem, and link
-// recalibration all invalidate implicitly — no explicit purge calls are
-// threaded through the engine.
+// stored at — for plans Optimizer.Epoch, read before the plan was built; a
+// lookup whose current generation differs treats the entry as stale and
+// evicts it, so RegisterTable, link recalibration, and every model change —
+// a registry swap (promotion, rollback, restore) or one made in place
+// (InstallLogicalModels, Switch, the SwitchAfter switchover, TuneSystem) —
+// invalidate implicitly: no explicit purge calls are threaded through the
+// engine. The stamp must never return to an earlier value, or a new lookup
+// would match an old entry; Epoch says why it cannot.
 //
 // The warm hit path is contention-free: the key is hashed to one of up to
 // cacheMaxShards shards, each shard indexes its entries in a fixed table
@@ -281,13 +283,12 @@ func (c *Cache[V]) Purge() {
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
-	Size     int     `json:"size"`
-	Capacity int     `json:"capacity"`
-	Hits     uint64  `json:"hits"`
-	Misses   uint64  `json:"misses"`
-	Stale    uint64  `json:"stale"`
-	Evicted  uint64  `json:"evicted"`
-	HitRate  float64 `json:"hit_rate"`
+	Size     int    `json:"size"`
+	Capacity int    `json:"capacity"`
+	Hits     uint64 `json:"hits"`
+	Misses   uint64 `json:"misses"`
+	Stale    uint64 `json:"stale"`
+	Evicted  uint64 `json:"evicted"`
 }
 
 // Stats reports the cache counters. It is lock-free: sizes and counters are
@@ -303,9 +304,6 @@ func (c *Cache[V]) Stats() CacheStats {
 		s.Misses += sh.misses.Load()
 		s.Stale += sh.stale.Load()
 		s.Evicted += sh.evicted.Load()
-	}
-	if total := s.Hits + s.Misses; total > 0 {
-		s.HitRate = float64(s.Hits) / float64(total)
 	}
 	return s
 }

@@ -28,7 +28,7 @@ type Optimizer struct {
 	Grid       *querygrid.Grid
 	Estimators *registry.Map[core.Estimator]
 	// Cache, when non-nil, memoizes finished plans keyed by normalized
-	// statement shape and the current generation vector. Cached plans are
+	// statement shape and stamped with the current Epoch. Cached plans are
 	// byte-identical to freshly built ones — the cache only skips the
 	// candidate enumeration.
 	Cache *PlanCache
@@ -174,7 +174,7 @@ func (p *Plan) Explain() string {
 // the plan cache first when one is configured. A cache hit returns the
 // previously built plan (callers must treat plans as immutable); any change
 // to the catalog, the grid links, or any estimator invalidates implicitly
-// through the generation vector.
+// by advancing the Epoch.
 func (o *Optimizer) Plan(stmt *sqlparse.SelectStmt) (*Plan, error) {
 	return o.PlanExcludingCtx(context.Background(), stmt, nil)
 }
@@ -231,7 +231,7 @@ func (o *Optimizer) planExcludingHit(ctx context.Context, stmt *sqlparse.SelectS
 		return p, false, err
 	}
 	key := stmt.String()
-	gen := o.generation()
+	gen := o.Epoch()
 	if p, ok := o.Cache.Get(key, gen); ok {
 		sp.SetAttr("cache", "hit")
 		return p, true, nil
@@ -245,18 +245,16 @@ func (o *Optimizer) planExcludingHit(ctx context.Context, stmt *sqlparse.SelectS
 	return p, false, nil
 }
 
-// generation sums every input the planner's output depends on: catalog
-// contents, grid link configs, the estimator registry, and each estimator's
-// own mutation counter. Counters only increase, so any change to any
-// component changes the sum.
-func (o *Optimizer) generation() uint64 {
-	gen := o.Catalog.Generation() + o.Grid.Generation() + o.Estimators.Generation()
-	for _, est := range o.Estimators.Snapshot() {
-		if v, ok := est.(core.Versioned); ok {
-			gen += v.Generation()
-		}
-	}
-	return gen
+// Epoch is the stamp a cached plan carries: a count of every change to
+// anything the planner's output depends on. Catalog mutations, link changes
+// and estimator installs each advance their own object's counter; an
+// estimator that changes in place reports to the registry's (registry.Bump)
+// and keeps none of its own. The three objects last as long as the optimizer
+// and their counters only go up, so the sum never returns to an earlier
+// value — which a term that leaves the sum when its object is replaced
+// would let it do.
+func (o *Optimizer) Epoch() uint64 {
+	return o.Catalog.Generation() + o.Grid.Generation() + o.Estimators.Generation()
 }
 
 // planUncached runs the full candidate enumeration.

@@ -33,6 +33,11 @@ func TestBasicOperations(t *testing.T) {
 	if got := r.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Names = %v", got)
 	}
+	gen := r.Generation()
+	r.Bump()
+	if r.Generation() != gen+1 || r.Len() != 2 {
+		t.Errorf("Bump: gen %d -> %d, len %d", gen, r.Generation(), r.Len())
+	}
 	if !r.Delete("a") || r.Delete("a") {
 		t.Error("Delete semantics wrong")
 	}

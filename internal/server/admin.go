@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -46,14 +45,9 @@ type catalogRequest struct {
 // fsynced) wherever a data directory is configured.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
-		var req catalogRequest
-		if r.Body == nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf(`missing request: POST {"table": {...}} or {"materialize": "name"}`))
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, requestStatus(err), fmt.Errorf("decode request: %v", err))
+		req, err := decodeAdminBody[catalogRequest](w, r, `{"table": {...}} or {"materialize": "name"}`)
+		if err != nil {
+			s.writeError(w, requestStatus(err), err)
 			return
 		}
 		if req.Table == nil && req.Materialize == "" {
@@ -124,14 +118,9 @@ type linkRequest struct {
 // (validated, plan cache invalidated, WAL-logged).
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
-		var req linkRequest
-		if r.Body == nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf(`missing request: POST {"system": ..., "link": {...}}`))
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, requestStatus(err), fmt.Errorf("decode request: %v", err))
+		req, err := decodeAdminBody[linkRequest](w, r, `{"system": ..., "link": {...}}`)
+		if err != nil {
+			s.writeError(w, requestStatus(err), err)
 			return
 		}
 		if req.System == "" {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"intellisphere/internal/engine"
+	"intellisphere/internal/faults"
 )
 
 // newDurableTestServer is newTestServer with a data directory attached, so
@@ -199,5 +200,54 @@ func TestPromDurabilityGauges(t *testing.T) {
 	}
 	if strings.Contains(string(raw2), "intellisphere_wal_bytes") {
 		t.Error("stateless server exposes durability gauges")
+	}
+}
+
+// adminRoutes are the four routes whose POST bodies go through
+// decodeAdminBody.
+var adminRoutes = []string{"/catalog", "/links", "/models", "/faults"}
+
+// newAdminHandler serves all four admin routes (fault injection enabled over
+// an empty injector set: decoding comes before the system lookup).
+func newAdminHandler(t testing.TB) http.Handler {
+	t.Helper()
+	return New(newBenchEngine(t)).WithFaults(map[string]*faults.Injector{}).Handler(10 * time.Second)
+}
+
+// TestAdminBodyDecoding runs every admin route through the ways a body can
+// fail to be one: absent, empty, malformed, and past the byte cap — which
+// /faults used to read to the end instead of refusing.
+func TestAdminBodyDecoding(t *testing.T) {
+	h := newAdminHandler(t)
+	huge := `{"system": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, route := range adminRoutes {
+		for _, tc := range []struct {
+			name   string
+			body   io.Reader
+			status int
+			code   string
+			text   string
+		}{
+			{"no body", nil, http.StatusBadRequest, "bad_request", "missing request: POST {"},
+			{"empty body", strings.NewReader(""), http.StatusBadRequest, "bad_request", "decode request: EOF"},
+			{"malformed JSON", strings.NewReader(`{"system": `), http.StatusBadRequest, "bad_request", "decode request: unexpected EOF"},
+			{"wrong JSON type", strings.NewReader(`[1, 2]`), http.StatusBadRequest, "bad_request", "decode request: json: cannot unmarshal array"},
+			{"over the cap", strings.NewReader(huge), http.StatusRequestEntityTooLarge, "too_large", "decode request: http: request body too large"},
+		} {
+			req, err := http.NewRequest(http.MethodPost, route, tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var out struct{ Code, Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Errorf("%s, %s: response %q is not an error frame: %v", route, tc.name, rec.Body.Bytes(), err)
+				continue
+			}
+			if rec.Code != tc.status || out.Code != tc.code || !strings.HasPrefix(out.Error, tc.text) {
+				t.Errorf("%s, %s: %d %q %q, want %d %q %q…", route, tc.name, rec.Code, out.Code, out.Error, tc.status, tc.code, tc.text)
+			}
+		}
 	}
 }

@@ -127,3 +127,48 @@ func FuzzEncodeAnswer(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAdminBody feeds arbitrary bytes to decodeAdminBody, the one decoder
+// behind the POST bodies of /catalog, /links, /models and /faults — the
+// serving stack's third untrusted input — as each of the four request types.
+// The checked-in corpus (testdata/fuzz/FuzzAdminBody) holds the bodies the
+// smoke scripts post plus the shapes that are not requests. Properties:
+//
+//   - decoding never panics, and a refusal is a 400, or a 413 only for bytes
+//     past the cap;
+//   - what is accepted can be encoded again (/links echoes its request, and
+//     tables and links go to the write-ahead log as JSON), and that encoding
+//     is a fixed point: decoding and encoding it once more changes nothing.
+func FuzzAdminBody(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzAdminBody[catalogRequest](t, data)
+		fuzzAdminBody[linkRequest](t, data)
+		fuzzAdminBody[modelRequest](t, data)
+		fuzzAdminBody[faultRequest](t, data)
+	})
+}
+
+func fuzzAdminBody[T any](t *testing.T, data []byte) {
+	decode := func(body []byte) (T, error) {
+		return decodeAdminBody[T](httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), "{}")
+	}
+	req, err := decode(data)
+	if err != nil {
+		if status := requestStatus(err); status != http.StatusBadRequest &&
+			(status != http.StatusRequestEntityTooLarge || len(data) <= maxBodyBytes) {
+			t.Fatalf("%T: %d bytes refused with status %d: %v", req, len(data), status, err)
+		}
+		return
+	}
+	first, err := json.Marshal(req)
+	if err != nil {
+		t.Fatalf("%T decoded from %q cannot be encoded again: %v", req, data, err)
+	}
+	again, err := decode(first)
+	if err != nil {
+		t.Fatalf("%T: own encoding %q refused: %v", req, first, err)
+	}
+	if second, err := json.Marshal(again); err != nil || !bytes.Equal(first, second) {
+		t.Fatalf("%T: encoding is not a fixed point: %q then %q (%v)", req, first, second, err)
+	}
+}

@@ -3,12 +3,23 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"intellisphere/internal/engine"
+	"intellisphere/internal/faults"
+	"intellisphere/internal/obs"
 )
 
 func TestQueryTraceParam(t *testing.T) {
@@ -264,4 +275,103 @@ func TestRequestBodyLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("normal body after cap = %d", resp.StatusCode)
 	}
+}
+
+// promSeriesNames returns the name of every series a scrape declares
+// (its # TYPE lines), sorted.
+func promSeriesNames(body string) []string {
+	var names []string
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			names = append(names, f[2])
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestPromSeriesInventory compares the series /metrics/prom exposes with the
+// checked-in list, so that adding, renaming or dropping one is a line in a
+// diff someone reviews. testdata/prom_series.txt has two parts: what a server
+// built the way cmd/serve builds one with its default flags exposes once it
+// has served a query, and what -data-dir and -event-log add to that.
+func TestPromSeriesInventory(t *testing.T) {
+	raw, err := os.ReadFile("testdata/prom_series.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var byDefault, optIn []string
+	part := &byDefault
+	for _, line := range strings.Split(string(raw), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# With -data-dir and -event-log"):
+			part = &optIn
+		case line != "" && !strings.HasPrefix(line, "#"):
+			*part = append(*part, line)
+		}
+	}
+
+	scrape := func(durable bool, eventLog string) []string {
+		t.Helper()
+		e := newBenchEngine(t)
+		o, err := obs.New(obs.Config{
+			Events:       obs.RecorderConfig{SampleRate: 1, SlowThreshold: 500 * time.Millisecond},
+			EventLogPath: eventLog,
+			Step:         5 * time.Second,
+			Objectives:   obs.DefaultObjectives(0.999, 250*time.Millisecond, 0, time.Minute, 5*time.Minute, 14),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(e).WithFaults(map[string]*faults.Injector{}).WithObservability(o)
+		if durable {
+			d, _, err := engine.OpenDurability(e, engine.DurabilityConfig{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			if err := d.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			s = s.WithDurability(d)
+		}
+		srv := httptest.NewServer(s.Handler(10 * time.Second))
+		o.Start(s.ObsSource())
+		t.Cleanup(func() {
+			srv.Close()
+			o.Stop()
+		})
+		// One executed remote step brings in the per-system series
+		// (breakers, estimator accuracy).
+		var qr queryResponse
+		getJSON(t, srv.URL+"/query?q=SELECT+a1+FROM+t100000_100", &qr)
+		e.FlushFeedback()
+		body := getText(t, srv.URL+"/metrics/prom")
+		checkPromFormat(t, body)
+		return promSeriesNames(body)
+	}
+	if got := scrape(false, ""); !slices.Equal(got, byDefault) {
+		t.Errorf("series of a default server differ from testdata/prom_series.txt:\n%s", diffNames(byDefault, got))
+	}
+	want := append(append([]string(nil), byDefault...), optIn...)
+	sort.Strings(want)
+	if got := scrape(true, filepath.Join(t.TempDir(), "events.ndjson")); !slices.Equal(got, want) {
+		t.Errorf("series with a data directory and an event log differ from testdata/prom_series.txt:\n%s", diffNames(want, got))
+	}
+}
+
+// diffNames lists what two sorted name lists do not share.
+func diffNames(want, got []string) string {
+	var b strings.Builder
+	for _, n := range want {
+		if !slices.Contains(got, n) {
+			fmt.Fprintf(&b, "  - %s (listed, not exposed)\n", n)
+		}
+	}
+	for _, n := range got {
+		if !slices.Contains(want, n) {
+			fmt.Fprintf(&b, "  + %s (exposed, not listed)\n", n)
+		}
+	}
+	return b.String()
 }

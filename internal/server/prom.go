@@ -26,7 +26,6 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 
 	gauge(&b, "intellisphere_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds())
 	writeRuntime(&b)
-	gauge(&b, "intellisphere_qps", "Queries per second over a sliding 60s window.", s.qps.Rate())
 	counter(&b, "intellisphere_queries_total", "Queries accepted (scalar and batch statements).", float64(st.Queries))
 	counter(&b, "intellisphere_query_errors_total", "Queries that failed to parse, plan, or execute.", float64(st.QueryErrors))
 	counter(&b, "intellisphere_traces_total", "Traced queries recorded into the trace ring.", float64(st.Traces))

@@ -12,10 +12,12 @@
 //	                                   isolated per slot
 //	POST /explain      {"sql": "..."}  plan only, returns the rendered plan
 //	GET  /profiles                     registered systems and their estimators
-//	GET  /metrics                      QPS, per-stage latency, cache hit rate,
-//	                                   feedback backlog, estimator accuracy
-//	GET  /metrics/prom                 the same counters in the Prometheus
-//	                                   text exposition format (0.0.4)
+//	GET  /metrics/prom                 every serving counter — queries,
+//	                                   per-stage latency histograms, plan
+//	                                   cache, admission, feedback backlog,
+//	                                   estimator accuracy — in the Prometheus
+//	                                   text exposition format (0.0.4); the
+//	                                   only metrics route
 //	GET  /trace                        recent traced queries as span trees
 //	                                   (?n= bounds, ?format=text renders,
 //	                                   ?errors=1 / ?system= / ?min_ms= filter)
@@ -63,6 +65,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"time"
@@ -90,7 +93,6 @@ const ClientIDHeader = "X-Client-ID"
 // Server serves one engine.
 type Server struct {
 	eng     *engine.Engine
-	qps     *metrics.RateMeter
 	start   time.Time
 	faults  map[string]*faults.Injector
 	adm     *admission.Controller
@@ -117,7 +119,7 @@ type Server struct {
 // endpoints (64 in-flight, 128 queued, no rate limit).
 func New(eng *engine.Engine) *Server {
 	return &Server{
-		eng: eng, qps: metrics.NewRateMeter(), start: time.Now(),
+		eng: eng, start: time.Now(),
 		adm: admission.NewController(admission.Config{}),
 	}
 }
@@ -163,7 +165,6 @@ func (s *Server) Handler(timeout time.Duration) http.Handler {
 	mux.Handle("/query/stream", s.admitStream(s.handleQueryStream))
 	mux.Handle("/explain", bound(s.handleExplain))
 	mux.Handle("/profiles", bound(s.handleProfiles))
-	mux.Handle("/metrics", bound(s.handleMetrics))
 	mux.Handle("/metrics/prom", bound(s.handlePromMetrics))
 	mux.Handle("/trace", bound(s.handleTrace))
 	mux.Handle("/events", bound(s.handleEvents))
@@ -211,6 +212,21 @@ func requestStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
+}
+
+// decodeAdminBody reads the JSON body of an admin POST (/catalog, /links,
+// /models, /faults) into a T, capped at maxBodyBytes like every other body;
+// usage spells the expected shape for a request that has none. The caller
+// answers an error with requestStatus(err): 413 beyond the cap, else 400.
+func decodeAdminBody[T any](w http.ResponseWriter, r *http.Request, usage string) (req T, err error) {
+	if r.Body == nil {
+		return req, fmt.Errorf("missing request: POST %s", usage)
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		return req, fmt.Errorf("decode request: %w", err)
+	}
+	return req, nil
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -319,9 +335,11 @@ func (s *Server) admit(h http.HandlerFunc) http.Handler {
 // admitStream is admit for the streaming endpoint: the connection holds one
 // admission slot for its whole lifetime (each statement inside gets its own
 // deadline), so -max-inflight bounds streams and one-shot queries together.
+// The unit of service on a stream is a statement, so the slot is a Hold: the
+// connection's lifetime stays out of the service-time estimate.
 func (s *Server) admitStream(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, err := s.adm.Acquire(r.Context(), r.Header.Get(ClientIDHeader))
+		release, err := s.adm.Hold(r.Context(), r.Header.Get(ClientIDHeader))
 		if err != nil {
 			s.writeShed(w, err)
 			return
@@ -404,7 +422,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, requestStatus(err), err)
 		return
 	}
-	s.qps.Tick()
 	if wantTrace(r) {
 		res, tr, err := s.eng.QueryTraced(r.Context(), sql)
 		if err != nil {
@@ -503,7 +520,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	buf.WriteByte('[')
 	enc.depth++
 	for i, it := range s.eng.QueryBatch(r.Context(), sqls) {
-		s.qps.Tick()
 		if i > 0 {
 			buf.WriteByte(',')
 		}
@@ -529,7 +545,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, requestStatus(err), err)
 		return
 	}
-	s.qps.Tick()
 	out, err := s.eng.Explain(sql)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -566,34 +581,6 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		out = append(out, info)
 	}
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-// metricsResponse is the /metrics payload.
-type metricsResponse struct {
-	UptimeSec float64      `json:"uptime_sec"`
-	QPS       float64      `json:"qps"`
-	Engine    engine.Stats `json:"engine"`
-	// Events carries the wide-event sampler's counters when observability
-	// is enabled; Sink additionally when the NDJSON file sink runs.
-	Events *obs.RecorderStats `json:"events,omitempty"`
-	Sink   *obs.SinkStats     `json:"event_log,omitempty"`
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	resp := metricsResponse{
-		UptimeSec: time.Since(s.start).Seconds(),
-		QPS:       s.qps.Rate(),
-		Engine:    s.eng.Stats(),
-	}
-	if s.obs != nil {
-		rs := s.obs.Rec.Stats()
-		resp.Events = &rs
-		if s.obs.Sink != nil {
-			ss := s.obs.Sink.Stats()
-			resp.Sink = &ss
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleTrace serves the recent-traces ring: GET /trace returns the last
@@ -644,9 +631,9 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method == http.MethodPost {
-		var req faultRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %v", err))
+		req, err := decodeAdminBody[faultRequest](w, r, `{"system": ..., "outage": true} or {"system": ..., "rates": {...}}`)
+		if err != nil {
+			s.writeError(w, requestStatus(err), err)
 			return
 		}
 		inj, ok := s.faults[req.System]
@@ -709,14 +696,9 @@ type modelRequest struct {
 // rollback on one system.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
-		var req modelRequest
-		if r.Body == nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf(`missing request: POST {"action": ..., "system": ...}`))
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, requestStatus(err), fmt.Errorf("decode request: %v", err))
+		req, err := decodeAdminBody[modelRequest](w, r, `{"action": ..., "system": ...}`)
+		if err != nil {
+			s.writeError(w, requestStatus(err), err)
 			return
 		}
 		if req.System == "" {
@@ -803,7 +785,8 @@ const maxStreamLine = maxBodyBytes
 // isolated per slot exactly as in /query/batch: a statement that fails to
 // parse, plan, or execute answers {"error": ..., "sql": ...} and the
 // stream continues. Each statement runs under its own deadline; the
-// connection as a whole holds one admission slot (see admitStream).
+// connection as a whole holds one admission slot (see admitStream) and ends
+// once it has sat idle for the request timeout.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST statements as NDJSON"))
@@ -824,6 +807,16 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	defer putBuf(buf)
 	var prefix [20]byte
 	unflushed := false
+	// Neither of http.Server's deadlines fits a stream: WriteTimeout is
+	// absolute from the request header, so it cuts a healthy stream off at a
+	// fixed age, and nothing at all bounds a read, so an idle stream keeps
+	// its admission slot for ever. The stream moves both itself wherever it
+	// is about to wait for the client (once per burst, below). A
+	// ResponseWriter with no deadlines to set (an in-process recorder) is a
+	// stream without them, hence the dropped errors. The write deadline comes
+	// off again at the end: a server without WriteTimeout never re-arms it,
+	// and the connection may go on to carry another request.
+	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
 	for {
 		// Frames leave in one write per burst: while the client's next
 		// statement is already buffered, answering it comes before flushing;
@@ -831,18 +824,30 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		// so far is written out first, so a lock-step client never waits on
 		// a frame that is sitting in the response buffer. EOF and the error
 		// returns below end the handler, which flushes what is left.
-		if unflushed && !lineBuffered(br) {
-			if err := rc.Flush(); err != nil && err != http.ErrNotSupported {
-				s.encodeErrors.Inc()
-				return
+		if !lineBuffered(br) {
+			// The client has the request timeout to send its next line, and
+			// the answers to what it then sends have as long again to be
+			// written: this flush, and whatever the next burst pushes out of
+			// a full response buffer before its own.
+			now := time.Now()
+			_ = rc.SetWriteDeadline(now.Add(2 * s.timeout))
+			if unflushed {
+				if err := rc.Flush(); err != nil && err != http.ErrNotSupported {
+					s.encodeErrors.Inc()
+					return
+				}
+				unflushed = false
 			}
-			unflushed = false
+			_ = rc.SetReadDeadline(now.Add(s.timeout))
 		}
 		line, oversized, rerr := readStreamLine(br, maxStreamLine)
 		if rerr != nil {
-			if rerr != io.EOF {
-				// Mid-stream read failure: frames already sent stand; nothing
-				// more can be promised on a broken pipe, so just log the cause.
+			// EOF is the client's orderly end and an expired read deadline the
+			// server's: the stream sat idle past the bound, so it ends and
+			// gives its slot back. Anything else is a mid-stream read
+			// failure: frames already sent stand; nothing more can be promised
+			// on a broken pipe, so just log the cause.
+			if rerr != io.EOF && !errors.Is(rerr, os.ErrDeadlineExceeded) {
 				s.encodeErrors.Inc()
 				log.Printf("server: query stream read: %v", rerr)
 			}
@@ -854,7 +859,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
-		s.qps.Tick()
 		s.streamStatements.Inc()
 		buf.Reset()
 		enc := jw{b: buf}

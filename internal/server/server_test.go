@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -69,6 +70,21 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 		t.Fatalf("decode %s: %v", url, err)
 	}
 	return resp
+}
+
+// getText fetches a URL and returns its body.
+func getText(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read %s: %v", url, err)
+	}
+	return string(raw)
 }
 
 func TestQueryEndpoint(t *testing.T) {
@@ -166,24 +182,30 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	wg.Wait()
 	e.FlushFeedback()
-	var m metricsResponse
-	getJSON(t, srv.URL+"/metrics", &m)
-	if m.Engine.Queries != 12 {
-		t.Errorf("queries = %d, want 12", m.Engine.Queries)
+	m := checkPromFormat(t, getText(t, srv.URL+"/metrics/prom"))
+	if got := m["intellisphere_queries_total"]; got != 12 {
+		t.Errorf("queries = %v, want 12", got)
 	}
-	if m.QPS <= 0 {
-		t.Errorf("qps = %v", m.QPS)
-	}
-	if m.Engine.PlanCache.Hits == 0 {
+	if m["intellisphere_plan_cache_hits_total"] == 0 {
 		t.Error("no plan-cache hits over repeated statements")
 	}
-	if m.Engine.Plan.Count == 0 || m.Engine.Execute.Count == 0 {
-		t.Errorf("stage histograms empty: %+v", m.Engine)
+	if m["intellisphere_plan_seconds_count"] == 0 || m["intellisphere_execute_seconds_count"] == 0 {
+		t.Errorf("stage histograms empty: plan %v, execute %v",
+			m["intellisphere_plan_seconds_count"], m["intellisphere_execute_seconds_count"])
 	}
-	if m.Engine.FeedbackBacklog != 0 {
-		t.Errorf("backlog after flush = %d", m.Engine.FeedbackBacklog)
+	if got := m["intellisphere_feedback_backlog"]; got != 0 {
+		t.Errorf("backlog after flush = %v", got)
 	}
-	if m.UptimeSec <= 0 {
-		t.Errorf("uptime = %v", m.UptimeSec)
+	if m["intellisphere_uptime_seconds"] <= 0 {
+		t.Errorf("uptime = %v", m["intellisphere_uptime_seconds"])
+	}
+	// /metrics/prom is the only metrics route: the JSON twin is gone.
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /metrics = %d, want 404", resp.StatusCode)
 	}
 }

@@ -8,11 +8,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/http/httputil"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"intellisphere/internal/admission"
 )
 
 // flushCounter is an in-process ResponseWriter that counts explicit flushes
@@ -214,6 +217,67 @@ func TestQueryStreamLockStepClient(t *testing.T) {
 		wantFrame(t, body, i, strings.TrimLeft(lines[i], "\n"))
 	}
 	wantEnd(t, w, body)
+}
+
+// TestQueryStreamOutlivesWriteTimeout: http.Server's WriteTimeout counts from
+// the request header, which a stream's header is as old as the stream. A
+// lock-step client on a stream three times that age still gets every frame.
+func TestQueryStreamOutlivesWriteTimeout(t *testing.T) {
+	srv := httptest.NewUnstartedServer(New(newBenchEngine(t)).Handler(10 * time.Second))
+	srv.Config.WriteTimeout = 200 * time.Millisecond
+	srv.Start()
+	t.Cleanup(srv.Close)
+	w, br := streamConn(t, srv.Listener.Addr().String())
+	var body *bufio.Reader
+	for i, line := range streamLines(7) { // 6 × 100 ms = 3 × WriteTimeout
+		if i > 0 {
+			time.Sleep(100 * time.Millisecond)
+		}
+		if _, err := io.WriteString(w, line); err != nil {
+			t.Fatal(err)
+		}
+		if body == nil {
+			body = responseBody(t, br)
+		}
+		wantFrame(t, body, i, line)
+	}
+	wantEnd(t, w, body)
+}
+
+// TestIdleStreamGivesItsSlotBack: a stream holds an admission slot for as
+// long as it lives, so one that has sat idle for the request timeout is ended
+// by the server. With a single slot, a /query that arrives half a timeout
+// into the idleness waits the other half for the slot and is then served,
+// inside its own deadline.
+func TestIdleStreamGivesItsSlotBack(t *testing.T) {
+	const bound = 500 * time.Millisecond
+	s := New(newBenchEngine(t)).WithAdmission(admission.Config{MaxInFlight: 1})
+	srv := httptest.NewServer(s.Handler(bound))
+	t.Cleanup(srv.Close)
+	w, br := streamConn(t, srv.Listener.Addr().String())
+	line := streamLines(1)[0]
+	if _, err := io.WriteString(w, line); err != nil {
+		t.Fatal(err)
+	}
+	body := responseBody(t, br)
+	wantFrame(t, body, 0, line)
+
+	time.Sleep(bound / 2) // the stream stays open and says nothing more
+	resp, err := http.Get(srv.URL + "/query?q=SELECT+a1+FROM+t100000_100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/query behind an idle stream = %d, want 200 once the stream's slot is back", resp.StatusCode)
+	}
+	if _, err := readFrame(body); err != io.EOF {
+		t.Errorf("the idle stream was not ended by the server: %v", err)
+	}
+	if st := s.Admission(); st.InFlight != 0 {
+		t.Errorf("in flight after the idle stream ended = %d", st.InFlight)
+	}
 }
 
 func TestPlainJSONString(t *testing.T) {

@@ -4,6 +4,9 @@
 # with this same file: `cd /root/scratch/parent && sh /root/repo/scripts/loc.sh`).
 # Every simplicity PR quotes the before/after of this next to its bench delta.
 # Counts tracked files as they are on disk; _test.go and testdata/ excluded.
+# Then the three surface counts the roadmap's north star quotes: HTTP routes,
+# cmd/serve flags, and /metrics/prom series (the checked-in inventory that
+# TestPromSeriesInventory holds to a live scrape; absent before PR 17).
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 git ls-files -- 'internal/*.go' | grep -v -e '_test\.go$' -e '/testdata/' |
@@ -14,3 +17,11 @@ awk '{ n[$2] += $1; t += $1 }
      END { for (p in n) printf "%7d  %s\n", n[p], p | "sort -k2"
            close("sort -k2")
            printf "%7d  total (non-test Go under internal/)\n", t }'
+series=internal/server/testdata/prom_series.txt
+printf '%7d  routes registered in Server.Handler\n' "$(grep -c 'mux\.Handle(' internal/server/server.go)"
+printf '%7d  flags in cmd/serve\n' "$(grep -c ':= flag\.' cmd/serve/main.go)"
+if [ -f "$series" ]; then
+	printf '%7d  series on /metrics/prom of a default server (%d more with -data-dir and -event-log)\n' \
+		"$(awk '/^# With -data-dir/ { exit } /^[^#]/ { n++ } END { print n + 0 }' "$series")" \
+		"$(awk '/^# With -data-dir/ { on = 1; next } on && /^[^#]/ { n++ } END { print n + 0 }' "$series")"
+fi

@@ -54,8 +54,10 @@ out=$(curl -sf "http://$ADDR/query/batch" \
 echo "$out" | grep -q '"actual_sec"' || { echo "smoke: bad /query/batch response: $out" >&2; exit 1; }
 echo "$out" | grep -q '"error"' || { echo "smoke: /query/batch lost the per-statement error: $out" >&2; exit 1; }
 
-out=$(curl -sf "http://$ADDR/metrics")
-echo "$out" | grep -q '"plan_cache"' || { echo "smoke: bad /metrics response: $out" >&2; exit 1; }
+out=$(curl -sf "http://$ADDR/metrics/prom")
+echo "$out" | grep -q '^intellisphere_plan_cache_hits_total ' || { echo "smoke: bad /metrics/prom response: $out" >&2; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/metrics")
+[ "$code" = 404 ] || { echo "smoke: GET /metrics answered $code, want 404 (/metrics/prom is the only metrics route)" >&2; exit 1; }
 
 kill -TERM "$PID"
 i=0
