@@ -10,9 +10,12 @@ build:
 # go vet's default analyzer suite includes structtag (mismatched JSON tags)
 # and copylocks; the shadow analyzer is not in the default suite and would
 # need golang.org/x/tools, which this module deliberately avoids — variable
-# shadowing is covered by review and the -race suite instead.
+# shadowing is covered by review and the -race suite instead. Then gofmt over
+# every tracked .go file, bench/ included: a name it prints fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # The repo benchmark is its own module under bench/ (replace intellisphere =>
 # ../, so no network), which `./...` above never reaches: without this, a

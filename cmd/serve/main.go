@@ -93,8 +93,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 

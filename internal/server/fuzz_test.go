@@ -6,25 +6,36 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 )
 
 // FuzzStatementForms feeds arbitrary bytes to the decoder for "a statement
-// inside JSON" — the serving stack's second untrusted input, one
-// /query/stream line or one /query/batch array element. The checked-in corpus
-// (testdata/fuzz/FuzzStatementForms) holds the forms clients send (a bare
-// string, an object, raw SQL), escapes, non-ASCII and control bytes,
-// truncated values, and JSON values that are not statements. Properties:
+// inside JSON" — the serving stack's second untrusted input: one
+// /query/stream line, one /query/batch array element, or a /query body. The
+// checked-in corpus (testdata/fuzz/FuzzStatementForms) holds the forms clients
+// send (a bare string, an object, raw SQL), escapes, non-ASCII and control
+// bytes, truncated values, objects spelled every way the plainSQLObject fast
+// path must decline, and JSON values that are not statements. Properties:
 //
 //   - streamStatement never panics, and what it accepts is never empty;
-//   - whenever the plainJSONString fast path accepts, encoding/json decodes
-//     the same string;
+//   - whenever the plainJSONString or plainSQLObject fast path accepts,
+//     encoding/json decodes the same statement, and it is not empty;
 //   - a /query/batch body of the bytes repeated as array elements answers 400
 //     as a whole, or 200 with one slot per element, each slot echoing the
-//     statement encoding/json reads out of its element.
+//     statement encoding/json reads out of its element;
+//   - a /query body of the bytes answers 400 with encoding/json's own error
+//     when json.Decoder cannot read a statementRequest off its front, 400 when
+//     that holds no statement, and otherwise exactly what GET ?q= answers for
+//     the statement encoding/json read.
 func FuzzStatementForms(f *testing.F) {
 	h := New(newBenchEngine(f)).Handler(10 * time.Second)
+	serve := func(req *http.Request) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if line := bytes.TrimSpace(data); len(line) > 0 {
 			if sql, err := streamStatement(line); err == nil && sql == "" {
@@ -37,6 +48,45 @@ func FuzzStatementForms(f *testing.F) {
 				}
 			}
 		}
+		if got, ok := plainSQLObject(data); ok {
+			var want statementRequest
+			if err := json.Unmarshal(data, &want); err != nil || got != want.SQL || got == "" {
+				t.Fatalf("plainSQLObject(%q) = %q, encoding/json says %q, %v", data, got, want.SQL, err)
+			}
+		}
+		if len(data) > maxBodyBytes {
+			return
+		}
+
+		rec := serve(httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(data)))
+		var frame struct {
+			SQL   string `json:"sql"`
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &frame); err != nil {
+			t.Fatalf("/query body %q: status %d, response %q: %v", data, rec.Code, rec.Body.Bytes(), err)
+		}
+		var want statementRequest
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&want); err != nil || want.SQL == "" {
+			refusal := "empty sql field"
+			if err != nil {
+				refusal = "decode request: " + err.Error()
+			}
+			if rec.Code != http.StatusBadRequest || frame.Error != refusal {
+				t.Fatalf("/query body %q: status %d, error %q, want 400 %q", data, rec.Code, frame.Error, refusal)
+			}
+		} else {
+			// An answer echoes the statement; a refusal is the same bytes.
+			ref := serve(httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape(want.SQL), nil))
+			same := frame.SQL == want.SQL
+			if rec.Code != http.StatusOK {
+				same = bytes.Equal(rec.Body.Bytes(), ref.Body.Bytes())
+			}
+			if rec.Code != ref.Code || !same {
+				t.Fatalf("/query body %q holds statement %q: status %d, response %q; GET ?q= of the statement: status %d, response %q",
+					data, want.SQL, rec.Code, rec.Body.Bytes(), ref.Code, ref.Body.Bytes())
+			}
+		}
 
 		copies := make([][]byte, 1+len(data)%3)
 		for i := range copies {
@@ -46,8 +96,7 @@ func FuzzStatementForms(f *testing.F) {
 		if len(body) > maxBodyBytes {
 			return
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(body)))
+		rec = serve(httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(body)))
 		// Like the handler, the oracle reads the body's first JSON value and
 		// leaves what follows it alone.
 		var elems []json.RawMessage

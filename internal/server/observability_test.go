@@ -243,25 +243,26 @@ func TestPromMetricsEndpoint(t *testing.T) {
 func TestRequestBodyLimit(t *testing.T) {
 	srv, _ := newTestServer(t)
 	big := `{"sql": "SELECT a1 FROM t10000_100 -- ` + strings.Repeat("x", maxBodyBytes) + `"}`
-	for _, path := range []string{"/query", "/query/batch"} {
-		body := big
-		if path == "/query/batch" {
-			body = "[" + big + "]"
-		}
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+	for _, tc := range []struct{ name, path, body string }{
+		{"statement over the cap", "/query", big},
+		{"batch over the cap", "/query/batch", "[" + big + "]"},
+		// The cap is on the body, not on the part of it a decoder needs.
+		{"small statement, body over the cap", "/query", `{"sql": "SELECT a1 FROM t10000_100"}` + strings.Repeat(" ", maxBodyBytes)},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out map[string]string
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("%s: 413 body is not JSON: %v", path, err)
+			t.Fatalf("%s: 413 body is not JSON: %v", tc.name, err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s oversized status = %d, want 413", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || out["code"] != "too_large" {
+			t.Errorf("%s: status %d, code %q, want 413 too_large", tc.name, resp.StatusCode, out["code"])
 		}
 		if out["error"] == "" {
-			t.Errorf("%s oversized response missing error field", path)
+			t.Errorf("%s: response missing error field", tc.name)
 		}
 	}
 	// A normal-sized body still works after the cap.

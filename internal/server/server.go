@@ -65,6 +65,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -82,13 +83,22 @@ import (
 )
 
 // maxBodyBytes bounds every request body (http.MaxBytesReader): a
-// misbehaving client gets 413, not an unbounded read into memory. 1 MiB
-// comfortably fits the largest sane statement batch.
+// misbehaving client gets 413, not an unbounded read into memory. The cap is
+// on the body as a whole, whatever it holds; 1 MiB comfortably fits the
+// largest sane statement batch.
 const maxBodyBytes = 1 << 20
 
 // ClientIDHeader names the request header whose value keys per-client
 // rate-limit buckets. Requests without it share the anonymous bucket.
 const ClientIDHeader = "X-Client-ID"
+
+// clientIDKey is ClientIDHeader as net/http files it in a request's header
+// map. Header.Get canonicalises the name it is given on every call, and
+// allocates to do so unless the name is already in this form.
+var clientIDKey = http.CanonicalHeaderKey(ClientIDHeader)
+
+// jsonContentType is the Content-Type value every JSON response shares.
+var jsonContentType = []string{"application/json"}
 
 // Server serves one engine.
 type Server struct {
@@ -183,18 +193,35 @@ type statementRequest struct {
 	SQL string `json:"sql"`
 }
 
-// readSQL extracts the statement from a JSON body (POST) or the q parameter
-// (GET). Bodies are capped at maxBodyBytes.
-func readSQL(w http.ResponseWriter, r *http.Request) (string, error) {
-	if q := r.URL.Query().Get("q"); q != "" {
+// urlQuery parses the request's query string, which a POST to a hot route
+// rarely has: nil then, and Get on a nil url.Values answers "".
+func urlQuery(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
+	return r.URL.Query()
+}
+
+// readSQL extracts the statement from the q parameter (GET; query is the
+// request's urlQuery) or a JSON body (POST), which it reads whole into buf,
+// capped at maxBodyBytes. The body's first JSON value is the request and
+// whatever follows it is ignored: plainSQLObject recognises the form clients
+// send, and what it declines is encoding/json's.
+func readSQL(w http.ResponseWriter, r *http.Request, query url.Values, buf *bytes.Buffer) (string, error) {
+	if q := query.Get("q"); q != "" {
 		return q, nil
 	}
 	if r.Body == nil {
 		return "", fmt.Errorf("missing statement: POST {\"sql\": ...} or GET ?q=...")
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return "", fmt.Errorf("decode request: %w", err)
+	}
+	if sql, ok := plainSQLObject(buf.Bytes()); ok {
+		return sql, nil
+	}
 	var req statementRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(buf).Decode(&req); err != nil {
 		return "", fmt.Errorf("decode request: %w", err)
 	}
 	if req.SQL == "" {
@@ -295,9 +322,11 @@ func errorCode(err error) string {
 	}
 }
 
-// writeBuf flushes a pre-encoded JSON body, counting write failures.
+// writeBuf flushes a pre-encoded JSON body, counting write failures. The
+// header is assigned, not Set: the name is already canonical and the value is
+// the one slice every response shares.
 func (s *Server) writeBuf(w http.ResponseWriter, status int, buf *bytes.Buffer) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		s.encodeErrors.Inc()
@@ -317,18 +346,19 @@ func errStatus(err error) int {
 
 // admit wraps a hot handler with the admission gate: per-request deadline
 // on the context, a concurrency slot held for the handler's duration, and
-// shed/rate-limit verdicts turned into Retry-After responses.
-func (s *Server) admit(h http.HandlerFunc) http.Handler {
+// shed/rate-limit verdicts turned into Retry-After responses. The handler is
+// handed the context, not a copy of the request made to carry it.
+func (s *Server) admit(h func(context.Context, http.ResponseWriter, *http.Request)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-		defer cancel()
-		release, err := s.adm.Acquire(ctx, r.Header.Get(ClientIDHeader))
+		ctx := s.withDeadline(r.Context())
+		defer ctx.release()
+		release, err := s.adm.Acquire(ctx, r.Header.Get(clientIDKey))
 		if err != nil {
 			s.writeShed(w, err)
 			return
 		}
 		defer release()
-		h(w, r.WithContext(ctx))
+		h(ctx, w, r)
 	})
 }
 
@@ -339,7 +369,7 @@ func (s *Server) admit(h http.HandlerFunc) http.Handler {
 // connection's lifetime stays out of the service-time estimate.
 func (s *Server) admitStream(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, err := s.adm.Hold(r.Context(), r.Header.Get(ClientIDHeader))
+		release, err := s.adm.Hold(r.Context(), r.Header.Get(clientIDKey))
 		if err != nil {
 			s.writeShed(w, err)
 			return
@@ -411,19 +441,23 @@ func toQueryResponse(sql string, res *engine.QueryResult) queryResponse {
 
 // wantTrace reports whether the request opted into per-query tracing
 // (?trace=1 or ?trace=true).
-func wantTrace(r *http.Request) bool {
-	v, _ := strconv.ParseBool(r.URL.Query().Get("trace"))
+func wantTrace(query url.Values) bool {
+	v, _ := strconv.ParseBool(query.Get("trace"))
 	return v
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	sql, err := readSQL(w, r)
+func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+	// One pooled buffer holds the request body, then the response.
+	buf := getBuf()
+	defer putBuf(buf)
+	query := urlQuery(r)
+	sql, err := readSQL(w, r, query, buf)
 	if err != nil {
 		s.writeError(w, requestStatus(err), err)
 		return
 	}
-	if wantTrace(r) {
-		res, tr, err := s.eng.QueryTraced(r.Context(), sql)
+	if wantTrace(query) {
+		res, tr, err := s.eng.QueryTraced(ctx, sql)
 		if err != nil {
 			// The trace survives the failure: slow failures are exactly
 			// what the span tree is for.
@@ -440,10 +474,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	buf := getBuf()
-	defer putBuf(buf)
+	buf.Reset()
 	enc := jw{b: buf}
-	if err := s.answer(r.Context(), &enc, sql); err != nil {
+	if err := s.answer(ctx, &enc, sql); err != nil {
 		s.writeError(w, errStatus(err), err)
 		return
 	}
@@ -509,7 +542,7 @@ func readBatch(w http.ResponseWriter, r *http.Request) ([]string, error) {
 // aligned with the request; each element is either a /query result or
 // {"sql": ..., "error": ...}, so one failed statement never fails its
 // neighbors.
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQueryBatch(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	sqls, err := readBatch(w, r)
 	if err != nil {
 		s.writeError(w, requestStatus(err), err)
@@ -519,7 +552,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	enc := jw{b: buf}
 	buf.WriteByte('[')
 	enc.depth++
-	for i, it := range s.eng.QueryBatch(r.Context(), sqls) {
+	for i, it := range s.eng.QueryBatch(ctx, sqls) {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
@@ -540,7 +573,9 @@ type explainResponse struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	sql, err := readSQL(w, r)
+	buf := getBuf()
+	defer putBuf(buf)
+	sql, err := readSQL(w, r, urlQuery(r), buf)
 	if err != nil {
 		s.writeError(w, requestStatus(err), err)
 		return
@@ -872,9 +907,9 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		} else if sql, perr := streamStatement(line); perr != nil {
 			encodeStatementError(&enc, string(line), perr.Error())
 		} else {
-			ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+			ctx := s.withDeadline(r.Context())
 			s.answer(ctx, &enc, sql) // a failed statement is its slot's error frame
-			cancel()
+			ctx.release()
 		}
 		buf.WriteByte('\n')
 		hdr := strconv.AppendInt(prefix[:0], int64(buf.Len()), 10)
@@ -975,6 +1010,9 @@ func streamStatement(line []byte) (string, error) {
 		}
 		return sql, nil
 	case '{':
+		if sql, ok := plainSQLObject(line); ok {
+			return sql, nil
+		}
 		var req statementRequest
 		if err := json.Unmarshal(line, &req); err != nil {
 			return "", fmt.Errorf("bad statement line: %v", err)
@@ -1004,4 +1042,43 @@ func plainJSONString(line []byte) (string, bool) {
 		}
 	}
 	return string(body), true
+}
+
+// plainSQLObject decodes b when it is the statement object as clients write
+// it and nothing else: {"sql":"<statement>"} with a value plainJSONString
+// accepts and that is not empty, the exact key, JSON whitespace allowed around
+// every token and nothing but whitespace after the closing brace. Any other
+// spelling encoding/json takes — another key case, a second key, an escape —
+// is left to encoding/json, which then also decides what is an error.
+func plainSQLObject(b []byte) (string, bool) {
+	var ok bool
+	for _, tok := range [...]string{"{", `"sql"`, ":"} {
+		if b, ok = cutJSONToken(b, tok); !ok {
+			return "", false
+		}
+	}
+	if b = bytes.TrimLeft(b, jsonSpace); len(b) == 0 || b[0] != '"' {
+		return "", false
+	}
+	end := 1 + bytes.IndexByte(b[1:], '"') // 0: no closing quote; 1: an empty value
+	if end < 2 {
+		return "", false
+	}
+	value := b[:end+1]
+	if b, ok = cutJSONToken(b[end+1:], "}"); !ok || len(bytes.TrimLeft(b, jsonSpace)) != 0 {
+		return "", false
+	}
+	return plainJSONString(value)
+}
+
+// jsonSpace is what JSON calls whitespace (bytes.TrimSpace takes more).
+const jsonSpace = " \t\n\r"
+
+// cutJSONToken skips JSON whitespace, then tok.
+func cutJSONToken(b []byte, tok string) ([]byte, bool) {
+	b = bytes.TrimLeft(b, jsonSpace)
+	if len(b) < len(tok) || string(b[:len(tok)]) != tok {
+		return b, false
+	}
+	return b[len(tok):], true
 }

@@ -248,6 +248,37 @@ func TestRateLimit429(t *testing.T) {
 	}
 }
 
+// TestClientIDHeaderSpellings: however a client spells the header on the
+// wire, its requests draw on one rate-limit bucket. The server looks the value
+// up under the canonical form of ClientIDHeader, which the constant's own
+// spelling is not.
+func TestClientIDHeaderSpellings(t *testing.T) {
+	_, eng := newTestServer(t)
+	s := New(eng).WithAdmission(admission.Config{MaxInFlight: 8, RateLimit: 0.001, Burst: 3})
+	srv := httptest.NewServer(s.Handler(10 * time.Second))
+	defer srv.Close()
+	for i, name := range []string{"x-client-id", ClientIDHeader, "X-Client-Id", "x-client-id"} {
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/query", strings.NewReader(`{"sql":"SELECT a1 FROM t100000_100"}`))
+		req.Header[name] = []string{"alpha"} // as spelled: Header.Set would canonicalise
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		want := http.StatusOK
+		if i == 3 {
+			want = http.StatusTooManyRequests // the bucket held three tokens
+		}
+		if resp.StatusCode != want {
+			t.Errorf("request %d, header spelled %q: status %d, want %d", i, name, resp.StatusCode, want)
+		}
+	}
+	if st := s.Admission(); st.RateLimited != 1 || st.Admitted != 3 {
+		t.Errorf("admission: %+v, want 3 admitted and 1 rate-limited", st)
+	}
+}
+
 // BenchmarkStreamVsHTTP compares per-statement cost of N one-shot /query
 // requests against the same statements pipelined down one /query/stream
 // connection — the amortization the streaming protocol exists for.
