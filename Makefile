@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet bench-vet test race allocs loc fuzz-smoke bench bench-parallel-smoke bench-snapshot bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak ci
+.PHONY: all build vet bench-vet test race allocs loc fuzz-smoke e2e ci
 
 all: build
 
@@ -44,7 +44,8 @@ allocs:
 # Non-test Go lines per internal/* package and in total: the LOC delta a
 # simplicity PR reports next to its bench delta (run it in a clone of the
 # parent commit for the "before"). Then the surface counts: routes, cmd/serve
-# flags, /metrics/prom series.
+# flags, /metrics/prom series; then the tooling counts: shell lines, make
+# targets, CI steps, Benchmark functions, cmd/serve flags no e2e test passes.
 loc:
 	sh scripts/loc.sh
 
@@ -59,87 +60,16 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEncodeAnswer$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzAdminBody$$' -fuzztime 5s
 
-# Short benchmark smoke: the two perf-critical kernels, one iteration each,
-# just to prove they still run (use `go test -bench=.` for real numbers).
-bench:
-	$(GO) test ./internal/nn -run '^$$' -bench BenchmarkNNTrain -benchtime 1x
-	$(GO) test ./internal/optimizer -run '^$$' -bench BenchmarkOptimizerPlan -benchtime 1x
+# The black-box layer by hand: builds cmd/serve once and drives it over real
+# sockets — four scenarios (defaults, observability, admission, tuner), one
+# server boot each, plus the seeded crash-recovery soak. `race` already runs
+# all of it; this is the entry for one scenario or a long soak:
+#   $(GO) test ./test/e2e -run AdmissionScenario -count=1
+#   $(GO) test -race ./test/e2e -run Soak -chaos.actions=2000 -chaos.seed=7 -timeout 30m
+e2e:
+	$(GO) test ./test/e2e -count=1
 
-# One-iteration pass over the RunParallel serving benchmarks at -cpu 1:
-# proves the parallel suite still runs without paying for a real multi-core
-# sweep. Not part of `make ci` (vet already proves it builds); real numbers
-# come from `make bench-snapshot` (which sweeps -cpu 1,4,8).
-bench-parallel-smoke:
-	$(GO) test ./internal/engine -run '^$$' -bench 'Parallel' -benchtime 1x -cpu 1
-
-# Full benchmark run recorded as a JSON perf snapshot (BENCH_PR10.json;
-# earlier BENCH_PR*.json files are history, never overwritten): ns/op plus
-# B/op + allocs/op per benchmark, and the RunParallel serving suite under a
-# -cpu sweep with throughput scaling ratios, so the trajectory across PRs
-# stays diffable.
-bench-snapshot:
-	GO="$(GO)" sh scripts/bench_snapshot.sh
-
-# One-iteration pass through the same script into a throwaway file — proves
-# the suite and the snapshot parser still work without paying for a real
-# measurement. Part of `make ci`.
-bench-snapshot-smoke:
-	GO="$(GO)" BENCHTIME=1x BENCH_OUT="$$(mktemp)" sh scripts/bench_snapshot.sh
-
-# End-to-end serving smoke: build cmd/serve, start it, run one query and a
-# metrics scrape over HTTP, then shut down gracefully.
-smoke:
-	GO="$(GO)" sh scripts/smoke_serve.sh
-
-# Observability smoke: traced query against a live cmd/serve (span names
-# asserted end to end), /trace ring replay, /metrics/prom exposition-format
-# check, and the -pprof surface.
-trace-smoke:
-	GO="$(GO)" sh scripts/trace_smoke.sh
-
-# Continuous-observability smoke: a live cmd/serve with tight SLO windows
-# must correlate a /events wide event to its /trace span tree, fill the
-# /history time-series, drive the availability SLO through a full firing →
-# resolved burn-rate cycle, expose histogram exemplars on /metrics/prom,
-# and write the NDJSON event log.
-obs-smoke:
-	GO="$(GO)" sh scripts/obs_smoke.sh
-
-# High-QPS serving smoke: 100 statements pipelined down one /query/stream
-# connection against a live cmd/serve (in-order, length-prefix-framed
-# responses asserted), then a saturation pass against a one-slot admission
-# gate: over-queue arrivals shed 503 + Retry-After, queued work completes.
-stream-smoke:
-	GO="$(GO)" sh scripts/stream_smoke.sh
-
-# Fault-injection suite: the seeded chaos tests under the race detector,
-# then an outage + recovery cycle driven against a live cmd/serve through
-# the /faults control plane.
-chaos:
-	$(GO) test -race -run 'Chaos' ./internal/... -count=1
-	GO="$(GO)" sh scripts/chaos_serve.sh
-
-# Adaptivity smoke: a live cmd/serve with the blackbox flink remote and a
-# fast drift tuner; a 20x latency regime injected through /faults must drive
-# the full loop — drift flagged, candidate retrained from executed-query
-# logs, shadow-scored, promoted (drift flag clears) — and POST /models must
-# roll the promotion back.
-tuner-smoke:
-	GO="$(GO)" sh scripts/tuner_smoke.sh
-
-# Durability smoke: mutate a -data-dir server through the admin surface,
-# SIGKILL it, restart against the same directory, and require byte-identical
-# /explain plans; then a SIGTERM → snapshot-restore cycle.
-crash-smoke:
-	GO="$(GO)" sh scripts/crash_smoke.sh
-
-# Seeded crash-recovery soak: the black-box e2e harness drives randomized
-# actions interleaved with SIGKILL+restart cycles, checking acked mutations,
-# byte-identical plans vs a never-killed reference, breaker recovery, and
-# goroutine leaks after every recovery. The CI default is a short soak; the
-# full acceptance run is
-#   $(GO) test -race ./test/e2e -chaos.actions=2000 -chaos.seed=7 -timeout 30m
-crash-soak:
-	$(GO) test -race ./test/e2e -run TestCrashRecoverySoak -count=1
-
-ci: vet bench-vet build race allocs bench fuzz-smoke bench-snapshot-smoke smoke trace-smoke obs-smoke stream-smoke chaos tuner-smoke crash-smoke crash-soak
+# Every test runs exactly once: under the race detector in `race` (test/e2e
+# included, which then builds a race-instrumented server), or without it in
+# `allocs` (the tests that skip under -race).
+ci: vet bench-vet build race allocs fuzz-smoke

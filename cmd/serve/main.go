@@ -90,6 +90,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -111,7 +112,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (must be positive)")
 	seed := flag.Int64("seed", 1, "simulator noise seed")
 	workers := flag.Int("workers", 0, "worker bound for model training (0 = process default)")
 	cacheSize := flag.Int("cache-size", 0, "plan cache capacity (0 = default 256, negative disables)")
@@ -130,7 +131,7 @@ func main() {
 	traceBuffer := flag.Int("trace-buffer", 0, "recent-trace ring capacity (0 = default 64, negative disables)")
 	logicalRemote := flag.Bool("logical-remote", false, "add the blackbox 'flink' remote with logical-op (tunable) cost models")
 	tuneInterval := flag.Duration("tune-interval", 0, "drift-tuner poll period (0 disables the background tuner)")
-	tuneDriftQ := flag.Float64("tune-drift-q", 0, "mean q-error above which the tuner treats a model as drifting (0 = default 2.0)")
+	tuneDriftQ := flag.Float64("tune-drift-q", 0, "mean q-error above which an accuracy window reads drifting, to the tuner and on /metrics/prom alike (0 = default 2.0)")
 	tuneHoldout := flag.Int("tune-holdout", 0, "per-model holdout records withheld for candidate shadow scoring (0 = default 8)")
 	tuneMinLog := flag.Int("tune-min-log", 0, "minimum per-model execution log before a candidate tune (0 = default 16)")
 	dataDir := flag.String("data-dir", "", "durable state directory: snapshots + write-ahead log (empty = stateless)")
@@ -148,6 +149,13 @@ func main() {
 	sloSlow := flag.Duration("slo-slow", 5*time.Minute, "slow burn-rate window")
 	sloBurn := flag.Float64("slo-burn", 14, "burn-rate multiple that fires an SLO alert")
 	flag.Parse()
+	// Server.Handler reads a non-positive timeout as its 30s default, while
+	// WriteTimeout below is built from the flag itself; refuse the value
+	// rather than run 30s handlers under a 5s (or no) write timeout.
+	if *timeout <= 0 {
+		fmt.Fprintln(os.Stderr, "serve: -timeout must be positive")
+		os.Exit(2)
+	}
 
 	log.Printf("building demo federation (seed %d)...", *seed)
 	fed, err := demo.BuildFederation(demo.Config{
@@ -290,7 +298,6 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		// The timeout handler bounds the work; give writes a little slack
@@ -303,11 +310,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Listen before logging, so the line names the bound address: with
+	// -addr 127.0.0.1:0 it is how a caller (test/e2e) learns the port.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "serve:", err)
+		os.Exit(1)
+	}
+	log.Printf("serving on %s", ln.Addr())
 	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("serving on %s", *addr)
-		errCh <- srv.ListenAndServe()
-	}()
+	go func() { errCh <- srv.Serve(ln) }()
 
 	select {
 	case <-ctx.Done():

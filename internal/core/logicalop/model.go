@@ -109,7 +109,7 @@ type Estimate struct {
 // Model is one trained logical-operator costing model (one per operator
 // kind, e.g. the seven-dimension join model of Figure 2).
 type Model struct {
-	// mu is reader/writer: the serving path (Estimate, PredictBatch and the
+	// mu is reader/writer: the serving path (Estimate and the
 	// accessors) shares the read lock — safe because nn.Regressor prediction
 	// is concurrency-safe and everything else those paths touch is only
 	// written under the exclusive lock, which the mutators (Observe, SeedLog,
@@ -563,12 +563,4 @@ func (m *Model) OfflineTune(tc nn.TrainConfig) (*nn.TrainResult, error) {
 		rm = math.NaN()
 	}
 	return &nn.TrainResult{FinalRMSE: rm}, nil
-}
-
-// PredictBatch evaluates the plain network over a set of inputs (no remedy);
-// the experiment harness uses it for the accuracy scatter plots.
-func (m *Model) PredictBatch(x [][]float64) []float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.reg.PredictAll(x)
 }

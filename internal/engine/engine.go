@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,6 +116,9 @@ type Engine struct {
 	// (system, operator kind), keyed "system/kind". Lock-free reads on the
 	// serving path; windows are created on first observation.
 	accuracy *registry.Map[*metrics.Accuracy]
+	// driftQ is the configured drift threshold as math.Float64bits (zero:
+	// the windows' default), kept so windows created later get it too.
+	driftQ atomic.Uint64
 	// stepStates caches per-(system, operator kind) hot-path state — the
 	// retry salt and the accuracy-window pointer — behind an atomic
 	// snapshot, so executeStep does not rebuild the "system/kind" key (two
@@ -347,7 +351,21 @@ func (e *Engine) accuracyFor(system, kind string) *metrics.Accuracy {
 	if !e.accuracy.SetIfAbsent(key, a) {
 		a, _ = e.accuracy.Get(key)
 	}
+	// Read after the insert: a concurrent setDriftThreshold either finds the
+	// window in its sweep or stored its value before this load.
+	a.SetDriftThreshold(math.Float64frombits(e.driftQ.Load()))
 	return a
+}
+
+// setDriftThreshold makes q the mean q-error above which every accuracy
+// window, existing or created later, reports Drifting (q <= 0 selects
+// metrics.DefaultDriftQError). The window's flag is the only drift decision:
+// Stats, /metrics/prom and the tuner all read it.
+func (e *Engine) setDriftThreshold(q float64) {
+	e.driftQ.Store(math.Float64bits(q))
+	for _, a := range e.accuracy.Snapshot() {
+		a.SetDriftThreshold(q)
+	}
 }
 
 // ResetAccuracy empties every accuracy window belonging to a system. The

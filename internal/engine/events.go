@@ -14,9 +14,6 @@ func (e *Engine) SetEventRecorder(r *obs.Recorder) {
 	e.events.Store(r)
 }
 
-// EventRecorder returns the attached recorder (nil when events are off).
-func (e *Engine) EventRecorder() *obs.Recorder { return e.events.Load() }
-
 // emitEvent feeds the recorder at query completion: every query observes
 // the end-to-end latency histogram, then the sampler decides whether this
 // one becomes a wide event. The event struct (and the statement hash) is

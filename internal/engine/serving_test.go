@@ -268,55 +268,3 @@ func TestPlanCacheDisabled(t *testing.T) {
 		t.Errorf("disabled cache recorded traffic: %+v", s)
 	}
 }
-
-// BenchmarkExplain measures the plan-cache speedup on repeated identical
-// statements: "cold" replans every time (cache disabled), "cached" hits the
-// plan cache. The issue's acceptance bar is a ≥10× gap.
-func BenchmarkExplain(b *testing.B) {
-	build := func(b *testing.B, cacheSize int) *Engine {
-		b.Helper()
-		e, err := New(Config{Seed: 9, PlanCacheSize: cacheSize})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, err := remote.NewHive("hive", cluster.DefaultHive(), remote.Options{NoiseAmp: 0.01, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := e.RegisterRemoteSubOp(h, remote.EngineHive, subop.InHouseComparable); err != nil {
-			b.Fatal(err)
-		}
-		for _, spec := range []ts{{1000000, 100}, {100000, 100}, {10000000, 250}} {
-			tb, err := datagen.Table(spec.rows, spec.size, "hive")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := e.RegisterTable(tb); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return e
-	}
-	const sql = "SELECT r.a1 FROM t10000000_250 r JOIN t100000_100 s ON r.a1 = s.a1 JOIN t1000000_100 u ON s.a1 = u.a1 WHERE r.a1 < 500000 ORDER BY r.a1 LIMIT 10"
-	b.Run("cold", func(b *testing.B) {
-		e := build(b, -1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Explain(sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		e := build(b, 0)
-		if _, err := e.Explain(sql); err != nil { // warm
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Explain(sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

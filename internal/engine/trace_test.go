@@ -272,11 +272,6 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryUntraced and BenchmarkQueryTraced bracket the tracing
-// overhead on the full serving path (compare with benchstat; the untraced
-// path must stay within noise of a build without instrumentation — the
-// disabled hot path is one context lookup and nil-receiver calls, pinned
-// allocation-free by the trace package's AllocsPerRun test).
 func benchEngine(b *testing.B) *Engine {
 	b.Helper()
 	e, err := New(Config{Seed: 9})
@@ -300,17 +295,11 @@ func benchEngine(b *testing.B) *Engine {
 	return e
 }
 
-func BenchmarkQueryUntraced(b *testing.B) {
-	e := benchEngine(b)
-	sql := "SELECT a1 FROM t100000_100 WHERE a1 < 100"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(sql); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkQueryTraced is the cost of a warm query with its span tree built.
+// It stays because no ledger row of bench/layers.go times a traced query;
+// the untraced side of the comparison is the engine.query_us row (the
+// disabled path is one context lookup and nil-receiver calls, pinned
+// allocation-free by the trace package's AllocsPerRun test).
 func BenchmarkQueryTraced(b *testing.B) {
 	e := benchEngine(b)
 	sql := "SELECT a1 FROM t100000_100 WHERE a1 < 100"

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"intellisphere/internal/core/hybrid"
@@ -328,13 +327,6 @@ func (e *Engine) ModelVersions(system string) []modelver.Version {
 	return vs
 }
 
-// ModelVersionSystems lists the systems with version history, sorted.
-func (e *Engine) ModelVersionSystems() []string {
-	names := e.versions.Systems()
-	sort.Strings(names)
-	return names
-}
-
 // RollbackModel restores a system's previous model version byte-identically:
 // the newest retained version older than the live one is deserialized and
 // installed through the estimator registry (generation bump, plan-cache
@@ -381,8 +373,8 @@ type TunerConfig struct {
 	// Interval is the drift poll period (0 selects DefaultTuneInterval).
 	Interval time.Duration
 	// DriftQ is the mean q-error above which a (system, operator) window
-	// counts as drifting (0 selects metrics.DefaultDriftQError via the
-	// windows' own Drifting flag).
+	// reports Drifting — to the tuner, Stats and /metrics/prom alike
+	// (0 selects metrics.DefaultDriftQError).
 	DriftQ float64
 	// Debounce is how many consecutive drifting polls arm a system
 	// (0 selects DefaultTuneDebounce).
@@ -418,6 +410,7 @@ func (e *Engine) StartTuner(cfg TunerConfig) *Tuner {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 2 * cfg.Interval
 	}
+	e.setDriftThreshold(cfg.DriftQ)
 	t := &Tuner{
 		e:        e,
 		cfg:      cfg,
@@ -451,8 +444,8 @@ func (t *Tuner) loop() {
 	}
 }
 
-// drifting reports the systems whose accuracy windows currently exceed the
-// tuner's drift threshold, from one stats snapshot.
+// drifting reports the systems with an accuracy window that currently reads
+// Drifting, from one stats snapshot.
 func (t *Tuner) drifting() map[string]bool {
 	out := map[string]bool{}
 	for key, snap := range t.e.AccuracyStats() {
@@ -467,11 +460,7 @@ func (t *Tuner) drifting() map[string]bool {
 		if system == querygrid.Master {
 			continue
 		}
-		drift := snap.Drifting
-		if t.cfg.DriftQ > 0 {
-			drift = snap.Window > 0 && snap.MeanQError > t.cfg.DriftQ
-		}
-		if drift {
+		if snap.Drifting {
 			out[system] = true
 		}
 	}

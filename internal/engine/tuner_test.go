@@ -144,9 +144,6 @@ func TestTuneCandidatePromotion(t *testing.T) {
 	if vs[1].Origin != modelver.OriginTuned || !vs[1].Live || vs[1].Holdout == nil {
 		t.Errorf("tuned version = %+v", vs[1])
 	}
-	if got := e.ModelVersionSystems(); len(got) != 1 || got[0] != "hivebb" {
-		t.Errorf("ModelVersionSystems = %v", got)
-	}
 	if ts := e.Stats().Tuning; ts.Attempts != 1 || ts.Promotions != 1 || ts.Rejections != 0 {
 		t.Errorf("tuning stats = %+v", ts)
 	}

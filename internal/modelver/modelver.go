@@ -223,17 +223,6 @@ func (s *Store) List(system string) []Version {
 	return out
 }
 
-// Systems returns the system names with at least one retained version.
-func (s *Store) Systems() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.versions))
-	for name := range s.versions {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Count returns how many versions a system retains.
 func (s *Store) Count(system string) int {
 	s.mu.Lock()

@@ -44,56 +44,17 @@ func benchTrain(b *testing.B, workers int) {
 
 // BenchmarkNNTrain compares serial (Workers=1) against pool-parallel
 // mini-batch training. Both variants produce bit-identical weights; the
-// delta is pure wall clock.
+// delta is pure wall clock. It stays because training happens off the
+// statement path: no ledger row of bench/layers.go times it.
 func BenchmarkNNTrain(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchTrain(b, 1) })
 	b.Run("parallel", func(b *testing.B) { benchTrain(b, runtime.GOMAXPROCS(0)) })
 }
 
-// BenchmarkForwardBatch compares per-sample Forward calls against the
-// batch-major kernel over one full block (64 samples, the training chunk
-// size). The "kernel" pair isolates the matmul restructuring with a linear
-// activation; the "tanh" pair is the end-to-end join-model shape, where
-// math.Tanh (identical work on both sides, roughly half the block time) caps
-// the achievable ratio. Outputs are bit-identical in every pair; the delta
-// is cache behavior and per-sample dispatch overhead.
-func BenchmarkForwardBatch(b *testing.B) {
-	cases := []struct {
-		name string
-		act  Activation
-	}{
-		{"kernel", Identity},
-		{"tanh", Tanh},
-	}
-	for _, bc := range cases {
-		x, _ := benchData()
-		x = x[:batchBlock]
-		n, err := New(Config{InputDim: 7, Hidden: []int{14, 7}, Activation: bc.act, Seed: 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst := make([]float64, len(x))
-		b.Run(bc.name+"/per-sample", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for j, row := range x {
-					dst[j] = n.Forward(row)
-				}
-			}
-		})
-		b.Run(bc.name+"/batch", func(b *testing.B) {
-			n.ForwardBatch(x, dst) // warm the arena pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.ForwardBatch(x, dst)
-			}
-		})
-	}
-}
-
 // BenchmarkPredictAll measures batched regressor evaluation over the full
-// 4096-sample set, normalization included.
+// 4096-sample set, normalization included. It stays because the ledger's
+// nn.forward_batch_us_per_row row times the bare kernel, not the
+// Regressor.PredictAll the training-set refits call.
 func BenchmarkPredictAll(b *testing.B) {
 	x, y := benchData()
 	reg, _, err := TrainRegressor(x, y, RegressorConfig{

@@ -8,25 +8,9 @@ import (
 )
 
 // benchSQL exercises the widest planning surface: a three-way cross-system
-// join whose every step costs several placement candidates.
+// join whose every step costs several placement candidates. (Timing it is the
+// optimizer.plan_miss_us row of bench/layers.go.)
 const benchSQL = "SELECT r.a1 FROM t10000000_100 r JOIN t1000000_100 s ON r.a1 = s.a1 JOIN s_items u ON s.a1 = u.a1 WHERE r.a1 + u.z < 50000"
-
-// BenchmarkOptimizerPlan measures end-to-end planning of a multi-join query
-// on one goroutine; ns/op and allocs/op are the same at any -cpu.
-func BenchmarkOptimizerPlan(b *testing.B) {
-	f := newFixture(b)
-	stmt, err := sqlparse.Parse(benchSQL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.opt.Plan(stmt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // TestPlanConcurrent drives many simultaneous Plan calls through the shared
 // optimizer and its estimators. Run under -race this verifies the whole

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"intellisphere/internal/datagen"
 	"intellisphere/internal/engine"
 	"intellisphere/internal/faults"
+	"intellisphere/internal/metrics"
 	"intellisphere/internal/remote"
 	"intellisphere/internal/resilience"
 )
@@ -177,5 +179,50 @@ func TestHealthEndpointHealthy(t *testing.T) {
 	}
 	if h.Status != "ok" || h.OpenCount != 0 {
 		t.Fatalf("/health = %+v", h)
+	}
+}
+
+// TestDriftThresholdIsOneDecision: the tuner's DriftQ is the threshold of the
+// accuracy windows themselves, so Stats, /metrics/prom and the tuner agree.
+// Two windows sit between the configured 1.2 and the default 2.0 — hive's
+// aggregation under a 2x latency regime, created before the tuner starts, and
+// the master's scan, created after — and both must read drifting everywhere.
+func TestDriftThresholdIsOneDecision(t *testing.T) {
+	srv, e, inj := newChaosServer(t)
+	inj.SetRates(faults.Rates{Latency: 1, LatencyFactor: 2})
+	query := func(sql string) {
+		t.Helper()
+		if _, err := e.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query("SELECT a5, COUNT(a1) FROM rep_t GROUP BY a5")
+	tuner := e.StartTuner(engine.TunerConfig{Interval: 5 * time.Millisecond, DriftQ: 1.2})
+	defer tuner.Stop()
+	query("SELECT a1 FROM rep_t WHERE a1 < 100")
+
+	acc := e.Stats().Accuracy
+	prom := getText(t, srv.URL+"/metrics/prom")
+	for _, key := range []string{"hive/aggregation", "teradata/scan"} {
+		w := acc[key]
+		if w.MeanQError <= 1.2 || w.MeanQError >= metrics.DefaultDriftQError {
+			t.Fatalf("%s mean q-error = %v, want between the two thresholds", key, w.MeanQError)
+		}
+		if !w.Drifting {
+			t.Errorf("Stats: %s at mean q-error %v not drifting under DriftQ 1.2", key, w.MeanQError)
+		}
+		system, op := splitAccuracyKey(key)
+		line := `intellisphere_estimator_drifting{system="` + system + `",operator="` + op + `"} 1`
+		if !strings.Contains(prom, line+"\n") {
+			t.Errorf("/metrics/prom lacks %q", line)
+		}
+	}
+	// Only hive can arm the tuner: the master's windows never do.
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Stats().Tuning.Attempts == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("tuner never armed on the drifting window")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

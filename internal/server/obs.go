@@ -39,9 +39,6 @@ func (s *Server) WithObservability(o *obs.Observer) *Server {
 	return s
 }
 
-// Observability returns the attached observer (nil when disabled).
-func (s *Server) Observability() *obs.Observer { return s.obs }
-
 // ObsSource builds the cumulative-counter closure the history collector
 // differentiates into per-step rates: engine query/error/retry and
 // plan-cache counters, admission shed/rate-limit counters, the end-to-end

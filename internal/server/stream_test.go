@@ -279,65 +279,6 @@ func TestClientIDHeaderSpellings(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamVsHTTP compares per-statement cost of N one-shot /query
-// requests against the same statements pipelined down one /query/stream
-// connection — the amortization the streaming protocol exists for.
-func BenchmarkStreamVsHTTP(b *testing.B) {
-	eng := newBenchEngine(b)
-	s := New(eng)
-	srv := httptest.NewServer(s.Handler(30 * time.Second))
-	defer srv.Close()
-	sql := "SELECT a1 FROM t100000_100 WHERE a1 < 100"
-
-	b.Run("http", func(b *testing.B) {
-		url := srv.URL + "/query?q=" + strings.ReplaceAll(sql, " ", "+")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			resp, err := http.Get(url)
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	})
-
-	b.Run("stream", func(b *testing.B) {
-		pr, pw := io.Pipe()
-		respCh := make(chan *http.Response, 1)
-		go func() {
-			resp, err := http.Post(srv.URL+"/query/stream", "application/x-ndjson", pr)
-			if err != nil {
-				b.Error(err)
-				respCh <- nil
-				return
-			}
-			respCh <- resp
-		}()
-		line := []byte(sql + "\n")
-		go func() {
-			for i := 0; i < b.N; i++ {
-				if _, err := pw.Write(line); err != nil {
-					return
-				}
-			}
-			pw.Close()
-		}()
-		b.ReportAllocs()
-		resp := <-respCh
-		if resp == nil {
-			b.FailNow()
-		}
-		defer resp.Body.Close()
-		br := bufio.NewReader(resp.Body)
-		for i := 0; i < b.N; i++ {
-			if _, err := readFrame(br); err != nil {
-				b.Fatalf("frame %d: %v", i, err)
-			}
-		}
-	})
-}
-
 // TestQueryStreamOversizedLine pins the per-line byte cap's failure mode: a
 // statement line over maxStreamLine must answer a well-formed error frame in
 // its slot — not kill the stream — and the statements on either side of it

@@ -7,6 +7,9 @@
 # Then the three surface counts the roadmap's north star quotes: HTTP routes,
 # cmd/serve flags, and /metrics/prom series (the checked-in inventory that
 # TestPromSeriesInventory holds to a live scrape; absent before PR 17).
+# Last the tooling around the code: shell lines under scripts/, make targets,
+# steps of `make ci`, Benchmark functions, and the cmd/serve flags that no
+# file under test/e2e passes to the binary.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 git ls-files -- 'internal/*.go' | grep -v -e '_test\.go$' -e '/testdata/' |
@@ -25,3 +28,12 @@ if [ -f "$series" ]; then
 		"$(awk '/^# With -data-dir/ { exit } /^[^#]/ { n++ } END { print n + 0 }' "$series")" \
 		"$(awk '/^# With -data-dir/ { on = 1; next } on && /^[^#]/ { n++ } END { print n + 0 }' "$series")"
 fi
+printf '%7d  shell lines under scripts/\n' "$(git ls-files -- 'scripts/*.sh' | xargs cat | wc -l)"
+printf '%7d  make targets (.PHONY)\n' "$(sed -n 's/^\.PHONY://p' Makefile | wc -w)"
+printf '%7d  steps in make ci\n' "$(sed -n 's/^ci://p' Makefile | wc -w)"
+printf '%7d  Benchmark functions\n' "$(git grep -h '^func Benchmark' -- '*_test.go' | wc -l)"
+unset_flags=$(sed -n 's/.*:= flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' cmd/serve/main.go |
+	while read -r f; do
+		grep -qs -- "\"-$f\"" test/e2e/*.go || printf ' -%s' "$f"
+	done)
+printf '%7d  cmd/serve flags no file under test/e2e passes:%s\n' "$(echo $unset_flags | wc -w)" "$unset_flags"
