@@ -37,7 +37,7 @@ race:
 # (instrumentation allocates), so the race suite alone never enforces one.
 # This runs them — the warm /query path, the never-seen-statement path
 # (parse, plan miss, /query/stream), the NN kernels, the untraced span and
-# noise-key paths — without the detector.
+# noise-key paths, the row engine's local statements — without the detector.
 allocs:
 	$(GO) test -run 'Alloc' ./internal/... -count=1
 
@@ -51,14 +51,17 @@ loc:
 
 # Five seconds of coverage-guided fuzzing per target over the untrusted
 # inputs that have one — SQL text, statements inside JSON, admin JSON bodies
-# — and over the hand-rolled answer encoder against encoding/json. The checked-in corpora
-# under testdata/fuzz already run as plain tests in `race`; this step is what
-# looks for inputs nobody wrote down. A crasher lands in testdata/fuzz/<target>.
+# — over the hand-rolled answer encoder against encoding/json, and over the
+# row engine against the interpreter it replaced (generated statements, not
+# raw bytes). The checked-in corpora under testdata/fuzz already run as plain
+# tests in `race`; this step is what looks for inputs nobody wrote down. A
+# crasher lands in testdata/fuzz/<target>.
 fuzz-smoke:
 	$(GO) test ./internal/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStatementForms$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEncodeAnswer$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzAdminBody$$' -fuzztime 5s
+	$(GO) test ./internal/rowengine -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 5s
 
 # The black-box layer by hand: builds cmd/serve once and drives it over real
 # sockets — four scenarios (defaults, observability, admission, tuner), one

@@ -20,6 +20,13 @@ import (
 // DupFactors lists the duplication factors of the a_i columns.
 func DupFactors() []int { return []int{1, 2, 5, 10, 20, 50, 100} }
 
+// ColumnNames lists the materialized columns in Row order: a<d> for every
+// duplication factor d, then z. It is the one place the names are spelled
+// (ColumnIndex is a search of it).
+func ColumnNames() [8]string {
+	return [8]string{"a1", "a2", "a5", "a10", "a20", "a50", "a100", "z"}
+}
+
 // Cardinalities returns the 20 row-count configurations of Figure 10.
 func Cardinalities() []int64 {
 	ks := []int64{1, 2, 4, 6, 8}
@@ -44,9 +51,10 @@ func Schema(recordSize int) (catalog.Schema, error) {
 		return catalog.Schema{}, fmt.Errorf("datagen: record size %d must exceed the %d-byte fixed columns", recordSize, fixedWidth)
 	}
 	cols := make([]catalog.Column, 0, 9)
-	for _, d := range DupFactors() {
+	names := ColumnNames()
+	for i, d := range DupFactors() {
 		cols = append(cols, catalog.Column{
-			Name:        fmt.Sprintf("a%d", d),
+			Name:        names[i],
 			Type:        catalog.Int,
 			Width:       4,
 			Duplication: float64(d),
@@ -111,6 +119,11 @@ func Register(c *catalog.Catalog, system string) error {
 	return nil
 }
 
+// MaterializeLimit is the largest table Materialize builds, and therefore the
+// largest relation that can exist as rows: the row engine caps its results at
+// the same size.
+const MaterializeLimit = 4_000_000
+
 // Row is one materialized record: the eight integer columns in schema order
 // (a1, a2, a5, a10, a20, a50, a100, z). The dummy padding is not
 // materialized.
@@ -120,15 +133,14 @@ type Row [8]int32
 // column a_i holds rowIndex/i so each value appears exactly i times, values
 // of a smaller table are a subset of any larger table's values (which is
 // what lets Figure 10's join workload control output cardinalities), and z
-// is always zero. Intended for the small tables the row engine executes;
-// callers should keep rows under a few million.
+// is always zero. Intended for the small tables the row engine executes:
+// at most MaterializeLimit rows.
 func Materialize(rows int64) ([]Row, error) {
-	const materializeLimit = 4_000_000
 	if rows <= 0 {
 		return nil, fmt.Errorf("datagen: cannot materialize %d rows", rows)
 	}
-	if rows > materializeLimit {
-		return nil, fmt.Errorf("datagen: refusing to materialize %d rows (limit %d); use statistics-only execution", rows, materializeLimit)
+	if rows > MaterializeLimit {
+		return nil, fmt.Errorf("datagen: refusing to materialize %d rows (limit %d); use statistics-only execution", rows, MaterializeLimit)
 	}
 	dups := DupFactors()
 	out := make([]Row, rows)
@@ -145,13 +157,10 @@ func Materialize(rows int64) ([]Row, error) {
 
 // ColumnIndex maps a Figure 10 column name to its Row index.
 func ColumnIndex(name string) (int, error) {
-	for i, d := range DupFactors() {
-		if name == fmt.Sprintf("a%d", d) {
+	for i, have := range ColumnNames() {
+		if have == name {
 			return i, nil
 		}
-	}
-	if name == "z" {
-		return 7, nil
 	}
 	return 0, fmt.Errorf("datagen: column %q is not materialized", name)
 }

@@ -189,6 +189,23 @@ func TestColumnIndex(t *testing.T) {
 	}
 }
 
+// TestColumnNamesAgree holds the two spellings of the layout together: the
+// name list ColumnIndex searches and the duplication factors behind a<d>.
+func TestColumnNamesAgree(t *testing.T) {
+	names, dups := ColumnNames(), DupFactors()
+	for i, name := range names {
+		if idx, err := ColumnIndex(name); err != nil || idx != i {
+			t.Errorf("ColumnIndex(%q) = %d, %v; want %d", name, idx, err, i)
+		}
+		if i < len(dups) && name != columnName(dups[i]) {
+			t.Errorf("ColumnNames()[%d] = %q, want %q", i, name, columnName(dups[i]))
+		}
+	}
+	if len(dups) != len(names)-1 || names[len(names)-1] != "z" {
+		t.Errorf("layout = %v over %v, want one a<d> per factor then z", names, dups)
+	}
+}
+
 // Property: for every duplication factor d, each value of a_d appears at
 // most d times, and NDV(a_d) ≈ rows/d.
 func TestMaterializeDuplicationProperty(t *testing.T) {

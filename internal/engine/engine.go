@@ -1017,11 +1017,15 @@ func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt, p *opti
 	}
 	// Row-level answers when every referenced table is materialized.
 	if rows, ok := e.materializedFor(stmt); ok {
-		out, rerr := rowengine.Execute(stmt, rows)
+		_, rsp := trace.Start(ctx, "rows")
+		out, rerr := rowengine.ExecuteContext(ctx, stmt, rows)
 		if rerr != nil {
+			rsp.EndErr(rerr)
 			err = fmt.Errorf("engine: row execution: %w", rerr)
 			return nil, err
 		}
+		rsp.SetInt("rows_out", len(out.Rows))
+		rsp.End()
 		res.Rows = out
 	}
 	return res, nil

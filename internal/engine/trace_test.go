@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"intellisphere/internal/cluster"
 	"intellisphere/internal/core/subop"
@@ -309,5 +311,52 @@ func BenchmarkQueryTraced(b *testing.B) {
 		if _, _, err := e.QueryTraced(ctx, sql); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestLocalStatementRowsSpan pins the local half of a trace: a statement over
+// materialized tables spends nearly all of its time in the row engine, and
+// that time is a `rows` span under `execute`, after the plan's steps, with
+// the size of the answer — or, for a statement the row engine gives up on
+// at the request's deadline, the reason.
+func TestLocalStatementRowsSpan(t *testing.T) {
+	e := newEngine(t)
+	registerHive(t, e)
+	registerTables(t, e, "hive", ts{10000, 100}, ts{100000, 100})
+	for _, name := range []string{"t10000_100", "t100000_100"} {
+		if err := e.Materialize(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, tr, err := e.QueryTraced(context.Background(), "SELECT a100, COUNT(*) FROM t10000_100 WHERE a1 < 2500 GROUP BY a100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := findChild(t, tr.Root, "execute")
+	if len(exec.Children) != len(res.Plan.Steps)+1 {
+		t.Fatalf("execute has spans %v for %d steps, want one more: rows", spanNames(exec), len(res.Plan.Steps))
+	}
+	rows := exec.Children[len(exec.Children)-1]
+	if rows.Name != "rows" || rows.Attr("rows_out") != "25" || rows.Error != "" || rows.DurationNanos <= 0 {
+		t.Errorf("last execute span = %q rows_out=%q error=%q duration=%d, want rows / 25 / none / > 0",
+			rows.Name, rows.Attr("rows_out"), rows.Error, rows.DurationNanos)
+	}
+
+	// The 10^10-tuple cross join under a deadline: the engine hands the row
+	// engine its context, so the statement ends at the deadline, as an error
+	// on the span, instead of ending the process.
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, tr, err = e.QueryTraced(ctx, "SELECT COUNT(*) FROM t100000_100 r CROSS JOIN t100000_100 s")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cross join under a 100ms deadline: error = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("cross join took %v to give up on a 100ms deadline", elapsed)
+	}
+	rows = findChild(t, findChild(t, tr.Root, "execute"), "rows")
+	if !strings.Contains(rows.Error, "deadline exceeded") || rows.Attr("rows_out") != "" {
+		t.Errorf("rows span error = %q rows_out = %q, want the deadline and no row count", rows.Error, rows.Attr("rows_out"))
 	}
 }

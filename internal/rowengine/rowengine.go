@@ -1,16 +1,33 @@
-// Package rowengine is a row-at-a-time executor for materialized synthetic
-// tables. The remote-system simulators cost operators analytically over
-// statistics; this engine complements them by actually computing answers
-// (hash joins, cross joins, filters, grouped aggregation) for the small
-// tables the examples and integration tests materialize, so end-to-end
-// federated queries return real rows, not just cost numbers.
+// Package rowengine executes statements over materialized synthetic tables.
+// The remote-system simulators cost operators analytically over statistics;
+// this engine complements them by actually computing answers (index-probe
+// joins, cross joins, filters, grouped aggregation) for the small tables the
+// examples and integration tests materialize, so end-to-end federated queries
+// return real rows, not just cost numbers.
+//
+// A statement is bound once — every column reference resolved to a (binding
+// ordinal, column offset) pair and the statement validated before a row is
+// read (bind.go) — and then streamed through one push-style pipeline,
+//
+//	scan → (index-probe join)* → filter → project | aggregate
+//
+// in which a tuple is the current row of each binding, side by side in one
+// reused buffer, so no intermediate relation is ever materialized: memory is
+// O(join build sides + output), never O(join size). Three orders are part of
+// the answer and pinned by tests: join output is probe order × build-table
+// row order, filtered rows keep scan order, and groups come out in the
+// lexicographic order of the text rendering of their key tuple (0, 10, 11, …,
+// 19, 1, 2, …).
 package rowengine
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"intellisphere/internal/datagen"
 	"intellisphere/internal/sqlparse"
@@ -38,344 +55,250 @@ type Result struct {
 	Rows    [][]float64
 }
 
-// boundRow is one (possibly joined) input tuple: one row per binding in
-// FROM/JOIN order (later entries are nil while the join chain is still
-// being built).
-type boundRow struct {
-	rows []*datagen.Row
-}
+// maxResultRows caps the rows of a result and the groups of an aggregation at
+// the size of the largest table that can exist, so every single-table answer
+// fits and a join cannot emit its product. A variable only so that the test
+// of the cap need not emit four million rows.
+var maxResultRows = datagen.MaterializeLimit
 
-// executor holds the bound execution state.
-type executor struct {
-	stmt     *sqlparse.SelectStmt
-	bindings []string // in FROM order
-	tables   map[string]*Table
-}
+// pollEvery is how many tuples the pipeline moves between looks at its
+// context: often enough that a canceled cross join stops within
+// microseconds, rarely enough that a 10 000-row scan looks once or twice.
+const pollEvery = 4096
+
+// errLimit stops the pipeline once a LIMIT without ORDER BY has its rows.
+var errLimit = errors.New("rowengine: limit reached")
 
 // Execute runs the statement over the given tables (keyed by table name).
 func Execute(stmt *sqlparse.SelectStmt, tables map[string]*Table) (*Result, error) {
-	ex := &executor{stmt: stmt, tables: map[string]*Table{}}
-	bind := func(tr sqlparse.TableRef) error {
-		t, ok := tables[tr.Name]
-		if !ok {
-			return fmt.Errorf("rowengine: table %q is not materialized", tr.Name)
-		}
-		b := tr.Binding()
-		if _, dup := ex.tables[b]; dup {
-			return fmt.Errorf("rowengine: duplicate binding %q", b)
-		}
-		ex.tables[b] = t
-		ex.bindings = append(ex.bindings, b)
-		return nil
-	}
-	if err := bind(stmt.From); err != nil {
-		return nil, err
-	}
-	for i := range stmt.Joins {
-		if err := bind(stmt.Joins[i].Table); err != nil {
-			return nil, err
-		}
-	}
+	return ExecuteContext(context.Background(), stmt, tables)
+}
 
-	rows, err := ex.produce()
+// ExecuteContext is Execute under a context: the pipeline gives up with
+// ctx.Err() within pollEvery tuples of the context ending, however large the
+// join it is in the middle of.
+func ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, tables map[string]*Table) (*Result, error) {
+	q, err := bind(stmt, tables)
 	if err != nil {
 		return nil, err
 	}
-	rows, err = ex.filter(rows)
-	if err != nil {
+	p := pipeline{query: q, ctx: ctx, tuple: make([]int32, len(q.levels)*rowWidth), groupOf: map[string]int{}}
+	for i := range q.levels {
+		if q.levels[i].equi {
+			if err := p.buildIndex(i); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := p.step(0); err != nil && err != errLimit {
 		return nil, err
 	}
-	var res *Result
-	if ex.stmt.HasAggregates() || len(ex.stmt.GroupBy) > 0 {
-		res, err = ex.aggregate(rows)
+	res := &Result{Columns: q.names}
+	if q.aggregate {
+		res.Rows = p.groupRows()
 	} else {
-		res, err = ex.project(rows)
+		res.Rows = cutRows(p.out, len(q.names))
 	}
-	if err != nil {
-		return nil, err
-	}
-	if err := orderAndLimit(res, stmt); err != nil {
-		return nil, err
+	sortRows(res.Rows, q.orderBy)
+	if q.limit > 0 && int64(len(res.Rows)) > q.limit {
+		res.Rows = res.Rows[:q.limit]
 	}
 	return res, nil
 }
 
-// orderAndLimit applies the ORDER BY keys (which must name output columns)
-// and the LIMIT row cap to a computed result.
-func orderAndLimit(res *Result, stmt *sqlparse.SelectStmt) error {
-	if len(stmt.OrderBy) > 0 {
-		idx := make([]int, len(stmt.OrderBy))
-		for i, o := range stmt.OrderBy {
-			j, err := outputColumn(res.Columns, o.Col)
-			if err != nil {
-				return err
-			}
-			idx[i] = j
-		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			for i, o := range stmt.OrderBy {
-				va, vb := res.Rows[a][idx[i]], res.Rows[b][idx[i]]
-				if va == vb {
-					continue
-				}
-				if o.Desc {
-					return va > vb
-				}
-				return va < vb
-			}
-			return false
-		})
+// pipeline is the run state of one bound statement.
+type pipeline struct {
+	*query
+	ctx   context.Context
+	tuple []int32 // the current row of each binding, back to back in FROM/JOIN order
+	moved int     // tuples moved so far, for polling ctx
+
+	out []float64 // projected rows, back to back
+
+	// Groups are numbered in first-seen order. A group is found by the bytes
+	// of its key tuple, so a row's lookup allocates nothing and a new group
+	// costs its key; no GROUP BY is the one group of the empty tuple, which
+	// exists once a tuple has reached it.
+	groupOf map[string]int
+	key     []byte     // the key being looked up
+	keys    []int32    // group g's key is keys[g*len(groupBy):(g+1)*len(groupBy)]
+	aggs    []aggState // group g's states are aggs[g*len(items):(g+1)*len(items)]
+}
+
+// set makes row the current row of binding i.
+func (p *pipeline) set(i int, row *datagen.Row) {
+	*(*datagen.Row)(p.tuple[i*rowWidth:]) = *row
+}
+
+// tick counts one tuple moved and looks at the context every pollEvery.
+func (p *pipeline) tick() error {
+	p.moved++
+	if p.moved%pollEvery != 0 {
+		return nil
 	}
-	if stmt.Limit > 0 && int64(len(res.Rows)) > stmt.Limit {
-		res.Rows = res.Rows[:stmt.Limit]
+	return p.ctx.Err()
+}
+
+// bucket spreads a join key over 1<<(32-shift) chains (Fibonacci hashing: the
+// high bits of the product mix every bit of the key).
+func bucket(key int32, shift uint) uint32 {
+	return uint32(key) * 2654435769 >> shift
+}
+
+// buildIndex hashes level i's table on its join column into two flat arrays:
+// head[b] is the first row of chain b, next[r] the row after r in its chain,
+// -1 ending it. Rows failing the level's own conjuncts are left out, and
+// inserting from the last row to the first makes every chain ascend, so a
+// probe meets its matches in the table's row order.
+func (p *pipeline) buildIndex(i int) error {
+	lv := &p.levels[i]
+	bits := uint(1)
+	for 1<<bits < len(lv.rows) {
+		bits++
+	}
+	lv.shift = 32 - bits
+	lv.head = make([]int32, 1<<bits)
+	for b := range lv.head {
+		lv.head[b] = -1
+	}
+	lv.next = make([]int32, len(lv.rows))
+	for r := len(lv.rows) - 1; r >= 0; r-- {
+		if err := p.tick(); err != nil {
+			return err
+		}
+		if !pass(lv.where, lv.rows[r][:]) {
+			continue
+		}
+		b := bucket(lv.rows[r][lv.key], lv.shift)
+		lv.next[r] = lv.head[b]
+		lv.head[b] = int32(r)
 	}
 	return nil
 }
 
-// outputColumn resolves an ORDER BY reference against the result's output
-// column names (exact rendered name, alias, or unqualified suffix match).
-func outputColumn(columns []string, c sqlparse.ColRef) (int, error) {
-	want := c.String()
-	match := -1
-	for j, name := range columns {
-		if name == want || name == c.Column || strings.HasSuffix(name, "."+c.Column) {
-			if match >= 0 {
-				return 0, fmt.Errorf("rowengine: ambiguous ORDER BY column %q", want)
+// step extends the current tuple with every row of level i that joins it —
+// the whole table for FROM and CROSS JOIN, one index chain for JOIN … ON —
+// and pushes each extension to the next level; past the last level the tuple
+// is complete and goes to emit.
+func (p *pipeline) step(i int) error {
+	if i == len(p.levels) {
+		return p.emit()
+	}
+	lv := &p.levels[i]
+	if lv.equi {
+		key := p.tuple[lv.probe]
+		for r := lv.head[bucket(key, lv.shift)]; r >= 0; r = lv.next[r] {
+			if err := p.tick(); err != nil {
+				return err
 			}
-			match = j
+			if lv.rows[r][lv.key] != key {
+				continue
+			}
+			p.set(i, &lv.rows[r])
+			if err := p.step(i + 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for r := range lv.rows {
+		if err := p.tick(); err != nil {
+			return err
+		}
+		if !pass(lv.where, lv.rows[r][:]) {
+			continue
+		}
+		p.set(i, &lv.rows[r])
+		if err := p.step(i + 1); err != nil {
+			return err
 		}
 	}
-	if match < 0 {
-		return 0, fmt.Errorf("rowengine: ORDER BY column %q is not in the output", want)
-	}
-	return match, nil
+	return nil
 }
 
-// colIndex resolves a column reference to (binding, row index).
-func (ex *executor) colIndex(c sqlparse.ColRef) (string, int, error) {
-	idx, err := datagen.ColumnIndex(c.Column)
-	if err != nil {
-		return "", 0, err
-	}
-	if c.Qualifier != "" {
-		if _, ok := ex.tables[c.Qualifier]; !ok {
-			return "", 0, fmt.Errorf("rowengine: unknown binding %q", c.Qualifier)
-		}
-		return c.Qualifier, idx, nil
-	}
-	if len(ex.bindings) == 1 {
-		return ex.bindings[0], idx, nil
-	}
-	return "", 0, fmt.Errorf("rowengine: ambiguous unqualified column %q in a join", c.Column)
-}
-
-// bindingIndex returns a binding's position in FROM/JOIN order.
-func (ex *executor) bindingIndex(binding string) (int, error) {
-	for i, b := range ex.bindings {
-		if b == binding {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("rowengine: unresolved binding %q", binding)
-}
-
-// value evaluates a column reference on a bound row.
-func (ex *executor) value(r boundRow, c sqlparse.ColRef) (float64, error) {
-	b, idx, err := ex.colIndex(c)
-	if err != nil {
-		return 0, err
-	}
-	bi, err := ex.bindingIndex(b)
-	if err != nil {
-		return 0, err
-	}
-	if bi >= len(r.rows) || r.rows[bi] == nil {
-		return 0, fmt.Errorf("rowengine: no joined row for binding %q", b)
-	}
-	return float64(r.rows[bi][idx]), nil
-}
-
-// eval evaluates an additive expression on a bound row.
-func (ex *executor) eval(r boundRow, e sqlparse.Expr) (float64, error) {
+// eval sums a bound expression over the values its columns index — a tuple,
+// or one row for a conjunct bound to a single level — term by term from zero:
+// the order is part of the float64 answer.
+func eval(e []term, vals []int32) float64 {
 	total := 0.0
-	for _, t := range e.Terms {
-		v := t.Constant
-		if t.Col != nil {
-			var err error
-			v, err = ex.value(r, *t.Col)
-			if err != nil {
-				return 0, err
-			}
+	for i := range e {
+		t := &e[i]
+		v := t.constant
+		if t.isCol {
+			v = float64(vals[t.col])
 		}
-		if t.Negated {
+		if t.negated {
 			total -= v
 		} else {
 			total += v
 		}
 	}
-	return total, nil
+	return total
 }
 
-// produce yields the scan output or the left-deep join chain's tuples:
-// each JOIN hash-builds on the newly joined table and probes with the
-// intermediate result so far.
-func (ex *executor) produce() ([]boundRow, error) {
-	n := len(ex.bindings)
-	left := ex.tables[ex.bindings[0]]
-	cur := make([]boundRow, len(left.Rows))
-	for i := range left.Rows {
-		rows := make([]*datagen.Row, n)
-		rows[0] = &left.Rows[i]
-		cur[i] = boundRow{rows: rows}
+// pass reports whether the values satisfy every conjunct.
+func pass(where []predicate, vals []int32) bool {
+	for i := range where {
+		w := &where[i]
+		v, ok := eval(w.left, vals), false
+		switch w.op {
+		case opEQ:
+			ok = v == w.value
+		case opLT:
+			ok = v < w.value
+		case opLE:
+			ok = v <= w.value
+		case opGT:
+			ok = v > w.value
+		case opGE:
+			ok = v >= w.value
+		case opNE:
+			ok = v != w.value
+		}
+		if !ok {
+			return false
+		}
 	}
-	for ji := range ex.stmt.Joins {
-		j := &ex.stmt.Joins[ji]
-		next := ex.tables[ex.bindings[ji+1]]
-		if j.Cross {
-			out := make([]boundRow, 0, len(cur)*len(next.Rows))
-			for _, r := range cur {
-				for k := range next.Rows {
-					rows := append([]*datagen.Row(nil), r.rows...)
-					rows[ji+1] = &next.Rows[k]
-					out = append(out, boundRow{rows: rows})
-				}
-			}
-			cur = out
-			continue
-		}
-		// One condition side must reference the newly joined table; the
-		// other references an earlier binding in the chain.
-		newCol, probeCol := j.Left, j.Right
-		nb, _, err := ex.colIndex(newCol)
-		if err != nil {
-			return nil, err
-		}
-		if nb != ex.bindings[ji+1] {
-			newCol, probeCol = j.Right, j.Left
-		}
-		nb, nIdx, err := ex.colIndex(newCol)
-		if err != nil {
-			return nil, err
-		}
-		if nb != ex.bindings[ji+1] {
-			return nil, fmt.Errorf("rowengine: join %d condition does not reference %q", ji+1, ex.bindings[ji+1])
-		}
-		pb, _, err := ex.colIndex(probeCol)
-		if err != nil {
-			return nil, err
-		}
-		pi, err := ex.bindingIndex(pb)
-		if err != nil {
-			return nil, err
-		}
-		if pi > ji {
-			return nil, fmt.Errorf("rowengine: join %d probes binding %q which is not yet joined", ji+1, pb)
-		}
-		ht := make(map[int32][]*datagen.Row, len(next.Rows))
-		for k := range next.Rows {
-			key := next.Rows[k][nIdx]
-			ht[key] = append(ht[key], &next.Rows[k])
-		}
-		var out []boundRow
-		for _, r := range cur {
-			key, err := ex.value(r, probeCol)
-			if err != nil {
-				return nil, err
-			}
-			for _, match := range ht[int32(key)] {
-				rows := append([]*datagen.Row(nil), r.rows...)
-				rows[ji+1] = match
-				out = append(out, boundRow{rows: rows})
-			}
-		}
-		cur = out
-	}
-	return cur, nil
+	return true
 }
 
-// filter applies the WHERE conjuncts.
-func (ex *executor) filter(rows []boundRow) ([]boundRow, error) {
-	if len(ex.stmt.Where) == 0 {
-		return rows, nil
+// emit takes a complete tuple through the conjuncts that read more than one
+// binding and into the statement's sink.
+func (p *pipeline) emit() error {
+	if !pass(p.where, p.tuple) {
+		return nil
 	}
-	out := rows[:0]
-	for _, r := range rows {
-		keep := true
-		for _, p := range ex.stmt.Where {
-			v, err := ex.eval(r, p.Left)
-			if err != nil {
-				return nil, err
-			}
-			if !compare(v, p.Op, p.Value) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, r)
-		}
+	if p.aggregate {
+		return p.accumulate()
 	}
-	return out, nil
+	rows := len(p.out) / len(p.columns)
+	if rows >= maxResultRows {
+		return errTooLarge()
+	}
+	for _, c := range p.columns {
+		p.out = append(p.out, float64(p.tuple[c]))
+	}
+	if len(p.orderBy) == 0 && int64(rows+1) == p.limit {
+		return errLimit
+	}
+	return nil
 }
 
-func compare(v float64, op string, rhs float64) bool {
-	switch op {
-	case "=":
-		return v == rhs
-	case "<":
-		return v < rhs
-	case "<=":
-		return v <= rhs
-	case ">":
-		return v > rhs
-	case ">=":
-		return v >= rhs
-	case "<>":
-		return v != rhs
-	default:
-		return false
-	}
+func errTooLarge() error {
+	return fmt.Errorf("rowengine: result exceeds %d rows: add a LIMIT (without ORDER BY) or aggregate", maxResultRows)
 }
 
-// project renders non-aggregate output.
-func (ex *executor) project(rows []boundRow) (*Result, error) {
-	items := ex.stmt.Items
-	// Expand `*` to every materialized column of every binding.
-	var cols []sqlparse.ColRef
-	var names []string
-	for _, it := range items {
-		if it.Star {
-			for _, b := range ex.bindings {
-				for _, d := range datagen.DupFactors() {
-					name := fmt.Sprintf("a%d", d)
-					cols = append(cols, sqlparse.ColRef{Qualifier: b, Column: name})
-					names = append(names, b+"."+name)
-				}
-				cols = append(cols, sqlparse.ColRef{Qualifier: b, Column: "z"})
-				names = append(names, b+".z")
-			}
-			continue
-		}
-		cols = append(cols, it.Col)
-		if it.Alias != "" {
-			names = append(names, it.Alias)
-		} else {
-			names = append(names, it.Col.String())
-		}
+// cutRows slices a slab of back-to-back rows into row headers (nil for none,
+// as an appended-to nil slice would be).
+func cutRows(slab []float64, width int) [][]float64 {
+	if len(slab) == 0 {
+		return nil
 	}
-	res := &Result{Columns: names}
-	for _, r := range rows {
-		out := make([]float64, len(cols))
-		for i, c := range cols {
-			v, err := ex.value(r, c)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		res.Rows = append(res.Rows, out)
+	rows := make([][]float64, len(slab)/width)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
 	}
-	return res, nil
+	return rows
 }
 
 // aggState accumulates one aggregate for one group.
@@ -386,111 +309,108 @@ type aggState struct {
 	max   float64
 }
 
-// aggregate computes GROUP BY output.
-func (ex *executor) aggregate(rows []boundRow) (*Result, error) {
-	type group struct {
-		keys []float64
-		aggs []aggState
+// accumulate folds the current tuple into its group.
+func (p *pipeline) accumulate() error {
+	p.key = p.key[:0]
+	for _, c := range p.groupBy {
+		v := p.tuple[c]
+		p.key = append(p.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
-	var aggItems []sqlparse.SelectItem
-	var names []string
-	for _, it := range ex.stmt.Items {
-		if it.Star {
-			return nil, fmt.Errorf("rowengine: * cannot mix with aggregates")
+	g, ok := p.groupOf[string(p.key)]
+	if !ok {
+		if g = len(p.groupOf); g >= maxResultRows {
+			return errTooLarge()
 		}
-		if it.Agg == sqlparse.AggNone {
-			// Plain columns must appear in GROUP BY.
-			found := false
-			for _, g := range ex.stmt.GroupBy {
-				if g.String() == it.Col.String() || g.Column == it.Col.Column {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("rowengine: column %s not in GROUP BY", it.Col)
-			}
+		p.groupOf[string(p.key)] = g
+		for _, c := range p.groupBy {
+			p.keys = append(p.keys, p.tuple[c])
 		}
-		if it.Alias != "" {
-			names = append(names, it.Alias)
-		} else {
-			names = append(names, it.String())
+		for range p.items {
+			p.aggs = append(p.aggs, aggState{min: math.Inf(1), max: math.Inf(-1)})
 		}
-		aggItems = append(aggItems, it)
 	}
+	states := p.aggs[g*len(p.items):]
+	for i := range p.items {
+		it := &p.items[i]
+		if it.fn == sqlparse.AggNone {
+			continue
+		}
+		v := eval(it.arg, p.tuple)
+		st := &states[i]
+		st.sum += v
+		st.count++
+		if v < st.min {
+			st.min = v
+		}
+		if v > st.max {
+			st.max = v
+		}
+	}
+	return nil
+}
 
-	groups := map[string]*group{}
-	var order []string
-	for _, r := range rows {
-		keys := make([]float64, len(ex.stmt.GroupBy))
-		keyStr := ""
-		for i, g := range ex.stmt.GroupBy {
-			v, err := ex.value(r, g)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
-			keyStr += fmt.Sprintf("%v|", v)
+// groupRows renders the groups as result rows, ordered by the text of their
+// key tuples ("%v|" per key, so 10 sorts before 2 and a million is 1e+06):
+// the order this engine has always answered in, rendered once per group.
+func (p *pipeline) groupRows() [][]float64 {
+	n, width := len(p.groupOf), len(p.groupBy)
+	var text []byte
+	ends := make([]int, n+1)
+	for g := 0; g < n; g++ {
+		for _, k := range p.keys[g*width : (g+1)*width] {
+			text = append(strconv.AppendFloat(text, float64(k), 'g', -1, 64), '|')
 		}
-		gr, ok := groups[keyStr]
-		if !ok {
-			gr = &group{keys: keys, aggs: make([]aggState, len(aggItems))}
-			for i := range gr.aggs {
-				gr.aggs[i].min = math.Inf(1)
-				gr.aggs[i].max = math.Inf(-1)
+		ends[g+1] = len(text)
+	}
+	order := make([]int, n)
+	for g := range order {
+		order[g] = g
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ga, gb := order[a], order[b]
+		return bytes.Compare(text[ends[ga]:ends[ga+1]], text[ends[gb]:ends[gb+1]]) < 0
+	})
+	slab := make([]float64, 0, n*len(p.items))
+	for _, g := range order {
+		states := p.aggs[g*len(p.items):]
+		for i := range p.items {
+			it, st, v := &p.items[i], &states[i], 0.0
+			switch it.fn {
+			case sqlparse.AggNone:
+				v = float64(p.keys[g*width+it.key])
+			case sqlparse.AggSum:
+				v = st.sum
+			case sqlparse.AggCount:
+				v = st.count
+			case sqlparse.AggAvg:
+				v = st.sum / st.count
+			case sqlparse.AggMin:
+				v = st.min
+			case sqlparse.AggMax:
+				v = st.max
 			}
-			groups[keyStr] = gr
-			order = append(order, keyStr)
+			slab = append(slab, v)
 		}
-		for i, it := range aggItems {
-			if it.Agg == sqlparse.AggNone {
+	}
+	return cutRows(slab, len(p.items))
+}
+
+// sortRows orders rows by the bound ORDER BY keys, stably.
+func sortRows(rows [][]float64, keys []orderKey) {
+	if len(keys) == 0 {
+		return
+	}
+	sort.SliceStable(rows, func(a, b int) bool {
+		for _, k := range keys {
+			va, vb := rows[a][k.column], rows[b][k.column]
+			if va == vb {
 				continue
 			}
-			v, err := ex.eval(r, it.Arg)
-			if err != nil {
-				return nil, err
+			if k.desc {
+				return va > vb
 			}
-			st := &gr.aggs[i]
-			st.sum += v
-			st.count++
-			if v < st.min {
-				st.min = v
-			}
-			if v > st.max {
-				st.max = v
-			}
+			return va < vb
 		}
-	}
-	sort.Strings(order)
-	res := &Result{Columns: names}
-	for _, k := range order {
-		gr := groups[k]
-		out := make([]float64, len(aggItems))
-		for i, it := range aggItems {
-			switch it.Agg {
-			case sqlparse.AggNone:
-				// Group key column: find its position in GROUP BY.
-				for gi, g := range ex.stmt.GroupBy {
-					if g.String() == it.Col.String() || g.Column == it.Col.Column {
-						out[i] = gr.keys[gi]
-						break
-					}
-				}
-			case sqlparse.AggSum:
-				out[i] = gr.aggs[i].sum
-			case sqlparse.AggCount:
-				out[i] = gr.aggs[i].count
-			case sqlparse.AggAvg:
-				if gr.aggs[i].count > 0 {
-					out[i] = gr.aggs[i].sum / gr.aggs[i].count
-				}
-			case sqlparse.AggMin:
-				out[i] = gr.aggs[i].min
-			case sqlparse.AggMax:
-				out[i] = gr.aggs[i].max
-			}
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	return res, nil
+		return false
+	})
 }

@@ -158,6 +158,61 @@ func TestQueuedPastDeadline(t *testing.T) {
 	}
 }
 
+// TestHostileLocalStatement: 64 bytes of SQL over a materialized table — a
+// cross join of 10^10 tuples — used to ask the row engine for a 240 GB
+// intermediate relation and end the process ("fatal error: runtime: out of
+// memory": nothing to recover, and the deadline was never consulted). The row
+// engine now streams the join and polls the request's context, so the
+// statement is a 503 at its deadline, on /query and in its /query/batch slot,
+// the server goes on answering, and the admission counters still add up.
+func TestHostileLocalStatement(t *testing.T) {
+	e := newBenchEngine(t)
+	if err := e.Materialize("t100000_100"); err != nil {
+		t.Fatal(err)
+	}
+	s := New(e)
+	srv := httptest.NewServer(s.Handler(100 * time.Millisecond))
+	t.Cleanup(srv.Close)
+	const sql = "SELECT COUNT(*) FROM t100000_100 r CROSS JOIN t100000_100 s"
+
+	start := time.Now()
+	resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"sql":"`+sql+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTimeout(t, resp)
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Errorf("/query answered after %v, want about the 100 ms deadline", waited)
+	}
+
+	resp, err = http.Post(srv.URL+"/query/batch", "application/json",
+		strings.NewReader(`["SELECT a1 FROM t10000_100 WHERE a1 < 3", "`+sql+`"]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slots []struct {
+		Rows  [][]float64 `json:"rows"`
+		Error string      `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&slots)
+	resp.Body.Close()
+	if err != nil || len(slots) != 2 || len(slots[0].Rows) != 3 || !strings.Contains(slots[1].Error, context.DeadlineExceeded.Error()) {
+		t.Errorf("/query/batch = %+v (%v), want three rows and a deadline error", slots, err)
+	}
+
+	resp, err = http.Get(srv.URL + "/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/health after the hostile statement = %d, want 200", resp.StatusCode)
+	}
+	if st := s.Admission(); st.Offered != 2 || st.Admitted != 2 || st.InFlight != 0 || !reconciles(st) {
+		t.Errorf("admission after the hostile statement: %+v", st)
+	}
+}
+
 // TestClientHangsUpWhileQueued: a client that goes away while its request
 // waits for a slot leaves nothing behind in the queue or in flight.
 func TestClientHangsUpWhileQueued(t *testing.T) {
