@@ -27,16 +27,16 @@ bench-vet:
 test:
 	$(GO) test ./... -count=1
 
-# The full suite under the race detector — exercises parallel training and
-# concurrent queries through the shared planner, estimators and rings with
-# real contention.
+# The full suite under the race detector — exercises the experiment fan-out
+# and concurrent queries through the shared planner, estimators and rings
+# with real contention.
 race:
 	$(GO) test -race ./... -count=1
 
 # Allocation budgets: every AllocsPerRun-style test skips under -race
 # (instrumentation allocates), so the race suite alone never enforces one.
 # This runs them — the warm /query path, the never-seen-statement path
-# (parse, plan miss, /query/stream), the NN kernels, the untraced span and
+# (parse, plan miss, /query/stream), PredictAll, the untraced span and
 # noise-key paths, the row engine's local statements — without the detector.
 allocs:
 	$(GO) test -run 'Alloc' ./internal/... -count=1
@@ -44,8 +44,9 @@ allocs:
 # Non-test Go lines per internal/* package and in total: the LOC delta a
 # simplicity PR reports next to its bench delta (run it in a clone of the
 # parent commit for the "before"). Then the surface counts: routes, cmd/serve
-# flags, /metrics/prom series; then the tooling counts: shell lines, make
-# targets, CI steps, Benchmark functions, cmd/serve flags no e2e test passes.
+# flags, /metrics/prom series, environment variables read; then the tooling
+# counts: shell lines, make targets, CI steps, Benchmark functions, cmd/serve
+# flags no e2e test passes.
 loc:
 	sh scripts/loc.sh
 

@@ -12,9 +12,9 @@
 // aggregation queries — expect minutes of wall-clock time for the neural
 // training).
 //
-// Independent experiments execute concurrently across the worker pool
-// (bounded by GOMAXPROCS or INTELLISPHERE_WORKERS); every result is
-// identical to a serial run, and output stays in the canonical order.
+// Independent experiments execute concurrently on up to GOMAXPROCS
+// goroutines (GOMAXPROCS=1 runs them one after another); every result is
+// identical either way, and output stays in the canonical order.
 package main
 
 import (

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"testing"
 )
 
@@ -16,7 +18,19 @@ var wallClock = regexp.MustCompile(`\([0-9.]+s wall clock\)`)
 // ablation — byte for byte, wall-clock fields masked. The output is a pure
 // function of the seeds, so a diff here means a change moved an estimate or
 // a simulated actual; regenerate with -update only when that is intended.
+// It runs serially and on four threads: GOMAXPROCS is the one worker count
+// the experiment fan-out (parallel.Map) has, and the bytes may not depend
+// on it.
 func TestQuickGolden(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			testQuickGolden(t)
+		})
+	}
+}
+
+func testQuickGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, false, "all"); err != nil {
 		t.Fatal(err)

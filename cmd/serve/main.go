@@ -114,7 +114,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (must be positive)")
 	seed := flag.Int64("seed", 1, "simulator noise seed")
-	workers := flag.Int("workers", 0, "worker bound for model training (0 = process default)")
 	cacheSize := flag.Int("cache-size", 0, "plan cache capacity (0 = default 256, negative disables)")
 	faultTransient := flag.Float64("fault-transient", 0, "per-call transient failure rate on every remote [0,1)")
 	faultLatency := flag.Float64("fault-latency", 0, "per-call latency-spike rate on every remote [0,1)")
@@ -159,7 +158,7 @@ func main() {
 
 	log.Printf("building demo federation (seed %d)...", *seed)
 	fed, err := demo.BuildFederation(demo.Config{
-		Seed: *seed, Workers: *workers, PlanCacheSize: *cacheSize,
+		Seed: *seed, PlanCacheSize: *cacheSize,
 		Faults: faults.Config{
 			Seed: *faultSeed,
 			Rates: faults.Rates{

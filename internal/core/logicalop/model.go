@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -526,7 +527,8 @@ func (m *Model) RefitAlpha() (float64, int) {
 // OfflineTune folds the execution log into the model (Section 3's offline
 // batch tuning): the logged records join the training set, the network
 // retrains on everything, and each dimension's metadata absorbs the new
-// values under the continuity rule. The log is cleared on success.
+// values under the continuity rule. The log is cleared on success; a call
+// that returns an error has changed nothing, so it can simply be retried.
 func (m *Model) OfflineTune(tc nn.TrainConfig) (*nn.TrainResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -536,18 +538,20 @@ func (m *Model) OfflineTune(tc nn.TrainConfig) (*nn.TrainResult, error) {
 	if tc.Iterations <= 0 {
 		tc = m.cfg.NN.Train
 	}
-	newX := make([][]float64, 0, len(m.logRec))
-	newY := make([]float64, 0, len(m.logRec))
+	// The combined set is built beside the model's own (clipped, so append
+	// copies) and committed only once Retrain, which validates before it
+	// touches anything, has taken it.
+	n := len(m.trainX)
+	allX, allY := slices.Clip(m.trainX), slices.Clip(m.trainY)
 	for _, r := range m.logRec {
-		newX = append(newX, r.X)
-		newY = append(newY, r.Actual)
+		allX = append(allX, slices.Clone(r.X))
+		allY = append(allY, r.Actual)
 	}
-	m.trainX = append(m.trainX, cloneMatrix(newX)...)
-	m.trainY = append(m.trainY, newY...)
-
-	if _, err := m.reg.Retrain(m.trainX, m.trainY, tc); err != nil {
+	if _, err := m.reg.Retrain(allX, allY, tc); err != nil {
 		return nil, fmt.Errorf("logicalop: offline tune: %w", err)
 	}
+	m.trainX, m.trainY = allX, allY
+	newX := allX[n:]
 	col := make([]float64, len(newX))
 	for j := range m.dims {
 		for i := range newX {

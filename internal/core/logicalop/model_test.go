@@ -281,6 +281,71 @@ func TestOfflineTuneExpandsAndImproves(t *testing.T) {
 	}
 }
 
+// TestOfflineTuneFailureChangesNothing: a tune that fails must leave the
+// model exactly as it was — training set, dimension metadata, normalizer
+// bounds, weights and the pending log — so a retry folds every logged
+// execution in once, not twice.
+func TestOfflineTuneFailureChangesNothing(t *testing.T) {
+	good := nn.TrainConfig{Iterations: 50, BatchSize: 16, Optimizer: nn.Adam, Seed: 5}
+	negBatch := good
+	negBatch.BatchSize = -1
+	cases := []struct {
+		name      string
+		extra     []float64 // one more logged record, of this shape, when set
+		failing   nn.TrainConfig
+		retrySize int // TrainingSize after a retry with good; 0 = the retry fails too
+	}{
+		{"negative batch size", nil, negBatch, 52},
+		// Observe checks nothing, so the record reaches Retrain; it must come
+		// back as an error, and it stays in the log for every later attempt.
+		{"wrong-width record", []float64{9, 100, 7}, good, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := trainSynth(t)
+			// Out of the trained range on purpose: a half-applied tune would
+			// widen the bounds.
+			for _, size := range []float64{100, 250, 500, 1000} {
+				m.Observe([]float64{9, size}, synthCost(9, size), 1, 1)
+			}
+			if c.extra != nil {
+				m.Observe(c.extra, 1, 1, 1)
+			}
+			before, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending := m.PendingLog()
+			if _, err := m.OfflineTune(c.failing); err == nil {
+				t.Fatal("failing tune accepted")
+			}
+			after, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != string(before) {
+				t.Error("failed tune changed the model")
+			}
+			if m.TrainingSize() != 48 || m.PendingLog() != pending {
+				t.Errorf("after the failure: training size %d, pending log %d; want 48, %d", m.TrainingSize(), m.PendingLog(), pending)
+			}
+			_, err = m.OfflineTune(good)
+			if c.retrySize == 0 {
+				if err == nil {
+					t.Error("retry over the bad record accepted")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			if m.TrainingSize() != c.retrySize || m.PendingLog() != 0 {
+				t.Errorf("after the retry: training size %d, pending log %d; want %d, 0", m.TrainingSize(), m.PendingLog(), c.retrySize)
+			}
+		})
+	}
+}
+
 func TestOfflineTuneDiscontinuousCreatesIsland(t *testing.T) {
 	m := trainSynth(t)
 	for _, size := range []float64{100, 500, 1000} {

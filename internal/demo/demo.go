@@ -22,8 +22,7 @@ type Config struct {
 	// Seed drives every simulator's noise (remotes derive their own seeds
 	// from it deterministically). Zero selects 1.
 	Seed int64
-	// Workers and PlanCacheSize pass through to the engine configuration.
-	Workers       int
+	// PlanCacheSize passes through to the engine configuration.
 	PlanCacheSize int
 	// Faults configures fault injection on every remote (the master is
 	// never injected). The zero value disables injection entirely, and a
@@ -93,7 +92,7 @@ func BuildFederation(cfg Config) (*Federation, error) {
 		cfg.Seed = 1
 	}
 	eng, err := engine.New(engine.Config{
-		Seed: cfg.Seed, Workers: cfg.Workers, PlanCacheSize: cfg.PlanCacheSize,
+		Seed: cfg.Seed, PlanCacheSize: cfg.PlanCacheSize,
 		Breaker: cfg.Breaker, Retry: cfg.Retry, TraceBuffer: cfg.TraceBuffer,
 	})
 	if err != nil {

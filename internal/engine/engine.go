@@ -50,14 +50,6 @@ type Config struct {
 	Link querygrid.LinkConfig
 	// Seed drives the master's own simulator noise.
 	Seed int64
-	// Workers bounds this engine's worker fan-out for parallel training; the
-	// planner does not use it (it costs a statement's placements on the
-	// calling goroutine). 0 uses the process default (GOMAXPROCS, or the
-	// INTELLISPHERE_WORKERS environment variable); 1 forces serial training.
-	// The setting is scoped to the engine — two engines with different
-	// Workers never affect each other. All results are identical at any
-	// worker count.
-	Workers int
 	// PlanCacheSize bounds the optimizer's plan cache (CLOCK eviction); the
 	// statement cache in front of it holds twice as many. 0 selects the
 	// default (256 plans); negative disables caching entirely.
@@ -101,7 +93,6 @@ type Engine struct {
 	opt          *optimizer.Optimizer
 	fb           *feedbackBatcher
 	stmts        *optimizer.Cache[*sqlparse.SelectStmt] // by raw SQL; nil when caching is disabled
-	workers      int
 
 	breakers *resilience.Group
 	retry    resilience.RetryPolicy
@@ -185,9 +176,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Link.BandwidthBytesPerSec == 0 {
 		cfg.Link = querygrid.DefaultLink()
 	}
-	if cfg.Workers < 0 {
-		cfg.Workers = 0
-	}
 	master, err := remote.NewRDBMS(querygrid.Master, cfg.Master, remote.Options{Seed: cfg.Seed, NoiseAmp: 0.02})
 	if err != nil {
 		return nil, fmt.Errorf("engine: build master simulator: %w", err)
@@ -205,7 +193,6 @@ func New(cfg Config) (*Engine, error) {
 		materialized: registry.New[*rowengine.Table](),
 		fb:           newFeedbackBatcher(feedbackCap(cfg.FeedbackCap)),
 		versions:     modelver.NewStore(cfg.ModelHistory),
-		workers:      cfg.Workers,
 		breakers:     resilience.NewGroup(cfg.Breaker),
 		retry:        cfg.Retry,
 		fallback:     !cfg.DisableFallback,
@@ -594,15 +581,6 @@ type LogicalTrainReport struct {
 	JoinResult, AggResult, ScanResult       *nn.TrainResult
 }
 
-// scopeWorkers defaults a training config's worker bound to the engine's own
-// setting, so Config.Workers governs training fan-out without touching the
-// process-wide pool. An explicit per-config Workers wins.
-func (e *Engine) scopeWorkers(cfg *logicalop.Config) {
-	if cfg.NN.Train.Workers == 0 {
-		cfg.NN.Train.Workers = e.workers
-	}
-}
-
 // RegisterRemoteLogicalOp registers a blackbox remote: it generates the
 // Figure 10 training workloads over the system's registered tables,
 // executes them on the remote (expensive — this is the paper's point),
@@ -621,7 +599,7 @@ func (e *Engine) RegisterRemoteLogicalOp(sys remote.System, kind remote.EngineKi
 	if err != nil {
 		return nil, nil, err
 	}
-	aggRun, err := workload.RunAggSetN(e.workers, sys, aggQs)
+	aggRun, err := workload.RunAggSet(sys, aggQs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -631,7 +609,6 @@ func (e *Engine) RegisterRemoteLogicalOp(sys remote.System, kind remote.EngineKi
 	if aggCfg.NN.Network.InputDim == 0 {
 		aggCfg = logicalop.DefaultConfig(4, opts.Seed+1)
 	}
-	e.scopeWorkers(&aggCfg)
 	aggModel, aggRes, err := logicalop.Train("aggregation", plan.AggDimNames(), aggRun.X, aggRun.Y, aggCfg)
 	if err != nil {
 		return nil, nil, err
@@ -642,7 +619,7 @@ func (e *Engine) RegisterRemoteLogicalOp(sys remote.System, kind remote.EngineKi
 	if err != nil {
 		return nil, nil, err
 	}
-	joinRun, err := workload.RunJoinSetN(e.workers, sys, joinQs)
+	joinRun, err := workload.RunJoinSet(sys, joinQs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -652,7 +629,6 @@ func (e *Engine) RegisterRemoteLogicalOp(sys remote.System, kind remote.EngineKi
 	if joinCfg.NN.Network.InputDim == 0 {
 		joinCfg = logicalop.DefaultConfig(7, opts.Seed+2)
 	}
-	e.scopeWorkers(&joinCfg)
 	joinModel, joinRes, err := logicalop.Train("join", plan.JoinDimNames(), joinRun.X, joinRun.Y, joinCfg)
 	if err != nil {
 		return nil, nil, err
@@ -669,7 +645,7 @@ func (e *Engine) RegisterRemoteLogicalOp(sys remote.System, kind remote.EngineKi
 		if err != nil {
 			return nil, nil, err
 		}
-		scanRun, err := workload.RunScanSetN(e.workers, sys, scanQs)
+		scanRun, err := workload.RunScanSet(sys, scanQs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -679,7 +655,6 @@ func (e *Engine) RegisterRemoteLogicalOp(sys remote.System, kind remote.EngineKi
 		if scanCfg.NN.Network.InputDim == 0 {
 			scanCfg = logicalop.DefaultConfig(4, opts.Seed+3)
 		}
-		e.scopeWorkers(&scanCfg)
 		scanModel, scanRes, err := logicalop.Train("scan", logicalop.ScanDimNames(), scanRun.X, scanRun.Y, scanCfg)
 		if err != nil {
 			return nil, nil, err

@@ -69,7 +69,7 @@ func RunLogOutputAblation(env *Env) (*LogOutputAblationResult, error) {
 	d := len(plan.JoinDimNames())
 	res := &LogOutputAblationResult{}
 	// The two target encodings train independently; run both variants
-	// concurrently (each training run is worker-count invariant).
+	// concurrently.
 	type variant struct{ pct, r2, med float64 }
 	variants, err := parallel.Map(2, func(i int) (variant, error) {
 		logOut := i == 1
@@ -197,42 +197,29 @@ func RunPolicyAblation(env *Env) (*PolicyAblationResult, error) {
 			})
 		}
 	}
-	// Ground-truth executions are independent simulated queries; fan them out.
-	actual, err := parallel.Map(len(specs), func(i int) (float64, error) {
-		ex, err := env.Hive.ExecuteJoin(specs[i])
-		if err != nil {
-			return 0, err
-		}
-		return ex.ElapsedSec, nil
-	})
+	// Nine simulated executions and 27 formula estimates: plain loops.
+	actual, err := workload.RunJoinSpecs(env.Hive, specs)
 	if err != nil {
 		return nil, err
 	}
 	res := &PolicyAblationResult{N: len(specs)}
-	score := func(p subop.ChoicePolicy) (float64, error) {
+	var pcts [3]float64
+	for i, p := range []subop.ChoicePolicy{subop.WorstCase, subop.AverageCase, subop.InHouseComparable} {
 		est, err := subop.NewEstimator(models, remote.EngineHive, p)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		pred, err := parallel.Map(len(specs), func(i int) (float64, error) {
-			ce, err := est.EstimateJoin(specs[i])
+		pred := make([]float64, len(specs))
+		for j, spec := range specs {
+			ce, err := est.EstimateJoin(spec)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			return ce.Seconds, nil
-		})
-		if err != nil {
-			return 0, err
+			pred[j] = ce.Seconds
 		}
-		return stats.RMSEPercent(pred, actual)
-	}
-	// The three policies share read-only models, so they score concurrently.
-	policies := []subop.ChoicePolicy{subop.WorstCase, subop.AverageCase, subop.InHouseComparable}
-	pcts, err := parallel.Map(len(policies), func(i int) (float64, error) {
-		return score(policies[i])
-	})
-	if err != nil {
-		return nil, err
+		if pcts[i], err = stats.RMSEPercent(pred, actual); err != nil {
+			return nil, err
+		}
 	}
 	res.WorstPct, res.AvgPct, res.InHousePct = pcts[0], pcts[1], pcts[2]
 	return res, nil

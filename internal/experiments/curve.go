@@ -63,8 +63,7 @@ func RunTrainingSizeCurve(env *Env, fractions []float64) (*TrainingSizeCurveResu
 	d := len(plan.JoinDimNames())
 	res := &TrainingSizeCurveResult{}
 	// Each prefix trains an independent model; the curve points fan out
-	// across the pool. Inner training runs stay serial to keep the pool
-	// bounded (their results are worker-count invariant regardless).
+	// across the cores.
 	points, err := parallel.Map(len(fractions), func(i int) (TrainingSizePoint, error) {
 		n := int(fractions[i] * float64(len(trainX)))
 		if n < d+2 {
@@ -76,7 +75,7 @@ func RunTrainingSizeCurve(env *Env, fractions []float64) (*TrainingSizeCurveResu
 		reg, _, err := nn.TrainRegressor(trainX[:n], trainY[:n], nn.RegressorConfig{
 			Network: nn.Config{InputDim: d, Hidden: []int{2 * d, d}, Activation: nn.Tanh, Seed: cfg.Seed},
 			Train: nn.TrainConfig{Iterations: cfg.NNIterations, LearningRate: 0.01,
-				BatchSize: 64, Optimizer: nn.Adam, Seed: cfg.Seed, Workers: 1},
+				BatchSize: 64, Optimizer: nn.Adam, Seed: cfg.Seed},
 			LogOutput: true,
 		})
 		if err != nil {

@@ -4,14 +4,14 @@ package nn
 
 import "testing"
 
-// Allocation-count tests live behind !race: the race detector deliberately
-// drops sync.Pool items, so pooled-arena paths re-allocate under -race and
-// the counts below would be meaningless.
+// The allocation count lives behind !race: the race detector deliberately
+// drops sync.Pool items, so Forward's pooled scratch re-allocates under
+// -race and the count below would be meaningless.
 
-// The batched PredictAll must not allocate per row: one output slice per
-// call, with normalization writing into the pooled arena.
+// PredictAll must not allocate per row: one output slice and one reused
+// normalized row per call.
 func TestPredictAllAllocs(t *testing.T) {
-	x, y := batchTestData(batchBlock, 4, 5) // single block → serial path, clean count
+	x, y := synthData(64, 4, 5)
 	reg, _, err := TrainRegressor(x, y, RegressorConfig{
 		Network: Config{InputDim: 4, Hidden: []int{8, 4}, Activation: Tanh, Seed: 2},
 		Train:   TrainConfig{Iterations: 5, Optimizer: Adam, Seed: 2},
@@ -22,27 +22,7 @@ func TestPredictAllAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		reg.PredictAll(x)
 	})
-	// One allocation for the output slice; allow one more for a pool refill
-	// after an unlucky GC.
 	if allocs > 2 {
 		t.Errorf("PredictAll allocates %.1f times per call, want ≤ 2", allocs)
-	}
-}
-
-// ForwardBatch with a caller-provided destination and a warm arena pool is
-// allocation-free.
-func TestForwardBatchAllocs(t *testing.T) {
-	n, err := New(Config{InputDim: 5, Hidden: []int{9, 4}, Activation: Tanh, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := batchTestData(batchBlock, 5, 7)
-	dst := make([]float64, len(x))
-	n.ForwardBatch(x, dst) // warm the arena pool
-	allocs := testing.AllocsPerRun(100, func() {
-		n.ForwardBatch(x, dst)
-	})
-	if allocs > 1 {
-		t.Errorf("ForwardBatch allocates %.1f times per call, want ≤ 1", allocs)
 	}
 }

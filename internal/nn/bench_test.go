@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -23,7 +22,7 @@ func benchData() ([][]float64, []float64) {
 	return x, y
 }
 
-func benchTrain(b *testing.B, workers int) {
+func benchTrain(b *testing.B, batch int) {
 	x, y := benchData()
 	cfg := Config{InputDim: 7, Hidden: []int{14, 7}, Activation: Tanh, Seed: 5}
 	b.ReportAllocs()
@@ -34,27 +33,27 @@ func benchTrain(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		if _, err := n.Train(x, y, TrainConfig{
-			Iterations: 10, LearningRate: 0.01, BatchSize: 256,
-			Optimizer: Adam, Seed: 5, Workers: workers,
+			Iterations: 10, LearningRate: 0.01, BatchSize: batch,
+			Optimizer: Adam, Seed: 5,
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkNNTrain compares serial (Workers=1) against pool-parallel
-// mini-batch training. Both variants produce bit-identical weights; the
-// delta is pure wall clock. It stays because training happens off the
-// statement path: no ledger row of bench/layers.go times it.
+// BenchmarkNNTrain times mini-batch training at the two batch sizes
+// production uses (32: demo boot and the tuner; 64: logicalop's default and
+// the experiments). It stays because training happens off the statement
+// path: no ledger row of bench/layers.go times it.
 func BenchmarkNNTrain(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchTrain(b, 1) })
-	b.Run("parallel", func(b *testing.B) { benchTrain(b, runtime.GOMAXPROCS(0)) })
+	b.Run("batch32", func(b *testing.B) { benchTrain(b, 32) })
+	b.Run("batch64", func(b *testing.B) { benchTrain(b, 64) })
 }
 
-// BenchmarkPredictAll measures batched regressor evaluation over the full
+// BenchmarkPredictAll measures regressor evaluation over the full
 // 4096-sample set, normalization included. It stays because the ledger's
-// nn.forward_batch_us_per_row row times the bare kernel, not the
-// Regressor.PredictAll the training-set refits call.
+// nn.forward_us row times the bare Forward, not the Regressor.PredictAll the
+// training-set refits call.
 func BenchmarkPredictAll(b *testing.B) {
 	x, y := benchData()
 	reg, _, err := TrainRegressor(x, y, RegressorConfig{

@@ -156,10 +156,6 @@ type Network struct {
 	// scratch pools forward-pass activation buffers so Forward allocates
 	// nothing in steady state yet stays safe under concurrent callers.
 	scratch sync.Pool
-	// arenas pools batch-major inference scratch (see batch.go) so the
-	// batched paths reuse whole planes across batches instead of taking a
-	// pool hit per sample.
-	arenas sync.Pool
 }
 
 // New constructs a network with randomly initialized weights drawn from the
@@ -192,7 +188,6 @@ func (n *Network) initScratch() {
 		buf := make([]float64, 2*width)
 		return &buf
 	}
-	n.arenas.New = func() any { return n.newArena() }
 }
 
 // Config returns the network's configuration.
@@ -228,8 +223,23 @@ func (n *Network) Forward(x []float64) float64 {
 	return res
 }
 
-// activations is a per-worker forward/backward scratch area: one flat slab
-// holding every layer's activation and delta vectors.
+// ForwardBatch is Forward over each row of xs, written into dst (allocated
+// when nil). Nothing in this module calls it: it stays only because
+// bench/layers.go (nn.forward_batch_us_per_row) compiles against it and a
+// non-benchmark change may not edit bench/. ROADMAP 2(a) retires that row
+// and then deletes this.
+func (n *Network) ForwardBatch(xs [][]float64, dst []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, len(xs))
+	}
+	for i, row := range xs {
+		dst[i] = n.Forward(row)
+	}
+	return dst
+}
+
+// activations is one training run's forward/backward scratch area: one flat
+// slab holding every layer's activation and delta vectors.
 type activations struct {
 	acts   [][]float64
 	deltas [][]float64

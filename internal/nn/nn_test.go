@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -457,4 +458,139 @@ func TestForwardPureProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// synthData builds a small deterministic dataset with count samples of the
+// given width.
+func synthData(count, dim int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([][]float64, count)
+	y := make([]float64, count)
+	for i := range x {
+		row := make([]float64, dim)
+		for j := range row {
+			row[j] = rng.Float64()
+		}
+		x[i] = row
+		y[i] = 0.4*row[0] + row[1]*row[dim-1]
+	}
+	return x, y
+}
+
+// PredictAll must match per-row Predict bit-for-bit.
+func TestPredictAllMatchesPredict(t *testing.T) {
+	x, y := synthData(150, 4, 3)
+	reg, _, err := TrainRegressor(x, y, RegressorConfig{
+		Network:   Config{InputDim: 4, Hidden: []int{8, 4}, Activation: Tanh, Seed: 2},
+		Train:     TrainConfig{Iterations: 20, Optimizer: Adam, Seed: 2},
+		LogOutput: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := reg.PredictAll(x)
+	for i, row := range x {
+		if want := reg.Predict(row); got[i] != want {
+			t.Fatalf("PredictAll[%d] = %v, Predict = %v", i, got[i], want)
+		}
+	}
+}
+
+func TestSplitGuards(t *testing.T) {
+	x, y := synthData(10, 2, 1)
+	cases := []struct {
+		name    string
+		x       [][]float64
+		y       []float64
+		frac    float64
+		wantErr bool
+	}{
+		{"valid", x, y, 0.7, false},
+		{"frac zero", x, y, 0, true},
+		{"frac one", x, y, 1, true},
+		{"frac negative", x, y, -0.3, true},
+		{"frac above one", x, y, 1.5, true},
+		{"frac NaN", x, y, math.NaN(), true},
+		{"length mismatch", x, y[:5], 0.7, true},
+		{"single sample", x[:1], y[:1], 0.7, true},
+		{"empty", nil, nil, 0.7, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tx, ty, sx, sy, err := Split(c.x, c.y, c.frac, 3)
+			if c.wantErr {
+				if err == nil {
+					t.Fatal("expected error")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if len(tx) == 0 || len(sx) == 0 || len(tx) != len(ty) || len(sx) != len(sy) {
+				t.Fatalf("bad split shapes: %d/%d train, %d/%d test", len(tx), len(ty), len(sx), len(sy))
+			}
+		})
+	}
+}
+
+func TestShuffledIndicesGuards(t *testing.T) {
+	cases := []struct {
+		name    string
+		n       int
+		wantLen int
+		wantErr bool
+	}{
+		{"negative", -1, 0, true},
+		{"very negative", -100, 0, true},
+		{"zero", 0, 0, false},
+		{"one", 1, 1, false},
+		{"many", 17, 17, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			order, err := shuffledIndices(c.n, 9)
+			if c.wantErr {
+				if err == nil {
+					t.Fatal("expected error")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if len(order) != c.wantLen {
+				t.Fatalf("len = %d, want %d", len(order), c.wantLen)
+			}
+			seen := make(map[int]bool, len(order))
+			for _, idx := range order {
+				if idx < 0 || idx >= c.n || seen[idx] {
+					t.Fatalf("order %v is not a permutation of [0,%d)", order, c.n)
+				}
+				seen[idx] = true
+			}
+		})
+	}
+}
+
+// Forward must be safe for concurrent callers (concurrent queries estimate
+// against shared models).
+func TestForwardConcurrent(t *testing.T) {
+	n, _ := New(Config{InputDim: 2, Hidden: []int{5, 3}, Activation: Tanh, Seed: 8})
+	in := []float64{0.3, 0.7}
+	want := n.Forward(in)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := n.Forward(in); got != want {
+					t.Errorf("concurrent Forward = %v, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

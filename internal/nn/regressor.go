@@ -91,9 +91,8 @@ func (nm *Normalizer) In(x []float64) []float64 {
 }
 
 // InTo is the append-into variant of In: normalized values are appended to
-// dst (reusing its capacity) and the extended slice is returned. Batch paths
-// use it to normalize straight into pooled scratch without a per-row
-// allocation.
+// dst (reusing its capacity) and the extended slice is returned. PredictAll
+// uses it to normalize every row into one buffer.
 func (nm *Normalizer) InTo(dst []float64, x []float64) []float64 {
 	for i, v := range x {
 		span := nm.InMax[i] - nm.InMin[i]
@@ -164,48 +163,26 @@ func (r *Regressor) Predict(x []float64) float64 {
 	return r.Norm.Inverse(r.Net.Forward(r.Norm.In(x)))
 }
 
-// PredictAll evaluates the regressor over a dataset through the batch-major
-// kernels: blocks fan out across the worker pool, each normalizing its rows
-// straight into a pooled arena (no per-row allocations) and running one
-// blocked matmul per layer. Each block writes only its own slice of the
-// output, so the result is identical to calling Predict per row.
+// PredictAll is Predict over every row of a dataset, reusing one normalized
+// row so a call allocates only its result.
 func (r *Regressor) PredictAll(x [][]float64) []float64 {
 	out := make([]float64, len(x))
-	n := r.Net
-	d := n.cfg.InputDim
-	blocks := (len(x) + batchBlock - 1) / batchBlock
-	parallel.ForEach(blocks, func(bi int) {
-		lo := bi * batchBlock
-		hi := lo + batchBlock
-		if hi > len(x) {
-			hi = len(x)
-		}
-		ar := n.getArena()
-		for s, row := range x[lo:hi] {
-			if len(row) != d {
-				panic(fmt.Sprintf("nn: PredictAll row %d has %d inputs on a %d-input network", lo+s, len(row), d))
-			}
-			r.Norm.InTo(ar.in[s*d:s*d], row)
-		}
-		n.forwardBlock(ar, hi-lo, out[lo:hi])
-		n.putArena(ar)
-		for i := lo; i < hi; i++ {
-			out[i] = r.Norm.Inverse(out[i])
-		}
-	})
+	row := make([]float64, 0, r.Net.cfg.InputDim)
+	for i, xi := range x {
+		row = r.Norm.InTo(row[:0], xi)
+		out[i] = r.Norm.Inverse(r.Net.Forward(row))
+	}
 	return out
 }
 
 // Retrain continues training the existing network on a (typically enlarged)
 // dataset — this is the offline tuning step: logged executions are appended
 // to the training set and the model re-fits. The normalizer bounds expand to
-// cover the new data so previously out-of-range points become in-range.
+// cover the new data so previously out-of-range points become in-range. A
+// call that returns an error has changed neither the bounds nor the network.
 func (r *Regressor) Retrain(x [][]float64, y []float64, tc TrainConfig) (*TrainResult, error) {
-	if len(x) != len(y) {
-		return nil, stats.ErrLengthMismatch
-	}
-	if len(x) == 0 {
-		return nil, stats.ErrEmpty
+	if err := r.Net.validate(x, y, tc); err != nil {
+		return nil, err
 	}
 	for _, row := range x {
 		for i, v := range row {
@@ -267,10 +244,8 @@ func SearchTopology(x [][]float64, y []float64, base RegressorConfig) (Config, [
 	}
 
 	// Enumerate every candidate topology first, then train them across the
-	// worker pool: each candidate is an independent training run, and the
-	// candidate list is in a fixed order, so the fan-out changes nothing but
-	// wall clock. The inner training runs are forced serial to keep the pool
-	// bounded (training results are worker-count invariant anyway).
+	// cores: each candidate is an independent training run, and the candidate
+	// list is in a fixed order, so the fan-out changes nothing but wall clock.
 	var hiddens [][]int
 	for h1 := d; h1 <= 2*d; h1++ {
 		maxH2 := h1 / 2
@@ -284,7 +259,6 @@ func SearchTopology(x [][]float64, y []float64, base RegressorConfig) (Config, [
 	results, err := parallel.Map(len(hiddens), func(i int) (TopologyResult, error) {
 		cfg := base
 		cfg.Network.Hidden = hiddens[i]
-		cfg.Train.Workers = 1
 		reg, _, err := TrainRegressor(trainX, trainY, cfg)
 		if err != nil {
 			return TopologyResult{}, err

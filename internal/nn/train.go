@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 
-	"intellisphere/internal/parallel"
 	"intellisphere/internal/stats"
 )
 
@@ -19,14 +18,6 @@ const (
 	Adam
 )
 
-// gradChunk is the fixed shard size for gradient accumulation. Each batch is
-// cut into contiguous chunks of this many samples; chunks accumulate into
-// private buffers and are reduced in chunk order, so the summation order —
-// and therefore every trained weight — is bit-identical for any worker
-// count. The value matches the default mini-batch size of the paper's
-// training configurations, keeping single-chunk batches on the fast path.
-const gradChunk = 64
-
 // TrainConfig controls a training run. An "iteration" is one pass over the
 // training set (the unit the paper's convergence plots use on their x axis).
 type TrainConfig struct {
@@ -37,10 +28,6 @@ type TrainConfig struct {
 	Optimizer    Optimizer // SGD or Adam
 	Seed         int64     // shuffling seed
 	CheckEvery   int       // record the training RMSE every N iterations (0 = never)
-	// Workers bounds the gradient-accumulation pool for this run. 0 uses the
-	// process-wide default (parallel.Workers); 1 forces serial execution.
-	// Results are identical either way — the knob only trades wall clock.
-	Workers int
 }
 
 // ConvergencePoint is one sample of the training-set RMSE during training,
@@ -81,53 +68,41 @@ func (g *gradients) zero() {
 	}
 }
 
-// add folds another gradient buffer into g (the ordered chunk reduction).
-func (g *gradients) add(o *gradients) {
-	for li := range g.w {
-		dst, src := g.w[li], o.w[li]
-		for i := range dst {
-			dst[i] += src[i]
-		}
-		dstB, srcB := g.b[li], o.b[li]
-		for i := range dstB {
-			dstB[i] += srcB[i]
+// validate is the one check Train and Regressor.Retrain both run before
+// either changes anything, so a rejected call leaves the network and the
+// regressor's normalizer as they were.
+func (n *Network) validate(x [][]float64, y []float64, tc TrainConfig) error {
+	if len(x) != len(y) {
+		return stats.ErrLengthMismatch
+	}
+	if len(x) == 0 {
+		return stats.ErrEmpty
+	}
+	if tc.Iterations <= 0 {
+		return errors.New("nn: Iterations must be positive")
+	}
+	if tc.BatchSize < 0 {
+		return fmt.Errorf("nn: BatchSize %d must be non-negative (0 selects full batch)", tc.BatchSize)
+	}
+	for i, row := range x {
+		if len(row) != n.cfg.InputDim {
+			return fmt.Errorf("nn: sample %d has %d dims, network wants %d", i, len(row), n.cfg.InputDim)
 		}
 	}
-}
-
-// gradWorker is the per-chunk accumulation state: a private gradient buffer
-// plus a batch-major forward/backward arena. Everything is allocated once per
-// worker slot, so processing a chunk allocates nothing.
-type gradWorker struct {
-	grads *gradients
-	arena *trainArena
+	return nil
 }
 
 // Train fits the network on (x, y) with mean-squared-error loss. Inputs are
 // expected to be normalized already (see Normalizer); Train does not scale.
 //
-// Gradient accumulation is data-parallel: each mini-batch is sharded into
-// fixed-size chunks spread across a bounded worker pool, and the per-chunk
-// gradients are reduced in chunk order. The chunk layout depends only on the
-// batch size, so training is deterministic for a fixed seed and produces
-// bit-identical weights at every worker count.
+// Each mini-batch accumulates its gradients one sample at a time, in shuffle
+// order, into one buffer on the calling goroutine: the models are ≈ 150
+// parameters and every production batch is 32 or 64 samples, which is too
+// little work to hand to a second core (DESIGN.md §6). Training is therefore
+// deterministic for a fixed seed, with nothing to configure.
 func (n *Network) Train(x [][]float64, y []float64, tc TrainConfig) (*TrainResult, error) {
-	if len(x) != len(y) {
-		return nil, stats.ErrLengthMismatch
-	}
-	if len(x) == 0 {
-		return nil, stats.ErrEmpty
-	}
-	if tc.Iterations <= 0 {
-		return nil, errors.New("nn: Iterations must be positive")
-	}
-	if tc.BatchSize < 0 {
-		return nil, fmt.Errorf("nn: BatchSize %d must be non-negative (0 selects full batch)", tc.BatchSize)
-	}
-	for i, row := range x {
-		if len(row) != n.cfg.InputDim {
-			return nil, fmt.Errorf("nn: sample %d has %d dims, network wants %d", i, len(row), n.cfg.InputDim)
-		}
+	if err := n.validate(x, y, tc); err != nil {
+		return nil, err
 	}
 	lr := tc.LearningRate
 	if lr == 0 {
@@ -145,32 +120,12 @@ func (n *Network) Train(x [][]float64, y []float64, tc TrainConfig) (*TrainResul
 	}
 
 	grads := newGradients(n)
+	sc := newActivations(n)
 	// Momentum / Adam state, shaped like the gradients.
 	vel := newGradients(n)
 	adamM := newGradients(n)
 	adamV := newGradients(n)
 	adamT := 0
-
-	workers := tc.Workers
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-
-	// The reducer and its worker states (gradient buffers + batch arenas) are
-	// built once for the whole run, and the four callbacks are hoisted out of
-	// the batch loop — only the idxs variable they capture is reassigned per
-	// batch — so the steady-state training loop performs zero heap
-	// allocations and spawns no goroutines per mini-batch.
-	red := parallel.NewReducer(batch, gradChunk, workers, func() *gradWorker {
-		return &gradWorker{grads: newGradients(n), arena: newTrainArena(n)}
-	})
-	defer red.Close()
-	var idxs []int
-	reset := func(w *gradWorker) { w.grads.zero() }
-	process := func(w *gradWorker, cs, ce int) {
-		n.accumulateBatch(x, y, idxs[cs:ce], w.arena, w.grads)
-	}
-	reduce := func(w *gradWorker) { grads.add(w.grads) }
 
 	res := &TrainResult{}
 	for iter := 1; iter <= tc.Iterations; iter++ {
@@ -180,9 +135,10 @@ func (n *Network) Train(x [][]float64, y []float64, tc TrainConfig) (*TrainResul
 			if end > len(order) {
 				end = len(order)
 			}
-			idxs = order[start:end]
 			grads.zero()
-			red.Run(len(idxs), reset, process, reduce)
+			for _, idx := range order[start:end] {
+				n.accumulate(x[idx], y[idx], sc, grads)
+			}
 			scale := 1 / float64(end-start)
 			switch tc.Optimizer {
 			case Adam:
@@ -193,17 +149,14 @@ func (n *Network) Train(x [][]float64, y []float64, tc TrainConfig) (*TrainResul
 			}
 		}
 		if tc.CheckEvery > 0 && (iter%tc.CheckEvery == 0 || iter == tc.Iterations) {
-			res.History = append(res.History, ConvergencePoint{Iteration: iter, RMSE: n.rmse(x, y, workers)})
+			res.History = append(res.History, ConvergencePoint{Iteration: iter, RMSE: n.rmse(x, y)})
 		}
 	}
-	res.FinalRMSE = n.rmse(x, y, workers)
+	res.FinalRMSE = n.rmse(x, y)
 	return res, nil
 }
 
-// accumulate adds the gradient of the squared error at (xi, yi) into grads,
-// one sample at a time. The training loop itself runs accumulateBatch (see
-// batch.go); this per-sample form is kept as the bit-identity reference the
-// batch kernel is regression-tested against.
+// accumulate adds the gradient of the squared error at (xi, yi) into grads.
 func (n *Network) accumulate(xi []float64, yi float64, sc *activations, grads *gradients) {
 	out := n.forwardStore(xi, sc.acts)
 	last := len(n.layers) - 1
@@ -290,16 +243,11 @@ func (n *Network) stepAdam(grads, m, v *gradients, t int, lr, scale float64) {
 	}
 }
 
-// rmse computes the network's RMSE over a normalized dataset. Batched
-// predictions fan out across the pool (each block owns its slice of the
-// output); the squared errors are then summed serially in index order,
-// keeping the value independent of the worker count.
-func (n *Network) rmse(x [][]float64, y []float64, workers int) float64 {
-	pred := make([]float64, len(x))
-	n.forwardAll(workers, x, pred)
+// rmse computes the network's RMSE over a normalized dataset.
+func (n *Network) rmse(x [][]float64, y []float64) float64 {
 	ss := 0.0
-	for i := range pred {
-		d := pred[i] - y[i]
+	for i, row := range x {
+		d := n.Forward(row) - y[i]
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(x)))

@@ -1,9 +1,9 @@
 package optimizer
 
 import (
+	"runtime"
 	"testing"
 
-	"intellisphere/internal/parallel"
 	"intellisphere/internal/sqlparse"
 )
 
@@ -13,16 +13,15 @@ import (
 // budgets sit about 20 % above the counts at the time of writing: 7, 7 and
 // 18 (of which the sub-op join estimator's own bookkeeping is about 10),
 // where the fmt-and-map bookkeeping this path used to do took 34, 33 and 80.
-// The same budgets hold with a four-worker process pool: the planner costs
-// its placements on the calling goroutine whatever the worker count says.
+// The same budgets hold at GOMAXPROCS 4, the only worker count the process
+// has: the planner costs its placements on the calling goroutine.
 func TestPlanMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	t.Run("default workers", testPlanMissAllocs)
 	t.Run("four workers", func(t *testing.T) {
-		parallel.SetWorkers(4)
-		t.Cleanup(func() { parallel.SetWorkers(0) })
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 		testPlanMissAllocs(t)
 	})
 }

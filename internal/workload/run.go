@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"intellisphere/internal/parallel"
 	"intellisphere/internal/plan"
 	"intellisphere/internal/remote"
 )
@@ -19,118 +18,86 @@ type RunResult struct {
 	TotalSec   float64
 }
 
-// sample is one executed training query: its dimension vector plus observed
-// cost. Queries execute concurrently (the simulators are stateless, so each
-// query's outcome is independent of execution order); the result vectors are
-// then assembled serially in query order, making the RunResult identical to
-// a sequential sweep.
-type sample struct {
-	dims []float64
-	sec  float64
+func newRunResult(n int) *RunResult {
+	return &RunResult{
+		X:          make([][]float64, 0, n),
+		Y:          make([]float64, 0, n),
+		Cumulative: make([]float64, 0, n),
+	}
 }
 
-func collect(samples []sample) *RunResult {
-	res := &RunResult{
-		X:          make([][]float64, 0, len(samples)),
-		Y:          make([]float64, 0, len(samples)),
-		Cumulative: make([]float64, 0, len(samples)),
-	}
-	for _, s := range samples {
-		res.X = append(res.X, s.dims)
-		res.Y = append(res.Y, s.sec)
-		res.TotalSec += s.sec
-		res.Cumulative = append(res.Cumulative, res.TotalSec)
-	}
-	return res
+// add appends one executed training query: its dimension vector and
+// observed cost.
+func (r *RunResult) add(dims []float64, sec float64) {
+	r.X = append(r.X, dims)
+	r.Y = append(r.Y, sec)
+	r.TotalSec += sec
+	r.Cumulative = append(r.Cumulative, r.TotalSec)
 }
 
-// RunJoinSet executes every join training query on the remote system and
-// labels it with the observed cost.
+// RunJoinSet executes every join training query on the remote system, in
+// order, and labels it with the observed cost. One simulated query is well
+// under a microsecond, so the sweep is a plain loop.
 func RunJoinSet(sys remote.System, qs []JoinQuery) (*RunResult, error) {
-	return RunJoinSetN(0, sys, qs)
-}
-
-// RunJoinSetN is RunJoinSet with an explicit worker bound (0 = process
-// default) so callers can scope fan-out without mutating the global pool.
-func RunJoinSetN(workers int, sys remote.System, qs []JoinQuery) (*RunResult, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("workload: empty join training set")
 	}
-	samples, err := parallel.MapN(workers, len(qs), func(i int) (sample, error) {
-		ex, err := sys.ExecuteJoin(qs[i].Spec)
+	res := newRunResult(len(qs))
+	for i, q := range qs {
+		ex, err := sys.ExecuteJoin(q.Spec)
 		if err != nil {
-			return sample{}, fmt.Errorf("workload: join query %d (%s): %w", i, qs[i].SQL(), err)
+			return nil, fmt.Errorf("workload: join query %d (%s): %w", i, q.SQL(), err)
 		}
-		return sample{dims: qs[i].Spec.Dims(), sec: ex.ElapsedSec}, nil
-	})
-	if err != nil {
-		return nil, err
+		res.add(q.Spec.Dims(), ex.ElapsedSec)
 	}
-	return collect(samples), nil
+	return res, nil
 }
 
 // RunAggSet executes every aggregation training query on the remote system.
 func RunAggSet(sys remote.System, qs []AggQuery) (*RunResult, error) {
-	return RunAggSetN(0, sys, qs)
-}
-
-// RunAggSetN is RunAggSet with an explicit worker bound (0 = process
-// default).
-func RunAggSetN(workers int, sys remote.System, qs []AggQuery) (*RunResult, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("workload: empty aggregation training set")
 	}
-	samples, err := parallel.MapN(workers, len(qs), func(i int) (sample, error) {
-		ex, err := sys.ExecuteAgg(qs[i].Spec)
+	res := newRunResult(len(qs))
+	for i, q := range qs {
+		ex, err := sys.ExecuteAgg(q.Spec)
 		if err != nil {
-			return sample{}, fmt.Errorf("workload: agg query %d (%s): %w", i, qs[i].SQL(), err)
+			return nil, fmt.Errorf("workload: agg query %d (%s): %w", i, q.SQL(), err)
 		}
-		return sample{dims: qs[i].Spec.Dims(), sec: ex.ElapsedSec}, nil
-	})
-	if err != nil {
-		return nil, err
+		res.add(q.Spec.Dims(), ex.ElapsedSec)
 	}
-	return collect(samples), nil
+	return res, nil
 }
 
 // RunJoinSpecs executes raw join specs (the out-of-range suite) and returns
 // the observed costs.
 func RunJoinSpecs(sys remote.System, specs []plan.JoinSpec) ([]float64, error) {
-	return parallel.Map(len(specs), func(i int) (float64, error) {
-		ex, err := sys.ExecuteJoin(specs[i])
+	out := make([]float64, len(specs))
+	for i, spec := range specs {
+		ex, err := sys.ExecuteJoin(spec)
 		if err != nil {
-			return 0, fmt.Errorf("workload: join spec %d: %w", i, err)
+			return nil, fmt.Errorf("workload: join spec %d: %w", i, err)
 		}
-		return ex.ElapsedSec, nil
-	})
+		out[i] = ex.ElapsedSec
+	}
+	return out, nil
 }
 
 // RunScanSet executes every scan training query on the remote system. The
 // dimension vectors follow the scan model's four dimensions (input rows,
 // input row size, output rows, output row size).
 func RunScanSet(sys remote.System, qs []ScanQuery) (*RunResult, error) {
-	return RunScanSetN(0, sys, qs)
-}
-
-// RunScanSetN is RunScanSet with an explicit worker bound (0 = process
-// default).
-func RunScanSetN(workers int, sys remote.System, qs []ScanQuery) (*RunResult, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("workload: empty scan training set")
 	}
-	samples, err := parallel.MapN(workers, len(qs), func(i int) (sample, error) {
-		ex, err := sys.ExecuteScan(qs[i].Spec)
+	res := newRunResult(len(qs))
+	for i, q := range qs {
+		ex, err := sys.ExecuteScan(q.Spec)
 		if err != nil {
-			return sample{}, fmt.Errorf("workload: scan query %d (%s): %w", i, qs[i].SQL(), err)
+			return nil, fmt.Errorf("workload: scan query %d (%s): %w", i, q.SQL(), err)
 		}
-		spec := qs[i].Spec
-		return sample{
-			dims: []float64{spec.InputRows, spec.InputRowSize, spec.OutputRows(), spec.OutputRowSize},
-			sec:  ex.ElapsedSec,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+		spec := q.Spec
+		res.add([]float64{spec.InputRows, spec.InputRowSize, spec.OutputRows(), spec.OutputRowSize}, ex.ElapsedSec)
 	}
-	return collect(samples), nil
+	return res, nil
 }

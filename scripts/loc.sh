@@ -4,9 +4,11 @@
 # with this same file: `cd /root/scratch/parent && sh /root/repo/scripts/loc.sh`).
 # Every simplicity PR quotes the before/after of this next to its bench delta.
 # Counts tracked files as they are on disk; _test.go and testdata/ excluded.
-# Then the three surface counts the roadmap's north star quotes: HTTP routes,
-# cmd/serve flags, and /metrics/prom series (the checked-in inventory that
-# TestPromSeriesInventory holds to a live scrape; absent before PR 17).
+# Then the surface counts the roadmap's north star quotes: HTTP routes,
+# cmd/serve flags, /metrics/prom series (the checked-in inventory that
+# TestPromSeriesInventory holds to a live scrape; absent before PR 17), and
+# the environment variables non-test code outside bench/ reads (the standing
+# rule is "no new env var"; this makes it a number).
 # Last the tooling around the code: shell lines under scripts/, make targets,
 # steps of `make ci`, Benchmark functions, and the cmd/serve flags that no
 # file under test/e2e passes to the binary.
@@ -28,6 +30,8 @@ if [ -f "$series" ]; then
 		"$(awk '/^# With -data-dir/ { exit } /^[^#]/ { n++ } END { print n + 0 }' "$series")" \
 		"$(awk '/^# With -data-dir/ { on = 1; next } on && /^[^#]/ { n++ } END { print n + 0 }' "$series")"
 fi
+printf '%7d  environment variables read by non-test code\n' \
+	"$(git grep -h 'os\.\(Getenv\|LookupEnv\)' -- '*.go' ':!*_test.go' ':!bench' | wc -l)"
 printf '%7d  shell lines under scripts/\n' "$(git ls-files -- 'scripts/*.sh' | xargs cat | wc -l)"
 printf '%7d  make targets (.PHONY)\n' "$(sed -n 's/^\.PHONY://p' Makefile | wc -w)"
 printf '%7d  steps in make ci\n' "$(sed -n 's/^ci://p' Makefile | wc -w)"
