@@ -52,14 +52,16 @@ loc:
 
 # Five seconds of coverage-guided fuzzing per target over the untrusted
 # inputs that have one — SQL text, statements inside JSON, admin JSON bodies
-# — over the hand-rolled answer encoder against encoding/json, and over the
-# row engine against the interpreter it replaced (generated statements, not
-# raw bytes). The checked-in corpora under testdata/fuzz already run as plain
+# — over the /query/batch decode against the reflective one it replaced, over
+# the hand-rolled answer encoder against encoding/json, and over the row
+# engine against the interpreter it replaced (generated statements, not raw
+# bytes). The checked-in corpora under testdata/fuzz already run as plain
 # tests in `race`; this step is what looks for inputs nobody wrote down. A
 # crasher lands in testdata/fuzz/<target>.
 fuzz-smoke:
 	$(GO) test ./internal/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStatementForms$$' -fuzztime 5s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzBatchBody$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEncodeAnswer$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzAdminBody$$' -fuzztime 5s
 	$(GO) test ./internal/rowengine -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 5s

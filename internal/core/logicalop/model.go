@@ -127,6 +127,8 @@ type Model struct {
 	trainX [][]float64
 	trainY []float64
 	logRec []Record
+	// rejected counts the observations Observe refused.
+	rejected int
 }
 
 // Train executes the logical-op model-building phase over an already
@@ -439,16 +441,29 @@ func remedyFallback(px [][]float64, py []float64, q []float64) (float64, error) 
 
 // Observe logs an executed operator (Figure 3's logging phase). When the
 // estimate came from the remedy, pass its components so the α re-fit can
-// use them; otherwise pass zeros.
+// use them; otherwise pass zeros. A record that is not the model's input
+// width is dropped and counted (Rejected): in the log it would fail every
+// OfflineTune until it aged out.
 func (m *Model) Observe(x []float64, actualSec, nnSec, regSec float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(x) != len(m.dims) {
+		m.rejected++
+		return
+	}
 	m.appendLog(Record{
 		X:      append([]float64(nil), x...),
 		Actual: actualSec,
 		NNSec:  nnSec,
 		RegSec: regSec,
 	})
+}
+
+// Rejected counts the observations dropped for having the wrong width.
+func (m *Model) Rejected() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.rejected
 }
 
 // maxLogRecords bounds the pending execution log. Only OfflineTune empties
@@ -485,7 +500,9 @@ func (m *Model) LogRecords() []Record {
 }
 
 // SeedLog appends records to the pending execution log (deep-copied), so a
-// candidate clone can be tuned from another model's logged executions.
+// candidate clone can be tuned from another model's logged executions. The
+// records are taken as that model's Observe already took them; OfflineTune
+// still refuses a log that holds one of the wrong width.
 func (m *Model) SeedLog(recs []Record) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

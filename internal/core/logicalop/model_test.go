@@ -296,8 +296,9 @@ func TestOfflineTuneFailureChangesNothing(t *testing.T) {
 		retrySize int // TrainingSize after a retry with good; 0 = the retry fails too
 	}{
 		{"negative batch size", nil, negBatch, 52},
-		// Observe checks nothing, so the record reaches Retrain; it must come
-		// back as an error, and it stays in the log for every later attempt.
+		// Observe refuses such a record; one seeded from another log reaches
+		// Retrain, must come back as an error, and stays in the log for every
+		// later attempt.
 		{"wrong-width record", []float64{9, 100, 7}, good, 0},
 	}
 	for _, c := range cases {
@@ -309,7 +310,7 @@ func TestOfflineTuneFailureChangesNothing(t *testing.T) {
 				m.Observe([]float64{9, size}, synthCost(9, size), 1, 1)
 			}
 			if c.extra != nil {
-				m.Observe(c.extra, 1, 1, 1)
+				m.SeedLog([]Record{{X: c.extra, Actual: 1, NNSec: 1, RegSec: 1}})
 			}
 			before, err := json.Marshal(m)
 			if err != nil {
@@ -343,6 +344,34 @@ func TestOfflineTuneFailureChangesNothing(t *testing.T) {
 				t.Errorf("after the retry: training size %d, pending log %d; want %d, 0", m.TrainingSize(), m.PendingLog(), c.retrySize)
 			}
 		})
+	}
+}
+
+// A record that is not the model's width never reaches the log: it is dropped
+// and counted, the log and the model are as they were, and the tune that
+// follows runs over the good records alone. (Accepted, it failed that tune and
+// every later one until 4096 newer records had pushed it out.)
+func TestObserveRejectsWrongWidth(t *testing.T) {
+	m := trainSynth(t)
+	m.Observe([]float64{9, 100}, synthCost(9, 100), 1, 1)
+	before, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range [][]float64{{9, 100, 7}, {9}, nil} {
+		m.Observe(x, 1, 1, 1)
+	}
+	if m.PendingLog() != 1 || m.Rejected() != 3 {
+		t.Fatalf("pending log %d, rejected %d; want 1, 3", m.PendingLog(), m.Rejected())
+	}
+	if recs := m.LogRecords(); len(recs[0].X) != 2 {
+		t.Errorf("logged record has width %d", len(recs[0].X))
+	}
+	if after, err := json.Marshal(m); err != nil || string(after) != string(before) {
+		t.Errorf("refused observations changed the model (%v)", err)
+	}
+	if _, err := m.OfflineTune(nn.TrainConfig{Iterations: 50, BatchSize: 16, Optimizer: nn.Adam, Seed: 5}); err != nil {
+		t.Errorf("tune after refused observations: %v", err)
 	}
 }
 

@@ -18,6 +18,23 @@ func batchFixture(t *testing.T) *Engine {
 	return e
 }
 
+// batchItem is one statement's outcome within a batch: exactly one of
+// Res/Err is set.
+type batchItem struct {
+	Res *QueryResult
+	Err error
+}
+
+// queryBatch answers the statements the way /query/batch does: in order, each
+// through QueryBatched.
+func queryBatch(e *Engine, sqls []string) []batchItem {
+	out := make([]batchItem, len(sqls))
+	for i, sql := range sqls {
+		out[i].Res, out[i].Err = e.QueryBatched(context.Background(), sql)
+	}
+	return out
+}
+
 var batchSQLs = []string{
 	"SELECT a1 FROM t10000_100 WHERE a1 < 100",
 	"SELECT a2, COUNT(*) FROM t100000_100 GROUP BY a2",
@@ -30,7 +47,7 @@ var batchSQLs = []string{
 // batch is answered by the plan cache with the identical plan.
 func TestQueryBatchCountsAndCachesPerStatement(t *testing.T) {
 	e := batchFixture(t)
-	items := e.QueryBatch(context.Background(), batchSQLs)
+	items := queryBatch(e, batchSQLs)
 	if len(items) != len(batchSQLs) {
 		t.Fatalf("got %d items for %d statements", len(items), len(batchSQLs))
 	}
@@ -60,7 +77,7 @@ func TestQueryBatchCountsAndCachesPerStatement(t *testing.T) {
 // A failing statement fails only its own slot.
 func TestQueryBatchPerStatementErrors(t *testing.T) {
 	e := batchFixture(t)
-	items := e.QueryBatch(context.Background(), []string{
+	items := queryBatch(e, []string{
 		"SELECT a1 FROM t10000_100",
 		"NOT SQL AT ALL",
 		"SELECT a1 FROM missing_table",

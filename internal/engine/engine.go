@@ -739,15 +739,39 @@ type QueryResult struct {
 // identical statements hit the plan cache and render byte-identical output.
 func (e *Engine) Explain(sql string) (string, error) {
 	ctx := context.Background()
-	stmt, err := e.parse(ctx, sql)
+	clk := stageClock{start: time.Now()}
+	stmt, err := e.parse(ctx, &clk, sql)
 	if err != nil {
 		return "", err
 	}
-	p, _, err := e.plan(ctx, stmt)
+	p, _, err := e.plan(ctx, &clk, stmt)
 	if err != nil {
 		return "", err
 	}
 	return p.Explain(), nil
+}
+
+// stageClock times one statement: the clock is read when the statement
+// arrives and once at the end of every stage that ran, and that reading is
+// also the next stage's start. The stage histograms, the wide event's
+// latency and its timestamp all come from those readings, so the stages of a
+// statement sum to its latency by construction, and a statement costs four
+// clock reads (three when the statement cache answered the parse), each after
+// the first a monotonic-only time.Since.
+type stageClock struct {
+	start                time.Time
+	parse, plan, execute time.Duration
+}
+
+// total is start → the end of the latest stage: the statement's latency once
+// the last stage has ended.
+func (c *stageClock) total() time.Duration { return c.parse + c.plan + c.execute }
+
+// lap ends a stage: *stage, one of the clock's own and not yet set, becomes
+// the time since the stage before it ended.
+func (c *stageClock) lap(stage *time.Duration) time.Duration {
+	*stage = time.Since(c.start) - c.total()
+	return *stage
 }
 
 // parse times statement parsing into the parse-stage histogram. Parsing is
@@ -755,9 +779,9 @@ func (e *Engine) Explain(sql string) (string, error) {
 // text are served from the statement cache: a second instance of the plan
 // cache's implementation, keyed by the raw SQL at a generation that never
 // moves.
-func (e *Engine) parse(ctx context.Context, sql string) (*sqlparse.SelectStmt, error) {
-	// Cache hits skip the parse histogram: nothing was parsed, and the two
-	// clock reads per observation are measurable at serving QPS.
+func (e *Engine) parse(ctx context.Context, clk *stageClock, sql string) (*sqlparse.SelectStmt, error) {
+	// Cache hits skip the parse histogram and the clock: nothing was parsed,
+	// and the lookup's time is the start of the plan stage.
 	if e.stmts != nil {
 		if stmt, ok := e.stmts.Get(sql, 0); ok {
 			if _, sp := trace.Start(ctx, "parse"); sp != nil {
@@ -768,23 +792,21 @@ func (e *Engine) parse(ctx context.Context, sql string) (*sqlparse.SelectStmt, e
 		}
 	}
 	_, sp := trace.Start(ctx, "parse")
-	start := time.Now()
-	defer func() { e.parseHist.ObserveExemplar(time.Since(start), sp.TraceID()) }()
 	stmt, err := sqlparse.Parse(sql)
 	if err == nil && e.stmts != nil {
 		e.stmts.Put(sql, 0, stmt)
 	}
+	e.parseHist.ObserveExemplar(clk.lap(&clk.parse), sp.TraceID())
 	sp.EndErr(err)
 	return stmt, err
 }
 
 // plan times planning (cache hits included) into the plan-stage histogram
 // and reports whether the plan came from the plan cache.
-func (e *Engine) plan(ctx context.Context, stmt *sqlparse.SelectStmt) (*optimizer.Plan, bool, error) {
+func (e *Engine) plan(ctx context.Context, clk *stageClock, stmt *sqlparse.SelectStmt) (*optimizer.Plan, bool, error) {
 	ctx, sp := trace.Start(ctx, "plan")
-	start := time.Now()
 	p, hit, err := e.opt.PlanCtxHit(ctx, stmt)
-	e.planHist.ObserveExemplar(time.Since(start), sp.TraceID())
+	e.planHist.ObserveExemplar(clk.lap(&clk.plan), sp.TraceID())
 	if sp != nil && err == nil {
 		sp.SetInt("steps", len(p.Steps))
 		sp.SetFloat("estimated_sec", p.EstimatedSec)
@@ -809,24 +831,11 @@ func (e *Engine) QueryContext(ctx context.Context, sql string) (*QueryResult, er
 	return e.serve(ctx, "query", sql, nil)
 }
 
-// BatchItem is one statement's outcome within a query batch: exactly one of
-// Res/Err is set.
-type BatchItem struct {
-	Res *QueryResult
-	Err error
-}
-
-// QueryBatch answers a group of statements in order, one item per statement.
-// Each statement runs exactly as QueryContext would run it alone — its own
-// parse, plan, execution, counters, stage timings and wide event (kind
-// "batch") — so a failed statement fails only its own slot and a repeat
-// inside the batch is a plan-cache hit like any other repeat.
-func (e *Engine) QueryBatch(ctx context.Context, sqls []string) []BatchItem {
-	out := make([]BatchItem, len(sqls))
-	for i, sql := range sqls {
-		out[i].Res, out[i].Err = e.serve(ctx, "batch", sql, nil)
-	}
-	return out
+// QueryBatched is QueryContext for one statement of a batch request: the same
+// path — its own parse, plan, execution, counters and stage timings — with the
+// wide event marked kind "batch".
+func (e *Engine) QueryBatched(ctx context.Context, sql string) (*QueryResult, error) {
+	return e.serve(ctx, "batch", sql, nil)
 }
 
 // QueryTraced is QueryContext with span-tree tracing enabled: the whole
@@ -845,21 +854,16 @@ func (e *Engine) QueryTraced(ctx context.Context, sql string) (*QueryResult, *tr
 }
 
 // serve runs one statement end to end and is the one place a query is
-// counted: every entry point (Query, QueryContext, QueryTraced, each
-// statement of QueryBatch) moves the query and error counters, and — when a
-// recorder is attached — reports the statement's whole parse + plan +
-// execute latency as a wide event of the given kind. A non-nil tr is the
-// trace ctx records into: it is finished, published to the ring and attached
-// to the result before the event that carries its ID is emitted. With no
-// recorder attached the path pays one atomic load and no clock reads.
+// counted: every entry point (Query, QueryContext, QueryTraced, QueryBatched)
+// moves the query and error counters, and — when a recorder is attached —
+// reports the statement's whole parse + plan + execute latency, off the
+// statement's one stageClock, as a wide event of the given kind. A non-nil tr
+// is the trace ctx records into: it is finished, published to the ring and
+// attached to the result before the event that carries its ID is emitted.
 func (e *Engine) serve(ctx context.Context, kind, sql string, tr *trace.Trace) (*QueryResult, error) {
-	rec := e.events.Load()
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
+	clk := stageClock{start: time.Now()}
 	e.queries.Inc()
-	res, err := e.query(ctx, sql)
+	res, err := e.query(ctx, &clk, sql)
 	if err != nil {
 		e.queryErrors.Inc()
 	}
@@ -872,8 +876,8 @@ func (e *Engine) serve(ctx context.Context, kind, sql string, tr *trace.Trace) (
 		}
 		traceID = tr.ID
 	}
-	if rec != nil {
-		e.emitEvent(rec, kind, sql, res, err, time.Since(start), traceID)
+	if rec := e.events.Load(); rec != nil {
+		e.emitEvent(rec, kind, sql, res, err, &clk, traceID)
 	}
 	return res, err
 }
@@ -908,16 +912,16 @@ func fallbackEligible(err error) (string, bool) {
 	return sf.system, resilience.Infrastructural(sf.err)
 }
 
-func (e *Engine) query(ctx context.Context, sql string) (*QueryResult, error) {
-	stmt, err := e.parse(ctx, sql)
+func (e *Engine) query(ctx context.Context, clk *stageClock, sql string) (*QueryResult, error) {
+	stmt, err := e.parse(ctx, clk, sql)
 	if err != nil {
 		return nil, err
 	}
-	p, hit, err := e.plan(ctx, stmt)
+	p, hit, err := e.plan(ctx, clk, stmt)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.run(ctx, stmt, p)
+	res, err := e.run(ctx, clk, stmt, p)
 	if res != nil {
 		res.CacheHit = hit
 	}
@@ -925,11 +929,11 @@ func (e *Engine) query(ctx context.Context, sql string) (*QueryResult, error) {
 }
 
 // run executes an already built plan for a statement: execute-stage timing,
-// and on an infrastructural failure the degraded re-planning loop.
-func (e *Engine) run(ctx context.Context, stmt *sqlparse.SelectStmt, p *optimizer.Plan) (*QueryResult, error) {
-	execStart := time.Now()
+// and on an infrastructural failure the degraded re-planning loop (whose
+// re-plans are also plan-stage observations of their own).
+func (e *Engine) run(ctx context.Context, clk *stageClock, stmt *sqlparse.SelectStmt, p *optimizer.Plan) (*QueryResult, error) {
 	defer func() {
-		e.executeHist.ObserveExemplar(time.Since(execStart), trace.SpanFromContext(ctx).TraceID())
+		e.executeHist.ObserveExemplar(clk.lap(&clk.execute), trace.SpanFromContext(ctx).TraceID())
 	}()
 	res, err := e.execute(ctx, stmt, p)
 	if err == nil || !e.fallback {

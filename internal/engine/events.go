@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"intellisphere/internal/obs"
-)
+import "intellisphere/internal/obs"
 
 // SetEventRecorder attaches (or, with nil, detaches) the wide-event
 // recorder. Safe to call at any time; in-flight queries observe the old
@@ -19,20 +15,24 @@ func (e *Engine) SetEventRecorder(r *obs.Recorder) {
 // one becomes a wide event. The event struct (and the statement hash) is
 // only built after a positive sampling decision, so skipped queries
 // allocate nothing here.
-func (e *Engine) emitEvent(rec *obs.Recorder, kind, sql string, res *QueryResult, err error, lat time.Duration, traceID uint64) {
+func (e *Engine) emitEvent(rec *obs.Recorder, kind, sql string, res *QueryResult, err error, clk *stageClock, traceID uint64) {
+	lat := clk.total()
 	rec.Observe(lat, traceID)
 	capture, ok := rec.Sample(err != nil, lat)
 	if !ok {
 		return
 	}
 	ev := &obs.Event{
-		UnixNano:   time.Now().UnixNano(),
+		UnixNano:   clk.start.Add(lat).UnixNano(),
 		Kind:       kind,
 		Capture:    capture,
 		SQL:        sql,
 		StmtHash:   obs.StatementHash(sql),
 		Outcome:    "ok",
 		LatencySec: lat.Seconds(),
+		ParseNS:    clk.parse.Nanoseconds(),
+		PlanNS:     clk.plan.Nanoseconds(),
+		ExecuteNS:  clk.execute.Nanoseconds(),
 		TraceID:    traceID,
 	}
 	if err != nil {

@@ -2,9 +2,13 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"intellisphere/internal/metrics"
 	"intellisphere/internal/obs"
 )
 
@@ -76,7 +80,7 @@ func TestQueryEmitsWideEvents(t *testing.T) {
 
 	// Batch slots each emit an event with the batch kind.
 	before := rec.Ring().Count()
-	for _, item := range e.QueryBatch(context.Background(), []string{sql, sql}) {
+	for _, item := range queryBatch(e, []string{sql, sql}) {
 		if item.Err != nil {
 			t.Fatal(item.Err)
 		}
@@ -117,7 +121,7 @@ func TestBatchEventLatencyCoversWholeStatement(t *testing.T) {
 	// One never-seen statement: the three stages run once each, nested inside
 	// the interval the event must report.
 	before := e.Stats()
-	item := e.QueryBatch(context.Background(), []string{
+	item := queryBatch(e, []string{
 		"SELECT r.a1 FROM t1000000_250 r JOIN t100000_100 s ON r.a1 = s.a1 WHERE r.a1 < 4242",
 	})[0]
 	if item.Err != nil {
@@ -137,7 +141,7 @@ func TestBatchEventLatencyCoversWholeStatement(t *testing.T) {
 
 	// Failing to parse or to plan takes time too.
 	for _, sql := range []string{"NOT SQL AT ALL", "SELECT a1 FROM missing_table"} {
-		if it := e.QueryBatch(context.Background(), []string{sql})[0]; it.Err == nil {
+		if it := queryBatch(e, []string{sql})[0]; it.Err == nil {
 			t.Fatalf("%q succeeded", sql)
 		}
 		if ev := rec.Ring().Recent(1)[0]; ev.Kind != "batch" || ev.Outcome != "error" || ev.LatencySec <= 0 {
@@ -153,7 +157,7 @@ func TestBatchEventLatencyCoversWholeStatement(t *testing.T) {
 		"SELECT a1 FROM t100000_100 WHERE a1 < 7",
 	}
 	before, events := e.Stats(), rec.LatencySnapshot().Count
-	for _, it := range e.QueryBatch(context.Background(), sqls) {
+	for _, it := range queryBatch(e, sqls) {
 		if it.Err != nil {
 			t.Fatal(it.Err)
 		}
@@ -171,6 +175,73 @@ func TestBatchEventLatencyCoversWholeStatement(t *testing.T) {
 	}
 	if got := rec.LatencySnapshot().Count - events; got != n {
 		t.Errorf("latency histogram moved by %d for %d statements", got, n)
+	}
+}
+
+// TestStagesSumToEventLatency: a statement is timed by one clock, read at
+// arrival and at the end of each stage, so what the three stage histograms
+// observe for it, the event's parse_ns / plan_ns / execute_ns and its
+// latency_sec are differences of the same readings — the stages sum to the
+// latency exactly, not to within a tolerance. A statement-cache hit reads the
+// clock once less: it leaves the parse histogram alone and its event has no
+// parse_ns.
+func TestStagesSumToEventLatency(t *testing.T) {
+	e := newEngine(t)
+	registerHive(t, e)
+	registerTables(t, e, "hive", ts{100000, 100}, ts{1000000, 250})
+	rec := obs.NewRecorder(obs.RecorderConfig{SampleRate: 1})
+	e.SetEventRecorder(rec)
+	const sql = "SELECT r.a1 FROM t1000000_250 r JOIN t100000_100 s ON r.a1 = s.a1 WHERE r.a1 < 4242"
+
+	var before Stats
+	for i, parsed := range []bool{true, false} { // never seen, then a repeat
+		res, err := e.QueryBatched(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, ev := e.Stats(), rec.Ring().Recent(1)[0]
+		if (ev.ParseNS > 0) != parsed || ev.PlanNS <= 0 || ev.ExecuteNS <= 0 || res.CacheHit == parsed {
+			t.Fatalf("statement %d: stages %d/%d/%d ns, plan-cache hit %v", i, ev.ParseNS, ev.PlanNS, ev.ExecuteNS, res.CacheHit)
+		}
+		if sum := time.Duration(ev.ParseNS + ev.PlanNS + ev.ExecuteNS); sum.Seconds() != ev.LatencySec {
+			t.Errorf("statement %d: stages sum to %v, the event's latency is %vs", i, sum, ev.LatencySec)
+		}
+		for _, stage := range []struct {
+			name          string
+			ns            int64
+			before, after metrics.HistogramSnapshot
+		}{
+			{"parse", ev.ParseNS, before.Parse, after.Parse},
+			{"plan", ev.PlanNS, before.Plan, after.Plan},
+			{"execute", ev.ExecuteNS, before.Execute, after.Execute},
+		} {
+			wantCount := uint64(1)
+			if stage.ns == 0 {
+				wantCount = 0
+			}
+			gotNS := math.Round((stage.after.SumSeconds - stage.before.SumSeconds) * 1e9)
+			if stage.after.Count-stage.before.Count != wantCount || gotNS != float64(stage.ns) {
+				t.Errorf("statement %d: %s histogram moved by %d observations, %v ns; the event says %d ns",
+					i, stage.name, stage.after.Count-stage.before.Count, gotNS, stage.ns)
+			}
+		}
+		line, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(line), `"parse_ns"`); got != parsed || !strings.Contains(string(line), `"plan_ns"`) {
+			t.Errorf("statement %d: event line %s", i, line)
+		}
+		before = after
+	}
+
+	// A statement that fails to parse is one stage long.
+	if _, err := e.Query("NOT SQL AT ALL"); err == nil {
+		t.Fatal("bad statement succeeded")
+	}
+	ev := rec.Ring().Recent(1)[0]
+	if ev.ParseNS <= 0 || ev.PlanNS != 0 || ev.ExecuteNS != 0 || time.Duration(ev.ParseNS).Seconds() != ev.LatencySec {
+		t.Errorf("parse failure: stages %d/%d/%d ns, latency %vs", ev.ParseNS, ev.PlanNS, ev.ExecuteNS, ev.LatencySec)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -140,7 +141,11 @@ type TuneReport struct {
 // logical-op models: each model with pending logged executions re-fits α
 // from the remedy records and folds the log into its network, expanding the
 // trained ranges under the continuity rule. Models without pending logs are
-// skipped.
+// skipped. The models are tuned in place, one after another, and the pass
+// stops at the first that fails — so a failure can come after a change: the
+// error then arrives with the report of what was tuned before it, and that
+// change has been published (plans invalidated, a model version recorded) all
+// the same.
 func (e *Engine) TuneSystem(system string, tc nn.TrainConfig) (*TuneReport, error) {
 	// tuneMu serializes this in-place pass against candidate tunes and
 	// rollbacks, and orders its WAL record with every other model mutation.
@@ -159,38 +164,31 @@ func (e *Engine) TuneSystem(system string, tc nn.TrainConfig) (*TuneReport, erro
 	e.FlushFeedback()
 	prof := h.Profile()
 	rep := &TuneReport{}
-	tune := func(m interface {
-		PendingLog() int
-		RefitAlpha() (float64, int)
-		OfflineTune(nn.TrainConfig) (*nn.TrainResult, error)
-		Alpha() float64
-	}, alpha *float64) (bool, error) {
-		if m == nil || m.PendingLog() == 0 {
-			return false, nil
+	changed := false // a model is no longer what cached plans were priced by
+	var tuneErr error
+	for _, m := range []struct {
+		kind  string
+		model *logicalop.Model
+		tuned *bool
+		alpha *float64
+	}{
+		{"join", prof.LogicalJoin, &rep.JoinTuned, &rep.JoinAlpha},
+		{"aggregation", prof.LogicalAgg, &rep.AggTuned, &rep.AggAlpha},
+		{"scan", prof.LogicalScan, &rep.ScanTuned, &rep.ScanAlpha},
+	} {
+		if m.model == nil || m.model.PendingLog() == 0 {
+			continue
 		}
-		a, n := m.RefitAlpha()
-		*alpha, rep.AlphaRecords = a, rep.AlphaRecords+n
-		if _, err := m.OfflineTune(tc); err != nil {
-			return false, err
+		a, n := m.model.RefitAlpha()
+		*m.alpha, rep.AlphaRecords = a, rep.AlphaRecords+n
+		changed = changed || n > 0
+		if _, err := m.model.OfflineTune(tc); err != nil {
+			tuneErr = fmt.Errorf("engine: tune %q %s model: %w", system, m.kind, err)
+			break
 		}
-		return true, nil
+		*m.tuned, changed = true, true
 	}
-	if prof.LogicalJoin != nil {
-		if rep.JoinTuned, err = tune(prof.LogicalJoin, &rep.JoinAlpha); err != nil {
-			return nil, fmt.Errorf("engine: tune %q join model: %w", system, err)
-		}
-	}
-	if prof.LogicalAgg != nil {
-		if rep.AggTuned, err = tune(prof.LogicalAgg, &rep.AggAlpha); err != nil {
-			return nil, fmt.Errorf("engine: tune %q aggregation model: %w", system, err)
-		}
-	}
-	if prof.LogicalScan != nil {
-		if rep.ScanTuned, err = tune(prof.LogicalScan, &rep.ScanAlpha); err != nil {
-			return nil, fmt.Errorf("engine: tune %q scan model: %w", system, err)
-		}
-	}
-	if rep.JoinTuned || rep.AggTuned || rep.ScanTuned {
+	if changed {
 		// Offline tuning mutates the profile's models in place, which the
 		// estimator cannot observe itself: cached plans costed against the
 		// old models are stale.
@@ -201,11 +199,11 @@ func (e *Engine) TuneSystem(system string, tc nn.TrainConfig) (*TuneReport, erro
 		e.ResetAccuracy(system)
 		data, jerr := profileJSON(h)
 		if jerr != nil {
-			return nil, fmt.Errorf("engine: serialize tuned profile for %q: %w", system, jerr)
+			return rep, errors.Join(tuneErr, fmt.Errorf("engine: serialize tuned profile for %q: %w", system, jerr))
 		}
 		if _, verr := e.recordModelVersion(system, modelver.OriginTuneSystem, data, nil); verr != nil {
-			return nil, verr
+			return rep, errors.Join(tuneErr, verr)
 		}
 	}
-	return rep, nil
+	return rep, tuneErr
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -364,6 +365,68 @@ func TestTuneSystemResetsDriftWindow(t *testing.T) {
 	vs := e.ModelVersions("hivebb")
 	if len(vs) != 1 || vs[0].Origin != modelver.OriginTuneSystem || !vs[0].Live {
 		t.Errorf("TuneSystem versions = %+v", vs)
+	}
+}
+
+// TestTuneSystemPublishesPartialTune: TuneSystem re-trains the join,
+// aggregation and scan models in place, one after another. When the join
+// model has been re-trained and the aggregation tune then fails, the change is
+// made and must be published like any other — plans priced by the old join
+// model invalidated, a model version (and with it a WAL record) written — and
+// the error must come with the report of what was tuned. It used to return
+// (nil, err) before any of that, so the cached join plan kept being served. A
+// pass that fails before it changes anything still publishes nothing.
+func TestTuneSystemPublishesPartialTune(t *testing.T) {
+	e, est, _ := newTuneRig(t)
+	prof := est.Profile()
+	tc := nn.TrainConfig{Iterations: 50, Optimizer: nn.Adam, BatchSize: 32, Seed: 3}
+	// The one way left to make a later model's tune fail: Observe refuses a
+	// record of the wrong width, a seeded log is taken as it comes.
+	prof.LogicalAgg.SeedLog([]logicalop.Record{{X: []float64{1, 2}, Actual: 1}})
+	epoch := e.opt.Epoch()
+	rep, err := e.TuneSystem("hivebb", tc)
+	if err == nil || rep == nil || rep.JoinTuned || rep.AggTuned {
+		t.Fatalf("pass with no join log: report %+v, error %v", rep, err)
+	}
+	if e.opt.Epoch() != epoch || len(e.ModelVersions("hivebb")) != 0 {
+		t.Error("a pass that changed no model published one")
+	}
+
+	const joinSQL = "SELECT r.a1 FROM t80000000_500 r JOIN t100000_100 s ON r.a1 = s.a1"
+	for i, wantHit := range []bool{false, true} {
+		res, err := e.Query(joinSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit != wantHit {
+			t.Fatalf("query %d: CacheHit = %v", i, res.CacheHit)
+		}
+	}
+	e.FlushFeedback()
+	if prof.LogicalJoin.PendingLog() == 0 {
+		t.Fatal("the join did not run on hivebb: no join log to tune")
+	}
+	stale := e.PlanCacheStats().Stale
+	rep, err = e.TuneSystem("hivebb", tc)
+	if err == nil || !strings.Contains(err.Error(), "aggregation model") {
+		t.Fatalf("TuneSystem over a wrong-width aggregation record: %v", err)
+	}
+	if rep == nil || !rep.JoinTuned || rep.AggTuned || rep.ScanTuned {
+		t.Fatalf("partial report = %+v, want the join tuned and nothing else", rep)
+	}
+	if e.opt.Epoch() == epoch {
+		t.Error("the re-trained join model did not move the optimizer epoch")
+	}
+	res, err := e.Query(joinSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit || e.PlanCacheStats().Stale != stale+1 {
+		t.Errorf("the join statement was served its old plan: hit %v, stale %d → %d", res.CacheHit, stale, e.PlanCacheStats().Stale)
+	}
+	vs := e.ModelVersions("hivebb")
+	if len(vs) != 1 || vs[0].Origin != modelver.OriginTuneSystem || !vs[0].Live {
+		t.Errorf("versions after the partial tune = %+v", vs)
 	}
 }
 

@@ -42,6 +42,13 @@ type Event struct {
 	ActualSec    float64 `json:"actual_sec,omitempty"`
 	// LatencySec is end-to-end wall time as the caller saw it.
 	LatencySec float64 `json:"latency_sec"`
+	// ParseNS, PlanNS and ExecuteNS split the latency into the engine's
+	// stages, in nanoseconds: readings of one clock, so they sum to the
+	// latency exactly. Zero (omitted) for a stage that did not run — the
+	// parse of a statement-cache hit, whatever follows a failure.
+	ParseNS   int64 `json:"parse_ns,omitempty"`
+	PlanNS    int64 `json:"plan_ns,omitempty"`
+	ExecuteNS int64 `json:"execute_ns,omitempty"`
 	// Retries counts step re-attempts beyond the first try.
 	Retries int `json:"retries,omitempty"`
 	// Degraded marks results produced by a fallback replan that excluded

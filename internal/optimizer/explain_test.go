@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"intellisphere/internal/core"
 	"intellisphere/internal/demo"
@@ -213,5 +215,33 @@ func TestPlanSystems(t *testing.T) {
 	}
 	if got := (&optimizer.Plan{}).Systems(); len(got) != 0 {
 		t.Errorf("empty plan touches %v", got)
+	}
+}
+
+// A plan assembled by hand renders on first use with no planner to do it
+// first: concurrent first users (run under -race) must all end up with the
+// one rendering that won.
+func TestHandBuiltPlanRendersOnceConcurrently(t *testing.T) {
+	p := &optimizer.Plan{EstimatedSec: 1.5}
+	for _, sys := range []string{"e", "d", "c", "b", "a", "c"} {
+		p.Steps = append(p.Steps, optimizer.Step{Kind: "scan", System: sys})
+	}
+	var wg sync.WaitGroup
+	texts, lists := make([]string, 8), make([][]string, 8)
+	for g := range texts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			texts[g], lists[g] = p.Explain(), p.Systems()
+		}()
+	}
+	wg.Wait()
+	if got := fmt.Sprint(lists[0]); got != "[a b c d e]" {
+		t.Errorf("Systems() = %s", got)
+	}
+	for g := range texts {
+		if unsafe.StringData(texts[g]) != unsafe.StringData(texts[0]) || &lists[g][0] != &lists[0][0] {
+			t.Fatalf("caller %d got a rendering of its own", g)
+		}
 	}
 }

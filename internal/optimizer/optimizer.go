@@ -7,7 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"intellisphere/internal/catalog"
 	"intellisphere/internal/core"
@@ -96,7 +96,7 @@ type Alternative struct {
 
 // Plan is a chosen physical plan with its costed alternatives. Plans are
 // immutable once built (the plan cache shares one *Plan across callers), so
-// the Explain rendering and the list of systems touched are memoized.
+// the Explain rendering and the list of systems touched are derived once.
 type Plan struct {
 	Steps        []Step
 	EstimatedSec float64
@@ -109,65 +109,81 @@ type Plan struct {
 	// for a normal plan.
 	Excluded []string
 
-	explainOnce sync.Once
-	explained   string
-	systemsOnce sync.Once
-	systems     []string
+	// view is the plan's rendering once there is one. The planner renders
+	// into own and points view at it before it hands the plan out, so a
+	// reader pays one atomic load; a plan assembled by hand renders on first
+	// use, and of several first users one rendering wins.
+	view atomic.Pointer[rendering]
+	own  rendering
+}
+
+// rendering is what a finished plan derives from its steps. Both are
+// allocations of their own: wide events keep the systems list, and must not
+// keep the plan (and everything it points to) alive through it.
+type rendering struct {
+	explain string
+	systems []string
+}
+
+func (p *Plan) rendered() *rendering {
+	if r := p.view.Load(); r != nil {
+		return r
+	}
+	r := new(rendering)
+	p.renderInto(r)
+	p.view.CompareAndSwap(nil, r)
+	return p.view.Load()
 }
 
 // Systems lists the distinct systems the plan places steps on, sorted;
 // transfer steps contribute both endpoints. The list is computed once per
 // plan and shared: callers must not modify it.
-func (p *Plan) Systems() []string {
-	p.systemsOnce.Do(func() {
-		p.systems = make([]string, 0, 4)
-		add := func(sys string) {
-			if sys != "" && !slices.Contains(p.systems, sys) {
-				p.systems = append(p.systems, sys)
-			}
-		}
-		for i := range p.Steps {
-			add(p.Steps[i].System)
-			add(p.Steps[i].From)
-		}
-		sort.Strings(p.systems)
-	})
-	return p.systems
-}
+func (p *Plan) Systems() []string { return p.rendered().systems }
 
 // Explain renders the plan. The rendering is computed once per plan, so
 // cache hits return byte-identical output without re-formatting.
-func (p *Plan) Explain() string {
-	p.explainOnce.Do(func() {
-		var buf [1024]byte // most renderings fit: the text is then copied once
-		b := buf[:0]
-		if len(p.Excluded) > 0 {
-			b = append(b, "degraded plan (excluded: "...)
-			for i, sys := range p.Excluded {
-				if i > 0 {
-					b = append(b, ", "...)
-				}
-				b = append(b, sys...)
+func (p *Plan) Explain() string { return p.rendered().explain }
+
+func (p *Plan) renderInto(r *rendering) {
+	r.systems = make([]string, 0, 4)
+	add := func(sys string) {
+		if sys != "" && !slices.Contains(r.systems, sys) {
+			r.systems = append(r.systems, sys)
+		}
+	}
+	for i := range p.Steps {
+		add(p.Steps[i].System)
+		add(p.Steps[i].From)
+	}
+	sort.Strings(r.systems)
+
+	var buf [1024]byte // most renderings fit: the text is then copied once
+	b := buf[:0]
+	if len(p.Excluded) > 0 {
+		b = append(b, "degraded plan (excluded: "...)
+		for i, sys := range p.Excluded {
+			if i > 0 {
+				b = append(b, ", "...)
 			}
-			b = append(b, ")\n"...)
+			b = append(b, sys...)
 		}
-		b = appendFixed(append(b, "plan (estimated "...), p.EstimatedSec, 2)
-		b = append(b, "s):\n"...)
-		for i := range p.Steps {
-			b = strconv.AppendInt(append(b, "  "...), int64(i+1), 10)
-			b = p.Steps[i].appendTo(append(b, ". "...))
-			b = append(b, '\n')
+		b = append(b, ")\n"...)
+	}
+	b = appendFixed(append(b, "plan (estimated "...), p.EstimatedSec, 2)
+	b = append(b, "s):\n"...)
+	for i := range p.Steps {
+		b = strconv.AppendInt(append(b, "  "...), int64(i+1), 10)
+		b = p.Steps[i].appendTo(append(b, ". "...))
+		b = append(b, '\n')
+	}
+	if len(p.Alternatives) > 0 {
+		b = append(b, "rejected alternatives:\n"...)
+		for _, a := range p.Alternatives {
+			b = append(append(b, "  - "...), a.Description...)
+			b = append(appendSeconds(append(b, ' '), a.EstimatedSec), '\n')
 		}
-		if len(p.Alternatives) > 0 {
-			b = append(b, "rejected alternatives:\n"...)
-			for _, a := range p.Alternatives {
-				b = append(append(b, "  - "...), a.Description...)
-				b = append(appendSeconds(append(b, ' '), a.EstimatedSec), '\n')
-			}
-		}
-		p.explained = string(b)
-	})
-	return p.explained
+	}
+	r.explain = string(b)
 }
 
 // Plan builds the cheapest federated plan for a parsed statement, consulting
@@ -303,6 +319,8 @@ func (o *Optimizer) finishPlan(stmt *sqlparse.SelectStmt, p *Plan) (*Plan, error
 	if stmt.Limit > 0 && p.OutputRows > float64(stmt.Limit) {
 		p.OutputRows = float64(stmt.Limit)
 	}
+	p.renderInto(&p.own)
+	p.view.Store(&p.own)
 	return p, nil
 }
 

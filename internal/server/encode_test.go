@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -261,4 +262,45 @@ func TestWarmQueryAllocs(t *testing.T) {
 		}
 		t.Logf("warm %s /query: %.0f allocs/request", tc.name, allocs)
 	}
+}
+
+// TestWarmBatchAllocs pins what a warm 16-statement POST /query/batch — the
+// request zipf_mix sends — allocates, through admission, the decode, the
+// engine and the pooled encoder: the statement slice and one string a
+// statement from the decode, a result and its step actuals a statement from
+// the engine, and the per-request deadline and header bookkeeping. The budget
+// is the count at the time of writing, 52, plus two (80 while encoding/json
+// decoded the body into []json.RawMessage and the engine answered into a
+// []BatchItem); sixteen warm /query requests are 16 × 6 = 96.
+func TestWarmBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, eng := newTestServer(t)
+	h := New(eng).Handler(10 * time.Second)
+	sqls := make([]string, 16)
+	for i := range sqls {
+		sqls[i] = fmt.Sprintf(`"SELECT a1 FROM t100000_100 WHERE a1 < %d"`, 100+i)
+	}
+	// Quoted as the benchmark's driver quotes (strconv.AppendQuote): '<' stays
+	// '<'. json.Marshal would write \u003c, an escape the decode leaves to
+	// encoding/json.
+	body := "[" + strings.Join(sqls, ",") + "]"
+	rd := strings.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/query/batch", nil)
+	req.Body = io.NopCloser(rd)
+	w := &nullRW{h: make(http.Header)}
+	serve := func() {
+		rd.Reset(body)
+		h.ServeHTTP(w, req)
+	}
+	for i := 0; i < 3; i++ {
+		serve()
+	}
+	const budget = 54
+	allocs := testing.AllocsPerRun(200, serve)
+	if allocs > budget {
+		t.Errorf("warm 16-statement /query/batch allocates %.0f objects per request, budget %d", allocs, budget)
+	}
+	t.Logf("warm 16-statement /query/batch: %.0f allocs/request", allocs)
 }

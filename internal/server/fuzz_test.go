@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"testing"
 	"time"
 )
@@ -129,6 +131,121 @@ func FuzzStatementForms(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readBatchReflective is readBatch as it was while encoding/json decoded every
+// /query/batch body straight off the capped request body, moved here verbatim
+// to be FuzzBatchBody's oracle.
+func readBatchReflective(w http.ResponseWriter, r *http.Request) ([]string, error) {
+	if r.Body == nil {
+		return nil, fmt.Errorf("missing batch: POST [{\"sql\": ...}, ...] or [\"...\", ...]")
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var raw []json.RawMessage
+	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
+		return nil, fmt.Errorf("decode request: %w", err)
+	}
+	if len(raw) == 0 {
+		return nil, fmt.Errorf("empty batch")
+	}
+	out := make([]string, len(raw))
+	for i, m := range raw {
+		// A string or an object decodes exactly as a /query/stream line does;
+		// any other JSON value must not fall through to the raw-SQL case.
+		if m[0] != '"' && m[0] != '{' {
+			return nil, fmt.Errorf("statement %d: want {\"sql\": ...} or a string", i)
+		}
+		sql, err := streamStatement(m)
+		if err != nil {
+			return nil, fmt.Errorf("statement %d: %v", i, err)
+		}
+		out[i] = sql
+	}
+	return out, nil
+}
+
+// FuzzBatchBody is the differential oracle for the /query/batch decode:
+// whatever the body, readBatch — the plainBatch scanner, and encoding/json
+// over the buffered bytes for what it declines — returns the statements
+// readBatchReflective returns, or fails with the same text and the same
+// status. The seeds are the shapes clients send (the benchmark's 16 bare
+// strings, the README's mixed array) and what the scanner must decline or
+// stop at: escapes, other keys, empty and non-string elements, whitespace in
+// every position, trailing bytes, truncation at each token. Bodies past
+// maxBodyBytes, where the answer depends on whether the array closed before
+// the cap, cost too much per execution to fuzz: TestBatchBodyOverCap holds them
+// to the same oracle.
+func FuzzBatchBody(f *testing.F) {
+	bench := make([]string, 16)
+	for i := range bench {
+		bench[i] = fmt.Sprintf("SELECT a1, a5 FROM t1000000_250 WHERE a5 < %d", 1000+i)
+	}
+	benchBody, err := json.Marshal(bench)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(benchBody)
+	for _, seed := range []string{
+		"[\n  \"SELECT a1 FROM t10000_100 WHERE a1 < 100\",\n  {\"sql\": \"SELECT a2, COUNT(*) FROM t1000000_100 GROUP BY a2\"}\n]",
+		`["SELECT 1"]`, `[{"sql":"SELECT 1"}]`, ` [ "a" , { "sql" : "b" } ] `, "\t[\r\n\"a\"\n]\n",
+		`["a"]trailing`, `["a"]]`, `["a"] ["b"]`, `[{"sql":"a"}}`,
+		`[]`, `[ ]`, `[""]`, `[{"sql":""}]`, `[{}]`, `["a",]`, `[,"a"]`, `["a" "b"]`, `["a",,"b"]`,
+		`[42]`, `[null]`, `[["a"]]`, `[true,"a"]`, `["a",{"sql":7}]`, `{"sql":"a"}`, `"a"`, `null`, ``, ` `,
+		`["a\\nb"]`, `["a\\u0041"]`, `["caf\u00e9"]`, "[\"a\x01\"]", "[\"a\xff\"]", `["a\\"]`, `["a\\"","b"]`,
+		`[{"SQL":"a"}]`, `[{"sql":"a","sql":"b"}]`, `[{"sql":"a","x":1}]`, `[{"x":1,"sql":"a"}]`, `[{"sql":"a\\tb"}]`,
+		`[`, `["`, `["a`, `["a"`, `["a",`, `["a",{`, `["a",{"sql"`, `["a",{"sql":`, `["a",{"sql":"b`, `["a",{"sql":"b"`, `["a",{"sql":"b"}`,
+		`["a","b","c","d","e","f","g","h","i","j","k","l","m","n","o","p","q","r"]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkBatchBody(t, data) })
+}
+
+// checkBatchBody holds readBatch to readBatchReflective on one body.
+func checkBatchBody(t *testing.T, body []byte) {
+	t.Helper()
+	request := func() (http.ResponseWriter, *http.Request) {
+		return httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(body))
+	}
+	w, r := request()
+	got, gotErr := readBatch(w, r, new(bytes.Buffer))
+	w, r = request()
+	want, wantErr := readBatchReflective(w, r)
+	switch {
+	case gotErr != nil && wantErr != nil:
+		if gotErr.Error() != wantErr.Error() || requestStatus(gotErr) != requestStatus(wantErr) {
+			t.Fatalf("%d-byte body %.80q: refused with %d %q, the reflective decode says %d %q",
+				len(body), body, requestStatus(gotErr), gotErr, requestStatus(wantErr), wantErr)
+		}
+	case gotErr != nil || wantErr != nil || !slices.Equal(got, want):
+		t.Fatalf("%d-byte body %.80q: %q, %v; the reflective decode says %q, %v", len(body), body, got, gotErr, want, wantErr)
+	}
+}
+
+// TestBatchBodyOverCap: a body past maxBodyBytes is a 413 — unless its array
+// closed inside the cap, which is as far as a decoder reading the body ever
+// got; then it is a batch, or whatever else the array is. Padding goes after
+// each body and into its middle, and every outcome is the reflective decode's.
+func TestBatchBodyOverCap(t *testing.T) {
+	pad := bytes.Repeat([]byte{' '}, maxBodyBytes)
+	for _, body := range []string{
+		`["over","the cap"]`, `[{"sql":"over the cap"}]`, `["over", 7, "the cap"]`, `["over", "", "the cap"]`,
+		`["over","the cap"`, `["a\u0041","b"]`, `[]`, `{"sql":"a"}`, ``,
+	} {
+		half := len(body) / 2
+		after := append([]byte(body), pad...)
+		checkBatchBody(t, after)
+		checkBatchBody(t, append(after, "]"...))
+		checkBatchBody(t, append(append([]byte(body[:half]), pad...), body[half:]...))
+	}
+	w, r := httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(append([]byte(`["a",`), pad...)))
+	if _, err := readBatch(w, r, new(bytes.Buffer)); requestStatus(err) != http.StatusRequestEntityTooLarge {
+		t.Errorf("an array still open at the cap: %v", err)
+	}
+	w, r = httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(append([]byte(`["a"]`), pad...)))
+	if sqls, err := readBatch(w, r, new(bytes.Buffer)); err != nil || !slices.Equal(sqls, []string{"a"}) {
+		t.Errorf("an array closed inside the cap: %q, %v", sqls, err)
+	}
 }
 
 // FuzzEncodeAnswer is the differential oracle for encode.go, the hand-rolled

@@ -508,14 +508,25 @@ func encodeAnswer(enc *jw, sql string, res *engine.QueryResult, err error) {
 
 // readBatch decodes a /query/batch body: a JSON array whose elements are
 // either {"sql": "..."} objects or bare statement strings (the two forms may
-// mix).
-func readBatch(w http.ResponseWriter, r *http.Request) ([]string, error) {
+// mix). It reads the body whole into buf, capped at maxBodyBytes; plainBatch
+// takes the array clients send, and whatever it declines is encoding/json's,
+// which then also decides what is an error and how it reads.
+func readBatch(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) ([]string, error) {
 	if r.Body == nil {
 		return nil, fmt.Errorf("missing batch: POST [{\"sql\": ...}, ...] or [\"...\", ...]")
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if _, err := buf.ReadFrom(body); err == nil {
+		if sqls, ok := plainBatch(buf.Bytes()); ok {
+			return sqls, nil
+		}
+	}
+	// The decoder sees what one reading the body directly would: the bytes
+	// read, then how the read ended — the capped reader repeats its EOF or its
+	// error — so an array that closes inside the cap is a batch even when
+	// more than the cap follows it, and one that does not is a 413.
 	var raw []json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
+	if err := json.NewDecoder(io.MultiReader(buf, body)).Decode(&raw); err != nil {
 		return nil, fmt.Errorf("decode request: %w", err)
 	}
 	if len(raw) == 0 {
@@ -537,33 +548,67 @@ func readBatch(w http.ResponseWriter, r *http.Request) ([]string, error) {
 	return out, nil
 }
 
+// plainBatch decodes b when it starts with a statement array as clients write
+// it: '[', one or more elements that cutPlainString or cutSQLObject takes and
+// that are not empty, ',' between them, ']', JSON whitespace allowed around
+// every token. Like json.Decoder it reads one value: what follows the ']' is
+// not looked at. An escape, another key, an element that is neither form, an
+// empty or unfinished array are all left to encoding/json.
+func plainBatch(b []byte) ([]string, bool) {
+	b, ok := cutJSONToken(b, "[")
+	if !ok {
+		return nil, false
+	}
+	sqls := make([]string, 0, 16) // grows by append; most batches fit
+	for {
+		var sql string
+		if b = bytes.TrimLeft(b, jsonSpace); len(b) > 0 && b[0] == '{' {
+			sql, b, ok = cutSQLObject(b)
+		} else {
+			sql, b, ok = cutPlainString(b)
+		}
+		if !ok || sql == "" {
+			return nil, false
+		}
+		sqls = append(sqls, sql)
+		if b, ok = cutJSONToken(b, ","); ok {
+			continue
+		}
+		_, ok = cutJSONToken(b, "]")
+		return sqls, ok
+	}
+}
+
 // handleQueryBatch serves POST /query/batch: the statements run one after
 // another, each exactly as /query would run it. The response is an array
 // aligned with the request; each element is either a /query result or
 // {"sql": ..., "error": ...}, so one failed statement never fails its
 // neighbors.
 func (s *Server) handleQueryBatch(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	sqls, err := readBatch(w, r)
+	// One pooled buffer holds the request body, then the response.
+	buf := getBuf()
+	defer putBuf(buf)
+	sqls, err := readBatch(w, r, buf)
 	if err != nil {
 		s.writeError(w, requestStatus(err), err)
 		return
 	}
-	buf := getBuf()
+	buf.Reset()
 	enc := jw{b: buf}
 	buf.WriteByte('[')
 	enc.depth++
-	for i, it := range s.eng.QueryBatch(ctx, sqls) {
+	for i, sql := range sqls {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
 		enc.newline()
-		encodeAnswer(&enc, sqls[i], it.Res, it.Err)
+		res, err := s.eng.QueryBatched(ctx, sql)
+		encodeAnswer(&enc, sql, res, err)
 	}
 	enc.depth--
 	enc.newline()
 	buf.WriteString("]\n")
 	s.writeBuf(w, http.StatusOK, buf)
-	putBuf(buf)
 }
 
 // explainResponse is the /explain result.
@@ -1027,48 +1072,60 @@ func streamStatement(line []byte) (string, error) {
 }
 
 // plainJSONString decodes line when it is a JSON string that needs no
-// decoding — printable ASCII between two quotes, no escapes — which is what
-// a client sending SQL almost always writes. Anything else (escapes, control
-// characters, non-ASCII text that json.Unmarshal would have to validate) is
-// left to encoding/json.
+// decoding and nothing else: cutPlainString's form, ending where line ends.
 func plainJSONString(line []byte) (string, bool) {
-	if len(line) < 2 || line[0] != '"' || line[len(line)-1] != '"' {
-		return "", false
+	s, rest, ok := cutPlainString(line)
+	return s, ok && len(rest) == 0
+}
+
+// cutPlainString decodes the JSON string b starts with when it needs no
+// decoding — printable ASCII between two quotes, no escapes — which is what
+// a client sending SQL almost always writes, and returns what follows its
+// closing quote. Anything else (escapes, control characters, non-ASCII text
+// that json.Unmarshal would have to validate) is left to encoding/json.
+func cutPlainString(b []byte) (s string, rest []byte, ok bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return "", b, false
 	}
-	body := line[1 : len(line)-1]
-	for _, c := range body {
-		if c < 0x20 || c >= 0x80 || c == '\\' || c == '"' {
-			return "", false
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return string(b[1:i]), b[i+1:], true
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return "", b, false
 		}
 	}
-	return string(body), true
+	return "", b, false
 }
 
 // plainSQLObject decodes b when it is the statement object as clients write
-// it and nothing else: {"sql":"<statement>"} with a value plainJSONString
-// accepts and that is not empty, the exact key, JSON whitespace allowed around
-// every token and nothing but whitespace after the closing brace. Any other
-// spelling encoding/json takes — another key case, a second key, an escape —
-// is left to encoding/json, which then also decides what is an error.
+// it and nothing else: cutSQLObject's form with nothing but whitespace after
+// the closing brace.
 func plainSQLObject(b []byte) (string, bool) {
-	var ok bool
+	sql, rest, ok := cutSQLObject(b)
+	if !ok || len(bytes.TrimLeft(rest, jsonSpace)) != 0 {
+		return "", false
+	}
+	return sql, true
+}
+
+// cutSQLObject decodes the statement object b starts with and returns what
+// follows its closing brace: {"sql":"<statement>"} with a value
+// plainJSONString accepts and that is not empty, the exact key, JSON
+// whitespace allowed around every token. Any other spelling encoding/json
+// takes — another key case, a second key, an escape — is left to
+// encoding/json, which then also decides what is an error.
+func cutSQLObject(b []byte) (sql string, rest []byte, ok bool) {
 	for _, tok := range [...]string{"{", `"sql"`, ":"} {
 		if b, ok = cutJSONToken(b, tok); !ok {
-			return "", false
+			return "", b, false
 		}
 	}
-	if b = bytes.TrimLeft(b, jsonSpace); len(b) == 0 || b[0] != '"' {
-		return "", false
+	if sql, b, ok = cutPlainString(bytes.TrimLeft(b, jsonSpace)); !ok || sql == "" {
+		return "", b, false
 	}
-	end := 1 + bytes.IndexByte(b[1:], '"') // 0: no closing quote; 1: an empty value
-	if end < 2 {
-		return "", false
-	}
-	value := b[:end+1]
-	if b, ok = cutJSONToken(b[end+1:], "}"); !ok || len(bytes.TrimLeft(b, jsonSpace)) != 0 {
-		return "", false
-	}
-	return plainJSONString(value)
+	rest, ok = cutJSONToken(b, "}")
+	return sql, rest, ok
 }
 
 // jsonSpace is what JSON calls whitespace (bytes.TrimSpace takes more).
