@@ -39,12 +39,15 @@ var batchSQLs = []string{
 	"SELECT a1 FROM t10000_100 WHERE a1 < 100",
 	"SELECT a2, COUNT(*) FROM t100000_100 GROUP BY a2",
 	"SELECT r.a1 FROM t1000000_250 r JOIN t100000_100 s ON r.a1 = s.a1",
-	"SELECT a1 FROM t10000_100 WHERE a1 < 100", // duplicate of 0
+	"SELECT a1 FROM t10000_100 WHERE a1 < 100", // second sighting of 0
 	"SELECT a1 FROM t100000_100",
+	"SELECT a1 FROM t10000_100 WHERE a1 < 100", // third sighting of 0
 }
 
-// Every statement of a batch is one counted query, and a repeat inside the
-// batch is answered by the plan cache with the identical plan.
+// Every statement of a batch is one counted query, and the cache sees the
+// sightings inside one batch as it sees any others: the second occurrence of
+// a statement is planned again and admitted, the third is answered from the
+// cache with the second's plan.
 func TestQueryBatchCountsAndCachesPerStatement(t *testing.T) {
 	e := batchFixture(t)
 	items := queryBatch(e, batchSQLs)
@@ -55,12 +58,15 @@ func TestQueryBatchCountsAndCachesPerStatement(t *testing.T) {
 		if it.Err != nil {
 			t.Fatalf("batch[%d] (%q): %v", i, batchSQLs[i], it.Err)
 		}
-		if wantHit := i == 3; it.Res.CacheHit != wantHit {
+		if wantHit := i == 5; it.Res.CacheHit != wantHit {
 			t.Errorf("statement %d: CacheHit = %v, want %v", i, it.Res.CacheHit, wantHit)
 		}
 	}
-	if items[3].Res.Plan != items[0].Res.Plan {
-		t.Error("the repeated statement did not get the first occurrence's plan")
+	if items[5].Res.Plan != items[3].Res.Plan || items[3].Res.Plan == items[0].Res.Plan {
+		t.Error("the third occurrence must get the second's plan, and the second one of its own")
+	}
+	if items[3].Res.Plan.Explain() != items[0].Res.Plan.Explain() {
+		t.Error("the statement's two plans render differently")
 	}
 	if items[0].Res.Rows == nil || items[1].Res.Rows != nil {
 		t.Error("rows must come back exactly for the materialized table")
@@ -71,6 +77,8 @@ func TestQueryBatchCountsAndCachesPerStatement(t *testing.T) {
 	}
 	if pc := st.PlanCache; pc.Hits != 1 || pc.Hits+pc.Misses != uint64(len(batchSQLs)) {
 		t.Errorf("plan cache hits %d + misses %d, want 1 + %d", pc.Hits, pc.Misses, len(batchSQLs)-1)
+	} else if pc.Size != 1 {
+		t.Errorf("%d statements resident, want the one that was sent twice", pc.Size)
 	}
 }
 

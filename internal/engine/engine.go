@@ -50,9 +50,9 @@ type Config struct {
 	Link querygrid.LinkConfig
 	// Seed drives the master's own simulator noise.
 	Seed int64
-	// PlanCacheSize bounds the optimizer's plan cache (CLOCK eviction); the
-	// statement cache in front of it holds twice as many. 0 selects the
-	// default (256 plans); negative disables caching entirely.
+	// PlanCacheSize bounds the statement cache (CLOCK eviction): one entry
+	// per statement text, holding its parse and its latest plan. 0 selects
+	// the default (256 statements); negative disables caching entirely.
 	PlanCacheSize int
 	// Retry governs the retry loop around every remote plan-step call.
 	// The zero value selects the resilience defaults (3 attempts, 25ms
@@ -92,7 +92,12 @@ type Engine struct {
 	materialized *registry.Map[*rowengine.Table]
 	opt          *optimizer.Optimizer
 	fb           *feedbackBatcher
-	stmts        *optimizer.Cache[*sqlparse.SelectStmt] // by raw SQL; nil when caching is disabled
+	// stmts is the read path's one cache, raw statement text → cachedStmt (nil
+	// when caching is disabled); sighted is its admission filter (admit); the
+	// counters are the verdicts of plan's epoch compare.
+	stmts                           *optimizer.Cache[*cachedStmt]
+	sighted                         []atomic.Uint32
+	planHits, planMisses, planStale metrics.Counter
 
 	breakers *resilience.Group
 	retry    resilience.RetryPolicy
@@ -214,24 +219,26 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.installEstimator(querygrid.Master, selfEst)
-	var cache *optimizer.PlanCache
 	if cfg.PlanCacheSize >= 0 {
-		cache = optimizer.NewPlanCache(cfg.PlanCacheSize)
-		e.stmts = optimizer.NewCache[*sqlparse.SelectStmt](2 * cache.Stats().Capacity)
+		e.stmts = optimizer.NewCache[*cachedStmt](cfg.PlanCacheSize)
+		e.sighted = make([]atomic.Uint32, sightingsPerEntry*e.stmts.Stats().Capacity)
 	}
-	e.opt = &optimizer.Optimizer{
-		Catalog: e.cat, Grid: e.grid, Estimators: e.estimators, Cache: cache,
-	}
+	e.opt = &optimizer.Optimizer{Catalog: e.cat, Grid: e.grid, Estimators: e.estimators}
 	return e, nil
 }
 
-// PlanCacheStats reports the plan cache's effectiveness counters (zero-value
-// stats when caching is disabled).
+// PlanCacheStats reports the statement cache's effectiveness (zero when caching
+// is disabled): a hit is a statement answered with a cached plan, a miss one
+// that was planned — not resident, or resident with a plan from an earlier
+// epoch, which also counts as stale. Size, capacity and evictions are the
+// cache's own.
 func (e *Engine) PlanCacheStats() optimizer.CacheStats {
-	if e.opt.Cache == nil {
+	if e.stmts == nil {
 		return optimizer.CacheStats{}
 	}
-	return e.opt.Cache.Stats()
+	s := e.stmts.Stats()
+	s.Hits, s.Misses, s.Stale = e.planHits.Value(), e.planMisses.Value(), e.planStale.Value()
+	return s
 }
 
 // Stats is a point-in-time snapshot of serving health: query counts, the
@@ -715,7 +722,7 @@ type QueryResult struct {
 	ActualSec float64
 	// StepActuals aligns with Plan.Steps.
 	StepActuals []float64
-	// CacheHit reports the plan was served from the plan cache.
+	// CacheHit reports the plan was served from the statement cache.
 	CacheHit bool
 	// Retries counts remote step attempts beyond the first across the
 	// plan that produced this result (the final plan, for degraded
@@ -733,18 +740,18 @@ type QueryResult struct {
 	// Trace is the query's span tree when it ran through QueryTraced; nil
 	// for untraced queries.
 	Trace *trace.Trace
+
+	// stmtHash is the entry's obs.StatementHash64, for the wide event: a
+	// sampled hit does not hash the text again.
+	stmtHash uint64
 }
 
-// Explain plans a query and renders the plan without executing it. Repeated
-// identical statements hit the plan cache and render byte-identical output.
+// Explain plans a query and renders the plan without executing it. Repeats of
+// a resident statement are served its cached plan and render byte-identical
+// output.
 func (e *Engine) Explain(sql string) (string, error) {
-	ctx := context.Background()
 	clk := stageClock{start: time.Now()}
-	stmt, err := e.parse(ctx, &clk, sql)
-	if err != nil {
-		return "", err
-	}
-	p, _, err := e.plan(ctx, &clk, stmt)
+	_, p, _, err := e.prepare(context.Background(), &clk, sql)
 	if err != nil {
 		return "", err
 	}
@@ -774,38 +781,123 @@ func (c *stageClock) lap(stage *time.Duration) time.Duration {
 	return *stage
 }
 
-// parse times statement parsing into the parse-stage histogram. Parsing is
-// pure and parsed statements are read-only downstream, so repeats of the same
-// text are served from the statement cache: a second instance of the plan
-// cache's implementation, keyed by the raw SQL at a generation that never
-// moves.
-func (e *Engine) parse(ctx context.Context, clk *stageClock, sql string) (*sqlparse.SelectStmt, error) {
-	// Cache hits skip the parse histogram and the clock: nothing was parsed,
-	// and the lookup's time is the start of the plan stage.
+// cachedStmt is the statement cache's entry for one statement text: the parse,
+// which cannot go stale, and the latest plan, which can. A lookup that misses
+// builds one to serve the statement at hand; admit decides whether it stays.
+type cachedStmt struct {
+	stmt *sqlparse.SelectStmt
+	hash uint64 // obs.StatementHash64 of the text
+	plan atomic.Pointer[stampedPlan]
+}
+
+// stampedPlan is a plan and the Optimizer.Epoch read before it was built: a
+// sighting at another epoch re-plans and swaps the pair in place, so every
+// catalog, link and model change invalidates implicitly and relinks nothing.
+// A plan built while the epoch moved is stale on its next sighting, which is
+// why either of two racing re-plans may land.
+type stampedPlan struct {
+	plan  *optimizer.Plan
+	epoch uint64
+}
+
+// sightingsPerEntry sizes the admission filter: one bucket of eight
+// fingerprints per cache entry, 8 KiB at the default capacity.
+const sightingsPerEntry = 8
+
+// admit reports whether a statement that missed the cache was sighted before,
+// and records this sighting: the cache admits on second sight, so a statement
+// sent once costs no insert, evicts nothing that will be read again and
+// leaves nothing for the collector to mark, and the third sighting is the
+// first hit. The hash's low half picks a bucket of sighted, the high half is
+// the fingerprint; a new one enters at the front and pushes the oldest out,
+// so a sighting is remembered until eight other statements have missed into
+// its bucket — one slot a statement would let two hot statements that share
+// it overwrite each other for ever. Never reset, atomics only: a race, or a
+// zero fingerprint in an unwritten slot, moves one admission a sighting
+// earlier or later and can do nothing else (DESIGN.md §12).
+func (e *Engine) admit(hash uint64) bool {
+	buckets := uint32(len(e.sighted) / sightingsPerEntry)
+	b := e.sighted[uint32(hash)%buckets*sightingsPerEntry:][:sightingsPerEntry]
+	fp := uint32(hash >> 32)
+	for i := range b {
+		if b[i].Load() == fp {
+			return true
+		}
+	}
+	for i := len(b) - 1; i > 0; i-- {
+		b[i].Store(b[i-1].Load())
+	}
+	b[0].Store(fp)
+	return false
+}
+
+// prepare resolves a statement to its parse and a current plan, for Explain
+// and Query alike, and reports whether the plan came from the cache: one Get
+// in parse, and at most one Put, of a statement that missed, on second sight.
+func (e *Engine) prepare(ctx context.Context, clk *stageClock, sql string) (*cachedStmt, *optimizer.Plan, bool, error) {
+	ent, resident, err := e.parse(ctx, clk, sql)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	p, hit, err := e.plan(ctx, clk, ent)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if !resident && e.stmts != nil && e.admit(ent.hash) {
+		e.stmts.Put(sql, 0, ent)
+	}
+	return ent, p, hit, nil
+}
+
+// parse looks the statement up by its raw text, reporting whether it was
+// resident; when it is not, it is parsed into a fresh entry, timed into the
+// parse-stage histogram. A parse depends on the text alone: entries sit at a
+// generation that never moves.
+func (e *Engine) parse(ctx context.Context, clk *stageClock, sql string) (*cachedStmt, bool, error) {
+	// A resident statement skips the parse histogram and the clock: nothing
+	// was parsed, and the lookup's time is the start of the plan stage.
 	if e.stmts != nil {
-		if stmt, ok := e.stmts.Get(sql, 0); ok {
+		if ent, ok := e.stmts.Get(sql, 0); ok {
 			if _, sp := trace.Start(ctx, "parse"); sp != nil {
 				sp.SetAttr("cache", "hit")
 				sp.End()
 			}
-			return stmt, nil
+			return ent, true, nil
 		}
 	}
 	_, sp := trace.Start(ctx, "parse")
 	stmt, err := sqlparse.Parse(sql)
-	if err == nil && e.stmts != nil {
-		e.stmts.Put(sql, 0, stmt)
-	}
 	e.parseHist.ObserveExemplar(clk.lap(&clk.parse), sp.TraceID())
 	sp.EndErr(err)
-	return stmt, err
+	if err != nil {
+		return nil, false, err
+	}
+	return &cachedStmt{stmt: stmt, hash: obs.StatementHash64(sql)}, false, nil
 }
 
 // plan times planning (cache hits included) into the plan-stage histogram
-// and reports whether the plan came from the plan cache.
-func (e *Engine) plan(ctx context.Context, clk *stageClock, stmt *sqlparse.SelectStmt) (*optimizer.Plan, bool, error) {
+// and reports whether the entry's plan was current: built at the epoch read
+// here. Otherwise the statement is planned and the entry takes the new plan.
+func (e *Engine) plan(ctx context.Context, clk *stageClock, ent *cachedStmt) (p *optimizer.Plan, hit bool, err error) {
 	ctx, sp := trace.Start(ctx, "plan")
-	p, hit, err := e.opt.PlanCtxHit(ctx, stmt)
+	epoch := e.opt.Epoch()
+	switch cur := ent.plan.Load(); {
+	case cur != nil && cur.epoch == epoch:
+		p, hit = cur.plan, true
+		e.planHits.Inc()
+		sp.SetAttr("cache", "hit")
+	case e.stmts == nil:
+		p, err = e.opt.PlanCtx(ctx, ent.stmt)
+	default:
+		if cur != nil {
+			e.planStale.Inc()
+		}
+		e.planMisses.Inc()
+		sp.SetAttr("cache", "miss")
+		if p, err = e.opt.PlanCtx(ctx, ent.stmt); err == nil {
+			ent.plan.Store(&stampedPlan{plan: p, epoch: epoch})
+		}
+	}
 	e.planHist.ObserveExemplar(clk.lap(&clk.plan), sp.TraceID())
 	if sp != nil && err == nil {
 		sp.SetInt("steps", len(p.Steps))
@@ -913,17 +1005,14 @@ func fallbackEligible(err error) (string, bool) {
 }
 
 func (e *Engine) query(ctx context.Context, clk *stageClock, sql string) (*QueryResult, error) {
-	stmt, err := e.parse(ctx, clk, sql)
+	ent, p, hit, err := e.prepare(ctx, clk, sql)
 	if err != nil {
 		return nil, err
 	}
-	p, hit, err := e.plan(ctx, clk, stmt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.run(ctx, clk, stmt, p)
+	res, err := e.run(ctx, clk, ent.stmt, p)
 	if res != nil {
 		res.CacheHit = hit
+		res.stmtHash = ent.hash
 	}
 	return res, err
 }

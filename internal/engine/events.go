@@ -12,9 +12,10 @@ func (e *Engine) SetEventRecorder(r *obs.Recorder) {
 
 // emitEvent feeds the recorder at query completion: every query observes
 // the end-to-end latency histogram, then the sampler decides whether this
-// one becomes a wide event. The event struct (and the statement hash) is
-// only built after a positive sampling decision, so skipped queries
-// allocate nothing here.
+// one becomes a wide event. The event struct is only built after a positive
+// sampling decision, so skipped queries allocate nothing here; the statement
+// hash is the one the statement's lookup computed, hashed here only for a
+// query that failed before it had a result to carry it.
 func (e *Engine) emitEvent(rec *obs.Recorder, kind, sql string, res *QueryResult, err error, clk *stageClock, traceID uint64) {
 	lat := clk.total()
 	rec.Observe(lat, traceID)
@@ -27,7 +28,6 @@ func (e *Engine) emitEvent(rec *obs.Recorder, kind, sql string, res *QueryResult
 		Kind:       kind,
 		Capture:    capture,
 		SQL:        sql,
-		StmtHash:   obs.StatementHash(sql),
 		Outcome:    "ok",
 		LatencySec: lat.Seconds(),
 		ParseNS:    clk.parse.Nanoseconds(),
@@ -39,7 +39,10 @@ func (e *Engine) emitEvent(rec *obs.Recorder, kind, sql string, res *QueryResult
 		ev.Outcome = "error"
 		ev.Error = err.Error()
 	}
-	if res != nil {
+	if res == nil {
+		ev.StmtHash = obs.StatementHash(sql)
+	} else {
+		ev.StmtHash = obs.FormatStatementHash(res.stmtHash)
 		ev.CacheHit = res.CacheHit
 		ev.ActualSec = res.ActualSec
 		ev.Retries = res.Retries

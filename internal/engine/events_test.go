@@ -14,8 +14,8 @@ import (
 
 // TestQueryEmitsWideEvents attaches a capture-everything recorder and pins
 // the wide-event fields the serving path fills in: statement hash, outcome,
-// chosen systems, estimate vs actual, cache-hit flag on a repeat statement,
-// and the error path's always-capture.
+// chosen systems, estimate vs actual, cache-hit flag from a statement's third
+// sighting on, and the error path's always-capture.
 func TestQueryEmitsWideEvents(t *testing.T) {
 	e := newEngine(t)
 	registerHive(t, e)
@@ -52,12 +52,16 @@ func TestQueryEmitsWideEvents(t *testing.T) {
 		t.Errorf("latency/error/trace = %v/%q/%d", ev.LatencySec, ev.Error, ev.TraceID)
 	}
 
-	// The repeat is served from the plan cache and the event says so.
-	if _, err := e.Query(sql); err != nil {
-		t.Fatal(err)
-	}
-	if evs = rec.Ring().Recent(1); !evs[0].CacheHit {
-		t.Error("repeat statement not flagged as cache hit")
+	// The second sighting is planned again and admitted, the third is served
+	// from the cache, and each event says which — under the hash the entry
+	// kept from the lookup that built it.
+	for sighting := 2; sighting <= 3; sighting++ {
+		if _, err := e.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+		if ev = rec.Ring().Recent(1)[0]; ev.CacheHit != (sighting == 3) || ev.StmtHash != obs.StatementHash(sql) {
+			t.Errorf("sighting %d: cache_hit = %v, hash %q", sighting, ev.CacheHit, ev.StmtHash)
+		}
 	}
 
 	// A traced query carries its trace ID so the event correlates to /trace.
@@ -70,12 +74,13 @@ func TestQueryEmitsWideEvents(t *testing.T) {
 	}
 
 	// A failing statement is always captured, with the error attached.
-	if _, err := e.Query("SELECT nope FROM missing"); err == nil {
+	const bad = "SELECT nope FROM missing"
+	if _, err := e.Query(bad); err == nil {
 		t.Fatal("bad statement succeeded")
 	}
 	ev = rec.Ring().Recent(1)[0]
-	if ev.Outcome != "error" || ev.Capture != "error" || ev.Error == "" {
-		t.Errorf("error event = %s/%s/%q", ev.Outcome, ev.Capture, ev.Error)
+	if ev.Outcome != "error" || ev.Capture != "error" || ev.Error == "" || ev.StmtHash != obs.StatementHash(bad) {
+		t.Errorf("error event = %s/%s/%q, hash %q", ev.Outcome, ev.Capture, ev.Error, ev.StmtHash)
 	}
 
 	// Batch slots each emit an event with the batch kind.
@@ -182,9 +187,9 @@ func TestBatchEventLatencyCoversWholeStatement(t *testing.T) {
 // arrival and at the end of each stage, so what the three stage histograms
 // observe for it, the event's parse_ns / plan_ns / execute_ns and its
 // latency_sec are differences of the same readings — the stages sum to the
-// latency exactly, not to within a tolerance. A statement-cache hit reads the
-// clock once less: it leaves the parse histogram alone and its event has no
-// parse_ns.
+// latency exactly, not to within a tolerance. A resident statement (the third
+// sighting) reads the clock once less: it leaves the parse histogram alone and
+// its event has no parse_ns.
 func TestStagesSumToEventLatency(t *testing.T) {
 	e := newEngine(t)
 	registerHive(t, e)
@@ -194,7 +199,7 @@ func TestStagesSumToEventLatency(t *testing.T) {
 	const sql = "SELECT r.a1 FROM t1000000_250 r JOIN t100000_100 s ON r.a1 = s.a1 WHERE r.a1 < 4242"
 
 	var before Stats
-	for i, parsed := range []bool{true, false} { // never seen, then a repeat
+	for i, parsed := range []bool{true, true, false} { // never seen, admitted, resident
 		res, err := e.QueryBatched(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"intellisphere/internal/core/subop"
 	"intellisphere/internal/datagen"
 	"intellisphere/internal/nn"
+	"intellisphere/internal/querygrid"
 	"intellisphere/internal/remote"
 )
 
@@ -121,78 +122,83 @@ func TestConcurrentQueriesLogicalOpFeedback(t *testing.T) {
 }
 
 // TestPlanCacheInvalidationThroughEngine checks the generation plumbing end
-// to end: repeated statements hit, and every profile/catalog mutation the
-// issue names (RegisterTable, InstallLogicalModels, Switch) makes the next
-// lookup a miss — the two model changes made the way a library user makes
+// to end: a resident statement hits, and every profile/catalog/link mutation
+// (RegisterTable, SetLink, InstallLogicalModels, Switch) makes its next
+// sighting a re-plan — the two model changes made the way a library user makes
 // them, on the registered estimator itself and not through the engine, which
 // reach the engine's epoch through the OnChange hook it attached at install
-// (TestSwitchoverInvalidatesCachedPlans does the same for the switchover).
+// (TestSwitchoverInvalidatesCachedPlans does the same for the switchover, the
+// tuner tests for promotion and rollback). The entry goes stale in place: the
+// re-plan is counted once, the sighting after it hits again, nothing is
+// evicted or inserted, and the statement is never parsed again.
 func TestPlanCacheInvalidationThroughEngine(t *testing.T) {
 	e := newEngine(t)
 	registerHive(t, e)
 	registerTables(t, e, "hive", ts{1000000, 100}, ts{100000, 100})
 	const sql = "SELECT r.a1 FROM t1000000_100 r JOIN t100000_100 s ON r.a1 = s.a1"
 
-	out1, err := e.Explain(sql)
-	if err != nil {
-		t.Fatal(err)
+	var outs [3]string
+	for i := range outs {
+		var err error
+		if outs[i], err = e.Explain(sql); err != nil {
+			t.Fatal(err)
+		}
 	}
-	out2, err := e.Explain(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out1 != out2 {
+	if outs[0] != outs[1] || outs[1] != outs[2] {
 		t.Error("cached Explain output not byte-identical")
 	}
-	if s := e.PlanCacheStats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("after two Explains: %+v", s)
+	warm := e.PlanCacheStats()
+	if warm.Hits != 1 || warm.Misses != 2 || warm.Size != 1 {
+		t.Fatalf("after three Explains: %+v", warm)
 	}
+	parsed := e.Stats().Parse.Count
 
-	// RegisterTable bumps the catalog generation.
-	tb, err := datagen.Table(10000, 100, "hive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterTable(tb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Explain(sql); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.PlanCacheStats(); s.Stale != 1 {
-		t.Fatalf("after RegisterTable: %+v", s)
-	}
-
-	// InstallLogicalModels on the estimator reports to the registry (nil
-	// models leave the routing untouched but still signal a profile change).
 	est, err := e.Estimator("hive")
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := est.(*hybrid.Estimator)
-	if _, err := e.Explain(sql); err != nil { // warm the cache again
-		t.Fatal(err)
+	for i, mut := range []struct {
+		name  string
+		apply func() error
+	}{
+		{"RegisterTable", func() error { // bumps the catalog generation
+			tb, err := datagen.Table(10000, 100, "hive")
+			if err != nil {
+				return err
+			}
+			return e.RegisterTable(tb)
+		}},
+		{"SetLink", func() error { // bumps the grid generation
+			slow := querygrid.DefaultLink()
+			slow.BandwidthBytesPerSec /= 4
+			return e.SetLink("hive", slow)
+		}},
+		// On the estimator, which reports to the registry (nil models leave
+		// the routing untouched but still signal a profile change).
+		{"InstallLogicalModels", func() error { h.InstallLogicalModels(nil, nil, nil); return nil }},
+		{"Switch", func() error { return h.Switch(core.SubOp) }},
+	} {
+		if err := mut.apply(); err != nil {
+			t.Fatalf("%s: %v", mut.name, err)
+		}
+		// The first sighting after the change re-plans, the second hits.
+		stale := uint64(i + 1)
+		for sighting := uint64(0); sighting < 2; sighting++ {
+			if _, err := e.Explain(sql); err != nil {
+				t.Fatal(err)
+			}
+			s, hits := e.PlanCacheStats(), warm.Hits+uint64(i)+sighting
+			if s.Stale != stale || s.Hits != hits || s.Misses != warm.Misses+stale {
+				t.Fatalf("sighting %d after %s: %+v, want %d stale and %d hits", sighting+1, mut.name, s, stale, hits)
+			}
+		}
 	}
-	h.InstallLogicalModels(nil, nil, nil)
-	if _, err := e.Explain(sql); err != nil {
-		t.Fatal(err)
+	if s := e.PlanCacheStats(); s.Size != 1 || s.Evicted != 0 {
+		t.Errorf("going stale moved the cache: %+v", s)
 	}
-	if s := e.PlanCacheStats(); s.Stale != 2 {
-		t.Fatalf("after InstallLogicalModels: %+v", s)
-	}
-
-	// Switch bumps it too.
-	if _, err := e.Explain(sql); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Switch(core.SubOp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Explain(sql); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.PlanCacheStats(); s.Stale != 3 {
-		t.Fatalf("after Switch: %+v", s)
+	if got := e.Stats().Parse.Count; got != parsed {
+		t.Errorf("the resident statement was parsed %d more times", got-parsed)
 	}
 }
 
@@ -226,6 +232,9 @@ func TestSwitchoverInvalidatesCachedPlans(t *testing.T) {
 	before, err := e.Explain(sql)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if again, err := e.Explain(sql); err != nil || again != before { // the second sighting: now it is cached
+		t.Fatalf("second Explain: %v\n%s", err, again)
 	}
 	if est.Active() != core.SubOp {
 		t.Fatalf("switched over after %d estimates, before the statement was cached", est.Queries())

@@ -14,27 +14,27 @@ import (
 	"intellisphere/internal/querygrid"
 )
 
-// TestPlanCacheGenerationStorm is the sharded cache's torture test: reader
+// TestPlanCacheGenerationStorm is the statement cache's torture test: reader
 // goroutines hammer warm Explain while a mutator loops RegisterTable /
 // SetLink / SwitchProfile / TuneSystem (in-place model changes) and forced
 // TuneCandidate / RollbackModel (registry swaps of an estimator that has
 // changed in place), each of which advances the epoch. Under -race this
-// exercises every lock-free path (COW shard maps, CLOCK bits, stale
-// evict-on-sight) against concurrent invalidation.
+// exercises every lock-free path (COW shard maps, CLOCK bits, the stamped
+// plan swapped in place by racing re-plans) against concurrent invalidation.
 //
-// The oracle reads Optimizer.Epoch — the very counter the cache stamps
-// entries with, not a re-derivation of it — so two equal reads bracket an
+// The oracle reads Optimizer.Epoch — the very counter the engine stamps
+// plans with, not a re-derivation of it — so two equal reads bracket an
 // interval in which nothing that prices a plan changed. Staleness is asserted
 // two ways, both sound against the engine's mutate-then-bump ordering:
 //   - any Explain observed entirely at the final epoch (the bracketing reads
 //     both equal it) must render byte-identically to a from-scratch replan
 //     of the final state;
-//   - after the storm, purging the cache and replanning must reproduce the
-//     cached renders exactly — a stale survivor would differ.
+//   - after the storm, moving the epoch with nothing changed — invalidation
+//     the way production does it — and replanning must reproduce the cached
+//     renders exactly: a stale survivor would differ.
 //
-// Counter reconciliation closes the books: every Explain/Query performs
-// exactly one cache lookup, so summed shard hits+misses must equal the
-// number of calls.
+// Counter reconciliation closes the books: every Explain/Query is exactly
+// one hit or one miss, so hits+misses must equal the number of calls.
 func TestPlanCacheGenerationStorm(t *testing.T) {
 	e := newEngine(t)
 	registerLogicalHive(t, e)
@@ -181,7 +181,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// Quiescent check: cached renders vs a purged, from-scratch replan.
+	// Quiescent check: cached renders vs a from-scratch replan of every entry.
 	finalGen := e.opt.Epoch()
 	fresh := make(map[string]string, len(statements))
 	cached := make(map[string]string, len(statements))
@@ -193,7 +193,8 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 		lookups.Add(1)
 		cached[sql] = out
 	}
-	e.opt.Cache.Purge()
+	stale := e.PlanCacheStats().Stale
+	e.estimators.Bump()
 	for _, sql := range statements {
 		out, err := e.Explain(sql)
 		if err != nil {
@@ -205,7 +206,10 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 			t.Errorf("stale plan served for %q after storm:\ncached:\n%s\nfresh:\n%s", sql, cached[sql], out)
 		}
 	}
-	if g := e.opt.Epoch(); g != finalGen {
+	if got := e.PlanCacheStats().Stale - stale; got != uint64(len(statements)) {
+		t.Errorf("%d of %d statements were re-planned after the epoch moved", got, len(statements))
+	}
+	if g := e.opt.Epoch(); g != finalGen+1 {
 		t.Fatalf("epoch moved after storm: %d -> %d", finalGen, g)
 	}
 
@@ -231,7 +235,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 
 	s := e.PlanCacheStats()
 	if s.Hits+s.Misses != lookups.Load() {
-		t.Errorf("shard counters do not reconcile: hits %d + misses %d != lookups %d",
+		t.Errorf("counters do not reconcile: hits %d + misses %d != lookups %d",
 			s.Hits, s.Misses, lookups.Load())
 	}
 	if s.Stale == 0 {

@@ -134,17 +134,16 @@ func TestQueryTracedSpanTree(t *testing.T) {
 		t.Errorf("Stats().Traces = %d", got)
 	}
 
-	// A repeat of the same statement is served from the plan cache and says
-	// so on its plan span.
-	_, tr2, err := e.QueryTraced(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := findChild(t, tr2.Root, "plan").Attr("cache"); got != "hit" {
-		t.Errorf("second plan cache attr = %q, want hit", got)
-	}
-	if tr2.ID != 2 {
-		t.Errorf("second trace ID = %d", tr2.ID)
+	// The second sighting is planned again, the third is served from the
+	// cache, and each says so on its plan span.
+	for i, want := range []string{"miss", "hit"} {
+		_, tr, err := e.QueryTraced(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := findChild(t, tr.Root, "plan").Attr("cache"); got != want || tr.ID != uint64(i+2) {
+			t.Errorf("trace %d (want ID %d): plan cache attr = %q, want %s", tr.ID, i+2, got, want)
+		}
 	}
 }
 

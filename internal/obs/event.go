@@ -61,11 +61,21 @@ type Event struct {
 
 // StatementHash returns the canonical statement hash used in events:
 // FNV-1a 64 of the raw statement text, in fixed-width hex.
-func StatementHash(sql string) string {
+func StatementHash(sql string) string { return FormatStatementHash(StatementHash64(sql)) }
+
+// StatementHash64 is the number StatementHash renders. The offset basis is
+// FNV's, fixed, so a statement hashes alike in every process and the engine's
+// statement cache can keep the value it computed on a miss.
+func StatementHash64(sql string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(sql); i++ {
 		h = (h ^ uint64(sql[i])) * 1099511628211
 	}
+	return h
+}
+
+// FormatStatementHash renders a StatementHash64 value the way events carry it.
+func FormatStatementHash(h uint64) string {
 	const hexDigits = "0123456789abcdef"
 	var out [16]byte
 	for i := len(out) - 1; i >= 0; i-- {

@@ -19,7 +19,9 @@ import (
 // so what a never-seen statement allocates end to end on a server that records
 // events (the default) did not move. Without a recorder nobody asks for the
 // systems list, and rendering it anyway is one 64-byte allocation more than
-// before: TestStreamMissAllocs, which runs that way, went from 25.1 to 26.1.
+// before: TestStreamMissAllocs, which runs that way, went from 25.1 to 26.1
+// (and to 25.0 when the engine's two caches became one entry a statement;
+// this count, the planner's alone, did not move).
 // The same budgets hold at GOMAXPROCS 4, the only worker count the process
 // has: the planner costs its placements on the calling goroutine.
 func TestPlanMissAllocs(t *testing.T) {

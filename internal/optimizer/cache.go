@@ -7,18 +7,19 @@ import (
 )
 
 // Cache is a sharded, generation-stamped, bounded cache from a string key to a
-// shared read-only value. The read path holds two: the plan cache (finished
-// plans by normalized statement text) and, in front of it, the engine's
-// statement cache (parsed statements by raw SQL, at a generation that never
-// moves: a parse cannot go stale). Each entry records the generation it was
-// stored at — for plans Optimizer.Epoch, read before the plan was built; a
-// lookup whose current generation differs treats the entry as stale and
-// evicts it, so RegisterTable, link recalibration, and every model change —
-// a registry swap (promotion, rollback, restore) or one made in place
-// (InstallLogicalModels, Switch, the SwitchAfter switchover, TuneSystem) —
-// invalidate implicitly: no explicit purge calls are threaded through the
-// engine. The stamp must never return to an earlier value, or a new lookup
-// would match an old entry; Epoch says why it cannot.
+// shared read-only value. Each entry records the generation it was stored at;
+// a lookup whose current generation differs treats the entry as stale and
+// evicts it. The stamp must never return to an earlier value, or a new lookup
+// would match an old entry.
+//
+// The serving path holds one: the engine's statement cache (raw SQL → parsed
+// statement and latest plan), at a generation that never moves — a parse
+// cannot go stale, and the plan inside the entry carries its own
+// Optimizer.Epoch stamp, compared and replaced in place by the engine. The
+// instance behind Optimizer.Cache (finished plans by canonical statement
+// text, stamped with Epoch, so every catalog, link and model change
+// invalidates implicitly) is what tests and the benchmark's per-layer rows
+// plan through; the engine builds its Optimizer without one.
 //
 // The warm hit path is contention-free: the key is hashed to one of up to
 // cacheMaxShards shards, each shard indexes its entries in a fixed table
@@ -26,8 +27,8 @@ import (
 // recency is a CLOCK access bit (an atomic.Bool set on hit, checked first so
 // repeated hits on a hot entry do not even dirty the cache line). No lock is
 // taken and no shared list is mutated on a hit; the per-shard mutex
-// serializes only inserts, stale evictions, and Purge, each of which relinks
-// one chain — O(1), however full the shard is. Stats is likewise lock-free
+// serializes only inserts and stale evictions, each of which relinks one
+// chain — O(1), however full the shard is. Stats is likewise lock-free
 // (per-shard atomic counters), so admin/metrics scrapes never block lookups.
 //
 // Cached values are shared across callers and must be treated as immutable;
@@ -260,25 +261,6 @@ func (c *Cache[V]) Put(key string, gen uint64, v V) {
 	ne.next.Store(head.Load())
 	head.Store(ne)
 	sh.size.Add(1)
-}
-
-// Purge drops every entry (statistics are kept). Each shard is cleared
-// independently under its own mutex, so lookups on other shards — and
-// lock-free hits on this one until its chains are cut — are never stalled
-// behind a global stop-the-world.
-func (c *Cache[V]) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for b := range sh.buckets {
-			sh.buckets[b].Store(nil)
-		}
-		sh.size.Store(0)
-		sh.ring = sh.ring[:0]
-		sh.holes = sh.holes[:0]
-		sh.hand = 0
-		sh.mu.Unlock()
-	}
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.

@@ -27,10 +27,11 @@ type Optimizer struct {
 	Catalog    *catalog.Catalog
 	Grid       *querygrid.Grid
 	Estimators *registry.Map[core.Estimator]
-	// Cache, when non-nil, memoizes finished plans keyed by normalized
-	// statement shape and stamped with the current Epoch. Cached plans are
-	// byte-identical to freshly built ones — the cache only skips the
-	// candidate enumeration.
+	// Cache, when non-nil, memoizes finished plans keyed by the statement's
+	// canonical text (rendered per lookup) and stamped with the current
+	// Epoch. Cached plans are byte-identical to freshly built ones — the
+	// cache only skips the candidate enumeration. The engine leaves it nil:
+	// its statement cache keeps each statement's plan beside its parse.
 	Cache *PlanCache
 }
 

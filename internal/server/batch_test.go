@@ -1,11 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // postBatch posts a raw /query/batch body and decodes the response into out.
@@ -127,5 +132,39 @@ func TestQueryBatchEndpointConcurrent(t *testing.T) {
 	wg.Wait()
 	if q := e.Stats().Queries; q != 24 {
 		t.Errorf("queries = %d, want 24", q)
+	}
+}
+
+// A /query/batch answer is longer than the 2 KiB net/http buffers before it
+// picks a framing, and the handler has it whole: it must say how long it is,
+// not leave chunked. The bytes are the ones the handler encodes, whatever the
+// framing.
+func TestQueryBatchAnswerCarriesContentLength(t *testing.T) {
+	srv, eng := newTestServer(t)
+	sqls := make([]string, 16)
+	for i := range sqls {
+		sqls[i] = fmt.Sprintf(`"SELECT a1 FROM t100000_100 WHERE a1 < %d"`, 100+i)
+	}
+	body := "[" + strings.Join(sqls, ",") + "]"
+	resp, err := http.Post(srv.URL+"/query/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, read error %v", resp.StatusCode, err)
+	}
+	if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 || len(got) <= 2048 {
+		t.Errorf("a %d-byte answer: Content-Length %d, Transfer-Encoding %v", len(got), resp.ContentLength, resp.TransferEncoding)
+	}
+	rec := httptest.NewRecorder()
+	New(eng).Handler(10*time.Second).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", strings.NewReader(body)))
+	if want := rec.Body.Bytes(); !bytes.Equal(got, want) {
+		t.Errorf("the answer over the socket differs from the one the handler encoded:\n%s\n%s", got, want)
+	}
+	var elems []queryResponse
+	if err := json.Unmarshal(got, &elems); err != nil || len(elems) != len(sqls) {
+		t.Errorf("%d elements (%v) for %d statements", len(elems), err, len(sqls))
 	}
 }

@@ -252,7 +252,8 @@ func TestWarmQueryAllocs(t *testing.T) {
 			rd.Reset(body)
 			h.ServeHTTP(w, tc.req)
 		}
-		// Warm: statement cache, plan cache, buffer pool.
+		// Warm: the statement resident (admitted on its second sighting, so
+		// the third request is the first hit) and the buffer pool filled.
 		for i := 0; i < 3; i++ {
 			serve()
 		}
@@ -269,9 +270,12 @@ func TestWarmQueryAllocs(t *testing.T) {
 // engine and the pooled encoder: the statement slice and one string a
 // statement from the decode, a result and its step actuals a statement from
 // the engine, and the per-request deadline and header bookkeeping. The budget
-// is the count at the time of writing, 52, plus two (80 while encoding/json
-// decoded the body into []json.RawMessage and the engine answered into a
-// []BatchItem); sixteen warm /query requests are 16 × 6 = 96.
+// is the count at the time of writing, 54: 52, and two for the Content-Length
+// the answer now carries, its digits and the header's one-element slice (80
+// while encoding/json decoded the body into []json.RawMessage and the engine
+// answered into a []BatchItem); sixteen warm /query requests are 16 × 6 = 96.
+// Warm means resident: the cache admits a statement on its second sighting, so
+// the third request is the first to hit on all sixteen.
 func TestWarmBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -412,5 +413,65 @@ func TestPromObservabilityMetrics(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), ` # {trace_id="`) {
 		t.Error("no exemplar suffix in exposition")
+	}
+}
+
+// TestCachedFromSecondSighting: the statement cache admits on second sight,
+// whichever route brings the statement — /query, a /query/batch element and a
+// /query/stream frame go through one engine path and count as sightings of
+// one cache. The first and second sighting are planned, the third is served
+// from the cache, and each statement's wide event says which.
+func TestCachedFromSecondSighting(t *testing.T) {
+	srv, _ := newObsServer(t, obs.Config{
+		Events: obs.RecorderConfig{SampleRate: 1},
+		Step:   20 * time.Millisecond,
+	})
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if raw, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK || strings.Contains(string(raw), `"error"`) {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, raw)
+		}
+	}
+	routes := []struct {
+		name string
+		send func(sql string)
+	}{
+		{"query", func(sql string) { post("/query", `{"sql": "`+sql+`"}`) }},
+		{"batch", func(sql string) { post("/query/batch", `["SELECT a1 FROM t100000_100", "`+sql+`"]`) }},
+		{"stream", func(sql string) { post("/query/stream", sql+"\n") }},
+	}
+	sent := map[string]string{"all": "SELECT a1 FROM t10000_100 WHERE a1 < 777"}
+	for i, r := range routes {
+		sent[r.name] = "SELECT a1 FROM t10000_100 WHERE a1 < 100 AND a2 < " + strconv.Itoa(i+1)
+		for sighting := 0; sighting < 3; sighting++ {
+			r.send(sent[r.name])
+		}
+		r.send(sent["all"]) // one sighting a route
+	}
+
+	var all eventsResponse
+	if status := getStatusJSON(t, srv.URL+"/events?n=100", &all); status != http.StatusOK {
+		t.Fatalf("/events status = %d", status)
+	}
+	slices.Reverse(all.Events) // oldest first
+	for name, sql := range sent {
+		var hits []bool
+		for _, ev := range all.Events {
+			if ev.SQL == sql {
+				hits = append(hits, ev.CacheHit)
+			}
+		}
+		if !slices.Equal(hits, []bool{false, false, true}) {
+			t.Errorf("%s: cache_hit over the statement's sightings = %v, want [false false true]", name, hits)
+		}
+	}
+	m := checkPromFormat(t, getText(t, srv.URL+"/metrics/prom"))
+	if hits, size := m["intellisphere_plan_cache_hits_total"], m["intellisphere_plan_cache_size"]; hits != 4+2 || size != 4+1 {
+		t.Errorf("%v plan-cache hits and %v statements resident, want 6 (one a statement, two for the batches' companion, sent four times) and 5", hits, size)
 	}
 }

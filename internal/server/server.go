@@ -323,10 +323,17 @@ func errorCode(err error) string {
 }
 
 // writeBuf flushes a pre-encoded JSON body, counting write failures. The
-// header is assigned, not Set: the name is already canonical and the value is
-// the one slice every response shares.
+// headers are assigned, not Set: the names are already canonical and the
+// content type is the one slice every response shares. net/http works the
+// length out itself only for a body that fits the 2 KiB it buffers before it
+// commits to a framing; a longer one (a batch answer) is told here, or it
+// leaves chunked, at one more write(2) for the terminator.
 func (s *Server) writeBuf(w http.ResponseWriter, status int, buf *bytes.Buffer) {
-	w.Header()["Content-Type"] = jsonContentType
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	if buf.Len() > 2048 {
+		h["Content-Length"] = []string{strconv.Itoa(buf.Len())}
+	}
 	w.WriteHeader(status)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		s.encodeErrors.Inc()

@@ -339,10 +339,13 @@ func TestPlainSQLObject(t *testing.T) {
 // TestStreamMissAllocs pins what a never-seen statement costs through
 // /query/stream, observability off: line → parse → plan miss → execute →
 // render → frame. The budget sits about 20 % above the count at the time of
-// writing (26.1 per statement over this mix of scans, group-bys and joins —
-// one of them the systems list the planner renders with the EXPLAIN text,
-// which with observability off nobody reads: 25.1 while it was rendered on
-// demand; 28.1 while every statement's deadline was a context.WithTimeout, and
+// writing (25.0 per statement over this mix of scans, group-bys and joins —
+// two of them the statement's cache entry and its plan stamp, dropped with
+// the request because a first sighting is not admitted, and one the systems
+// list the planner renders with the EXPLAIN text, which with observability
+// off nobody reads; 26.1 while a miss inserted into a statement cache and a
+// plan cache under a canonical key rendered for the purpose; 28.1 while every
+// statement's deadline was a context.WithTimeout, and
 // 142.8 while the lexer, the planner's bookkeeping and the renderers still
 // allocated per token, per candidate and per number).
 func TestStreamMissAllocs(t *testing.T) {

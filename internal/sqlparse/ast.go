@@ -181,13 +181,6 @@ type SelectStmt struct {
 	GroupBy []ColRef
 	OrderBy []OrderItem
 	Limit   int64
-
-	// canon is the memoized String rendering. Parse fills it before the
-	// statement is published, so the serving path (which keys plan-cache
-	// lookups on the canonical text, potentially on every request) reads a
-	// field instead of re-rendering the tree. Hand-built statements leave it
-	// empty and pay the rendering on each String call.
-	canon string
 }
 
 // Join returns the first join clause, or nil — a convenience for the common
@@ -209,19 +202,11 @@ func (s *SelectStmt) HasAggregates() bool {
 	return false
 }
 
-// String renders the statement back to SQL. Statements built by Parse carry
-// a memoized rendering (the optimizer keys its plan cache on this text, so
-// the hot serving path must not re-render per lookup); hand-built statements
-// render on every call.
+// String renders the statement back to SQL — its canonical text, the same for
+// every spelling of one statement — from the tree, in one buffer, on every
+// call: nothing on the serving path asks for it (optimizer.Cache keys on it,
+// and the server does not plan through that).
 func (s *SelectStmt) String() string {
-	if s.canon != "" {
-		return s.canon
-	}
-	return s.render()
-}
-
-// render builds the SQL text from the tree, in one buffer.
-func (s *SelectStmt) render() string {
 	var buf [256]byte // most statements fit: the text is then copied once
 	b := append(buf[:0], "SELECT "...)
 	for i, it := range s.Items {

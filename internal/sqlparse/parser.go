@@ -24,10 +24,6 @@ func Parse(sql string) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Memoize the canonical rendering before the statement escapes: parsed
-	// statements are immutable downstream and shared across goroutines (the
-	// engine's statement cache), so the one writer is here, pre-publication.
-	stmt.canon = stmt.render()
 	return stmt, nil
 }
 

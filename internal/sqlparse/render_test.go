@@ -10,8 +10,8 @@ import (
 
 // The ref* functions are the fmt-based renderers the append-based ones in
 // ast.go replaced, kept as the reference the differential tests compare
-// against: the canonical text is the plan-cache key and part of every
-// answer, so it must not change by a byte.
+// against: the canonical text is optimizer.Cache's key and the item
+// renderings are part of every row answer, so none may change by a byte.
 
 func refColRef(c ColRef) string {
 	if c.Qualifier == "" {
@@ -125,15 +125,12 @@ func refRender(s *SelectStmt) string {
 }
 
 // checkRender compares every renderer of a parsed statement with its
-// reference, the memoized text included.
+// reference.
 func checkRender(t *testing.T, stmt *SelectStmt) {
 	t.Helper()
 	want := refRender(stmt)
 	if got := stmt.String(); got != want {
 		t.Errorf("String() = %q, reference %q", got, want)
-	}
-	if got := stmt.render(); got != want {
-		t.Errorf("render() = %q, reference %q", got, want)
 	}
 	for _, it := range stmt.Items {
 		if got, want := it.String(), refSelectItem(it); got != want {

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"intellisphere/internal/demo"
 	"intellisphere/internal/obs"
 )
 
@@ -71,10 +72,15 @@ func TestDefaultsScenario(t *testing.T) {
 		t.Fatalf("plan-cache warm-up did not run clean; log:\n%s", log)
 	}
 
+	// The first client request for a warmed statement is a plan-cache hit
+	// (the cache admits on second sight, so -warm plans each statement twice).
 	var one answer
 	s.postJSON("/query", `{"sql": "SELECT a1 FROM t10000_100 WHERE a1 < 100"}`, &one)
 	if one.ActualSec <= 0 {
 		t.Fatalf("/query answered no actuals: %+v", one)
+	}
+	if hits, misses := s.metric("intellisphere_plan_cache_hits_total"), s.metric("intellisphere_plan_cache_misses_total"); hits != 1 || misses != float64(2*len(demo.Statements())) {
+		t.Errorf("first request after -warm: %v plan-cache hits and %v misses, want 1 and two per warmed statement", hits, misses)
 	}
 	var slots []answer
 	s.postJSON("/query/batch", `["SELECT a1 FROM t10000_100 WHERE a1 < 100", {"sql": "`+aggSQL+`"}, "SELECT a1 FROM no_such_table"]`, &slots)
@@ -311,13 +317,26 @@ func TestAdmissionScenario(t *testing.T) {
 	if _, err := readFrame(br); err != io.EOF {
 		t.Fatalf("after frame %d: %v, want EOF", n, err)
 	}
-	// 100 distinct statements went through an 8-entry plan cache. (The size
-	// is what shows the flag arrived: the default cache evicts here too, its
-	// sampled shard hash putting statements that differ in one trailing
-	// literal on few of its 16-entry shards.)
+	// 100 distinct statements sent once each went past an 8-entry cache: a
+	// statement is admitted on its second sighting, so none was.
 	size, evicted := s.metric("intellisphere_plan_cache_size"), s.metric("intellisphere_plan_cache_evicted_total")
-	if size > 8 || evicted == 0 {
-		t.Errorf("-cache-size 8: %v plans cached and %v evicted after %d distinct statements", size, evicted, n)
+	if size != 0 || evicted != 0 {
+		t.Errorf("%v statements cached and %v evicted after %d distinct statements sent once", size, evicted, n)
+	}
+	// Sent twice each they all are, and the cache holds at its ceiling. (The
+	// size is what shows the flag arrived: the default cache evicts here too,
+	// its sampled shard hash putting statements that differ in one trailing
+	// literal on few of its 16-entry shards.)
+	lines.Reset()
+	for i := n + 1; i <= 2*n; i++ {
+		lines.WriteString(stmt(i) + "\n" + stmt(i) + "\n")
+	}
+	if piped, frames := s.do(as("flood", s.request(http.MethodPost, "/query/stream", lines.String()))); piped.StatusCode != http.StatusOK {
+		t.Fatalf("/query/stream: status %d: %s", piped.StatusCode, frames)
+	}
+	size, evicted = s.metric("intellisphere_plan_cache_size"), s.metric("intellisphere_plan_cache_evicted_total")
+	if size != 8 || evicted != n-8 {
+		t.Errorf("-cache-size 8: %v statements cached and %v evicted after %d distinct statements sent twice, want 8 and %d", size, evicted, n, n-8)
 	}
 
 	// Saturation: a stream holds its admission slot while its request body
@@ -378,8 +397,8 @@ func TestAdmissionScenario(t *testing.T) {
 	if got := s.metric("intellisphere_admission_shed_queue_full_total"); got != 1 {
 		t.Errorf("admission_shed_queue_full_total = %v, want 1", got)
 	}
-	if got := s.metric("intellisphere_stream_statements_total"); got != n+1 {
-		t.Errorf("stream_statements_total = %v, want %d", got, n+1)
+	if got := s.metric("intellisphere_stream_statements_total"); got != 3*n+1 {
+		t.Errorf("stream_statements_total = %v, want %d", got, 3*n+1)
 	}
 
 	// -rate-limit: a client's second request finds its bucket empty and gets
