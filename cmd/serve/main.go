@@ -80,9 +80,9 @@
 //
 // Fault injection is seeded and deterministic; with all -fault-* flags at
 // zero (the default) every response is byte-identical to a build without
-// the fault layer. SIGINT/SIGTERM drain in-flight requests, flush pending
-// estimator feedback, and (with -data-dir) write a final snapshot before
-// exiting.
+// the fault layer. SIGINT/SIGTERM drain in-flight requests and (with
+// -data-dir) write a final snapshot before exiting; every answered query's
+// estimator feedback is already in the models it snapshots.
 package main
 
 import (
@@ -333,18 +333,17 @@ func main() {
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			log.Printf("shutdown: %v", err)
 		}
-		// Shutdown order matters: drain HTTP first (no new mutations), stop
-		// the background tuner (no more model promotions), flush the bounded
-		// feedback queue into the estimators, then snapshot the final state
-		// and close the store — the next boot restores from the snapshot with
-		// an empty WAL.
+		// Shutdown order matters: drain HTTP first (no new mutations, and
+		// every answered query has logged its feedback into the models), stop
+		// the background tuner (no more model promotions), then snapshot the
+		// final state and close the store — the next boot restores from the
+		// snapshot with an empty WAL.
 		if tuner != nil {
 			tuner.Stop()
 		}
 		// Stopping the observer drains the event log's final batch, so a
 		// graceful shutdown loses no captured events.
 		observer.Stop()
-		eng.FlushFeedback()
 		if dur != nil {
 			if err := dur.Snapshot(); err != nil {
 				log.Printf("shutdown snapshot: %v", err)

@@ -266,26 +266,34 @@ func (e *Estimator) EstimateScan(spec plan.ScanSpec) (core.Estimate, error) {
 	return est.EstimateScan(spec)
 }
 
+// logicalModels reads the logical-op estimator under e.mu, as route does:
+// InstallLogicalModels replaces it while queries run.
+func (e *Estimator) logicalModels() *logicalop.Estimator {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.logical
+}
+
 // ObserveJoin implements core.Feedback (logical models learn online; sub-op
 // models do not need it — "model continuous tuning is less critical",
 // Figure 8).
 func (e *Estimator) ObserveJoin(spec plan.JoinSpec, actualSec float64) {
-	if e.logical != nil {
-		e.logical.ObserveJoin(spec, actualSec)
+	if l := e.logicalModels(); l != nil {
+		l.ObserveJoin(spec, actualSec)
 	}
 }
 
 // ObserveAgg implements core.Feedback.
 func (e *Estimator) ObserveAgg(spec plan.AggSpec, actualSec float64) {
-	if e.logical != nil {
-		e.logical.ObserveAgg(spec, actualSec)
+	if l := e.logicalModels(); l != nil {
+		l.ObserveAgg(spec, actualSec)
 	}
 }
 
 // ObserveScan implements core.Feedback.
 func (e *Estimator) ObserveScan(spec plan.ScanSpec, actualSec float64) {
-	if e.logical != nil {
-		e.logical.ObserveScan(spec, actualSec)
+	if l := e.logicalModels(); l != nil {
+		l.ObserveScan(spec, actualSec)
 	}
 }
 

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"intellisphere/internal/cluster"
@@ -231,6 +232,37 @@ func TestEstimatorFeedbackRouting(t *testing.T) {
 	// No logical models for agg/scan: must not panic.
 	e.ObserveAgg(plan.AggSpec{InputRows: 1, InputRowSize: 1, OutputRows: 1, OutputRowSize: 1}, 1)
 	e.ObserveScan(plan.ScanSpec{InputRows: 1, InputRowSize: 1, Selectivity: 1, OutputRowSize: 1}, 1)
+}
+
+// TestObserveDuringInstallLogicalModels: the engine logs each executed
+// operator from the goroutine that ran the query, so Observe* runs beside
+// InstallLogicalModels, which replaces the logical-op estimator under the
+// estimator's lock. Under -race this fails if Observe* reads that pointer
+// without the lock; without -race it checks no observation is lost to the
+// swap.
+func TestObserveDuringInstallLogicalModels(t *testing.T) {
+	jm := trainLogicalJoin(t)
+	e, err := NewEstimator(&Profile{SystemName: "c", Engine: remote.EngineHive, Active: core.SubOp,
+		SubOpModels: trainSubOp(t), LogicalJoin: jm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			e.InstallLogicalModels(jm, nil, nil)
+		}
+	}()
+	for i := 0; i < n; i++ {
+		e.ObserveJoin(joinSpec(), 12)
+	}
+	wg.Wait()
+	if got := jm.PendingLog(); got != n {
+		t.Errorf("pending log = %d after %d observations", got, n)
+	}
 }
 
 func TestProfileJSONRoundTrip(t *testing.T) {

@@ -57,8 +57,7 @@ func TestDistinctStatementFloodStaysBounded(t *testing.T) {
 			t.Fatalf("after the second sighting of statement %d: %d resident, capacity %d", i, s.Size, s.Capacity)
 		}
 	}
-	// A few repeats of the newest statements, so hits are counted too (few
-	// enough to still be resident if the whole flood fell into one shard).
+	// A few repeats of the newest statements, so hits are counted too.
 	const repeats = 8
 	for i := 2*n - repeats; i < 2*n; i++ {
 		res, err := e.Query(floodSQL(i))
@@ -157,6 +156,41 @@ func TestCycledWorkingSetBecomesResident(t *testing.T) {
 	}
 	if s := e.PlanCacheStats(); s.Size != len(working) || s.Evicted != 0 {
 		t.Errorf("%d statements resident and %d evicted, want all %d and none", s.Size, s.Evicted, len(working))
+	}
+}
+
+// TestEngineHoldsOneTemplate: 128 statements of one template, differing only
+// in a literal, each sent twice, are all resident in a default engine, and the
+// third sighting of every one is a hit. A statement cache split into shards
+// picked from bytes sampled at a stride put them all in one 16-entry shard and
+// none of them hit.
+func TestEngineHoldsOneTemplate(t *testing.T) {
+	for _, template := range []string{
+		"SELECT a100, COUNT(*) FROM t1000000_250 WHERE a1 < %d GROUP BY a100",
+		"SELECT r.a1 FROM t1000000_250 r JOIN t100000_100 s ON r.a1 = s.a1 WHERE r.a1 < %d",
+	} {
+		e := batchFixture(t)
+		sql := func(i int) string { return fmt.Sprintf(template, 1000+i) }
+		for i := 0; i < 128; i++ {
+			for sighting := 1; sighting <= 2; sighting++ {
+				if _, err := e.Query(sql(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		hits := 0
+		for i := 0; i < 128; i++ {
+			res, err := e.Query(sql(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheHit {
+				hits++
+			}
+		}
+		if s := e.PlanCacheStats(); hits != 128 || s.Size != 128 || s.Evicted != 0 {
+			t.Errorf("%q: %d of 128 hit on the third sighting, %d resident, %d evicted", template, hits, s.Size, s.Evicted)
+		}
 	}
 }
 

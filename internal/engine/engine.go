@@ -69,11 +69,6 @@ type Config struct {
 	// 0 selects the default (trace.DefaultRingSize); negative disables the
 	// buffer entirely (QueryTraced still returns its trace inline).
 	TraceBuffer int
-	// FeedbackCap bounds the estimator-feedback queue: beyond it the oldest
-	// pending observations are dropped (and counted) rather than growing the
-	// queue without limit behind a slow estimator. 0 selects the default
-	// (4096); negative disables the cap.
-	FeedbackCap int
 	// ModelHistory bounds the per-system model version history kept for
 	// rollback. 0 selects the default (modelver.DefaultHistory).
 	ModelHistory int
@@ -91,7 +86,6 @@ type Engine struct {
 	estimators   *registry.Map[core.Estimator]
 	materialized *registry.Map[*rowengine.Table]
 	opt          *optimizer.Optimizer
-	fb           *feedbackBatcher
 	// stmts is the read path's one cache, raw statement text → cachedStmt (nil
 	// when caching is disabled); sighted is its admission filter (admit); the
 	// counters are the verdicts of plan's epoch compare.
@@ -155,19 +149,6 @@ type Engine struct {
 	executeHist    *metrics.Histogram
 }
 
-// feedbackCap resolves the configured feedback-queue bound: 0 selects the
-// default, negative disables the cap entirely.
-func feedbackCap(n int) int {
-	switch {
-	case n == 0:
-		return defaultFeedbackCap
-	case n < 0:
-		return 0
-	default:
-		return n
-	}
-}
-
 // New builds a master engine, spins up its own execution simulator, and
 // calibrates the master's cost model with a sub-op probe run (Teradata's
 // own costing "is based on the sub-op costing approach", Section 4).
@@ -196,7 +177,6 @@ func New(cfg Config) (*Engine, error) {
 		remotes:      registry.New[remote.System](),
 		estimators:   registry.New[core.Estimator](),
 		materialized: registry.New[*rowengine.Table](),
-		fb:           newFeedbackBatcher(feedbackCap(cfg.FeedbackCap)),
 		versions:     modelver.NewStore(cfg.ModelHistory),
 		breakers:     resilience.NewGroup(cfg.Breaker),
 		retry:        cfg.Retry,
@@ -227,35 +207,39 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// PlanCacheStats reports the statement cache's effectiveness (zero when caching
-// is disabled): a hit is a statement answered with a cached plan, a miss one
-// that was planned — not resident, or resident with a plan from an earlier
-// epoch, which also counts as stale. Size, capacity and evictions are the
-// cache's own.
-func (e *Engine) PlanCacheStats() optimizer.CacheStats {
+// PlanCacheStats is the statement cache's effectiveness: its own size,
+// capacity and evictions, and the verdicts of the engine's epoch compare — a
+// hit is a statement answered with a cached plan, a miss one that was planned
+// (not resident, or resident with a plan from an earlier epoch, which also
+// counts as stale).
+type PlanCacheStats struct {
+	optimizer.CacheStats
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Stale  uint64 `json:"stale"`
+}
+
+// PlanCacheStats reports the statement cache's effectiveness (zero when
+// caching is disabled).
+func (e *Engine) PlanCacheStats() PlanCacheStats {
 	if e.stmts == nil {
-		return optimizer.CacheStats{}
+		return PlanCacheStats{}
 	}
-	s := e.stmts.Stats()
-	s.Hits, s.Misses, s.Stale = e.planHits.Value(), e.planMisses.Value(), e.planStale.Value()
-	return s
+	return PlanCacheStats{CacheStats: e.stmts.Stats(), Hits: e.planHits.Value(), Misses: e.planMisses.Value(), Stale: e.planStale.Value()}
 }
 
 // Stats is a point-in-time snapshot of serving health: query counts, the
 // per-stage latency histograms (wall clock of the serving process, not
-// simulated time), plan-cache effectiveness, and the feedback backlog.
+// simulated time), plan-cache effectiveness, resilience, tuning and
+// estimator accuracy.
 type Stats struct {
-	Queries         uint64                    `json:"queries"`
-	QueryErrors     uint64                    `json:"query_errors"`
-	Parse           metrics.HistogramSnapshot `json:"parse"`
-	Plan            metrics.HistogramSnapshot `json:"plan"`
-	Execute         metrics.HistogramSnapshot `json:"execute"`
-	PlanCache       optimizer.CacheStats      `json:"plan_cache"`
-	FeedbackBacklog int                       `json:"feedback_backlog"`
-	// FeedbackDropped counts observations discarded because the bounded
-	// feedback queue was full (drop-oldest under sustained overload).
-	FeedbackDropped uint64          `json:"feedback_dropped"`
-	Resilience      ResilienceStats `json:"resilience"`
+	Queries     uint64                    `json:"queries"`
+	QueryErrors uint64                    `json:"query_errors"`
+	Parse       metrics.HistogramSnapshot `json:"parse"`
+	Plan        metrics.HistogramSnapshot `json:"plan"`
+	Execute     metrics.HistogramSnapshot `json:"execute"`
+	PlanCache   PlanCacheStats            `json:"plan_cache"`
+	Resilience  ResilienceStats           `json:"resilience"`
 	// Tuning summarizes the model-lifecycle loop: drift-triggered candidate
 	// tunes and their outcomes.
 	Tuning TuningStats `json:"tuning"`
@@ -304,18 +288,16 @@ type ResilienceStats struct {
 // Stats snapshots the engine's serving metrics.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Queries:         e.queries.Value(),
-		QueryErrors:     e.queryErrors.Value(),
-		Parse:           e.parseHist.Snapshot(),
-		Plan:            e.planHist.Snapshot(),
-		Execute:         e.executeHist.Snapshot(),
-		PlanCache:       e.PlanCacheStats(),
-		FeedbackBacklog: e.FeedbackBacklog(),
-		FeedbackDropped: e.FeedbackDropped(),
-		Resilience:      e.ResilienceStats(),
-		Tuning:          e.TuningStats(),
-		Accuracy:        e.AccuracyStats(),
-		Traces:          e.traces.Count(),
+		Queries:     e.queries.Value(),
+		QueryErrors: e.queryErrors.Value(),
+		Parse:       e.parseHist.Snapshot(),
+		Plan:        e.planHist.Snapshot(),
+		Execute:     e.executeHist.Snapshot(),
+		PlanCache:   e.PlanCacheStats(),
+		Resilience:  e.ResilienceStats(),
+		Tuning:      e.TuningStats(),
+		Accuracy:    e.AccuracyStats(),
+		Traces:      e.traces.Count(),
 	}
 }
 
@@ -787,17 +769,8 @@ func (c *stageClock) lap(stage *time.Duration) time.Duration {
 type cachedStmt struct {
 	stmt *sqlparse.SelectStmt
 	hash uint64 // obs.StatementHash64 of the text
-	plan atomic.Pointer[stampedPlan]
-}
-
-// stampedPlan is a plan and the Optimizer.Epoch read before it was built: a
-// sighting at another epoch re-plans and swaps the pair in place, so every
-// catalog, link and model change invalidates implicitly and relinks nothing.
-// A plan built while the epoch moved is stale on its next sighting, which is
-// why either of two racing re-plans may land.
-type stampedPlan struct {
-	plan  *optimizer.Plan
-	epoch uint64
+	// plan is replaced, not cleared, when a sighting finds it stale.
+	plan atomic.Pointer[optimizer.StampedPlan]
 }
 
 // sightingsPerEntry sizes the admission filter: one bucket of eight
@@ -844,20 +817,20 @@ func (e *Engine) prepare(ctx context.Context, clk *stageClock, sql string) (*cac
 		return nil, nil, false, err
 	}
 	if !resident && e.stmts != nil && e.admit(ent.hash) {
-		e.stmts.Put(sql, 0, ent)
+		e.stmts.Put(sql, ent)
 	}
 	return ent, p, hit, nil
 }
 
 // parse looks the statement up by its raw text, reporting whether it was
 // resident; when it is not, it is parsed into a fresh entry, timed into the
-// parse-stage histogram. A parse depends on the text alone: entries sit at a
-// generation that never moves.
+// parse-stage histogram. A parse depends on the text alone and never goes
+// stale.
 func (e *Engine) parse(ctx context.Context, clk *stageClock, sql string) (*cachedStmt, bool, error) {
 	// A resident statement skips the parse histogram and the clock: nothing
 	// was parsed, and the lookup's time is the start of the plan stage.
 	if e.stmts != nil {
-		if ent, ok := e.stmts.Get(sql, 0); ok {
+		if ent, ok := e.stmts.Get(sql); ok {
 			if _, sp := trace.Start(ctx, "parse"); sp != nil {
 				sp.SetAttr("cache", "hit")
 				sp.End()
@@ -882,8 +855,8 @@ func (e *Engine) plan(ctx context.Context, clk *stageClock, ent *cachedStmt) (p 
 	ctx, sp := trace.Start(ctx, "plan")
 	epoch := e.opt.Epoch()
 	switch cur := ent.plan.Load(); {
-	case cur != nil && cur.epoch == epoch:
-		p, hit = cur.plan, true
+	case cur != nil && cur.Epoch == epoch:
+		p, hit = cur.Plan, true
 		e.planHits.Inc()
 		sp.SetAttr("cache", "hit")
 	case e.stmts == nil:
@@ -895,7 +868,7 @@ func (e *Engine) plan(ctx context.Context, clk *stageClock, ent *cachedStmt) (p 
 		e.planMisses.Inc()
 		sp.SetAttr("cache", "miss")
 		if p, err = e.opt.PlanCtx(ctx, ent.stmt); err == nil {
-			ent.plan.Store(&stampedPlan{plan: p, epoch: epoch})
+			ent.plan.Store(&optimizer.StampedPlan{Plan: p, Epoch: epoch})
 		}
 	}
 	e.planHist.ObserveExemplar(clk.lap(&clk.plan), sp.TraceID())
@@ -908,9 +881,9 @@ func (e *Engine) plan(ctx context.Context, clk *stageClock, ent *cachedStmt) (p 
 }
 
 // Query plans and executes a SQL statement across the federation. It is safe
-// for concurrent use: plans come from the (lock-free-read) optimizer, step
-// execution only reads registry snapshots, and estimator feedback is queued
-// to the batcher rather than applied inline.
+// for concurrent use: plans come from the (lock-free-read) statement cache,
+// step execution only reads registry snapshots, and each executed operator's
+// actual cost is in its estimator's log by the time Query returns.
 func (e *Engine) Query(sql string) (*QueryResult, error) {
 	return e.QueryContext(context.Background(), sql)
 }
@@ -1100,10 +1073,10 @@ func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt, p *opti
 }
 
 // executeStep runs one plan step on the simulators — behind the target
-// system's circuit breaker and the retry policy — queues the actual cost
-// for delivery to the estimator (the logging phase of Figure 3), and feeds
-// the (predicted, observed) pair into the per-(system, operator) accuracy
-// window.
+// system's circuit breaker and the retry policy — feeds the (predicted,
+// observed) pair into the per-(system, operator) accuracy window, and hands
+// the actual cost to the estimator (the logging phase of Figure 3: a logical-op
+// model appends it to its log under its write lock, a sub-op one ignores it).
 func (e *Engine) executeStep(ctx context.Context, step *optimizer.Step, res *QueryResult) (actual float64, err error) {
 	ctx, sp := trace.Start(ctx, step.Kind)
 	if sp != nil {
@@ -1164,16 +1137,14 @@ func (e *Engine) executeStep(ctx context.Context, step *optimizer.Step, res *Que
 	st.acc.Observe(step.EstimatedSec, ex.ElapsedSec)
 	sp.SetFloat("actual_sec", ex.ElapsedSec)
 	if fb, ok := est.(core.Feedback); ok {
-		it := feedbackItem{est: fb, kind: step.Kind, actualSec: ex.ElapsedSec}
 		switch step.Kind {
 		case "join":
-			it.join = *step.Join
+			fb.ObserveJoin(*step.Join, ex.ElapsedSec)
 		case "aggregation":
-			it.agg = *step.Agg
+			fb.ObserveAgg(*step.Agg, ex.ElapsedSec)
 		case "scan":
-			it.scan = *step.Scan
+			fb.ObserveScan(*step.Scan, ex.ElapsedSec)
 		}
-		e.fb.enqueue(it)
 	}
 	return ex.ElapsedSec, nil
 }

@@ -159,9 +159,6 @@ func (e *Engine) TuneSystem(system string, tc nn.TrainConfig) (*TuneReport, erro
 	if !ok {
 		return nil, fmt.Errorf("engine: system %q has no tunable profile", system)
 	}
-	// Tuning consumes each model's pending log, so any feedback still queued
-	// in the batcher has to land first or the pass would silently skip it.
-	e.FlushFeedback()
 	prof := h.Profile()
 	rep := &TuneReport{}
 	changed := false // a model is no longer what cached plans were priced by

@@ -49,9 +49,10 @@ func registerLogicalHive(t *testing.T, e *Engine) *hybrid.Estimator {
 
 // TestConcurrentQueriesLogicalOpFeedback hammers Query from many goroutines
 // against a logical-op remote, driving concurrent model estimates (including
-// the out-of-range online-remedy path) and the async feedback pipeline. Run
-// under -race this is the serving-path safety check for the whole stack:
-// lock-free registry lookups, shared cached plans, batched Observe* delivery.
+// the out-of-range online-remedy path) and concurrent Observe* calls, each from
+// the goroutine that ran its query. Run under -race this is the serving-path
+// safety check for the whole stack: lock-free registry lookups, shared cached
+// plans, inline feedback into shared models.
 func TestConcurrentQueriesLogicalOpFeedback(t *testing.T) {
 	e := newEngine(t)
 	est := registerLogicalHive(t, e)
@@ -97,10 +98,6 @@ func TestConcurrentQueriesLogicalOpFeedback(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Errorf("concurrent query failed: %v", err)
-	}
-	e.FlushFeedback()
-	if got := e.FeedbackBacklog(); got != 0 {
-		t.Errorf("feedback backlog after flush = %d", got)
 	}
 	if prof.LogicalAgg.PendingLog() <= before {
 		t.Error("no feedback reached the logical aggregation model")

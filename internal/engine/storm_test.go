@@ -19,7 +19,7 @@ import (
 // SetLink / SwitchProfile / TuneSystem (in-place model changes) and forced
 // TuneCandidate / RollbackModel (registry swaps of an estimator that has
 // changed in place), each of which advances the epoch. Under -race this
-// exercises every lock-free path (COW shard maps, CLOCK bits, the stamped
+// exercises every lock-free path (bucket chains, CLOCK bits, the stamped
 // plan swapped in place by racing re-plans) against concurrent invalidation.
 //
 // The oracle reads Optimizer.Epoch — the very counter the engine stamps
@@ -54,7 +54,6 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 		}
 		lookups.Add(1)
 	}
-	e.FlushFeedback()
 
 	type obs struct {
 		sql, out string

@@ -190,9 +190,6 @@ func (e *Engine) TuneCandidate(ctx context.Context, system string, opts TuneOpti
 	if err != nil {
 		return nil, err
 	}
-	// Queued feedback is this pass's training data; land it first.
-	e.FlushFeedback()
-
 	_, csp := trace.Start(ctx, "clone")
 	liveJSON, err := profileJSON(h)
 	if err != nil {

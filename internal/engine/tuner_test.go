@@ -20,7 +20,6 @@ import (
 	"intellisphere/internal/metrics"
 	"intellisphere/internal/modelver"
 	"intellisphere/internal/nn"
-	"intellisphere/internal/plan"
 	"intellisphere/internal/remote"
 )
 
@@ -79,7 +78,6 @@ func driftRig(t *testing.T, e *Engine, inj *faults.Injector, n int) {
 			t.Fatalf("drift query %d: %v", i, err)
 		}
 	}
-	e.FlushFeedback()
 }
 
 func TestTuneCandidatePromotion(t *testing.T) {
@@ -402,7 +400,6 @@ func TestTuneSystemPublishesPartialTune(t *testing.T) {
 			t.Fatalf("query %d: CacheHit = %v", i, res.CacheHit)
 		}
 	}
-	e.FlushFeedback()
 	if prof.LogicalJoin.PendingLog() == 0 {
 		t.Fatal("the join did not run on hivebb: no join log to tune")
 	}
@@ -529,96 +526,5 @@ func TestSaveProfileAtomic(t *testing.T) {
 			names = append(names, en.Name())
 		}
 		t.Errorf("stray files after atomic saves: %v", names)
-	}
-}
-
-// countFeedback records applied observations, standing in for an estimator.
-type countFeedback struct {
-	mu      sync.Mutex
-	applied []float64
-}
-
-func (c *countFeedback) observe(sec float64) {
-	c.mu.Lock()
-	c.applied = append(c.applied, sec)
-	c.mu.Unlock()
-}
-func (c *countFeedback) ObserveJoin(_ plan.JoinSpec, sec float64) { c.observe(sec) }
-func (c *countFeedback) ObserveAgg(_ plan.AggSpec, sec float64)   { c.observe(sec) }
-func (c *countFeedback) ObserveScan(_ plan.ScanSpec, sec float64) { c.observe(sec) }
-
-// TestFeedbackQueueBounded saturates the batcher while its drainer is held
-// off and checks drop-oldest semantics: the queue never exceeds cap, the
-// newest observations survive, and every drop is counted.
-func TestFeedbackQueueBounded(t *testing.T) {
-	cf := &countFeedback{}
-	b := newFeedbackBatcher(4)
-	// Pretend a drainer is already active so enqueue does not start one —
-	// the deterministic stand-in for an estimator too slow to keep up.
-	b.mu.Lock()
-	b.draining = true
-	b.mu.Unlock()
-
-	for i := 0; i < 10; i++ {
-		b.enqueue(feedbackItem{est: cf, kind: "scan", actualSec: float64(i)})
-	}
-	b.mu.Lock()
-	queued := make([]float64, 0, len(b.queue))
-	for _, it := range b.queue {
-		queued = append(queued, it.actualSec)
-	}
-	b.draining = false
-	b.mu.Unlock()
-
-	if len(queued) != 4 {
-		t.Fatalf("queue length = %d, want cap 4", len(queued))
-	}
-	for i, sec := range queued {
-		if want := float64(6 + i); sec != want {
-			t.Errorf("queue[%d] = %v, want %v (newest must survive)", i, sec, want)
-		}
-	}
-	if got := b.dropped.Value(); got != 6 {
-		t.Errorf("dropped = %d, want 6", got)
-	}
-
-	// Release the queue: the next enqueue evicts one more (the queue is
-	// still at cap), starts a real drainer, and flush applies the rest.
-	b.enqueue(feedbackItem{est: cf, kind: "scan", actualSec: 10})
-	b.flush()
-	cf.mu.Lock()
-	applied := append([]float64(nil), cf.applied...)
-	cf.mu.Unlock()
-	if len(applied) != 4 || applied[0] != 7 || applied[3] != 10 {
-		t.Errorf("applied = %v, want [7 8 9 10]", applied)
-	}
-	if got := b.dropped.Value(); got != 7 {
-		t.Errorf("dropped after releasing enqueue = %d, want 7", got)
-	}
-	if b.backlog() != 0 {
-		t.Errorf("backlog = %d after flush", b.backlog())
-	}
-}
-
-// TestFeedbackCapConfig pins the Config.FeedbackCap resolution: zero selects
-// the default bound, negative disables it, positive passes through.
-func TestFeedbackCapConfig(t *testing.T) {
-	for _, tc := range []struct {
-		in, want int
-	}{
-		{0, defaultFeedbackCap},
-		{-1, 0},
-		{7, 7},
-	} {
-		e, err := New(Config{Seed: 9, FeedbackCap: tc.in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.fb.cap != tc.want {
-			t.Errorf("FeedbackCap %d: batcher cap = %d, want %d", tc.in, e.fb.cap, tc.want)
-		}
-		if e.FeedbackDropped() != 0 {
-			t.Errorf("fresh engine reports drops")
-		}
 	}
 }

@@ -16,22 +16,22 @@ import (
 )
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewCache[*Plan](2)
 	pa, pb, pc := &Plan{}, &Plan{}, &Plan{}
-	c.Put("a", 1, pa)
-	c.Put("b", 1, pb)
+	c.Put("a", pa)
+	c.Put("b", pb)
 	// Touch "a" so "b" becomes the LRU victim.
-	if got, ok := c.Get("a", 1); !ok || got != pa {
+	if got, ok := c.Get("a"); !ok || got != pa {
 		t.Fatalf("get(a) = %v, %v", got, ok)
 	}
-	c.Put("c", 1, pc)
-	if _, ok := c.Get("b", 1); ok {
+	c.Put("c", pc)
+	if _, ok := c.Get("b"); ok {
 		t.Error("LRU entry b survived eviction")
 	}
-	if got, ok := c.Get("a", 1); !ok || got != pa {
+	if got, ok := c.Get("a"); !ok || got != pa {
 		t.Errorf("get(a) after eviction = %v, %v", got, ok)
 	}
-	if got, ok := c.Get("c", 1); !ok || got != pc {
+	if got, ok := c.Get("c"); !ok || got != pc {
 		t.Errorf("get(c) = %v, %v", got, ok)
 	}
 	s := c.Stats()
@@ -40,33 +40,16 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestPlanCacheStaleGeneration(t *testing.T) {
-	c := NewPlanCache(4)
-	c.Put("q", 7, &Plan{})
-	if _, ok := c.Get("q", 8); ok {
-		t.Fatal("stale-generation entry served")
-	}
-	// The stale entry is evicted on sight, so even the old generation now
-	// misses.
-	if _, ok := c.Get("q", 7); ok {
-		t.Error("stale entry not evicted")
-	}
-	s := c.Stats()
-	if s.Stale != 1 || s.Misses != 2 || s.Hits != 0 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
 func TestPlanCachePutReplaces(t *testing.T) {
-	c := NewPlanCache(4)
+	c := NewCache[*Plan](4)
 	p1, p2 := &Plan{}, &Plan{}
-	c.Put("q", 1, p1)
-	c.Put("q", 2, p2)
-	if got, ok := c.Get("q", 2); !ok || got != p2 {
+	c.Put("q", p1)
+	c.Put("q", p2)
+	if got, ok := c.Get("q"); !ok || got != p2 {
 		t.Errorf("replaced entry = %v, %v", got, ok)
 	}
-	if s := c.Stats(); s.Size != 1 {
-		t.Errorf("size after replace = %d", s.Size)
+	if s := c.Stats(); s.Size != 1 || s.Evicted != 0 {
+		t.Errorf("stats after replace = %+v", s)
 	}
 }
 
@@ -76,6 +59,32 @@ func TestPlanCacheDefaultCapacity(t *testing.T) {
 	}
 	if c := NewPlanCache(-3); c.cap != 256 {
 		t.Errorf("capacity(-3) = %d", c.cap)
+	}
+}
+
+// TestCacheHoldsOneTemplate: statements of one template that differ only in a
+// short literal are as many keys as any others. 128 of a GROUP BY template and
+// 128 of a join template, each into a cache of 256, must all stay resident. A
+// cache that picked a shard from bytes sampled at a stride put every one of
+// them in one 16-entry shard: 16 resident, 112 evicted.
+func TestCacheHoldsOneTemplate(t *testing.T) {
+	for _, template := range []string{
+		"SELECT a100, COUNT(*) FROM t1000000_250 WHERE a1 < %d GROUP BY a100",
+		"SELECT r.a1 FROM t1000000_250 r JOIN t100000_100 s ON r.a1 = s.a1 WHERE r.a1 < %d",
+	} {
+		c := NewCache[int](256)
+		for i := 0; i < 128; i++ {
+			c.Put(fmt.Sprintf(template, 1000+i), i)
+		}
+		if s := c.Stats(); s.Size != 128 || s.Evicted != 0 {
+			t.Errorf("%q: %d resident, %d evicted, want 128 and 0", template, s.Size, s.Evicted)
+		}
+		for i := 0; i < 128; i++ {
+			if v, ok := c.Get(fmt.Sprintf(template, 1000+i)); !ok || v != i {
+				t.Errorf("%q, literal %d: got %d, %v", template, 1000+i, v, ok)
+				break
+			}
+		}
 	}
 }
 
@@ -97,12 +106,11 @@ func TestOptimizerPlanCaching(t *testing.T) {
 	if p3 != p1 {
 		t.Error("normalized-equivalent statement missed the cache")
 	}
-	s := f.opt.Cache.Stats()
-	if s.Hits != 2 || s.Misses != 1 {
+	if s := f.opt.Cache.Stats(); s.Size != 1 {
 		t.Errorf("stats = %+v", s)
 	}
 
-	// A catalog mutation bumps the generation: the next lookup is stale.
+	// A catalog mutation moves the epoch: the next lookup is stale.
 	tb, err := f.cat.Lookup("t10000_40")
 	if err != nil {
 		t.Fatal(err)
@@ -116,13 +124,14 @@ func TestOptimizerPlanCaching(t *testing.T) {
 	if p4 == p1 {
 		t.Error("catalog mutation did not invalidate the cached plan")
 	}
-	if s := f.opt.Cache.Stats(); s.Stale != 1 {
+	// The re-plan replaced the stale entry in place.
+	if s := f.opt.Cache.Stats(); s.Size != 1 || s.Evicted != 0 {
 		t.Errorf("stats after invalidation = %+v", s)
 	}
 
 	// Explain output of a cache hit is byte-identical (same plan object).
 	p5 := f.plan(t, sql)
-	if p5.Explain() != p4.Explain() {
+	if p5 != p4 || p5.Explain() != p4.Explain() {
 		t.Error("cached Explain differs from cold Explain")
 	}
 
@@ -137,86 +146,63 @@ func TestOptimizerPlanCaching(t *testing.T) {
 	}
 }
 
-// TestPlanCacheShardSizing pins the shard-count policy: small caches stay
-// single-sharded (preserving whole-cache eviction order), the default 256
-// fans out to the maximum, and total capacity is preserved across shards.
-func TestPlanCacheShardSizing(t *testing.T) {
-	cases := []struct {
-		capacity, shards int
-	}{
-		{2, 1}, {16, 1}, {31, 1}, {32, 2}, {64, 4}, {128, 8}, {256, 16}, {10000, 16},
-	}
-	for _, tc := range cases {
-		c := NewPlanCache(tc.capacity)
-		if len(c.shards) != tc.shards {
-			t.Errorf("capacity %d: %d shards, want %d", tc.capacity, len(c.shards), tc.shards)
-		}
-		var total int
-		for i := range c.shards {
-			total += c.shards[i].cap
-		}
-		if total < tc.capacity {
-			t.Errorf("capacity %d: shard caps sum to %d", tc.capacity, total)
+// chainsMatchRing checks the cache's two views of its entries agree: the
+// bucket chains hold exactly the ring's entries, once each and in their own
+// bucket, and both count Size. It returns every chained entry.
+func chainsMatchRing(t *testing.T, c *Cache[*Plan], op string) []*cacheEntry[*Plan] {
+	t.Helper()
+	var chained []*cacheEntry[*Plan]
+	seen := map[*cacheEntry[*Plan]]bool{}
+	for b := range c.buckets {
+		for e := c.buckets[b].Load(); e != nil; e = e.next.Load() {
+			if seen[e] || e.bucket != uint64(b) || c.ring[e.slot] != e {
+				t.Fatalf("after %s: entry %q (bucket %d, slot %d) is chained twice or misplaced", op, e.key, e.bucket, e.slot)
+			}
+			seen[e] = true
+			chained = append(chained, e)
 		}
 	}
+	if len(chained) != len(c.ring) || len(chained) != c.Stats().Size || len(chained) > c.cap {
+		t.Fatalf("after %s: %d chained, %d in the ring, size %d, capacity %d",
+			op, len(chained), len(c.ring), c.Stats().Size, c.cap)
+	}
+	return chained
 }
 
-// TestPlanCacheShardedCounters fills a multi-shard cache past capacity and
-// checks the summed counters stay exact: every lookup lands in exactly one of
-// hits/misses, size never exceeds capacity, and eviction happens per shard.
-func TestPlanCacheShardedCounters(t *testing.T) {
-	c := NewPlanCache(64) // 4 shards x 16
-	keys := make([]string, 200)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("stmt-%d", i)
-		c.Put(keys[i], 1, &Plan{})
-	}
-	var lookups uint64
-	for _, k := range keys {
-		c.Get(k, 1)
-		lookups++
-	}
-	s := c.Stats()
-	if s.Hits+s.Misses != lookups {
-		t.Errorf("hits %d + misses %d != lookups %d", s.Hits, s.Misses, lookups)
-	}
-	if s.Size > 64 {
-		t.Errorf("size %d exceeds capacity", s.Size)
-	}
-	if s.Evicted == 0 {
-		t.Error("no evictions after 200 inserts into 64 slots")
-	}
-	if s.Size+int(s.Evicted) != len(keys) {
-		t.Errorf("size %d + evicted %d != %d inserts", s.Size, s.Evicted, len(keys))
-	}
-}
-
-// TestPlanCacheConcurrent hammers one sharded cache from many goroutines
-// mixing hits, misses, stale lookups, inserts, and stat scrapes; the
-// race detector checks the lock-free paths and the final counters must
-// reconcile (hits+misses == lookups).
+// TestPlanCacheConcurrent hammers one cache from many goroutines mixing hits,
+// misses, inserts, replacements and stat scrapes; the race detector checks the
+// lock-free paths, every hit must return a plan stored under its key, and once
+// the goroutines are done the chains and the ring must still agree.
 func TestPlanCacheConcurrent(t *testing.T) {
-	c := NewPlanCache(128)
-	plans := make([]*Plan, 32)
+	c := NewCache[*Plan](128)
+	plans := make([]*Plan, 48)
+	owner := map[*Plan]string{}
 	for i := range plans {
 		plans[i] = &Plan{}
-		c.Put(fmt.Sprintf("k%d", i), 1, plans[i])
+		owner[plans[i]] = fmt.Sprintf("k%d", i)
+		if i < 32 {
+			c.Put(owner[plans[i]], plans[i])
+		}
 	}
-	var lookups atomic.Uint64
+	var hits, misses atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				k := fmt.Sprintf("k%d", (g*7+i)%48) // 32 present, 16 missing
-				gen := uint64(1 + (i%2)*(g%2))      // mix of current and stale gens
-				if p, ok := c.Get(k, gen); ok && p == nil {
-					t.Error("hit returned nil plan")
+				n := (g*7 + i) % 48 // 32 present, 16 missing until put
+				k := fmt.Sprintf("k%d", n)
+				if p, ok := c.Get(k); !ok {
+					misses.Add(1)
+				} else if owner[p] != k {
+					t.Errorf("get(%s) returned the plan of %s", k, owner[p])
+					return
+				} else {
+					hits.Add(1)
 				}
-				lookups.Add(1)
 				if i%37 == 0 {
-					c.Put(k, 1, plans[i%len(plans)])
+					c.Put(k, plans[n])
 				}
 				if i%501 == 0 {
 					c.Stats()
@@ -225,76 +211,55 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s := c.Stats()
-	if s.Hits+s.Misses != lookups.Load() {
-		t.Errorf("hits %d + misses %d != lookups %d", s.Hits, s.Misses, lookups.Load())
+	if hits.Load() == 0 || misses.Load() == 0 {
+		t.Errorf("%d hits, %d misses: the run never exercised a path", hits.Load(), misses.Load())
+	}
+	chainsMatchRing(t, c, "the concurrent run")
+	if s := c.Stats(); s.Evicted != 0 {
+		t.Errorf("48 keys evicted from a cache of 128: %+v", s)
 	}
 }
 
-// TestPlanCacheChainsStayConsistent drives one small shard (8 entries over 16
+// TestPlanCacheChainsStayConsistent drives one small cache (8 entries over 16
 // buckets, 40 keys, so chains collide and every kind of relink happens in
-// the middle of one) through a seeded run of inserts, replacements, stale
-// drops and evictions. After every operation the bucket chains must
-// hold exactly the ring's live entries, once each and in their own bucket;
-// a hit must return the plan last stored under that key; and a key is
-// findable right after its put and gone right after its stale drop.
+// the middle of one) through a seeded run of inserts, replacements and
+// evictions. After every insert the bucket chains must hold exactly the
+// ring's entries, once each and in their own bucket, each with the plan last
+// stored under its key; a hit must return that plan; and a key is findable
+// right after its put.
 func TestPlanCacheChainsStayConsistent(t *testing.T) {
-	c := NewPlanCache(8)
-	sh := &c.shards[0]
-	if len(c.shards) != 1 || len(sh.buckets) != 16 {
-		t.Fatalf("%d shards, %d buckets", len(c.shards), len(sh.buckets))
+	c := NewCache[*Plan](8)
+	if len(c.buckets) != 16 {
+		t.Fatalf("%d buckets", len(c.buckets))
 	}
 	latest := map[string]*Plan{} // the plan last put under a key
-	check := func(op string) {
-		t.Helper()
-		chained := map[*cacheEntry[*Plan]]bool{}
-		for b := range sh.buckets {
-			for e := sh.buckets[b].Load(); e != nil; e = e.next.Load() {
-				if chained[e] || e.bucket != uint64(b) || sh.ring[e.slot] != e || e.val != latest[e.key] {
-					t.Fatalf("after %s: entry %q (bucket %d, slot %d) is chained twice, misplaced, or stale", op, e.key, e.bucket, e.slot)
-				}
-				chained[e] = true
-			}
-		}
-		live := 0
-		for _, e := range sh.ring {
-			if e != nil {
-				live++
-			}
-		}
-		if live != len(chained) || live != c.Stats().Size || live > 8 || live+len(sh.holes) != len(sh.ring) {
-			t.Fatalf("after %s: %d live ring entries, %d chained, size %d, %d holes in a ring of %d",
-				op, live, len(chained), c.Stats().Size, len(sh.holes), len(sh.ring))
-		}
-	}
+	hits := 0
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20000; i++ {
 		key := fmt.Sprintf("stmt-%d", rng.Intn(40))
-		switch r := rng.Intn(100); {
-		case r < 45:
+		if rng.Intn(100) < 45 {
 			p := &Plan{}
 			latest[key] = p
-			c.Put(key, 1, p)
-			check("put " + key)
-			if got, ok := c.Get(key, 1); !ok || got != p {
+			c.Put(key, p)
+			for _, e := range chainsMatchRing(t, c, "put "+key) {
+				if e.val != latest[e.key] {
+					t.Fatalf("after put %s: %q holds a plan that was replaced", key, e.key)
+				}
+			}
+			if got, ok := c.Get(key); !ok || got != p {
 				t.Fatalf("get(%s) right after put = %v, %v", key, got, ok)
 			}
-		case r < 85:
-			if got, ok := c.Get(key, 1); ok && got != latest[key] {
+			continue
+		}
+		if got, ok := c.Get(key); ok {
+			if got != latest[key] {
 				t.Fatalf("get(%s) returned a plan that was replaced", key)
 			}
-		default:
-			if _, ok := c.Get(key, 2); ok {
-				t.Fatalf("get(%s) served a stale generation", key)
-			}
-			check("stale get " + key)
-			if sh.find(c.bucket(sh, key), key) != nil {
-				t.Fatalf("%s still chained after its stale drop", key)
-			}
+			hits++
 		}
 	}
-	if s := c.Stats(); s.Evicted == 0 || s.Stale == 0 || s.Hits == 0 {
-		t.Errorf("the run never exercised a path: %+v", s)
+	if s := c.Stats(); s.Evicted == 0 || hits == 0 {
+		t.Errorf("the run never exercised a path: %d hits, %+v", hits, s)
 	}
 }
 

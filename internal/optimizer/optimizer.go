@@ -28,8 +28,9 @@ type Optimizer struct {
 	Grid       *querygrid.Grid
 	Estimators *registry.Map[core.Estimator]
 	// Cache, when non-nil, memoizes finished plans keyed by the statement's
-	// canonical text (rendered per lookup) and stamped with the current
-	// Epoch. Cached plans are byte-identical to freshly built ones — the
+	// canonical text (rendered per lookup) and stamped with the Epoch read
+	// before each was built; a plan from another epoch is re-planned and
+	// replaced. Cached plans are byte-identical to freshly built ones — the
 	// cache only skips the candidate enumeration. The engine leaves it nil:
 	// its statement cache keeps each statement's plan beside its parse.
 	Cache *PlanCache
@@ -248,17 +249,17 @@ func (o *Optimizer) planExcludingHit(ctx context.Context, stmt *sqlparse.SelectS
 		return p, false, err
 	}
 	key := stmt.String()
-	gen := o.Epoch()
-	if p, ok := o.Cache.Get(key, gen); ok {
+	epoch := o.Epoch()
+	if cur, ok := o.Cache.Get(key); ok && cur.Epoch == epoch {
 		sp.SetAttr("cache", "hit")
-		return p, true, nil
+		return cur.Plan, true, nil
 	}
 	sp.SetAttr("cache", "miss")
 	p, err := o.planUncached(ctx, stmt, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	o.Cache.Put(key, gen, p)
+	o.Cache.Put(key, StampedPlan{Plan: p, Epoch: epoch})
 	return p, false, nil
 }
 

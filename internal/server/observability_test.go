@@ -346,7 +346,6 @@ func TestPromSeriesInventory(t *testing.T) {
 		// (breakers, estimator accuracy).
 		var qr queryResponse
 		getJSON(t, srv.URL+"/query?q=SELECT+a1+FROM+t100000_100", &qr)
-		e.FlushFeedback()
 		body := getText(t, srv.URL+"/metrics/prom")
 		checkPromFormat(t, body)
 		return promSeriesNames(body)

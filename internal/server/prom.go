@@ -29,8 +29,6 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(&b, "intellisphere_queries_total", "Queries accepted (scalar and batch statements).", float64(st.Queries))
 	counter(&b, "intellisphere_query_errors_total", "Queries that failed to parse, plan, or execute.", float64(st.QueryErrors))
 	counter(&b, "intellisphere_traces_total", "Traced queries recorded into the trace ring.", float64(st.Traces))
-	gauge(&b, "intellisphere_feedback_backlog", "Estimator feedback items queued but not yet applied.", float64(st.FeedbackBacklog))
-	counter(&b, "intellisphere_feedback_dropped_total", "Estimator feedback observations dropped because the bounded queue was full.", float64(st.FeedbackDropped))
 
 	counter(&b, "intellisphere_tune_attempts_total", "Candidate model tune passes started.", float64(st.Tuning.Attempts))
 	counter(&b, "intellisphere_tune_promotions_total", "Tuned candidates promoted to serving.", float64(st.Tuning.Promotions))

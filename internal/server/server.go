@@ -14,8 +14,8 @@
 //	GET  /profiles                     registered systems and their estimators
 //	GET  /metrics/prom                 every serving counter — queries,
 //	                                   per-stage latency histograms, plan
-//	                                   cache, admission, feedback backlog,
-//	                                   estimator accuracy — in the Prometheus
+//	                                   cache, admission, estimator
+//	                                   accuracy — in the Prometheus
 //	                                   text exposition format (0.0.4); the
 //	                                   only metrics route
 //	GET  /trace                        recent traced queries as span trees

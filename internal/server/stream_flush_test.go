@@ -343,7 +343,8 @@ func TestPlainSQLObject(t *testing.T) {
 // two of them the statement's cache entry and its plan stamp, dropped with
 // the request because a first sighting is not admitted, and one the systems
 // list the planner renders with the EXPLAIN text, which with observability
-// off nobody reads; 26.1 while a miss inserted into a statement cache and a
+// off nobody reads; 25.0 too while executed steps were queued for a feedback
+// goroutine, whose queue grew by amortized append; 26.1 while a miss inserted into a statement cache and a
 // plan cache under a canonical key rendered for the purpose; 28.1 while every
 // statement's deadline was a context.WithTimeout, and
 // 142.8 while the lexer, the planner's bookkeeping and the renderers still

@@ -518,6 +518,6 @@ func TestTunerScenario(t *testing.T) {
 	if got := s.metric("intellisphere_tune_rollbacks_total"); got != 1 {
 		t.Errorf("tune_rollbacks_total = %v, want 1", got)
 	}
-	// The graceful stop ends the tuner loop before feedback is flushed.
+	// The graceful stop must end the running tuner loop and exit 0.
 	s.stop()
 }
