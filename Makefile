@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet bench-vet test race allocs loc fuzz-smoke e2e ci
+.PHONY: all build vet bench-check test race allocs loc fuzz-smoke e2e ci
 
 all: build
 
@@ -19,10 +19,12 @@ vet:
 
 # The repo benchmark is its own module under bench/ (replace intellisphere =>
 # ../, so no network), which `./...` above never reaches: without this, a
-# change that deletes a signature bench/ imports passes CI and breaks the
-# benchmark.
-bench-vet:
+# change that deletes a signature bench/ imports, or breaks what the
+# benchmark program and its ledger replays do with it, passes CI and breaks
+# the benchmark.
+bench-check:
 	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./... -count=1
 
 test:
 	$(GO) test ./... -count=1
@@ -78,4 +80,4 @@ e2e:
 # Every test runs exactly once: under the race detector in `race` (test/e2e
 # included, which then builds a race-instrumented server), or without it in
 # `allocs` (the tests that skip under -race).
-ci: vet bench-vet build race allocs fuzz-smoke
+ci: vet bench-check build race allocs fuzz-smoke

@@ -14,7 +14,7 @@
 //	res, _ := eng.Query("SELECT r.a1 FROM big r JOIN small s ON r.a1 = s.a1")
 //
 // Blackbox remotes train per-operator neural models instead
-// (Engine.RegisterRemoteLogicalOp), and hybrid costing profiles switch
+// (Engine.RegisterRemoteLogicalOp), and hybrid costing profiles choose
 // between the approaches per system or per operator (package
 // internal/core/hybrid, reachable through the engine).
 package intellisphere
@@ -117,13 +117,18 @@ type Estimate = core.Estimate
 type Estimator = core.Estimator
 
 // CostingProfile is a remote system's persisted costing configuration
-// (Figure 9's "CP").
+// (Figure 9's "CP"). Figure 9's staged switch from sub-op to logical-op
+// costing at t1 is two profiles, the second built once the logical-op
+// models are trained.
 type CostingProfile = hybrid.Profile
 
-// HybridEstimator routes estimates through a costing profile.
+// HybridEstimator routes estimates through a costing profile. It is fixed
+// when built: to cost a system differently, build a new one from a new
+// profile.
 type HybridEstimator = hybrid.Estimator
 
-// NewHybridEstimator builds an estimator from a costing profile.
+// NewHybridEstimator builds an estimator from a costing profile, which it
+// takes over: do not change the profile afterwards.
 func NewHybridEstimator(p *CostingProfile) (*HybridEstimator, error) {
 	return hybrid.NewEstimator(p)
 }

@@ -1,10 +1,11 @@
 // Package hybrid implements the paper's hybrid costing (Section 5): every
 // remote system registers a costing profile (CP) that stores whichever
 // models exist for it — a sub-operator model set, logical-operator neural
-// models, or both — and declares which approach is active, including the
-// staged configuration of Figure 9 where a system is costed with an
-// approximate sub-op model until its prolonged logical-op training
-// completes ("sub-op costing [0…t1], logical-op costing [t1…]").
+// models, or both — and declares which approach is active. Figure 9's staged
+// configuration ("sub-op costing [0…t1], logical-op costing [t1…]") is two
+// profiles: a sub-op one until the prolonged logical-op training completes at
+// t1, then one with the trained models and logical-op active, installed as a
+// new estimator in the first one's place.
 //
 // As the paper's planned extension, a profile may also pin approaches per
 // operator kind (e.g. aggregations via logical-op, joins via sub-op).
@@ -13,7 +14,6 @@ package hybrid
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"intellisphere/internal/core"
 	"intellisphere/internal/core/logicalop"
@@ -28,11 +28,8 @@ import (
 type Profile struct {
 	SystemName string            `json:"system_name"`
 	Engine     remote.EngineKind `json:"engine"`
-	// Active selects the approach used now (core.SubOp or core.LogicalOp).
+	// Active selects the approach (core.SubOp or core.LogicalOp).
 	Active core.Approach `json:"active"`
-	// SwitchAfter, when > 0, switches a sub-op-active profile to logical-op
-	// after that many estimates — provided the logical models exist by then.
-	SwitchAfter int `json:"switch_after,omitempty"`
 	// PerOperator overrides the active approach for specific operator kinds
 	// ("join", "aggregation", "scan").
 	PerOperator map[string]core.Approach `json:"per_operator,omitempty"`
@@ -82,18 +79,16 @@ func (p *Profile) UnmarshalJSON(data []byte) error {
 	return p.Validate()
 }
 
-// Estimator routes operator costing through a profile, switching approaches
-// per the profile's staging rules. It implements core.Estimator and
-// core.Feedback.
+// Estimator routes operator costing through a profile. It is fixed when
+// NewEstimator returns: nothing changes which approach prices an operator
+// afterwards, so a remote's costing changes only by building a new estimator
+// and installing it in its place (the engine's registry swap). No estimate
+// and no observed execution takes a lock here. It implements core.Estimator
+// and core.Feedback.
 type Estimator struct {
-	mu      sync.Mutex
 	profile *Profile
-	sub     *subop.Estimator
-	logical *logicalop.Estimator
-	queries int
-	// onChange, when set, is told of every in-place change to what the
-	// estimator predicts (see OnChange).
-	onChange func()
+	sub     *subop.Estimator    // nil without sub-op models
+	logical logicalop.Estimator // the profile's logical models, any of them nil
 }
 
 var (
@@ -101,12 +96,13 @@ var (
 	_ core.Feedback  = (*Estimator)(nil)
 )
 
-// NewEstimator validates the profile and builds the routing estimator.
+// NewEstimator validates the profile and builds the routing estimator. The
+// estimator takes the profile over: neither side may change it afterwards.
 func NewEstimator(p *Profile) (*Estimator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Estimator{profile: p}
+	e := &Estimator{profile: p, logical: logicalop.Estimator{Join: p.LogicalJoin, Agg: p.LogicalAgg, Scan: p.LogicalScan}}
 	if p.SubOpModels != nil {
 		sub, err := subop.NewEstimator(p.SubOpModels, p.Engine, p.Policy)
 		if err != nil {
@@ -114,126 +110,34 @@ func NewEstimator(p *Profile) (*Estimator, error) {
 		}
 		e.sub = sub
 	}
-	if p.LogicalJoin != nil || p.LogicalAgg != nil || p.LogicalScan != nil {
-		e.logical = &logicalop.Estimator{Join: p.LogicalJoin, Agg: p.LogicalAgg, Scan: p.LogicalScan}
-	}
 	return e, nil
 }
 
 // Approach implements core.Estimator.
 func (e *Estimator) Approach() core.Approach { return core.Hybrid }
 
-// Active returns the approach currently answering estimates.
-func (e *Estimator) Active() core.Approach {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.profile.Active
-}
-
-// Queries returns how many estimates the profile has served.
-func (e *Estimator) Queries() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.queries
-}
-
-// InstallLogicalModels hot-swaps freshly trained logical-op models into the
-// profile (Figure 9's t1 moment: the prolonged logical-op training for a
-// blackbox system finished while the approximate sub-op models served
-// queries). Passing a nil model leaves the existing one in place.
-func (e *Estimator) InstallLogicalModels(join, agg, scan *logicalop.Model) {
-	e.mu.Lock()
-	defer e.unlockChanged()
-	if join != nil {
-		e.profile.LogicalJoin = join
-	}
-	if agg != nil {
-		e.profile.LogicalAgg = agg
-	}
-	if scan != nil {
-		e.profile.LogicalScan = scan
-	}
-	e.logical = &logicalop.Estimator{
-		Join: e.profile.LogicalJoin,
-		Agg:  e.profile.LogicalAgg,
-		Scan: e.profile.LogicalScan,
-	}
-}
-
-// OnChange registers fn to run after every in-place change to what the
-// estimator predicts: a model install, a forced switch, the SwitchAfter
-// switchover. Whoever caches state derived from the estimator's answers (the
-// engine, for its plan cache) hooks its invalidation here, once, where it
-// takes the estimator in; a later call replaces the hook. fn runs without
-// the estimator's lock, after the change is visible to estimates.
-func (e *Estimator) OnChange(fn func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.onChange = fn
-}
-
-// unlockChanged releases e.mu and then reports a change made under it.
-func (e *Estimator) unlockChanged() {
-	fn := e.onChange
-	e.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
-}
-
-// Switch forces the active approach (updating the profile so the change
-// persists with it).
-func (e *Estimator) Switch(a core.Approach) error {
-	e.mu.Lock()
-	var err error
-	switch {
-	case a == core.SubOp && e.sub == nil:
-		err = fmt.Errorf("hybrid: %q has no sub-op models to switch to", e.profile.SystemName)
-	case a == core.LogicalOp && e.logical == nil:
-		err = fmt.Errorf("hybrid: %q has no logical-op models to switch to", e.profile.SystemName)
-	case a != core.SubOp && a != core.LogicalOp:
-		err = fmt.Errorf("hybrid: cannot switch to approach %q", a)
-	}
-	if err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	e.profile.Active = a
-	e.unlockChanged()
-	return nil
-}
+// Active returns the approach answering estimates without a per-operator
+// override.
+func (e *Estimator) Active() core.Approach { return e.profile.Active }
 
 // route picks the estimator for one operator kind, applying the per-operator
-// overrides and the query-count switchover. Caller must NOT hold e.mu.
+// overrides.
 func (e *Estimator) route(kind string) (core.Estimator, error) {
-	e.mu.Lock()
-	e.queries++
-	switched := e.profile.SwitchAfter > 0 && e.profile.Active == core.SubOp &&
-		e.queries > e.profile.SwitchAfter && e.logical != nil
-	if switched {
-		e.profile.Active = core.LogicalOp
-	}
 	want := e.profile.Active
 	if over, ok := e.profile.PerOperator[kind]; ok {
 		want = over
 	}
-	sub, logical := e.sub, e.logical
-	if switched {
-		e.unlockChanged()
-	} else {
-		e.mu.Unlock()
-	}
 	switch want {
 	case core.SubOp:
-		if sub == nil {
+		if e.sub == nil {
 			return nil, fmt.Errorf("hybrid: %q routes %s to sub-op but has no models", e.profile.SystemName, kind)
 		}
-		return sub, nil
+		return e.sub, nil
 	case core.LogicalOp:
-		if logical == nil {
+		if (e.logical == logicalop.Estimator{}) {
 			return nil, fmt.Errorf("hybrid: %q routes %s to logical-op but has no models", e.profile.SystemName, kind)
 		}
-		return logical, nil
+		return &e.logical, nil
 	default:
 		return nil, fmt.Errorf("hybrid: %q has unknown approach %q for %s", e.profile.SystemName, want, kind)
 	}
@@ -266,41 +170,23 @@ func (e *Estimator) EstimateScan(spec plan.ScanSpec) (core.Estimate, error) {
 	return est.EstimateScan(spec)
 }
 
-// logicalModels reads the logical-op estimator under e.mu, as route does:
-// InstallLogicalModels replaces it while queries run.
-func (e *Estimator) logicalModels() *logicalop.Estimator {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.logical
-}
-
 // ObserveJoin implements core.Feedback (logical models learn online; sub-op
 // models do not need it — "model continuous tuning is less critical",
 // Figure 8).
 func (e *Estimator) ObserveJoin(spec plan.JoinSpec, actualSec float64) {
-	if l := e.logicalModels(); l != nil {
-		l.ObserveJoin(spec, actualSec)
-	}
+	e.logical.ObserveJoin(spec, actualSec)
 }
 
 // ObserveAgg implements core.Feedback.
 func (e *Estimator) ObserveAgg(spec plan.AggSpec, actualSec float64) {
-	if l := e.logicalModels(); l != nil {
-		l.ObserveAgg(spec, actualSec)
-	}
+	e.logical.ObserveAgg(spec, actualSec)
 }
 
 // ObserveScan implements core.Feedback.
 func (e *Estimator) ObserveScan(spec plan.ScanSpec, actualSec float64) {
-	if l := e.logicalModels(); l != nil {
-		l.ObserveScan(spec, actualSec)
-	}
+	e.logical.ObserveScan(spec, actualSec)
 }
 
-// Profile returns the live profile (callers must treat it as owned by the
-// estimator while the estimator is in use).
-func (e *Estimator) Profile() *Profile {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.profile
-}
+// Profile returns the profile the estimator was built from. It is read-only:
+// a changed profile is a new estimator.
+func (e *Estimator) Profile() *Profile { return e.profile }

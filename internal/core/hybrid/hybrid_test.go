@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"encoding/json"
+	"os"
 	"sync"
 	"testing"
 
@@ -96,70 +97,6 @@ func TestEstimatorRoutesSubOp(t *testing.T) {
 	if est.Approach != core.SubOp || est.Seconds <= 0 {
 		t.Errorf("estimate = %+v", est)
 	}
-	if e.Queries() != 1 {
-		t.Errorf("queries = %d", e.Queries())
-	}
-}
-
-func TestEstimatorSwitchAfter(t *testing.T) {
-	ms := trainSubOp(t)
-	jm := trainLogicalJoin(t)
-	p := &Profile{
-		SystemName: "c", Engine: remote.EngineHive, Active: core.SubOp,
-		SwitchAfter: 3, Policy: subop.InHouseComparable,
-		SubOpModels: ms, LogicalJoin: jm,
-	}
-	e, err := NewEstimator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		est, err := e.EstimateJoin(joinSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est.Approach != core.SubOp {
-			t.Fatalf("query %d used %v before switchover", i, est.Approach)
-		}
-	}
-	est, err := e.EstimateJoin(joinSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Approach != core.LogicalOp {
-		t.Errorf("post-switch approach = %v, want logical-op", est.Approach)
-	}
-	if e.Active() != core.LogicalOp {
-		t.Error("profile not updated after switchover")
-	}
-}
-
-func TestEstimatorInstallLogicalModels(t *testing.T) {
-	ms := trainSubOp(t)
-	p := &Profile{SystemName: "c", Engine: remote.EngineHive, Active: core.SubOp,
-		SwitchAfter: 1, SubOpModels: ms}
-	e, err := NewEstimator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before logical models exist, the switchover cannot happen.
-	for i := 0; i < 3; i++ {
-		est, err := e.EstimateJoin(joinSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est.Approach != core.SubOp {
-			t.Fatal("switched to nonexistent logical models")
-		}
-	}
-	e.InstallLogicalModels(trainLogicalJoin(t), nil, nil)
-	est, err := e.EstimateJoin(joinSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Approach != core.LogicalOp {
-		t.Errorf("approach after install = %v", est.Approach)
-	}
 }
 
 func TestEstimatorPerOperatorOverride(t *testing.T) {
@@ -198,24 +135,6 @@ func TestEstimatorPerOperatorOverride(t *testing.T) {
 	}
 }
 
-func TestEstimatorSwitchErrors(t *testing.T) {
-	ms := trainSubOp(t)
-	p := &Profile{SystemName: "c", Engine: remote.EngineHive, Active: core.SubOp, SubOpModels: ms}
-	e, err := NewEstimator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Switch(core.LogicalOp); err == nil {
-		t.Error("switch to missing logical models accepted")
-	}
-	if err := e.Switch(core.Approach("?")); err == nil {
-		t.Error("switch to bogus approach accepted")
-	}
-	if err := e.Switch(core.SubOp); err != nil {
-		t.Errorf("switch to present sub-op failed: %v", err)
-	}
-}
-
 func TestEstimatorFeedbackRouting(t *testing.T) {
 	ms := trainSubOp(t)
 	jm := trainLogicalJoin(t)
@@ -234,15 +153,15 @@ func TestEstimatorFeedbackRouting(t *testing.T) {
 	e.ObserveScan(plan.ScanSpec{InputRows: 1, InputRowSize: 1, Selectivity: 1, OutputRowSize: 1}, 1)
 }
 
-// TestObserveDuringInstallLogicalModels: the engine logs each executed
-// operator from the goroutine that ran the query, so Observe* runs beside
-// InstallLogicalModels, which replaces the logical-op estimator under the
-// estimator's lock. Under -race this fails if Observe* reads that pointer
-// without the lock; without -race it checks no observation is lost to the
-// swap.
-func TestObserveDuringInstallLogicalModels(t *testing.T) {
+// TestObserveBesideEstimates: the engine plans on one goroutine while
+// another logs the steps it executed, both through the same registered
+// estimator, which takes no lock of its own. Under -race this fails if the
+// estimator's routing state is written after NewEstimator; without -race it
+// checks no observation is lost and every estimate keeps its route.
+func TestObserveBesideEstimates(t *testing.T) {
 	jm := trainLogicalJoin(t)
 	e, err := NewEstimator(&Profile{SystemName: "c", Engine: remote.EngineHive, Active: core.SubOp,
+		PerOperator: map[string]core.Approach{"join": core.LogicalOp},
 		SubOpModels: trainSubOp(t), LogicalJoin: jm})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +172,10 @@ func TestObserveDuringInstallLogicalModels(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			e.InstallLogicalModels(jm, nil, nil)
+			if est, err := e.EstimateJoin(joinSpec()); err != nil || est.Approach != core.LogicalOp {
+				t.Errorf("estimate %d: %+v, %v", i, est, err)
+				return
+			}
 		}
 	}()
 	for i := 0; i < n; i++ {
@@ -265,12 +187,55 @@ func TestObserveDuringInstallLogicalModels(t *testing.T) {
 	}
 }
 
+// TestDroppedProfileFieldsLoad: profiles persisted before the in-place
+// switchover was removed carry its threshold. They must still load, and the
+// estimator built from one must keep the approach the profile names however
+// many estimates it serves.
+func TestDroppedProfileFieldsLoad(t *testing.T) {
+	data, err := json.Marshal(&Profile{SystemName: "c", Engine: remote.EngineHive, Active: core.SubOp,
+		Policy: subop.InHouseComparable, SubOpModels: trainSubOp(t), LogicalJoin: trainLogicalJoin(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	dropped, err := os.ReadFile("testdata/dropped_fields.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(dropped, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	var old Profile
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatalf("a profile with a dropped field no longer loads: %v", err)
+	}
+	e, err := NewEstimator(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		est, err := e.EstimateJoin(joinSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Approach != core.SubOp || e.Active() != core.SubOp {
+			t.Fatalf("estimate %d: priced by %v, active %v; the profile says sub-op", i, est.Approach, e.Active())
+		}
+	}
+}
+
 func TestProfileJSONRoundTrip(t *testing.T) {
 	ms := trainSubOp(t)
 	jm := trainLogicalJoin(t)
 	p := &Profile{
 		SystemName: "hive-prod", Engine: remote.EngineHive, Active: core.SubOp,
-		SwitchAfter: 100, Policy: subop.WorstCase,
+		Policy:      subop.WorstCase,
 		PerOperator: map[string]core.Approach{"scan": core.SubOp},
 		SubOpModels: ms, LogicalJoin: jm,
 	}
@@ -282,7 +247,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if back.SystemName != "hive-prod" || back.SwitchAfter != 100 || back.Policy != subop.WorstCase {
+	if back.SystemName != "hive-prod" || back.Policy != subop.WorstCase {
 		t.Errorf("restored profile = %+v", back)
 	}
 	// Restored profile must produce identical estimates.
@@ -326,57 +291,4 @@ func TestRouteErrorsWithoutModels(t *testing.T) {
 	if _, err := e.EstimateJoin(joinSpec()); err == nil {
 		t.Error("route to missing logical models accepted")
 	}
-}
-
-// TestOnChangeReportsEveryInPlaceChange pins the hook the engine hangs its
-// plan-cache invalidation on: it runs once per successful Switch, per
-// InstallLogicalModels and per SwitchAfter switchover — after the change is
-// visible, without the estimator's lock — and not for estimates that change
-// nothing or a Switch that is refused.
-func TestOnChangeReportsEveryInPlaceChange(t *testing.T) {
-	p := &Profile{SystemName: "c", Engine: remote.EngineHive, Active: core.SubOp,
-		SwitchAfter: 2, Policy: subop.InHouseComparable, SubOpModels: trainSubOp(t)}
-	e, err := NewEstimator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changes := 0
-	var seen core.Approach
-	e.OnChange(func() {
-		changes++
-		seen = e.Active() // deadlocks if the hook ran under e.mu
-	})
-	step := func(what string, want int) {
-		t.Helper()
-		if changes != want {
-			t.Fatalf("after %s: %d changes reported, want %d", what, changes, want)
-		}
-	}
-	if err := e.Switch(core.LogicalOp); err == nil {
-		t.Fatal("switch to missing logical models accepted")
-	}
-	step("a refused Switch", 0)
-	for i := 0; i < 4; i++ { // past SwitchAfter, but no logical models yet
-		if _, err := e.EstimateJoin(joinSpec()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step("estimates that switched nothing", 0)
-	e.InstallLogicalModels(trainLogicalJoin(t), nil, nil)
-	step("InstallLogicalModels", 1)
-	if _, err := e.EstimateJoin(joinSpec()); err != nil {
-		t.Fatal(err)
-	}
-	step("the switchover", 2)
-	if seen != core.LogicalOp {
-		t.Errorf("hook ran before the switchover was visible: active = %v", seen)
-	}
-	if _, err := e.EstimateJoin(joinSpec()); err != nil {
-		t.Fatal(err)
-	}
-	step("an estimate after the switchover", 2)
-	if err := e.Switch(core.SubOp); err != nil {
-		t.Fatal(err)
-	}
-	step("Switch", 3)
 }

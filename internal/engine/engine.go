@@ -346,7 +346,7 @@ func (e *Engine) setDriftThreshold(q float64) {
 
 // ResetAccuracy empties every accuracy window belonging to a system. The
 // engine calls it whenever the system's model changes — candidate
-// promotion, rollback, or an in-place TuneSystem pass — because the
+// promotion or rollback — because the
 // retained (predicted, actual) pairs scored the old model; leaving them in
 // the window would keep the Drifting flag latched (and immediately re-fire
 // the tuner) long after the model change fixed the calibration. The windows
@@ -511,18 +511,14 @@ func (e *Engine) RegisterRemote(sys remote.System, est core.Estimator) error {
 	return nil
 }
 
-// installEstimator is the one place an estimator enters the registry:
-// registration, snapshot restore, WAL replay, promotion and rollback all come
-// through here. The Set advances the registry's generation — part of the
-// optimizer's epoch, so plans costed by the replaced estimator go stale, and
-// what stepStateFor watches to rebuild onto the new one. A hybrid estimator
-// can also change in place (Switch, InstallLogicalModels, the SwitchAfter
-// switchover, also when a library user calls them on it directly); hooking
-// the same counter to its OnChange makes those changes invalidate too.
+// installEstimator is the one place an estimator enters the registry, and
+// so the one way a remote's costing changes: registration, snapshot restore,
+// WAL replay, promotion and rollback all come through here. The Set advances
+// the registry's generation — part of the optimizer's epoch, so plans costed
+// by the replaced estimator go stale, and what stepStateFor watches to
+// rebuild onto the new one. A hybrid estimator never changes what it
+// predicts after it is built, so nothing else has to move the epoch.
 func (e *Engine) installEstimator(system string, est core.Estimator) {
-	if h, ok := est.(*hybrid.Estimator); ok {
-		h.OnChange(e.estimators.Bump)
-	}
 	e.estimators.Set(system, est)
 }
 

@@ -416,69 +416,6 @@ func (querygridSimLink) measure(rows, rowSize float64) (float64, error) {
 	return 0.2 + rows*rowSize/2.5e8 + rows*0.1/1e6, nil
 }
 
-func TestTuneSystem(t *testing.T) {
-	e := newEngine(t)
-	bb, err := remote.NewHive("hivebb", cluster.DefaultHive(), remote.Options{NoiseAmp: 0.01, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []ts{{10000, 40}, {100000, 100}, {40000, 250}, {80000000, 500}} {
-		tb, err := datagen.Table(spec.rows, spec.size, "hivebb")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Catalog().Register(tb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg := logicalop.DefaultConfig(4, 1)
-	cfg.NN.Train = nn.TrainConfig{Iterations: 100, Optimizer: nn.Adam, BatchSize: 32, Seed: 1}
-	jcfg := logicalop.DefaultConfig(7, 2)
-	jcfg.NN.Train = cfg.NN.Train
-	est, _, err := e.RegisterRemoteLogicalOp(bb, remote.EngineHive, LogicalTrainOptions{JoinPairs: 4, Agg: cfg, Join: jcfg, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No pending logs yet: tuning is a no-op.
-	rep, err := e.TuneSystem("hivebb", nn.TrainConfig{Iterations: 50, Optimizer: nn.Adam, Seed: 3})
-	if err != nil {
-		t.Fatalf("TuneSystem: %v", err)
-	}
-	if rep.JoinTuned || rep.AggTuned {
-		t.Errorf("tuning without logs reported work: %+v", rep)
-	}
-	// Execute a remote query to populate the log, then tune.
-	if _, err := e.Query("SELECT a10, SUM(a1) FROM t80000000_500 GROUP BY a10"); err != nil {
-		t.Fatal(err)
-	}
-	if est.Profile().LogicalAgg.PendingLog() == 0 {
-		t.Fatal("no pending log after query")
-	}
-	rep, err = e.TuneSystem("hivebb", nn.TrainConfig{Iterations: 50, Optimizer: nn.Adam, BatchSize: 32, Seed: 3})
-	if err != nil {
-		t.Fatalf("TuneSystem: %v", err)
-	}
-	if !rep.AggTuned {
-		t.Errorf("aggregation model not tuned: %+v", rep)
-	}
-	if rep.AggAlpha <= 0 || rep.AggAlpha > 1 {
-		t.Errorf("AggAlpha = %v, want a refit value in (0, 1]", rep.AggAlpha)
-	}
-	if rep.JoinAlpha != 0 || rep.ScanAlpha != 0 {
-		t.Errorf("untuned models reported α: %+v", rep)
-	}
-	if est.Profile().LogicalAgg.PendingLog() != 0 {
-		t.Error("log not consumed by tuning")
-	}
-	// Non-profile systems are rejected.
-	if _, err := e.TuneSystem("teradata", nn.TrainConfig{}); err == nil {
-		t.Error("tuning the master accepted")
-	}
-	if _, err := e.TuneSystem("ghost", nn.TrainConfig{}); err == nil {
-		t.Error("tuning unknown system accepted")
-	}
-}
-
 func TestConcurrentQueries(t *testing.T) {
 	// Estimators and the engine must be safe for the optimizer's concurrent
 	// use — the paper's master plans many queries at once.

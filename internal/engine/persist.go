@@ -33,12 +33,11 @@ import (
 // it does not recognize, so a log written by a newer build fails loudly
 // instead of replaying partially.
 const (
-	opRegisterTable  = "register_table"
-	opSetLink        = "set_link"
-	opMaterialize    = "materialize"
-	opInstallProfile = "install_profile"
-	opModelVersion   = "model_version"
-	opModelLive      = "model_live"
+	opRegisterTable = "register_table"
+	opSetLink       = "set_link"
+	opMaterialize   = "materialize"
+	opModelVersion  = "model_version"
+	opModelLive     = "model_live"
 )
 
 // engineStateVersion guards the snapshot schema; a mismatch rejects the
@@ -78,14 +77,13 @@ type materializePayload struct {
 	Table string `json:"table"`
 }
 
-type profilePayload struct {
-	System  string          `json:"system"`
-	Profile json.RawMessage `json:"profile"`
-}
-
+// modelVersionPayload carries SavedAt so a replayed version keeps the time
+// it was first recorded at, as a snapshot restore does; a record written
+// without it replays with the replay time.
 type modelVersionPayload struct {
 	System  string                 `json:"system"`
 	Origin  string                 `json:"origin"`
+	SavedAt time.Time              `json:"saved_at"`
 	Holdout *modelver.HoldoutScore `json:"holdout,omitempty"`
 	Profile json.RawMessage        `json:"profile"`
 }
@@ -359,12 +357,6 @@ func (e *Engine) applyWALRecord(rec durable.Record) error {
 			return err
 		}
 		return e.applyMaterialize(p.Table)
-	case opInstallProfile:
-		var p profilePayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return err
-		}
-		return e.applyProfile(p.System, p.Profile)
 	case opModelVersion:
 		var p modelVersionPayload
 		if err := json.Unmarshal(rec.Data, &p); err != nil {
@@ -373,7 +365,7 @@ func (e *Engine) applyWALRecord(rec durable.Record) error {
 		if err := e.applyProfile(p.System, p.Profile); err != nil {
 			return err
 		}
-		e.versions.Record(p.System, p.Origin, p.Profile, p.Holdout, true)
+		e.versions.Record(p.System, p.Origin, p.Profile, p.Holdout, p.SavedAt, true)
 		return nil
 	case opModelLive:
 		var p modelLivePayload

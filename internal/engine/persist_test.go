@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"intellisphere/internal/datagen"
+	"intellisphere/internal/durable"
 	"intellisphere/internal/modelver"
 	"intellisphere/internal/querygrid"
 )
@@ -94,9 +97,10 @@ func recoverRig(t *testing.T, dir string) (*Engine, *Durability) {
 
 // checkRecovered asserts the recovered engine matches the pre-crash one:
 // byte-identical Explain, the mutation-registered table present and
-// materialized, the link override installed, and the version lineage
-// (IDs, origins, live marker) reproduced.
-func checkRecovered(t *testing.T, e *Engine, want map[string]string) {
+// materialized, the link override installed, and the version list —
+// IDs, origins, live marker, save times, holdout scores, sizes — equal to
+// the pre-crash list.
+func checkRecovered(t *testing.T, e *Engine, want map[string]string, wantVersions []modelver.Version) {
 	t.Helper()
 	got := explainAll(t, e, persistStatements())
 	for sql, w := range want {
@@ -130,13 +134,24 @@ func checkRecovered(t *testing.T, e *Engine, want map[string]string) {
 	if vs[1].ID != 2 || vs[1].Origin != modelver.OriginTuned || !vs[1].Live {
 		t.Errorf("tuned version = %+v", vs[1])
 	}
+	if len(wantVersions) != len(vs) {
+		t.Fatalf("recovered %d versions, %d before the crash", len(vs), len(wantVersions))
+	}
+	for i, w := range wantVersions {
+		g := vs[i]
+		sameHoldout := (g.Holdout == nil) == (w.Holdout == nil) && (g.Holdout == nil || *g.Holdout == *w.Holdout)
+		if g.ID != w.ID || g.System != w.System || g.Origin != w.Origin || g.Live != w.Live || g.Size != w.Size ||
+			!g.SavedAt.Equal(w.SavedAt) || !sameHoldout {
+			t.Errorf("version %d after recovery:\n got %+v (holdout %+v)\nwant %+v (holdout %+v)", w.ID, g, g.Holdout, w, w.Holdout)
+		}
+	}
 }
 
 // TestDurabilityWALReplay crashes (Close without snapshot) and recovers
 // purely from the write-ahead log.
 func TestDurabilityWALReplay(t *testing.T) {
 	dir := t.TempDir()
-	_, d, want := buildDurableRig(t, dir)
+	e1, d, want := buildDurableRig(t, dir)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +165,14 @@ func TestDurabilityWALReplay(t *testing.T) {
 	if rec.Replayed == 0 {
 		t.Fatalf("no WAL records replayed: %+v", rec)
 	}
-	checkRecovered(t, e2, want)
+	checkRecovered(t, e2, want, e1.ModelVersions("hivebb"))
 }
 
 // TestDurabilitySnapshotRestore snapshots before the crash: recovery must
 // come from the snapshot with an empty (rotated) WAL.
 func TestDurabilitySnapshotRestore(t *testing.T) {
 	dir := t.TempDir()
-	_, d, want := buildDurableRig(t, dir)
+	e1, d, want := buildDurableRig(t, dir)
 	if err := d.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -175,7 +190,7 @@ func TestDurabilitySnapshotRestore(t *testing.T) {
 	if !rec.Restored || rec.Replayed != 0 {
 		t.Fatalf("recovery = %+v, want snapshot restore with nothing to replay", rec)
 	}
-	checkRecovered(t, e2, want)
+	checkRecovered(t, e2, want, e1.ModelVersions("hivebb"))
 
 	// Mutations after recovery keep extending the same lineage: the version
 	// store's ID counter survived the snapshot.
@@ -192,7 +207,7 @@ func TestDurabilitySnapshotRestore(t *testing.T) {
 // the acked records must be truncated away, with everything acked intact.
 func TestDurabilityTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	_, d, want := buildDurableRig(t, dir)
+	e1, d, want := buildDurableRig(t, dir)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +227,7 @@ func TestDurabilityTornWALTail(t *testing.T) {
 	if !rec.TornTail || rec.TruncatedBytes == 0 {
 		t.Fatalf("torn tail not detected: %+v", rec)
 	}
-	checkRecovered(t, e2, want)
+	checkRecovered(t, e2, want, e1.ModelVersions("hivebb"))
 }
 
 // TestDurabilitySnapshotFallback corrupts the newest snapshot: recovery
@@ -264,5 +279,28 @@ func TestDurabilitySnapshotFallback(t *testing.T) {
 	vs := e2.ModelVersions("hivebb")
 	if len(vs) != 2 || !vs[1].Live {
 		t.Errorf("fallback lost version lineage: %+v", vs)
+	}
+}
+
+// TestReplayedVersionWithoutSaveTime: a model_version record written before
+// the payload carried its save time still replays, stamped with the replay
+// time rather than the zero time.
+func TestReplayedVersionWithoutSaveTime(t *testing.T) {
+	e, est, _ := newTuneRig(t)
+	profile, err := profileJSON(est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(map[string]any{"system": "hivebb", "origin": modelver.OriginInitial, "profile": json.RawMessage(profile)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now()
+	if err := e.applyWALRecord(durable.Record{Op: opModelVersion, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	vs := e.ModelVersions("hivebb")
+	if len(vs) != 1 || vs[0].SavedAt.Before(before) {
+		t.Errorf("replayed version = %+v, want one stamped at or after %v", vs, before)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"intellisphere/internal/core"
 	"intellisphere/internal/datagen"
 	"intellisphere/internal/nn"
 	"intellisphere/internal/querygrid"
@@ -16,11 +15,11 @@ import (
 
 // TestPlanCacheGenerationStorm is the statement cache's torture test: reader
 // goroutines hammer warm Explain while a mutator loops RegisterTable /
-// SetLink / SwitchProfile / TuneSystem (in-place model changes) and forced
-// TuneCandidate / RollbackModel (registry swaps of an estimator that has
-// changed in place), each of which advances the epoch. Under -race this
-// exercises every lock-free path (bucket chains, CLOCK bits, the stamped
-// plan swapped in place by racing re-plans) against concurrent invalidation.
+// SetLink and one model change — a re-install of the live estimator, a forced
+// TuneCandidate or a RollbackModel, each a registry swap — every one of which
+// advances the epoch. Under -race this exercises every lock-free path (bucket
+// chains, CLOCK bits, the stamped plan swapped in place by racing re-plans)
+// against concurrent invalidation.
 //
 // The oracle reads Optimizer.Epoch — the very counter the engine stamps
 // plans with, not a re-derivation of it — so two equal reads bracket an
@@ -46,8 +45,18 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 	}
 
 	var lookups atomic.Uint64
-	// Seed the execution log so the mutator's TuneSystem passes have records
-	// to fold in.
+	// reinstall moves the epoch with nothing changed, the way every model
+	// change moves it: a registry swap.
+	reinstall := func() {
+		live, err := e.Estimator("hivebb")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		e.installEstimator("hivebb", live)
+	}
+	// Seed the execution log so the mutator's TuneCandidate passes have
+	// records to retrain from.
 	for _, sql := range statements {
 		if _, err := e.Query(sql); err != nil {
 			t.Fatal(err)
@@ -65,7 +74,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 	// the mutator is done plus a short tail, so some observations are always
 	// bracketed at the final generation even when -race slows the mutator.
 	// The bound on that wait is wall-clock: a count of warm Explains stopped
-	// bounding anything once 100000 of them took less time than one TuneSystem.
+	// bounding anything once 100000 of them took less time than one retrain.
 	deadline := time.Now().Add(time.Minute)
 	mutatorDone := make(chan struct{})
 	results := make([][]obs, readers)
@@ -139,10 +148,6 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 				t.Errorf("storm SetLink: %v", err)
 				return
 			}
-			if err := e.SwitchProfile("hivebb", core.LogicalOp); err != nil {
-				t.Errorf("storm SwitchProfile: %v", err)
-				return
-			}
 			// Feed the aggregation model's log for the tunes below.
 			for q := 0; q < 2; q++ {
 				if _, err := e.Query(statements[0]); err != nil {
@@ -151,17 +156,10 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 				}
 				lookups.Add(1)
 			}
-			// The schedule ends on a swap of an estimator that has changed
-			// in place exactly once (the SwitchProfile above): the case in
-			// which a stamp summed over per-estimator counters stands still,
-			// left for the quiescent check below to look at.
 			switch i % 3 {
 			case 0:
-				// Fold the log into the live models in place.
-				if _, err := e.TuneSystem("hivebb", tune); err != nil {
-					t.Errorf("storm TuneSystem: %v", err)
-					return
-				}
+				// Swap the live estimator for itself.
+				reinstall()
 			case 1:
 				// Retrain a clone from the log and swap it in.
 				out, err := e.TuneCandidate(context.Background(), "hivebb", TuneOptions{Holdout: 1, MinLog: 1, Force: true, Train: tune})
@@ -193,7 +191,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 		cached[sql] = out
 	}
 	stale := e.PlanCacheStats().Stale
-	e.estimators.Bump()
+	reinstall()
 	for _, sql := range statements {
 		out, err := e.Explain(sql)
 		if err != nil {

@@ -135,9 +135,9 @@ func profileJSON(h *hybrid.Estimator) ([]byte, error) {
 // the in-memory execution logs tuning consumed). Caller holds tuneMu. A
 // non-nil error means the version is archived in memory but not durable.
 func (e *Engine) recordModelVersion(system, origin string, profile []byte, holdout *modelver.HoldoutScore) (*modelver.Version, error) {
-	v := e.versions.Record(system, origin, profile, holdout, true)
+	v := e.versions.Record(system, origin, profile, holdout, time.Time{}, true)
 	err := e.logMutation(opModelVersion, modelVersionPayload{
-		System: system, Origin: origin, Holdout: holdout, Profile: profile,
+		System: system, Origin: origin, SavedAt: v.SavedAt, Holdout: holdout, Profile: profile,
 	})
 	return &v, err
 }

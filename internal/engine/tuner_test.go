@@ -6,13 +6,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"intellisphere/internal/cluster"
-	"intellisphere/internal/core"
 	"intellisphere/internal/core/hybrid"
 	"intellisphere/internal/core/logicalop"
 	"intellisphere/internal/datagen"
@@ -250,17 +248,15 @@ func TestRollbackModelRestoresBytes(t *testing.T) {
 	}
 }
 
-// TestModelSwapAfterInPlaceChangeInvalidates is the regression test for the
-// plan-cache stamp that summed per-estimator counters: an estimator that had
-// changed in place exactly once (here a no-op InstallLogicalModels, then a
-// SwitchProfile on the promoted one) took its 1 out of the sum when a
+// TestModelSwapAfterInPlaceChangeInvalidates began as the regression test for
+// the plan-cache stamp that summed per-estimator counters: an estimator that
+// had changed in place exactly once took its 1 out of the sum when a
 // promotion or a rollback replaced it, the registry's +1 put it back, and the
-// plan priced by the replaced model kept being served.
+// plan priced by the replaced model kept being served. Estimators no longer
+// change in place; what stays is that each swap — the promotion, then the
+// rollback — moves exactly the one cached plan and serves the new model's.
 func TestModelSwapAfterInPlaceChangeInvalidates(t *testing.T) {
 	e, _, inj := newTuneRig(t)
-	if err := e.InstallLogicalModels("hivebb", nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
 	driftRig(t, e, inj, 8)
 	explain := func() string {
 		t.Helper()
@@ -279,25 +275,19 @@ func TestModelSwapAfterInPlaceChangeInvalidates(t *testing.T) {
 	}
 	promoted := explain()
 	if s := e.PlanCacheStats(); s.Stale != stale+1 {
-		t.Errorf("promotion after one in-place change: stale = %d, want %d", s.Stale, stale+1)
+		t.Errorf("promotion: stale = %d, want %d", s.Stale, stale+1)
 	}
 	if promoted == initial {
-		t.Error("promotion after one in-place change: the replaced model's plan is still served")
+		t.Error("promotion: the replaced model's plan is still served")
 	}
 
-	if err := e.SwitchProfile("hivebb", core.LogicalOp); err != nil {
-		t.Fatal(err)
-	}
-	if explain() != promoted {
-		t.Error("a switch to the approach already active changed the plan")
-	}
 	stale = e.PlanCacheStats().Stale
 	if _, err := e.RollbackModel("hivebb"); err != nil {
 		t.Fatalf("RollbackModel: %v", err)
 	}
 	restored := explain()
 	if s := e.PlanCacheStats(); s.Stale != stale+1 {
-		t.Errorf("rollback after one in-place change: stale = %d, want %d", s.Stale, stale+1)
+		t.Errorf("rollback: stale = %d, want %d", s.Stale, stale+1)
 	}
 	if restored != initial {
 		t.Errorf("rollback restored the model byte-identically but not its plan:\n%s\nwant:\n%s", restored, initial)
@@ -333,97 +323,6 @@ func TestTuneCandidateValidation(t *testing.T) {
 	}
 	if _, err := e.RollbackModel("hivebb"); err == nil {
 		t.Error("rolling back without history accepted")
-	}
-}
-
-// TestTuneSystemResetsDriftWindow pins the in-place tuning path's share of
-// the fix: consuming the log and refitting must clear the accuracy window,
-// or the drift flag stays latched against observations the old weights made.
-func TestTuneSystemResetsDriftWindow(t *testing.T) {
-	e, _, inj := newTuneRig(t)
-	driftRig(t, e, inj, 8)
-
-	if acc := e.AccuracyStats()["hivebb/aggregation"]; !acc.Drifting {
-		t.Fatalf("rig not drifting before tune: %+v", acc)
-	}
-	rep, err := e.TuneSystem("hivebb", nn.TrainConfig{Iterations: 50, Optimizer: nn.Adam, BatchSize: 32, Seed: 3})
-	if err != nil {
-		t.Fatalf("TuneSystem: %v", err)
-	}
-	if !rep.AggTuned {
-		t.Fatalf("aggregation not tuned: %+v", rep)
-	}
-	acc := e.AccuracyStats()["hivebb/aggregation"]
-	if acc.Drifting || acc.Window != 0 {
-		t.Errorf("drift flag latched after TuneSystem: %+v", acc)
-	}
-	if acc.Count == 0 {
-		t.Error("window reset erased the lifetime observation count")
-	}
-	vs := e.ModelVersions("hivebb")
-	if len(vs) != 1 || vs[0].Origin != modelver.OriginTuneSystem || !vs[0].Live {
-		t.Errorf("TuneSystem versions = %+v", vs)
-	}
-}
-
-// TestTuneSystemPublishesPartialTune: TuneSystem re-trains the join,
-// aggregation and scan models in place, one after another. When the join
-// model has been re-trained and the aggregation tune then fails, the change is
-// made and must be published like any other — plans priced by the old join
-// model invalidated, a model version (and with it a WAL record) written — and
-// the error must come with the report of what was tuned. It used to return
-// (nil, err) before any of that, so the cached join plan kept being served. A
-// pass that fails before it changes anything still publishes nothing.
-func TestTuneSystemPublishesPartialTune(t *testing.T) {
-	e, est, _ := newTuneRig(t)
-	prof := est.Profile()
-	tc := nn.TrainConfig{Iterations: 50, Optimizer: nn.Adam, BatchSize: 32, Seed: 3}
-	// The one way left to make a later model's tune fail: Observe refuses a
-	// record of the wrong width, a seeded log is taken as it comes.
-	prof.LogicalAgg.SeedLog([]logicalop.Record{{X: []float64{1, 2}, Actual: 1}})
-	epoch := e.opt.Epoch()
-	rep, err := e.TuneSystem("hivebb", tc)
-	if err == nil || rep == nil || rep.JoinTuned || rep.AggTuned {
-		t.Fatalf("pass with no join log: report %+v, error %v", rep, err)
-	}
-	if e.opt.Epoch() != epoch || len(e.ModelVersions("hivebb")) != 0 {
-		t.Error("a pass that changed no model published one")
-	}
-
-	const joinSQL = "SELECT r.a1 FROM t80000000_500 r JOIN t100000_100 s ON r.a1 = s.a1"
-	for i, wantHit := range []bool{false, false, true} {
-		res, err := e.Query(joinSQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.CacheHit != wantHit {
-			t.Fatalf("query %d: CacheHit = %v", i, res.CacheHit)
-		}
-	}
-	if prof.LogicalJoin.PendingLog() == 0 {
-		t.Fatal("the join did not run on hivebb: no join log to tune")
-	}
-	stale := e.PlanCacheStats().Stale
-	rep, err = e.TuneSystem("hivebb", tc)
-	if err == nil || !strings.Contains(err.Error(), "aggregation model") {
-		t.Fatalf("TuneSystem over a wrong-width aggregation record: %v", err)
-	}
-	if rep == nil || !rep.JoinTuned || rep.AggTuned || rep.ScanTuned {
-		t.Fatalf("partial report = %+v, want the join tuned and nothing else", rep)
-	}
-	if e.opt.Epoch() == epoch {
-		t.Error("the re-trained join model did not move the optimizer epoch")
-	}
-	res, err := e.Query(joinSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit || e.PlanCacheStats().Stale != stale+1 {
-		t.Errorf("the join statement was served its old plan: hit %v, stale %d → %d", res.CacheHit, stale, e.PlanCacheStats().Stale)
-	}
-	vs := e.ModelVersions("hivebb")
-	if len(vs) != 1 || vs[0].Origin != modelver.OriginTuneSystem || !vs[0].Live {
-		t.Errorf("versions after the partial tune = %+v", vs)
 	}
 }
 

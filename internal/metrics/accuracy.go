@@ -96,8 +96,8 @@ func (a *Accuracy) Observe(predictedSec, actualSec float64) {
 
 // Reset empties the rolling window without discarding the lifetime
 // observation count. The engine resets a (system, operator) window whenever
-// the model behind it changes — promotion, rollback, or an in-place tuning
-// pass — because the retained samples scored the *old* model: leaving them
+// the model behind it changes — promotion or rollback — because the
+// retained samples scored the *old* model: leaving them
 // in place would keep the Drifting flag latched (and re-fire the tuner)
 // long after the new model fixed the calibration.
 func (a *Accuracy) Reset() {

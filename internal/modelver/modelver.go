@@ -23,13 +23,8 @@ const DefaultHistory = 8
 const (
 	// OriginInitial marks the first archive of a freshly registered model.
 	OriginInitial = "initial"
-	// OriginSnapshot marks a live model re-archived because it had mutated
-	// in place since its last version.
-	OriginSnapshot = "snapshot"
 	// OriginTuned marks a promoted tuning candidate.
 	OriginTuned = "tuned"
-	// OriginTuneSystem marks an in-place TuneSystem pass.
-	OriginTuneSystem = "tune-system"
 )
 
 // HoldoutScore records how a candidate scored against the live model on
@@ -54,9 +49,7 @@ type Version struct {
 	ID     int    `json:"id"`
 	System string `json:"system"`
 	// Origin records how the version came to be: "initial" (first archive of
-	// a registered model), "snapshot" (live model re-archived because it had
-	// mutated in place since its last version), "tuned" (a promoted
-	// candidate), or "tune-system" (an in-place TuneSystem pass).
+	// a registered model) or "tuned" (a promoted candidate).
 	Origin  string    `json:"origin"`
 	SavedAt time.Time `json:"saved_at"`
 	// Holdout carries the shadow-scoring result for "tuned" versions.
@@ -97,9 +90,14 @@ func NewStore(limit int) *Store {
 }
 
 // Record archives a profile snapshot for a system and returns its version.
-// When markLive is set the new version becomes the system's live version.
-// The profile bytes are copied; callers may reuse the slice.
-func (s *Store) Record(system, origin string, profile []byte, holdout *HoldoutScore, markLive bool) Version {
+// savedAt stamps it; the zero time stamps it now (a replay passes the time
+// the version was first recorded). When markLive is set the new version
+// becomes the system's live version. The profile bytes are copied; callers
+// may reuse the slice.
+func (s *Store) Record(system, origin string, profile []byte, holdout *HoldoutScore, savedAt time.Time, markLive bool) Version {
+	if savedAt.IsZero() {
+		savedAt = time.Now()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID[system]++
@@ -107,7 +105,7 @@ func (s *Store) Record(system, origin string, profile []byte, holdout *HoldoutSc
 		ID:      s.nextID[system],
 		System:  system,
 		Origin:  origin,
-		SavedAt: time.Now(),
+		SavedAt: savedAt,
 		Holdout: holdout,
 		Profile: append([]byte(nil), profile...),
 		Size:    len(profile),

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 )
 
 func TestRecordAndLive(t *testing.T) {
 	s := NewStore(0)
-	v1 := s.Record("hive", "initial", []byte(`{"v":1}`), nil, true)
+	v1 := s.Record("hive", "initial", []byte(`{"v":1}`), nil, time.Time{}, true)
 	if v1.ID != 1 || !v1.Live || v1.Origin != "initial" || v1.Size != 7 {
 		t.Fatalf("v1 = %+v", v1)
 	}
@@ -21,9 +22,15 @@ func TestRecordAndLive(t *testing.T) {
 		t.Fatalf("profile bytes = %q", got.Profile)
 	}
 
+	if v1.SavedAt.IsZero() {
+		t.Error("a version recorded without a time was not stamped")
+	}
+
+	// A replayed version keeps the time it was first recorded at.
 	hs := &HoldoutScore{Samples: 4, LiveQ: 9.5, CandidateQ: 1.2}
-	v2 := s.Record("hive", "tuned", []byte(`{"v":2}`), hs, true)
-	if v2.ID != 2 || !v2.Live || !v2.Holdout.Improved() {
+	at := time.Date(2020, 3, 30, 14, 50, 30, 396869000, time.UTC)
+	v2 := s.Record("hive", "tuned", []byte(`{"v":2}`), hs, at, true)
+	if v2.ID != 2 || !v2.Live || !v2.Holdout.Improved() || !v2.SavedAt.Equal(at) {
 		t.Fatalf("v2 = %+v", v2)
 	}
 	// v1 is no longer live but still retained as the rollback target.
@@ -36,7 +43,7 @@ func TestRecordAndLive(t *testing.T) {
 func TestRecordCopiesBytes(t *testing.T) {
 	s := NewStore(0)
 	buf := []byte(`{"v":1}`)
-	s.Record("hive", "initial", buf, nil, true)
+	s.Record("hive", "initial", buf, nil, time.Time{}, true)
 	buf[2] = 'X'
 	got, _ := s.Live("hive")
 	if !bytes.Equal(got.Profile, []byte(`{"v":1}`)) {
@@ -46,8 +53,8 @@ func TestRecordCopiesBytes(t *testing.T) {
 
 func TestSetLiveRollback(t *testing.T) {
 	s := NewStore(0)
-	s.Record("hive", "initial", []byte(`1`), nil, true)
-	s.Record("hive", "tuned", []byte(`2`), nil, true)
+	s.Record("hive", "initial", []byte(`1`), nil, time.Time{}, true)
+	s.Record("hive", "tuned", []byte(`2`), nil, time.Time{}, true)
 	if err := s.SetLive("hive", 1); err != nil {
 		t.Fatalf("SetLive: %v", err)
 	}
@@ -66,9 +73,9 @@ func TestSetLiveRollback(t *testing.T) {
 
 func TestBoundedHistoryKeepsLive(t *testing.T) {
 	s := NewStore(3)
-	s.Record("hive", "initial", []byte(`1`), nil, true)
+	s.Record("hive", "initial", []byte(`1`), nil, time.Time{}, true)
 	for i := 2; i <= 6; i++ {
-		s.Record("hive", "tuned", []byte(fmt.Sprintf("%d", i)), nil, false)
+		s.Record("hive", "tuned", []byte(fmt.Sprintf("%d", i)), nil, time.Time{}, false)
 	}
 	if n := s.Count("hive"); n != 3 {
 		t.Fatalf("retained = %d, want 3", n)

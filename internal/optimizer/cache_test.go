@@ -265,8 +265,8 @@ func TestPlanCacheChainsStayConsistent(t *testing.T) {
 
 // hybridSubOp trains a sub-op costing profile for "hive" on the given cluster
 // shape and wraps it the way the engine registers a remote: a hybrid
-// estimator whose in-place changes bump the registry it is stored in.
-func hybridSubOp(t *testing.T, f *fixture, cfg cluster.Config) *hybrid.Estimator {
+// estimator.
+func hybridSubOp(t *testing.T, cfg cluster.Config) *hybrid.Estimator {
 	t.Helper()
 	sys, err := remote.NewHive("hive", cfg, remote.Options{NoiseAmp: 0.01, Seed: 3})
 	if err != nil {
@@ -283,22 +283,21 @@ func hybridSubOp(t *testing.T, f *fixture, cfg cluster.Config) *hybrid.Estimator
 	if err != nil {
 		t.Fatal(err)
 	}
-	est.OnChange(f.opt.Estimators.Bump)
 	return est
 }
 
 // TestReplacingChangedEstimatorInvalidates is the regression test for the
 // stamp that was a sum over per-estimator counters: an estimator that had
-// changed in place exactly once took its 1 out of the sum when it was
-// replaced, the registry's +1 put it back, and the plan priced by the old
-// model kept being served. After any number of in-place changes a
+// changed exactly once took its 1 out of the sum when it was replaced, the
+// registry's +1 put it back, and the plan priced by the old model kept being
+// served. After any number of re-installs of the same estimator a
 // replacement must yield the plan an uncached optimizer builds, and the stamp
 // must never repeat.
 func TestReplacingChangedEstimatorInvalidates(t *testing.T) {
 	const sql = "SELECT a10, SUM(a1) FROM t80000000_500 GROUP BY a10"
 	slow := cluster.DefaultHive()
 	slow.CoresPerNode = 1
-	for inPlace := 0; inPlace <= 3; inPlace++ {
+	for reinstalls := 0; reinstalls <= 3; reinstalls++ {
 		f := newFixture(t)
 		f.opt.Cache = NewPlanCache(16)
 		seen := map[uint64]bool{f.opt.Epoch(): true}
@@ -306,22 +305,20 @@ func TestReplacingChangedEstimatorInvalidates(t *testing.T) {
 			t.Helper()
 			g := f.opt.Epoch()
 			if seen[g] {
-				t.Errorf("%d in-place changes: stamp %d after %s was seen before", inPlace, g, what)
+				t.Errorf("%d re-installs: stamp %d after %s was seen before", reinstalls, g, what)
 			}
 			seen[g] = true
 		}
-		old := hybridSubOp(t, f, cluster.DefaultHive())
+		old := hybridSubOp(t, cluster.DefaultHive())
 		f.opt.Estimators.Set("hive", old)
 		moved("install")
 		before := f.plan(t, sql)
-		for i := 0; i < inPlace; i++ {
-			if err := old.Switch(core.SubOp); err != nil {
-				t.Fatal(err)
-			}
-			moved("Switch")
+		for i := 0; i < reinstalls; i++ {
+			f.opt.Estimators.Set("hive", old)
+			moved("re-install")
 			before = f.plan(t, sql)
 		}
-		f.opt.Estimators.Set("hive", hybridSubOp(t, f, slow))
+		f.opt.Estimators.Set("hive", hybridSubOp(t, slow))
 		moved("replacement")
 
 		served := f.plan(t, sql)
@@ -339,8 +336,8 @@ func TestReplacingChangedEstimatorInvalidates(t *testing.T) {
 			t.Fatal("the replacement model prices the statement like the old one: the test cannot tell them apart")
 		}
 		if served.Explain() != fresh.Explain() {
-			t.Errorf("%d in-place changes, then replaced: served the old model's plan (%.3f s), uncached replan costs %.3f s",
-				inPlace, served.EstimatedSec, fresh.EstimatedSec)
+			t.Errorf("%d re-installs, then replaced: served the old model's plan (%.3f s), uncached replan costs %.3f s",
+				reinstalls, served.EstimatedSec, fresh.EstimatedSec)
 		}
 	}
 }

@@ -266,8 +266,8 @@ func (o *Optimizer) planExcludingHit(ctx context.Context, stmt *sqlparse.SelectS
 // Epoch is the stamp a cached plan carries: a count of every change to
 // anything the planner's output depends on. Catalog mutations, link changes
 // and estimator installs each advance their own object's counter; an
-// estimator that changes in place reports to the registry's (registry.Bump)
-// and keeps none of its own. The three objects last as long as the optimizer
+// estimator never changes in place, so a changed model is an install and
+// keeps no counter of its own. The three objects last as long as the optimizer
 // and their counters only go up, so the sum never returns to an earlier
 // value — which a term that leaves the sum when its object is replaced
 // would let it do.

@@ -7,11 +7,9 @@
 //
 // Each mutation bumps a generation counter. Consumers that cache derived
 // state (the optimizer's plan cache) record the generation they observed and
-// treat any change as an invalidation signal. A stored value that changes in
-// place (a hot-swapped or offline-tuned model the registry points to) is
-// reported through Bump by whoever changed it, so the one counter covers
-// replacements and in-place changes alike: a value that kept a counter of its
-// own would take it away again when it is replaced.
+// treat any change as an invalidation signal. That covers every change only
+// because stored values do not change in place: a changed value is a new
+// value, Set in the old one's place.
 package registry
 
 import (
@@ -87,16 +85,6 @@ func (r *Map[V]) replace(mutate func(map[string]V)) {
 	}
 	mutate(m)
 	r.snap.Store(&state[V]{m: m, gen: old.gen + 1})
-}
-
-// Bump advances the generation without changing contents: the invalidation
-// signal for an in-place change to a stored value. Call it after the change
-// is visible to readers.
-func (r *Map[V]) Bump() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.snap.Load()
-	r.snap.Store(&state[V]{m: old.m, gen: old.gen + 1})
 }
 
 // Generation returns the mutation counter. It only ever increases.

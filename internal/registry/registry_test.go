@@ -34,9 +34,9 @@ func TestBasicOperations(t *testing.T) {
 		t.Errorf("Names = %v", got)
 	}
 	gen := r.Generation()
-	r.Bump()
+	r.Set("a", 1) // the same value again is still a mutation
 	if r.Generation() != gen+1 || r.Len() != 2 {
-		t.Errorf("Bump: gen %d -> %d, len %d", gen, r.Generation(), r.Len())
+		t.Errorf("re-Set: gen %d -> %d, len %d", gen, r.Generation(), r.Len())
 	}
 	if !r.Delete("a") || r.Delete("a") {
 		t.Error("Delete semantics wrong")

@@ -645,7 +645,6 @@ type profileInfo struct {
 	System   string `json:"system"`
 	Approach string `json:"approach"`
 	Active   string `json:"active,omitempty"`
-	Queries  int    `json:"queries,omitempty"`
 	Engine   string `json:"engine,omitempty"`
 }
 
@@ -662,7 +661,6 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		info.Approach = string(est.Approach())
 		if h, ok := est.(*hybrid.Estimator); ok {
 			info.Active = string(h.Active())
-			info.Queries = h.Queries()
 			info.Engine = h.Profile().Engine.String()
 		}
 		out = append(out, info)
