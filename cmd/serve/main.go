@@ -37,11 +37,11 @@
 // -data-dir makes engine state durable: admin mutations (catalog
 // registrations, materializations, link overrides, profile switches, model
 // promotions and rollbacks) append to a checksummed write-ahead log and ack
-// only after fsync; the WAL rotates into an atomic snapshot past
-// -wal-rotate-bytes and on graceful shutdown. Booting against the same
-// directory restores the newest valid snapshot, replays the log past it —
-// truncating any torn tail a crash left behind — and resumes with plans
-// byte-identical to the pre-crash process. Without the flag the server is
+// only after fsync; the WAL rotates into an atomic snapshot past 4 MiB and
+// on graceful shutdown. Booting against the same directory restores the
+// newest valid snapshot, replays the log past it — truncating any torn tail
+// a crash left behind — and resumes with plans byte-identical to the
+// pre-crash process. Without the flag the server is
 // stateless, exactly as before.
 //
 // -logical-remote adds a fourth, blackbox remote ("flink") whose cost
@@ -78,11 +78,16 @@
 // header (exceeders get 429). Admission decisions are counted on
 // /metrics/prom.
 //
-// Fault injection is seeded and deterministic; with all -fault-* flags at
-// zero (the default) every response is byte-identical to a build without
-// the fault layer. SIGINT/SIGTERM drain in-flight requests and (with
-// -data-dir) write a final snapshot before exiting; every answered query's
-// estimator feedback is already in the models it snapshots.
+// Every remote sits behind a seeded, deterministic fault injector that
+// starts disarmed, so every response is byte-identical to a build without
+// the fault layer until a client dials rates or an outage in through
+// POST /faults, e.g.
+//
+//	curl -d '{"system":"hive","rates":{"transient":0.05}}' localhost:8080/faults
+//
+// SIGINT/SIGTERM drain in-flight requests and (with -data-dir) write a final
+// snapshot before exiting; every answered query's estimator feedback is
+// already in the models it snapshots.
 package main
 
 import (
@@ -104,7 +109,6 @@ import (
 	"intellisphere/internal/demo"
 	"intellisphere/internal/durable"
 	"intellisphere/internal/engine"
-	"intellisphere/internal/faults"
 	"intellisphere/internal/nn"
 	"intellisphere/internal/obs"
 	"intellisphere/internal/resilience"
@@ -116,10 +120,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (must be positive)")
 	seed := flag.Int64("seed", 1, "simulator noise seed")
 	cacheSize := flag.Int("cache-size", 0, "statement cache capacity: parsed statement and plan per SQL text, cached from its second sighting (0 = default 256, negative disables)")
-	faultTransient := flag.Float64("fault-transient", 0, "per-call transient failure rate on every remote [0,1)")
-	faultLatency := flag.Float64("fault-latency", 0, "per-call latency-spike rate on every remote [0,1)")
-	faultFactor := flag.Float64("fault-latency-factor", 0, "latency-spike multiplier (0 = default 10x)")
-	faultSeed := flag.Int64("fault-seed", 0, "fault-injector draw seed (same seed, same fault sequence)")
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures that open a breaker (0 = default 5)")
 	breakerTimeout := flag.Duration("breaker-open-timeout", 0, "open-breaker rejection window before half-open probes (0 = default 10s)")
 	maxInFlight := flag.Int("max-inflight", 0, "admission cap on concurrently executing requests (0 = default 64)")
@@ -128,17 +128,14 @@ func main() {
 	warm := flag.Bool("warm", false, "plan the demo statement mix until it is resident in the cache before serving")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	contention := flag.Int("contention-profile", 0, "mutex/block profiling sample rate for the pprof mutex and block endpoints (0 = off; 1 = every event; n = 1-in-n mutex events / n ns block threshold)")
-	traceBuffer := flag.Int("trace-buffer", 0, "recent-trace ring capacity (0 = default 64, negative disables)")
 	logicalRemote := flag.Bool("logical-remote", false, "add the blackbox 'flink' remote with logical-op (tunable) cost models")
 	tuneInterval := flag.Duration("tune-interval", 0, "drift-tuner poll period (0 disables the background tuner)")
 	tuneDriftQ := flag.Float64("tune-drift-q", 0, "mean q-error above which an accuracy window reads drifting, to the tuner and on /metrics/prom alike (0 = default 2.0)")
 	tuneHoldout := flag.Int("tune-holdout", 0, "per-model holdout records withheld for candidate shadow scoring (0 = default 8)")
 	tuneMinLog := flag.Int("tune-min-log", 0, "minimum per-model execution log before a candidate tune (0 = default 16)")
 	dataDir := flag.String("data-dir", "", "durable state directory: snapshots + write-ahead log (empty = stateless)")
-	walRotate := flag.Int64("wal-rotate-bytes", 0, "WAL size that triggers a background snapshot + log rotation (0 = default 4 MiB, negative disables)")
 	eventSample := flag.Float64("event-sample", 1.0, "wide-event head-sampling rate for ordinary queries [0,1]; errors and slow queries are always captured")
 	slowQueryMS := flag.Int("slow-query-ms", 500, "latency at which a query counts as slow and is always captured as an event (0 disables the rule)")
-	eventBuffer := flag.Int("event-buffer", 0, "in-memory wide-event ring capacity behind /events (0 = default 1024)")
 	eventLog := flag.String("event-log", "", "NDJSON wide-event log path, size-rotated (empty = in-memory ring only)")
 	eventLogMax := flag.Int64("event-log-max-bytes", 0, "event-log size that triggers rotation to .1 (0 = default 8 MiB)")
 	obsStep := flag.Duration("obs-step", 5*time.Second, "metrics-history collector step behind /history (<= 0 disables the whole observability pipeline)")
@@ -160,19 +157,10 @@ func main() {
 	log.Printf("building demo federation (seed %d)...", *seed)
 	fed, err := demo.BuildFederation(demo.Config{
 		Seed: *seed, PlanCacheSize: *cacheSize,
-		Faults: faults.Config{
-			Seed: *faultSeed,
-			Rates: faults.Rates{
-				Transient:     *faultTransient,
-				Latency:       *faultLatency,
-				LatencyFactor: *faultFactor,
-			},
-		},
 		Breaker: resilience.BreakerConfig{
 			FailureThreshold: *breakerFailures,
 			OpenTimeout:      *breakerTimeout,
 		},
-		TraceBuffer:   *traceBuffer,
 		LogicalRemote: *logicalRemote,
 	})
 	if err != nil {
@@ -187,9 +175,7 @@ func main() {
 		// every admin mutation from here on acks only after its fsynced log
 		// append. SIGKILL at any point loses nothing acknowledged.
 		var rec durable.Recovery
-		dur, rec, err = engine.OpenDurability(eng, engine.DurabilityConfig{
-			Dir: *dataDir, RotateBytes: *walRotate,
-		})
+		dur, rec, err = engine.OpenDurability(eng, engine.DurabilityConfig{Dir: *dataDir})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serve: recover:", err)
 			os.Exit(1)
@@ -217,9 +203,6 @@ func main() {
 			}
 		}
 		log.Printf("plan cache warmed with %d statements", len(sqls))
-	}
-	if *faultTransient > 0 || *faultLatency > 0 {
-		log.Printf("fault injection armed: transient %.2f latency %.2f (seed %d)", *faultTransient, *faultLatency, *faultSeed)
 	}
 	var tuner *engine.Tuner
 	if *tuneInterval > 0 {
@@ -254,7 +237,6 @@ func main() {
 			Events: obs.RecorderConfig{
 				SampleRate:    *eventSample,
 				SlowThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
-				RingSize:      *eventBuffer,
 			},
 			EventLogPath:     *eventLog,
 			EventLogMaxBytes: *eventLogMax,

@@ -24,19 +24,9 @@ type Config struct {
 	Seed int64
 	// PlanCacheSize passes through to the engine configuration.
 	PlanCacheSize int
-	// Faults configures fault injection on every remote (the master is
-	// never injected). The zero value disables injection entirely, and a
-	// disabled injector is a pure passthrough, so every output stays
-	// byte-identical to an injection-free build. Each remote derives its
-	// own draw seed from Faults.Seed so faults de-correlate across systems.
-	Faults faults.Config
-	// Breaker and Retry pass through to the engine's resilience layer;
-	// zero values select the resilience defaults.
+	// Breaker passes through to the engine's resilience layer; the zero
+	// value selects the resilience defaults.
 	Breaker resilience.BreakerConfig
-	Retry   resilience.RetryPolicy
-	// TraceBuffer passes through to the engine's trace ring (0 = default
-	// size, negative disables).
-	TraceBuffer int
 	// LogicalRemote additionally stands up a fourth, blackbox remote
 	// ("flink") whose cost models are logical-op neural networks trained by
 	// executing the Figure 10 workloads — the only model family the
@@ -48,7 +38,11 @@ type Config struct {
 }
 
 // Federation is the built demo plus the chaos controls over it: every
-// remote sits behind a fault injector keyed by system name.
+// remote sits behind a fault injector keyed by system name. The injectors
+// start disarmed, a pure passthrough, so every output stays byte-identical
+// to an injection-free build until rates are dialed in (POST /faults). Each
+// has its own draw seed — hive 0, spark 1, presto 2, flink 3 — so dialed
+// faults de-correlate across systems.
 type Federation struct {
 	Engine    *engine.Engine
 	Injectors map[string]*faults.Injector
@@ -84,16 +78,14 @@ func Build(cfg Config) (*engine.Engine, error) {
 // one local dimension table, and two small hive tables are materialized.
 // The hive and spark tables are cross-replicated (and the warehouse
 // replicated onto hive), so degraded re-planning has somewhere to go when a
-// remote fails. Every remote is registered behind a fault injector; the
-// injector stays fault-free during sub-op training (trained models match an
-// injection-free build) and takes cfg.Faults only after the build finishes.
+// remote fails. Every remote is registered behind a disarmed fault injector.
 func BuildFederation(cfg Config) (*Federation, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	eng, err := engine.New(engine.Config{
 		Seed: cfg.Seed, PlanCacheSize: cfg.PlanCacheSize,
-		Breaker: cfg.Breaker, Retry: cfg.Retry, TraceBuffer: cfg.TraceBuffer,
+		Breaker: cfg.Breaker,
 	})
 	if err != nil {
 		return nil, err
@@ -103,7 +95,7 @@ func BuildFederation(cfg Config) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	injectors["hive"] = faults.Wrap(hive, faults.Config{})
+	injectors["hive"] = faults.Wrap(hive, faults.Config{Seed: 0})
 	if _, _, err := eng.RegisterRemoteSubOp(injectors["hive"], remote.EngineHive, subop.InHouseComparable); err != nil {
 		return nil, err
 	}
@@ -113,7 +105,7 @@ func BuildFederation(cfg Config) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	injectors["spark"] = faults.Wrap(spark, faults.Config{})
+	injectors["spark"] = faults.Wrap(spark, faults.Config{Seed: 1})
 	if _, _, err := eng.RegisterRemoteSubOp(injectors["spark"], remote.EngineSpark, subop.InHouseComparable); err != nil {
 		return nil, err
 	}
@@ -123,7 +115,7 @@ func BuildFederation(cfg Config) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	injectors["presto"] = faults.Wrap(presto, faults.Config{})
+	injectors["presto"] = faults.Wrap(presto, faults.Config{Seed: 2})
 	if _, _, err := eng.RegisterRemoteSubOp(injectors["presto"], remote.EnginePresto, subop.InHouseComparable); err != nil {
 		return nil, err
 	}
@@ -183,19 +175,10 @@ func BuildFederation(cfg Config) (*Federation, error) {
 			return nil, err
 		}
 	}
-	armed := []string{"hive", "spark", "presto"}
 	if cfg.LogicalRemote {
 		if err := addLogicalRemote(eng, injectors, cfg.Seed); err != nil {
 			return nil, err
 		}
-		armed = append(armed, "flink")
-	}
-	// Arm the injectors only now, after training, with a per-remote draw
-	// seed so the systems' fault sequences de-correlate.
-	for i, name := range armed {
-		c := cfg.Faults
-		c.Seed = cfg.Faults.Seed + int64(i)
-		injectors[name].Configure(c)
 	}
 	return &Federation{Engine: eng, Injectors: injectors}, nil
 }
@@ -213,7 +196,7 @@ func addLogicalRemote(eng *engine.Engine, injectors map[string]*faults.Injector,
 	if err != nil {
 		return err
 	}
-	inj := faults.Wrap(flink, faults.Config{})
+	inj := faults.Wrap(flink, faults.Config{Seed: 3})
 	injectors["flink"] = inj
 	// The big table matters: at 40 GB, shipping it over QueryGrid dwarfs any
 	// local operator, so the optimizer keeps flink's aggregations on flink —

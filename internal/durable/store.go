@@ -77,8 +77,7 @@ type Stats struct {
 // Append holds the store mutex across sequence assignment, write, and
 // fsync, so WAL order is exactly acknowledgment order.
 type Store struct {
-	dir  string
-	keep int
+	dir string
 
 	mu        sync.Mutex
 	wal       *WAL
@@ -90,13 +89,14 @@ type Store struct {
 	closed    bool
 }
 
+// keepSnapshots is how many snapshots a store retains: the newest plus one
+// fallback for mid-write crashes.
+const keepSnapshots = 2
+
 // StoreConfig configures Open.
 type StoreConfig struct {
 	// Dir is the data directory; created (with parents) if absent.
 	Dir string
-	// Keep is how many snapshots to retain (default 2: the newest plus one
-	// fallback for mid-write crashes).
-	Keep int
 }
 
 // Open opens the data directory, restores the newest valid snapshot through
@@ -106,13 +106,10 @@ type StoreConfig struct {
 func Open(cfg StoreConfig, fn RecoverFuncs) (*Store, Recovery, error) {
 	start := time.Now()
 	var rec Recovery
-	if cfg.Keep <= 0 {
-		cfg.Keep = 2
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, rec, fmt.Errorf("durable: create data dir: %w", err)
 	}
-	s := &Store{dir: cfg.Dir, keep: cfg.Keep}
+	s := &Store{dir: cfg.Dir}
 
 	snaps, err := s.listSnapshots()
 	if err != nil {
@@ -289,10 +286,10 @@ func (s *Store) listSnapshots() ([]uint64, error) {
 // the newest ones. Best-effort: a prune failure is not a durability failure.
 func (s *Store) pruneLocked() {
 	seqs, err := s.listSnapshots()
-	if err != nil || len(seqs) <= s.keep {
+	if err != nil || len(seqs) <= keepSnapshots {
 		return
 	}
-	for _, seq := range seqs[:len(seqs)-s.keep] {
+	for _, seq := range seqs[:len(seqs)-keepSnapshots] {
 		os.Remove(s.snapPath(seq))
 	}
 }

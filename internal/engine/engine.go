@@ -43,11 +43,6 @@ import (
 
 // Config tunes the master engine.
 type Config struct {
-	// Master is the master engine's own cluster shape; zero value selects a
-	// 2-node, 8-core parallel database.
-	Master cluster.Config
-	// Link is the default QueryGrid link; zero value selects 1 Gbit/s.
-	Link querygrid.LinkConfig
 	// Seed drives the master's own simulator noise.
 	Seed int64
 	// PlanCacheSize bounds the statement cache (CLOCK eviction): one entry
@@ -62,16 +57,6 @@ type Config struct {
 	// selects the resilience defaults (open after 5 consecutive
 	// infrastructural failures, half-open probe after 10s).
 	Breaker resilience.BreakerConfig
-	// DisableFallback turns off degraded re-planning: a failed remote
-	// fails the query instead of re-planning around the failed system.
-	DisableFallback bool
-	// TraceBuffer bounds the ring of recent query traces kept for /trace.
-	// 0 selects the default (trace.DefaultRingSize); negative disables the
-	// buffer entirely (QueryTraced still returns its trace inline).
-	TraceBuffer int
-	// ModelHistory bounds the per-system model version history kept for
-	// rollback. 0 selects the default (modelver.DefaultHistory).
-	ModelHistory int
 }
 
 // Engine is the master engine. The remote-system, estimator, and
@@ -95,9 +80,8 @@ type Engine struct {
 
 	breakers *resilience.Group
 	retry    resilience.RetryPolicy
-	fallback bool
 
-	traces *trace.Ring // nil when the trace buffer is disabled
+	traces *trace.Ring
 	// events is the optional wide-event recorder (see internal/obs). nil —
 	// the default — keeps the serving path identical to an uninstrumented
 	// build: one atomic load per query, no clock reads, no allocations.
@@ -151,22 +135,19 @@ type Engine struct {
 
 // New builds a master engine, spins up its own execution simulator, and
 // calibrates the master's cost model with a sub-op probe run (Teradata's
-// own costing "is based on the sub-op costing approach", Section 4).
+// own costing "is based on the sub-op costing approach", Section 4). The
+// master is a 2-node, 8-core parallel database; the default QueryGrid link
+// runs at 1 Gbit/s.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Master.Name == "" {
-		cfg.Master = cluster.Config{
-			Name: querygrid.Master, Nodes: 2, DataNodes: 2, CoresPerNode: 8,
-			MemoryPerNode: 64 << 30, DFSBlockBytes: 64 << 20, Replication: 1, MemoryFraction: 0.5,
-		}
+	masterCluster := cluster.Config{
+		Name: querygrid.Master, Nodes: 2, DataNodes: 2, CoresPerNode: 8,
+		MemoryPerNode: 64 << 30, DFSBlockBytes: 64 << 20, Replication: 1, MemoryFraction: 0.5,
 	}
-	if cfg.Link.BandwidthBytesPerSec == 0 {
-		cfg.Link = querygrid.DefaultLink()
-	}
-	master, err := remote.NewRDBMS(querygrid.Master, cfg.Master, remote.Options{Seed: cfg.Seed, NoiseAmp: 0.02})
+	master, err := remote.NewRDBMS(querygrid.Master, masterCluster, remote.Options{Seed: cfg.Seed, NoiseAmp: 0.02})
 	if err != nil {
 		return nil, fmt.Errorf("engine: build master simulator: %w", err)
 	}
-	grid, err := querygrid.New(cfg.Link)
+	grid, err := querygrid.New(querygrid.DefaultLink())
 	if err != nil {
 		return nil, err
 	}
@@ -177,17 +158,14 @@ func New(cfg Config) (*Engine, error) {
 		remotes:      registry.New[remote.System](),
 		estimators:   registry.New[core.Estimator](),
 		materialized: registry.New[*rowengine.Table](),
-		versions:     modelver.NewStore(cfg.ModelHistory),
+		versions:     modelver.NewStore(modelver.DefaultHistory),
 		breakers:     resilience.NewGroup(cfg.Breaker),
 		retry:        cfg.Retry,
-		fallback:     !cfg.DisableFallback,
+		traces:       trace.NewRing(trace.DefaultRingSize),
 		accuracy:     registry.New[*metrics.Accuracy](),
 		parseHist:    metrics.NewLatencyHistogram(),
 		planHist:     metrics.NewLatencyHistogram(),
 		executeHist:  metrics.NewLatencyHistogram(),
-	}
-	if cfg.TraceBuffer >= 0 {
-		e.traces = trace.NewRing(cfg.TraceBuffer)
 	}
 	e.remotes.Set(querygrid.Master, master)
 	ms, _, err := subop.Train(master, subop.TrainConfig{})
@@ -944,7 +922,7 @@ func (e *Engine) serve(ctx context.Context, kind, sql string, tr *trace.Trace) (
 }
 
 // RecentTraces returns up to n of the most recently recorded traces, newest
-// first (nil when the trace buffer is disabled).
+// first.
 func (e *Engine) RecentTraces(n int) []*trace.Trace { return e.traces.Recent(n) }
 
 // stepFailure wraps a plan-step execution error with the system it failed
@@ -994,7 +972,7 @@ func (e *Engine) run(ctx context.Context, clk *stageClock, stmt *sqlparse.Select
 		e.executeHist.ObserveExemplar(clk.lap(&clk.execute), trace.SpanFromContext(ctx).TraceID())
 	}()
 	res, err := e.execute(ctx, stmt, p)
-	if err == nil || !e.fallback {
+	if err == nil {
 		return res, err
 	}
 	// Degraded re-planning: exclude each failed system in turn and retry

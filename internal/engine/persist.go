@@ -98,20 +98,16 @@ type modelLivePayload struct {
 type DurabilityConfig struct {
 	// Dir is the data directory (created if absent).
 	Dir string
-	// RotateBytes is the WAL size past which a background snapshot (and log
-	// rotation) triggers. 0 selects 4 MiB; negative disables size-triggered
-	// snapshots (explicit Snapshot calls still rotate).
-	RotateBytes int64
-	// SnapshotKeep is how many snapshots to retain (0 selects 2).
-	SnapshotKeep int
 }
 
 // Durability binds an engine to a durable.Store: it is the engine's
 // mutation sink (every logged mutation flows through appendRecord) and the
 // snapshot scheduler. One Durability per engine.
 type Durability struct {
-	e           *Engine
-	store       *durable.Store
+	e     *Engine
+	store *durable.Store
+	// rotateBytes is the WAL size past which a background snapshot (and log
+	// rotation) triggers: 4 MiB, lowered only by in-package tests.
 	rotateBytes int64
 	recovery    durable.Recovery
 
@@ -126,11 +122,8 @@ type Durability struct {
 // once, after the engine's remotes are registered (restore overlays learned
 // profiles onto them) and before serving starts.
 func OpenDurability(e *Engine, cfg DurabilityConfig) (*Durability, durable.Recovery, error) {
-	if cfg.RotateBytes == 0 {
-		cfg.RotateBytes = 4 << 20
-	}
 	store, rec, err := durable.Open(
-		durable.StoreConfig{Dir: cfg.Dir, Keep: cfg.SnapshotKeep},
+		durable.StoreConfig{Dir: cfg.Dir},
 		durable.RecoverFuncs{
 			Restore: func(_ uint64, data []byte) error { return e.restoreState(data) },
 			Apply:   e.applyWALRecord,
@@ -139,7 +132,7 @@ func OpenDurability(e *Engine, cfg DurabilityConfig) (*Durability, durable.Recov
 	if err != nil {
 		return nil, rec, err
 	}
-	d := &Durability{e: e, store: store, rotateBytes: cfg.RotateBytes, recovery: rec}
+	d := &Durability{e: e, store: store, rotateBytes: 4 << 20, recovery: rec}
 	e.dur.Store(d)
 	return d, rec, nil
 }
@@ -158,7 +151,7 @@ func (d *Durability) appendRecord(op string, data json.RawMessage) error {
 	if _, err := d.store.Append(op, data); err != nil {
 		return err
 	}
-	if d.rotateBytes > 0 && d.store.WALSize() >= d.rotateBytes {
+	if d.store.WALSize() >= d.rotateBytes {
 		d.snapshotAsync()
 	}
 	return nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -200,6 +201,69 @@ func TestDurabilitySnapshotRestore(t *testing.T) {
 	vs := e2.ModelVersions("hivebb")
 	if !vs[0].Live || vs[1].Live {
 		t.Errorf("rollback after recovery did not move the live marker: %+v", vs)
+	}
+}
+
+// TestDurabilitySizeTriggeredSnapshot lowers the rotation threshold to a few
+// hundred bytes so link and table mutations outgrow it: the append path must
+// snapshot and rotate the WAL on its own, with no explicit Snapshot call, and
+// an engine recovered from the directory must plan byte-identically.
+func TestDurabilitySizeTriggeredSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	e1, _, _ := newTuneRig(t)
+	d, _, err := OpenDurability(e1, DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.rotateBytes = 400
+	const rounds = 6
+	for i := 1; i <= rounds; i++ {
+		tb, err := datagen.Table(5000, 40, "hivebb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Name = fmt.Sprintf("soak_t%d", i)
+		if err := e1.RegisterTable(tb); err != nil {
+			t.Fatalf("RegisterTable: %v", err)
+		}
+		if err := e1.SetLink("hivebb", querygrid.LinkConfig{
+			BandwidthBytesPerSec: float64(i) * 1e7, LatencySec: 0.1, PerRowOverheadUS: 1,
+		}); err != nil {
+			t.Fatalf("SetLink: %v", err)
+		}
+		// Let a triggered snapshot finish before the next mutation, so it
+		// covers the whole log and rotates it.
+		d.wg.Wait()
+	}
+	want := explainAll(t, e1, persistStatements())
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := d.Stats()
+	if st.Snapshots == 0 {
+		t.Fatalf("no snapshot after %d mutations past a %d-byte threshold: %+v", 2*rounds, d.rotateBytes, st)
+	}
+	if st.WALRecords >= 2*rounds {
+		t.Fatalf("WAL not rotated: %d records after %d mutations", st.WALRecords, 2*rounds)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot file on disk (%v)", err)
+	}
+
+	e2, d2 := recoverRig(t, dir)
+	defer d2.Close()
+	if rec := d2.Recovery(); !rec.Restored || rec.Replayed >= 2*rounds {
+		t.Fatalf("recovery = %+v, want a snapshot restore", rec)
+	}
+	if l := e2.Grid().Links()["hivebb"]; l.BandwidthBytesPerSec != rounds*1e7 {
+		t.Errorf("recovered link = %+v, want the last override", l)
+	}
+	got := explainAll(t, e2, persistStatements())
+	for sql, w := range want {
+		if got[sql] != w {
+			t.Errorf("Explain %q diverged after recovery:\nbefore:\n%s\nrecovered:\n%s", sql, w, got[sql])
+		}
 	}
 }
 

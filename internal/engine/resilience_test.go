@@ -300,30 +300,3 @@ func TestExecuteStepSortClamps(t *testing.T) {
 		}
 	}
 }
-
-// TestFallbackDisabled verifies DisableFallback surfaces the step failure
-// instead of re-planning.
-func TestFallbackDisabled(t *testing.T) {
-	clock := &chaosClock{t: time.Unix(0, 0)}
-	e, err := New(Config{
-		Seed:            9,
-		DisableFallback: true,
-		Breaker:         resilience.BreakerConfig{Clock: clock.now},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := remote.NewHive("hive", cluster.DefaultHive(), remote.Options{NoiseAmp: 0.01, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.Wrap(h, faults.Config{Seed: 7})
-	if _, _, err := e.RegisterRemoteSubOp(inj, remote.EngineHive, subop.InHouseComparable); err != nil {
-		t.Fatal(err)
-	}
-	registerTables(t, e, "hive", ts{10000, 100})
-	inj.SetOutage(true)
-	if _, err := e.Query("SELECT a1 FROM t10000_100"); err == nil {
-		t.Fatal("query against downed remote succeeded with fallback disabled")
-	}
-}

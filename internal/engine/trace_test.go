@@ -148,8 +148,7 @@ func TestQueryTracedSpanTree(t *testing.T) {
 }
 
 // TestUntracedQueryRecordsNothing pins the opt-in contract: plain Query
-// leaves no trace behind, and a negative TraceBuffer disables the ring while
-// QueryTraced still returns its trace inline.
+// leaves no trace behind.
 func TestUntracedQueryRecordsNothing(t *testing.T) {
 	e := newEngine(t)
 	registerHive(t, e)
@@ -163,26 +162,6 @@ func TestUntracedQueryRecordsNothing(t *testing.T) {
 	}
 	if n := len(e.RecentTraces(0)); n != 0 {
 		t.Errorf("ring holds %d traces after untraced query", n)
-	}
-
-	noRing, err := New(Config{Seed: 9, TraceBuffer: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerHive(t, noRing)
-	registerTables(t, noRing, "hive", ts{100000, 100})
-	_, tr, err := noRing.QueryTraced(context.Background(), "SELECT a1 FROM t100000_100 WHERE a1 < 100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr == nil || tr.Root == nil || len(tr.Root.Children) == 0 {
-		t.Fatal("disabled ring suppressed the inline trace")
-	}
-	if tr.ID != 0 {
-		t.Errorf("unrecorded trace got ID %d", tr.ID)
-	}
-	if got := noRing.RecentTraces(0); got != nil {
-		t.Errorf("RecentTraces with disabled ring = %v", got)
 	}
 }
 

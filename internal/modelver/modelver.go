@@ -15,8 +15,7 @@ import (
 	"time"
 )
 
-// DefaultHistory is the number of versions retained per system when no
-// limit is configured.
+// DefaultHistory is the number of versions the engine retains per system.
 const DefaultHistory = 8
 
 // Origin values recorded on versions.
@@ -74,13 +73,9 @@ type Store struct {
 	live     map[string]int // live version ID per system (0 = none)
 }
 
-// NewStore builds a store retaining up to limit versions per system
-// (limit <= 0 selects DefaultHistory). The live version is never evicted,
-// even when it is the oldest retained.
+// NewStore builds a store retaining up to limit versions per system. The
+// live version is never evicted, even when it is the oldest retained.
 func NewStore(limit int) *Store {
-	if limit <= 0 {
-		limit = DefaultHistory
-	}
 	return &Store{
 		limit:    limit,
 		versions: map[string][]*Version{},

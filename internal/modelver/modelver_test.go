@@ -9,7 +9,7 @@ import (
 )
 
 func TestRecordAndLive(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(DefaultHistory)
 	v1 := s.Record("hive", "initial", []byte(`{"v":1}`), nil, time.Time{}, true)
 	if v1.ID != 1 || !v1.Live || v1.Origin != "initial" || v1.Size != 7 {
 		t.Fatalf("v1 = %+v", v1)
@@ -41,7 +41,7 @@ func TestRecordAndLive(t *testing.T) {
 }
 
 func TestRecordCopiesBytes(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(DefaultHistory)
 	buf := []byte(`{"v":1}`)
 	s.Record("hive", "initial", buf, nil, time.Time{}, true)
 	buf[2] = 'X'
@@ -52,7 +52,7 @@ func TestRecordCopiesBytes(t *testing.T) {
 }
 
 func TestSetLiveRollback(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(DefaultHistory)
 	s.Record("hive", "initial", []byte(`1`), nil, time.Time{}, true)
 	s.Record("hive", "tuned", []byte(`2`), nil, time.Time{}, true)
 	if err := s.SetLive("hive", 1); err != nil {
@@ -96,7 +96,7 @@ func TestBoundedHistoryKeepsLive(t *testing.T) {
 }
 
 func TestUnknownSystem(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(DefaultHistory)
 	if _, ok := s.Live("ghost"); ok {
 		t.Fatal("Live on unknown system")
 	}

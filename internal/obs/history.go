@@ -53,16 +53,12 @@ type History struct {
 	ring *metrics.Ring[Sample]
 }
 
-// DefaultHistorySize is the sample capacity when none is configured — at
-// the default 5 s step this holds 90 minutes of history.
+// DefaultHistorySize is the observer's sample capacity — at the default
+// 5 s step this holds 90 minutes of history.
 const DefaultHistorySize = 1080
 
-// NewHistory builds a ring holding n samples taken every step (n <= 0
-// selects DefaultHistorySize).
+// NewHistory builds a ring holding n samples taken every step.
 func NewHistory(n int, step time.Duration) *History {
-	if n <= 0 {
-		n = DefaultHistorySize
-	}
 	if step <= 0 {
 		step = 5 * time.Second
 	}

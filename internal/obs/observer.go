@@ -12,10 +12,9 @@ type Config struct {
 	// EventLogMaxBytes rotates the file sink (<= 0 selects
 	// DefaultSinkMaxBytes).
 	EventLogMaxBytes int64
-	// HistorySize and Step size the time-series ring (<= 0 select
-	// DefaultHistorySize / 5 s).
-	HistorySize int
-	Step        time.Duration
+	// Step is the collector interval of the DefaultHistorySize-sample
+	// time-series ring (<= 0 selects 5 s).
+	Step time.Duration
 	// Objectives declares the SLOs; empty disables the SLO engine.
 	Objectives []Objective
 	// Clock is injectable for tests (nil selects the wall clock).
@@ -43,7 +42,7 @@ type Observer struct {
 func New(cfg Config) (*Observer, error) {
 	o := &Observer{
 		Rec:  NewRecorder(cfg.Events),
-		Hist: NewHistory(cfg.HistorySize, cfg.Step),
+		Hist: NewHistory(DefaultHistorySize, cfg.Step),
 		cfg:  cfg,
 	}
 	if len(cfg.Objectives) > 0 {

@@ -8,15 +8,11 @@ import "intellisphere/internal/metrics"
 // A nil ring is inert — tracing disabled.
 type Ring metrics.Ring[Trace]
 
-// DefaultRingSize is the trace buffer capacity when none is configured.
+// DefaultRingSize is the capacity of the engine's trace buffer.
 const DefaultRingSize = 64
 
-// NewRing builds a ring holding the last n traces (n <= 0 selects
-// DefaultRingSize).
+// NewRing builds a ring holding the last n traces.
 func NewRing(n int) *Ring {
-	if n <= 0 {
-		n = DefaultRingSize
-	}
 	return (*Ring)(metrics.NewRing(n, func(t *Trace) *uint64 { return &t.ID }))
 }
 

@@ -10,6 +10,8 @@
 # TestPromSeriesInventory holds to a live scrape; absent before PR 17), and
 # the environment variables non-test code outside bench/ reads (the standing
 # rule is "no new env var"; this makes it a number).
+# Next the settable values: fields of exported *Config structs in non-test Go
+# under internal/ (one per field line), beside the flag count.
 # Last the tooling around the code: shell lines under scripts/, make targets,
 # steps of `make ci`, Benchmark functions, and the cmd/serve flags that no
 # file under test/e2e passes to the binary.
@@ -33,6 +35,12 @@ if [ -f "$series" ]; then
 		"$(awk '/^# With -data-dir/ { exit } /^[^#]/ { n++ } END { print n + 0 }' "$series")" \
 		"$(awk '/^# With -data-dir/ { on = 1; next } on && /^[^#]/ { n++ } END { print n + 0 }' "$series")"
 fi
+printf '%7d  fields of exported *Config structs under internal/\n' "$(
+	git ls-files -- 'internal/*.go' | grep -v -e '_test\.go$' -e '/testdata/' | xargs awk '
+		/^type ([A-Z][A-Za-z0-9]*)?Config struct \{/ { inside = 1; depth = 1; next }
+		inside { if (depth == 1 && $1 ~ /^[A-Za-z_]/) n++
+		     depth += gsub(/\{/, "{") - gsub(/\}/, "}"); if (depth == 0) inside = 0 }
+		END { print n + 0 }')"
 printf '%7d  environment variables read by non-test code\n' \
 	"$(git grep -h 'os\.\(Getenv\|LookupEnv\)' -- '*.go' ':!*_test.go' ':!bench' | wc -l)"
 printf '%7d  shell lines under scripts/\n' "$(git ls-files -- 'scripts/*.sh' | xargs cat | wc -l)"

@@ -59,12 +59,12 @@ func TestServeRejectsNonPositiveTimeout(t *testing.T) {
 	}
 }
 
-// TestDefaultsScenario is a server as the README starts one, plus -warm and
-// -pprof: the three statement routes, the exposition format, the trace
-// surface, the profiling surface, and a clean exit.
+// TestDefaultsScenario is a server as the README starts one, plus -warm,
+// -pprof and -contention-profile: the three statement routes, the exposition
+// format, the trace surface, the profiling surface, and a clean exit.
 func TestDefaultsScenario(t *testing.T) {
 	skipIfShort(t)
-	s := startServer(t, "-warm", "-pprof")
+	s := startServer(t, "-warm", "-pprof", "-contention-profile", "1")
 
 	// -warm logs one line per demo statement that failed to plan: any such
 	// line means demo.Statements has drifted from the demo catalog.
@@ -142,6 +142,9 @@ func TestDefaultsScenario(t *testing.T) {
 	if status, _ := s.get("/debug/pprof/cmdline"); status != http.StatusOK {
 		t.Errorf("-pprof: /debug/pprof/cmdline answered %d", status)
 	}
+	if status, body := s.get("/debug/pprof/mutex?debug=1"); status != http.StatusOK || !bytes.Contains(body, []byte("\nsampling period=1\n")) {
+		t.Errorf("-contention-profile 1: /debug/pprof/mutex?debug=1 answered %d without the sampling period it set: %.300s", status, body)
+	}
 	s.stop()
 }
 
@@ -150,14 +153,32 @@ func TestDefaultsScenario(t *testing.T) {
 // collector ticks, a 1s fast / 3s slow burn window, a low burn factor): a
 // traced query whose ID joins its wide event to its span tree, exemplars, an
 // error burst that fires the availability SLO and a clean stretch that
-// resolves it, the history ring, and the rotated NDJSON log on disk.
+// resolves it, the history ring, the rotated NDJSON log on disk, the latency
+// and q-error objectives as declared, and a 1 ms slow-query rule.
 func TestObservabilityScenario(t *testing.T) {
 	skipIfShort(t)
 	eventLog := filepath.Join(t.TempDir(), "events.ndjson")
 	s := startServer(t,
 		"-event-log", eventLog, "-event-log-max-bytes", "4096", "-event-sample", "1",
 		"-obs-step", "250ms", "-slo-fast", "1s", "-slo-slow", "3s", "-slo-burn", "2",
-		"-slo-availability", "0.999")
+		"-slo-availability", "0.999", "-slo-latency-p99", "750ms", "-slo-qerror", "4",
+		"-slow-query-ms", "1")
+
+	// The -slo-* thresholds reach the objectives /slo declares.
+	var declared struct {
+		Objectives []struct {
+			Name      string  `json:"name"`
+			Threshold float64 `json:"threshold"`
+		} `json:"objectives"`
+	}
+	s.getJSON("/slo", &declared)
+	thresholds := map[string]float64{}
+	for _, o := range declared.Objectives {
+		thresholds[o.Name] = o.Threshold
+	}
+	if thresholds["latency-p99"] != 0.75 || thresholds["estimator-qerror"] != 4 {
+		t.Errorf("/slo thresholds %v, want latency-p99 0.75 (s) and estimator-qerror 4", thresholds)
+	}
 
 	var traced answer
 	s.postJSON("/query?trace=1", `{"sql": "`+aggSQL+`"}`, &traced)
@@ -256,6 +277,13 @@ func TestObservabilityScenario(t *testing.T) {
 	if err := json.Unmarshal(first, &ev); err != nil || ev.Kind == "" {
 		t.Errorf("event log line is not a wide event (%v): %s", err, first)
 	}
+
+	// -slow-query-ms 1: a row-engine aggregation over 100 000 rows takes
+	// longer than a millisecond, so the slow rule captures it.
+	s.eventually("a query past -slow-query-ms 1 to count as slow", func() bool {
+		s.query("SELECT a100, COUNT(*) FROM t100000_100 GROUP BY a100")
+		return s.metric("intellisphere_events_slow_total") > 0
+	})
 	s.stop()
 }
 
