@@ -86,19 +86,15 @@ type Engine struct {
 	// the default — keeps the serving path identical to an uninstrumented
 	// build: one atomic load per query, no clock reads, no allocations.
 	events atomic.Pointer[obs.Recorder]
-	// accuracy holds one rolling estimator-accuracy window per
-	// (system, operator kind), keyed "system/kind". Lock-free reads on the
-	// serving path; windows are created on first observation.
-	accuracy *registry.Map[*metrics.Accuracy]
-	// driftQ is the configured drift threshold as math.Float64bits (zero:
-	// the windows' default), kept so windows created later get it too.
+	// driftQ is the mean q-error above which an accuracy window reads
+	// drifting, as math.Float64bits (zero: metrics.DefaultDriftQError).
 	driftQ atomic.Uint64
-	// stepStates caches per-(system, operator kind) hot-path state — the
-	// retry salt and the accuracy-window pointer — behind an atomic
-	// snapshot, so executeStep does not rebuild the "system/kind" key (two
-	// string concatenations per step) on every executed step. Writers
-	// (first execution of a new pair) serialize on stepMu and install a
-	// copied map, mirroring the registry.Map idiom.
+	// stepStates is the per-(system, operator kind) table: the state
+	// executeStep touches on every step, the pair's accuracy window among it,
+	// behind an atomic snapshot so a step builds no string key. Writers
+	// (first execution of a pair, or a rebuild after a registry change)
+	// serialize on stepMu and install a copied map, mirroring the
+	// registry.Map idiom.
 	stepStates atomic.Pointer[map[stepKey]*stepState]
 	stepMu     sync.Mutex
 
@@ -162,7 +158,6 @@ func New(cfg Config) (*Engine, error) {
 		breakers:     resilience.NewGroup(cfg.Breaker),
 		retry:        cfg.Retry,
 		traces:       trace.NewRing(trace.DefaultRingSize),
-		accuracy:     registry.New[*metrics.Accuracy](),
 		parseHist:    metrics.NewLatencyHistogram(),
 		planHist:     metrics.NewLatencyHistogram(),
 		executeHist:  metrics.NewLatencyHistogram(),
@@ -221,10 +216,10 @@ type Stats struct {
 	// Tuning summarizes the model-lifecycle loop: drift-triggered candidate
 	// tunes and their outcomes.
 	Tuning TuningStats `json:"tuning"`
-	// Accuracy reports each estimator's rolling prediction accuracy, keyed
-	// "system/operator" (e.g. "hive_marketing/join"): how well predicted
-	// step costs track the observed execution times.
-	Accuracy map[string]metrics.AccuracySnapshot `json:"accuracy,omitempty"`
+	// Accuracy reports each estimator's rolling prediction accuracy per
+	// (system, operator): how well predicted step costs track the observed
+	// execution times.
+	Accuracy []AccuracyStat `json:"accuracy,omitempty"`
 	// Traces counts traced queries recorded into the trace ring.
 	Traces uint64 `json:"traces"`
 }
@@ -279,61 +274,57 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
+// AccuracyStat is one (system, operator) estimator-accuracy window as the
+// engine reports it.
+type AccuracyStat struct {
+	System   string `json:"system"`
+	Operator string `json:"operator"`
+	metrics.AccuracySnapshot
+	// Drifting reports the window's mean q-error exceeds the engine's drift
+	// threshold — the signal an offline retune should pick this model up.
+	// It is the only drift decision: Stats, /metrics/prom and the tuner all
+	// read it.
+	Drifting bool `json:"drifting"`
+}
+
 // AccuracyStats snapshots every per-(system, operator) estimator-accuracy
-// window, keyed "system/operator".
-func (e *Engine) AccuracyStats() map[string]metrics.AccuracySnapshot {
-	snap := e.accuracy.Snapshot()
-	if len(snap) == 0 {
+// window, sorted by system and then operator.
+func (e *Engine) AccuracyStats() []AccuracyStat {
+	m := e.stepStates.Load()
+	if m == nil {
 		return nil
 	}
-	out := make(map[string]metrics.AccuracySnapshot, len(snap))
-	for name, a := range snap {
-		out[name] = a.Snapshot()
+	driftQ := math.Float64frombits(e.driftQ.Load())
+	if driftQ <= 0 {
+		driftQ = metrics.DefaultDriftQError
 	}
+	out := make([]AccuracyStat, 0, len(*m))
+	for k, st := range *m {
+		s := st.acc.Snapshot()
+		out = append(out, AccuracyStat{System: k.system, Operator: k.kind, AccuracySnapshot: s, Drifting: s.MeanQError > driftQ})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].System != out[j].System {
+			return out[i].System < out[j].System
+		}
+		return out[i].Operator < out[j].Operator
+	})
 	return out
 }
 
-// accuracyFor returns the rolling accuracy window for one (system, operator)
-// pair, creating it on first use. Concurrent creators race benignly: exactly
-// one window wins the SetIfAbsent and everyone converges on it.
-func (e *Engine) accuracyFor(system, kind string) *metrics.Accuracy {
-	key := system + "/" + kind
-	if a, ok := e.accuracy.Get(key); ok {
-		return a
-	}
-	a := metrics.NewAccuracy(0)
-	if !e.accuracy.SetIfAbsent(key, a) {
-		a, _ = e.accuracy.Get(key)
-	}
-	// Read after the insert: a concurrent setDriftThreshold either finds the
-	// window in its sweep or stored its value before this load.
-	a.SetDriftThreshold(math.Float64frombits(e.driftQ.Load()))
-	return a
-}
-
-// setDriftThreshold makes q the mean q-error above which every accuracy
-// window, existing or created later, reports Drifting (q <= 0 selects
-// metrics.DefaultDriftQError). The window's flag is the only drift decision:
-// Stats, /metrics/prom and the tuner all read it.
-func (e *Engine) setDriftThreshold(q float64) {
-	e.driftQ.Store(math.Float64bits(q))
-	for _, a := range e.accuracy.Snapshot() {
-		a.SetDriftThreshold(q)
-	}
-}
-
-// ResetAccuracy empties every accuracy window belonging to a system. The
+// resetAccuracy empties every accuracy window belonging to a system. The
 // engine calls it whenever the system's model changes — candidate
 // promotion or rollback — because the
-// retained (predicted, actual) pairs scored the old model; leaving them in
-// the window would keep the Drifting flag latched (and immediately re-fire
+// retained samples scored the old model; leaving them in
+// the window would keep the drift flag latched (and immediately re-fire
 // the tuner) long after the model change fixed the calibration. The windows
-// reset in place, so hot-path pointers into them stay valid.
-func (e *Engine) ResetAccuracy(system string) {
-	prefix := system + "/"
-	for key, a := range e.accuracy.Snapshot() {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			a.Reset()
+// reset in place, so step-table entries built before the change share them.
+func (e *Engine) resetAccuracy(system string) {
+	if m := e.stepStates.Load(); m != nil {
+		for k, st := range *m {
+			if k.system == system {
+				st.acc.Reset()
+			}
 		}
 	}
 }
@@ -355,11 +346,11 @@ func (e *unknownSystemError) Is(target error) bool { return target == ErrUnknown
 type stepKey struct{ system, kind string }
 
 // stepState is the per-(system, kind) state executeStep touches on every
-// step: the retry salt (also the accuracy registry key), the accuracy
-// window, and the per-system lookups — remote handle, estimator, breaker.
-// The first two are immutable once created; sys and est come from mutable
-// registries, so the entry records the registry generations it observed and
-// is rebuilt when either registry changes.
+// step: the retry salt, the accuracy window, and the per-system lookups —
+// remote handle, estimator, breaker. The first two are created once per pair
+// and carried into every rebuild; sys and est come from mutable registries,
+// so the entry records the registry generations it observed and is rebuilt
+// when either registry changes.
 type stepState struct {
 	salt string
 	acc  *metrics.Accuracy
@@ -374,8 +365,11 @@ type stepState struct {
 // pair, creating and installing it on first execution and rebuilding it
 // when the remote or estimator registry has changed. The fast path is two
 // atomic generation loads plus a struct-keyed map lookup — no allocation,
-// no string concatenation. An unknown system returns an error before any
-// side effect (no accuracy window or breaker is created for it).
+// no string concatenation. A rebuilt entry keeps its predecessor's salt and
+// window, and the first entry of a pair creates them under stepMu, so
+// concurrent first executions share one window. An unknown system returns an
+// error before any side effect (no accuracy window or breaker is created for
+// it).
 func (e *Engine) stepStateFor(system, kind string) (*stepState, error) {
 	k := stepKey{system, kind}
 	rgen, egen := e.remotes.Generation(), e.estimators.Generation()
@@ -390,8 +384,6 @@ func (e *Engine) stepStateFor(system, kind string) (*stepState, error) {
 	}
 	est, _ := e.estimators.Get(system)
 	st := &stepState{
-		salt: system + "/" + kind,
-		acc:  e.accuracyFor(system, kind),
 		br:   e.breakers.For(system),
 		sys:  sys,
 		est:  est,
@@ -405,6 +397,11 @@ func (e *Engine) stepStateFor(system, kind string) (*stepState, error) {
 		for ok, ov := range *old {
 			next[ok] = ov
 		}
+	}
+	if prev, ok := next[k]; ok {
+		st.salt, st.acc = prev.salt, prev.acc
+	} else {
+		st.salt, st.acc = system+"/"+kind, metrics.NewAccuracy(0)
 	}
 	next[k] = st
 	e.stepStates.Store(&next)

@@ -284,6 +284,28 @@ func TestExecuteStepUnknownSystemFirst(t *testing.T) {
 	}
 }
 
+// TestFirstStepsShareOneWindow: goroutines executing a (system, operator)
+// pair for the first time at once all score into one accuracy window.
+func TestFirstStepsShareOneWindow(t *testing.T) {
+	e := newEngine(t)
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			step := &optimizer.Step{Kind: "sort", System: "teradata", Rows: 100, RowSize: 8, EstimatedSec: 0.01}
+			if _, err := e.executeStep(context.Background(), step, &QueryResult{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := accuracyOf(e, "teradata", "sort"); got.Count != n || got.Window != n {
+		t.Errorf("teradata/sort window = %+v, want %d observations in one window", got, n)
+	}
+}
+
 // TestExecuteStepSortClamps covers the sort-step path: non-positive result
 // shapes are clamped to one row of one byte and the probe still runs.
 func TestExecuteStepSortClamps(t *testing.T) {

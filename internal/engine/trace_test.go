@@ -177,18 +177,17 @@ func TestAccuracyTracksLatencyFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := rig.eng.Stats().Accuracy
-	var hiveKeys []string
-	for k, s := range before {
-		if strings.HasPrefix(k, "hive/") {
-			hiveKeys = append(hiveKeys, k)
+	before := map[string]AccuracyStat{}
+	for _, s := range rig.eng.Stats().Accuracy {
+		if s.System == "hive" {
+			before[s.Operator] = s
 			if s.Drifting || s.MeanQError > 1.5 {
-				t.Errorf("healthy window %s already drifted: %+v", k, s)
+				t.Errorf("healthy window hive/%s already drifted: %+v", s.Operator, s)
 			}
 		}
 	}
-	if len(hiveKeys) == 0 {
-		t.Fatalf("no hive accuracy windows after healthy queries: %v", before)
+	if len(before) == 0 {
+		t.Fatalf("no hive accuracy windows after healthy queries: %v", rig.eng.Stats().Accuracy)
 	}
 
 	// Every hive call now takes 20x its estimate. The estimator has no idea;
@@ -199,19 +198,22 @@ func TestAccuracyTracksLatencyFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := rig.eng.Stats().Accuracy
-	for _, k := range hiveKeys {
-		b, a := before[k], after[k]
+	for _, a := range rig.eng.Stats().Accuracy {
+		if a.System != "hive" {
+			if a.Drifting {
+				t.Errorf("unfaulted window %s/%s drifted: %+v", a.System, a.Operator, a)
+			}
+			continue
+		}
+		b, ok := before[a.Operator]
+		if !ok {
+			continue
+		}
 		if a.MeanQError <= b.MeanQError {
-			t.Errorf("%s mean q-error did not rise under latency spikes: %v -> %v", k, b.MeanQError, a.MeanQError)
+			t.Errorf("hive/%s mean q-error did not rise under latency spikes: %v -> %v", a.Operator, b.MeanQError, a.MeanQError)
 		}
 		if !a.Drifting {
-			t.Errorf("%s not flagged drifting after 20x latency (mean q-error %v)", k, a.MeanQError)
-		}
-	}
-	for k, s := range after {
-		if !strings.HasPrefix(k, "hive/") && s.Drifting {
-			t.Errorf("unfaulted window %s drifted: %+v", k, s)
+			t.Errorf("hive/%s not flagged drifting after 20x latency (mean q-error %v)", a.Operator, a.MeanQError)
 		}
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"intellisphere/internal/core/hybrid"
 	"intellisphere/internal/core/logicalop"
+	"intellisphere/internal/metrics"
 	"intellisphere/internal/modelver"
 	"intellisphere/internal/nn"
 	"intellisphere/internal/querygrid"
@@ -89,22 +91,6 @@ type TuneOutcome struct {
 	// Version is the archived version the promotion produced (nil when the
 	// candidate was rejected).
 	Version *modelver.Version `json:"version,omitempty"`
-}
-
-// qErr is the symmetric relative error max(p/a, a/p) used for shadow
-// scoring, mirroring the accuracy windows' measure.
-func qErr(p, a float64) float64 {
-	const eps = 1e-9
-	if p < eps {
-		p = eps
-	}
-	if a < eps {
-		a = eps
-	}
-	if p > a {
-		return p / a
-	}
-	return a / p
 }
 
 // hybridFor resolves a system's estimator as a tunable hybrid profile.
@@ -251,8 +237,8 @@ func (e *Engine) TuneCandidate(ctx context.Context, system string, opts TuneOpti
 			if lerr != nil || cerr != nil {
 				continue
 			}
-			liveQ += qErr(le.Seconds, rec.Actual)
-			candQ += qErr(ce.Seconds, rec.Actual)
+			liveQ += metrics.QError(le.Seconds, rec.Actual)
+			candQ += metrics.QError(ce.Seconds, rec.Actual)
 			samples++
 		}
 	}
@@ -301,7 +287,7 @@ func (e *Engine) TuneCandidate(ctx context.Context, system string, opts TuneOpti
 	}
 	// The accuracy windows scored the replaced model; clear them so the
 	// drift flag reflects the promoted one.
-	e.ResetAccuracy(system)
+	e.resetAccuracy(system)
 	e.tunePromotions.Inc()
 	out.Promoted = true
 	if improved {
@@ -358,7 +344,7 @@ func (e *Engine) RollbackModel(system string) (*modelver.Version, error) {
 	}); err != nil {
 		return nil, err
 	}
-	e.ResetAccuracy(system)
+	e.resetAccuracy(system)
 	e.tuneRollbacks.Inc()
 	prev.Live = true
 	prev.Profile = nil
@@ -407,7 +393,7 @@ func (e *Engine) StartTuner(cfg TunerConfig) *Tuner {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 2 * cfg.Interval
 	}
-	e.setDriftThreshold(cfg.DriftQ)
+	e.driftQ.Store(math.Float64bits(cfg.DriftQ))
 	t := &Tuner{
 		e:        e,
 		cfg:      cfg,
@@ -445,20 +431,9 @@ func (t *Tuner) loop() {
 // Drifting, from one stats snapshot.
 func (t *Tuner) drifting() map[string]bool {
 	out := map[string]bool{}
-	for key, snap := range t.e.AccuracyStats() {
-		i := len(key) - 1
-		for i >= 0 && key[i] != '/' {
-			i--
-		}
-		if i <= 0 {
-			continue
-		}
-		system := key[:i]
-		if system == querygrid.Master {
-			continue
-		}
-		if snap.Drifting {
-			out[system] = true
+	for _, s := range t.e.AccuracyStats() {
+		if s.Drifting && s.System != querygrid.Master {
+			out[s.System] = true
 		}
 	}
 	return out

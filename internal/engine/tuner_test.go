@@ -82,7 +82,7 @@ func TestTuneCandidatePromotion(t *testing.T) {
 	e, est, inj := newTuneRig(t)
 	driftRig(t, e, inj, 8)
 
-	acc := e.AccuracyStats()["hivebb/aggregation"]
+	acc := accuracyOf(e, "hivebb", "aggregation")
 	if !acc.Drifting || acc.MeanQError < metrics.DefaultDriftQError {
 		t.Fatalf("rig not drifting before tune: %+v", acc)
 	}
@@ -125,7 +125,7 @@ func TestTuneCandidatePromotion(t *testing.T) {
 
 	// The accuracy window scored the replaced model; promotion resets it so
 	// the drift flag does not latch against the new one.
-	acc = e.AccuracyStats()["hivebb/aggregation"]
+	acc = accuracyOf(e, "hivebb", "aggregation")
 	if acc.Drifting || acc.Window != 0 {
 		t.Errorf("drift flag latched after promotion: %+v", acc)
 	}
@@ -232,7 +232,7 @@ func TestRollbackModelRestoresBytes(t *testing.T) {
 	if s := e.PlanCacheStats(); s.Stale != staleBefore+2 {
 		t.Errorf("plan cache stale = %d, want %d", s.Stale, staleBefore+2)
 	}
-	if acc := e.AccuracyStats()["hivebb/aggregation"]; acc.Window != 0 {
+	if acc := accuracyOf(e, "hivebb", "aggregation"); acc.Window != 0 {
 		t.Errorf("accuracy window not reset by rollback: %+v", acc)
 	}
 	vs := e.ModelVersions("hivebb")
@@ -294,6 +294,61 @@ func TestModelSwapAfterInPlaceChangeInvalidates(t *testing.T) {
 	}
 }
 
+// TestModelChangeResetsOnlyItsSystem: a promotion or a rollback of hivebb's
+// model empties hivebb's accuracy windows and leaves the master's — here the
+// ORDER BY sort, which runs on the master — with their fill.
+func TestModelChangeResetsOnlyItsSystem(t *testing.T) {
+	e, _, inj := newTuneRig(t)
+	driftRig(t, e, inj, 8)
+	if _, err := e.Query(driftSQL + " ORDER BY a10"); err != nil {
+		t.Fatal(err)
+	}
+	masterFill := map[string]int{}
+	for _, s := range e.AccuracyStats() {
+		if s.System == "teradata" {
+			masterFill[s.Operator] = s.Window
+		}
+	}
+	if masterFill["sort"] == 0 {
+		t.Fatalf("no filled master sort window: %+v", e.AccuracyStats())
+	}
+	check := func(after string) {
+		t.Helper()
+		for _, s := range e.AccuracyStats() {
+			switch s.System {
+			case "hivebb":
+				if s.Window != 0 {
+					t.Errorf("after %s: hivebb/%s window holds %d samples, want 0", after, s.Operator, s.Window)
+				}
+			case "teradata":
+				if s.Window != masterFill[s.Operator] {
+					t.Errorf("after %s: teradata/%s window holds %d samples, want %d", after, s.Operator, s.Window, masterFill[s.Operator])
+				}
+			}
+		}
+	}
+
+	opts := fastTune()
+	opts.Force = true
+	if out, err := e.TuneCandidate(context.Background(), "hivebb", opts); err != nil || !out.Promoted {
+		t.Fatalf("forced tune: %+v, %v", out, err)
+	}
+	check("promotion")
+	if _, err := e.RollbackModel("hivebb"); err != nil {
+		t.Fatalf("RollbackModel: %v", err)
+	}
+	check("rollback")
+
+	// Both swaps moved the estimator registry's generation, so the next step
+	// rebuilds its step-table entry; the rebuilt entry keeps the window.
+	if _, err := e.Query(driftSQL + " ORDER BY a10"); err != nil {
+		t.Fatal(err)
+	}
+	if got := accuracyOf(e, "teradata", "sort"); got.Window != masterFill["sort"]+1 {
+		t.Errorf("teradata/sort window after the rebuild holds %d samples, want %d", got.Window, masterFill["sort"]+1)
+	}
+}
+
 func TestTuneCandidateValidation(t *testing.T) {
 	e, _, _ := newTuneRig(t)
 
@@ -344,12 +399,23 @@ func TestTunerBackgroundLoop(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if acc := e.AccuracyStats()["hivebb/aggregation"]; acc.Drifting {
+	if acc := accuracyOf(e, "hivebb", "aggregation"); acc.Drifting {
 		t.Errorf("drift flag still set after background promotion: %+v", acc)
 	}
 	if vs := e.ModelVersions("hivebb"); len(vs) < 2 {
 		t.Errorf("background promotion archived %d versions, want >= 2", len(vs))
 	}
+}
+
+// accuracyOf returns one (system, operator) pair's accuracy window, the zero
+// value when the pair has not executed.
+func accuracyOf(e *Engine, system, operator string) AccuracyStat {
+	for _, s := range e.AccuracyStats() {
+		if s.System == system && s.Operator == operator {
+			return s
+		}
+	}
+	return AccuracyStat{}
 }
 
 func mustHybrid(t *testing.T, e *Engine, system string) *hybrid.Estimator {

@@ -103,8 +103,13 @@ func (h *Histogram) stripe() *histStripe {
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	sec := d.Seconds()
+func (h *Histogram) Observe(d time.Duration) { h.observe(d) }
+
+// observe records one duration and returns the seconds it counted (negative
+// durations clamp to 0) and the index of the bucket it landed in,
+// len(h.bounds) for the overflow bucket.
+func (h *Histogram) observe(d time.Duration) (sec float64, bucket int) {
+	sec = d.Seconds()
 	if sec < 0 {
 		sec, d = 0, 0
 	}
@@ -114,10 +119,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	for i, b := range h.bounds {
 		if sec <= b {
 			st.counts[i].Add(1)
-			return
+			return sec, i
 		}
 	}
 	st.overflow.Add(1)
+	return sec, len(h.bounds)
 }
 
 // ObserveExemplar records one duration and, when traceID is non-zero, pins
@@ -125,27 +131,10 @@ func (h *Histogram) Observe(d time.Duration) {
 // one allocation and one atomic store beyond Observe; traceID 0 (the
 // untraced case) is exactly Observe.
 func (h *Histogram) ObserveExemplar(d time.Duration, traceID uint64) {
-	if traceID == 0 {
-		h.Observe(d)
-		return
+	sec, bucket := h.observe(d)
+	if traceID != 0 {
+		h.exemplars[bucket].Store(&Exemplar{ValueSec: sec, TraceID: traceID, UnixNano: time.Now().UnixNano()})
 	}
-	sec := d.Seconds()
-	if sec < 0 {
-		sec, d = 0, 0
-	}
-	ex := &Exemplar{ValueSec: sec, TraceID: traceID, UnixNano: time.Now().UnixNano()}
-	st := h.stripe()
-	st.count.Add(1)
-	st.sumNanos.Add(uint64(d.Nanoseconds()))
-	for i, b := range h.bounds {
-		if sec <= b {
-			st.counts[i].Add(1)
-			h.exemplars[i].Store(ex)
-			return
-		}
-	}
-	st.overflow.Add(1)
-	h.exemplars[len(h.bounds)].Store(ex)
 }
 
 // Bucket is one histogram bucket in a snapshot.

@@ -126,12 +126,49 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramExemplars: a traced observation pins its exemplar on the
+// bucket it landed in — the overflow bucket included — and an untraced one
+// pins nothing.
+func TestHistogramExemplars(t *testing.T) {
+	h := NewLatencyHistogram()
+	h.ObserveExemplar(100*time.Microsecond, 0)
+	h.ObserveExemplar(10*time.Minute, 0)
+	s := h.Snapshot()
+	for _, b := range s.Buckets {
+		if b.Exemplar != nil {
+			t.Errorf("untraced observation pinned %+v on bucket %v", b.Exemplar, b.UpperBoundSec)
+		}
+	}
+	if s.OverflowExemplar != nil || s.Count != 2 {
+		t.Fatalf("untraced snapshot = %+v", s)
+	}
+
+	h.ObserveExemplar(100*time.Microsecond, 7)
+	h.ObserveExemplar(10*time.Minute, 9)
+	s = h.Snapshot()
+	for i, b := range s.Buckets {
+		if i == 1 { // 100 µs sits on the 0.0001 bound
+			if b.Exemplar == nil || b.Exemplar.TraceID != 7 || b.Exemplar.ValueSec != 0.0001 {
+				t.Errorf("bucket %v exemplar = %+v, want trace 7 at 0.0001 s", b.UpperBoundSec, b.Exemplar)
+			}
+		} else if b.Exemplar != nil {
+			t.Errorf("bucket %v holds stray exemplar %+v", b.UpperBoundSec, b.Exemplar)
+		}
+	}
+	if ex := s.OverflowExemplar; ex == nil || ex.TraceID != 9 || ex.ValueSec != 600 {
+		t.Errorf("overflow exemplar = %+v, want trace 9 at 600 s", ex)
+	}
+	if s.Count != 4 || s.Overflow != 2 {
+		t.Errorf("count/overflow = %d/%d, want 4/2", s.Count, s.Overflow)
+	}
+}
+
 func TestAccuracyWindow(t *testing.T) {
 	a := NewAccuracy(4)
 	if s := a.Snapshot(); s.Count != 0 || s.Window != 0 || s.MeanQError != 0 {
 		t.Errorf("empty snapshot = %+v", s)
 	}
-	// Perfect predictions: q-error exactly 1, MAPE 0.
+	// Perfect predictions: q-error exactly 1.
 	for i := 0; i < 3; i++ {
 		a.Observe(2.0, 2.0)
 	}
@@ -139,11 +176,11 @@ func TestAccuracyWindow(t *testing.T) {
 	if s.Count != 3 || s.Window != 3 {
 		t.Fatalf("count/window = %d/%d", s.Count, s.Window)
 	}
-	if s.MeanQError != 1 || s.MaxQError != 1 || s.MAPEPercent != 0 || s.Drifting {
+	if s.MeanQError != 1 {
 		t.Errorf("perfect snapshot = %+v", s)
 	}
 	// The window rolls: 4 skewed observations evict the perfect ones.
-	// predicted 1 vs actual 4 → q-error 4, MAPE 75%.
+	// predicted 1 vs actual 4 → q-error 4.
 	for i := 0; i < 4; i++ {
 		a.Observe(1.0, 4.0)
 	}
@@ -151,14 +188,8 @@ func TestAccuracyWindow(t *testing.T) {
 	if s.Count != 7 || s.Window != 4 {
 		t.Fatalf("rolled count/window = %d/%d", s.Count, s.Window)
 	}
-	if s.MeanQError != 4 || s.MedianQError != 4 || s.P95QError != 4 || s.MaxQError != 4 {
-		t.Errorf("skewed q-errors = %+v", s)
-	}
-	if math.Abs(s.MAPEPercent-75) > 1e-9 {
-		t.Errorf("MAPE = %v, want 75", s.MAPEPercent)
-	}
-	if !s.Drifting {
-		t.Error("mean q-error 4 not flagged as drifting")
+	if s.MeanQError != 4 {
+		t.Errorf("skewed mean q-error = %+v", s)
 	}
 	// Overestimates count symmetrically: predicted 4 vs actual 1 is the
 	// same q-error 4.
@@ -168,18 +199,8 @@ func TestAccuracyWindow(t *testing.T) {
 		t.Errorf("overestimate q-error = %v, want 4", s.MeanQError)
 	}
 	// Degenerate actuals stay finite.
-	b.Observe(1.0, 0)
-	if s := b.Snapshot(); math.IsInf(s.MaxQError, 1) || math.IsNaN(s.MaxQError) {
-		t.Errorf("zero-actual q-error = %v", s.MaxQError)
-	}
-	// A raised threshold unflags drift.
-	a.SetDriftThreshold(10)
-	if a.Snapshot().Drifting {
-		t.Error("drift flagged above custom threshold")
-	}
-	a.SetDriftThreshold(0) // restores the default
-	if !a.Snapshot().Drifting {
-		t.Error("default threshold not restored")
+	if q := QError(1.0, 0); math.IsInf(q, 1) || math.IsNaN(q) {
+		t.Errorf("zero-actual q-error = %v", q)
 	}
 }
 

@@ -203,15 +203,20 @@ func TestDriftThresholdIsOneDecision(t *testing.T) {
 
 	acc := e.Stats().Accuracy
 	prom := getText(t, srv.URL+"/metrics/prom")
-	for _, key := range []string{"hive/aggregation", "teradata/scan"} {
-		w := acc[key]
+	for _, pair := range [][2]string{{"hive", "aggregation"}, {"teradata", "scan"}} {
+		system, op := pair[0], pair[1]
+		var w engine.AccuracyStat
+		for _, a := range acc {
+			if a.System == system && a.Operator == op {
+				w = a
+			}
+		}
 		if w.MeanQError <= 1.2 || w.MeanQError >= metrics.DefaultDriftQError {
-			t.Fatalf("%s mean q-error = %v, want between the two thresholds", key, w.MeanQError)
+			t.Fatalf("%s/%s mean q-error = %v, want between the two thresholds", system, op, w.MeanQError)
 		}
 		if !w.Drifting {
-			t.Errorf("Stats: %s at mean q-error %v not drifting under DriftQ 1.2", key, w.MeanQError)
+			t.Errorf("Stats: %s/%s at mean q-error %v not drifting under DriftQ 1.2", system, op, w.MeanQError)
 		}
-		system, op := splitAccuracyKey(key)
 		line := `intellisphere_estimator_drifting{system="` + system + `",operator="` + op + `"} 1`
 		if !strings.Contains(prom, line+"\n") {
 			t.Errorf("/metrics/prom lacks %q", line)

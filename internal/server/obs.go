@@ -50,8 +50,8 @@ func (s *Server) ObsSource() func() obs.Cumulative {
 		var qerr map[string]float64
 		if len(st.Accuracy) > 0 {
 			qerr = make(map[string]float64, len(st.Accuracy))
-			for k, a := range st.Accuracy {
-				qerr[k] = a.MeanQError
+			for _, a := range st.Accuracy {
+				qerr[a.System+"/"+a.Operator] = a.MeanQError
 			}
 		}
 		var lat metrics.HistogramSnapshot

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"intellisphere/internal/engine"
 	"intellisphere/internal/metrics"
 	"intellisphere/internal/obs"
 	"intellisphere/internal/resilience"
@@ -238,34 +239,23 @@ func exemplar(b *strings.Builder, e *metrics.Exemplar) {
 		e.TraceID, promFloat(e.ValueSec), promFloat(float64(e.UnixNano)/1e9))
 }
 
-// writeAccuracy renders the estimator-accuracy windows as labeled gauges:
-// one sample per (system, operator) pair and statistic.
-func writeAccuracy(b *strings.Builder, acc map[string]metrics.AccuracySnapshot) {
+// writeAccuracy renders the estimator-accuracy windows as labeled samples:
+// one per (system, operator) pair and statistic, in the engine's
+// (system, operator) order.
+func writeAccuracy(b *strings.Builder, acc []engine.AccuracyStat) {
 	if len(acc) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type stat struct {
-		name, help string
-		value      func(metrics.AccuracySnapshot) float64
-	}
-	stats := []stat{
-		{"intellisphere_estimator_observations_total", "Lifetime (predicted, observed) pairs scored.",
-			func(s metrics.AccuracySnapshot) float64 { return float64(s.Count) }},
-		{"intellisphere_estimator_mean_q_error", "Mean q-error over the rolling window (1 is perfect).",
-			func(s metrics.AccuracySnapshot) float64 { return s.MeanQError }},
-		{"intellisphere_estimator_p95_q_error", "95th-percentile q-error over the rolling window.",
-			func(s metrics.AccuracySnapshot) float64 { return s.P95QError }},
-		{"intellisphere_estimator_max_q_error", "Maximum q-error over the rolling window.",
-			func(s metrics.AccuracySnapshot) float64 { return s.MaxQError }},
-		{"intellisphere_estimator_mape_percent", "Mean absolute percentage error over the rolling window.",
-			func(s metrics.AccuracySnapshot) float64 { return s.MAPEPercent }},
-		{"intellisphere_estimator_drifting", "1 when the window's mean q-error exceeds the drift threshold.",
-			func(s metrics.AccuracySnapshot) float64 {
+	stats := []struct {
+		name, help, typ string
+		value           func(engine.AccuracyStat) float64
+	}{
+		{"intellisphere_estimator_observations_total", "Lifetime (predicted, observed) pairs scored.", "counter",
+			func(s engine.AccuracyStat) float64 { return float64(s.Count) }},
+		{"intellisphere_estimator_mean_q_error", "Mean q-error over the rolling window (1 is perfect).", "gauge",
+			func(s engine.AccuracyStat) float64 { return s.MeanQError }},
+		{"intellisphere_estimator_drifting", "1 when the window's mean q-error exceeds the drift threshold.", "gauge",
+			func(s engine.AccuracyStat) float64 {
 				if s.Drifting {
 					return 1
 				}
@@ -273,23 +263,10 @@ func writeAccuracy(b *strings.Builder, acc map[string]metrics.AccuracySnapshot) 
 			}},
 	}
 	for _, st := range stats {
-		typ := "gauge"
-		if strings.HasSuffix(st.name, "_total") {
-			typ = "counter"
-		}
-		header(b, st.name, st.help, typ)
-		for _, k := range keys {
-			system, operator := splitAccuracyKey(k)
+		header(b, st.name, st.help, st.typ)
+		for _, a := range acc {
 			fmt.Fprintf(b, "%s{system=\"%s\",operator=\"%s\"} %s\n",
-				st.name, escapeLabel(system), escapeLabel(operator), promFloat(st.value(acc[k])))
+				st.name, escapeLabel(a.System), escapeLabel(a.Operator), promFloat(st.value(a)))
 		}
 	}
-}
-
-// splitAccuracyKey splits the engine's "system/operator" accuracy key.
-func splitAccuracyKey(k string) (system, operator string) {
-	if i := strings.LastIndex(k, "/"); i >= 0 {
-		return k[:i], k[i+1:]
-	}
-	return k, ""
 }

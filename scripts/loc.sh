@@ -8,7 +8,9 @@
 # Then the surface counts the roadmap's north star quotes: HTTP routes,
 # cmd/serve flags, /metrics/prom series (the checked-in inventory that
 # TestPromSeriesInventory holds to a live scrape; absent before PR 17), and
-# the environment variables non-test code outside bench/ reads (the standing
+# by name the series of that file no tracked .go file or script other than
+# prom.go names (nothing reads them: the candidates for deletion), and the
+# environment variables non-test code outside bench/ reads (the standing
 # rule is "no new env var"; this makes it a number).
 # Next the settable values: fields of exported *Config structs in non-test Go
 # under internal/ (one per field line), beside the flag count.
@@ -34,6 +36,10 @@ if [ -f "$series" ]; then
 	printf '%7d  series on /metrics/prom of a default server (%d more with -data-dir and -event-log)\n' \
 		"$(awk '/^# With -data-dir/ { exit } /^[^#]/ { n++ } END { print n + 0 }' "$series")" \
 		"$(awk '/^# With -data-dir/ { on = 1; next } on && /^[^#]/ { n++ } END { print n + 0 }' "$series")"
+	unread=$(grep -v '^#' "$series" | while read -r s; do
+		git grep -qF -- "$s" -- '*.go' 'scripts/*' ':!internal/server/prom.go' || printf ' %s' "$s"
+	done)
+	printf '%7d  series no tracked .go file or script but prom.go names:%s\n' "$(echo $unread | wc -w)" "$unread"
 fi
 printf '%7d  fields of exported *Config structs under internal/\n' "$(
 	git ls-files -- 'internal/*.go' | grep -v -e '_test\.go$' -e '/testdata/' | xargs awk '
