@@ -16,10 +16,10 @@
 //	GET  /query?q=SELECT+...                   curl-friendly form of the above
 //	GET  /query?q=SELECT+...&trace=1           traced form: returns the span tree
 //	GET  /profiles                             registered systems and estimators
-//	GET  /metrics/prom                         every counter, Prometheus text format
+//	GET  /metrics/prom                         serving counters, Prometheus text format
 //	GET  /trace?n=5&format=text                recent traced queries
 //	GET  /trace?errors=1&system=hive&min_ms=50 filtered traces
-//	GET  /events?n=100&errors=1                recent wide query events
+//	GET  /events?n=100&errors=1                recent wide events and the total captured
 //	GET  /history?window=15m&step=10s          embedded metrics time series
 //	GET  /slo                                  objectives, burn rates, alert states
 //	GET  /health                               breaker states and fallback counters
@@ -66,7 +66,8 @@
 // histogram, -event-sample of ordinary queries (plus every error and every
 // query past -slow-query-ms) become wide events on /events, a collector
 // samples the key serving series every -obs-step into the /history ring, and
-// the -slo-* objectives evaluate multi-window burn-rate alerts on /slo.
+// the -slo-* objectives evaluate multi-window burn-rate alerts on /slo (burn
+// rates and transition counts there; /metrics/prom carries each alert state).
 // -event-log additionally streams events to a size-rotated NDJSON file.
 // -obs-step 0 switches the whole pipeline off; the engine then pays one
 // atomic load per query for it and nothing else.

@@ -33,32 +33,32 @@ type RecoverFuncs struct {
 	Apply   func(rec Record) error
 }
 
-// Recovery reports what Open did, for logs, /health, and /metrics/prom.
+// Recovery reports what Open did, for logs, /metrics/prom, and /health,
+// which serves it as is (hence the JSON tags).
 type Recovery struct {
 	// Restored reports a snapshot was successfully restored.
-	Restored bool
+	Restored bool `json:"restored"`
 	// SnapshotSeq is the restored snapshot's sequence number (0 if none).
-	SnapshotSeq uint64
+	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
 	// SnapshotsDiscarded counts snapshot files that failed to restore and
 	// were skipped in favor of an older one.
-	SnapshotsDiscarded int
+	SnapshotsDiscarded int `json:"snapshots_discarded,omitempty"`
 	// Replayed is how many WAL records were applied past the snapshot.
-	Replayed int
+	Replayed int `json:"replayed"`
 	// SkippedCovered is how many structurally valid WAL records were already
 	// covered by the snapshot (crash between snapshot and log rotation).
-	SkippedCovered int
+	SkippedCovered int `json:"skipped_covered,omitempty"`
 	// TornTail and TruncatedBytes describe WAL tail truncation (see ReplayInfo).
-	TornTail       bool
-	TruncatedBytes int64
+	TornTail       bool  `json:"torn_tail,omitempty"`
+	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 	// DurationSec is the wall time recovery took.
-	DurationSec float64
+	DurationSec float64 `json:"duration_sec"`
 }
 
 // Stats is a point-in-time durability summary for the metrics surface.
 type Stats struct {
-	// WALBytes and WALRecords describe the current log segment.
-	WALBytes   int64
-	WALRecords int
+	// WALBytes is the current log segment's length.
+	WALBytes int64
 	// Seq is the last assigned mutation sequence number.
 	Seq uint64
 	// SnapshotSeq is the seq the newest on-disk snapshot covers.
@@ -235,7 +235,6 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	return Stats{
 		WALBytes:     s.wal.Size(),
-		WALRecords:   s.wal.Records(),
 		Seq:          s.seq,
 		SnapshotSeq:  s.snapSeq,
 		LastSnapshot: s.snapTime,

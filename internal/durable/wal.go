@@ -44,10 +44,9 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 // returns, so an acknowledged record survives SIGKILL. Safe for concurrent
 // appends (callers serialize on the owning Store's mutex in practice).
 type WAL struct {
-	f     *os.File
-	path  string
-	size  int64
-	nrecs int
+	f    *os.File
+	path string
+	size int64
 }
 
 // ReplayInfo reports what OpenWAL found on disk.
@@ -89,7 +88,7 @@ func OpenWAL(path string) (*WAL, []Record, ReplayInfo, error) {
 		f.Close()
 		return nil, nil, info, err
 	}
-	return &WAL{f: f, path: path, size: valid, nrecs: len(recs)}, recs, info, nil
+	return &WAL{f: f, path: path, size: valid}, recs, info, nil
 }
 
 // scanWAL walks the framed records in data, returning the decoded valid
@@ -142,15 +141,11 @@ func (w *WAL) Append(rec Record) error {
 		return fmt.Errorf("durable: sync wal: %w", err)
 	}
 	w.size += int64(len(frame))
-	w.nrecs++
 	return nil
 }
 
 // Size is the log's current byte length (the snapshot-rotation trigger).
 func (w *WAL) Size() int64 { return w.size }
-
-// Records is how many records the log currently holds (replayed + appended).
-func (w *WAL) Records() int { return w.nrecs }
 
 // Reset empties the log — called after a snapshot has captured everything
 // the log recorded, so recovery never replays a covered mutation twice
@@ -163,7 +158,6 @@ func (w *WAL) Reset() error {
 		return fmt.Errorf("durable: rotate wal: %w", err)
 	}
 	w.size = 0
-	w.nrecs = 0
 	return nil
 }
 

@@ -80,14 +80,6 @@ func (h *History) Append(s *Sample) {
 	}
 }
 
-// Count reports how many samples were ever appended.
-func (h *History) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.ring.Count()
-}
-
 // Recent returns up to n of the most recent samples, newest first (n <= 0
 // selects the whole buffer).
 func (h *History) Recent(n int) []*Sample {

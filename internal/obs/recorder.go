@@ -40,11 +40,9 @@ type Recorder struct {
 	every     uint64 // capture 1 in every N ordinary queries; 0 = never
 	slowNanos int64
 
-	seq      atomic.Uint64 // head-sampling counter
-	captured metrics.Counter
-	errors   metrics.Counter
-	slow     metrics.Counter
-	skipped  metrics.Counter
+	seq    atomic.Uint64 // head-sampling counter
+	errors metrics.Counter
+	slow   metrics.Counter
 }
 
 // NewRecorder builds a recorder. SampleRate is clamped to [0, 1] and
@@ -87,7 +85,6 @@ func (r *Recorder) Sample(failed bool, latency time.Duration) (capture string, o
 	if r.every > 0 && r.seq.Add(1)%r.every == 0 {
 		return "head", true
 	}
-	r.skipped.Inc()
 	return "", false
 }
 
@@ -100,12 +97,12 @@ func (r *Recorder) Observe(latency time.Duration, traceID uint64) {
 	r.Latency.ObserveExemplar(latency, traceID)
 }
 
-// Record publishes an event to the ring (assigning its ID) and counts it.
+// Record publishes an event to the ring, assigning its ID: the ring's
+// Count is the number of events ever captured.
 func (r *Recorder) Record(ev *Event) {
 	if r == nil || ev == nil {
 		return
 	}
-	r.captured.Inc()
 	r.ring.Record(ev)
 }
 
@@ -126,27 +123,17 @@ func (r *Recorder) LatencySnapshot() metrics.HistogramSnapshot {
 	return r.Latency.Snapshot()
 }
 
-// RecorderStats is the recorder's own health counters, exported on
-// /metrics and /metrics/prom.
+// RecorderStats counts the captures of the two always-on rules, exported on
+// /metrics/prom. Every capture, head-sampled ones included, is Ring().Count().
 type RecorderStats struct {
-	Captured uint64 `json:"captured"`
-	Errors   uint64 `json:"errors"`
-	Slow     uint64 `json:"slow"`
-	Skipped  uint64 `json:"skipped"`
-	// BufferSeq is the newest ring sequence number.
-	BufferSeq uint64 `json:"buffer_seq"`
+	Errors uint64
+	Slow   uint64
 }
 
-// Stats reports capture counters.
+// Stats reports the always-on rules' capture counters.
 func (r *Recorder) Stats() RecorderStats {
 	if r == nil {
 		return RecorderStats{}
 	}
-	return RecorderStats{
-		Captured:  r.captured.Value(),
-		Errors:    r.errors.Value(),
-		Slow:      r.slow.Value(),
-		Skipped:   r.skipped.Value(),
-		BufferSeq: r.ring.Count(),
-	}
+	return RecorderStats{Errors: r.errors.Value(), Slow: r.slow.Value()}
 }

@@ -25,7 +25,6 @@ type FileSink struct {
 	size   int64
 	cursor uint64
 
-	written   metrics.Counter
 	lost      metrics.Counter
 	writeErrs metrics.Counter
 	rotations metrics.Counter
@@ -71,9 +70,6 @@ func NewFileSink(ring *Ring, path string, maxBytes int64, interval time.Duration
 		done:     make(chan struct{}),
 	}, nil
 }
-
-// Path reports where the sink writes.
-func (s *FileSink) Path() string { return s.path }
 
 // Start launches the drain loop.
 func (s *FileSink) Start() {
@@ -126,8 +122,6 @@ func (s *FileSink) drain() {
 			s.size += int64(n)
 			if err != nil {
 				s.writeErrs.Inc()
-			} else {
-				s.written.Inc()
 			}
 		}
 		if len(evs) < sinkDrainBatch {
@@ -157,7 +151,6 @@ func (s *FileSink) rotate() {
 
 // SinkStats is the sink's health counters.
 type SinkStats struct {
-	Written   uint64 `json:"written"`
 	Lost      uint64 `json:"lost"`
 	WriteErrs uint64 `json:"write_errs"`
 	Rotations uint64 `json:"rotations"`
@@ -169,7 +162,6 @@ func (s *FileSink) Stats() SinkStats {
 		return SinkStats{}
 	}
 	return SinkStats{
-		Written:   s.written.Value(),
 		Lost:      s.lost.Value(),
 		WriteErrs: s.writeErrs.Value(),
 		Rotations: s.rotations.Value(),

@@ -263,20 +263,3 @@ func (s *SLO) Snapshot() []Alert {
 	}
 	return out
 }
-
-// Firing counts objectives currently in the firing state — the /health
-// summary figure.
-func (s *SLO) Firing() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int
-	for _, st := range s.states {
-		if st.state == StateFiring {
-			n++
-		}
-	}
-	return n
-}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"intellisphere/internal/catalog"
+	"intellisphere/internal/durable"
 	"intellisphere/internal/engine"
 	"intellisphere/internal/querygrid"
 )
@@ -140,27 +141,15 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// recoveryStatus is the wire shape of the boot recovery summary on /health.
-type recoveryStatus struct {
-	Restored           bool    `json:"restored"`
-	SnapshotSeq        uint64  `json:"snapshot_seq,omitempty"`
-	SnapshotsDiscarded int     `json:"snapshots_discarded,omitempty"`
-	Replayed           int     `json:"replayed"`
-	SkippedCovered     int     `json:"skipped_covered,omitempty"`
-	TornTail           bool    `json:"torn_tail,omitempty"`
-	TruncatedBytes     int64   `json:"truncated_bytes,omitempty"`
-	DurationSec        float64 `json:"duration_sec"`
-}
-
 // durabilityStatus is the durability block on /health: what recovery did at
 // boot plus the live snapshot/WAL position.
 type durabilityStatus struct {
-	Recovery       recoveryStatus `json:"recovery"`
-	Seq            uint64         `json:"seq"`
-	WALBytes       int64          `json:"wal_bytes"`
-	SnapshotSeq    uint64         `json:"snapshot_seq"`
-	SnapshotAgeSec float64        `json:"snapshot_age_sec,omitempty"`
-	SnapshotErrors uint64         `json:"snapshot_errors,omitempty"`
+	Recovery       durable.Recovery `json:"recovery"`
+	Seq            uint64           `json:"seq"`
+	WALBytes       int64            `json:"wal_bytes"`
+	SnapshotSeq    uint64           `json:"snapshot_seq"`
+	SnapshotAgeSec float64          `json:"snapshot_age_sec,omitempty"`
+	SnapshotErrors uint64           `json:"snapshot_errors,omitempty"`
 }
 
 // healthResponse extends the engine's availability verdict with the
@@ -178,19 +167,9 @@ func (s *Server) durabilityStatus() *durabilityStatus {
 	if s.dur == nil {
 		return nil
 	}
-	rec := s.dur.Recovery()
 	st, snapErrs := s.dur.Stats()
 	out := &durabilityStatus{
-		Recovery: recoveryStatus{
-			Restored:           rec.Restored,
-			SnapshotSeq:        rec.SnapshotSeq,
-			SnapshotsDiscarded: rec.SnapshotsDiscarded,
-			Replayed:           rec.Replayed,
-			SkippedCovered:     rec.SkippedCovered,
-			TornTail:           rec.TornTail,
-			TruncatedBytes:     rec.TruncatedBytes,
-			DurationSec:        rec.DurationSec,
-		},
+		Recovery:       s.dur.Recovery(),
 		Seq:            st.Seq,
 		WALBytes:       st.WALBytes,
 		SnapshotSeq:    st.SnapshotSeq,

@@ -5,12 +5,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"intellisphere/internal/engine"
 	"intellisphere/internal/faults"
+	"intellisphere/internal/querygrid"
 )
 
 // newDurableTestServer is newTestServer with a data directory attached, so
@@ -154,6 +157,62 @@ func TestHealthDurabilityBlock(t *testing.T) {
 	if _, ok := raw["durability"]; ok {
 		t.Error("stateless server reports a durability block")
 	}
+
+	// The recovery block is durable.Recovery as is: pin the keys a server on
+	// a fresh data directory emits, and those of one recovered from a
+	// snapshot and a log.
+	recoveryKeys := func(e *engine.Engine, d *engine.Durability) []string {
+		t.Helper()
+		srv := httptest.NewServer(New(e).WithDurability(d).Handler(10 * time.Second))
+		defer srv.Close()
+		var h struct {
+			Durability struct {
+				Recovery map[string]json.RawMessage `json:"recovery"`
+			} `json:"durability"`
+		}
+		getJSON(t, srv.URL+"/health", &h)
+		var keys []string
+		for k := range h.Durability.Recovery {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	link := func(bw float64) querygrid.LinkConfig {
+		return querygrid.LinkConfig{BandwidthBytesPerSec: bw, LatencySec: 0.1, PerRowOverheadUS: 1}
+	}
+
+	dir := t.TempDir()
+	e1 := newBenchEngine(t)
+	d1, _, err := engine.OpenDurability(e1, engine.DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := recoveryKeys(e1, d1), []string{"duration_sec", "replayed", "restored"}; !slices.Equal(got, want) {
+		t.Errorf("fresh data directory: recovery keys %v, want %v", got, want)
+	}
+	if err := e1.SetLink("hive", link(5e7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e1.SetLink("hive", link(6e7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newBenchEngine(t)
+	d2, _, err := engine.OpenDurability(e2, engine.DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if got, want := recoveryKeys(e2, d2), []string{"duration_sec", "replayed", "restored", "snapshot_seq"}; !slices.Equal(got, want) {
+		t.Errorf("recovered server: recovery keys %v, want %v", got, want)
+	}
 }
 
 func TestPromDurabilityGauges(t *testing.T) {
@@ -163,27 +222,25 @@ func TestPromDurabilityGauges(t *testing.T) {
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(srv.URL + "/metrics/prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	for _, want := range []string{
-		"intellisphere_wal_bytes 0",
-		"intellisphere_durable_seq 1",
-		"intellisphere_wal_appends_total 1",
-		"intellisphere_snapshots_total 1",
-		"intellisphere_snapshot_age_seconds",
-		"intellisphere_recovery_records_replayed 0",
-		"intellisphere_recovery_duration_seconds",
+	m := checkPromFormat(t, getText(t, srv.URL+"/metrics/prom"))
+	// A server test cannot cheaply make a background snapshot fail, so the
+	// error series is held to the count the engine keeps.
+	_, snapErrs := d.Stats()
+	for name, want := range map[string]float64{
+		"intellisphere_wal_bytes":                 0,
+		"intellisphere_durable_seq":               1,
+		"intellisphere_wal_appends_total":         1,
+		"intellisphere_snapshots_total":           1,
+		"intellisphere_snapshot_errors_total":     float64(snapErrs),
+		"intellisphere_recovery_records_replayed": 0,
 	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("prom output missing %q", want)
+		if got, ok := m[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"intellisphere_snapshot_age_seconds", "intellisphere_recovery_duration_seconds"} {
+		if _, ok := m[name]; !ok {
+			t.Errorf("prom output missing %s", name)
 		}
 	}
 

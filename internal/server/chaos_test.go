@@ -72,10 +72,10 @@ func newChaosServer(t *testing.T) (*httptest.Server, *engine.Engine, *faults.Inj
 	return srv, e, inj
 }
 
-// postFault flips one system's outage switch through the control plane.
-func postFault(t *testing.T, url, system string, outage bool) {
+// postFault sends one request to the fault control plane.
+func postFault(t *testing.T, url string, req faultRequest) {
 	t.Helper()
-	body, _ := json.Marshal(faultRequest{System: system, Outage: &outage})
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/faults", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +86,18 @@ func postFault(t *testing.T, url, system string, outage bool) {
 	}
 }
 
+// outage builds the /faults request that forces or lifts a system's outage.
+func outage(system string, down bool) faultRequest {
+	return faultRequest{System: system, Outage: &down}
+}
+
 // TestChaosServeOutageAndRecovery drives the serving stack through a full
 // outage cycle: degraded answers while hive is down, /health flipping to
 // 503 once the breaker opens, and both recovering after the outage lifts.
+// The fault counters on /metrics/prom are checked where the faults are
+// raised: at the outage's quiescent point they are the numbers /health
+// reports, and a transient fault rate dialled in for one query moves
+// retries_total.
 func TestChaosServeOutageAndRecovery(t *testing.T) {
 	srv, e, _ := newChaosServer(t)
 	const q = "/query?q=SELECT+a5,+COUNT(a1)+FROM+rep_t+GROUP+BY+a5"
@@ -105,7 +114,7 @@ func TestChaosServeOutageAndRecovery(t *testing.T) {
 		t.Fatalf("healthy /health = %d %+v", resp.StatusCode, h)
 	}
 
-	postFault(t, srv.URL, "hive", true)
+	postFault(t, srv.URL, outage("hive", true))
 	for i := 0; i < 3; i++ {
 		qr = queryResponse{}
 		if resp := getJSON(t, srv.URL+q, &qr); resp.StatusCode != http.StatusOK {
@@ -133,8 +142,20 @@ func TestChaosServeOutageAndRecovery(t *testing.T) {
 	if len(fs) != 1 || fs[0].System != "hive" || !fs[0].Down || fs[0].Stats.OutageRejects == 0 {
 		t.Fatalf("/faults during outage = %+v", fs)
 	}
+	m := checkPromFormat(t, getText(t, srv.URL+"/metrics/prom"))
+	hive := h.Resilience.Breakers["hive"]
+	for name, want := range map[string]uint64{
+		"intellisphere_fallbacks_total":                       h.Resilience.Fallbacks,
+		"intellisphere_degraded_queries_total":                h.Resilience.DegradedQueries,
+		`intellisphere_breaker_opens_total{system="hive"}`:    hive.Opens,
+		`intellisphere_breaker_rejected_total{system="hive"}`: hive.Rejected,
+	} {
+		if got, ok := m[name]; !ok || got != float64(want) {
+			t.Errorf("during outage %s = %v (present %v), /health says %d", name, got, ok, want)
+		}
+	}
 
-	postFault(t, srv.URL, "hive", false)
+	postFault(t, srv.URL, outage("hive", false))
 	// Let the 50ms open window lapse so the next call half-opens the
 	// breaker; its success closes it again.
 	deadline := time.Now().Add(5 * time.Second)
@@ -154,6 +175,18 @@ func TestChaosServeOutageAndRecovery(t *testing.T) {
 	}
 	if resp := getJSON(t, srv.URL+"/health", &h); resp.StatusCode != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("/health after recovery = %d %+v", resp.StatusCode, h)
+	}
+
+	retries := func() float64 {
+		return checkPromFormat(t, getText(t, srv.URL+"/metrics/prom"))["intellisphere_retries_total"]
+	}
+	before := retries()
+	postFault(t, srv.URL, faultRequest{System: "hive", Rates: &faults.Rates{Transient: 1}})
+	getJSON(t, srv.URL+q, &qr)
+	postFault(t, srv.URL, faultRequest{System: "hive", Rates: &faults.Rates{}})
+	if after := retries(); after <= before || after != float64(e.Stats().Resilience.Retries) {
+		t.Errorf("retries_total %v before a query under transient faults, %v after; the engine counts %d",
+			before, after, e.Stats().Resilience.Retries)
 	}
 }
 

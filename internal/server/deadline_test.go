@@ -141,6 +141,14 @@ func reconciles(st admission.Stats) bool {
 	return st.Offered == st.Admitted+st.RateLimited+st.ShedQueueFull+st.ShedDeadline+st.Canceled
 }
 
+// promReconciles is reconciles over a /metrics/prom scrape: the admission
+// series add up the way admission.Stats does.
+func promReconciles(m map[string]float64) bool {
+	return m["intellisphere_admission_offered_total"] == m["intellisphere_admission_admitted_total"]+
+		m["intellisphere_admission_rate_limited_total"]+m["intellisphere_admission_shed_queue_full_total"]+
+		m["intellisphere_admission_shed_deadline_total"]+m["intellisphere_admission_canceled_total"]
+}
+
 // TestQueuedPastDeadline: a request still waiting for a slot when its
 // deadline passes answers 503 "timeout" and is counted as canceled.
 func TestQueuedPastDeadline(t *testing.T) {
@@ -238,8 +246,15 @@ func TestClientHangsUpWhileQueued(t *testing.T) {
 	}
 	waitFor(t, "the queue to empty", func() bool { return s.Admission().Queued == 0 })
 	release()
-	if st := s.Admission(); st.InFlight != 0 || st.Queued != 0 || st.Canceled != 1 || !reconciles(st) {
+	st := s.Admission()
+	if st.InFlight != 0 || st.Queued != 0 || st.Canceled != 1 || !reconciles(st) {
 		t.Errorf("admission after the client hung up: %+v", st)
+	}
+	m := checkPromFormat(t, getText(t, srv.URL+"/metrics/prom"))
+	if m["intellisphere_admission_canceled_total"] != 1 || m["intellisphere_admission_admitted_total"] != float64(st.Admitted) || !promReconciles(m) {
+		t.Errorf("admission series after the client hung up: offered %v, admitted %v, canceled %v; admission.Stats: %+v",
+			m["intellisphere_admission_offered_total"], m["intellisphere_admission_admitted_total"],
+			m["intellisphere_admission_canceled_total"], st)
 	}
 }
 

@@ -101,12 +101,10 @@ func (s *Server) writeObsDisabled(w http.ResponseWriter) {
 }
 
 // eventsResponse is the GET /events payload. Total counts every event ever
-// captured (the ring holds only the newest), Stats reports the sampler's
-// capture/skip counters, Events is newest-first.
+// captured (the ring holds only the newest), Events is newest-first.
 type eventsResponse struct {
-	Total  uint64            `json:"total"`
-	Stats  obs.RecorderStats `json:"stats"`
-	Events []*obs.Event      `json:"events"`
+	Total  uint64       `json:"total"`
+	Events []*obs.Event `json:"events"`
 }
 
 // recentFilter is the query /trace and /events share over their rings: ?n=
@@ -189,7 +187,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ring := s.obs.Rec.Ring()
 	s.writeJSON(w, http.StatusOK, eventsResponse{
 		Total:  ring.Count(),
-		Stats:  s.obs.Rec.Stats(),
 		Events: recentMatching(f, ring.Recent, eventFields, eventTouches),
 	})
 }
@@ -250,7 +247,8 @@ type sloResponse struct {
 
 // handleSLO serves every declared objective's evaluation: burn rates over
 // both windows, alert state, and lifetime fired/resolved counts. Enabled is
-// false when the observer runs without objectives.
+// false when the observer runs without objectives. Firing is counted from
+// the one snapshot the body carries, so it always agrees with the states.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if s.obs == nil {
 		s.writeObsDisabled(w)
@@ -259,9 +257,13 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	resp := sloResponse{Objectives: []obs.Alert{}}
 	if slo := s.obs.SLO; slo != nil {
 		resp.Enabled = true
-		resp.Firing = slo.Firing()
 		if alerts := slo.Snapshot(); alerts != nil {
 			resp.Objectives = alerts
+		}
+		for _, a := range resp.Objectives {
+			if a.State == obs.StateFiring {
+				resp.Firing++
+			}
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

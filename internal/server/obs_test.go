@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -369,15 +371,18 @@ func TestPromObservabilityMetrics(t *testing.T) {
 		Step:       20 * time.Millisecond,
 		Objectives: obs.DefaultObjectives(0.999, 250*time.Millisecond, 0, time.Minute, 5*time.Minute, 14),
 	})
-	// A traced query pins exemplars into the latency histograms.
-	resp, err := http.Get(srv.URL + "/query?trace=1&q=SELECT+a1+FROM+t10000_100")
-	if err != nil {
-		t.Fatal(err)
+	// A traced query pins exemplars into the latency histograms; a failed
+	// one is captured by the always-on error rule.
+	for _, path := range []string{"/query?trace=1&q=SELECT+a1+FROM+t10000_100", "/query?q=SELECT+nope+FROM+missing"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 
-	resp, err = http.Get(srv.URL + "/metrics/prom")
+	resp, err := http.Get(srv.URL + "/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,8 +402,14 @@ func TestPromObservabilityMetrics(t *testing.T) {
 			t.Errorf("exposition missing %s", name)
 		}
 	}
-	if got := samples["intellisphere_query_seconds_count"]; got != 1 {
-		t.Errorf("query_seconds_count = %v, want 1", got)
+	for name, want := range map[string]float64{
+		"intellisphere_query_seconds_count":   2,
+		"intellisphere_events_captured_total": 2,
+		"intellisphere_events_errors_total":   1,
+	} {
+		if got := samples[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 	var sawBuild, sawSLO bool
 	for k := range samples {
@@ -473,5 +484,46 @@ func TestCachedFromSecondSighting(t *testing.T) {
 	m := checkPromFormat(t, getText(t, srv.URL+"/metrics/prom"))
 	if hits, size := m["intellisphere_plan_cache_hits_total"], m["intellisphere_plan_cache_size"]; hits != 4+2 || size != 4+1 {
 		t.Errorf("%v plan-cache hits and %v statements resident, want 6 (one a statement, two for the batches' companion, sent four times) and 5", hits, size)
+	}
+}
+
+// TestPromEventLogCounters: the event log's two failure counters move when
+// their failure happens. Ten captured queries into a four-slot ring before
+// the sink's first drain lose six events; a log on /dev/full, which answers
+// every write with ENOSPC, also fails to write the four it reaches.
+func TestPromEventLogCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name, path        string
+		lost, writeErrors float64
+	}{
+		{"lapped ring", filepath.Join(t.TempDir(), "events.ndjson"), 6, 0},
+		{"full disk", "/dev/full", 6, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := os.Stat(tc.path); tc.path == "/dev/full" && err != nil {
+				t.Skip("no /dev/full here")
+			}
+			o, err := obs.New(obs.Config{
+				Events:       obs.RecorderConfig{SampleRate: 1, RingSize: 4},
+				EventLogPath: tc.path,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(newBenchEngine(t)).WithObservability(o)
+			h := s.Handler(10 * time.Second)
+			for i := 0; i < 10; i++ {
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/query?q=SELECT+a1+FROM+t10000_100", nil))
+			}
+			o.Start(s.ObsSource())
+			o.Stop() // the sink's final drain
+			m := promScrape(t, h)
+			if got := m["intellisphere_event_log_lost_total"]; got != tc.lost {
+				t.Errorf("event_log_lost_total = %v, want %v", got, tc.lost)
+			}
+			if got := m["intellisphere_event_log_write_errors_total"]; got != tc.writeErrors {
+				t.Errorf("event_log_write_errors_total = %v, want %v", got, tc.writeErrors)
+			}
+		})
 	}
 }

@@ -3,8 +3,10 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -374,4 +376,63 @@ func diffNames(want, got []string) string {
 		}
 	}
 	return b.String()
+}
+
+// promScrape answers GET /metrics/prom on h and parses the exposition.
+func promScrape(t *testing.T, h http.Handler) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics/prom", nil))
+	return checkPromFormat(t, rec.Body.String())
+}
+
+// failingWriter is a ResponseWriter whose client has gone: every Write fails.
+type failingWriter struct{ *httptest.ResponseRecorder }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestPromEncodeErrors: an answer that cannot be written is counted.
+func TestPromEncodeErrors(t *testing.T) {
+	h := New(newBenchEngine(t)).Handler(10 * time.Second)
+	if got := promScrape(t, h)["intellisphere_response_encode_errors_total"]; got != 0 {
+		t.Fatalf("response_encode_errors_total = %v before any failed write", got)
+	}
+	h.ServeHTTP(failingWriter{httptest.NewRecorder()}, httptest.NewRequest(http.MethodGet, "/query?q=SELECT+a1+FROM+t10000_100", nil))
+	if got := promScrape(t, h)["intellisphere_response_encode_errors_total"]; got != 1 {
+		t.Errorf("response_encode_errors_total = %v after one failed write, want 1", got)
+	}
+}
+
+// TestPromEstimatorObservations: estimator_observations_total{system,operator}
+// is the number of operator steps executed on that system — every plan step
+// but a transfer scores its estimator once — and no other pair has one.
+func TestPromEstimatorObservations(t *testing.T) {
+	srv, e := newTestServer(t)
+	want := map[string]float64{}
+	for _, sql := range []string{
+		"SELECT a1 FROM t10000_100 WHERE a1 < 100",
+		"SELECT a1 FROM t100000_100 WHERE a1 < 100",
+		"SELECT a5, COUNT(a1) FROM t1000000_250 GROUP BY a5",
+		"SELECT a5, COUNT(a1) FROM t1000000_250 GROUP BY a5",
+		"SELECT t1000000_250.a1 FROM t1000000_250 JOIN t100000_100 ON t1000000_250.a1 = t100000_100.a1",
+	} {
+		res, err := e.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range res.Plan.Steps {
+			if st.Kind != "transfer" {
+				want[fmt.Sprintf(`intellisphere_estimator_observations_total{system="%s",operator="%s"}`, st.System, st.Kind)]++
+			}
+		}
+	}
+	got := map[string]float64{}
+	for k, v := range checkPromFormat(t, getText(t, srv.URL+"/metrics/prom")) {
+		if strings.HasPrefix(k, "intellisphere_estimator_observations_total{") {
+			got[k] = v
+		}
+	}
+	if len(want) < 2 || !maps.Equal(got, want) {
+		t.Errorf("estimator_observations_total = %v, want the executed operator steps %v", got, want)
+	}
 }

@@ -31,9 +31,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(&b, "intellisphere_query_errors_total", "Queries that failed to parse, plan, or execute.", float64(st.QueryErrors))
 	counter(&b, "intellisphere_traces_total", "Traced queries recorded into the trace ring.", float64(st.Traces))
 
-	counter(&b, "intellisphere_tune_attempts_total", "Candidate model tune passes started.", float64(st.Tuning.Attempts))
 	counter(&b, "intellisphere_tune_promotions_total", "Tuned candidates promoted to serving.", float64(st.Tuning.Promotions))
-	counter(&b, "intellisphere_tune_rejections_total", "Tuned candidates rejected after shadow scoring.", float64(st.Tuning.Rejections))
 	counter(&b, "intellisphere_tune_rollbacks_total", "Model versions restored by rollback.", float64(st.Tuning.Rollbacks))
 
 	counter(&b, "intellisphere_plan_cache_hits_total", "Plan-cache hits.", float64(st.PlanCache.Hits))
@@ -59,7 +57,6 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		ds, snapErrs := s.dur.Stats()
 		rec := s.dur.Recovery()
 		gauge(&b, "intellisphere_wal_bytes", "Bytes in the current write-ahead log segment.", float64(ds.WALBytes))
-		gauge(&b, "intellisphere_wal_records", "Records in the current write-ahead log segment.", float64(ds.WALRecords))
 		gauge(&b, "intellisphere_durable_seq", "Last acknowledged mutation sequence number.", float64(ds.Seq))
 		counter(&b, "intellisphere_wal_appends_total", "Mutation records appended to the write-ahead log since boot.", float64(ds.Appends))
 		counter(&b, "intellisphere_snapshots_total", "Engine snapshots written since boot.", float64(ds.Snapshots))
@@ -81,13 +78,11 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 
 	if s.obs != nil {
 		rs := s.obs.Rec.Stats()
-		counter(&b, "intellisphere_events_captured_total", "Queries captured as wide events.", float64(rs.Captured))
+		counter(&b, "intellisphere_events_captured_total", "Queries captured as wide events.", float64(s.obs.Rec.Ring().Count()))
 		counter(&b, "intellisphere_events_errors_total", "Wide events captured by the always-on error rule.", float64(rs.Errors))
 		counter(&b, "intellisphere_events_slow_total", "Wide events captured by the slow-query rule.", float64(rs.Slow))
-		counter(&b, "intellisphere_events_skipped_total", "Queries the head sampler passed over.", float64(rs.Skipped))
 		if s.obs.Sink != nil {
 			ss := s.obs.Sink.Stats()
-			counter(&b, "intellisphere_event_log_written_total", "Events appended to the NDJSON event log.", float64(ss.Written))
 			counter(&b, "intellisphere_event_log_lost_total", "Events overwritten in the ring before the log drainer reached them.", float64(ss.Lost))
 			counter(&b, "intellisphere_event_log_write_errors_total", "Event-log write failures.", float64(ss.WriteErrs))
 			counter(&b, "intellisphere_event_log_rotations_total", "Event-log size rotations.", float64(ss.Rotations))
@@ -113,7 +108,6 @@ func writeRuntime(b *strings.Builder) {
 	runtime.ReadMemStats(&ms)
 	gauge(b, "intellisphere_goroutines", "Goroutines currently live.", float64(runtime.NumGoroutine()))
 	gauge(b, "intellisphere_heap_inuse_bytes", "Bytes in in-use heap spans.", float64(ms.HeapInuse))
-	gauge(b, "intellisphere_heap_objects", "Live heap objects.", float64(ms.HeapObjects))
 	counter(b, "intellisphere_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", float64(ms.PauseTotalNs)/1e9)
 	counter(b, "intellisphere_gc_cycles_total", "Completed GC cycles.", float64(ms.NumGC))
 	gauge(b, "intellisphere_gomaxprocs", "Scheduler width (GOMAXPROCS).", float64(runtime.GOMAXPROCS(0)))
@@ -121,28 +115,15 @@ func writeRuntime(b *strings.Builder) {
 	fmt.Fprintf(b, "intellisphere_build_info{go_version=\"%s\"} 1\n", escapeLabel(runtime.Version()))
 }
 
-// writeSLO renders every objective's burn rates, alert state, and lifetime
-// transition counters as labeled samples.
+// writeSLO renders every objective's alert state as a labeled gauge; the
+// burn rates and lifetime transition counts behind it are served on /slo.
 func writeSLO(b *strings.Builder, alerts []obs.Alert) {
 	if len(alerts) == 0 {
 		return
 	}
-	header(b, "intellisphere_slo_burn_rate", "Error-budget burn-rate multiple per objective and window.", "gauge")
-	for _, a := range alerts {
-		fmt.Fprintf(b, "intellisphere_slo_burn_rate{slo=\"%s\",window=\"fast\"} %s\n", escapeLabel(a.Name), promFloat(a.FastBurn))
-		fmt.Fprintf(b, "intellisphere_slo_burn_rate{slo=\"%s\",window=\"slow\"} %s\n", escapeLabel(a.Name), promFloat(a.SlowBurn))
-	}
 	header(b, "intellisphere_slo_state", "Objective alert state (0=inactive, 1=pending, 2=firing, 3=resolved).", "gauge")
 	for _, a := range alerts {
 		fmt.Fprintf(b, "intellisphere_slo_state{slo=\"%s\"} %d\n", escapeLabel(a.Name), sloStateCode(a.State))
-	}
-	header(b, "intellisphere_slo_fired_total", "Lifetime transitions into the firing state.", "counter")
-	for _, a := range alerts {
-		fmt.Fprintf(b, "intellisphere_slo_fired_total{slo=\"%s\"} %d\n", escapeLabel(a.Name), a.FiredTotal)
-	}
-	header(b, "intellisphere_slo_resolved_total", "Lifetime firing-to-resolved transitions.", "counter")
-	for _, a := range alerts {
-		fmt.Fprintf(b, "intellisphere_slo_resolved_total{slo=\"%s\"} %d\n", escapeLabel(a.Name), a.ResolvedTotal)
 	}
 }
 

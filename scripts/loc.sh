@@ -17,6 +17,9 @@
 # Last the tooling around the code: shell lines under scripts/, make targets,
 # steps of `make ci`, Benchmark functions, and the cmd/serve flags that no
 # file under test/e2e passes to the binary.
+# Exits 1, naming them on stderr, when a series has no reader or a flag no
+# scenario: a new series lands with a test that reads it, a new flag with an
+# e2e scenario that passes it (`make vet` runs this with stdout discarded).
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 git ls-files -- 'internal/*.go' | grep -v -e '_test\.go$' -e '/testdata/' |
@@ -30,6 +33,7 @@ awk '{ n[$2] += $1; t += $1 }
            printf "%7d  score: engine + server + optimizer + obs (ROADMAP item 6)\n",
                n["internal/engine"] + n["internal/server"] + n["internal/optimizer"] + n["internal/obs"] }'
 series=internal/server/testdata/prom_series.txt
+unread=
 printf '%7d  routes registered in Server.Handler\n' "$(grep -c 'mux\.Handle(' internal/server/server.go)"
 printf '%7d  flags in cmd/serve\n' "$(grep -c ':= flag\.' cmd/serve/main.go)"
 if [ -f "$series" ]; then
@@ -58,3 +62,8 @@ unset_flags=$(sed -n 's/.*:= flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' cmd/serve/ma
 		grep -qs -- "\"-$f\"" test/e2e/*.go || printf ' -%s' "$f"
 	done)
 printf '%7d  cmd/serve flags no file under test/e2e passes:%s\n' "$(echo $unset_flags | wc -w)" "$unset_flags"
+if [ -n "$unread$unset_flags" ]; then
+	[ -z "$unread" ] || echo "loc.sh: series no test or script reads:$unread" >&2
+	[ -z "$unset_flags" ] || echo "loc.sh: cmd/serve flags no e2e scenario passes:$unset_flags" >&2
+	exit 1
+fi
