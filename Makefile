@@ -12,8 +12,9 @@ build:
 # need golang.org/x/tools, which this module deliberately avoids — variable
 # shadowing is covered by review and the -race suite instead. Then gofmt over
 # every tracked .go file, bench/ included: a name it prints fails the target.
-# Last scripts/loc.sh, quietly: it fails on a /metrics/prom series no test or
-# script reads, or a cmd/serve flag no test/e2e scenario passes.
+# Last scripts/loc.sh, quietly: it fails on a /metrics/prom series no tracked
+# .go file or script but prom.go names, or a cmd/serve flag no test/e2e
+# scenario passes.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \

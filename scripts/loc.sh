@@ -18,8 +18,9 @@
 # steps of `make ci`, Benchmark functions, and the cmd/serve flags that no
 # file under test/e2e passes to the binary.
 # Exits 1, naming them on stderr, when a series has no reader or a flag no
-# scenario: a new series lands with a test that reads it, a new flag with an
-# e2e scenario that passes it (`make vet` runs this with stdout discarded).
+# scenario: a new series lands with a file that names it (a name search, so
+# that the file asserts the value is left to review), a new flag with an e2e
+# scenario that passes it (`make vet` runs this with stdout discarded).
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 git ls-files -- 'internal/*.go' | grep -v -e '_test\.go$' -e '/testdata/' |
@@ -63,7 +64,7 @@ unset_flags=$(sed -n 's/.*:= flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' cmd/serve/ma
 	done)
 printf '%7d  cmd/serve flags no file under test/e2e passes:%s\n' "$(echo $unset_flags | wc -w)" "$unset_flags"
 if [ -n "$unread$unset_flags" ]; then
-	[ -z "$unread" ] || echo "loc.sh: series no test or script reads:$unread" >&2
+	[ -z "$unread" ] || echo "loc.sh: series no .go file or script but prom.go names:$unread" >&2
 	[ -z "$unset_flags" ] || echo "loc.sh: cmd/serve flags no e2e scenario passes:$unset_flags" >&2
 	exit 1
 fi
