@@ -43,7 +43,9 @@ race:
 # (instrumentation allocates), so the race suite alone never enforces one.
 # This runs them — the warm /query path, the never-seen-statement path
 # (parse, plan miss, /query/stream), PredictAll, the untraced span and
-# noise-key paths, the row engine's local statements — without the detector.
+# noise-key paths, the row engine's local statements, the metrics hot paths
+# (counter, histogram, untraced exemplar, accuracy window) — without the
+# detector.
 allocs:
 	$(GO) test -run 'Alloc' ./internal/... -count=1
 

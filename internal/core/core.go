@@ -98,12 +98,15 @@ func estimateEach[S any](specs []S, estimate func(S) (Estimate, error)) ([]Estim
 
 // Feedback receives actual execution outcomes. Estimators that learn online
 // (logical-op, hybrid) implement it; the engine feeds every remote execution
-// back through it (the "Logging Phase" of Figure 3).
+// back through it (the "Logging Phase" of Figure 3), together with the
+// estimate the operator was priced with, so the remedy components the α
+// re-fit needs are logged without estimating again.
 type Feedback interface {
-	// ObserveJoin logs an executed join and its actual elapsed seconds.
-	ObserveJoin(spec plan.JoinSpec, actualSec float64)
+	// ObserveJoin logs an executed join, the estimate that priced it and its
+	// actual elapsed seconds.
+	ObserveJoin(spec plan.JoinSpec, est Estimate, actualSec float64)
 	// ObserveAgg logs an executed aggregation.
-	ObserveAgg(spec plan.AggSpec, actualSec float64)
+	ObserveAgg(spec plan.AggSpec, est Estimate, actualSec float64)
 	// ObserveScan logs an executed scan.
-	ObserveScan(spec plan.ScanSpec, actualSec float64)
+	ObserveScan(spec plan.ScanSpec, est Estimate, actualSec float64)
 }

@@ -172,19 +172,20 @@ func (e *Estimator) EstimateScan(spec plan.ScanSpec) (core.Estimate, error) {
 
 // ObserveJoin implements core.Feedback (logical models learn online; sub-op
 // models do not need it — "model continuous tuning is less critical",
-// Figure 8).
-func (e *Estimator) ObserveJoin(spec plan.JoinSpec, actualSec float64) {
-	e.logical.ObserveJoin(spec, actualSec)
+// Figure 8). The estimate is forwarded as it came: one the sub-op side
+// priced carries no remedy components, so the logical model logs zeros.
+func (e *Estimator) ObserveJoin(spec plan.JoinSpec, est core.Estimate, actualSec float64) {
+	e.logical.ObserveJoin(spec, est, actualSec)
 }
 
 // ObserveAgg implements core.Feedback.
-func (e *Estimator) ObserveAgg(spec plan.AggSpec, actualSec float64) {
-	e.logical.ObserveAgg(spec, actualSec)
+func (e *Estimator) ObserveAgg(spec plan.AggSpec, est core.Estimate, actualSec float64) {
+	e.logical.ObserveAgg(spec, est, actualSec)
 }
 
 // ObserveScan implements core.Feedback.
-func (e *Estimator) ObserveScan(spec plan.ScanSpec, actualSec float64) {
-	e.logical.ObserveScan(spec, actualSec)
+func (e *Estimator) ObserveScan(spec plan.ScanSpec, est core.Estimate, actualSec float64) {
+	e.logical.ObserveScan(spec, est, actualSec)
 }
 
 // Profile returns the profile the estimator was built from. It is read-only:

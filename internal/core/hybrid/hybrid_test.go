@@ -144,13 +144,14 @@ func TestEstimatorFeedbackRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ObserveJoin(joinSpec(), 12)
-	if jm.PendingLog() != 1 {
-		t.Errorf("pending log = %d after ObserveJoin", jm.PendingLog())
+	remedy := core.Estimate{Approach: core.LogicalOp, OutOfRange: true, NNSeconds: 3, RegressionSeconds: 5}
+	e.ObserveJoin(joinSpec(), remedy, 12)
+	if recs := jm.LogRecords(); len(recs) != 1 || recs[0].NNSec != 3 || recs[0].RegSec != 5 {
+		t.Errorf("log after ObserveJoin = %+v, want one record carrying the estimate's components", recs)
 	}
 	// No logical models for agg/scan: must not panic.
-	e.ObserveAgg(plan.AggSpec{InputRows: 1, InputRowSize: 1, OutputRows: 1, OutputRowSize: 1}, 1)
-	e.ObserveScan(plan.ScanSpec{InputRows: 1, InputRowSize: 1, Selectivity: 1, OutputRowSize: 1}, 1)
+	e.ObserveAgg(plan.AggSpec{InputRows: 1, InputRowSize: 1, OutputRows: 1, OutputRowSize: 1}, core.Estimate{}, 1)
+	e.ObserveScan(plan.ScanSpec{InputRows: 1, InputRowSize: 1, Selectivity: 1, OutputRowSize: 1}, core.Estimate{}, 1)
 }
 
 // TestObserveBesideEstimates: the engine plans on one goroutine while
@@ -179,7 +180,7 @@ func TestObserveBesideEstimates(t *testing.T) {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		e.ObserveJoin(joinSpec(), 12)
+		e.ObserveJoin(joinSpec(), core.Estimate{}, 12)
 	}
 	wg.Wait()
 	if got := jm.PendingLog(); got != n {

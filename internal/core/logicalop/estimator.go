@@ -91,36 +91,33 @@ func scanDims(spec plan.ScanSpec) []float64 {
 	return []float64{spec.InputRows, spec.InputRowSize, spec.OutputRows(), spec.OutputRowSize}
 }
 
-// observe logs an execution against a model, re-estimating to recover the
-// remedy components when the input was out of range.
-func observe(m *Model, x []float64, actualSec float64) {
+// observe logs an execution against a model with the remedy components of
+// the estimate that priced it: those of a logical-op estimate the remedy
+// produced, zeros for any other (in range, or priced by another approach).
+func observe(m *Model, x []float64, est core.Estimate, actualSec float64) {
 	if m == nil {
 		return
 	}
-	est, err := m.Estimate(x)
-	if err != nil {
-		return
-	}
-	if est.OutOfRange {
-		m.Observe(x, actualSec, est.NNSeconds, est.RegSeconds)
+	if est.Approach == core.LogicalOp && est.OutOfRange {
+		m.Observe(x, actualSec, est.NNSeconds, est.RegressionSeconds)
 	} else {
 		m.Observe(x, actualSec, 0, 0)
 	}
 }
 
 // ObserveJoin implements core.Feedback.
-func (e *Estimator) ObserveJoin(spec plan.JoinSpec, actualSec float64) {
-	observe(e.Join, spec.Dims(), actualSec)
+func (e *Estimator) ObserveJoin(spec plan.JoinSpec, est core.Estimate, actualSec float64) {
+	observe(e.Join, spec.Dims(), est, actualSec)
 }
 
 // ObserveAgg implements core.Feedback.
-func (e *Estimator) ObserveAgg(spec plan.AggSpec, actualSec float64) {
-	observe(e.Agg, spec.Dims(), actualSec)
+func (e *Estimator) ObserveAgg(spec plan.AggSpec, est core.Estimate, actualSec float64) {
+	observe(e.Agg, spec.Dims(), est, actualSec)
 }
 
 // ObserveScan implements core.Feedback.
-func (e *Estimator) ObserveScan(spec plan.ScanSpec, actualSec float64) {
-	observe(e.Scan, scanDims(spec), actualSec)
+func (e *Estimator) ObserveScan(spec plan.ScanSpec, est core.Estimate, actualSec float64) {
+	observe(e.Scan, scanDims(spec), est, actualSec)
 }
 
 // snapshot is the serializable form of one model.

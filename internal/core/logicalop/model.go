@@ -28,14 +28,11 @@ type Config struct {
 	InitialAlpha float64
 	// NN configures the network and its training run.
 	NN nn.RegressorConfig
-	// TopologySearch enables the paper's cross-validation topology search
-	// before training. When off, NN.Network.Hidden is used as given.
-	TopologySearch bool
 }
 
 // DefaultConfig returns the paper's settings for an operator with d input
-// dimensions: two hidden layers sized (2d, d) unless topology search is
-// enabled, tanh activations, Adam, log-space targets.
+// dimensions: two hidden layers sized (2d, d), tanh activations, Adam,
+// log-space targets.
 func DefaultConfig(inputDim int, seed int64) Config {
 	return Config{
 		Beta:         2,
@@ -54,7 +51,6 @@ func DefaultConfig(inputDim int, seed int64) Config {
 				BatchSize:    64,
 				Optimizer:    nn.Adam,
 				Seed:         seed,
-				CheckEvery:   100,
 			},
 			LogOutput: true,
 		},
@@ -134,9 +130,8 @@ type Model struct {
 // Train executes the logical-op model-building phase over an already
 // collected training dataset (inputs are the operator dimension vectors,
 // targets the observed elapsed seconds on the remote system). It derives
-// the per-dimension metadata, optionally runs the topology search, and fits
-// the network. The convergence history is returned for the Figure 11(b)/
-// 12(b) plots.
+// the per-dimension metadata and fits the network with NN.Network as given;
+// the result reports the final training RMSE.
 func Train(kind string, dimNames []string, x [][]float64, y []float64, cfg Config) (*Model, *nn.TrainResult, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, nil, fmt.Errorf("logicalop: need a non-empty aligned training set (%d inputs, %d targets)", len(x), len(y))
@@ -167,13 +162,6 @@ func Train(kind string, dimNames []string, x [][]float64, y []float64, cfg Confi
 		dims[j] = m
 	}
 
-	if cfg.TopologySearch {
-		best, _, err := nn.SearchTopology(x, y, cfg.NN)
-		if err != nil {
-			return nil, nil, fmt.Errorf("logicalop: topology search: %w", err)
-		}
-		cfg.NN.Network = best
-	}
 	reg, res, err := nn.TrainRegressor(x, y, cfg.NN)
 	if err != nil {
 		return nil, nil, fmt.Errorf("logicalop: train %s model: %w", kind, err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"intellisphere/internal/core"
 	"intellisphere/internal/nn"
 	"intellisphere/internal/plan"
 	"intellisphere/internal/stats"
@@ -519,14 +520,27 @@ func TestEstimatorInterface(t *testing.T) {
 	if _, err := est.EstimateJoin(plan.JoinSpec{}); err == nil {
 		t.Error("invalid spec accepted")
 	}
-	// Feedback wiring: observing adds to the log.
-	est.ObserveJoin(spec, 12.5)
-	if jm.PendingLog() != 1 {
-		t.Errorf("pending log = %d after ObserveJoin", jm.PendingLog())
+	// Feedback wiring: observing adds to the log, with the remedy components
+	// of the estimate passed in — only a logical-op one the remedy produced.
+	remedy := core.Estimate{Approach: core.LogicalOp, OutOfRange: true, NNSeconds: 3, RegressionSeconds: 5}
+	subOp := core.Estimate{Approach: core.SubOp, OutOfRange: true, NNSeconds: 3, RegressionSeconds: 5}
+	inRange := ce
+	inRange.OutOfRange = false
+	est.ObserveJoin(spec, inRange, 12.5)
+	est.ObserveJoin(spec, remedy, 12.5)
+	est.ObserveJoin(spec, subOp, 12.5)
+	recs := jm.LogRecords()
+	if len(recs) != 3 {
+		t.Fatalf("pending log = %d after three ObserveJoin calls", len(recs))
+	}
+	for i, want := range [][2]float64{{0, 0}, {3, 5}, {0, 0}} {
+		if r := recs[i]; r.NNSec != want[0] || r.RegSec != want[1] || r.Actual != 12.5 {
+			t.Errorf("record %d = %+v, want components %v", i, r, want)
+		}
 	}
 	// Observing on nil models must not panic.
-	est.ObserveAgg(plan.AggSpec{InputRows: 1, InputRowSize: 1, OutputRows: 1, OutputRowSize: 1}, 1)
-	est.ObserveScan(plan.ScanSpec{InputRows: 1, InputRowSize: 1, Selectivity: 1, OutputRowSize: 1}, 1)
+	est.ObserveAgg(plan.AggSpec{InputRows: 1, InputRowSize: 1, OutputRows: 1, OutputRowSize: 1}, core.Estimate{}, 1)
+	est.ObserveScan(plan.ScanSpec{InputRows: 1, InputRowSize: 1, Selectivity: 1, OutputRowSize: 1}, core.Estimate{}, 1)
 }
 
 func TestScanDims(t *testing.T) {

@@ -1046,8 +1046,9 @@ func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt, p *opti
 // executeStep runs one plan step on the simulators — behind the target
 // system's circuit breaker and the retry policy — feeds the (predicted,
 // observed) pair into the per-(system, operator) accuracy window, and hands
-// the actual cost to the estimator (the logging phase of Figure 3: a logical-op
-// model appends it to its log under its write lock, a sub-op one ignores it).
+// the actual cost to the estimator with the estimate the step was priced with
+// (the logging phase of Figure 3: a logical-op model appends both to its log
+// under its write lock, a sub-op one ignores them).
 func (e *Engine) executeStep(ctx context.Context, step *optimizer.Step, res *QueryResult) (actual float64, err error) {
 	ctx, sp := trace.Start(ctx, step.Kind)
 	if sp != nil {
@@ -1110,11 +1111,11 @@ func (e *Engine) executeStep(ctx context.Context, step *optimizer.Step, res *Que
 	if fb, ok := est.(core.Feedback); ok {
 		switch step.Kind {
 		case "join":
-			fb.ObserveJoin(*step.Join, ex.ElapsedSec)
+			fb.ObserveJoin(*step.Join, step.Estimate, ex.ElapsedSec)
 		case "aggregation":
-			fb.ObserveAgg(*step.Agg, ex.ElapsedSec)
+			fb.ObserveAgg(*step.Agg, step.Estimate, ex.ElapsedSec)
 		case "scan":
-			fb.ObserveScan(*step.Scan, ex.ElapsedSec)
+			fb.ObserveScan(*step.Scan, step.Estimate, ex.ElapsedSec)
 		}
 	}
 	return ex.ElapsedSec, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"runtime"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"intellisphere/internal/cluster"
 	"intellisphere/internal/core"
+	"intellisphere/internal/core/hybrid"
 	"intellisphere/internal/core/logicalop"
 	"intellisphere/internal/core/subop"
 	"intellisphere/internal/datagen"
@@ -276,8 +278,11 @@ func TestRegisterRemoteLogicalOpNeedsTables(t *testing.T) {
 	}
 }
 
-func TestFeedbackReachesLogicalModels(t *testing.T) {
-	e := newEngine(t)
+// registerHiveBB registers "hivebb", a blackbox remote whose join and
+// aggregation models are trained (briefly) over four tables of its own, the
+// largest 80M rows × 500 B.
+func registerHiveBB(t *testing.T, e *Engine) *hybrid.Estimator {
+	t.Helper()
 	bb, err := remote.NewHive("hivebb", cluster.DefaultHive(), remote.Options{NoiseAmp: 0.01, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +304,12 @@ func TestFeedbackReachesLogicalModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := est.Profile()
+	return est
+}
+
+func TestFeedbackReachesLogicalModels(t *testing.T) {
+	e := newEngine(t)
+	prof := registerHiveBB(t, e).Profile()
 	before := prof.LogicalAgg.PendingLog()
 	// On one P a goroutine the query started would not have run by the time
 	// Query returns: the observation must be logged by the query itself.
@@ -311,6 +321,108 @@ func TestFeedbackReachesLogicalModels(t *testing.T) {
 	}
 	if got := prof.LogicalAgg.PendingLog(); got != before+1 {
 		t.Errorf("pending log %d → %d when Query returned, want one execution logged", before, got)
+	}
+}
+
+// TestFeedbackLogsThePlansEstimate: an executed step is logged with the
+// remedy components of the estimate its plan step was priced with — which,
+// for a model nothing retuned in between, is what estimating again returns —
+// and a step the sub-op side of a hybrid priced logs zeros, even where the
+// hybrid's logical model sees the input out of range.
+func TestFeedbackLogsThePlansEstimate(t *testing.T) {
+	e := newEngine(t)
+	agg := registerHiveBB(t, e).Profile().LogicalAgg
+	// A second remote priced by sub-op models that also carries a copy of
+	// hivebb's aggregation model.
+	sub, err := remote.NewHive("hivesub", cluster.DefaultHive(), remote.Options{NoiseAmp: 0.01, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, _, err := subop.Train(sub, subop.TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subAgg := new(logicalop.Model)
+	if err := json.Unmarshal(data, subAgg); err != nil {
+		t.Fatal(err)
+	}
+	subEst, err := hybrid.NewEstimator(&hybrid.Profile{SystemName: "hivesub", Engine: remote.EngineHive,
+		Active: core.SubOp, SubOpModels: ms, LogicalAgg: subAgg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterRemote(sub, subEst); err != nil {
+		t.Fatal(err)
+	}
+	// Registered after training: their row counts are far outside what the
+	// aggregation models were trained on.
+	registerTables(t, e, "hivebb", ts{1000000000, 500})
+	registerTables(t, e, "hivesub", ts{2000000000, 500})
+
+	seen := map[string]int{}
+	for _, q := range []string{
+		"SELECT a10, SUM(a1) FROM t80000000_500 GROUP BY a10",
+		"SELECT a100, COUNT(*) FROM t80000000_500 WHERE a1 < 40000000 GROUP BY a100",
+		"SELECT a10, SUM(a1) FROM t1000000000_500 GROUP BY a10",
+		"SELECT a100, COUNT(*) FROM t1000000000_500 WHERE a1 < 500000000 GROUP BY a100",
+		"SELECT a10, SUM(a1) FROM t2000000000_500 GROUP BY a10",
+	} {
+		before := map[*logicalop.Model]int{agg: agg.PendingLog(), subAgg: subAgg.PendingLog()}
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		for _, step := range res.Plan.Steps {
+			if step.Kind != "aggregation" || (step.System != "hivebb" && step.System != "hivesub") {
+				continue
+			}
+			m := agg
+			if step.System == "hivesub" {
+				m = subAgg
+			}
+			recs := m.LogRecords()
+			if len(recs) <= before[m] {
+				t.Fatalf("%s: the %s aggregation step logged nothing", q, step.System)
+			}
+			rec := recs[before[m]]
+			before[m]++
+			x := step.Agg.Dims()
+			again, err := m.Estimate(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want [2]float64
+			switch {
+			case step.Estimate.Approach == core.SubOp:
+				if !again.OutOfRange {
+					t.Fatalf("%s: the sub-op-priced step is in the logical model's range; the case checks nothing", q)
+				}
+				seen["sub-op"]++
+			case step.Estimate.OutOfRange:
+				want = [2]float64{step.Estimate.NNSeconds, step.Estimate.RegressionSeconds}
+				if !again.OutOfRange || again.NNSeconds != want[0] || again.RegSeconds != want[1] {
+					t.Errorf("%s: the plan's estimate %+v differs from estimating again %+v", q, step.Estimate, again)
+				}
+				seen["out of range"]++
+			default:
+				if again.OutOfRange {
+					t.Errorf("%s: the plan priced the step in range, estimating again is out of range", q)
+				}
+				seen["in range"]++
+			}
+			if rec.NNSec != want[0] || rec.RegSec != want[1] {
+				t.Errorf("%s (%s): logged components %v/%v, want %v", q, step.System, rec.NNSec, rec.RegSec, want)
+			}
+		}
+	}
+	for _, c := range []string{"in range", "out of range", "sub-op"} {
+		if seen[c] == 0 {
+			t.Errorf("no %s aggregation step executed (%v)", c, seen)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // DefaultAccuracyWindow is the rolling sample count an Accuracy keeps when
 // none is configured.
@@ -15,37 +12,21 @@ const DefaultAccuracyWindow = 256
 // retuning.
 const DefaultDriftQError = 2.0
 
-// accMaxStripes bounds the write fan-out of an Accuracy window.
-const accMaxStripes = 8
-
-// accStripe is one slice of the rolling window: window/S ring slots of
-// q-errors behind a small mutex. The pad keeps adjacent stripes' mutexes and
-// ring cursors off shared cache lines.
-type accStripe struct {
-	mu     sync.Mutex
-	q      []float64
-	next   int // next slot to overwrite
-	filled int // live samples (≤ len(q))
-	_      [64]byte
-}
-
 // Accuracy tracks how well one estimator's predictions track reality: a
 // rolling window of the q-errors of (predicted, actual) pairs per (system,
 // operator kind), summarized as their mean. The engine feeds it from every
 // executed plan step, closing the paper's estimate-vs-observed loop
 // operationally.
 //
-// The window is striped: a global atomic cursor assigns observations to
-// stripes round-robin, so the i-th observation always lands in stripe
-// i mod S, slot (i/S) mod (window/S). That placement is a bijection onto the
-// ring positions of the unsharded design — sequential callers keep exactly
-// the last `window` samples, while concurrent recorders (every executed step
-// on every core funnels through one of these) contend only 1/S of the time
-// instead of on a single mutex. The stripe count is the largest power of two
-// ≤ accMaxStripes dividing the window (1 for windows that resist splitting).
+// The window is one ring behind one mutex: an observation is a q-error
+// division and one slot store under the lock (DESIGN.md §15 measures it
+// against stripes).
 type Accuracy struct {
-	stripes []accStripe
-	total   atomic.Uint64 // lifetime observations; also the round-robin cursor
+	mu     sync.Mutex
+	q      []float64
+	next   int    // next slot to overwrite
+	filled int    // live samples (≤ len(q))
+	total  uint64 // lifetime observations
 }
 
 // NewAccuracy builds a window holding the last n samples (n <= 0 selects
@@ -54,30 +35,21 @@ func NewAccuracy(n int) *Accuracy {
 	if n <= 0 {
 		n = DefaultAccuracyWindow
 	}
-	s := accMaxStripes
-	for n%s != 0 {
-		s /= 2
-	}
-	a := &Accuracy{stripes: make([]accStripe, s)}
-	for i := range a.stripes {
-		a.stripes[i].q = make([]float64, n/s)
-	}
-	return a
+	return &Accuracy{q: make([]float64, n)}
 }
 
 // Observe records one executed operator: its predicted cost and the elapsed
 // time actually observed.
 func (a *Accuracy) Observe(predictedSec, actualSec float64) {
 	q := QError(predictedSec, actualSec)
-	k := a.total.Add(1) - 1
-	st := &a.stripes[k%uint64(len(a.stripes))]
-	st.mu.Lock()
-	st.q[st.next] = q
-	st.next = (st.next + 1) % len(st.q)
-	if st.filled < len(st.q) {
-		st.filled++
+	a.mu.Lock()
+	a.q[a.next] = q
+	a.next = (a.next + 1) % len(a.q)
+	if a.filled < len(a.q) {
+		a.filled++
 	}
-	st.mu.Unlock()
+	a.total++
+	a.mu.Unlock()
 }
 
 // Reset empties the rolling window without discarding the lifetime
@@ -87,13 +59,10 @@ func (a *Accuracy) Observe(predictedSec, actualSec float64) {
 // in place would keep the drift flag latched (and re-fire the tuner)
 // long after the new model fixed the calibration.
 func (a *Accuracy) Reset() {
-	for i := range a.stripes {
-		st := &a.stripes[i]
-		st.mu.Lock()
-		st.next = 0
-		st.filled = 0
-		st.mu.Unlock()
-	}
+	a.mu.Lock()
+	a.next = 0
+	a.filled = 0
+	a.mu.Unlock()
 }
 
 // QError is the symmetric relative error max(p/a, a/p) — the standard
@@ -125,26 +94,17 @@ type AccuracySnapshot struct {
 	MeanQError float64 `json:"mean_q_error"`
 }
 
-// Snapshot sums the window's q-errors in slot order. Stripes are drained one
-// at a time under their own mutexes, so a snapshot pauses at most 1/S of
-// concurrent recording; the merge is exact for any quiesced window and a
-// bounded-skew approximation while observations are in flight (same as any
-// counter scrape).
+// Snapshot sums the window's q-errors in slot order under the mutex.
 func (a *Accuracy) Snapshot() AccuracySnapshot {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	var sum float64
-	var n int
-	for i := range a.stripes {
-		st := &a.stripes[i]
-		st.mu.Lock()
-		for _, q := range st.q[:st.filled] {
-			sum += q
-		}
-		n += st.filled
-		st.mu.Unlock()
+	for _, q := range a.q[:a.filled] {
+		sum += q
 	}
-	s := AccuracySnapshot{Count: a.total.Load(), Window: n}
-	if n > 0 {
-		s.MeanQError = sum / float64(n)
+	s := AccuracySnapshot{Count: a.total, Window: a.filled}
+	if a.filled > 0 {
+		s.MeanQError = sum / float64(a.filled)
 	}
 	return s
 }

@@ -1,9 +1,11 @@
 // Package metrics provides the lightweight instrumentation primitives the
-// serving layer exports on /metrics/prom: lock-free counters and striped
-// fixed-bucket exponential latency histograms. Everything is safe for
-// concurrent use and allocation-free on the hot (Observe/Inc) paths, and the
-// write paths are striped so concurrent recorders on different cores do not
-// serialize on a mutex or a shared cache line.
+// serving layer exports on /metrics/prom: lock-free counters, striped
+// fixed-bucket exponential latency histograms, and the estimator accuracy
+// windows, one ring behind one mutex each. Everything is safe for concurrent
+// use and allocation-free on the hot paths (Counter.Inc, Histogram.Observe,
+// untraced ObserveExemplar, Accuracy.Observe — TestHotPathsDoNotAllocate).
+// Only the histogram is striped, because only there did striping measure
+// faster with a second core recording (DESIGN.md §15).
 package metrics
 
 import (

@@ -204,6 +204,31 @@ func TestAccuracyWindow(t *testing.T) {
 	}
 }
 
+// TestHotPathsDoNotAllocate pins the package's promise: recording a counter,
+// a histogram observation (untraced exemplar included) or an accuracy sample
+// allocates nothing.
+func TestHotPathsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var c Counter
+	h := NewLatencyHistogram()
+	a := NewAccuracy(0)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Counter.Inc", c.Inc},
+		{"Histogram.Observe", func() { h.Observe(time.Millisecond) }},
+		{"Histogram.ObserveExemplar(d, 0)", func() { h.ObserveExemplar(time.Millisecond, 0) }},
+		{"Accuracy.Observe", func() { a.Observe(1, 2) }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f times, want 0", tc.name, allocs)
+		}
+	}
+}
+
 func TestAccuracyConcurrent(t *testing.T) {
 	a := NewAccuracy(64)
 	var wg sync.WaitGroup
@@ -223,8 +248,8 @@ func TestAccuracyConcurrent(t *testing.T) {
 	}
 }
 
-// TestAccuracyResetRefill checks the striped window refills evenly after
-// Reset and keeps the lifetime count.
+// TestAccuracyResetRefill checks the window refills from its first slot
+// after Reset and keeps the lifetime count.
 func TestAccuracyResetRefill(t *testing.T) {
 	a := NewAccuracy(16)
 	for i := 0; i < 10; i++ {

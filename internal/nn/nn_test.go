@@ -107,15 +107,12 @@ func TestTrainLearnsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := n.Train(x, y, TrainConfig{Iterations: 300, LearningRate: 0.02, Optimizer: Adam, BatchSize: 32, Seed: 1, CheckEvery: 100})
+	res, err := n.Train(x, y, TrainConfig{Iterations: 300, LearningRate: 0.02, Optimizer: Adam, BatchSize: 32, Seed: 1})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	if res.FinalRMSE > 0.02 {
 		t.Errorf("final RMSE = %v, want < 0.02", res.FinalRMSE)
-	}
-	if len(res.History) != 3 {
-		t.Errorf("history has %d points, want 3", len(res.History))
 	}
 }
 

@@ -135,7 +135,7 @@ type RegressorConfig struct {
 }
 
 // TrainRegressor normalizes the dataset, trains a fresh network on it, and
-// returns the ready-to-use regressor together with the convergence history.
+// returns the ready-to-use regressor together with its final training RMSE.
 func TrainRegressor(x [][]float64, y []float64, cfg RegressorConfig) (*Regressor, *TrainResult, error) {
 	norm, err := FitNormalizer(x, y, cfg.LogOutput)
 	if err != nil {

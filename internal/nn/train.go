@@ -27,19 +27,10 @@ type TrainConfig struct {
 	Momentum     float64   // SGD momentum (ignored by Adam)
 	Optimizer    Optimizer // SGD or Adam
 	Seed         int64     // shuffling seed
-	CheckEvery   int       // record the training RMSE every N iterations (0 = never)
-}
-
-// ConvergencePoint is one sample of the training-set RMSE during training,
-// used to reproduce the paper's Figures 11(b) and 12(b).
-type ConvergencePoint struct {
-	Iteration int
-	RMSE      float64
 }
 
 // TrainResult summarizes a completed run.
 type TrainResult struct {
-	History   []ConvergencePoint
 	FinalRMSE float64
 }
 
@@ -127,7 +118,6 @@ func (n *Network) Train(x [][]float64, y []float64, tc TrainConfig) (*TrainResul
 	adamV := newGradients(n)
 	adamT := 0
 
-	res := &TrainResult{}
 	for iter := 1; iter <= tc.Iterations; iter++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < len(order); start += batch {
@@ -148,12 +138,8 @@ func (n *Network) Train(x [][]float64, y []float64, tc TrainConfig) (*TrainResul
 				n.stepSGD(grads, vel, tc.Momentum, lr, scale)
 			}
 		}
-		if tc.CheckEvery > 0 && (iter%tc.CheckEvery == 0 || iter == tc.Iterations) {
-			res.History = append(res.History, ConvergencePoint{Iteration: iter, RMSE: n.rmse(x, y)})
-		}
 	}
-	res.FinalRMSE = n.rmse(x, y)
-	return res, nil
+	return &TrainResult{FinalRMSE: n.rmse(x, y)}, nil
 }
 
 // accumulate adds the gradient of the squared error at (xi, yi) into grads.

@@ -398,6 +398,53 @@ func TestFileSinkDrainAndRotate(t *testing.T) {
 	}
 }
 
+// TestFileSinkCountsUnwritableEvents: when a rotation cannot reopen the log
+// (its directory is gone), every event drained until the path opens again is
+// a counted write error and no rotation is counted; once the directory is
+// back, the next drain writes to the file again.
+func TestFileSinkCountsUnwritableEvents(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "events.ndjson")
+	ring := NewRing(16)
+	sink, err := NewFileSink(ring, path, 1, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(n int) {
+		for i := 0; i < n; i++ {
+			ring.Record(&Event{Kind: "query", SQL: "SELECT 1"})
+		}
+		sink.drain()
+	}
+	record(1) // fills the 1-byte log: the next event rotates
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	record(3)
+	if st := sink.Stats(); st.WriteErrs != 3 || st.Rotations != 0 {
+		t.Fatalf("directory gone: %+v, want 3 write errors and no rotation", st)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	record(1)
+	if st := sink.Stats(); st.WriteErrs != 3 {
+		t.Fatalf("directory back: %+v, want the write errors to stop at 3", st)
+	}
+	sink.f.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev Event
+	if err := json.Unmarshal(data, &ev); err != nil || ev.ID != 5 {
+		t.Fatalf("log after the directory came back = %q (%v), want event 5 alone", data, err)
+	}
+}
+
 // TestStatementHashPinned pins the hash to the values hash/fnv's New64a and
 // fmt's %016x produced before the hash was inlined: event logs written by
 // older builds must keep joining on stmt_hash.

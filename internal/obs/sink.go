@@ -44,14 +44,9 @@ const DefaultSinkMaxBytes = 8 << 20
 // ring every interval (<= 0 selects 250 ms). maxBytes <= 0 selects
 // DefaultSinkMaxBytes.
 func NewFileSink(ring *Ring, path string, maxBytes int64, interval time.Duration) (*FileSink, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, size, err := openLog(path)
 	if err != nil {
-		return nil, fmt.Errorf("obs: open event log: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("obs: stat event log: %w", err)
+		return nil, err
 	}
 	if maxBytes <= 0 {
 		maxBytes = DefaultSinkMaxBytes
@@ -65,7 +60,7 @@ func NewFileSink(ring *Ring, path string, maxBytes int64, interval time.Duration
 		interval: interval,
 		ring:     ring,
 		f:        f,
-		size:     st.Size(),
+		size:     size,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}, nil
@@ -81,7 +76,9 @@ func (s *FileSink) Start() {
 			select {
 			case <-s.stop:
 				s.drain() // final drain so a clean shutdown loses nothing
-				s.f.Close()
+				if s.f != nil {
+					s.f.Close()
+				}
 				return
 			case <-t.C:
 				s.drain()
@@ -97,7 +94,9 @@ func (s *FileSink) Stop() {
 }
 
 // drain appends every ring event past the cursor as one JSON line each,
-// rotating when the file exceeds maxBytes.
+// rotating when the file exceeds maxBytes. While the log cannot be opened
+// (a rotation failed to reopen it), each event retries the path first and
+// counts a write error when it is still unavailable.
 func (s *FileSink) drain() {
 	for {
 		evs, next, lost := s.ring.Since(s.cursor, sinkDrainBatch)
@@ -109,8 +108,14 @@ func (s *FileSink) drain() {
 			return
 		}
 		for _, ev := range evs {
-			if s.size >= s.maxBytes {
+			if s.f != nil && s.size >= s.maxBytes {
 				s.rotate()
+			}
+			if s.f == nil {
+				if s.f, s.size, _ = openLog(s.path); s.f == nil {
+					s.writeErrs.Inc()
+					continue
+				}
 			}
 			line, err := json.Marshal(ev)
 			if err != nil {
@@ -132,21 +137,31 @@ func (s *FileSink) drain() {
 
 // rotate moves the live file to path+".1" (replacing any previous rotation)
 // and reopens a fresh log. On rename failure the file is truncated in place
-// instead, so the sink never grows without bound.
+// instead, so the sink never grows without bound. A rotation counts only when
+// the fresh log opened; otherwise s.f stays nil and drain retries the path.
 func (s *FileSink) rotate() {
 	s.f.Close()
 	if err := os.Rename(s.path, s.path+".1"); err != nil {
 		os.Truncate(s.path, 0)
 	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// Reopen failed (disk gone?): keep a sink writing to /dev/null
-		// semantics by reopening the old descriptor path next drain.
-		f, _ = os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	s.f, s.size, _ = openLog(s.path)
+	if s.f != nil {
+		s.rotations.Inc()
 	}
-	s.f = f
-	s.size = 0
-	s.rotations.Inc()
+}
+
+// openLog opens the log at path for appending and returns its current size.
+func openLog(path string) (*os.File, int64, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, 0, fmt.Errorf("obs: open event log: %w", err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("obs: stat event log: %w", err)
+	}
+	return f, st.Size(), nil
 }
 
 // SinkStats is the sink's health counters.
