@@ -110,7 +110,6 @@ import (
 	"intellisphere/internal/demo"
 	"intellisphere/internal/durable"
 	"intellisphere/internal/engine"
-	"intellisphere/internal/nn"
 	"intellisphere/internal/obs"
 	"intellisphere/internal/resilience"
 	"intellisphere/internal/server"
@@ -207,16 +206,15 @@ func main() {
 	}
 	var tuner *engine.Tuner
 	if *tuneInterval > 0 {
+		train := engine.DefaultTuneTrain
+		train.Seed = *seed
 		tuner = eng.StartTuner(engine.TunerConfig{
 			Interval: *tuneInterval,
 			DriftQ:   *tuneDriftQ,
 			Tune: engine.TuneOptions{
 				Holdout: *tuneHoldout,
 				MinLog:  *tuneMinLog,
-				// A bounded retraining pass keeps tune latency predictable on
-				// a live server; candidates that need more epochs can be
-				// force-tuned through POST /models.
-				Train: nn.TrainConfig{Iterations: 300, LearningRate: 0.01, BatchSize: 32, Optimizer: nn.Adam, Seed: *seed},
+				Train:   train,
 			},
 		})
 		log.Printf("drift tuner armed: interval %s", *tuneInterval)

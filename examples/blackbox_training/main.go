@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"intellisphere"
 	"intellisphere/internal/catalog"
@@ -22,37 +24,46 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// The blackbox remote: we use a Hive-like simulator, but the training
 	// below never looks inside it — it only submits queries and reads
 	// elapsed times.
 	blackbox, err := intellisphere.NewHiveSystem("blackbox", intellisphere.DefaultHiveCluster(), intellisphere.SystemOptions{Seed: 21})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Training workload over tables capped at 8M rows (so 20M is genuinely
 	// un-seen later).
-	tables := fig10TablesUpTo(8_000_000)
+	tables, err := fig10TablesUpTo(8_000_000)
+	if err != nil {
+		return err
+	}
 	joinQs, err := workload.JoinTrainingSet(tables, 150, 21)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	run, err := workload.RunJoinSet(blackbox, joinQs)
+	trained, err := workload.RunJoinSet(blackbox, joinQs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("executed %d training joins on the blackbox remote (%.1f simulated hours)\n",
-		len(joinQs), run.TotalSec/3600)
+	fmt.Fprintf(w, "executed %d training joins on the blackbox remote (%.1f simulated hours)\n",
+		len(joinQs), trained.TotalSec/3600)
 
 	cfg := intellisphere.DefaultLogicalConfig(7, 22)
 	cfg.NN.Train.Iterations = 800
-	model, trainRes, err := logicalop.Train("join", plan.JoinDimNames(), run.X, run.Y, cfg)
+	model, trainRes, err := logicalop.Train("join", plan.JoinDimNames(), trained.X, trained.Y, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("trained the 7-dim join network; final normalized RMSE %.4f\n", trainRes.FinalRMSE)
+	fmt.Fprintf(w, "trained the 7-dim join network; final normalized RMSE %.4f\n", trainRes.FinalRMSE)
 	for _, d := range model.Dimensions() {
-		fmt.Printf("  dim %-12s trained range [%.0f, %.0f] step %.0f\n", d.Name, d.Min, d.Max, d.StepSize)
+		fmt.Fprintf(w, "  dim %-12s trained range [%.0f, %.0f] step %.0f\n", d.Name, d.Min, d.Max, d.StepSize)
 	}
 
 	// An out-of-range join: 20M rows against a model trained up to 8M.
@@ -63,58 +74,59 @@ func main() {
 	}
 	actual, err := blackbox.ExecuteJoin(spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	est, err := model.Estimate(spec.Dims())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nout-of-range query (20M ⋈ 20M rows): actual %.1fs\n", actual.ElapsedSec)
-	fmt.Printf("  pivot dimensions: %v\n", est.PivotDims)
-	fmt.Printf("  raw NN:           %.1fs (saturates — cannot extrapolate)\n", est.NNSeconds)
-	fmt.Printf("  remedy regression:%.1fs\n", est.RegSeconds)
-	fmt.Printf("  combined (α=%.2f): %.1fs\n", model.Alpha(), est.Seconds)
+	fmt.Fprintf(w, "\nout-of-range query (20M ⋈ 20M rows): actual %.1fs\n", actual.ElapsedSec)
+	fmt.Fprintf(w, "  pivot dimensions: %v\n", est.PivotDims)
+	fmt.Fprintf(w, "  raw NN:           %.1fs (saturates — cannot extrapolate)\n", est.NNSeconds)
+	fmt.Fprintf(w, "  remedy regression:%.1fs\n", est.RegSeconds)
+	fmt.Fprintf(w, "  combined (α=%.2f): %.1fs\n", model.Alpha(), est.Seconds)
 
 	// Log a batch of out-of-range executions and re-fit α.
 	oor, err := workload.OutOfRangeJoins(workload.DefaultOutOfRange())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, s := range oor {
 		ex, err := blackbox.ExecuteJoin(s)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		e, err := model.Estimate(s.Dims())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		model.Observe(s.Dims(), ex.ElapsedSec, e.NNSeconds, e.RegSeconds)
 	}
 	alpha, n := model.RefitAlpha()
-	fmt.Printf("\nafter logging %d executed out-of-range queries: α re-fit to %.2f\n", n, alpha)
+	fmt.Fprintf(w, "\nafter logging %d executed out-of-range queries: α re-fit to %.2f\n", n, alpha)
 
 	// Offline tuning: fold the log into the network and expand the ranges.
 	if _, err := model.OfflineTune(nn.TrainConfig{Iterations: 600, LearningRate: 0.01, BatchSize: 64, Optimizer: nn.Adam, Seed: 23}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	est2, err := model.Estimate(spec.Dims())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("after offline tuning: estimate %.1fs (actual %.1fs), out-of-range=%v\n",
+	fmt.Fprintf(w, "after offline tuning: estimate %.1fs (actual %.1fs), out-of-range=%v\n",
 		est2.Seconds, actual.ElapsedSec, est2.OutOfRange)
 	for _, d := range model.Dimensions() {
 		if d.Name == "num_rows_r" {
-			fmt.Printf("  dim %s range expanded to [%.0f, %.0f] (islands: %d)\n", d.Name, d.Min, d.Max, len(d.Islands))
+			fmt.Fprintf(w, "  dim %s range expanded to [%.0f, %.0f] (islands: %d)\n", d.Name, d.Min, d.Max, len(d.Islands))
 		}
 	}
+	return nil
 }
 
-func fig10TablesUpTo(maxRows int64) []*catalog.Table {
+func fig10TablesUpTo(maxRows int64) ([]*catalog.Table, error) {
 	all, err := datagen.Tables("blackbox")
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	var out []*catalog.Table
 	for _, t := range all {
@@ -122,5 +134,5 @@ func fig10TablesUpTo(maxRows int64) []*catalog.Table {
 			out = append(out, t)
 		}
 	}
-	return out
+	return out, nil
 }

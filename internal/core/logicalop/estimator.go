@@ -126,7 +126,6 @@ type snapshot struct {
 	DimNames []string        `json:"dim_names"`
 	Dims     []DimensionMeta `json:"dims"`
 	Alpha    float64         `json:"alpha"`
-	Beta     float64         `json:"beta"`
 	Neighbor int             `json:"neighbor_k"`
 	Reg      *nn.Regressor   `json:"regressor"`
 	TrainX   [][]float64     `json:"train_x"`
@@ -143,7 +142,6 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 		DimNames: m.dimNames,
 		Dims:     m.dims,
 		Alpha:    m.alpha,
-		Beta:     m.cfg.Beta,
 		Neighbor: m.cfg.NeighborK,
 		Reg:      m.reg,
 		TrainX:   m.trainX,
@@ -172,7 +170,7 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	m.reg = s.Reg
 	m.trainX = s.TrainX
 	m.trainY = s.TrainY
-	m.cfg = Config{Beta: s.Beta, NeighborK: s.Neighbor, InitialAlpha: s.Alpha}
+	m.cfg = Config{NeighborK: s.Neighbor}
 	if err := m.cfg.normalize(len(s.DimNames)); err != nil {
 		return err
 	}

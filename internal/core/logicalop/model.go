@@ -13,19 +13,20 @@ import (
 	"intellisphere/internal/stats"
 )
 
+// beta is the out-of-range threshold multiplier (Section 3): a value is
+// "way off" when it leaves the trained range by more than beta·stepSize.
+const beta = 2
+
+// initialAlpha is the starting NN weight in the remedy combination (paper:
+// 0.5).
+const initialAlpha = 0.5
+
 // Config tunes one logical-operator model.
 type Config struct {
-	// Beta is the out-of-range threshold multiplier (Section 3): a value is
-	// "way off" when it leaves the trained range by more than Beta·stepSize.
-	// Must be > 1; defaults to 2.
-	Beta float64
 	// NeighborK is the remedy's base neighborhood size: the regression uses
-	// NeighborK closest training records per pivot dimension. Defaults to
-	// 12.
+	// the NeighborK pivot-nearest training records per pivot dimension.
+	// Defaults to 12.
 	NeighborK int
-	// InitialAlpha is the starting NN weight in the remedy combination
-	// (paper: 0.5).
-	InitialAlpha float64
 	// NN configures the network and its training run.
 	NN nn.RegressorConfig
 }
@@ -35,9 +36,7 @@ type Config struct {
 // log-space targets.
 func DefaultConfig(inputDim int, seed int64) Config {
 	return Config{
-		Beta:         2,
-		NeighborK:    12,
-		InitialAlpha: 0.5,
+		NeighborK: 12,
 		NN: nn.RegressorConfig{
 			Network: nn.Config{
 				InputDim:   inputDim,
@@ -58,14 +57,8 @@ func DefaultConfig(inputDim int, seed int64) Config {
 }
 
 func (c *Config) normalize(inputDim int) error {
-	if c.Beta <= 1 {
-		c.Beta = 2
-	}
 	if c.NeighborK <= 1 {
 		c.NeighborK = 12
-	}
-	if c.InitialAlpha <= 0 || c.InitialAlpha >= 1 {
-		c.InitialAlpha = 0.5
 	}
 	if c.NN.Network.InputDim == 0 {
 		c.NN.Network.InputDim = inputDim
@@ -172,7 +165,7 @@ func Train(kind string, dimNames []string, x [][]float64, y []float64, cfg Confi
 		dimNames: dimNames,
 		dims:     dims,
 		reg:      reg,
-		alpha:    cfg.InitialAlpha,
+		alpha:    initialAlpha,
 		cfg:      cfg,
 		trainX:   cloneMatrix(x),
 		trainY:   append([]float64(nil), y...),
@@ -292,7 +285,7 @@ func (m *Model) Estimate(x []float64) (Estimate, error) {
 func (m *Model) pivotDims(x []float64) []int {
 	var out []int
 	for j, v := range x {
-		if !m.dims[j].InRange(v, m.cfg.Beta) {
+		if !m.dims[j].InRange(v, beta) {
 			out = append(out, j)
 		}
 	}
@@ -300,10 +293,10 @@ func (m *Model) pivotDims(x []float64) []int {
 }
 
 // remedyRegression implements QueryTime-Remedy(): select the k training
-// records closest to the query on the in-range dimensions whose pivot
-// values are the nearest predecessors/successors of the query's, then fit
-// a linear regression over the pivot dimensions and extrapolate.
-// Caller holds m.mu.
+// records whose pivot values are the nearest predecessors/successors of the
+// query's (closeness on the in-range dimensions breaks ties), weight each by
+// that in-range closeness, then fit a linear regression over the pivot
+// dimensions and extrapolate. Caller holds m.mu.
 func (m *Model) remedyRegression(x []float64, pivots []int) (float64, error) {
 	isPivot := make([]bool, len(x))
 	for _, p := range pivots {
@@ -332,14 +325,14 @@ func (m *Model) remedyRegression(x []float64, pivots []int) (float64, error) {
 		}
 		cands = append(cands, cand{idx: i, inDist: din, pivotDist: dpv})
 	}
-	// Rank by in-range closeness first (match the query's context), then by
-	// pivot closeness (immediate predecessors/successors).
+	// Rank by pivot closeness first (immediate predecessors/successors), then
+	// by in-range closeness (match the query's context).
 	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].inDist != cands[b].inDist {
-			return cands[a].inDist < cands[b].inDist
-		}
 		if cands[a].pivotDist != cands[b].pivotDist {
 			return cands[a].pivotDist < cands[b].pivotDist
+		}
+		if cands[a].inDist != cands[b].inDist {
+			return cands[a].inDist < cands[b].inDist
 		}
 		return cands[a].idx < cands[b].idx
 	})
@@ -417,14 +410,7 @@ func remedyFallback(px [][]float64, py []float64, q []float64) (float64, error) 
 	for _, v := range q {
 		qVol += v
 	}
-	scale := qVol / meanVol
-	if scale < 0.1 {
-		scale = 0.1
-	}
-	if scale > 50 {
-		scale = 50
-	}
-	return meanY * scale, nil
+	return meanY * qVol / meanVol, nil
 }
 
 // Observe logs an executed operator (Figure 3's logging phase). When the
@@ -502,8 +488,8 @@ func (m *Model) SeedLog(recs []Record) {
 
 // RefitAlpha recomputes α from the remedy-produced log records, minimizing
 // the squared error of α·c1 + (1-α)·c2 against the observed costs (the
-// closed-form least-squares solution, clamped to (0,1)). Returns the new α
-// and the number of records used.
+// closed-form least-squares solution, clamped to [0.05, 0.95]). Returns the
+// new α and the number of records used.
 func (m *Model) RefitAlpha() (float64, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -521,11 +507,7 @@ func (m *Model) RefitAlpha() (float64, int) {
 	if n == 0 || den == 0 {
 		return m.alpha, 0
 	}
-	// Damp the update by the evidence size so one noisy batch cannot
-	// whipsaw the combination weight.
-	fit := clampAlpha(num / den)
-	confidence := float64(n) / float64(n+16)
-	m.alpha = clampAlpha(m.alpha + (fit-m.alpha)*confidence)
+	m.alpha = clampAlpha(num / den)
 	return m.alpha, n
 }
 
@@ -539,9 +521,6 @@ func (m *Model) OfflineTune(tc nn.TrainConfig) (*nn.TrainResult, error) {
 	defer m.mu.Unlock()
 	if len(m.logRec) == 0 {
 		return nil, errors.New("logicalop: no logged executions to tune on")
-	}
-	if tc.Iterations <= 0 {
-		tc = m.cfg.NN.Train
 	}
 	// The combined set is built beside the model's own (clipped, so append
 	// copies) and committed only once Retrain, which validates before it
@@ -562,7 +541,7 @@ func (m *Model) OfflineTune(tc nn.TrainConfig) (*nn.TrainResult, error) {
 		for i := range newX {
 			col[i] = newX[i][j]
 		}
-		m.dims[j].Absorb(col, m.cfg.Beta)
+		m.dims[j].Absorb(col, beta)
 	}
 	m.logRec = nil
 	// Retrain on the combined set; report final RMSE on it.

@@ -159,48 +159,38 @@ func TestAlphaLifecycle(t *testing.T) {
 }
 
 func TestRefitAlphaClosedForm(t *testing.T) {
+	// Records whose actual cost is exactly 0.3·NN + 0.7·regression: the
+	// closed-form least-squares α is 0.3, and one refit lands on it.
 	m := trainSynth(t)
-	// Construct remedy records where the regression component is exactly
-	// right and the NN is 2× off: the fit drives α toward 0 (clamped to
-	// 0.05), and with heavy evidence the damped update lands close to it.
-	for i := 0; i < 64; i++ {
-		actual := 10.0 + float64(i)
-		m.Observe([]float64{20, 250}, actual, 2*actual, actual)
+	for i := 0; i < 8; i++ {
+		a := 10.0 + float64(i)
+		m.Observe([]float64{20, 250}, 0.3*2*a+0.7*a/2, 2*a, a/2)
 	}
 	a, n := m.RefitAlpha()
-	if n != 64 {
-		t.Fatalf("used %d records, want 64", n)
+	if n != 8 {
+		t.Fatalf("used %d records, want 8", n)
 	}
-	// confidence = 64/80 = 0.8 → α = 0.5 + (0.05-0.5)·0.8 = 0.14.
-	if a >= 0.2 || a <= 0.05 {
-		t.Errorf("α = %v, want damped move toward 0.05", a)
+	if math.Abs(a-0.3) > 1e-12 {
+		t.Errorf("α = %v, want the closed form 0.3", a)
 	}
-	// Repeated refits converge onto the clamp.
-	for i := 0; i < 20; i++ {
-		a, _ = m.RefitAlpha()
-	}
-	if a > 0.05+1e-9 {
-		t.Errorf("α = %v after repeated refits, want convergence to the 0.05 clamp", a)
-	}
-	// Now the reverse: NN perfect → α rises.
+	// The regression component exactly right and the NN 2× off: the fit is
+	// α = 0, clamped to 0.05.
 	m2 := trainSynth(t)
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 4; i++ {
 		actual := 10.0 + float64(i)
-		m2.Observe([]float64{20, 250}, actual, actual, actual/2)
+		m2.Observe([]float64{20, 250}, actual, 2*actual, actual)
 	}
-	a2, _ := m2.RefitAlpha()
-	if a2 <= 0.8 {
-		t.Errorf("α = %v, want damped move toward 0.95", a2)
+	if a2, _ := m2.RefitAlpha(); a2 != 0.05 {
+		t.Errorf("α = %v, want the fit 0 clamped to 0.05", a2)
 	}
-	// Damping: a small batch moves α only part of the way.
+	// The reverse: NN perfect, so the fit is α = 1, clamped to 0.95.
 	m3 := trainSynth(t)
 	for i := 0; i < 4; i++ {
 		actual := 10.0 + float64(i)
-		m3.Observe([]float64{20, 250}, actual, 2*actual, actual)
+		m3.Observe([]float64{20, 250}, actual, actual, actual/2)
 	}
-	a3, _ := m3.RefitAlpha()
-	if a3 < 0.3 || a3 >= 0.5 {
-		t.Errorf("α = %v after 4 records, want a damped step below 0.5", a3)
+	if a3, _ := m3.RefitAlpha(); a3 != 0.95 {
+		t.Errorf("α = %v, want the fit 1 clamped to 0.95", a3)
 	}
 }
 
@@ -463,6 +453,67 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	if err != nil || !oor.OutOfRange || oor.RegSeconds <= 0 {
 		t.Errorf("restored remedy broken: %+v err=%v", oor, err)
 	}
+	// A snapshot written before β became a constant carries "beta"; it
+	// still decodes, to the same model.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["beta"]; ok {
+		t.Error(`snapshot still writes "beta"`)
+	}
+	fields["beta"] = json.RawMessage("2")
+	old, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromOld Model
+	if err := json.Unmarshal(old, &fromOld); err != nil {
+		t.Fatalf("old-format snapshot: %v", err)
+	}
+	if c, err := fromOld.Estimate([]float64{20, 250}); err != nil || c.Seconds != oor.Seconds {
+		t.Errorf("old-format snapshot estimates %+v (err %v), want %+v", c, err, oor)
+	}
+}
+
+// TestRemedyNeighborsArePivotNearest: the remedy regresses over the training
+// records nearest the query on the pivot dimension, not the ones nearest it
+// on the in-range dimensions. Here the context-nearest records (rows 1–3 at
+// the query's size) carry cost 5·rows and the pivot-nearest ones (rows 6–8 at
+// other sizes) carry rows+10, so the two neighbourhoods extrapolate rows = 20
+// to 100 and 30.
+func TestRemedyNeighborsArePivotNearest(t *testing.T) {
+	var x [][]float64
+	var y []float64
+	for _, rows := range []float64{1, 2, 3} {
+		for _, size := range []float64{240, 250, 260} {
+			x = append(x, []float64{rows, size})
+			y = append(y, 5*rows)
+		}
+	}
+	for _, rows := range []float64{6, 7, 8} {
+		for _, size := range []float64{600, 800, 1000} {
+			x = append(x, []float64{rows, size})
+			y = append(y, rows+10)
+		}
+	}
+	cfg := fastCfg(5)
+	cfg.NeighborK = 9
+	cfg.NN.Train.Iterations = 50
+	m, _, err := Train("join", []string{"rows", "size"}, x, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := m.Estimate([]float64{20, 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(est.PivotDims) != 1 || est.PivotDims[0] != 0 {
+		t.Fatalf("pivot dims = %v, want [0]", est.PivotDims)
+	}
+	if math.Abs(est.RegSeconds-30) > 1e-6 {
+		t.Errorf("remedy regression = %v, want 30 from the pivot-nearest rows 6–8 (100 is the context-nearest rows 1–3)", est.RegSeconds)
+	}
 }
 
 func TestModelUnmarshalErrors(t *testing.T) {
@@ -559,7 +610,7 @@ func TestScanDims(t *testing.T) {
 
 func TestRemedyFallbackVolumeScaling(t *testing.T) {
 	// Exercise remedyFallback directly: degenerate neighborhoods fail, and
-	// valid ones scale the mean cost by pivot volume with clamps.
+	// valid ones scale the mean cost by pivot volume.
 	if _, err := remedyFallback(nil, nil, nil); err == nil {
 		t.Error("empty neighborhood accepted")
 	}
@@ -572,22 +623,6 @@ func TestRemedyFallbackVolumeScaling(t *testing.T) {
 	// mean y = 20, mean volume = 2e6, query volume 4e6 → scale 2 → 40.
 	if math.Abs(got-40) > 1e-9 {
 		t.Errorf("fallback = %v, want 40", got)
-	}
-	// Upward clamp at 50×.
-	got, err = remedyFallback(px, py, []float64{1e12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 20*50 {
-		t.Errorf("clamped fallback = %v, want %v", got, 20*50.0)
-	}
-	// Downward clamp at 0.1×.
-	got, err = remedyFallback(px, py, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 20*0.1 {
-		t.Errorf("clamped fallback = %v, want %v", got, 2.0)
 	}
 	// Degenerate: zero costs.
 	if _, err := remedyFallback(px, []float64{0, 0, 0}, []float64{1}); err == nil {

@@ -44,10 +44,15 @@ const (
 	DefaultTuneDebounce = 2
 )
 
+// DefaultTuneTrain is the candidate retraining run a zero TuneOptions.Train
+// selects (a profile clone carries no training config of its own), bounded to
+// keep tune latency predictable on a live server.
+var DefaultTuneTrain = nn.TrainConfig{Iterations: 300, LearningRate: 0.01, BatchSize: 32, Optimizer: nn.Adam}
+
 // TuneOptions controls one candidate tune pass.
 type TuneOptions struct {
-	// Train overrides the retraining configuration. Zero Iterations selects
-	// each model's own training config (as restored from its profile).
+	// Train is the candidate retraining run (the zero value selects
+	// DefaultTuneTrain).
 	Train nn.TrainConfig
 	// Holdout is the per-model count of most-recent log records withheld for
 	// shadow scoring (0 selects DefaultTuneHoldout).
@@ -66,6 +71,9 @@ type TuneOptions struct {
 }
 
 func (o *TuneOptions) normalize() {
+	if o.Train == (nn.TrainConfig{}) {
+		o.Train = DefaultTuneTrain
+	}
 	if o.Holdout <= 0 {
 		o.Holdout = DefaultTuneHoldout
 	}

@@ -184,6 +184,31 @@ func TestTuneCandidateRejectionLeavesLiveUntouched(t *testing.T) {
 	}
 }
 
+// A tune asked for without a training config (POST /models with no
+// train_iterations) retrains with DefaultTuneTrain. The profile clone carries
+// no training config of its own, so the model's restored default (1500
+// full-batch SGD epochs) would otherwise have run.
+func TestTuneCandidateZeroTrainUsesDefault(t *testing.T) {
+	candidateQ := func(train nn.TrainConfig) float64 {
+		e, _, inj := newTuneRig(t)
+		driftRig(t, e, inj, 8)
+		opts := fastTune()
+		opts.Train = train
+		out, err := e.TuneCandidate(context.Background(), "hivebb", opts)
+		if err != nil {
+			t.Fatalf("TuneCandidate: %v", err)
+		}
+		if out.Holdout.Samples == 0 {
+			t.Fatalf("no holdout scored: %+v", out)
+		}
+		return out.Holdout.CandidateQ
+	}
+	zero, explicit := candidateQ(nn.TrainConfig{}), candidateQ(DefaultTuneTrain)
+	if zero != explicit {
+		t.Errorf("candidate q-error %v with a zero Train, %v with DefaultTuneTrain; want the same run", zero, explicit)
+	}
+}
+
 func TestRollbackModelRestoresBytes(t *testing.T) {
 	e, est, inj := newTuneRig(t)
 	driftRig(t, e, inj, 8)

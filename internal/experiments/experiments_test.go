@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"intellisphere/internal/remote"
@@ -206,70 +209,137 @@ func TestFig7ReadDFS(t *testing.T) {
 	}
 }
 
-func TestFig14OutOfRangeOrdering(t *testing.T) {
-	env := quickEnv(t)
-	res, err := RunFig14(env)
+// oorSeeds are the quick-mode seeds the out-of-range shapes are asserted
+// over; 7 is the one the golden pins.
+var oorSeeds = []int64{1, 2, 3, 5, 7, 11, 13, 17}
+
+type oorRun struct {
+	seed   int64
+	fig14  *Fig14Result
+	table1 *Table1Result
+}
+
+// oorSweep builds one out-of-range setup per seed and runs Figure 14 and
+// Table 1 on it, once for both tests. The seeds share nothing, so they run
+// side by side.
+var oorSweep = sync.OnceValues(func() ([]oorRun, error) {
+	runs := make([]oorRun, len(oorSeeds))
+	errs := make([]error, len(oorSeeds))
+	var wg sync.WaitGroup
+	for i, seed := range oorSeeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], errs[i] = runOOR(seed)
+		}()
+	}
+	wg.Wait()
+	return runs, errors.Join(errs...)
+})
+
+func runOOR(seed int64) (oorRun, error) {
+	cfg := Quick()
+	cfg.Seed = seed
+	env, err := NewEnv(cfg)
 	if err != nil {
-		t.Fatalf("RunFig14: %v", err)
+		return oorRun{}, err
 	}
-	if res.N != 45 {
-		t.Errorf("suite size = %d, want 45", res.N)
+	s, err := newOORSetup(env)
+	if err != nil {
+		return oorRun{}, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	// The figure's ordering: raw NN is the worst; the online remedy
-	// recovers much of the gap; offline tuning and sub-op sit near the
-	// optimal zone.
-	if res.RemedyPct >= res.NNPct {
-		t.Errorf("online remedy RMSE%% (%.2f) did not improve on raw NN (%.2f)", res.RemedyPct, res.NNPct)
+	f, err := s.fig14()
+	if err != nil {
+		return oorRun{}, fmt.Errorf("seed %d: fig14: %w", seed, err)
 	}
-	if res.TunedPct >= res.NNPct {
-		t.Errorf("offline tuning RMSE%% (%.2f) did not improve on raw NN (%.2f)", res.TunedPct, res.NNPct)
+	tb, err := s.table1()
+	if err != nil {
+		return oorRun{}, fmt.Errorf("seed %d: table1: %w", seed, err)
 	}
-	if res.SubOpPct >= res.NNPct {
-		t.Errorf("sub-op RMSE%% (%.2f) should beat the raw NN (%.2f) out of range", res.SubOpPct, res.NNPct)
+	return oorRun{seed: seed, fig14: f, table1: tb}, nil
+}
+
+func oorRuns(t *testing.T) []oorRun {
+	t.Helper()
+	runs, err := oorSweep()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Sub-op stays consistent (high correlation) out of range.
-	if res.SubOpLine.R2 < 0.85 {
-		t.Errorf("sub-op out-of-range R² = %v", res.SubOpLine.R2)
-	}
-	out := res.String()
-	for _, want := range []string{"sub-op", "online remedy", "offline tuning"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("String() missing %q", want)
+	return runs
+}
+
+func TestFig14OutOfRangeOrdering(t *testing.T) {
+	// The figure's ordering: raw NN is the worst; the online remedy, offline
+	// tuning and sub-op each beat it. Required at 7 of the 8 seeds.
+	held := 0
+	for _, r := range oorRuns(t) {
+		res := r.fig14
+		ok := res.RemedyPct < res.NNPct && res.TunedPct < res.NNPct && res.SubOpPct < res.NNPct
+		if ok {
+			held++
 		}
+		t.Logf("seed %3d: NN %6.2f  remedy %6.2f  tuned %6.2f  sub-op %6.2f  ordering %v",
+			r.seed, res.NNPct, res.RemedyPct, res.TunedPct, res.SubOpPct, ok)
+		if r.seed != 7 {
+			continue
+		}
+		if res.N != 45 {
+			t.Errorf("suite size = %d, want 45", res.N)
+		}
+		// Sub-op stays consistent (high correlation) out of range.
+		if res.SubOpLine.R2 < 0.85 {
+			t.Errorf("sub-op out-of-range R² = %v", res.SubOpLine.R2)
+		}
+		out := res.String()
+		for _, want := range []string{"sub-op", "online remedy", "offline tuning"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("String() missing %q", want)
+			}
+		}
+	}
+	if held < 7 {
+		t.Errorf("Figure 14 ordering held at %d of %d seeds, want at least 7", held, len(oorSeeds))
 	}
 }
 
 func TestTable1AlphaAdaptation(t *testing.T) {
-	env := quickEnv(t)
-	res, err := RunTable1(env)
-	if err != nil {
-		t.Fatalf("RunTable1: %v", err)
-	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("got %d batches, want 5", len(res.Rows))
-	}
-	if res.Rows[0].Alpha != 0.5 {
-		t.Errorf("initial α = %v, want 0.5", res.Rows[0].Alpha)
-	}
-	// α must actually adapt after the first batch.
-	changed := false
-	for _, r := range res.Rows[1:] {
-		if r.Alpha != 0.5 {
-			changed = true
+	// The paper's trend: the last batch beats the first. Required at 6 of
+	// the 8 seeds.
+	held := 0
+	for _, r := range oorRuns(t) {
+		rows := r.table1.Rows
+		if len(rows) != 5 {
+			t.Fatalf("seed %d: got %d batches, want 5", r.seed, len(rows))
 		}
-		if r.Alpha <= 0 || r.Alpha >= 1 {
-			t.Errorf("α = %v out of (0,1)", r.Alpha)
+		first, last := rows[0].RMSEPct, rows[len(rows)-1].RMSEPct
+		if last < first {
+			held++
+		}
+		t.Logf("seed %3d: RMSE%% first %6.2f last %6.2f, final α %.2f", r.seed, first, last, rows[len(rows)-1].Alpha)
+		if r.seed != 7 {
+			continue
+		}
+		if rows[0].Alpha != 0.5 {
+			t.Errorf("initial α = %v, want 0.5", rows[0].Alpha)
+		}
+		// α must actually adapt after the first batch.
+		changed := false
+		for _, row := range rows[1:] {
+			if row.Alpha != 0.5 {
+				changed = true
+			}
+			if row.Alpha <= 0 || row.Alpha >= 1 {
+				t.Errorf("α = %v out of (0,1)", row.Alpha)
+			}
+		}
+		if !changed {
+			t.Error("α never adapted")
+		}
+		if !strings.Contains(r.table1.String(), "Table 1") {
+			t.Error("String() incomplete")
 		}
 	}
-	if !changed {
-		t.Error("α never adapted")
-	}
-	// The paper's trend: the last batch beats the first.
-	if res.Rows[len(res.Rows)-1].RMSEPct >= res.Rows[0].RMSEPct {
-		t.Errorf("RMSE%% did not improve: first %.2f last %.2f",
-			res.Rows[0].RMSEPct, res.Rows[len(res.Rows)-1].RMSEPct)
-	}
-	if !strings.Contains(res.String(), "Table 1") {
-		t.Error("String() incomplete")
+	if held < 6 {
+		t.Errorf("Table 1's last batch beat its first at %d of %d seeds, want at least 6", held, len(oorSeeds))
 	}
 }

@@ -116,6 +116,10 @@ func RunFig14(env *Env) (*Fig14Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.fig14()
+}
+
+func (s *oorSetup) fig14() (*Fig14Result, error) {
 	res := &Fig14Result{N: len(s.specs)}
 
 	// Sub-op arm: predict the algorithm with the applicability rules and
@@ -172,8 +176,8 @@ func RunFig14(env *Env) (*Fig14Result, error) {
 		tunedModel.Observe(s.specs[i].Dims(), s.actuals[i], 1, 1)
 	}
 	tc := nn.TrainConfig{
-		Iterations: env.Cfg.NNIterations, LearningRate: 0.01, BatchSize: 64,
-		Optimizer: nn.Adam, Seed: env.Cfg.Seed + 3,
+		Iterations: s.env.Cfg.NNIterations, LearningRate: 0.01, BatchSize: 64,
+		Optimizer: nn.Adam, Seed: s.env.Cfg.Seed + 3,
 	}
 	if _, err := tunedModel.OfflineTune(tc); err != nil {
 		return nil, err
@@ -224,6 +228,10 @@ func RunTable1(env *Env) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.table1()
+}
+
+func (s *oorSetup) table1() (*Table1Result, error) {
 	model, err := cloneModel(s.join)
 	if err != nil {
 		return nil, err

@@ -764,8 +764,9 @@ type modelsResponse struct {
 //	"promote"    alias of "force-tune"
 //	"rollback"   restore the previous model version byte-identically
 //
-// The optional knobs map onto engine.TuneOptions; TrainIterations bounds the
-// candidate retraining pass (0 keeps each model's own config).
+// The optional knobs map onto engine.TuneOptions; TrainIterations sets the
+// epoch count of engine.DefaultTuneTrain, the candidate retraining run (0
+// keeps its 300).
 type modelRequest struct {
 	Action          string  `json:"action"`
 	System          string  `json:"system"`
@@ -796,7 +797,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 				Holdout: req.Holdout, MinLog: req.MinLog, MinGain: req.MinGain,
 				Force: req.Action != "tune",
 			}
-			opts.Train.Iterations = req.TrainIterations
+			if req.TrainIterations > 0 {
+				opts.Train = engine.DefaultTuneTrain
+				opts.Train.Iterations = req.TrainIterations
+			}
 			out, err := s.eng.TuneCandidate(r.Context(), req.System, opts)
 			if err != nil {
 				s.writeError(w, http.StatusBadRequest, err)
