@@ -13,8 +13,8 @@ build:
 # shadowing is covered by review and the -race suite instead. Then gofmt over
 # every tracked .go file, bench/ included: a name it prints fails the target.
 # Last scripts/loc.sh, quietly: it fails on a /metrics/prom series no tracked
-# .go file or script but prom.go names, or a cmd/serve flag no test/e2e
-# scenario passes.
+# .go file or script but prom.go names, a cmd/serve flag no test/e2e
+# scenario passes, or a route no test/e2e scenario requests.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \

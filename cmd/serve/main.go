@@ -15,18 +15,16 @@
 //	POST /explain      {"sql": "SELECT ..."}   plan only
 //	GET  /query?q=SELECT+...                   curl-friendly form of the above
 //	GET  /query?q=SELECT+...&trace=1           traced form: returns the span tree
-//	GET  /profiles                             registered systems and estimators
 //	GET  /metrics/prom                         serving counters, Prometheus text format
 //	GET  /trace?n=5&format=text                recent traced queries
 //	GET  /trace?errors=1&system=hive&min_ms=50 filtered traces
 //	GET  /events?n=100&errors=1                recent wide events and the total captured
-//	GET  /history?window=15m&step=10s          embedded metrics time series
 //	GET  /slo                                  objectives, burn rates, alert states
 //	GET  /health                               breaker states and fallback counters
 //	GET  /faults                               fault-injector switches and stats
 //	POST /faults   {"system": "hive", "outage": true}       force/lift an outage
 //	POST /faults   {"system": "hive", "rates": {...}}       dial fault rates live
-//	GET  /models                               model versions per tunable system
+//	GET  /models                               costing profile and model versions per system
 //	POST /models   {"action": "tune", "system": ...}        candidate tune/rollback
 //	GET  /catalog                              tables with materialization flags
 //	POST /catalog  {"table": {...}}                         register a table
@@ -62,12 +60,13 @@
 // endpoints actually populate; combine it with -pprof to measure lock
 // contention on a live server.
 //
-// Observability is on by default: every query feeds the end-to-end latency
+// Observability is on by default: every query feeds the engine-time latency
 // histogram, -event-sample of ordinary queries (plus every error and every
-// query past -slow-query-ms) become wide events on /events, a collector
-// samples the key serving series every -obs-step into the /history ring, and
-// the -slo-* objectives evaluate multi-window burn-rate alerts on /slo (burn
-// rates and transition counts there; /metrics/prom carries each alert state).
+// query past -slow-query-ms) become wide events on /events, and the -slo-*
+// objectives evaluate multi-window burn-rate alerts on /slo (burn rates and
+// transition counts there; /metrics/prom carries each alert state) over a
+// ring a collector fills every -obs-step. The ring holds 1080 steps, and a
+// -slo-slow window longer than that is refused at startup.
 // -event-log additionally streams events to a size-rotated NDJSON file.
 // -obs-step 0 switches the whole pipeline off; the engine then pays one
 // atomic load per query for it and nothing else.
@@ -138,7 +137,7 @@ func main() {
 	slowQueryMS := flag.Int("slow-query-ms", 500, "latency at which a query counts as slow and is always captured as an event (0 disables the rule)")
 	eventLog := flag.String("event-log", "", "NDJSON wide-event log path, size-rotated (empty = in-memory ring only)")
 	eventLogMax := flag.Int64("event-log-max-bytes", 0, "event-log size that triggers rotation to .1 (0 = default 8 MiB)")
-	obsStep := flag.Duration("obs-step", 5*time.Second, "metrics-history collector step behind /history (<= 0 disables the whole observability pipeline)")
+	obsStep := flag.Duration("obs-step", 5*time.Second, "collector step of the sample ring the -slo-* objectives are evaluated over (<= 0 disables the whole observability pipeline)")
 	sloAvailability := flag.Float64("slo-availability", 0.999, "availability SLO target as a good fraction (0 disables)")
 	sloLatency := flag.Duration("slo-latency-p99", 250*time.Millisecond, "p99 latency SLO threshold (0 disables)")
 	sloQError := flag.Float64("slo-qerror", 0, "estimator mean q-error SLO threshold (0 disables)")

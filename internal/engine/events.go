@@ -11,7 +11,7 @@ func (e *Engine) SetEventRecorder(r *obs.Recorder) {
 }
 
 // emitEvent feeds the recorder at query completion: every query observes
-// the end-to-end latency histogram, then the sampler decides whether this
+// the engine-time latency histogram, then the sampler decides whether this
 // one becomes a wide event. The event struct is only built after a positive
 // sampling decision, so skipped queries allocate nothing here; the statement
 // hash is the one the statement's lookup computed, hashed here only for a

@@ -84,25 +84,26 @@ func TestFig11AggregationShapes(t *testing.T) {
 	}
 }
 
+// TestFig12JoinShapes holds the headline of Figure 12 — the NN fits the join
+// well, linear regression does not (paper: R² 0.887 vs 0.468) — at every
+// seed of the out-of-range sweep.
 func TestFig12JoinShapes(t *testing.T) {
-	env := quickEnv(t)
-	res, err := RunFig12(env)
-	if err != nil {
-		t.Fatalf("RunFig12: %v", err)
-	}
-	if res.NumQueries != env.Cfg.JoinPairs*4 {
-		t.Errorf("join queries = %d, want %d", res.NumQueries, env.Cfg.JoinPairs*4)
-	}
-	// The headline of Figure 12: the NN fits the join well, linear
-	// regression does not (paper: R² 0.887 vs 0.468).
-	if res.NNLine.R2 < 0.8 {
-		t.Errorf("join NN R² = %v, want > 0.8", res.NNLine.R2)
-	}
-	if res.LinRegLine.R2 > res.NNLine.R2-0.05 {
-		t.Errorf("join linreg R² (%v) too close to NN (%v); the gap is the paper's point", res.LinRegLine.R2, res.NNLine.R2)
-	}
-	if res.NNRMSEPct > res.LinRegRMSEPct {
-		t.Errorf("join NN RMSE%% (%v) worse than linreg (%v)", res.NNRMSEPct, res.LinRegRMSEPct)
+	for _, r := range oorRuns(t) {
+		res := r.fig12
+		t.Logf("seed %3d: R² NN %.3f linreg %.3f  RMSE%% NN %6.2f linreg %6.2f",
+			r.seed, res.NNLine.R2, res.LinRegLine.R2, res.NNRMSEPct, res.LinRegRMSEPct)
+		if want := Quick().JoinPairs * 4; res.NumQueries != want {
+			t.Errorf("seed %d: join queries = %d, want %d", r.seed, res.NumQueries, want)
+		}
+		if res.NNLine.R2 < 0.8 {
+			t.Errorf("seed %d: join NN R² = %v, want > 0.8", r.seed, res.NNLine.R2)
+		}
+		if res.LinRegLine.R2 > res.NNLine.R2-0.05 {
+			t.Errorf("seed %d: join linreg R² (%v) too close to NN (%v); the gap is the paper's point", r.seed, res.LinRegLine.R2, res.NNLine.R2)
+		}
+		if res.NNRMSEPct > res.LinRegRMSEPct {
+			t.Errorf("seed %d: join NN RMSE%% (%v) worse than linreg (%v)", r.seed, res.NNRMSEPct, res.LinRegRMSEPct)
+		}
 	}
 }
 
@@ -215,13 +216,14 @@ var oorSeeds = []int64{1, 2, 3, 5, 7, 11, 13, 17}
 
 type oorRun struct {
 	seed   int64
+	fig12  *LogicalOpResult
 	fig14  *Fig14Result
 	table1 *Table1Result
 }
 
-// oorSweep builds one out-of-range setup per seed and runs Figure 14 and
-// Table 1 on it, once for both tests. The seeds share nothing, so they run
-// side by side.
+// oorSweep builds one environment and out-of-range setup per seed and runs
+// Figures 12 and 14 and Table 1 on it, once for the three tests. The seeds
+// share nothing, so they run side by side.
 var oorSweep = sync.OnceValues(func() ([]oorRun, error) {
 	runs := make([]oorRun, len(oorSeeds))
 	errs := make([]error, len(oorSeeds))
@@ -256,7 +258,11 @@ func runOOR(seed int64) (oorRun, error) {
 	if err != nil {
 		return oorRun{}, fmt.Errorf("seed %d: table1: %w", seed, err)
 	}
-	return oorRun{seed: seed, fig14: f, table1: tb}, nil
+	j, err := RunFig12(env)
+	if err != nil {
+		return oorRun{}, fmt.Errorf("seed %d: fig12: %w", seed, err)
+	}
+	return oorRun{seed: seed, fig12: j, fig14: f, table1: tb}, nil
 }
 
 func oorRuns(t *testing.T) []oorRun {

@@ -16,11 +16,8 @@ type Cumulative struct {
 	Errors      uint64
 	Shed        uint64
 	RateLimited uint64
-	Retries     uint64
-	CacheHits   uint64
-	CacheMisses uint64
-	// Latency is the end-to-end query latency histogram snapshot; bucket
-	// deltas between ticks yield windowed p50/p99.
+	// Latency is the engine-time query latency histogram snapshot; bucket
+	// deltas between ticks yield the windowed p99.
 	Latency metrics.HistogramSnapshot
 	// QError is the current mean q-error per "system/operator" key (a
 	// gauge, copied into the sample as-is).
@@ -85,16 +82,9 @@ func (c *Collector) Tick(now time.Time) {
 		QPS:       rate(cur.Queries, c.prev.Queries, dt),
 		ErrorRate: rate(cur.Errors, c.prev.Errors, dt),
 		ShedRate:  rate(cur.Shed+cur.RateLimited, c.prev.Shed+c.prev.RateLimited, dt),
-		RetryRate: rate(cur.Retries, c.prev.Retries, dt),
+		P99Sec:    deltaQuantile(c.prev.Latency, cur.Latency, 0.99),
 		QError:    cur.QError,
 	}
-	hits := delta(cur.CacheHits, c.prev.CacheHits)
-	lookups := hits + delta(cur.CacheMisses, c.prev.CacheMisses)
-	if lookups > 0 {
-		s.CacheHitRatio = float64(hits) / float64(lookups)
-	}
-	s.P50Sec = deltaQuantile(c.prev.Latency, cur.Latency, 0.50)
-	s.P99Sec = deltaQuantile(c.prev.Latency, cur.Latency, 0.99)
 	c.prev, c.prevAt = cur, now
 	c.hist.Append(s)
 	if c.slo != nil {
@@ -140,7 +130,7 @@ func delta(cur, prev uint64) uint64 {
 }
 
 // deltaQuantile estimates a quantile of the observations that landed
-// between two cumulative histogram snapshots — the windowed p50/p99 the
+// between two cumulative histogram snapshots — the windowed p99 the
 // history stores. Buckets are matched by upper bound (the layouts are
 // identical for snapshots of one histogram); an empty window yields 0.
 func deltaQuantile(prev, cur metrics.HistogramSnapshot, q float64) float64 {

@@ -1,11 +1,10 @@
 // Package obs is the continuous-observability layer of the serving stack:
 // a wide-event query log (one structured record per query, head-sampled with
-// always-capture for errors and slow queries), an embedded metrics history
-// ring (time-series snapshots of the key serving series, queryable without
-// an external Prometheus), and an SLO engine evaluating burn-rate alerts
-// over that history. Everything is in-process, lock-free on the hot paths,
-// and zero-cost when not wired up: the engine holds an atomic pointer to a
-// Recorder and emits nothing while it is nil.
+// always-capture for errors and slow queries), and an SLO engine evaluating
+// burn-rate alerts over a history ring of per-step samples a collector takes
+// of the serving counters. Everything is in-process, lock-free on the hot
+// paths, and zero-cost when not wired up: the engine holds an atomic pointer
+// to a Recorder and emits nothing while it is nil.
 package obs
 
 // Event is one wide query event — the per-query record rich enough to audit
@@ -40,7 +39,10 @@ type Event struct {
 	// measured execution time for the chosen plan.
 	EstimatedSec float64 `json:"estimated_sec,omitempty"`
 	ActualSec    float64 `json:"actual_sec,omitempty"`
-	// LatencySec is end-to-end wall time as the caller saw it.
+	// LatencySec is engine time: parse + plan + execute. The clock starts in
+	// Engine.serve, after admission and the request body read, and stops at
+	// the end of the execute stage, before the response is encoded and
+	// written; ROADMAP item 6 tracks those missing stages.
 	LatencySec float64 `json:"latency_sec"`
 	// ParseNS, PlanNS and ExecuteNS split the latency into the engine's
 	// stages, in nanoseconds: readings of one clock, so they sum to the

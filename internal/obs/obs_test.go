@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -124,8 +125,8 @@ func TestRingConcurrent(t *testing.T) {
 }
 
 // TestHistoryConcurrent exercises the history ring under -race: one
-// appender (the collector is single-goroutine by design) against snapshot
-// and window readers.
+// appender (the collector is single-goroutine by design) against a
+// whole-ring reader and a slow-window-sized one, the SLO engine's read.
 func TestHistoryConcurrent(t *testing.T) {
 	h := NewHistory(32, time.Second)
 	base := time.Unix(1_700_000_000, 0)
@@ -151,7 +152,7 @@ func TestHistoryConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			h.Window(base.Add(time.Hour), time.Hour, 2*time.Second)
+			h.Recent(16)
 		}
 	}()
 	for i := 0; i < 5000; i++ {
@@ -161,28 +162,6 @@ func TestHistoryConcurrent(t *testing.T) {
 	readers.Wait()
 	if got := h.Recent(0); len(got) != 32 || got[0].QPS != 4999 {
 		t.Fatalf("Recent(0) holds %d samples, newest QPS %v; want 32 and 4999", len(got), got[0].QPS)
-	}
-}
-
-func TestHistoryWindow(t *testing.T) {
-	h := NewHistory(100, time.Second)
-	base := time.Unix(1_700_000_000, 0)
-	for i := 0; i < 60; i++ {
-		h.Append(&Sample{Unix: base.Add(time.Duration(i) * time.Second).Unix()})
-	}
-	now := base.Add(59 * time.Second)
-	full := h.Window(now, 30*time.Second, 0)
-	if len(full) == 0 || len(full) > 31 {
-		t.Fatalf("window returned %d samples, want ~30", len(full))
-	}
-	for i := 1; i < len(full); i++ {
-		if full[i].Unix <= full[i-1].Unix {
-			t.Fatalf("window not ascending at %d", i)
-		}
-	}
-	coarse := h.Window(now, 30*time.Second, 10*time.Second)
-	if len(coarse) < 3 || len(coarse) > 4 {
-		t.Fatalf("10s-step window returned %d samples, want 3-4", len(coarse))
 	}
 }
 
@@ -351,6 +330,51 @@ func TestSLOIdleDoesNotBurn(t *testing.T) {
 	if got := slo.Snapshot()[0].State; got != StateInactive {
 		t.Fatalf("idle process: state %q, want inactive", got)
 	}
+}
+
+// TestNewFitsSlowWindowInRing: SLO.burn divides a window's bad fractions by
+// window/step samples, so a slow window longer than the ring would read its
+// missing samples as good (a 2h window at the default 5s step reads 750 of a
+// true 1000 burn). New rejects it; the longest window the ring holds reads
+// the true burn, and with no objective there is no ring and no collector.
+func TestNewFitsSlowWindowInRing(t *testing.T) {
+	const step = 5 * time.Second
+	objectives := func(slow time.Duration) []Objective {
+		return DefaultObjectives(0.999, 0, 0, time.Minute, slow, 14)
+	}
+	if _, err := New(Config{Step: step, Objectives: objectives(2 * time.Hour)}); err == nil {
+		t.Error("New accepted a 2h slow window at a 5s step (1440 samples, ring 1080)")
+	}
+	for _, slow := range []time.Duration{5 * time.Minute, DefaultHistorySize * step} {
+		if _, err := New(Config{Step: step, Objectives: objectives(slow)}); err != nil {
+			t.Errorf("slow window %s: %v", slow, err)
+		}
+	}
+
+	h := NewHistory(DefaultHistorySize, step)
+	slo := NewSLO(h, objectives(DefaultHistorySize*step))
+	now := time.Unix(1_700_000_000, 0)
+	for i := 0; i < DefaultHistorySize+10; i++ {
+		now = now.Add(step)
+		h.Append(&Sample{Unix: now.Unix(), QPS: 1, ErrorRate: 1})
+	}
+	slo.Evaluate(now)
+	if got := slo.Snapshot()[0].SlowBurn; math.Abs(got-1000) > 1e-6 {
+		t.Errorf("all-error traffic over a ring-long slow window burns %v, want 1000", got)
+	}
+
+	idle, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.Start(func() Cumulative {
+		t.Error("collector sampled with no objective declared")
+		return Cumulative{}
+	})
+	if idle.SLO != nil || idle.col != nil {
+		t.Errorf("no objective: SLO %v, collector %v; want neither", idle.SLO, idle.col)
+	}
+	idle.Stop()
 }
 
 func TestFileSinkDrainAndRotate(t *testing.T) {

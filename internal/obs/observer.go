@@ -1,6 +1,9 @@
 package obs
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Config assembles the whole pipeline.
 type Config struct {
@@ -13,9 +16,11 @@ type Config struct {
 	// DefaultSinkMaxBytes).
 	EventLogMaxBytes int64
 	// Step is the collector interval of the DefaultHistorySize-sample
-	// time-series ring (<= 0 selects 5 s).
+	// time-series ring the SLO engine reads (<= 0 selects 5 s).
 	Step time.Duration
-	// Objectives declares the SLOs; empty disables the SLO engine.
+	// Objectives declares the SLOs; empty disables the SLO engine, and with
+	// it the ring and the collector. A slow window may span at most
+	// DefaultHistorySize steps.
 	Objectives []Objective
 	// Clock is injectable for tests (nil selects the wall clock).
 	Clock func() time.Time
@@ -27,7 +32,6 @@ type Config struct {
 // and file-sink goroutines; Stop tears both down, flushing the sink.
 type Observer struct {
 	Rec  *Recorder
-	Hist *History
 	SLO  *SLO
 	Sink *FileSink
 
@@ -38,15 +42,20 @@ type Observer struct {
 
 // New builds an observer. The file sink (when configured) is opened here so
 // startup fails fast on an unwritable path, but no goroutines run until
-// Start.
+// Start. An objective whose slow window the history ring cannot hold is an
+// error: its burn would count the missing samples as good.
 func New(cfg Config) (*Observer, error) {
-	o := &Observer{
-		Rec:  NewRecorder(cfg.Events),
-		Hist: NewHistory(DefaultHistorySize, cfg.Step),
-		cfg:  cfg,
-	}
+	o := &Observer{Rec: NewRecorder(cfg.Events), cfg: cfg}
 	if len(cfg.Objectives) > 0 {
-		o.SLO = NewSLO(o.Hist, cfg.Objectives)
+		hist := NewHistory(DefaultHistorySize, cfg.Step)
+		o.SLO = NewSLO(hist, cfg.Objectives)
+		span := DefaultHistorySize * hist.Step()
+		for _, st := range o.SLO.states {
+			if st.obj.SlowWindow > span {
+				return nil, fmt.Errorf("obs: objective %s: slow window %s is longer than the %s the history ring holds (%d samples at a %s step)",
+					st.obj.Name, st.obj.SlowWindow, span, DefaultHistorySize, hist.Step())
+			}
+		}
 	}
 	if cfg.EventLogPath != "" {
 		sink, err := NewFileSink(o.Rec.Ring(), cfg.EventLogPath, cfg.EventLogMaxBytes, 0)
@@ -58,14 +67,17 @@ func New(cfg Config) (*Observer, error) {
 	return o, nil
 }
 
-// Start launches the collector (sampling src) and the file sink.
+// Start launches the collector (sampling src; only when objectives are
+// declared, since the SLO engine is its one reader) and the file sink.
 func (o *Observer) Start(src func() Cumulative) {
 	if o == nil || o.started {
 		return
 	}
 	o.started = true
-	o.col = NewCollector(src, o.Hist, o.SLO, o.cfg.Step, o.cfg.Clock)
-	o.col.Start()
+	if o.SLO != nil {
+		o.col = NewCollector(src, o.SLO.hist, o.SLO, o.cfg.Step, o.cfg.Clock)
+		o.col.Start()
+	}
 	if o.Sink != nil {
 		o.Sink.Start()
 	}

@@ -25,15 +25,15 @@ type RecorderConfig struct {
 
 // Recorder is the engine-facing half of the event pipeline: it decides
 // which queries become events (Sample), stamps them into the ring (Record),
-// and owns the end-to-end query latency histogram every query observes into
-// (Observe) — the series the history collector and the /metrics/prom
-// exemplars are built from.
+// and owns the engine-time (parse + plan + execute) latency histogram every
+// query observes into (Observe) — the series the history collector and the
+// /metrics/prom exemplars are built from.
 //
 // All methods are nil-receiver no-ops, so call sites can hold a possibly-nil
 // *Recorder without branching.
 type Recorder struct {
 	ring *Ring
-	// Latency is the end-to-end query latency histogram (all queries, not
+	// Latency is the engine-time query latency histogram (all queries, not
 	// just sampled ones), with exemplars for traced queries.
 	Latency *metrics.Histogram
 
@@ -88,7 +88,7 @@ func (r *Recorder) Sample(failed bool, latency time.Duration) (capture string, o
 	return "", false
 }
 
-// Observe feeds the end-to-end latency histogram, pinning an exemplar when
+// Observe feeds the engine-time latency histogram, pinning an exemplar when
 // the query was traced.
 func (r *Recorder) Observe(latency time.Duration, traceID uint64) {
 	if r == nil {

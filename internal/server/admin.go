@@ -153,12 +153,10 @@ type durabilityStatus struct {
 }
 
 // healthResponse extends the engine's availability verdict with the
-// durability block when a data directory is configured and the SLO summary
-// when objectives are declared.
+// durability block when a data directory is configured.
 type healthResponse struct {
 	engine.Health
 	Durability *durabilityStatus `json:"durability,omitempty"`
-	SLO        *sloHealth        `json:"slo,omitempty"`
 }
 
 // durabilityStatus builds the /health durability block, nil when the server

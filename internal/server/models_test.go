@@ -31,9 +31,9 @@ func postModels(t *testing.T, url string, req modelRequest, out any) int {
 }
 
 // TestModelsEndpoint pins the model-lifecycle admin surface over a sub-op
-// federation: the listing names every profile-backed system, a tune with no
-// retrainable log resolves as a no-op (not an error), and the failure modes
-// answer 400 rather than mutating anything.
+// federation: the listing names every registered system (the profiles
+// themselves are TestProfilesEndpoint's), a tune with no retrainable log resolves as a no-op (not an
+// error), and the failure modes answer 400 rather than mutating anything.
 func TestModelsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
 
@@ -41,11 +41,14 @@ func TestModelsEndpoint(t *testing.T) {
 	if resp := getJSON(t, srv.URL+"/models", &mr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /models status = %d", resp.StatusCode)
 	}
-	if len(mr.Systems) != 1 || mr.Systems[0].System != "hive" {
-		t.Fatalf("GET /models systems = %+v (master must be excluded)", mr.Systems)
+	// Systems are listed sorted, the master included.
+	if len(mr.Systems) != 2 || mr.Systems[0].System != "hive" || mr.Systems[1].System != "teradata" {
+		t.Fatalf("GET /models systems = %+v, want hive and the master teradata", mr.Systems)
 	}
-	if mr.Systems[0].Versions == nil || len(mr.Systems[0].Versions) != 0 {
-		t.Fatalf("fresh system versions = %+v, want empty list", mr.Systems[0].Versions)
+	for _, sys := range mr.Systems {
+		if sys.Versions == nil || len(sys.Versions) != 0 {
+			t.Fatalf("fresh %s versions = %+v, want empty list", sys.System, sys.Versions)
+		}
 	}
 
 	// hive's profile is sub-op only: a candidate tune finds no logical-op

@@ -15,22 +15,20 @@ import (
 
 // This file is the serving surface of the continuous-observability pipeline
 // (internal/obs): the wiring that attaches an Observer to the server and the
-// three read endpoints over its state —
+// two read endpoints over its state —
 //
 //	GET /events   recent wide query events from the in-memory ring
 //	              (?n= bounds, ?errors=1 / ?system= / ?min_ms= / ?since=
 //	              filter — the recentFilter /trace shares)
-//	GET /history  the embedded metrics time series
-//	              (?window=15m trailing span, ?step=10s downsampling)
 //	GET /slo      every declared objective's burn rates and alert state
 //
-// All three answer 404 with code "not_enabled" when the server runs without
+// Both answer 404 with code "not_enabled" when the server runs without
 // an observer, so probes can distinguish "disabled" from "empty".
 
 // WithObservability attaches the observability pipeline: the engine starts
-// feeding the wide-event recorder, and /events, /history, /slo, /health and
-// /metrics/prom pick up the observer's state. The caller still owns the
-// observer's lifecycle (Start with ObsSource, Stop on shutdown).
+// feeding the wide-event recorder, and /events, /slo and /metrics/prom pick
+// up the observer's state. The caller still owns the observer's lifecycle
+// (Start with ObsSource, Stop on shutdown).
 func (s *Server) WithObservability(o *obs.Observer) *Server {
 	s.obs = o
 	if o != nil {
@@ -40,8 +38,8 @@ func (s *Server) WithObservability(o *obs.Observer) *Server {
 }
 
 // ObsSource builds the cumulative-counter closure the history collector
-// differentiates into per-step rates: engine query/error/retry and
-// plan-cache counters, admission shed/rate-limit counters, the end-to-end
+// differentiates into the per-step rates the SLO engine scores: engine
+// query/error counters, admission shed/rate-limit counters, the engine-time
 // latency histogram, and the current per-(system, operator) mean q-error.
 func (s *Server) ObsSource() func() obs.Cumulative {
 	return func() obs.Cumulative {
@@ -63,9 +61,6 @@ func (s *Server) ObsSource() func() obs.Cumulative {
 			Errors:      st.QueryErrors,
 			Shed:        adm.ShedQueueFull + adm.ShedDeadline,
 			RateLimited: adm.RateLimited,
-			Retries:     st.Resilience.Retries,
-			CacheHits:   st.PlanCache.Hits,
-			CacheMisses: st.PlanCache.Misses,
 			Latency:     lat,
 			QError:      qerr,
 		}
@@ -191,53 +186,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// historyResponse is the GET /history payload: the trailing window of
-// time-series samples, oldest first.
-type historyResponse struct {
-	StepSec   float64       `json:"step_sec"`
-	WindowSec float64       `json:"window_sec"`
-	Samples   []*obs.Sample `json:"samples"`
-}
-
-// handleHistory serves the embedded metrics history: ?window= selects the
-// trailing span (default 15m, capped by the ring's capacity) and ?step=
-// downsamples so consecutive points are at least that far apart.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if s.obs == nil {
-		s.writeObsDisabled(w)
-		return
-	}
-	window := 15 * time.Minute
-	if v := r.URL.Query().Get("window"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("bad window %q: want a positive duration like 15m", v))
-			return
-		}
-		window = d
-	}
-	var step time.Duration
-	if v := r.URL.Query().Get("step"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("bad step %q: want a positive duration like 10s", v))
-			return
-		}
-		step = d
-	}
-	samples := s.obs.Hist.Window(time.Now(), window, step)
-	if samples == nil {
-		samples = []*obs.Sample{}
-	}
-	s.writeJSON(w, http.StatusOK, historyResponse{
-		StepSec:   s.obs.Hist.Step().Seconds(),
-		WindowSec: window.Seconds(),
-		Samples:   samples,
-	})
-}
-
 // sloResponse is the GET /slo payload.
 type sloResponse struct {
 	Enabled    bool        `json:"enabled"`
@@ -267,33 +215,4 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// sloHealth is the SLO summary block on /health: the quick verdict probes
-// read without parsing the full /slo listing.
-type sloHealth struct {
-	Objectives  int      `json:"objectives"`
-	Firing      int      `json:"firing"`
-	Pending     int      `json:"pending"`
-	FiringNames []string `json:"firing_names,omitempty"`
-}
-
-// sloStatus builds the /health SLO block, nil when no objectives are
-// declared.
-func (s *Server) sloStatus() *sloHealth {
-	if s.obs == nil || s.obs.SLO == nil {
-		return nil
-	}
-	alerts := s.obs.SLO.Snapshot()
-	out := &sloHealth{Objectives: len(alerts)}
-	for _, a := range alerts {
-		switch a.State {
-		case obs.StateFiring:
-			out.Firing++
-			out.FiringNames = append(out.FiringNames, a.Name)
-		case obs.StatePending:
-			out.Pending++
-		}
-	}
-	return out
 }

@@ -87,7 +87,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 			counter(&b, "intellisphere_event_log_write_errors_total", "Event-log write failures.", float64(ss.WriteErrs))
 			counter(&b, "intellisphere_event_log_rotations_total", "Event-log size rotations.", float64(ss.Rotations))
 		}
-		histogram(&b, "intellisphere_query_seconds", "End-to-end query latency as the caller saw it.", s.obs.Rec.LatencySnapshot())
+		histogram(&b, "intellisphere_query_seconds", "Engine time per query: parse + plan + execute (admission wait, body read, response encode and write are not in it).", s.obs.Rec.LatencySnapshot())
 		if s.obs.SLO != nil {
 			writeSLO(&b, s.obs.SLO.Snapshot())
 		}

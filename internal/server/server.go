@@ -11,7 +11,6 @@
 //	                                   statement out, in order, errors
 //	                                   isolated per slot
 //	POST /explain      {"sql": "..."}  plan only, returns the rendered plan
-//	GET  /profiles                     registered systems and their estimators
 //	GET  /metrics/prom                 every serving counter — queries,
 //	                                   per-stage latency histograms, plan
 //	                                   cache, admission, estimator
@@ -24,8 +23,6 @@
 //	GET  /events                       recent wide query events (?n= bounds;
 //	                                   ?errors=1 / ?system= / ?min_ms= /
 //	                                   ?since= filter)
-//	GET  /history                      embedded metrics time series
-//	                                   (?window=15m, ?step=10s)
 //	GET  /slo                          declared objectives with burn rates
 //	                                   and alert states
 //	GET  /health                       federation availability: circuit-breaker
@@ -33,6 +30,10 @@
 //	                                   while any breaker is open; with a data
 //	                                   directory, also the boot recovery
 //	                                   summary and snapshot/WAL position
+//	GET  /models                       every registered system's costing
+//	                                   profile (approach, active side,
+//	                                   engine) and model versions; POST
+//	                                   tunes, promotes or rolls back
 //	GET  /catalog                      registered tables with materialization
 //	                                   flags; POST registers/materializes
 //	GET  /links                        QueryGrid link configurations; POST
@@ -119,9 +120,8 @@ type Server struct {
 	// dur, when set via WithDurability, exposes snapshot/WAL state on
 	// /health and /metrics/prom.
 	dur *engine.Durability
-	// obs, when set via WithObservability, backs /events, /history, /slo,
-	// the SLO block on /health, and the observability metrics on
-	// /metrics/prom.
+	// obs, when set via WithObservability, backs /events, /slo and the
+	// observability metrics on /metrics/prom.
 	obs *obs.Observer
 }
 
@@ -174,11 +174,9 @@ func (s *Server) Handler(timeout time.Duration) http.Handler {
 	mux.Handle("/query/batch", s.admit(s.handleQueryBatch))
 	mux.Handle("/query/stream", s.admitStream(s.handleQueryStream))
 	mux.Handle("/explain", bound(s.handleExplain))
-	mux.Handle("/profiles", bound(s.handleProfiles))
 	mux.Handle("/metrics/prom", bound(s.handlePromMetrics))
 	mux.Handle("/trace", bound(s.handleTrace))
 	mux.Handle("/events", bound(s.handleEvents))
-	mux.Handle("/history", bound(s.handleHistory))
 	mux.Handle("/slo", bound(s.handleSLO))
 	mux.Handle("/health", bound(s.handleHealth))
 	mux.Handle("/faults", bound(s.handleFaults))
@@ -640,34 +638,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, explainResponse{SQL: sql, Explain: out})
 }
 
-// profileInfo describes one registered system on /profiles.
-type profileInfo struct {
-	System   string `json:"system"`
-	Approach string `json:"approach"`
-	Active   string `json:"active,omitempty"`
-	Engine   string `json:"engine,omitempty"`
-}
-
-func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	var out []profileInfo
-	for _, name := range s.eng.Systems() {
-		info := profileInfo{System: name}
-		est, err := s.eng.Estimator(name)
-		if err != nil {
-			info.Approach = "none"
-			out = append(out, info)
-			continue
-		}
-		info.Approach = string(est.Approach())
-		if h, ok := est.(*hybrid.Estimator); ok {
-			info.Active = string(h.Active())
-			info.Engine = h.Profile().Engine.String()
-		}
-		out = append(out, info)
-	}
-	s.writeJSON(w, http.StatusOK, out)
-}
-
 // handleTrace serves the recent-traces ring: GET /trace returns the last
 // traced queries as JSON span trees, newest first, through a recentFilter
 // (?n= defaults to the whole ring; a trace has failed when it carries an
@@ -743,11 +713,15 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// modelInfo describes one tunable system on GET /models: its version
-// lineage (oldest first, live flagged) and the lifecycle counters' view of
-// the engine.
+// modelInfo describes one registered system on GET /models: its costing
+// profile — the approach, and for a hybrid the active side and the engine
+// it models — and its version lineage (oldest first, live flagged; empty
+// for a system with no versioned models).
 type modelInfo struct {
 	System   string             `json:"system"`
+	Approach string             `json:"approach"`
+	Active   string             `json:"active,omitempty"`
+	Engine   string             `json:"engine,omitempty"`
 	Versions []modelver.Version `json:"versions"`
 }
 
@@ -777,9 +751,9 @@ type modelRequest struct {
 }
 
 // handleModels is the model-lifecycle admin surface: GET lists every
-// profile-backed system's retained model versions (with holdout scores and
-// the live flag); POST triggers a candidate tune, a forced promotion, or a
-// rollback on one system.
+// registered system's costing profile and retained model versions (with
+// holdout scores and the live flag); POST triggers a candidate tune, a
+// forced promotion, or a rollback on one system.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
 		req, err := decodeAdminBody[modelRequest](w, r, `{"action": ..., "system": ...}`)
@@ -821,18 +795,18 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := modelsResponse{Systems: []modelInfo{}, Tuning: s.eng.TuningStats()}
 	for _, name := range s.eng.Systems() {
-		est, err := s.eng.Estimator(name)
-		if err != nil {
-			continue
+		info := modelInfo{System: name, Approach: "none", Versions: s.eng.ModelVersions(name)}
+		if info.Versions == nil {
+			info.Versions = []modelver.Version{}
 		}
-		if _, ok := est.(*hybrid.Estimator); !ok {
-			continue
+		if est, err := s.eng.Estimator(name); err == nil {
+			info.Approach = string(est.Approach())
+			if h, ok := est.(*hybrid.Estimator); ok {
+				info.Active = string(h.Active())
+				info.Engine = h.Profile().Engine.String()
+			}
 		}
-		vs := s.eng.ModelVersions(name)
-		if vs == nil {
-			vs = []modelver.Version{}
-		}
-		resp.Systems = append(resp.Systems, modelInfo{System: name, Versions: vs})
+		resp.Systems = append(resp.Systems, info)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -850,9 +824,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if h.OpenCount > 0 {
 		status = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, status, healthResponse{
-		Health: h, Durability: s.durabilityStatus(), SLO: s.sloStatus(),
-	})
+	s.writeJSON(w, status, healthResponse{Health: h, Durability: s.durabilityStatus()})
 }
 
 // maxStreamLine bounds one statement line on /query/stream; the stream

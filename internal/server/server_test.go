@@ -150,19 +150,29 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestProfilesEndpoint checks each system's costing profile as GET /models
+// lists it; /profiles, its old second listing, is gone.
 func TestProfilesEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
-	var infos []profileInfo
-	getJSON(t, srv.URL+"/profiles", &infos)
-	byName := map[string]profileInfo{}
-	for _, p := range infos {
-		byName[p.System] = p
+	var mr modelsResponse
+	getJSON(t, srv.URL+"/models", &mr)
+	byName := map[string]modelInfo{}
+	for _, m := range mr.Systems {
+		byName[m.System] = m
 	}
-	if p, ok := byName["hive"]; !ok || p.Approach != "hybrid" || p.Active != "sub-op" {
-		t.Errorf("hive profile = %+v", byName["hive"])
+	if p, ok := byName["hive"]; !ok || p.Approach != "hybrid" || p.Active != "sub-op" || p.Engine == "" {
+		t.Errorf("hive profile = %+v, want a hybrid costing through its sub-op side", byName["hive"])
 	}
-	if p, ok := byName["teradata"]; !ok || p.Approach != "sub-op" {
-		t.Errorf("master profile = %+v", byName["teradata"])
+	if p, ok := byName["teradata"]; !ok || p.Approach != "sub-op" || p.Active != "" || p.Engine != "" {
+		t.Errorf("master profile = %+v, want a plain sub-op estimator", byName["teradata"])
+	}
+	resp, err := http.Get(srv.URL + "/profiles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /profiles = %d, want 404", resp.StatusCode)
 	}
 }
 

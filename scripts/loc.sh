@@ -16,11 +16,13 @@
 # under internal/ (one per field line), beside the flag count.
 # Last the tooling around the code: shell lines under scripts/, make targets,
 # steps of `make ci`, Benchmark functions, and the cmd/serve flags that no
-# file under test/e2e passes to the binary.
-# Exits 1, naming them on stderr, when a series has no reader or a flag no
-# scenario: a new series lands with a file that names it (a name search, so
-# that the file asserts the value is left to review), a new flag with an e2e
-# scenario that passes it (`make vet` runs this with stdout discarded).
+# file under test/e2e passes to the binary. (The routes no file there
+# requests, as "<route>" or "<route>?...", print beside the route count.)
+# Exits 1, naming them on stderr, when a series has no reader, a flag no
+# scenario or a route no request: a new series lands with a file that names
+# it (a name search, so that the file asserts the value is left to review),
+# a new flag or route with an e2e scenario that passes or requests it
+# (`make vet` runs this with stdout discarded).
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 git ls-files -- 'internal/*.go' | grep -v -e '_test\.go$' -e '/testdata/' |
@@ -36,6 +38,11 @@ awk '{ n[$2] += $1; t += $1 }
 series=internal/server/testdata/prom_series.txt
 unread=
 printf '%7d  routes registered in Server.Handler\n' "$(grep -c 'mux\.Handle(' internal/server/server.go)"
+unasked=$(sed -n 's/.*mux\.Handle("\([^"]*\)".*/\1/p' internal/server/server.go |
+	while read -r r; do
+		grep -qsF -e "\"$r\"" -e "\"$r?" test/e2e/*.go || printf ' %s' "$r"
+	done)
+printf '%7d  routes no file under test/e2e requests:%s\n' "$(echo $unasked | wc -w)" "$unasked"
 printf '%7d  flags in cmd/serve\n' "$(grep -c ':= flag\.' cmd/serve/main.go)"
 if [ -f "$series" ]; then
 	printf '%7d  series on /metrics/prom of a default server (%d more with -data-dir and -event-log)\n' \
@@ -63,8 +70,9 @@ unset_flags=$(sed -n 's/.*:= flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' cmd/serve/ma
 		grep -qs -- "\"-$f\"" test/e2e/*.go || printf ' -%s' "$f"
 	done)
 printf '%7d  cmd/serve flags no file under test/e2e passes:%s\n' "$(echo $unset_flags | wc -w)" "$unset_flags"
-if [ -n "$unread$unset_flags" ]; then
+if [ -n "$unread$unset_flags$unasked" ]; then
 	[ -z "$unread" ] || echo "loc.sh: series no .go file or script but prom.go names:$unread" >&2
 	[ -z "$unset_flags" ] || echo "loc.sh: cmd/serve flags no e2e scenario passes:$unset_flags" >&2
+	[ -z "$unasked" ] || echo "loc.sh: routes no e2e scenario requests:$unasked" >&2
 	exit 1
 fi

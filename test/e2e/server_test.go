@@ -153,8 +153,8 @@ func (s *server) start() {
 		}
 		return m != nil
 	})
-	if status, body := s.get("/profiles"); status != http.StatusOK {
-		s.t.Fatalf("GET /profiles after boot: %d: %s", status, body)
+	if status, body := s.get("/models"); status != http.StatusOK {
+		s.t.Fatalf("GET /models after boot: %d: %s", status, body)
 	}
 }
 
