@@ -59,13 +59,16 @@ loc:
 	sh scripts/loc.sh
 
 # Five seconds of coverage-guided fuzzing per target over the untrusted
-# inputs that have one — SQL text, statements inside JSON, admin JSON bodies
-# — over the /query/batch decode against the reflective one it replaced, over
-# the hand-rolled answer encoder against encoding/json, and over the row
-# engine against the interpreter it replaced (generated statements, not raw
-# bytes). The checked-in corpora under testdata/fuzz already run as plain
-# tests in `race`; this step is what looks for inputs nobody wrote down. A
-# crasher lands in testdata/fuzz/<target>.
+# inputs that have one — SQL text, statements inside JSON, admin JSON bodies,
+# the write-ahead log's frames as recovery reads them back — over the
+# /query/batch decode against the reflective one it replaced, over the
+# hand-rolled answer encoder against encoding/json, over the row engine
+# against the interpreter it replaced (generated statements, not raw bytes),
+# and over the simulators' noise-key number formatting against strconv. Eight
+# targets, 40 s of fuzzing (the last two added 10 s). The checked-in corpora
+# under testdata/fuzz already run as plain tests in `race`; this step is what
+# looks for inputs nobody wrote down. A crasher lands in
+# testdata/fuzz/<target>.
 fuzz-smoke:
 	$(GO) test ./internal/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStatementForms$$' -fuzztime 5s
@@ -73,6 +76,8 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEncodeAnswer$$' -fuzztime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzAdminBody$$' -fuzztime 5s
 	$(GO) test ./internal/rowengine -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 5s
+	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzScanWAL$$' -fuzztime 5s
+	$(GO) test ./internal/remote -run '^$$' -fuzz '^FuzzNoiseKeyFloat$$' -fuzztime 5s
 
 # The black-box layer by hand: builds cmd/serve once and drives it over real
 # sockets — four scenarios (defaults, observability, admission, tuner), one

@@ -39,11 +39,14 @@ func (p ChoicePolicy) String() string {
 // becomes applicable (matches the expert knowledge injected into the rules).
 const skewThreshold = 50000
 
+// maxApplicable bounds ApplicableJoins' result: Hive's five algorithms.
+const maxApplicable = 5
+
 // ApplicableJoins applies the paper's applicability rules: starting from
 // the engine's full algorithm list, eliminate choices the remote cannot
 // pick given the cardinalities and physical-layout statistics at hand.
-// The result is never empty.
-func ApplicableJoins(kind remote.EngineKind, spec plan.JoinSpec, ms *ModelSet) []remote.JoinAlgorithm {
+// It appends at least one to out, which the estimator keeps on its stack.
+func ApplicableJoins(out []remote.JoinAlgorithm, kind remote.EngineKind, spec plan.JoinSpec, ms *ModelSet) []remote.JoinAlgorithm {
 	small, _ := spec.SmallSide()
 	fits := ms.Cluster.BroadcastFits(small.Bytes())
 	bothPartitioned := spec.Left.PartitionedOn && spec.Right.PartitionedOn
@@ -56,10 +59,9 @@ func ApplicableJoins(kind remote.EngineKind, spec plan.JoinSpec, ms *ModelSet) [
 	}
 	skewed := dup(spec.Left) > skewThreshold || dup(spec.Right) > skewThreshold
 
-	var out []remote.JoinAlgorithm
 	if kind == remote.EnginePresto {
 		if spec.Cartesian {
-			return []remote.JoinAlgorithm{remote.PrestoCrossJoin}
+			return append(out, remote.PrestoCrossJoin)
 		}
 		if fits {
 			out = append(out, remote.PrestoReplicatedJoin)
@@ -132,12 +134,14 @@ func (e *Estimator) EstimateJoin(spec plan.JoinSpec) (core.Estimate, error) {
 	if e.Models == nil {
 		return core.Estimate{}, core.ErrUntrained
 	}
-	algs := ApplicableJoins(e.Engine, spec, e.Models)
+	var algBuf [maxApplicable]remote.JoinAlgorithm
+	algs := ApplicableJoins(algBuf[:0], e.Engine, spec, e.Models)
 	type scored struct {
 		alg remote.JoinAlgorithm
 		sec float64
 	}
-	costs := make([]scored, 0, len(algs))
+	var costBuf [maxApplicable]scored
+	costs := costBuf[:0]
 	for _, a := range algs {
 		sec, err := e.Models.JoinCost(spec, a)
 		if err != nil {

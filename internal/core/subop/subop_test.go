@@ -277,7 +277,7 @@ func TestApplicableJoinsHive(t *testing.T) {
 		Right:      plan.TableSide{Rows: 1e4, RowSize: 100, ProjectedSize: 50, KeyNDV: 1e4},
 		OutputRows: 1e4,
 	}
-	algs := ApplicableJoins(remote.EngineHive, small, ms)
+	algs := ApplicableJoins(nil, remote.EngineHive, small, ms)
 	if !contains(algs, remote.HiveBroadcastJoin) || !contains(algs, remote.HiveShuffleJoin) {
 		t.Errorf("small-side applicable = %v", algs)
 	}
@@ -290,13 +290,13 @@ func TestApplicableJoinsHive(t *testing.T) {
 		Right:      plan.TableSide{Rows: 2e7, RowSize: 500, ProjectedSize: 100, KeyNDV: 2e7},
 		OutputRows: 2e7,
 	}
-	algs = ApplicableJoins(remote.EngineHive, big, ms)
+	algs = ApplicableJoins(nil, remote.EngineHive, big, ms)
 	if len(algs) != 1 || algs[0] != remote.HiveShuffleJoin {
 		t.Errorf("big unpartitioned join applicable = %v, want only shuffle", algs)
 	}
 
 	big.Left.KeyNDV = 10 // extreme skew
-	algs = ApplicableJoins(remote.EngineHive, big, ms)
+	algs = ApplicableJoins(nil, remote.EngineHive, big, ms)
 	if !contains(algs, remote.HiveSkewJoin) {
 		t.Errorf("skewed join should include skew join: %v", algs)
 	}
@@ -305,7 +305,7 @@ func TestApplicableJoinsHive(t *testing.T) {
 	sorted.Left.KeyNDV = 4e7
 	sorted.Left.PartitionedOn, sorted.Left.SortedOn = true, true
 	sorted.Right.PartitionedOn, sorted.Right.SortedOn = true, true
-	algs = ApplicableJoins(remote.EngineHive, sorted, ms)
+	algs = ApplicableJoins(nil, remote.EngineHive, sorted, ms)
 	if !contains(algs, remote.HiveSortMergeBucketJoin) || !contains(algs, remote.HiveBucketMapJoin) {
 		t.Errorf("bucketed+sorted applicable = %v", algs)
 	}
@@ -318,13 +318,13 @@ func TestApplicableJoinsSpark(t *testing.T) {
 		Right:      plan.TableSide{Rows: 1e4, RowSize: 100, ProjectedSize: 50, KeyNDV: 1e4},
 		OutputRows: 1e4,
 	}
-	algs := ApplicableJoins(remote.EngineSpark, small, ms)
+	algs := ApplicableJoins(nil, remote.EngineSpark, small, ms)
 	if !contains(algs, remote.SparkBroadcastHashJoin) || !contains(algs, remote.SparkSortMergeJoin) {
 		t.Errorf("spark small applicable = %v", algs)
 	}
 	cart := small
 	cart.Cartesian = true
-	algs = ApplicableJoins(remote.EngineSpark, cart, ms)
+	algs = ApplicableJoins(nil, remote.EngineSpark, cart, ms)
 	for _, a := range algs {
 		if a != remote.SparkBroadcastNLJoin && a != remote.SparkCartesianJoin {
 			t.Errorf("cartesian applicable includes equi-join %v", a)
@@ -490,13 +490,13 @@ func TestPrestoSubOpTrainingAndEstimation(t *testing.T) {
 	// Applicability: cartesian only yields the cross join.
 	cart := spec
 	cart.Cartesian = true
-	algs := ApplicableJoins(remote.EnginePresto, cart, ms)
+	algs := ApplicableJoins(nil, remote.EnginePresto, cart, ms)
 	if len(algs) != 1 || algs[0] != remote.PrestoCrossJoin {
 		t.Errorf("cartesian applicable = %v", algs)
 	}
 	small := spec
 	small.Right = plan.TableSide{Rows: 1e4, RowSize: 100, ProjectedSize: 28, KeyNDV: 1e4}
-	algs = ApplicableJoins(remote.EnginePresto, small, ms)
+	algs = ApplicableJoins(nil, remote.EnginePresto, small, ms)
 	if len(algs) != 2 {
 		t.Errorf("small-side applicable = %v, want replicated+partitioned", algs)
 	}

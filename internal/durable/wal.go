@@ -123,17 +123,27 @@ func scanWAL(data []byte) (recs []Record, valid int64) {
 	}
 }
 
-// Append frames, writes, and fsyncs one record. The record is only
-// acknowledged (nil error) once it is on disk.
-func (w *WAL) Append(rec Record) error {
+// encodeFrame encodes one record as its WAL frame: header, then JSON
+// payload.
+func encodeFrame(rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("durable: encode wal record: %w", err)
+		return nil, fmt.Errorf("durable: encode wal record: %w", err)
 	}
 	frame := make([]byte, walHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walCRC))
 	copy(frame[walHeaderLen:], payload)
+	return frame, nil
+}
+
+// Append frames, writes, and fsyncs one record. The record is only
+// acknowledged (nil error) once it is on disk.
+func (w *WAL) Append(rec Record) error {
+	frame, err := encodeFrame(rec)
+	if err != nil {
+		return err
+	}
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("durable: append wal record: %w", err)
 	}

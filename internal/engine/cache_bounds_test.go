@@ -129,7 +129,7 @@ func TestScanLeavesResidentStatementsAlone(t *testing.T) {
 func TestCycledWorkingSetBecomesResident(t *testing.T) {
 	e := batchFixture(t)
 	working := workingSet(64)
-	slot := func(sql string) uint32 { return uint32(obs.StatementHash64(sql)) % uint32(len(e.sighted)) }
+	slot := func(sql string) uint32 { return uint32(obs.StatementHash(sql)) % uint32(len(e.sighted)) }
 	for i := len(working); len(working) == 64; i++ {
 		if slot(workingStmt(i)) == slot(working[0]) {
 			working = append(working, workingStmt(i))

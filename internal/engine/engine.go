@@ -694,9 +694,8 @@ type QueryResult struct {
 	// for untraced queries.
 	Trace *trace.Trace
 
-	// stmtHash is the entry's obs.StatementHash64, for the wide event: a
-	// sampled hit does not hash the text again.
-	stmtHash uint64
+	stmtHash   obs.Hash   // the entry's, for the wide event: a hit does not hash again
+	actualsBuf [4]float64 // backs StepActuals for a plan of up to four steps
 }
 
 // Explain plans a query and renders the plan without executing it. Repeats of
@@ -739,7 +738,7 @@ func (c *stageClock) lap(stage *time.Duration) time.Duration {
 // builds one to serve the statement at hand; admit decides whether it stays.
 type cachedStmt struct {
 	stmt *sqlparse.SelectStmt
-	hash uint64 // obs.StatementHash64 of the text
+	hash obs.Hash // of the text
 	// plan is replaced, not cleared, when a sighting finds it stale.
 	plan atomic.Pointer[optimizer.StampedPlan]
 }
@@ -778,16 +777,22 @@ func (e *Engine) admit(hash uint64) bool {
 // prepare resolves a statement to its parse and a current plan, for Explain
 // and Query alike, and reports whether the plan came from the cache: one Get
 // in parse, and at most one Put, of a statement that missed, on second sight.
+// A fresh plan is kept only by an entry that stays, stamped with the epoch read
+// before planning: a second read could pass a mutation that made it stale.
 func (e *Engine) prepare(ctx context.Context, clk *stageClock, sql string) (*cachedStmt, *optimizer.Plan, bool, error) {
 	ent, resident, err := e.parse(ctx, clk, sql)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	p, hit, err := e.plan(ctx, clk, ent)
+	p, hit, epoch, err := e.plan(ctx, clk, ent)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	if !resident && e.stmts != nil && e.admit(ent.hash) {
+	admitted := !resident && e.stmts != nil && e.admit(uint64(ent.hash))
+	if !hit && (resident || admitted) {
+		ent.plan.Store(&optimizer.StampedPlan{Plan: p, Epoch: epoch})
+	}
+	if admitted {
 		e.stmts.Put(sql, ent)
 	}
 	return ent, p, hit, nil
@@ -816,15 +821,15 @@ func (e *Engine) parse(ctx context.Context, clk *stageClock, sql string) (*cache
 	if err != nil {
 		return nil, false, err
 	}
-	return &cachedStmt{stmt: stmt, hash: obs.StatementHash64(sql)}, false, nil
+	return &cachedStmt{stmt: stmt, hash: obs.StatementHash(sql)}, false, nil
 }
 
 // plan times planning (cache hits included) into the plan-stage histogram
 // and reports whether the entry's plan was current: built at the epoch read
-// here. Otherwise the statement is planned and the entry takes the new plan.
-func (e *Engine) plan(ctx context.Context, clk *stageClock, ent *cachedStmt) (p *optimizer.Plan, hit bool, err error) {
+// here, which it returns. Else it plans; prepare decides who keeps the plan.
+func (e *Engine) plan(ctx context.Context, clk *stageClock, ent *cachedStmt) (p *optimizer.Plan, hit bool, epoch uint64, err error) {
 	ctx, sp := trace.Start(ctx, "plan")
-	epoch := e.opt.Epoch()
+	epoch = e.opt.Epoch()
 	switch cur := ent.plan.Load(); {
 	case cur != nil && cur.Epoch == epoch:
 		p, hit = cur.Plan, true
@@ -838,9 +843,7 @@ func (e *Engine) plan(ctx context.Context, clk *stageClock, ent *cachedStmt) (p 
 		}
 		e.planMisses.Inc()
 		sp.SetAttr("cache", "miss")
-		if p, err = e.opt.PlanCtx(ctx, ent.stmt); err == nil {
-			ent.plan.Store(&optimizer.StampedPlan{Plan: p, Epoch: epoch})
-		}
+		p, err = e.opt.PlanCtx(ctx, ent.stmt)
 	}
 	e.planHist.ObserveExemplar(clk.lap(&clk.plan), sp.TraceID())
 	if sp != nil && err == nil {
@@ -848,7 +851,7 @@ func (e *Engine) plan(ctx context.Context, clk *stageClock, ent *cachedStmt) (p 
 		sp.SetFloat("estimated_sec", p.EstimatedSec)
 	}
 	sp.EndErr(err)
-	return p, hit, err
+	return p, hit, epoch, err
 }
 
 // Query plans and executes a SQL statement across the federation. It is safe
@@ -1012,7 +1015,8 @@ func (e *Engine) run(ctx context.Context, clk *stageClock, stmt *sqlparse.Select
 func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt, p *optimizer.Plan) (_ *QueryResult, err error) {
 	ctx, sp := trace.Start(ctx, "execute")
 	defer func() { sp.EndErr(err) }()
-	res := &QueryResult{Plan: p, StepActuals: make([]float64, 0, len(p.Steps))}
+	res := &QueryResult{Plan: p}
+	res.StepActuals = res.actualsBuf[:0]
 	for i := range p.Steps {
 		if err = ctx.Err(); err != nil {
 			return nil, err

@@ -42,7 +42,7 @@ func (e *Engine) emitEvent(rec *obs.Recorder, kind, sql string, res *QueryResult
 	if res == nil {
 		ev.StmtHash = obs.StatementHash(sql)
 	} else {
-		ev.StmtHash = obs.FormatStatementHash(res.stmtHash)
+		ev.StmtHash = res.stmtHash
 		ev.CacheHit = res.CacheHit
 		ev.ActualSec = res.ActualSec
 		ev.Retries = res.Retries

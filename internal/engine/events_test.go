@@ -36,8 +36,8 @@ func TestQueryEmitsWideEvents(t *testing.T) {
 	if ev.Kind != "query" || ev.Outcome != "ok" || ev.Capture != "head" {
 		t.Errorf("event header = %s/%s/%s", ev.Kind, ev.Outcome, ev.Capture)
 	}
-	if ev.SQL != sql || ev.StmtHash != obs.StatementHash(sql) || len(ev.StmtHash) != 16 {
-		t.Errorf("statement identity = %q / hash %q", ev.SQL, ev.StmtHash)
+	if ev.SQL != sql || ev.StmtHash != obs.StatementHash(sql) {
+		t.Errorf("statement identity = %q / hash %x", ev.SQL, ev.StmtHash)
 	}
 	if ev.CacheHit {
 		t.Error("first statement flagged as a plan-cache hit")
@@ -60,7 +60,7 @@ func TestQueryEmitsWideEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ev = rec.Ring().Recent(1)[0]; ev.CacheHit != (sighting == 3) || ev.StmtHash != obs.StatementHash(sql) {
-			t.Errorf("sighting %d: cache_hit = %v, hash %q", sighting, ev.CacheHit, ev.StmtHash)
+			t.Errorf("sighting %d: cache_hit = %v, hash %x", sighting, ev.CacheHit, ev.StmtHash)
 		}
 	}
 
@@ -80,7 +80,7 @@ func TestQueryEmitsWideEvents(t *testing.T) {
 	}
 	ev = rec.Ring().Recent(1)[0]
 	if ev.Outcome != "error" || ev.Capture != "error" || ev.Error == "" || ev.StmtHash != obs.StatementHash(bad) {
-		t.Errorf("error event = %s/%s/%q, hash %q", ev.Outcome, ev.Capture, ev.Error, ev.StmtHash)
+		t.Errorf("error event = %s/%s/%q, hash %x", ev.Outcome, ev.Capture, ev.Error, ev.StmtHash)
 	}
 
 	// Batch slots each emit an event with the batch kind.

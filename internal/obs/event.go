@@ -7,6 +7,11 @@
 // to a Recorder and emits nothing while it is nil.
 package obs
 
+import (
+	"fmt"
+	"strconv"
+)
+
 // Event is one wide query event — the per-query record rich enough to audit
 // the cost estimator after the fact (estimated vs actual cost, chosen
 // systems, cache verdict) and to debug the serving path (admission outcome,
@@ -26,7 +31,7 @@ type Event struct {
 	SQL     string `json:"sql,omitempty"`
 	// StmtHash is the FNV-1a hash of the statement text, the stable join
 	// key for grouping events of one statement shape across log rotations.
-	StmtHash string `json:"stmt_hash,omitempty"`
+	StmtHash Hash `json:"stmt_hash,omitempty"`
 	// Outcome is "ok", "error", "shed", or "rate_limited".
 	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"`
@@ -61,28 +66,30 @@ type Event struct {
 	TraceID uint64 `json:"trace_id,omitempty"`
 }
 
-// StatementHash returns the canonical statement hash used in events:
-// FNV-1a 64 of the raw statement text, in fixed-width hex.
-func StatementHash(sql string) string { return FormatStatementHash(StatementHash64(sql)) }
+// Hash is a statement hash, FNV-1a 64 of the raw text. An event keeps the
+// number; JSON carries it as 16 hex digits, rendered only when marshalled.
+type Hash uint64
 
-// StatementHash64 is the number StatementHash renders. The offset basis is
-// FNV's, fixed, so a statement hashes alike in every process and the engine's
-// statement cache can keep the value it computed on a miss.
-func StatementHash64(sql string) uint64 {
-	h := uint64(14695981039346656037)
+// StatementHash hashes a statement's text. The offset basis is FNV's, fixed,
+// so a statement hashes alike in every process and the engine's statement
+// cache can keep the value it computed on a miss.
+func StatementHash(sql string) Hash {
+	h := Hash(14695981039346656037)
 	for i := 0; i < len(sql); i++ {
-		h = (h ^ uint64(sql[i])) * 1099511628211
+		h = (h ^ Hash(sql[i])) * 1099511628211
 	}
 	return h
 }
 
-// FormatStatementHash renders a StatementHash64 value the way events carry it.
-func FormatStatementHash(h uint64) string {
-	const hexDigits = "0123456789abcdef"
-	var out [16]byte
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = hexDigits[h&0xf]
-		h >>= 4
+// MarshalText writes the hash as 16 hex digits.
+func (h Hash) MarshalText() ([]byte, error) { return fmt.Appendf(nil, "%016x", uint64(h)), nil }
+
+// UnmarshalText reads back what MarshalText writes.
+func (h *Hash) UnmarshalText(b []byte) error {
+	v, err := strconv.ParseUint(string(b), 16, 64)
+	if err != nil || len(b) != 16 {
+		return fmt.Errorf("obs: statement hash %q is not 16 hex digits", b)
 	}
-	return string(out[:])
+	*h = Hash(v)
+	return nil
 }

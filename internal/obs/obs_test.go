@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -481,8 +482,24 @@ func TestStatementHashPinned(t *testing.T) {
 		{"SELECT users.a1 FROM users JOIN events ON users.a1 = events.a1", "df2f60ee096f9d97"},
 		{"\x00\xff", "0831c907b4ea2b60"},
 	} {
-		if got := StatementHash(tc.sql); got != tc.want {
+		h := StatementHash(tc.sql)
+		if got, _ := h.MarshalText(); string(got) != tc.want {
 			t.Errorf("StatementHash(%q) = %q, want %q", tc.sql, got, tc.want)
+		}
+		// The event keeps the number and writes the same string.
+		line, err := json.Marshal(&Event{StmtHash: h})
+		if want := `"stmt_hash":"` + tc.want + `"`; err != nil || !strings.Contains(string(line), want) {
+			t.Errorf("event JSON %s (%v), want it to carry %s", line, err, want)
+		}
+		var back Event
+		if err := json.Unmarshal(line, &back); err != nil || back.StmtHash != h {
+			t.Errorf("event JSON %s read back as hash %v (%v), want %v", line, back.StmtHash, err, h)
+		}
+	}
+	var bad Event
+	for _, line := range []string{`{"stmt_hash":"84edf7d3bfe86fa"}`, `{"stmt_hash":"84edf7d3bfe86fag"}`, `{"stmt_hash":"+4edf7d3bfe86fae"}`} {
+		if err := json.Unmarshal([]byte(line), &bad); err == nil {
+			t.Errorf("%s decoded as hash %v", line, bad.StmtHash)
 		}
 	}
 }

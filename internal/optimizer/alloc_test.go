@@ -10,18 +10,16 @@ import (
 // TestPlanMissAllocs pins what a plan-cache miss allocates, per statement
 // family of the serving path (the cache is off, so every Plan call is the
 // miss path: bind, derive the specs, cost every placement, assemble, render).
-// The counts at the time of writing are 9, 9 and 20 (of which the sub-op join
-// estimator's own bookkeeping is about 10), where the fmt-and-map bookkeeping
-// this path used to do took 34, 33 and 80. Two of each are the EXPLAIN text
-// and the systems list, which the planner now renders as it finishes a plan:
-// the budgets rose by exactly those two (from 8, 8 and 22) when the first
-// Explain() and the first Systems() of a served plan stopped allocating them,
-// so what a never-seen statement allocates end to end on a server that records
-// events (the default) did not move. Without a recorder nobody asks for the
-// systems list, and rendering it anyway is one 64-byte allocation more than
-// before: TestStreamMissAllocs, which runs that way, went from 25.1 to 26.1
-// (and to 25.0 when the engine's two caches became one entry a statement;
-// this count, the planner's alone, did not move).
+// The count at the time of writing is 3 for each family — the plan, whose
+// steps, alternatives and operator specs live inside it, its EXPLAIN text and
+// its systems list — and each budget sits about 20 % above it. The bound
+// statement, the placement sweep and the sub-op join estimator's candidates
+// stay on the stack. Before they did, the counts were 9, 9 and 20 (of which
+// the join estimator's slices were about 10); 7, 7 and 20 before the planner
+// rendered the text and the list as it finished a plan, which moved nothing
+// end to end on a server that records events, since the first Explain() and
+// Systems() of a served plan then stopped allocating them; 34, 33 and 80 with
+// the fmt-and-map bookkeeping this path used to do.
 // The same budgets hold at GOMAXPROCS 4, the only worker count the process
 // has: the planner costs its placements on the calling goroutine.
 func TestPlanMissAllocs(t *testing.T) {
@@ -41,9 +39,9 @@ func testPlanMissAllocs(t *testing.T) {
 		sql    string
 		budget float64
 	}{
-		{"SELECT a1, a5 FROM t1000000_100 WHERE a5 < 1234", 10},
-		{"SELECT a100, SUM(a1), COUNT(*) FROM t10000_100 WHERE a2 < 17 GROUP BY a100", 10},
-		{"SELECT r.a1, s.a2 FROM t10000000_100 r JOIN s_orders s ON r.a1 = s.a1 WHERE r.a10 < 40123", 24},
+		{"SELECT a1, a5 FROM t1000000_100 WHERE a5 < 1234", 4},
+		{"SELECT a100, SUM(a1), COUNT(*) FROM t10000_100 WHERE a2 < 17 GROUP BY a100", 4},
+		{"SELECT r.a1, s.a2 FROM t10000000_100 r JOIN s_orders s ON r.a1 = s.a1 WHERE r.a10 < 40123", 4},
 	} {
 		stmt, err := sqlparse.Parse(tc.sql)
 		if err != nil {

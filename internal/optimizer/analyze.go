@@ -47,17 +47,13 @@ type analyzed struct {
 	// exclude names systems degraded re-planning must avoid (failed or
 	// open-circuited remotes); nil for a normal plan.
 	exclude map[string]bool
-
-	// Backing for the two slices above: a statement rarely binds more than
-	// three tables or carries more than two predicates.
-	bindBuf [3]binding
-	predBuf [2]predSpan
 }
 
-// analyze resolves every table reference and checks column references.
-func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error) {
-	a := &analyzed{stmt: stmt}
-	a.binds, a.preds = a.bindBuf[:0], a.predBuf[:0]
+// analyze resolves every table reference and checks column references. binds
+// and preds grow from the caller's backing, and the result is returned by
+// value: a slice stored through a pointer would take its backing to the heap.
+func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog, binds []binding, preds []predSpan) (analyzed, error) {
+	a := analyzed{stmt: stmt, binds: binds[:0], preds: preds[:0]}
 	add := func(tr sqlparse.TableRef) error {
 		t, err := cat.Lookup(tr.Name)
 		if err != nil {
@@ -71,11 +67,11 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error)
 		return nil
 	}
 	if err := add(stmt.From); err != nil {
-		return nil, err
+		return analyzed{}, err
 	}
 	for i := range stmt.Joins {
 		if err := add(stmt.Joins[i].Table); err != nil {
-			return nil, err
+			return analyzed{}, err
 		}
 	}
 	// Validate column references in the select list, join condition,
@@ -92,14 +88,14 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error)
 			for _, t := range it.Arg.Terms {
 				if t.Col != nil {
 					if err := check(*t.Col); err != nil {
-						return nil, err
+						return analyzed{}, err
 					}
 				}
 			}
 			continue
 		}
 		if err := check(it.Col); err != nil {
-			return nil, err
+			return analyzed{}, err
 		}
 	}
 	for i := range stmt.Joins {
@@ -107,10 +103,10 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error)
 			continue
 		}
 		if err := check(stmt.Joins[i].Left); err != nil {
-			return nil, err
+			return analyzed{}, err
 		}
 		if err := check(stmt.Joins[i].Right); err != nil {
-			return nil, err
+			return analyzed{}, err
 		}
 	}
 	// Predicates are bound as they are checked: which bindings each touches,
@@ -123,7 +119,7 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error)
 			}
 			b, _, err := a.resolve(*t.Col)
 			if err != nil {
-				return nil, err
+				return analyzed{}, err
 			}
 			if span.lo < 0 || b < span.lo {
 				span.lo = b
@@ -136,14 +132,14 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog) (*analyzed, error)
 		if span.lo >= 0 && span.lo == span.hi {
 			s, err := a.predicateSelectivity(p, 0)
 			if err != nil {
-				return nil, err
+				return analyzed{}, err
 			}
 			a.binds[span.lo].sel *= s
 		}
 	}
 	for _, g := range stmt.GroupBy {
 		if err := check(g); err != nil {
-			return nil, err
+			return analyzed{}, err
 		}
 	}
 	for i := range a.binds {

@@ -48,10 +48,19 @@ func refExplain(p *optimizer.Plan) string {
 	if len(p.Alternatives) > 0 {
 		b.WriteString("rejected alternatives:\n")
 		for _, a := range p.Alternatives {
-			fmt.Fprintf(&b, "  - %s (%.2fs)\n", a.Description, a.EstimatedSec)
+			fmt.Fprintf(&b, "  - %s (%.2fs)\n", refAlternative(a), a.EstimatedSec)
 		}
 	}
 	return b.String()
+}
+
+// refAlternative is the description the planner used to build by string
+// concatenation for every rejected placement.
+func refAlternative(a optimizer.Alternative) string {
+	if a.Join > 0 {
+		return fmt.Sprintf("%s %d on %s", a.Kind, a.Join, a.System)
+	}
+	return a.Kind + " on " + a.System
 }
 
 // planStats tallies what the differential test below walked over, so it can
@@ -182,7 +191,7 @@ func TestExplainHandBuiltPlans(t *testing.T) {
 				{Kind: "mystery", System: "x", EstimatedSec: 1},
 				{},
 			},
-			Alternatives: []optimizer.Alternative{{Description: "scan on hive", EstimatedSec: w}, {EstimatedSec: v}},
+			Alternatives: []optimizer.Alternative{{Kind: "scan", System: "hive", EstimatedSec: w}, {Kind: "join", Join: 12, System: "spark", EstimatedSec: v}, {EstimatedSec: v}},
 			Excluded:     []string{"presto", "spark"},
 		})
 	}
@@ -243,5 +252,128 @@ func TestHandBuiltPlanRendersOnceConcurrently(t *testing.T) {
 		if unsafe.StringData(texts[g]) != unsafe.StringData(texts[0]) || &lists[g][0] != &lists[0][0] {
 			t.Fatalf("caller %d got a rendering of its own", g)
 		}
+	}
+}
+
+// TestExplainPastInlineBacking renders the plans that outgrow or bypass what
+// a plan holds inline — four steps, two alternatives, the specs of two joins
+// — and compares them with the reference: a three-join chain, whose third
+// spec, later steps and later alternatives come from the heap; the degraded
+// re-plan of a join; and a single-table plan with a final sort under a
+// LIMIT.
+func TestExplainPastInlineBacking(t *testing.T) {
+	opt := demoOptimizer(t)
+	plan := func(sql string, exclude map[string]bool) *optimizer.Plan {
+		t.Helper()
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := opt.PlanExcluding(stmt, exclude)
+		if err != nil {
+			t.Fatalf("PlanExcluding(%q, %v): %v", sql, exclude, err)
+		}
+		return p
+	}
+	var st planStats
+	three := plan("SELECT r.a1, s.a2, u.a1, w.a1 FROM t10000000_100 r JOIN events s ON r.a1 = s.a1 "+
+		"JOIN warehouse u ON u.a1 = s.a1 JOIN users w ON w.a1 = r.a1 WHERE r.a10 < 1000", nil)
+	if len(three.Steps) <= 4 || len(three.Alternatives) <= 2 {
+		t.Fatalf("the three-join plan fits the inline backing (%d steps, %d alternatives)\n%s",
+			len(three.Steps), len(three.Alternatives), three.Explain())
+	}
+	joins := 0
+	for _, s := range three.Steps {
+		if s.Kind == "join" {
+			joins++
+			if s.Join == nil || s.Join.OutputRows <= 0 {
+				t.Fatalf("join step %+v has no spec", s)
+			}
+		}
+	}
+	if joins != 3 {
+		t.Fatalf("%d join steps, want 3\n%s", joins, three.Explain())
+	}
+	st.check(t, "three joins", three)
+
+	degraded := plan("SELECT r.a1, s.a2 FROM t1000000_100 r JOIN events s ON r.a1 = s.a1 WHERE r.a10 < 40123",
+		map[string]bool{"hive": true})
+	if len(degraded.Excluded) == 0 {
+		t.Fatalf("degraded plan lists no exclusions\n%s", degraded.Explain())
+	}
+	st.check(t, "degraded join", degraded)
+
+	sorted := plan("SELECT a1, a5 FROM t1000000_100 WHERE a5 < 1234 ORDER BY a1 DESC LIMIT 100", nil)
+	if last := sorted.Steps[len(sorted.Steps)-1]; last.Kind != "sort" || sorted.OutputRows != 100 {
+		t.Fatalf("ORDER BY / LIMIT plan ends in %q with %v output rows\n%s", last.Kind, sorted.OutputRows, sorted.Explain())
+	}
+	st.check(t, "order by, limit", sorted)
+}
+
+// TestSharedPlanConcurrentReaders shares one cached plan among eight
+// goroutines reading its rendering while four others plan fresh statements
+// through the same optimizer (run under -race): a plan's steps, alternatives
+// and specs live inside it, and a reader must see them exactly as the
+// planner left them.
+func TestSharedPlanConcurrentReaders(t *testing.T) {
+	opt := demoOptimizer(t)
+	opt.Cache = optimizer.NewPlanCache(64)
+	stmt, err := sqlparse.Parse("SELECT r.a1, s.a2 FROM t1000000_100 r JOIN events s ON r.a1 = s.a1 WHERE r.a10 < 40123")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := opt.Plan(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := opt.Plan(stmt); err != nil || again != shared {
+		t.Fatalf("second Plan did not come from the cache (%v)", err)
+	}
+	wantText, wantSystems := refExplain(shared), fmt.Sprint(shared.Systems())
+	var wg sync.WaitGroup
+	errs := make(chan error, 12)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := shared.Explain(); got != wantText {
+					errs <- fmt.Errorf("shared Explain() changed:\n%s", got)
+					return
+				}
+				if got := fmt.Sprint(shared.Systems()); got != wantSystems {
+					errs <- fmt.Errorf("shared Systems() = %s, want %s", got, wantSystems)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				sql := fmt.Sprintf("SELECT a100, SUM(a1), COUNT(*) FROM events WHERE a2 < %d GROUP BY a100", 1000*g+i+1)
+				stmt, err := sqlparse.Parse(sql)
+				if err != nil {
+					errs <- err
+					return
+				}
+				p, err := opt.Plan(stmt)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got, want := p.Explain(), refExplain(p); got != want {
+					errs <- fmt.Errorf("%s: Explain() differs from the reference\n got:\n%s\nwant:\n%s", sql, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -90,10 +90,22 @@ func appendSeconds(b []byte, sec float64) []byte {
 	return append(appendFixed(append(b, '('), sec, 2), "s)"...)
 }
 
-// Alternative summarizes one rejected placement for EXPLAIN output.
+// Alternative is one rejected placement: the operator (Kind as steps name it,
+// Join its 1-based place in a chain, else 0), the system, and the plan's cost.
 type Alternative struct {
-	Description  string
+	Kind         string
+	Join         int
+	System       string
 	EstimatedSec float64
+}
+
+// appendTo renders the placement for EXPLAIN: "join 2 on spark".
+func (a *Alternative) appendTo(b []byte) []byte {
+	b = append(b, a.Kind...)
+	if a.Join > 0 {
+		b = strconv.AppendInt(append(b, ' '), int64(a.Join), 10)
+	}
+	return append(append(b, " on "...), a.System...)
 }
 
 // Plan is a chosen physical plan with its costed alternatives. Plans are
@@ -117,6 +129,21 @@ type Plan struct {
 	// use, and of several first users one rendering wins.
 	view atomic.Pointer[rendering]
 	own  rendering
+
+	// What the planner builds into, so that a plan is one allocation (of the
+	// 1152-B size class) besides its rendering; Steps may outgrow it by append.
+	stepBuf [4]Step
+	altBuf  [2]Alternative
+	scan    plan.ScanSpec
+	agg     plan.AggSpec
+	joins   [2]plan.JoinSpec
+}
+
+// newPlan starts a plan on its own backing.
+func newPlan() *Plan {
+	p := new(Plan)
+	p.Steps, p.Alternatives = p.stepBuf[:0], p.altBuf[:0]
+	return p
 }
 
 // rendering is what a finished plan derives from its steps. Both are
@@ -180,8 +207,9 @@ func (p *Plan) renderInto(r *rendering) {
 	}
 	if len(p.Alternatives) > 0 {
 		b = append(b, "rejected alternatives:\n"...)
-		for _, a := range p.Alternatives {
-			b = append(append(b, "  - "...), a.Description...)
+		for i := range p.Alternatives {
+			a := &p.Alternatives[i]
+			b = a.appendTo(append(b, "  - "...))
 			b = append(appendSeconds(append(b, ' '), a.EstimatedSec), '\n')
 		}
 	}
@@ -275,14 +303,17 @@ func (o *Optimizer) Epoch() uint64 {
 	return o.Catalog.Generation() + o.Grid.Generation() + o.Estimators.Generation()
 }
 
-// planUncached runs the full candidate enumeration.
+// planUncached runs the full candidate enumeration. The bound statement and
+// its backing live apart on this frame: a value pointing into itself escapes.
 func (o *Optimizer) planUncached(ctx context.Context, stmt *sqlparse.SelectStmt, exclude map[string]bool) (*Plan, error) {
-	a, err := analyze(stmt, o.Catalog)
+	var bindBuf [3]binding
+	var predBuf [2]predSpan
+	a, err := analyze(stmt, o.Catalog, bindBuf[:], predBuf[:])
 	if err != nil {
 		return nil, err
 	}
 	a.exclude = exclude
-	return o.planAnalyzed(ctx, a)
+	return o.planAnalyzed(ctx, &a)
 }
 
 // planAnalyzed enumerates the candidates of a bound statement.
@@ -400,7 +431,8 @@ func (a *analyzed) placements(owners ...string) (ps placements) {
 
 // unaryInput is everything the placement sweep of a single-table statement
 // needs — its operator is a scan or an aggregation, so exactly one of
-// scan/agg is set. The winning plan's operator step points at the spec.
+// scan/agg is set, pointing into the plan the sweep builds, whose operator
+// step points at it too.
 type unaryInput struct {
 	owner string
 	// rows × rowSize filtered by sel is what QueryGrid prices when the table
@@ -421,15 +453,15 @@ func (in *unaryInput) kind() string {
 	return "scan"
 }
 
-// unaryInputFor derives the operator spec of a single-table statement and
-// its candidate placements.
-func (o *Optimizer) unaryInputFor(a *analyzed) (*unaryInput, error) {
+// unaryInputFor derives the operator spec of a single-table statement into
+// p and its candidate placements into in.
+func (o *Optimizer) unaryInputFor(a *analyzed, p *Plan, in *unaryInput) error {
 	t := a.binds[0].table
 	owner, err := a.systemOf(0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	in := &unaryInput{
+	*in = unaryInput{
 		owner:   owner,
 		rows:    float64(t.Rows),
 		rowSize: float64(t.RowSize()),
@@ -443,34 +475,36 @@ func (o *Optimizer) unaryInputFor(a *analyzed) (*unaryInput, error) {
 		}
 		outRows, err := a.groupOutputRows(inRows)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		outSize, numAggs, err := a.aggOutputRowSize()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		in.agg = &plan.AggSpec{
+		p.agg = plan.AggSpec{
 			InputRows:     inRows,
 			InputRowSize:  in.rowSize,
 			OutputRows:    outRows,
 			OutputRowSize: outSize,
 			NumAggregates: numAggs,
 		}
+		in.agg = &p.agg
 		in.shipRows, in.outRows, in.outSize = inRows, outRows, outSize
-		return in, nil
+		return nil
 	}
 	proj, err := a.projectedSize(0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	in.scan = &plan.ScanSpec{
+	p.scan = plan.ScanSpec{
 		InputRows:     in.rows,
 		InputRowSize:  in.rowSize,
 		Selectivity:   in.sel,
 		OutputRowSize: proj,
 	}
+	in.scan = &p.scan
 	in.shipRows, in.outRows, in.outSize = in.rows*in.sel, in.scan.OutputRows(), proj
-	return in, nil
+	return nil
 }
 
 // candidate is one costed placement of a single-table operator: what it
@@ -484,12 +518,12 @@ type candidate struct {
 	total            float64
 }
 
-// pick selects the cheapest candidate (reordering cands), builds its steps,
-// and lists the rest as alternatives.
-func (in *unaryInput) pick(cands []candidate) *Plan {
+// pick selects the cheapest candidate (reordering cands), builds its steps
+// into p, and lists the rest as alternatives.
+func (in *unaryInput) pick(p *Plan, cands []candidate) {
 	slices.SortStableFunc(cands, func(x, y candidate) int { return byCost(x.total, y.total) })
 	best := &cands[0]
-	p := &Plan{Steps: make([]Step, 0, 3), EstimatedSec: best.total, OutputRows: in.outRows, OutputRowSize: in.outSize}
+	p.EstimatedSec, p.OutputRows, p.OutputRowSize = best.total, in.outRows, in.outSize
 	if best.sys != in.owner {
 		p.Steps = append(p.Steps, transferStep(in.owner, best.sys, in.shipRows, in.rowSize, best.shipSec))
 	}
@@ -498,13 +532,9 @@ func (in *unaryInput) pick(cands []candidate) *Plan {
 	if best.sys != querygrid.Master {
 		p.Steps = append(p.Steps, transferStep(best.sys, querygrid.Master, in.outRows, in.outSize, best.backSec))
 	}
-	if len(cands) > 1 {
-		p.Alternatives = make([]Alternative, 0, len(cands)-1)
-		for _, c := range cands[1:] {
-			p.Alternatives = append(p.Alternatives, Alternative{Description: in.kind() + " on " + c.sys, EstimatedSec: c.total})
-		}
+	for _, c := range cands[1:] {
+		p.Alternatives = append(p.Alternatives, Alternative{Kind: in.kind(), System: c.sys, EstimatedSec: c.total})
 	}
-	return p
 }
 
 // costSpan opens one candidate-costing span (nil on untraced contexts) and
@@ -572,7 +602,9 @@ func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, i int) (candi
 
 // planUnary places a single-table filter/project or aggregation.
 func (o *Optimizer) planUnary(ctx context.Context, a *analyzed) (*Plan, error) {
-	in, err := o.unaryInputFor(a)
+	p := newPlan()
+	var in unaryInput
+	err := o.unaryInputFor(a, p, &in)
 	if err != nil {
 		return nil, err
 	}
@@ -582,11 +614,12 @@ func (o *Optimizer) planUnary(ctx context.Context, a *analyzed) (*Plan, error) {
 	var buf [maxPlacements]candidate
 	cands := buf[:in.systems.n]
 	for i := range cands {
-		if cands[i], err = o.costUnary(ctx, in, i); err != nil {
+		if cands[i], err = o.costUnary(ctx, &in, i); err != nil {
 			return nil, err
 		}
 	}
-	return in.pick(cands), nil
+	in.pick(p, cands)
+	return p, nil
 }
 
 // joinStep is one resolved left-deep join: the new table's binding (an index
@@ -600,11 +633,10 @@ type joinStep struct {
 	cross    bool
 }
 
-// resolveJoins validates the join chain: every non-cross condition must
-// reference the newly joined table on one side and an already-available
-// binding (an earlier one) on the other.
-func (a *analyzed) resolveJoins() ([]joinStep, error) {
-	steps := make([]joinStep, 0, len(a.stmt.Joins))
+// resolveJoins validates the join chain, appending its steps to steps:
+// every non-cross condition must reference the newly joined table on one
+// side and an already-available binding (an earlier one) on the other.
+func (a *analyzed) resolveJoins(steps []joinStep) ([]joinStep, error) {
 	for i := range a.stmt.Joins {
 		j := &a.stmt.Joins[i]
 		nb := i + 1
@@ -636,7 +668,6 @@ func (a *analyzed) resolveJoins() ([]joinStep, error) {
 // joinSweep is one join of the chain awaiting placement: the operator spec,
 // where its two inputs sit, and which of them still ship as base tables.
 type joinSweep struct {
-	a    *analyzed
 	join int // 0-based position in the chain
 	spec *plan.JoinSpec
 	// The left input (spec.Left) sits on curLoc; curBase is its binding
@@ -658,21 +689,22 @@ type joinOption struct {
 	cost                float64
 }
 
-// joinOption prices running sw's join on sys.
-func (o *Optimizer) joinOption(ctx context.Context, sw joinSweep, sys string) (joinOption, error) {
+// joinOption prices running sw's join on sys. a is not in the sweep, whose
+// strings escape into the grid's errors and would take a to the heap.
+func (o *Optimizer) joinOption(ctx context.Context, a *analyzed, sw joinSweep, sys string) (joinOption, error) {
 	est, err := o.estimator(sys)
 	if err != nil {
 		return joinOption{}, err
 	}
 	opt := joinOption{sys: sys}
 	if sys != sw.curLoc {
-		if opt.shipLeft, err = o.shipInput(sw.curLoc, sys, sw.curBase, sw.a, sw.spec.Left); err != nil {
+		if opt.shipLeft, err = o.shipInput(sw.curLoc, sys, sw.curBase, a, sw.spec.Left); err != nil {
 			return joinOption{}, err
 		}
 		opt.cost += opt.shipLeft
 	}
 	if sys != sw.nxtOwner {
-		if opt.shipRight, err = o.shipInput(sw.nxtOwner, sys, sw.newBind, sw.a, sw.spec.Right); err != nil {
+		if opt.shipRight, err = o.shipInput(sw.nxtOwner, sys, sw.newBind, a, sw.spec.Right); err != nil {
 			return joinOption{}, err
 		}
 		opt.cost += opt.shipRight
@@ -694,7 +726,8 @@ func (o *Optimizer) joinOption(ctx context.Context, sw joinSweep, sys string) (j
 // were produced until a cheaper placement pulls them (Section 2's "results
 // ... may remain on that remote system for further computations").
 func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
-	steps, err := a.resolveJoins()
+	var joinBuf [2]joinStep
+	steps, err := a.resolveJoins(joinBuf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -711,12 +744,7 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 		return nil, err
 	}
 	curBase := 0 // the intermediate's binding while it is still a base table
-	// Per join: at most two transfers and the join; then an aggregation and
-	// the transfer home. Each join rejects at most two placements.
-	p := &Plan{
-		Steps:        make([]Step, 0, 3*len(steps)+2),
-		Alternatives: make([]Alternative, 0, 2*len(steps)),
-	}
+	p := newPlan()
 
 	for i, st := range steps {
 		nxt, err := a.side(st.newBind, st.newCol)
@@ -767,21 +795,27 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 		if outRows < 1 {
 			outRows = 1
 		}
-		// On the heap: the winning placement's step keeps pointing at it.
-		spec := &plan.JoinSpec{Left: left, Right: nxt, OutputRows: outRows, Cartesian: st.cross}
+		// In the plan: the winning placement's step keeps pointing at it.
+		var spec *plan.JoinSpec
+		if i < len(p.joins) {
+			spec = &p.joins[i]
+		} else {
+			spec = new(plan.JoinSpec)
+		}
+		*spec = plan.JoinSpec{Left: left, Right: nxt, OutputRows: outRows, Cartesian: st.cross}
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("optimizer: join %d spec: %w", i+1, err)
 		}
 
 		// Greedy placement of this join step: cost every candidate system,
 		// then select from the ordered results (first-seen wins cost ties).
-		sw := joinSweep{a: a, join: i, spec: spec,
+		sw := joinSweep{join: i, spec: spec,
 			curLoc: curLoc, curBase: curBase, nxtOwner: nxtOwner, newBind: st.newBind}
 		systems := a.placements(curLoc, nxtOwner)
 		var optBuf [maxPlacements]joinOption
 		options := optBuf[:systems.n]
 		for oi, sys := range systems.list() {
-			if options[oi], err = o.joinOption(ctx, sw, sys); err != nil {
+			if options[oi], err = o.joinOption(ctx, a, sw, sys); err != nil {
 				return nil, err
 			}
 		}
@@ -807,10 +841,8 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 			EstimatedSec: win.est.Seconds, Estimate: win.est})
 		p.EstimatedSec += win.cost
 		for _, r := range rejected {
-			p.Alternatives = append(p.Alternatives, Alternative{
-				Description:  "join " + strconv.Itoa(i+1) + " on " + options[r].sys,
-				EstimatedSec: p.EstimatedSec - win.cost + options[r].cost,
-			})
+			p.Alternatives = append(p.Alternatives, Alternative{Kind: "join", Join: i + 1, System: options[r].sys,
+				EstimatedSec: p.EstimatedSec - win.cost + options[r].cost})
 		}
 
 		// The intermediate result: projected attributes of both inputs.
@@ -834,7 +866,7 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		aggSpec := plan.AggSpec{
+		p.agg = plan.AggSpec{
 			InputRows: cur.Rows, InputRowSize: cur.RowSize,
 			OutputRows: aggRows, OutputRowSize: aggSize, NumAggregates: numAggs,
 		}
@@ -843,12 +875,12 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 			return nil, err
 		}
 		sp := costSpan(ctx, "aggregation", curLoc)
-		ace, err := est.EstimateAgg(aggSpec)
+		ace, err := est.EstimateAgg(p.agg)
 		endCostSpan(sp, ace, err)
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: post-join aggregation on %q: %w", curLoc, err)
 		}
-		p.Steps = append(p.Steps, Step{Kind: "aggregation", System: curLoc, Agg: &aggSpec,
+		p.Steps = append(p.Steps, Step{Kind: "aggregation", System: curLoc, Agg: &p.agg,
 			EstimatedSec: ace.Seconds, Estimate: ace})
 		p.EstimatedSec += ace.Seconds
 		finalRows, finalSize = aggRows, aggSize

@@ -301,7 +301,7 @@ func TestAlternativesOrdered(t *testing.T) {
 	last := p.EstimatedSec
 	for _, alt := range p.Alternatives {
 		if alt.EstimatedSec < last {
-			t.Errorf("alternative %q (%v) cheaper than chosen plan (%v)", alt.Description, alt.EstimatedSec, last)
+			t.Errorf("alternative %s on %s (%v) cheaper than chosen plan (%v)", alt.Kind, alt.System, alt.EstimatedSec, last)
 		}
 		last = alt.EstimatedSec
 	}

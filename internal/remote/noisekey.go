@@ -27,8 +27,14 @@ func (k noiseKey) str(s string) noiseKey { return append(k, s...) }
 func (k noiseKey) sep() noiseKey         { return append(k, '|') }
 
 // float appends a float64 exactly as fmt's %v verb renders one: shortest
-// 'g'-format via strconv.
+// 'g'-format via strconv. An integral value in [1, 1e6) — row counts and
+// widths, most calls when serving — is written as the integer: the same text
+// ('g' keeps an exponent below six positional) at a fraction of the cost.
+// Zero stays with strconv, which writes −0 as "-0".
 func (k noiseKey) float(f float64) noiseKey {
+	if f >= 1 && f < 1e6 && f == float64(int64(f)) {
+		return strconv.AppendInt(k, int64(f), 10)
+	}
 	return strconv.AppendFloat(k, f, 'g', -1, 64)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"intellisphere/internal/plan"
@@ -151,4 +152,41 @@ func TestExecuteZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNoiseKeyIntegerFloats holds float's integer path to strconv's shortest
+// 'g' rendering over every integer it could take, its edges and its
+// neighbours: −0 and 0 (left to strconv, which writes "-0" and "0"), 1e6 and
+// the integers on either side of it, and a negative integer.
+func TestNoiseKeyIntegerFloats(t *testing.T) {
+	var kb, rb [32]byte
+	check := func(f float64) {
+		got := newNoiseKey(kb[:], "").float(f)
+		if want := strconv.AppendFloat(rb[:0], f, 'g', -1, 64); string(got) != string(want) {
+			t.Fatalf("float(%v) = %q, strconv %q", f, got, want)
+		}
+	}
+	for i := 0; i <= 1_000_000; i++ {
+		check(float64(i))
+	}
+	for _, f := range []float64{math.Copysign(0, -1), 1e6 - 1, 1e6, 1e6 + 1, -1, 0.5, 1 - 1e-16, 999999.5} {
+		check(f)
+	}
+}
+
+// FuzzNoiseKeyFloat holds float to strconv over arbitrary float64 bit
+// patterns.
+func FuzzNoiseKeyFloat(f *testing.F) {
+	for _, v := range []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 999999, 999999.5, 1e6} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		var kb [32]byte
+		got := newNoiseKey(kb[:], "").float(v)
+		if want := strconv.AppendFloat(nil, v, 'g', -1, 64); string(got) != string(want) {
+			t.Fatalf("float(%v) = %q, strconv %q", v, got, want)
+		}
+	})
 }

@@ -93,8 +93,9 @@ func TestEventsEndpoint(t *testing.T) {
 		if ev.Kind != "query" {
 			t.Errorf("event kind = %q, want query", ev.Kind)
 		}
-		if len(ev.StmtHash) != 16 {
-			t.Errorf("stmt_hash = %q, want 16 hex chars", ev.StmtHash)
+		// Decoding takes nothing but 16 hex digits.
+		if ev.StmtHash == 0 {
+			t.Errorf("stmt_hash missing from %+v", ev)
 		}
 		if ev.Outcome == "error" {
 			sawError = true

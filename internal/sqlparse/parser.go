@@ -35,6 +35,38 @@ type parser struct {
 	// lexErr is the first lexing failure; the grammar sees end of input from
 	// there on.
 	lexErr error
+	// stmt is the statement being built; terms and cols count how much of
+	// its term and column backing the expressions parsed so far took.
+	stmt        *SelectStmt
+	terms, cols int
+}
+
+// startTerms starts an expression's terms on the statement's unused term
+// backing: expressions do not nest, so each takes the next stretch of it.
+func (p *parser) startTerms() []Term { return p.stmt.termBuf[p.terms:p.terms] }
+
+// endTerms closes an expression's terms: counted when append left them on
+// the backing, and capped so that they cannot grow into the next
+// expression's.
+func (p *parser) endTerms(ts []Term) []Term {
+	if len(ts) <= len(p.stmt.termBuf)-p.terms {
+		p.terms += len(ts)
+	}
+	return ts[:len(ts):len(ts)]
+}
+
+// colRef places a term's column reference on the statement's column backing
+// while it lasts.
+func (p *parser) colRef(c ColRef) *ColRef {
+	if p.cols == len(p.stmt.colBuf) {
+		r := new(ColRef)
+		*r = c
+		return r
+	}
+	r := &p.stmt.colBuf[p.cols]
+	p.cols++
+	*r = c
+	return r
 }
 
 func (p *parser) cur() token { return p.tok }
@@ -90,12 +122,13 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		return nil, err
 	}
 	stmt := &SelectStmt{}
+	p.stmt = stmt
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
 			return nil, err
 		}
-		stmt.Items = append(stmt.Items, item)
+		stmt.Items = grow(stmt.Items, stmt.itemBuf[:], item)
 		if !p.at(tokSymbol, ",") {
 			break
 		}
@@ -120,7 +153,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			stmt.Joins = append(stmt.Joins, JoinClause{Table: tr, Cross: true})
+			stmt.Joins = grow(stmt.Joins, stmt.joinBuf[:], JoinClause{Table: tr, Cross: true})
 			continue
 		}
 		if p.at(tokKeyword, "INNER") || p.at(tokKeyword, "JOIN") {
@@ -148,7 +181,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			stmt.Joins = append(stmt.Joins, JoinClause{Table: tr, Left: left, Right: right})
+			stmt.Joins = grow(stmt.Joins, stmt.joinBuf[:], JoinClause{Table: tr, Left: left, Right: right})
 			continue
 		}
 		break
@@ -161,7 +194,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			stmt.Where = append(stmt.Where, pred)
+			stmt.Where = grow(stmt.Where, stmt.whereBuf[:], pred)
 			if !p.at(tokKeyword, "AND") {
 				break
 			}
@@ -179,7 +212,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			stmt.GroupBy = append(stmt.GroupBy, c)
+			stmt.GroupBy = grow(stmt.GroupBy, stmt.groupBuf[:], c)
 			if !p.at(tokSymbol, ",") {
 				break
 			}
@@ -243,7 +276,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 			}
 			if item.Agg == AggCount && p.at(tokSymbol, "*") {
 				p.advance()
-				item.Arg = Expr{Terms: []Term{{Constant: 1}}}
+				item.Arg = Expr{Terms: p.endTerms(append(p.startTerms(), Term{Constant: 1}))}
 			} else {
 				expr, err := p.parseExpr()
 				if err != nil {
@@ -314,7 +347,7 @@ func (p *parser) parseColRef() (ColRef, error) {
 
 // parseExpr parses a sum of column references and numeric constants.
 func (p *parser) parseExpr() (Expr, error) {
-	var e Expr
+	terms := p.startTerms()
 	negate := false
 	if p.at(tokSymbol, "-") {
 		negate = true
@@ -323,10 +356,10 @@ func (p *parser) parseExpr() (Expr, error) {
 	for {
 		term, err := p.parseTerm()
 		if err != nil {
-			return e, err
+			return Expr{}, err
 		}
 		term.Negated = negate
-		e.Terms = append(e.Terms, term)
+		terms = append(terms, term)
 		switch {
 		case p.at(tokSymbol, "+"):
 			negate = false
@@ -335,7 +368,7 @@ func (p *parser) parseExpr() (Expr, error) {
 			negate = true
 			p.advance()
 		default:
-			return e, nil
+			return Expr{Terms: p.endTerms(terms)}, nil
 		}
 	}
 }
@@ -353,7 +386,7 @@ func (p *parser) parseTerm() (Term, error) {
 	if err != nil {
 		return Term{}, err
 	}
-	return Term{Col: &col}, nil
+	return Term{Col: p.colRef(col)}, nil
 }
 
 func (p *parser) parsePredicate() (Predicate, error) {

@@ -190,7 +190,7 @@ func TestObservabilityScenario(t *testing.T) {
 		Events []obs.Event `json:"events"`
 	}
 	s.getJSON("/events?n=10", &events)
-	if len(events.Events) != 1 || events.Events[0].StmtHash == "" || events.Events[0].TraceID != traced.Trace.ID {
+	if len(events.Events) != 1 || events.Events[0].StmtHash == 0 || events.Events[0].TraceID != traced.Trace.ID {
 		t.Fatalf("/events: want one wide event carrying trace ID %d, got %+v", traced.Trace.ID, events.Events)
 	}
 	if status, body := s.get("/trace"); status != http.StatusOK || !bytes.Contains(body, []byte(fmt.Sprintf(`"id": %d,`, traced.Trace.ID))) {
