@@ -65,8 +65,8 @@
 // query past -slow-query-ms) become wide events on /events, and the -slo-*
 // objectives evaluate multi-window burn-rate alerts on /slo (burn rates and
 // transition counts there; /metrics/prom carries each alert state) over a
-// ring a collector fills every -obs-step. The ring holds 1080 steps, and a
-// -slo-slow window longer than that is refused at startup.
+// ring of the serving counters they sample every -obs-step. The ring holds
+// 1080 steps, and a -slo-slow window longer than that is refused at startup.
 // -event-log additionally streams events to a size-rotated NDJSON file.
 // -obs-step 0 switches the whole pipeline off; the engine then pays one
 // atomic load per query for it and nothing else.
@@ -137,7 +137,7 @@ func main() {
 	slowQueryMS := flag.Int("slow-query-ms", 500, "latency at which a query counts as slow and is always captured as an event (0 disables the rule)")
 	eventLog := flag.String("event-log", "", "NDJSON wide-event log path, size-rotated (empty = in-memory ring only)")
 	eventLogMax := flag.Int64("event-log-max-bytes", 0, "event-log size that triggers rotation to .1 (0 = default 8 MiB)")
-	obsStep := flag.Duration("obs-step", 5*time.Second, "collector step of the sample ring the -slo-* objectives are evaluated over (<= 0 disables the whole observability pipeline)")
+	obsStep := flag.Duration("obs-step", 5*time.Second, "step at which the -slo-* objectives sample the serving counters and are evaluated (<= 0 disables the whole observability pipeline)")
 	sloAvailability := flag.Float64("slo-availability", 0.999, "availability SLO target as a good fraction (0 disables)")
 	sloLatency := flag.Duration("slo-latency-p99", 250*time.Millisecond, "p99 latency SLO threshold (0 disables)")
 	sloQError := flag.Float64("slo-qerror", 0, "estimator mean q-error SLO threshold (0 disables)")
@@ -247,7 +247,7 @@ func main() {
 		}
 		srvOpts = srvOpts.WithObservability(observer)
 		// The cumulative source reads engine + admission stats, so the
-		// collector starts only after the server is fully assembled.
+		// SLO's sampling starts only after the server is fully assembled.
 		observer.Start(srvOpts.ObsSource())
 		if *eventLog != "" {
 			log.Printf("observability on: step %s, sample %.3g, event log %s", *obsStep, *eventSample, *eventLog)

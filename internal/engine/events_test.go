@@ -112,10 +112,10 @@ func TestQueryEmitsWideEvents(t *testing.T) {
 
 // TestBatchEventLatencyCoversWholeStatement pins what a batch statement
 // reports about itself: its wide event carries the statement's own parse +
-// plan + execute latency (so the latency SLO, /history p99 and
-// /events?min_ms= see /query/batch traffic at full weight), a statement that
-// fails before execution still reports the time it took to fail, and every
-// statement is one observation in each stage histogram it reached.
+// plan + execute latency (so the latency SLO's p99 and /events?min_ms= see
+// /query/batch traffic at full weight), a statement that fails before
+// execution still reports the time it took to fail, and every statement is
+// one observation in each stage histogram it reached.
 func TestBatchEventLatencyCoversWholeStatement(t *testing.T) {
 	e := newEngine(t)
 	registerHive(t, e)

@@ -149,8 +149,8 @@ type Bucket struct {
 }
 
 // HistogramSnapshot is a point-in-time view of a histogram. It carries no
-// quantiles: a scraper derives them from the buckets, and /history and the
-// SLOs take theirs over the delta of two snapshots (obs.deltaQuantile).
+// quantiles: a scraper derives them from the buckets, and the SLOs take
+// theirs over the delta of two snapshots (obs.deltaQuantile).
 // Buckets reports every bucket with its explicit upper bound — zero counts included — so consumers (the Prometheus
 // exposition above all) see the full, stable bucket layout; observations
 // beyond the last bound are counted in Overflow rather than as an infinite

@@ -4,11 +4,11 @@ import "sync/atomic"
 
 // Ring is a fixed-size lock-free buffer of the most recent values of one
 // kind: the recent-N mechanism behind /trace, /events (and through it the
-// event log's drain cursor) and /history. IDs start at 1 and never repeat;
-// the value with ID i lives in slot (i-1) mod n. A writer claims an ID with
-// one atomic increment and publishes with one atomic store, so writers never
-// wait and readers never block them. Old values are overwritten, never freed
-// in place, and are immutable once recorded.
+// event log's drain cursor) and the SLO's samples. IDs start at 1 and never
+// repeat; the value with ID i lives in slot (i-1) mod n. A writer claims an
+// ID with one atomic increment and publishes with one atomic store, so
+// writers never wait and readers never block them. Old values are
+// overwritten, never freed in place, and are immutable once recorded.
 //
 // Every value carries its own ID (the accessor given to NewRing points at
 // the field). That is how a reader tells the value it addressed from

@@ -1,10 +1,10 @@
 // Package obs is the continuous-observability layer of the serving stack:
 // a wide-event query log (one structured record per query, head-sampled with
-// always-capture for errors and slow queries), and an SLO engine evaluating
-// burn-rate alerts over a history ring of per-step samples a collector takes
-// of the serving counters. Everything is in-process, lock-free on the hot
-// paths, and zero-cost when not wired up: the engine holds an atomic pointer
-// to a Recorder and emits nothing while it is nil.
+// always-capture for errors and slow queries), and an SLO that samples the
+// serving counters once per step into a ring and evaluates burn-rate alerts
+// over it. Everything is in-process, lock-free on the hot paths, and
+// zero-cost when not wired up: the engine holds an atomic pointer to a
+// Recorder and emits nothing while it is nil.
 package obs
 
 import (

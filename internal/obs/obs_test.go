@@ -125,47 +125,6 @@ func TestRingConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistoryConcurrent exercises the history ring under -race: one
-// appender (the collector is single-goroutine by design) against a
-// whole-ring reader and a slow-window-sized one, the SLO engine's read.
-func TestHistoryConcurrent(t *testing.T) {
-	h := NewHistory(32, time.Second)
-	base := time.Unix(1_700_000_000, 0)
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	readers.Add(2)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			h.Recent(0)
-		}
-	}()
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			h.Recent(16)
-		}
-	}()
-	for i := 0; i < 5000; i++ {
-		h.Append(&Sample{Unix: base.Add(time.Duration(i) * time.Second).Unix(), QPS: float64(i)})
-	}
-	close(stop)
-	readers.Wait()
-	if got := h.Recent(0); len(got) != 32 || got[0].QPS != 4999 {
-		t.Fatalf("Recent(0) holds %d samples, newest QPS %v; want 32 and 4999", len(got), got[0].QPS)
-	}
-}
-
 func TestRecorderSampling(t *testing.T) {
 	r := NewRecorder(RecorderConfig{SampleRate: 0.25, SlowThreshold: 100 * time.Millisecond, RingSize: 16})
 	if capture, ok := r.Sample(true, time.Millisecond); !ok || capture != "error" {
@@ -202,19 +161,19 @@ func TestRecorderZeroRateStillCapturesErrors(t *testing.T) {
 	}
 }
 
-// collectorSource fabricates a cumulative series: qps queries/step with
+// counterSource fabricates a cumulative series: qps queries/step with
 // errs failures/step and a latency histogram fed lat per query.
-type collectorSource struct {
+type counterSource struct {
 	mu      sync.Mutex
 	c       Cumulative
 	latHist *metrics.Histogram
 }
 
-func newCollectorSource() *collectorSource {
-	return &collectorSource{latHist: metrics.NewLatencyHistogram()}
+func newCounterSource() *counterSource {
+	return &counterSource{latHist: metrics.NewLatencyHistogram()}
 }
 
-func (cs *collectorSource) step(queries, errors uint64, lat time.Duration) {
+func (cs *counterSource) step(queries, errors uint64, lat time.Duration) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.c.Queries += queries
@@ -224,7 +183,7 @@ func (cs *collectorSource) step(queries, errors uint64, lat time.Duration) {
 	}
 }
 
-func (cs *collectorSource) snapshot() Cumulative {
+func (cs *counterSource) snapshot() Cumulative {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	c := cs.c
@@ -233,21 +192,20 @@ func (cs *collectorSource) snapshot() Cumulative {
 }
 
 func TestCollectorRatesAndQuantiles(t *testing.T) {
-	src := newCollectorSource()
-	h := NewHistory(64, time.Second)
-	col := NewCollector(src.snapshot, h, nil, time.Second, nil)
+	src := newCounterSource()
+	slo := NewSLO(time.Second, nil)
 	now := time.Unix(1_700_000_000, 0)
-	col.Tick(now) // prime
+	slo.Tick(now, src.snapshot()) // prime
 	src.step(100, 10, 2*time.Millisecond)
 	now = now.Add(time.Second)
-	col.Tick(now)
-	recent := h.Recent(1)
+	slo.Tick(now, src.snapshot())
+	recent := slo.samples.Recent(1)
 	if len(recent) != 1 {
-		t.Fatalf("history has %d samples, want 1", len(recent))
+		t.Fatalf("ring has %d samples, want 1", len(recent))
 	}
 	s := recent[0]
-	if s.QPS != 100 || s.ErrorRate != 10 {
-		t.Fatalf("QPS %v ErrorRate %v, want 100/10", s.QPS, s.ErrorRate)
+	if s.Queries != 100 || s.Errors != 10 {
+		t.Fatalf("Queries %v Errors %v, want 100/10", s.Queries, s.Errors)
 	}
 	if s.P99Sec < 2e-3 || s.P99Sec > 8e-3 {
 		t.Fatalf("P99Sec = %v, want a small bucket bound covering 2ms", s.P99Sec)
@@ -256,26 +214,42 @@ func TestCollectorRatesAndQuantiles(t *testing.T) {
 	// lifetime histogram is dominated by fast observations.
 	src.step(50, 0, 400*time.Millisecond)
 	now = now.Add(time.Second)
-	col.Tick(now)
-	s = h.Recent(1)[0]
-	if s.P99Sec < 0.4 {
-		t.Fatalf("windowed P99Sec = %v after slow step, want >= 0.4", s.P99Sec)
+	slo.Tick(now, src.snapshot())
+	s = slo.samples.Recent(1)[0]
+	if s.Queries != 50 || s.P99Sec < 0.4 {
+		t.Fatalf("slow step: Queries %v P99Sec %v, want 50 and >= 0.4", s.Queries, s.P99Sec)
 	}
 }
 
+// stepper feeds an SLO cumulative counters one step at a time, starting
+// from a primed baseline at base.
+type stepper struct {
+	slo *SLO
+	now time.Time
+	c   Cumulative
+}
+
+func newStepper(slo *SLO, base time.Time) *stepper {
+	slo.Tick(base, Cumulative{})
+	return &stepper{slo: slo, now: base}
+}
+
+// tick advances one step during which queries ran and errors of them failed.
+func (st *stepper) tick(step time.Duration, queries, errors uint64) {
+	st.now = st.now.Add(step)
+	st.c.Queries += queries
+	st.c.Errors += errors
+	st.slo.Tick(st.now, st.c)
+}
+
 func TestSLOFiringAndResolution(t *testing.T) {
-	h := NewHistory(256, time.Second)
-	slo := NewSLO(h, []Objective{{
+	slo := NewSLO(time.Second, []Objective{{
 		Name: "availability", Kind: KindAvailability, Target: 0.9,
 		FastWindow: 5 * time.Second, SlowWindow: 15 * time.Second,
 		BurnFactor: 2, ClearAfter: 3 * time.Second,
 	}})
-	now := time.Unix(1_700_000_000, 0)
-	tick := func(errRate float64) {
-		now = now.Add(time.Second)
-		h.Append(&Sample{Unix: now.Unix(), QPS: 100, ErrorRate: errRate})
-		slo.Evaluate(now)
-	}
+	st := newStepper(slo, time.Unix(1_700_000_000, 0))
+	tick := func(errors uint64) { st.tick(time.Second, 100, errors) }
 	state := func() string { return slo.Snapshot()[0].State }
 
 	for i := 0; i < 5; i++ {
@@ -317,16 +291,13 @@ func TestSLOFiringAndResolution(t *testing.T) {
 }
 
 func TestSLOIdleDoesNotBurn(t *testing.T) {
-	h := NewHistory(64, time.Second)
-	slo := NewSLO(h, []Objective{{
+	slo := NewSLO(time.Second, []Objective{{
 		Name: "availability", Kind: KindAvailability, Target: 0.99,
 		FastWindow: 3 * time.Second, SlowWindow: 9 * time.Second, BurnFactor: 2,
 	}})
-	now := time.Unix(1_700_000_000, 0)
+	st := newStepper(slo, time.Unix(1_700_000_000, 0))
 	for i := 0; i < 20; i++ {
-		now = now.Add(time.Second)
-		h.Append(&Sample{Unix: now.Unix()}) // zero traffic
-		slo.Evaluate(now)
+		st.tick(time.Second, 0, 0) // zero traffic
 	}
 	if got := slo.Snapshot()[0].State; got != StateInactive {
 		t.Fatalf("idle process: state %q, want inactive", got)
@@ -337,7 +308,7 @@ func TestSLOIdleDoesNotBurn(t *testing.T) {
 // window/step samples, so a slow window longer than the ring would read its
 // missing samples as good (a 2h window at the default 5s step reads 750 of a
 // true 1000 burn). New rejects it; the longest window the ring holds reads
-// the true burn, and with no objective there is no ring and no collector.
+// the true burn, and with no objective there is no SLO and no sampling.
 func TestNewFitsSlowWindowInRing(t *testing.T) {
 	const step = 5 * time.Second
 	objectives := func(slow time.Duration) []Objective {
@@ -346,20 +317,17 @@ func TestNewFitsSlowWindowInRing(t *testing.T) {
 	if _, err := New(Config{Step: step, Objectives: objectives(2 * time.Hour)}); err == nil {
 		t.Error("New accepted a 2h slow window at a 5s step (1440 samples, ring 1080)")
 	}
-	for _, slow := range []time.Duration{5 * time.Minute, DefaultHistorySize * step} {
+	for _, slow := range []time.Duration{5 * time.Minute, SampleRingSize * step} {
 		if _, err := New(Config{Step: step, Objectives: objectives(slow)}); err != nil {
 			t.Errorf("slow window %s: %v", slow, err)
 		}
 	}
 
-	h := NewHistory(DefaultHistorySize, step)
-	slo := NewSLO(h, objectives(DefaultHistorySize*step))
-	now := time.Unix(1_700_000_000, 0)
-	for i := 0; i < DefaultHistorySize+10; i++ {
-		now = now.Add(step)
-		h.Append(&Sample{Unix: now.Unix(), QPS: 1, ErrorRate: 1})
+	slo := NewSLO(step, objectives(SampleRingSize*step))
+	st := newStepper(slo, time.Unix(1_700_000_000, 0))
+	for i := 0; i < SampleRingSize+10; i++ {
+		st.tick(step, 1, 1)
 	}
-	slo.Evaluate(now)
 	if got := slo.Snapshot()[0].SlowBurn; math.Abs(got-1000) > 1e-6 {
 		t.Errorf("all-error traffic over a ring-long slow window burns %v, want 1000", got)
 	}
@@ -369,11 +337,11 @@ func TestNewFitsSlowWindowInRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle.Start(func() Cumulative {
-		t.Error("collector sampled with no objective declared")
+		t.Error("SLO sampled with no objective declared")
 		return Cumulative{}
 	})
-	if idle.SLO != nil || idle.col != nil {
-		t.Errorf("no objective: SLO %v, collector %v; want neither", idle.SLO, idle.col)
+	if idle.SLO != nil {
+		t.Errorf("no objective: SLO %v, want none", idle.SLO)
 	}
 	idle.Stop()
 }

@@ -15,45 +15,40 @@ type Config struct {
 	// EventLogMaxBytes rotates the file sink (<= 0 selects
 	// DefaultSinkMaxBytes).
 	EventLogMaxBytes int64
-	// Step is the collector interval of the DefaultHistorySize-sample
-	// time-series ring the SLO engine reads (<= 0 selects 5 s).
+	// Step is the interval at which the SLO samples the serving counters
+	// into its SampleRingSize-sample ring (<= 0 selects 5 s).
 	Step time.Duration
-	// Objectives declares the SLOs; empty disables the SLO engine, and with
-	// it the ring and the collector. A slow window may span at most
-	// DefaultHistorySize steps.
+	// Objectives declares the SLOs; empty disables the SLO, and with it the
+	// sampling. A slow window may span at most SampleRingSize steps.
 	Objectives []Objective
-	// Clock is injectable for tests (nil selects the wall clock).
-	Clock func() time.Time
 }
 
 // Observer bundles the three observability pieces behind one lifecycle.
 // Construction wires rings and the recorder; Start (given the cumulative
-// source, which needs the fully built serving stack) launches the collector
-// and file-sink goroutines; Stop tears both down, flushing the sink.
+// source, which needs the fully built serving stack) launches the SLO's
+// sampling loop and the file-sink goroutine; Stop tears both down, flushing
+// the sink.
 type Observer struct {
 	Rec  *Recorder
 	SLO  *SLO
 	Sink *FileSink
 
-	cfg     Config
-	col     *Collector
 	started bool
 }
 
 // New builds an observer. The file sink (when configured) is opened here so
 // startup fails fast on an unwritable path, but no goroutines run until
-// Start. An objective whose slow window the history ring cannot hold is an
+// Start. An objective whose slow window the sample ring cannot hold is an
 // error: its burn would count the missing samples as good.
 func New(cfg Config) (*Observer, error) {
-	o := &Observer{Rec: NewRecorder(cfg.Events), cfg: cfg}
+	o := &Observer{Rec: NewRecorder(cfg.Events)}
 	if len(cfg.Objectives) > 0 {
-		hist := NewHistory(DefaultHistorySize, cfg.Step)
-		o.SLO = NewSLO(hist, cfg.Objectives)
-		span := DefaultHistorySize * hist.Step()
+		o.SLO = NewSLO(cfg.Step, cfg.Objectives)
+		span := SampleRingSize * o.SLO.step
 		for _, st := range o.SLO.states {
 			if st.obj.SlowWindow > span {
-				return nil, fmt.Errorf("obs: objective %s: slow window %s is longer than the %s the history ring holds (%d samples at a %s step)",
-					st.obj.Name, st.obj.SlowWindow, span, DefaultHistorySize, hist.Step())
+				return nil, fmt.Errorf("obs: objective %s: slow window %s is longer than the %s the sample ring holds (%d samples at a %s step)",
+					st.obj.Name, st.obj.SlowWindow, span, SampleRingSize, o.SLO.step)
 			}
 		}
 	}
@@ -67,32 +62,30 @@ func New(cfg Config) (*Observer, error) {
 	return o, nil
 }
 
-// Start launches the collector (sampling src; only when objectives are
-// declared, since the SLO engine is its one reader) and the file sink.
+// Start launches the SLO's sampling of src (only when objectives are
+// declared, since they are its one reader) and the file sink.
 func (o *Observer) Start(src func() Cumulative) {
 	if o == nil || o.started {
 		return
 	}
 	o.started = true
 	if o.SLO != nil {
-		o.col = NewCollector(src, o.SLO.hist, o.SLO, o.cfg.Step, o.cfg.Clock)
-		o.col.Start()
+		o.SLO.Start(src)
 	}
 	if o.Sink != nil {
 		o.Sink.Start()
 	}
 }
 
-// Stop halts the collector and flushes/closes the sink. Safe to call when
+// Stop halts the sampling and flushes/closes the sink. Safe to call when
 // Start never ran (the sink goroutine only exists after Start).
 func (o *Observer) Stop() {
 	if o == nil || !o.started {
 		return
 	}
 	o.started = false
-	if o.col != nil {
-		o.col.Stop()
-		o.col = nil
+	if o.SLO != nil {
+		o.SLO.Stop()
 	}
 	if o.Sink != nil {
 		o.Sink.Stop()

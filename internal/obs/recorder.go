@@ -26,8 +26,8 @@ type RecorderConfig struct {
 // Recorder is the engine-facing half of the event pipeline: it decides
 // which queries become events (Sample), stamps them into the ring (Record),
 // and owns the engine-time (parse + plan + execute) latency histogram every
-// query observes into (Observe) — the series the history collector and the
-// /metrics/prom exemplars are built from.
+// query observes into (Observe) — the series the SLO's latency samples and
+// the /metrics/prom exemplars are built from.
 //
 // All methods are nil-receiver no-ops, so call sites can hold a possibly-nil
 // *Recorder without branching.

@@ -3,16 +3,15 @@ package obs
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"intellisphere/internal/metrics"
 	"intellisphere/internal/trace"
 )
 
-// TestRingUsersLapped drives the one recent-N ring through each of its three
-// users' own write paths — traces whose IDs are claimed before the query
-// runs, events stamped as they are recorded, history samples — with writers
-// lapping an 8-slot ring under a reader. Run under -race. The reader holds
+// TestRingUsersLapped drives the one recent-N ring through the write paths
+// of its concurrent users — traces whose IDs are claimed before the query
+// runs, events stamped as they are recorded — with writers lapping an 8-slot
+// ring under a reader. Run under -race. The reader holds
 // every snapshot to the ring's contract: Recent is strictly descending by ID
 // (so free of duplicates), Recent(1) never goes back in time, Since is
 // ascending within (after, next] and accounts for every ID it passed over.
@@ -30,12 +29,6 @@ func TestRingUsersLapped(t *testing.T) {
 		rec := NewRecorder(RecorderConfig{SampleRate: 1, RingSize: size})
 		lapRing(t, size, rec.Ring(), func(ev *Event) uint64 { return ev.ID }, func() {
 			rec.Record(&Event{Kind: "query"})
-		})
-	})
-	t.Run("history", func(t *testing.T) {
-		h := NewHistory(size, time.Second)
-		lapRing(t, size, h.ring, func(s *Sample) uint64 { return s.seq }, func() {
-			h.Append(&Sample{})
 		})
 	})
 }

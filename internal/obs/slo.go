@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"time"
+
+	"intellisphere/internal/metrics"
 )
 
 // ObjectiveKind selects what an Objective measures.
@@ -20,7 +23,7 @@ const (
 	KindQError ObjectiveKind = "qerror"
 )
 
-// Objective is one declarative SLO evaluated over the history ring with
+// Objective is one declarative SLO evaluated over the sample ring with
 // multi-window burn-rate alerting (the Google SRE workbook shape): the
 // alert fires only when both a fast and a slow window burn error budget
 // faster than BurnFactor, so a brief blip (fast window only) stays pending
@@ -88,21 +91,70 @@ type sloState struct {
 	resolved   uint64
 }
 
-// SLO evaluates a set of objectives against the history ring. Evaluate is
-// called by the collector after each sample; Snapshot serves /slo. A single
-// mutex guards the (tiny) state transitions — evaluation runs once per
-// collector step, never on the query path.
-type SLO struct {
-	hist *History
-
-	mu     sync.Mutex
-	states []*sloState
+// Cumulative is the monotonic-counter snapshot the SLO differences into one
+// step's Sample. The serving layer supplies a source closure building one
+// from engine and admission stats.
+type Cumulative struct {
+	Queries uint64
+	Errors  uint64
+	// Shed counts requests refused at admission (queue full, deadline or
+	// rate limit); they never reach the engine.
+	Shed uint64
+	// Latency is the engine-time query latency histogram snapshot; bucket
+	// deltas between ticks yield the step's p99.
+	Latency metrics.HistogramSnapshot
+	// MaxQError is the worst per-(system, operator) mean q-error (a gauge,
+	// copied into the sample as-is; 0 before any accuracy observation).
+	MaxQError float64
 }
 
-// NewSLO builds an evaluator over hist for the given objectives. Objectives
-// with a non-positive Target or BurnFactor are dropped.
-func NewSLO(hist *History, objectives []Objective) *SLO {
-	s := &SLO{hist: hist}
+// Sample is one step of the serving counters, what the objectives score.
+// Counts are the step's deltas; P99Sec is windowed (computed from the
+// histogram bucket deltas within the step), so a latency spike shows up
+// immediately instead of being averaged into the process lifetime.
+type Sample struct {
+	Unix int64
+	// Queries counts queries the engine accepted (including ones that then
+	// failed); Shed counts requests rejected at admission.
+	Queries   uint64
+	Errors    uint64
+	Shed      uint64
+	P99Sec    float64
+	MaxQError float64
+
+	seq uint64 // position in the sample ring, stamped by Record
+}
+
+// SampleRingSize is the SLO's sample capacity — at the default 5 s step it
+// holds 90 minutes, the longest slow window an objective may declare.
+const SampleRingSize = 1080
+
+// SLO samples the serving counters once per step, keeps the samples in a
+// metrics.Ring and evaluates a set of objectives over them. Tick is one step
+// (tests call it directly), Start runs it on a ticker and Snapshot serves
+// /slo. One mutex covers the ring and the state transitions: the step is the
+// ring's only writer and only reader, and it never runs on the query path.
+type SLO struct {
+	step time.Duration
+
+	mu      sync.Mutex
+	states  []*sloState
+	samples *metrics.Ring[Sample]
+	prev    Cumulative
+	primed  bool
+
+	stop chan struct{}
+	done chan struct{}
+}
+
+// NewSLO builds an evaluator sampling every step (<= 0 selects 5 s) for the
+// given objectives. Objectives with a Target outside (0, 1) or a
+// non-positive BurnFactor are dropped.
+func NewSLO(step time.Duration, objectives []Objective) *SLO {
+	if step <= 0 {
+		step = 5 * time.Second
+	}
+	s := &SLO{step: step, samples: metrics.NewRing(SampleRingSize, func(sm *Sample) *uint64 { return &sm.seq })}
 	for _, o := range objectives {
 		if o.Target <= 0 || o.Target >= 1 || o.BurnFactor <= 0 {
 			continue
@@ -121,27 +173,119 @@ func NewSLO(hist *History, objectives []Objective) *SLO {
 	return s
 }
 
+// Tick turns the counters cur, read at now, into one step's sample, records
+// it and evaluates every objective. The first tick only sets the baseline
+// (a step needs two readings); Start's loop takes it at once, tests stepping
+// manually tick once before asserting.
+func (s *SLO) Tick(now time.Time, cur Cumulative) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	prev := s.prev
+	s.prev = cur
+	if !s.primed {
+		s.primed = true
+		return
+	}
+	s.samples.Record(&Sample{
+		Unix:      now.Unix(),
+		Queries:   delta(cur.Queries, prev.Queries),
+		Errors:    delta(cur.Errors, prev.Errors),
+		Shed:      delta(cur.Shed, prev.Shed),
+		P99Sec:    deltaQuantile(prev.Latency, cur.Latency, 0.99),
+		MaxQError: cur.MaxQError,
+	})
+	s.evaluate(now)
+}
+
+// Start launches the sampling loop over src: one tick at once, then one per
+// step.
+func (s *SLO) Start(src func() Cumulative) {
+	s.stop, s.done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(s.done)
+		t := time.NewTicker(s.step)
+		defer t.Stop()
+		s.Tick(time.Now(), src())
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-t.C:
+				s.Tick(time.Now(), src())
+			}
+		}
+	}()
+}
+
+// Stop halts the loop and waits for it to exit.
+func (s *SLO) Stop() {
+	close(s.stop)
+	<-s.done
+}
+
+// delta is a monotonic counter's increase (0 on regression, which only
+// happens if the source restarts underneath us).
+func delta(cur, prev uint64) uint64 {
+	if cur < prev {
+		return 0
+	}
+	return cur - prev
+}
+
+// deltaQuantile estimates a quantile of the observations that landed
+// between two cumulative histogram snapshots — the step's p99. Buckets are
+// matched by upper bound (the layouts are identical for snapshots of one
+// histogram); an empty step yields 0.
+func deltaQuantile(prev, cur metrics.HistogramSnapshot, q float64) float64 {
+	if len(cur.Buckets) == 0 {
+		return 0
+	}
+	counts := make([]uint64, len(cur.Buckets))
+	var total uint64
+	for i := range cur.Buckets {
+		var p uint64
+		if i < len(prev.Buckets) && prev.Buckets[i].UpperBoundSec == cur.Buckets[i].UpperBoundSec {
+			p = prev.Buckets[i].Count
+		}
+		counts[i] = delta(cur.Buckets[i].Count, p)
+		total += counts[i]
+	}
+	overflow := delta(cur.Overflow, prev.Overflow)
+	total += overflow
+	if total == 0 {
+		return 0
+	}
+	target := uint64(math.Ceil(q * float64(total)))
+	if target == 0 {
+		target = 1
+	}
+	var cum uint64
+	for i, c := range counts {
+		cum += c
+		if cum >= target {
+			return cur.Buckets[i].UpperBoundSec
+		}
+	}
+	return cur.Buckets[len(cur.Buckets)-1].UpperBoundSec
+}
+
 // badFraction scores one sample against an objective: the fraction of the
 // step's traffic that violated it, in [0, 1]. Idle samples score 0 — no
 // traffic burns no budget.
 func badFraction(o *Objective, s *Sample) float64 {
 	switch o.Kind {
 	case KindAvailability:
-		offered := s.QPS + s.ShedRate
-		if offered <= 0 {
+		offered := s.Queries + s.Shed
+		if offered == 0 {
 			return 0
 		}
-		bad := (s.ErrorRate + s.ShedRate) / offered
-		if bad > 1 {
-			bad = 1
-		}
-		return bad
+		return min(float64(s.Errors+s.Shed)/float64(offered), 1)
 	case KindLatency:
-		if s.QPS > 0 && s.P99Sec > o.Threshold {
+		if s.Queries > 0 && s.P99Sec > o.Threshold {
 			return 1
 		}
 	case KindQError:
-		if s.MaxQError() > o.Threshold {
+		if s.MaxQError > o.Threshold {
 			return 1
 		}
 	}
@@ -151,7 +295,7 @@ func badFraction(o *Objective, s *Sample) float64 {
 // burn averages badFraction over the samples inside window (ending at now)
 // and divides by the error budget, yielding the burn-rate multiple: 1 means
 // exactly on budget, BurnFactor means burning that many times too fast.
-// When the history is younger than the window, the missing span counts as
+// When the ring is younger than the window, the missing span counts as
 // good — a freshly started process must accumulate a slow window's worth of
 // evidence before a slow-window alert can fire.
 func (s *SLO) burn(o *Objective, samples []*Sample, now time.Time, window time.Duration) float64 {
@@ -165,7 +309,7 @@ func (s *SLO) burn(o *Objective, samples []*Sample, now time.Time, window time.D
 		sum += badFraction(o, sm)
 		n++
 	}
-	if expected := int(window / s.hist.Step()); n < expected {
+	if expected := int(window / s.step); n < expected {
 		n = expected
 	}
 	if n == 0 {
@@ -174,26 +318,19 @@ func (s *SLO) burn(o *Objective, samples []*Sample, now time.Time, window time.D
 	return (sum / float64(n)) / (1 - o.Target)
 }
 
-// Evaluate advances every objective's state machine against the current
-// history. Called once per collector tick.
-func (s *SLO) Evaluate(now time.Time) {
-	if s == nil {
-		return
-	}
+// evaluate advances every objective's state machine against the samples.
+// The caller holds s.mu.
+func (s *SLO) evaluate(now time.Time) {
 	// One read of the ring covers all objectives: size to the largest
 	// slow window.
 	var maxWin time.Duration
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, st := range s.states {
-		if st.obj.SlowWindow > maxWin {
-			maxWin = st.obj.SlowWindow
-		}
+		maxWin = max(maxWin, st.obj.SlowWindow)
 	}
 	if maxWin == 0 {
 		return
 	}
-	samples := s.hist.Recent(int(maxWin/s.hist.Step()) + 1)
+	samples := s.samples.Recent(int(maxWin/s.step) + 1)
 	for _, st := range s.states {
 		o := &st.obj
 		st.fastBurn = s.burn(o, samples, now, o.FastWindow)

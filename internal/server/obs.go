@@ -37,32 +37,28 @@ func (s *Server) WithObservability(o *obs.Observer) *Server {
 	return s
 }
 
-// ObsSource builds the cumulative-counter closure the history collector
-// differentiates into the per-step rates the SLO engine scores: engine
-// query/error counters, admission shed/rate-limit counters, the engine-time
-// latency histogram, and the current per-(system, operator) mean q-error.
+// ObsSource builds the cumulative-counter closure the SLO differences into
+// the per-step samples its objectives score: engine query/error counters,
+// admission refusals, the engine-time latency histogram, and the worst
+// per-(system, operator) mean q-error.
 func (s *Server) ObsSource() func() obs.Cumulative {
 	return func() obs.Cumulative {
 		st := s.eng.Stats()
 		adm := s.adm.Stats()
-		var qerr map[string]float64
-		if len(st.Accuracy) > 0 {
-			qerr = make(map[string]float64, len(st.Accuracy))
-			for _, a := range st.Accuracy {
-				qerr[a.System+"/"+a.Operator] = a.MeanQError
-			}
+		var maxQErr float64
+		for _, a := range st.Accuracy {
+			maxQErr = max(maxQErr, a.MeanQError)
 		}
 		var lat metrics.HistogramSnapshot
 		if s.obs != nil {
 			lat = s.obs.Rec.LatencySnapshot()
 		}
 		return obs.Cumulative{
-			Queries:     st.Queries,
-			Errors:      st.QueryErrors,
-			Shed:        adm.ShedQueueFull + adm.ShedDeadline,
-			RateLimited: adm.RateLimited,
-			Latency:     lat,
-			QError:      qerr,
+			Queries:   st.Queries,
+			Errors:    st.QueryErrors,
+			Shed:      adm.ShedQueueFull + adm.ShedDeadline + adm.RateLimited,
+			Latency:   lat,
+			MaxQError: maxQErr,
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // newObsServer is newTestServer with the observability pipeline attached:
-// capture-everything sampling and a fast collector step so tests never wait
+// capture-everything sampling and a fast SLO step so tests never wait
 // on wall-clock windows.
 func newObsServer(t *testing.T, cfg obs.Config) (*httptest.Server, *obs.Observer) {
 	t.Helper()
@@ -196,6 +196,37 @@ func TestSLOEndpoint(t *testing.T) {
 	getStatusJSON(t, srv.URL+"/health", &health)
 	if _, ok := health["slo"]; ok {
 		t.Errorf("/health carries an slo block: %s", health["slo"])
+	}
+}
+
+// TestSLOSnapshotsWhileSampling reads /slo while the SLO's loop samples the
+// serving counters every millisecond and queries move them. Run under -race:
+// the loop is the sample ring's one writer and reader, and /slo reads the
+// states it writes.
+func TestSLOSnapshotsWhileSampling(t *testing.T) {
+	srv, o := newObsServer(t, obs.Config{
+		Events:     obs.RecorderConfig{SampleRate: 1},
+		Step:       time.Millisecond,
+		Objectives: obs.DefaultObjectives(0.999, 250*time.Millisecond, 2, 5*time.Millisecond, 20*time.Millisecond, 14),
+	})
+	for i := 0; i < 50; i++ {
+		q := "/query?q=SELECT+a1+FROM+t10000_100+WHERE+a1+<+" + strconv.Itoa(i)
+		if i%5 == 0 {
+			q = "/query?q=SELECT+nope"
+		}
+		resp, err := http.Get(srv.URL + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		var slo sloResponse
+		if status := getStatusJSON(t, srv.URL+"/slo", &slo); status != http.StatusOK || len(slo.Objectives) != 3 {
+			t.Fatalf("/slo = %d %+v, want 200 with 3 objectives", status, slo)
+		}
+		if alerts := o.SLO.Snapshot(); len(alerts) != 3 {
+			t.Fatalf("Snapshot() holds %d alerts, want 3", len(alerts))
+		}
 	}
 }
 

@@ -150,11 +150,11 @@ func TestDefaultsScenario(t *testing.T) {
 
 // TestObservabilityScenario walks the continuous-observability pipeline with
 // windows tight enough for a whole alert cycle to fit in seconds (250ms
-// collector ticks, a 1s fast / 3s slow burn window, a low burn factor): a
+// SLO steps, a 1s fast / 3s slow burn window, a low burn factor): a
 // traced query whose ID joins its wide event to its span tree, exemplars, an
 // error burst that fires the availability SLO and a clean stretch that
-// resolves it (so the collector sampled both into the ring the SLO engine
-// reads), the rotated NDJSON log on disk, the latency and q-error objectives
+// resolves it (so the SLO sampled both into the ring it evaluates), the
+// rotated NDJSON log on disk, the latency and q-error objectives
 // as declared, and a 1 ms slow-query rule.
 func TestObservabilityScenario(t *testing.T) {
 	skipIfShort(t)
