@@ -304,6 +304,32 @@ func TestSLOIdleDoesNotBurn(t *testing.T) {
 	}
 }
 
+// TestSLOWindowReadsItsOwnSteps: a window reads the window/step steps that
+// ended inside it, not the step that ended exactly a window ago (it covers
+// time before the window), and tells sub-second steps apart. After 8
+// all-error steps and 4 clean ones a 4-step window burns 0.
+func TestSLOWindowReadsItsOwnSteps(t *testing.T) {
+	for _, step := range []time.Duration{time.Second, 250 * time.Millisecond} {
+		slo := NewSLO(step, []Objective{{
+			Name: "availability", Kind: KindAvailability, Target: 0.9,
+			FastWindow: 4 * step, SlowWindow: 4 * step, BurnFactor: 2,
+		}})
+		st := newStepper(slo, time.Unix(1_700_000_000, 0))
+		for i := 0; i < 8; i++ {
+			st.tick(step, 10, 10)
+		}
+		for clean, want := range []float64{10, 7.5, 5, 2.5, 0} {
+			if clean > 0 {
+				st.tick(step, 10, 0)
+			}
+			if a := slo.Snapshot()[0]; math.Abs(a.FastBurn-want) > 1e-9 || math.Abs(a.SlowBurn-want) > 1e-9 {
+				t.Errorf("step %s, %d clean steps after errors: burn fast %v slow %v, want %v",
+					step, clean, a.FastBurn, a.SlowBurn, want)
+			}
+		}
+	}
+}
+
 // TestNewFitsSlowWindowInRing: SLO.burn divides a window's bad fractions by
 // window/step samples, so a slow window longer than the ring would read its
 // missing samples as good (a 2h window at the default 5s step reads 750 of a

@@ -113,7 +113,8 @@ type Cumulative struct {
 // histogram bucket deltas within the step), so a latency spike shows up
 // immediately instead of being averaged into the process lifetime.
 type Sample struct {
-	Unix int64
+	// End is when the step ended (the tick that took the sample).
+	End time.Time
 	// Queries counts queries the engine accepted (including ones that then
 	// failed); Shed counts requests rejected at admission.
 	Queries   uint64
@@ -187,7 +188,7 @@ func (s *SLO) Tick(now time.Time, cur Cumulative) {
 		return
 	}
 	s.samples.Record(&Sample{
-		Unix:      now.Unix(),
+		End:       now,
 		Queries:   delta(cur.Queries, prev.Queries),
 		Errors:    delta(cur.Errors, prev.Errors),
 		Shed:      delta(cur.Shed, prev.Shed),
@@ -292,28 +293,24 @@ func badFraction(o *Objective, s *Sample) float64 {
 	return 0
 }
 
-// burn averages badFraction over the samples inside window (ending at now)
-// and divides by the error budget, yielding the burn-rate multiple: 1 means
-// exactly on budget, BurnFactor means burning that many times too fast.
-// When the ring is younger than the window, the missing span counts as
-// good — a freshly started process must accumulate a slow window's worth of
-// evidence before a slow-window alert can fire.
+// steps is how many samples a window spans: window/step, and at least the
+// newest one.
+func (s *SLO) steps(window time.Duration) int { return max(1, int(window/s.step)) }
+
+// burn averages badFraction over the window's steps (the newest samples,
+// newest first, that ended after now-window) and divides by the error
+// budget, yielding the burn-rate multiple: 1 means exactly on budget,
+// BurnFactor means burning that many times too fast. A step missing from
+// the window counts as good — a freshly started process must accumulate a
+// slow window's worth of evidence before a slow-window alert can fire.
 func (s *SLO) burn(o *Objective, samples []*Sample, now time.Time, window time.Duration) float64 {
-	cutoff := now.Add(-window).Unix()
+	cutoff, n := now.Add(-window), s.steps(window)
 	var sum float64
-	var n int
-	for _, sm := range samples {
-		if sm.Unix < cutoff {
-			break // samples are newest-first
+	for _, sm := range samples[:min(n, len(samples))] {
+		if !sm.End.After(cutoff) {
+			break
 		}
 		sum += badFraction(o, sm)
-		n++
-	}
-	if expected := int(window / s.step); n < expected {
-		n = expected
-	}
-	if n == 0 {
-		return 0
 	}
 	return (sum / float64(n)) / (1 - o.Target)
 }
@@ -330,7 +327,7 @@ func (s *SLO) evaluate(now time.Time) {
 	if maxWin == 0 {
 		return
 	}
-	samples := s.samples.Recent(int(maxWin/s.step) + 1)
+	samples := s.samples.Recent(s.steps(maxWin))
 	for _, st := range s.states {
 		o := &st.obj
 		st.fastBurn = s.burn(o, samples, now, o.FastWindow)
