@@ -60,12 +60,13 @@ loc:
 
 # Five seconds of coverage-guided fuzzing per target over the untrusted
 # inputs that have one — SQL text, statements inside JSON, admin JSON bodies,
-# the write-ahead log's frames as recovery reads them back — over the
-# /query/batch decode against the reflective one it replaced, over the
-# hand-rolled answer encoder against encoding/json, over the row engine
-# against the interpreter it replaced (generated statements, not raw bytes),
-# and over the simulators' noise-key number formatting against strconv. Eight
-# targets, 40 s of fuzzing (the last two added 10 s). The checked-in corpora
+# the write-ahead log's frames and the engine snapshot as recovery reads them
+# back — over the /query/batch decode against the reflective one it replaced,
+# over the hand-rolled answer encoder against encoding/json, over the row
+# engine against the interpreter it replaced (generated statements, not raw
+# bytes), and over the simulators' noise-key number formatting against
+# strconv. Nine targets, 45 s of fuzzing (FuzzRestoreState restores into
+# fresh demo federations, a few dozen inputs a second). The checked-in corpora
 # under testdata/fuzz already run as plain tests in `race`; this step is what
 # looks for inputs nobody wrote down. A crasher lands in
 # testdata/fuzz/<target>.
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzAdminBody$$' -fuzztime 5s
 	$(GO) test ./internal/rowengine -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 5s
 	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzScanWAL$$' -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 5s
 	$(GO) test ./internal/remote -run '^$$' -fuzz '^FuzzNoiseKeyFloat$$' -fuzztime 5s
 
 # The black-box layer by hand: builds cmd/serve once and drives it over real

@@ -1,0 +1,21 @@
+package engine
+
+import "encoding/json"
+
+// The external tests (package engine_test, which can build a demo
+// federation) restore snapshots through these.
+
+// SnapshotState is the snapshot Durability.Snapshot would write now.
+func (e *Engine) SnapshotState() ([]byte, error) {
+	st, err := e.captureState()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(st)
+}
+
+// RestoreState is restoreState.
+func (e *Engine) RestoreState(data []byte) error { return e.restoreState(data) }
+
+// EstimatorGeneration is the estimator registry's mutation counter.
+func (e *Engine) EstimatorGeneration() uint64 { return e.estimators.Generation() }

@@ -49,16 +49,12 @@ func (e *Engine) RegisterRemoteFromProfile(sys remote.System, path string) (*hyb
 	if err != nil {
 		return nil, fmt.Errorf("engine: read profile: %w", err)
 	}
-	var prof hybrid.Profile
-	if err := json.Unmarshal(data, &prof); err != nil {
-		return nil, fmt.Errorf("engine: decode profile: %w", err)
-	}
-	if prof.SystemName != sys.Name() {
-		return nil, fmt.Errorf("engine: profile names system %q, remote is %q", prof.SystemName, sys.Name())
-	}
-	est, err := hybrid.NewEstimator(&prof)
+	est, err := decodeProfile(data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	if name := est.Profile().SystemName; name != sys.Name() {
+		return nil, fmt.Errorf("engine: profile names system %q, remote is %q", name, sys.Name())
 	}
 	if err := e.RegisterRemote(sys, est); err != nil {
 		return nil, err
@@ -73,7 +69,7 @@ func (e *Engine) CalibrateLink(system string, measure querygrid.MeasureFunc) (qu
 	if _, err := e.Remote(system); err != nil {
 		return querygrid.LinkConfig{}, err
 	}
-	cfg, err := querygrid.Calibrate(measure, querygrid.CalibrateConfig{})
+	cfg, err := querygrid.Calibrate(measure)
 	if err != nil {
 		return querygrid.LinkConfig{}, err
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -228,19 +229,12 @@ func (e *Engine) logMutation(op string, payload any) error {
 // (registry snapshots, catalog list) are lock-free and unaffected.
 func (e *Engine) captureState() (*engineState, error) {
 	st := &engineState{
-		Version: engineStateVersion,
-		SavedAt: time.Now().UTC(),
-		Tables:  e.cat.List(),
-		Links:   e.grid.Links(),
-		Models:  e.versions.Export(),
-	}
-	mats := e.materialized.Snapshot()
-	if len(mats) > 0 {
-		st.Materialized = make([]string, 0, len(mats))
-		for name := range mats {
-			st.Materialized = append(st.Materialized, name)
-		}
-		sort.Strings(st.Materialized)
+		Version:      engineStateVersion,
+		SavedAt:      time.Now().UTC(),
+		Tables:       e.cat.List(),
+		Links:        e.grid.Links(),
+		Models:       e.versions.Export(),
+		Materialized: e.MaterializedNames(),
 	}
 	ests := e.estimators.Snapshot()
 	st.Profiles = make(map[string]json.RawMessage, len(ests))
@@ -258,12 +252,13 @@ func (e *Engine) captureState() (*engineState, error) {
 	return st, nil
 }
 
-// restoreState applies a snapshot to a freshly booted engine. It validates
-// everything it can — schema version, profile decode, estimator
-// construction, link configs — before mutating any engine state, so a
-// rejected snapshot leaves the engine untouched and recovery can fall back
-// to an older file. Systems present in the snapshot but absent this boot
-// (a flag change removed a remote) are skipped rather than fatal.
+// restoreState applies a snapshot to a freshly booted engine. It works out
+// everything it will install — tables, links, materialized rows, estimators —
+// and checks each before it changes the engine, so a rejected snapshot leaves
+// the engine untouched and recovery can fall back to an older file. What
+// names a system absent this boot (a flag change, e.g. a snapshot taken with
+// -logical-remote restored without it) is skipped rather than fatal: a table
+// it owns (and that table's rows), a replica on it, its link, its profile.
 func (e *Engine) restoreState(data []byte) error {
 	var st engineState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -272,56 +267,88 @@ func (e *Engine) restoreState(data []byte) error {
 	if st.Version != engineStateVersion {
 		return fmt.Errorf("engine: snapshot schema v%d, this build reads v%d", st.Version, engineStateVersion)
 	}
-	// Validate phase: build every estimator and check every link before
-	// touching the engine.
+	// Boot-registered tables (the deterministic demo set) are already
+	// present; snapshot copies of them are skipped by name.
+	tables, skipped := make(map[string]*catalog.Table), make(map[string]bool)
+	for _, t := range st.Tables {
+		if _, err := e.cat.Lookup(t.Name); err == nil {
+			continue
+		}
+		if fit := e.onThisBoot(t); fit == nil {
+			skipped[t.Name] = true
+		} else if err := fit.Validate(); err != nil {
+			return fmt.Errorf("engine: snapshot table: %w", err)
+		} else {
+			tables[t.Name] = fit
+		}
+	}
+	links := make(map[string]querygrid.LinkConfig, len(st.Links))
+	for system, cfg := range st.Links {
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("engine: snapshot link for %q: %w", system, err)
+		}
+		if _, ok := e.remotes.Get(system); ok && system != querygrid.Master {
+			links[system] = cfg
+		}
+	}
+	rows := make(map[string]*rowengine.Table, len(st.Materialized))
+	for _, name := range st.Materialized {
+		t, err := tables[name], error(nil)
+		if t == nil && !skipped[name] {
+			t, err = e.cat.Lookup(name)
+		}
+		if t != nil {
+			rows[name], err = rowengine.Materialize(name, t.Rows)
+		}
+		if err != nil {
+			return fmt.Errorf("engine: re-materialize %q: %w", name, err)
+		}
+	}
 	ests := make(map[string]core.Estimator, len(st.Profiles))
 	for name, raw := range st.Profiles {
 		if _, ok := e.remotes.Get(name); !ok {
 			continue
 		}
-		var prof hybrid.Profile
-		if err := json.Unmarshal(raw, &prof); err != nil {
-			return fmt.Errorf("engine: snapshot profile for %q: %w", name, err)
-		}
-		est, err := hybrid.NewEstimator(&prof)
+		est, err := decodeProfile(raw)
 		if err != nil {
 			return fmt.Errorf("engine: snapshot profile for %q: %w", name, err)
 		}
 		ests[name] = est
 	}
-	for system, cfg := range st.Links {
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("engine: snapshot link for %q: %w", system, err)
-		}
-	}
-	// Apply phase. Boot-registered tables (the deterministic demo set) are
-	// already present; snapshot copies of them are skipped by name.
-	for _, t := range st.Tables {
-		if _, err := e.cat.Lookup(t.Name); err == nil {
-			continue
-		}
-		if err := e.applyRegisterTable(t); err != nil {
+	// Install: every check above passed, and none of these can fail.
+	for _, t := range tables {
+		if err := e.cat.Register(t); err != nil {
 			return fmt.Errorf("engine: restore table %q: %w", t.Name, err)
 		}
 	}
-	for system, cfg := range st.Links {
-		if _, ok := e.remotes.Get(system); !ok {
-			continue
-		}
+	for system, cfg := range links {
 		if err := e.grid.SetLink(system, cfg); err != nil {
 			return fmt.Errorf("engine: restore link for %q: %w", system, err)
 		}
 	}
-	for _, name := range st.Materialized {
-		if err := e.applyMaterialize(name); err != nil {
-			return fmt.Errorf("engine: re-materialize %q: %w", name, err)
-		}
+	for name, tb := range rows {
+		e.materialized.Set(name, tb)
 	}
 	for name, est := range ests {
 		e.installEstimator(name, est)
 	}
 	e.versions.Restore(st.Models)
 	return nil
+}
+
+// onThisBoot fits a recovered table to the systems registered this boot: nil
+// when its owner is absent, otherwise a copy without the replicas this boot
+// lacks.
+func (e *Engine) onThisBoot(t *catalog.Table) *catalog.Table {
+	if _, ok := e.remotes.Get(t.System); t.System != "" && !ok {
+		return nil
+	}
+	c := *t
+	c.Replicas = slices.DeleteFunc(slices.Clone(t.Replicas), func(r string) bool {
+		_, ok := e.remotes.Get(r)
+		return !ok
+	})
+	return &c
 }
 
 // applyWALRecord replays one logged mutation during recovery. It mirrors
@@ -337,7 +364,10 @@ func (e *Engine) applyWALRecord(rec durable.Record) error {
 		if _, err := e.cat.Lookup(t.Name); err == nil {
 			return nil // already present (snapshot/WAL overlap is seq-gated, but stay idempotent)
 		}
-		return e.applyRegisterTable(&t)
+		if t := e.onThisBoot(&t); t != nil {
+			return e.applyRegisterTable(t)
+		}
+		return nil
 	case opSetLink:
 		var p linkPayload
 		if err := json.Unmarshal(rec.Data, &p); err != nil {
@@ -381,16 +411,21 @@ func (e *Engine) applyProfile(system string, raw json.RawMessage) error {
 	if _, ok := e.remotes.Get(system); !ok {
 		return nil
 	}
-	var prof hybrid.Profile
-	if err := json.Unmarshal(raw, &prof); err != nil {
-		return fmt.Errorf("engine: decode profile for %q: %w", system, err)
-	}
-	est, err := hybrid.NewEstimator(&prof)
+	est, err := decodeProfile(raw)
 	if err != nil {
-		return fmt.Errorf("engine: rebuild estimator for %q: %w", system, err)
+		return fmt.Errorf("engine: profile for %q: %w", system, err)
 	}
 	e.installEstimator(system, est)
 	return nil
+}
+
+// decodeProfile rebuilds an estimator from a costing profile's JSON.
+func decodeProfile(data []byte) (*hybrid.Estimator, error) {
+	var prof hybrid.Profile
+	if err := json.Unmarshal(data, &prof); err != nil {
+		return nil, fmt.Errorf("decode profile: %w", err)
+	}
+	return hybrid.NewEstimator(&prof)
 }
 
 // applyRegisterTable is catalog registration with referential checks but

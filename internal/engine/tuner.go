@@ -38,10 +38,10 @@ const (
 	DefaultTuneMinLog = 16
 	// DefaultTuneInterval is the tuner's drift poll period.
 	DefaultTuneInterval = 30 * time.Second
-	// DefaultTuneDebounce is how many consecutive drifting polls a system
-	// must accumulate before the tuner retrains it — one bad window snapshot
-	// is noise, a streak is drift.
-	DefaultTuneDebounce = 2
+	// tuneDebounce is how many consecutive drifting polls a system must
+	// accumulate before the tuner retrains it — one bad window snapshot is
+	// noise, a streak is drift.
+	tuneDebounce = 2
 )
 
 // DefaultTuneTrain is the candidate retraining run a zero TuneOptions.Train
@@ -333,11 +333,7 @@ func (e *Engine) RollbackModel(system string) (*modelver.Version, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: system %q has no earlier model version to roll back to", system)
 	}
-	var prof hybrid.Profile
-	if err := json.Unmarshal(prev.Profile, &prof); err != nil {
-		return nil, fmt.Errorf("engine: decode archived profile %q v%d: %w", system, prev.ID, err)
-	}
-	est, err := hybrid.NewEstimator(&prof)
+	est, err := decodeProfile(prev.Profile)
 	if err != nil {
 		return nil, fmt.Errorf("engine: restore archived profile %q v%d: %w", system, prev.ID, err)
 	}
@@ -367,12 +363,6 @@ type TunerConfig struct {
 	// reports Drifting — to the tuner, Stats and /metrics/prom alike
 	// (0 selects metrics.DefaultDriftQError).
 	DriftQ float64
-	// Debounce is how many consecutive drifting polls arm a system
-	// (0 selects DefaultTuneDebounce).
-	Debounce int
-	// Cooldown is the minimum gap between tune attempts for one system
-	// (0 selects 2×Interval).
-	Cooldown time.Duration
 	// Tune carries the candidate-tune options each triggered pass uses.
 	Tune TuneOptions
 }
@@ -394,12 +384,6 @@ type Tuner struct {
 func (e *Engine) StartTuner(cfg TunerConfig) *Tuner {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultTuneInterval
-	}
-	if cfg.Debounce <= 0 {
-		cfg.Debounce = DefaultTuneDebounce
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 2 * cfg.Interval
 	}
 	e.driftQ.Store(math.Float64bits(cfg.DriftQ))
 	t := &Tuner{
@@ -458,10 +442,10 @@ func (t *Tuner) poll() {
 	}
 	for system := range drifting {
 		t.streak[system]++
-		if t.streak[system] < t.cfg.Debounce {
+		if t.streak[system] < tuneDebounce {
 			continue
 		}
-		if last, ok := t.lastTune[system]; ok && time.Since(last) < t.cfg.Cooldown {
+		if last, ok := t.lastTune[system]; ok && time.Since(last) < 2*t.cfg.Interval {
 			continue
 		}
 		t.lastTune[system] = time.Now()

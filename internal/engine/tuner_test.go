@@ -414,7 +414,7 @@ func TestTunerBackgroundLoop(t *testing.T) {
 
 	opts := fastTune()
 	opts.Force = true // pin loop mechanics, not the holdout verdict
-	tuner := e.StartTuner(TunerConfig{Interval: 5 * time.Millisecond, Debounce: 2, Tune: opts})
+	tuner := e.StartTuner(TunerConfig{Interval: 5 * time.Millisecond, Tune: opts})
 	defer tuner.Stop()
 
 	deadline := time.Now().Add(10 * time.Second)

@@ -17,36 +17,18 @@ import (
 // returns the observed seconds.
 type MeasureFunc func(rows, rowSize float64) (float64, error)
 
-// CalibrateConfig controls the probe sweep.
-type CalibrateConfig struct {
-	// RowCounts and RowSizes form the probe grid; defaults sweep 1k–1M rows
-	// at 100–1000 B.
-	RowCounts []float64
-	RowSizes  []float64
-}
-
-func (c *CalibrateConfig) normalize() {
-	if len(c.RowCounts) == 0 {
-		c.RowCounts = []float64{1e3, 1e4, 1e5, 1e6}
-	}
-	if len(c.RowSizes) == 0 {
-		c.RowSizes = []float64{100, 250, 500, 1000}
-	}
-}
-
-// Calibrate fits a LinkConfig from timed probe transfers. The transfer
-// model is elapsed = latency + bytes/bandwidth + rows·perRowUS/1e6, which is
-// linear in (bytes, rows), so an OLS fit over the probe grid recovers all
-// three parameters.
-func Calibrate(measure MeasureFunc, cfg CalibrateConfig) (LinkConfig, error) {
+// Calibrate fits a LinkConfig from timed probe transfers over a grid of
+// 1k–1M rows at 100–1000 B. The transfer model is elapsed = latency +
+// bytes/bandwidth + rows·perRowUS/1e6, which is linear in (bytes, rows), so
+// an OLS fit over the probe grid recovers all three parameters.
+func Calibrate(measure MeasureFunc) (LinkConfig, error) {
 	if measure == nil {
 		return LinkConfig{}, fmt.Errorf("querygrid: calibration needs a measure function")
 	}
-	cfg.normalize()
 	var x [][]float64
 	var y []float64
-	for _, rows := range cfg.RowCounts {
-		for _, size := range cfg.RowSizes {
+	for _, rows := range []float64{1e3, 1e4, 1e5, 1e6} {
+		for _, size := range []float64{100, 250, 500, 1000} {
 			sec, err := measure(rows, size)
 			if err != nil {
 				return LinkConfig{}, fmt.Errorf("querygrid: probe transfer %v×%v: %w", rows, size, err)

@@ -144,7 +144,7 @@ func TestTransferMonotoneProperty(t *testing.T) {
 func TestCalibrateRecoversLink(t *testing.T) {
 	truth := LinkConfig{BandwidthBytesPerSec: 125e6, LatencySec: 0.5, PerRowOverheadUS: 0.2}
 	link := &SimulatedLink{Truth: truth, NoiseAmp: 0.02, Seed: 4}
-	got, err := Calibrate(link.Measure, CalibrateConfig{})
+	got, err := Calibrate(link.Measure)
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
 	}
@@ -172,18 +172,18 @@ func TestCalibrateRecoversLink(t *testing.T) {
 }
 
 func TestCalibrateErrors(t *testing.T) {
-	if _, err := Calibrate(nil, CalibrateConfig{}); err == nil {
+	if _, err := Calibrate(nil); err == nil {
 		t.Error("nil measure accepted")
 	}
 	failing := func(rows, rowSize float64) (float64, error) {
 		return 0, fmt.Errorf("link down")
 	}
-	if _, err := Calibrate(failing, CalibrateConfig{}); err == nil {
+	if _, err := Calibrate(failing); err == nil {
 		t.Error("failing measure accepted")
 	}
 	// A constant-time link has no positive byte cost to invert.
 	constant := func(rows, rowSize float64) (float64, error) { return 1, nil }
-	if _, err := Calibrate(constant, CalibrateConfig{}); err == nil {
+	if _, err := Calibrate(constant); err == nil {
 		t.Error("degenerate link accepted")
 	}
 	link := &SimulatedLink{Truth: DefaultLink()}

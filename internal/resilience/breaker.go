@@ -12,7 +12,7 @@ import (
 type State int
 
 // Breaker states: Closed passes calls through, Open rejects them, HalfOpen
-// admits a bounded number of probes to test recovery.
+// admits one probe at a time to test recovery.
 const (
 	Closed State = iota
 	Open
@@ -62,9 +62,6 @@ type BreakerConfig struct {
 	// OpenTimeout is how long an open breaker rejects calls before
 	// admitting half-open probes (default 10s).
 	OpenTimeout time.Duration
-	// HalfOpenProbes bounds concurrent probe calls while half-open
-	// (default 1).
-	HalfOpenProbes int
 	// SuccessThreshold is the number of consecutive half-open successes
 	// that closes the breaker (default 2).
 	SuccessThreshold int
@@ -78,9 +75,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 10 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
 	}
 	if c.SuccessThreshold <= 0 {
 		c.SuccessThreshold = 2
@@ -108,9 +102,9 @@ type Breaker struct {
 	mu       sync.Mutex
 	cfg      BreakerConfig
 	state    State
-	failures int // consecutive infrastructural failures (closed)
-	suc      int // consecutive successes (half-open)
-	probes   int // in-flight half-open probes
+	failures int  // consecutive infrastructural failures (closed)
+	suc      int  // consecutive successes (half-open)
+	probing  bool // a half-open probe is in flight
 	openedAt time.Time
 	gen      uint64
 
@@ -135,7 +129,7 @@ func (b *Breaker) syncCalm() {
 
 // Allow reports whether a call may proceed. Open breakers reject with
 // ErrOpen until OpenTimeout has elapsed, then transition to half-open and
-// admit up to HalfOpenProbes concurrent probes. Callers that got nil MUST
+// admit one probe at a time. Callers that got nil MUST
 // report the call's outcome via Record.
 func (b *Breaker) Allow() error {
 	// Steady state: closed with no recent failures — admit without the
@@ -156,14 +150,14 @@ func (b *Breaker) Allow() error {
 			return ErrOpen
 		}
 		b.transition(HalfOpen)
-		b.suc, b.probes = 0, 0
+		b.suc, b.probing = 0, false
 		fallthrough
 	default: // HalfOpen
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probing {
 			b.rejected++
 			return ErrOpen
 		}
-		b.probes++
+		b.probing = true
 		return nil
 	}
 }
@@ -191,9 +185,7 @@ func (b *Breaker) Record(err error) {
 			b.open()
 		}
 	case HalfOpen:
-		if b.probes > 0 {
-			b.probes--
-		}
+		b.probing = false
 		if failed {
 			b.open()
 			return
@@ -212,7 +204,7 @@ func (b *Breaker) Record(err error) {
 func (b *Breaker) open() {
 	b.transition(Open)
 	b.openedAt = b.cfg.Clock()
-	b.failures, b.suc, b.probes = 0, 0, 0
+	b.failures, b.suc, b.probing = 0, 0, false
 	b.opens++
 }
 

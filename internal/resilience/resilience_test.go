@@ -174,7 +174,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != HalfOpen {
 		t.Fatalf("state=%v, want half-open", b.State())
 	}
-	// Second concurrent probe is rejected (HalfOpenProbes defaults to 1).
+	// A second concurrent probe is rejected: one probe at a time.
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatal("half-open admitted a second concurrent probe")
 	}
