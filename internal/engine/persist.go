@@ -379,6 +379,9 @@ func (e *Engine) applyWALRecord(rec durable.Record) error {
 		if err := json.Unmarshal(rec.Data, &p); err != nil {
 			return err
 		}
+		if _, err := e.cat.Lookup(p.Table); err != nil {
+			return nil // its register_table was skipped: the owner is absent this boot
+		}
 		return e.applyMaterialize(p.Table)
 	case opModelVersion:
 		var p modelVersionPayload

@@ -40,10 +40,11 @@ func registerTable(t testing.TB, e *engine.Engine, name, system string, replicas
 
 // TestDurabilityRestoreSkipsAbsentSystems: a data dir written with the flink
 // remote (-logical-remote) and booted without it keeps every acked mutation
-// that does not need flink. The snapshot's flink-owned table is skipped, not
-// a reason to discard the snapshot (which used to lose zz_acked, registered
-// after flink's t80000000_500 in name order); WAL records past it skip a
-// flink-owned table and drop flink from a replica list.
+// that does not need flink. The snapshot's flink-owned tables, one with rows,
+// are skipped, not a reason to discard the snapshot (which used to lose
+// zz_acked, registered after flink's t80000000_500 in name order); WAL
+// records past it skip a flink-owned table and its rows and drop flink from
+// a replica list.
 func TestDurabilityRestoreSkipsAbsentSystems(t *testing.T) {
 	dir := t.TempDir()
 	e := federation(t, true)
@@ -52,10 +53,17 @@ func TestDurabilityRestoreSkipsAbsentSystems(t *testing.T) {
 		t.Fatal(err)
 	}
 	registerTable(t, e, "zz_acked", "hive")
+	registerTable(t, e, "zz_flink_rows", "flink")
+	if err := e.Materialize("zz_flink_rows"); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	registerTable(t, e, "zz_flink_owned", "flink")
+	if err := e.Materialize("zz_flink_owned"); err != nil {
+		t.Fatal(err)
+	}
 	registerTable(t, e, "zz_replicated", "hive", "flink", "spark")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -67,15 +75,20 @@ func TestDurabilityRestoreSkipsAbsentSystems(t *testing.T) {
 		t.Fatalf("boot without flink: %v", err)
 	}
 	defer rd.Close()
-	if !rec.Restored || rec.SnapshotsDiscarded != 0 || rec.Replayed != 2 {
-		t.Errorf("recovery = %+v, want the snapshot restored and 2 records replayed", rec)
+	if !rec.Restored || rec.SnapshotsDiscarded != 0 || rec.Replayed != 3 {
+		t.Errorf("recovery = %+v, want the snapshot restored and 3 records replayed", rec)
 	}
 	cat := booted.Catalog()
 	if _, err := cat.Lookup("zz_acked"); err != nil {
 		t.Errorf("acked table lost: %v", err)
 	}
-	if _, err := cat.Lookup("zz_flink_owned"); err == nil {
-		t.Error("a flink-owned table was registered on a boot without flink")
+	for _, name := range []string{"zz_flink_rows", "zz_flink_owned"} {
+		if _, err := cat.Lookup(name); err == nil {
+			t.Errorf("flink-owned %s was registered on a boot without flink", name)
+		}
+	}
+	if names := booted.MaterializedNames(); slices.ContainsFunc(names, func(n string) bool { return n != "t10000_100" && n != "t100000_100" }) {
+		t.Errorf("materialized after recovery: %v, want only the demo's two tables", names)
 	}
 	if tb, err := cat.Lookup("zz_replicated"); err != nil || !slices.Equal(tb.Replicas, []string{"spark"}) {
 		t.Errorf("zz_replicated = %+v (%v), want it with replicas [spark]", tb, err)
