@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -247,5 +248,117 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries, want just the target", len(entries))
+	}
+}
+
+// faultyFile is a WAL file whose next write or sync fails once: a write
+// lands its first short bytes and fails, a sync fails after the write
+// landed. failTruncate fails every truncate, so that an undo cannot happen.
+type faultyFile struct {
+	*os.File
+	short        int // > 0: the next Write lands this many bytes and fails
+	failSync     bool
+	failTruncate bool
+}
+
+var errInjected = errors.New("injected I/O error")
+
+func (f *faultyFile) Write(b []byte) (int, error) {
+	if f.short > 0 {
+		n, _ := f.File.Write(b[:f.short])
+		f.short = 0
+		return n, errInjected
+	}
+	return f.File.Write(b)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.failTruncate {
+		return errInjected
+	}
+	return f.File.Truncate(size)
+}
+
+// TestFailedAppendIsUndone builds the two disk states a failed WAL append
+// leaves behind — the frame written but its fsync failed, and half a frame
+// written — then acks one more record and recovers. Recovery must replay
+// exactly the acknowledged records, in order. Before a failed append cut the
+// file back, the first state replayed the unacknowledged record in place of
+// the acknowledged one (both carried the next seq), and the second truncated
+// the acknowledged record away behind the torn half frame.
+func TestFailedAppendIsUndone(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault faultyFile
+	}{
+		{"write landed, fsync failed", faultyFile{failSync: true}},
+		{"short write", faultyFile{short: 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := mustOpen(t, dir, &replayState{})
+			if _, err := s.Append("a", json.RawMessage(`{"acked":1}`)); err != nil {
+				t.Fatal(err)
+			}
+			f := tc.fault
+			f.File = s.wal.f.(*os.File)
+			s.wal.f = &f
+			if _, err := s.Append("unacked", json.RawMessage(`{"acked":0}`)); !errors.Is(err, errInjected) {
+				t.Fatalf("faulted Append = %v, want the injected error", err)
+			}
+			if _, err := s.Append("c", json.RawMessage(`{"acked":2}`)); err != nil {
+				t.Fatalf("Append after an undone failure: %v", err)
+			}
+			s.Close()
+
+			rs := &replayState{}
+			s2, rec := mustOpen(t, dir, rs)
+			defer s2.Close()
+			var got []string
+			for _, r := range rs.applied {
+				got = append(got, fmt.Sprintf("%d %s", r.Seq, r.Op))
+			}
+			if fmt.Sprint(got) != "[1 a 2 c]" || rec.TornTail {
+				t.Fatalf("recovered %q (torn tail %v, %d bytes cut), want [1 a 2 c] and no torn tail", got, rec.TornTail, rec.TruncatedBytes)
+			}
+		})
+	}
+}
+
+// TestWALPoisonedWhenUndoFails: when a failed append cannot be cut back
+// either, what the file holds is unknown, so no later append may be
+// acknowledged on top of it — until a reopen recovers from what is on disk.
+func TestWALPoisonedWhenUndoFails(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, &replayState{})
+	if _, err := s.Append("a", nil); err != nil {
+		t.Fatal(err)
+	}
+	s.wal.f = &faultyFile{File: s.wal.f.(*os.File), failSync: true, failTruncate: true}
+	if _, err := s.Append("unacked", nil); !errors.Is(err, errInjected) {
+		t.Fatalf("faulted Append = %v, want the injected error", err)
+	}
+	s.wal.f.(*faultyFile).failTruncate = false
+	if _, err := s.Append("c", nil); err == nil {
+		t.Fatal("a poisoned WAL acknowledged an append")
+	}
+	s.Close()
+
+	rs := &replayState{}
+	s2, _ := mustOpen(t, dir, rs)
+	defer s2.Close()
+	if len(rs.applied) == 0 || rs.applied[0].Op != "a" || len(rs.applied) > 2 {
+		t.Fatalf("recovered %+v, want a and at most the one unacknowledged record", rs.applied)
+	}
+	if _, err := s2.Append("d", nil); err != nil {
+		t.Fatalf("Append after reopening: %v", err)
 	}
 }

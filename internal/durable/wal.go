@@ -44,9 +44,21 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 // returns, so an acknowledged record survives SIGKILL. Safe for concurrent
 // appends (callers serialize on the owning Store's mutex in practice).
 type WAL struct {
-	f    *os.File
+	f    walFile
 	path string
 	size int64
+	// poisoned is the error that left the file's contents unknown: a failed
+	// append that could not be undone. Every later Append fails with it.
+	poisoned error
+}
+
+// walFile is what a WAL does with its file: an *os.File, or in a test one
+// that fails a write or a sync.
+type walFile interface {
+	Write(b []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // ReplayInfo reports what OpenWAL found on disk.
@@ -138,20 +150,43 @@ func encodeFrame(rec Record) ([]byte, error) {
 }
 
 // Append frames, writes, and fsyncs one record. The record is only
-// acknowledged (nil error) once it is on disk.
+// acknowledged (nil error) once it is on disk. A failed write or fsync is
+// undone: the file is cut back to the acknowledged records and fsynced, so
+// neither a frame that landed unacknowledged nor half a frame is in the log
+// the next record is appended to. When that fails too, the file's contents
+// are unknown and the WAL is poisoned: every later Append fails, until the
+// store is reopened and recovery reads what is really on disk.
 func (w *WAL) Append(rec Record) error {
+	if w.poisoned != nil {
+		return fmt.Errorf("durable: wal unusable until reopened: %w", w.poisoned)
+	}
 	frame, err := encodeFrame(rec)
 	if err != nil {
 		return err
 	}
 	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("durable: append wal record: %w", err)
+		return w.undo(fmt.Errorf("durable: append wal record: %w", err))
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("durable: sync wal: %w", err)
+		return w.undo(fmt.Errorf("durable: sync wal: %w", err))
 	}
 	w.size += int64(len(frame))
 	return nil
+}
+
+// undo cuts the file back to the acknowledged records after a failed append
+// and returns the append's error; if the cut or its fsync fails, it poisons
+// the WAL.
+func (w *WAL) undo(err error) error {
+	terr := w.f.Truncate(w.size)
+	if terr == nil {
+		terr = w.f.Sync()
+	}
+	if terr != nil {
+		w.poisoned = err
+		return fmt.Errorf("%w (and undoing it failed: %v)", err, terr)
+	}
+	return err
 }
 
 // Size is the log's current byte length (the snapshot-rotation trigger).

@@ -696,6 +696,24 @@ type QueryResult struct {
 
 	stmtHash   obs.Hash   // the entry's, for the wide event: a hit does not hash again
 	actualsBuf [4]float64 // backs StepActuals for a plan of up to four steps
+	// recycle is Plan when it was built for this result alone — neither
+	// resident nor admitted, not a re-plan and not traced — and Done has not
+	// given it back yet.
+	recycle *optimizer.Plan
+}
+
+// Done ends the caller's use of a result it has encoded: a plan built for
+// this result alone goes back for the planner to build on, and res.Plan is
+// nil from then on. A plan the statement cache holds, a degraded re-plan and
+// a traced result's plan stay as they are, and so does every result nobody
+// calls Done on. Calling it again, or on nil, does nothing.
+func (e *Engine) Done(res *QueryResult) {
+	if res == nil || res.recycle == nil {
+		return
+	}
+	p := res.recycle
+	res.recycle, res.Plan = nil, nil
+	optimizer.Release(p)
 }
 
 // Explain plans a query and renders the plan without executing it. Repeats of
@@ -703,7 +721,7 @@ type QueryResult struct {
 // output.
 func (e *Engine) Explain(sql string) (string, error) {
 	clk := stageClock{start: time.Now()}
-	_, p, _, err := e.prepare(context.Background(), &clk, sql)
+	_, p, _, _, err := e.prepare(context.Background(), &clk, sql)
 	if err != nil {
 		return "", err
 	}
@@ -732,6 +750,10 @@ func (c *stageClock) lap(stage *time.Duration) time.Duration {
 	*stage = time.Since(c.start) - c.total()
 	return *stage
 }
+
+// stmtPool holds the statements of first sightings whose query ended, for
+// parse to parse the next statement it does not find resident into.
+var stmtPool = sync.Pool{New: func() any { return new(sqlparse.SelectStmt) }}
 
 // cachedStmt is the statement cache's entry for one statement text: the parse,
 // which cannot go stale, and the latest plan, which can. A lookup that misses
@@ -779,14 +801,17 @@ func (e *Engine) admit(hash uint64) bool {
 // in parse, and at most one Put, of a statement that missed, on second sight.
 // A fresh plan is kept only by an entry that stays, stamped with the epoch read
 // before planning: a second read could pass a mutation that made it stale.
-func (e *Engine) prepare(ctx context.Context, clk *stageClock, sql string) (*cachedStmt, *optimizer.Plan, bool, error) {
+// owned reports a first sighting, an entry that neither was nor became
+// resident: nothing else holds its statement or its plan, and the caller may
+// give them back when it is done with them.
+func (e *Engine) prepare(ctx context.Context, clk *stageClock, sql string) (ent *cachedStmt, p *optimizer.Plan, hit, owned bool, err error) {
 	ent, resident, err := e.parse(ctx, clk, sql)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, false, false, err
 	}
 	p, hit, epoch, err := e.plan(ctx, clk, ent)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, false, false, err
 	}
 	admitted := !resident && e.stmts != nil && e.admit(uint64(ent.hash))
 	if !hit && (resident || admitted) {
@@ -795,13 +820,13 @@ func (e *Engine) prepare(ctx context.Context, clk *stageClock, sql string) (*cac
 	if admitted {
 		e.stmts.Put(sql, ent)
 	}
-	return ent, p, hit, nil
+	return ent, p, hit, !resident && !admitted, nil
 }
 
 // parse looks the statement up by its raw text, reporting whether it was
-// resident; when it is not, it is parsed into a fresh entry, timed into the
-// parse-stage histogram. A parse depends on the text alone and never goes
-// stale.
+// resident; when it is not, it is parsed into a pooled statement held by a
+// fresh entry, timed into the parse-stage histogram. A parse depends on the
+// text alone and never goes stale.
 func (e *Engine) parse(ctx context.Context, clk *stageClock, sql string) (*cachedStmt, bool, error) {
 	// A resident statement skips the parse histogram and the clock: nothing
 	// was parsed, and the lookup's time is the start of the plan stage.
@@ -815,7 +840,8 @@ func (e *Engine) parse(ctx context.Context, clk *stageClock, sql string) (*cache
 		}
 	}
 	_, sp := trace.Start(ctx, "parse")
-	stmt, err := sqlparse.Parse(sql)
+	stmt := stmtPool.Get().(*sqlparse.SelectStmt)
+	err := sqlparse.ParseInto(stmt, sql)
 	e.parseHist.ObserveExemplar(clk.lap(&clk.parse), sp.TraceID())
 	sp.EndErr(err)
 	if err != nil {
@@ -911,7 +937,7 @@ func (e *Engine) serve(ctx context.Context, kind, sql string, tr *trace.Trace) (
 		tr.Finish(err)
 		e.traces.Record(tr)
 		if res != nil {
-			res.Trace = tr
+			res.Trace, res.recycle = tr, nil
 		}
 		traceID = tr.ID
 	}
@@ -951,15 +977,24 @@ func fallbackEligible(err error) (string, bool) {
 	return sf.system, resilience.Infrastructural(sf.err)
 }
 
+// query prepares and runs one statement. A first sighting's statement goes
+// back to the pool when the statement ends; its plan, when the answer came
+// from it, goes with the result to Done.
 func (e *Engine) query(ctx context.Context, clk *stageClock, sql string) (*QueryResult, error) {
-	ent, p, hit, err := e.prepare(ctx, clk, sql)
+	ent, p, hit, owned, err := e.prepare(ctx, clk, sql)
 	if err != nil {
 		return nil, err
 	}
 	res, err := e.run(ctx, clk, ent.stmt, p)
+	if owned {
+		stmtPool.Put(ent.stmt)
+	}
 	if res != nil {
 		res.CacheHit = hit
 		res.stmtHash = ent.hash
+		if owned && res.Plan == p {
+			res.recycle = p
+		}
 	}
 	return res, err
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"intellisphere/internal/catalog"
@@ -139,11 +140,24 @@ type Plan struct {
 	joins   [2]plan.JoinSpec
 }
 
-// newPlan starts a plan on its own backing.
+// plans holds the plans Release gave back, reset, for newPlan to build on.
+var plans = sync.Pool{New: func() any { return new(Plan) }}
+
+// newPlan starts a plan on its own backing, recycled when there is one.
 func newPlan() *Plan {
-	p := new(Plan)
+	p := plans.Get().(*Plan)
 	p.Steps, p.Alternatives = p.stepBuf[:0], p.altBuf[:0]
 	return p
+}
+
+// Release gives a plan back for the planner to build another on. Only the
+// plan's one owner may call it, once nothing reads the plan any more: never
+// for a plan a cache holds or a caller may still read. The rendering, which
+// is an allocation of its own, stays valid for whoever kept Explain's text or
+// the Systems list.
+func Release(p *Plan) {
+	*p = Plan{}
+	plans.Put(p)
 }
 
 // rendering is what a finished plan derives from its steps. Both are

@@ -1,15 +1,21 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"intellisphere/internal/engine"
 )
 
 // refEncode is the seed's writeJSON encoder: encoding/json with
@@ -212,6 +218,116 @@ func TestServedResponsesMatchReference(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstSightingsMatchReference sends never-seen statements
+// through /query, /query/batch and /query/stream at once — first sightings,
+// whose statements and plans the engine recycles — beside a few recurring
+// ones that become resident and hit, whose plans must never be recycled.
+// Every answer must be byte for byte what encoding/json makes of the answer
+// an uncached reference engine gives. A plan or statement recycled while
+// something still read it would show here as a wrong answer, and under -race
+// as a race.
+func TestConcurrentFirstSightingsMatchReference(t *testing.T) {
+	srv, _ := newTestServer(t)
+	ref := newBenchEngineConfig(t, engine.Config{Seed: 9, PlanCacheSize: -1})
+	var lit atomic.Int64
+	statement := func(i int, failing bool) string {
+		n := 1000 + lit.Add(1)
+		switch {
+		case i == 0: // recurring: admitted on its second sighting, then hit
+			return fmt.Sprintf("SELECT a1, a5 FROM t1000000_250 WHERE a5 < %d", n%3)
+		case failing && i%2 == 0:
+			return fmt.Sprintf("SELECT a1 FROM no_such_table WHERE a1 < %d", n)
+		case failing:
+			return fmt.Sprintf("SELECT a1 FROM t100000_100 WHERE a1 < %d AND", n)
+		case i%4 == 0:
+			return fmt.Sprintf("SELECT a1, a5 FROM t1000000_250 WHERE a5 < %d", n)
+		case i%4 == 1:
+			return fmt.Sprintf("SELECT a100, SUM(a1), COUNT(*) FROM t100000_100 WHERE a2 < %d GROUP BY a100", n)
+		case i%4 == 2:
+			return fmt.Sprintf("SELECT r.a1, s.a2 FROM t1000000_250 r JOIN t100000_100 s ON r.a1 = s.a1 WHERE r.a10 < %d", n)
+		default: // materialized: the row engine reads the recycled statement
+			return fmt.Sprintf("SELECT a100, COUNT(*) FROM t10000_100 WHERE a1 < %d GROUP BY a100", n%5000)
+		}
+	}
+	want := func(sql string) any {
+		res, err := ref.Query(sql)
+		if err != nil {
+			return map[string]string{"sql": sql, "error": err.Error()}
+		}
+		return toQueryResponse(sql, res)
+	}
+	read := func(resp *http.Response, err error) []byte {
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		return b
+	}
+	routes := map[string]func(sqls []string){
+		"/query": func(sqls []string) {
+			for _, sql := range sqls {
+				got := read(http.Get(srv.URL + "/query?q=" + url.QueryEscape(sql)))
+				if w := refEncode(t, want(sql)); string(got) != w {
+					t.Errorf("/query %q:\ngot  %q\nwant %q", sql, got, w)
+				}
+			}
+		},
+		"/query/batch": func(sqls []string) {
+			body, _ := json.Marshal(sqls)
+			got := read(http.Post(srv.URL+"/query/batch", "application/json", bytes.NewReader(body)))
+			var ws []any
+			for _, sql := range sqls {
+				ws = append(ws, want(sql))
+			}
+			if w := refEncode(t, ws); string(got) != w {
+				t.Errorf("/query/batch %q:\ngot  %q\nwant %q", sqls, got, w)
+			}
+		},
+		"/query/stream": func(sqls []string) {
+			var body bytes.Buffer
+			for _, sql := range sqls {
+				line, _ := json.Marshal(sql)
+				body.Write(append(line, '\n'))
+			}
+			frames := bufio.NewReader(bytes.NewReader(read(http.Post(srv.URL+"/query/stream", "application/x-ndjson", &body))))
+			for _, sql := range sqls {
+				got, err := readFrame(frames)
+				if err != nil {
+					t.Errorf("/query/stream %q: %v", sql, err)
+					return
+				}
+				if w := refEncode(t, want(sql)); string(got) != w {
+					t.Errorf("/query/stream %q:\ngot  %q\nwant %q", sql, got, w)
+				}
+			}
+		},
+	}
+	var wg sync.WaitGroup
+	for route, send := range routes {
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 4; round++ {
+					sqls := make([]string, 8)
+					for i := range sqls {
+						// /query answers a failed statement with a top-level
+						// error, not an answer slot: it sends none.
+						sqls[i] = statement(i, route != "/query" && i == 5+round%3)
+					}
+					send(sqls)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
 // nullRW is a ResponseWriter that discards everything — the alloc test
 // measures the serving path, not the recorder.
 type nullRW struct{ h http.Header }
@@ -315,11 +431,12 @@ func TestWarmBatchAllocs(t *testing.T) {
 
 // TestBatchMissAllocs pins what a 16-statement POST /query/batch of
 // never-seen statements — zipf_mix's miss path — allocates: on top of the
-// warm request's bookkeeping, each statement's parse, its statement-cache
-// entry (dropped with the request: a first sighting is not admitted), its
-// plan with the EXPLAIN text and the systems list, and its result. The budget
-// sits about 20 % above the count at the time of writing, 118: the warm
-// request's 38 and five a statement.
+// warm request's bookkeeping, each statement's statement-cache entry (dropped
+// with the request: a first sighting is not admitted), its plan's EXPLAIN
+// text and systems list, and its result. The budget sits about 20 % above the
+// count at the time of writing, 86: the warm request's 38 and three a
+// statement. It was 118 while a first sighting's parse and plan were
+// allocations of their own instead of recycled ones.
 func TestBatchMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -354,7 +471,7 @@ func TestBatchMissAllocs(t *testing.T) {
 		next++
 		h.ServeHTTP(w, req)
 	}
-	const budget = 142
+	const budget = 103
 	allocs := testing.AllocsPerRun(runs, serve)
 	if allocs > budget {
 		t.Errorf("a 16-statement /query/batch of never-seen statements allocates %.0f objects per request, budget %d", allocs, budget)

@@ -490,12 +490,14 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 }
 
 // answer runs one statement through the engine and encodes its answer into
-// enc — the per-statement step /query and /query/stream share. The error is
-// also returned: a stream slot keeps the encoded error frame, /query answers
-// with its top-level error response instead.
+// enc — the per-statement step /query and /query/stream share — then hands
+// the result back to the engine, which recycles a first sighting's plan. The
+// error is also returned: a stream slot keeps the encoded error frame, /query
+// answers with its top-level error response instead.
 func (s *Server) answer(ctx context.Context, enc *jw, sql string) error {
 	res, err := s.eng.QueryContext(ctx, sql)
 	encodeAnswer(enc, sql, res, err)
+	s.eng.Done(res)
 	return err
 }
 
@@ -609,6 +611,7 @@ func (s *Server) handleQueryBatch(ctx context.Context, w http.ResponseWriter, r 
 		enc.newline()
 		res, err := s.eng.QueryBatched(ctx, sql)
 		encodeAnswer(&enc, sql, res, err)
+		s.eng.Done(res)
 	}
 	enc.depth--
 	enc.newline()

@@ -21,7 +21,13 @@ import (
 // both tests and benchmarks (testing.TB).
 func newBenchEngine(t testing.TB) *engine.Engine {
 	t.Helper()
-	e, err := engine.New(engine.Config{Seed: 9})
+	return newBenchEngineConfig(t, engine.Config{Seed: 9})
+}
+
+// newBenchEngineConfig is newBenchEngine on an engine built from cfg.
+func newBenchEngineConfig(t testing.TB, cfg engine.Config) *engine.Engine {
+	t.Helper()
+	e, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -339,12 +339,13 @@ func TestPlainSQLObject(t *testing.T) {
 // TestStreamMissAllocs pins what a never-seen statement costs through
 // /query/stream, observability off: line → parse → plan miss → execute →
 // render → frame. The budget sits about 20 % above the count at the time of
-// writing, 8.0 per statement over this mix of scans, group-bys and joins:
-// what the statement answers or keeps — its text, its parse and its cache
-// entry (dropped with the request, because a first sighting is not
-// admitted), its plan with the EXPLAIN text and the systems list (which with
-// observability off nobody reads), its result — and its deadline. Before,
-// the counts were 25.0 while the parse's clause slices, the planner's bound
+// writing, 6.0 per statement over this mix of scans, group-bys and joins:
+// what the statement answers or keeps — its text and its cache entry
+// (dropped with the request, because a first sighting is not admitted), its
+// plan's EXPLAIN text and systems list (which with observability off nobody
+// reads), its result — and its deadline. The parse and the plan are recycled
+// statements and plans: the count was 8.0 while they were allocations of
+// their own, and 25.0 while the parse's clause slices, the planner's bound
 // statement, specs, steps and alternatives, the join estimator's candidates,
 // a result's step actuals and an unadmitted entry's plan stamp were
 // allocations of their own (25.0 too while executed steps were queued for a
@@ -384,7 +385,7 @@ func TestStreamMissAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perStmt := float64(after.Mallocs-before.Mallocs) / n
 	t.Logf("never-seen statement through /query/stream: %.1f allocs", perStmt)
-	if perStmt > 10 {
-		t.Errorf("a never-seen statement through /query/stream allocates %.1f times, budget 10", perStmt)
+	if perStmt > 7 {
+		t.Errorf("a never-seen statement through /query/stream allocates %.1f times, budget 7", perStmt)
 	}
 }

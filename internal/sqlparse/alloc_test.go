@@ -8,7 +8,8 @@ import "testing"
 // substrings or constants and cost nothing, and the canonical text is
 // rendered when String is called, not here. The count at the time of writing
 // is 1 for each template, which is also the budget: there is nothing left to
-// take 20 % of. Before the backing, the clause slices, terms and column
+// take 20 % of. ParseInto into a statement the caller recycles takes none,
+// and its budget is 0. Before the backing, the clause slices, terms and column
 // references took 6, 11 and 7 (the three select items of the second growing
 // Items three times); one more each while Parse rendered the text; the
 // rune-slice lexer and fmt renderer took 36, 66 and 73.
@@ -29,6 +30,10 @@ func TestParseAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, func() { Parse(tc.sql) }); allocs > tc.budget {
 			t.Errorf("Parse(%q) allocates %.1f times, budget %.0f", tc.sql, allocs, tc.budget)
+		}
+		var dst SelectStmt
+		if allocs := testing.AllocsPerRun(200, func() { ParseInto(&dst, tc.sql) }); allocs > 0 {
+			t.Errorf("ParseInto(%q) allocates %.1f times, budget 0", tc.sql, allocs)
 		}
 	}
 }

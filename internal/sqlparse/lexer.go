@@ -93,9 +93,17 @@ func (l *lexer) class(i int) (r rune, size int, cls uint8) {
 	return r, size, cls
 }
 
-// skip advances over the run of runes whose class is in mask.
+// skip advances over the run of runes whose class is in mask. An ASCII byte
+// is classified here, by table; only a byte ≥ 0x80 pays for class's decode.
 func (l *lexer) skip(mask uint8) {
 	for l.off < len(l.src) {
+		if c := l.src[l.off]; c < utf8.RuneSelf {
+			if asciiClass[c]&mask == 0 {
+				return
+			}
+			l.off++
+			continue
+		}
 		_, size, cls := l.class(l.off)
 		if cls&mask == 0 {
 			return

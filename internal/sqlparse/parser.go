@@ -5,11 +5,25 @@ import (
 	"strconv"
 )
 
-// Parse parses one SELECT statement of the supported subset.
+// Parse parses one SELECT statement of the supported subset into a statement
+// of its own: one allocation.
 func Parse(sql string) (*SelectStmt, error) {
-	p := parser{lx: lexer{src: sql}}
+	stmt := new(SelectStmt)
+	if err := ParseInto(stmt, sql); err != nil {
+		return nil, err
+	}
+	return stmt, nil
+}
+
+// ParseInto is Parse into dst, which it overwrites whole. A statement that
+// fits dst's inline backing, as every serving template does, allocates
+// nothing, so a caller that recycles its statements parses for free. After an
+// error, dst holds no statement.
+func ParseInto(dst *SelectStmt, sql string) error {
+	*dst = SelectStmt{}
+	p := parser{lx: lexer{src: sql}, stmt: dst}
 	p.advance()
-	stmt, err := p.parseSelect()
+	err := p.parseSelect()
 	if err == nil && !p.at(tokEOF, "") {
 		err = p.errorf("trailing input starting with %q", p.cur().text)
 	}
@@ -19,12 +33,9 @@ func Parse(sql string) (*SelectStmt, error) {
 		p.advance()
 	}
 	if p.lexErr != nil {
-		return nil, p.lexErr
+		return p.lexErr
 	}
-	if err != nil {
-		return nil, err
-	}
-	return stmt, nil
+	return err
 }
 
 // parser is a recursive-descent parser with one token of lookahead, pulled
@@ -117,16 +128,15 @@ func (p *parser) expectSymbol(sym string) error {
 	return nil
 }
 
-func (p *parser) parseSelect() (*SelectStmt, error) {
+func (p *parser) parseSelect() error {
 	if err := p.expectKeyword("SELECT"); err != nil {
-		return nil, err
+		return err
 	}
-	stmt := &SelectStmt{}
-	p.stmt = stmt
+	stmt := p.stmt
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		stmt.Items = grow(stmt.Items, stmt.itemBuf[:], item)
 		if !p.at(tokSymbol, ",") {
@@ -135,11 +145,11 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		p.advance()
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
+		return err
 	}
 	from, err := p.parseTableRef()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	stmt.From = from
 
@@ -147,11 +157,11 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if p.at(tokKeyword, "CROSS") {
 			p.advance()
 			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
+				return err
 			}
 			tr, err := p.parseTableRef()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			stmt.Joins = grow(stmt.Joins, stmt.joinBuf[:], JoinClause{Table: tr, Cross: true})
 			continue
@@ -161,25 +171,25 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 				p.advance()
 			}
 			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
+				return err
 			}
 			tr, err := p.parseTableRef()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := p.expectKeyword("ON"); err != nil {
-				return nil, err
+				return err
 			}
 			left, err := p.parseColRef()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := p.expectSymbol("="); err != nil {
-				return nil, err
+				return err
 			}
 			right, err := p.parseColRef()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			stmt.Joins = grow(stmt.Joins, stmt.joinBuf[:], JoinClause{Table: tr, Left: left, Right: right})
 			continue
@@ -192,7 +202,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		for {
 			pred, err := p.parsePredicate()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			stmt.Where = grow(stmt.Where, stmt.whereBuf[:], pred)
 			if !p.at(tokKeyword, "AND") {
@@ -205,12 +215,12 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if p.at(tokKeyword, "GROUP") {
 		p.advance()
 		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
+			return err
 		}
 		for {
 			c, err := p.parseColRef()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			stmt.GroupBy = grow(stmt.GroupBy, stmt.groupBuf[:], c)
 			if !p.at(tokSymbol, ",") {
@@ -223,12 +233,12 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if p.at(tokKeyword, "ORDER") {
 		p.advance()
 		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
+			return err
 		}
 		for {
 			c, err := p.parseColRef()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			item := OrderItem{Col: c}
 			if p.at(tokKeyword, "DESC") {
@@ -248,16 +258,16 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if p.at(tokKeyword, "LIMIT") {
 		p.advance()
 		if !p.at(tokNumber, "") {
-			return nil, p.errorf("expected row count after LIMIT, found %q", p.cur().text)
+			return p.errorf("expected row count after LIMIT, found %q", p.cur().text)
 		}
 		n, err := strconv.ParseInt(p.cur().text, 10, 64)
 		if err != nil || n <= 0 {
-			return nil, p.errorf("bad LIMIT %q (want a positive integer)", p.cur().text)
+			return p.errorf("bad LIMIT %q (want a positive integer)", p.cur().text)
 		}
 		stmt.Limit = n
 		p.advance()
 	}
-	return stmt, nil
+	return nil
 }
 
 func (p *parser) parseSelectItem() (SelectItem, error) {

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -360,5 +361,37 @@ func TestParseMultiJoin(t *testing.T) {
 	stmt2 := mustParse(t, rendered)
 	if stmt2.String() != rendered {
 		t.Errorf("round trip: %q vs %q", rendered, stmt2.String())
+	}
+}
+
+// TestParseIntoReusedStatement: a statement parsed into one that held another
+// — a longer one, with every clause and backing overflowed, or a failed
+// parse — is the statement Parse builds, field for field and rendering for
+// rendering.
+func TestParseIntoReusedStatement(t *testing.T) {
+	long := "SELECT r.a1, s.a2, SUM(r.a3 + s.a4 - 2), COUNT(*) FROM t1 r JOIN t2 s ON r.a1 = s.a1 CROSS JOIN t3 " +
+		"WHERE r.a1 + s.z < 500000 AND s.a2 >= 3 GROUP BY r.a1, s.a2 ORDER BY r.a1 DESC LIMIT 10"
+	var dst SelectStmt
+	for _, sql := range []string{
+		long,
+		"SELECT a1 FROM t1",
+		long,
+		"SELECT a1 FROM",
+		"SELECT a100, SUM(a1), COUNT(*) FROM t10000_250 WHERE a2 < 17 GROUP BY a100",
+	} {
+		want, werr := Parse(sql)
+		err := ParseInto(&dst, sql)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("ParseInto(%q) = %v, Parse %v", sql, err, werr)
+		}
+		if err != nil {
+			continue
+		}
+		if dst.String() != want.String() || !reflect.DeepEqual(dst.Items, want.Items) ||
+			!reflect.DeepEqual(dst.Joins, want.Joins) || !reflect.DeepEqual(dst.Where, want.Where) ||
+			!reflect.DeepEqual(dst.GroupBy, want.GroupBy) || !reflect.DeepEqual(dst.OrderBy, want.OrderBy) ||
+			dst.From != want.From || dst.Limit != want.Limit {
+			t.Errorf("ParseInto(%q) into a used statement:\n got %+v\nwant %+v", sql, dst, *want)
+		}
 	}
 }

@@ -33,7 +33,7 @@ awk '{ n[$2] += $1; t += $1 }
      END { for (p in n) printf "%7d  %s\n", n[p], p | "sort -k2"
            close("sort -k2")
            printf "%7d  total (non-test Go under internal/)\n", t
-           printf "%7d  score: engine + server + optimizer + obs (ROADMAP item 6)\n",
+           printf "%7d  score: engine + server + optimizer + obs (ROADMAP item 12)\n",
                n["internal/engine"] + n["internal/server"] + n["internal/optimizer"] + n["internal/obs"] }'
 series=internal/server/testdata/prom_series.txt
 unread=
