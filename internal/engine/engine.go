@@ -638,21 +638,15 @@ func (e *Engine) RegisterRemoteLogicalOp(sys remote.System, kind remote.EngineKi
 func (e *Engine) RegisterTable(t *catalog.Table) error {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
-	if err := e.applyRegisterTable(t); err != nil {
-		return err
-	}
-	return e.logMutation(opRegisterTable, t)
+	return e.mutate("register_table", &registerTable{*t})
 }
 
-// SetLink overrides the QueryGrid link characteristics for one remote
-// system, WAL-logged when durability is attached.
+// SetLink overrides the QueryGrid link characteristics for one registered
+// remote system, WAL-logged when durability is attached.
 func (e *Engine) SetLink(system string, cfg querygrid.LinkConfig) error {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
-	if err := e.grid.SetLink(system, cfg); err != nil {
-		return err
-	}
-	return e.logMutation(opSetLink, linkPayload{System: system, Link: cfg})
+	return e.mutate("set_link", &setLink{System: system, Link: cfg})
 }
 
 // Materialize generates actual rows for a registered table so queries over
@@ -661,10 +655,7 @@ func (e *Engine) SetLink(system string, cfg querygrid.LinkConfig) error {
 func (e *Engine) Materialize(name string) error {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
-	if err := e.applyMaterialize(name); err != nil {
-		return err
-	}
-	return e.logMutation(opMaterialize, materializePayload{Table: name})
+	return e.mutate("materialize", &materialize{Table: name})
 }
 
 // QueryResult is one executed federated query.

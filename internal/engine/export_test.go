@@ -6,16 +6,12 @@ import "encoding/json"
 // federation) restore snapshots through these.
 
 // SnapshotState is the snapshot Durability.Snapshot would write now.
-func (e *Engine) SnapshotState() ([]byte, error) {
-	st, err := e.captureState()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
-}
+func (e *Engine) SnapshotState() ([]byte, error) { return json.Marshal(e.snapshot()) }
 
-// RestoreState is restoreState.
-func (e *Engine) RestoreState(data []byte) error { return e.restoreState(data) }
+// RestoreState recovers a snapshot into the engine as a boot does.
+func (e *Engine) RestoreState(data []byte) error {
+	return e.restore(pending{}, data)
+}
 
 // EstimatorGeneration is the estimator registry's mutation counter.
 func (e *Engine) EstimatorGeneration() uint64 { return e.estimators.Generation() }

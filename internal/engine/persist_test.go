@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -294,10 +295,24 @@ func TestDurabilityTornWALTail(t *testing.T) {
 	checkRecovered(t, e2, want, e1.ModelVersions("hivebb"))
 }
 
+// corruptNewestSnapshot overwrites the newer of a data dir's two snapshots.
+func corruptNewestSnapshot(t *testing.T, dir string) {
+	t.Helper()
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("snapshots on disk = %v (err %v), want 2", snaps, err)
+	}
+	if err := os.WriteFile(snaps[1], []byte("{ corrupted"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDurabilitySnapshotFallback corrupts the newest snapshot: recovery
 // must fall back to the older one and still land in the identical state
 // (the WAL past the older snapshot was rotated away only by the newer one,
-// so this exercises the snapshot-only path of the fallback).
+// so this exercises the snapshot-only path of the fallback). A WAL record
+// past the corrupt snapshot that names what only it held is the one case
+// the fallback cannot serve, and recovery refuses it.
 func TestDurabilitySnapshotFallback(t *testing.T) {
 	dir := t.TempDir()
 	e1, d, _ := buildDurableRig(t, dir)
@@ -317,14 +332,7 @@ func TestDurabilitySnapshotFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt the newest snapshot file in place.
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
-	if err != nil || len(snaps) != 2 {
-		t.Fatalf("snapshots on disk = %v (err %v), want 2", snaps, err)
-	}
-	if err := os.WriteFile(snaps[1], []byte("{ corrupted"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptNewestSnapshot(t, dir)
 
 	e2, d2 := recoverRig(t, dir)
 	defer d2.Close()
@@ -344,6 +352,38 @@ func TestDurabilitySnapshotFallback(t *testing.T) {
 	if len(vs) != 2 || !vs[1].Live {
 		t.Errorf("fallback lost version lineage: %+v", vs)
 	}
+
+	// Past the corrupt snapshot, the log materializes a table registered
+	// between the two snapshots. The fallback lacks that table, so the
+	// record was logged against a state recovery cannot reach: boot stops
+	// and names it instead of serving a state no client was acked.
+	lost := t.TempDir()
+	e3, d3, _ := buildDurableRig(t, lost)
+	if err := d3.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := datagen.Table(5000, 40, "hivebb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Name = "soak_between"
+	if err := e3.RegisterTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := d3.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e3.Materialize("soak_between"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corruptNewestSnapshot(t, lost)
+	booted, _, _ := newTuneRig(t)
+	if _, _, err := OpenDurability(booted, DurabilityConfig{Dir: lost}); err == nil || !strings.Contains(err.Error(), "soak_between") {
+		t.Errorf("recovery past a lost register_table = %v, want an error naming soak_between", err)
+	}
 }
 
 // TestReplayedVersionWithoutSaveTime: a model_version record written before
@@ -360,7 +400,7 @@ func TestReplayedVersionWithoutSaveTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := time.Now()
-	if err := e.applyWALRecord(durable.Record{Op: opModelVersion, Data: data}); err != nil {
+	if err := e.replay(pending{}, durable.Record{Op: "model_version", Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	vs := e.ModelVersions("hivebb")

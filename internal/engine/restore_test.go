@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -11,7 +10,6 @@ import (
 	"intellisphere/internal/datagen"
 	"intellisphere/internal/demo"
 	"intellisphere/internal/engine"
-	"intellisphere/internal/nn"
 	"intellisphere/internal/querygrid"
 )
 
@@ -129,14 +127,8 @@ func mutatedSnapshot(t testing.TB) []byte {
 	if err := e.SetLink("spark", slow); err != nil {
 		t.Fatal(err)
 	}
-	// Only steps executed on flink log to the models a tune retrains from.
-	for i := 0; i < 20; i++ {
-		if _, err := e.Query(fmt.Sprintf("SELECT a10, SUM(a1) FROM t80000000_500 WHERE a1 < %d GROUP BY a10", 40000000+i*1000000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out, err := e.TuneCandidate(context.Background(), "flink", engine.TuneOptions{Holdout: 1, MinLog: 1, Force: true,
-		Train: nn.TrainConfig{Iterations: 20, Optimizer: nn.Adam, BatchSize: 32, Seed: 5}})
+	flinkFeedback(t, e, 0)
+	out, err := forceTune(e)
 	if err != nil || !out.Promoted {
 		t.Fatalf("forced tune: %+v, %v", out, err)
 	}
@@ -185,8 +177,10 @@ func TestRejectedSnapshotChangesNothing(t *testing.T) {
 // snapshot changes nothing restoreView shows; and an accepted one, restored
 // into a second fresh federation, gives byte-identical Explain output over
 // the demo statements and the same model versions. The seeds are cut from a
-// real snapshot (mutatedSnapshot): whole, truncated, from a newer schema,
-// naming a system this build lacks, and re-materializing an unknown table.
+// real snapshot (mutatedSnapshot): whole, truncated, relabelled schema
+// version 2 (once a newer schema, now the current one, so it restores),
+// naming a system this build lacks, and re-materializing an unknown table;
+// the last is a version 1 snapshot an older build wrote, with its profiles.
 func FuzzRestoreState(f *testing.F) {
 	whole := mutatedSnapshot(f)
 	f.Add(whole)
@@ -200,6 +194,7 @@ func FuzzRestoreState(f *testing.F) {
 	f.Add(editSnapshot(f, whole, func(st map[string]any) {
 		st["materialized"] = append(st["materialized"].([]any), "zz_nowhere")
 	}))
+	f.Add(v1Snapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := federation(t, true)
 		before := restoreView(t, e)

@@ -123,28 +123,17 @@ func profileJSON(h *hybrid.Estimator) ([]byte, error) {
 	return json.Marshal(h.Profile())
 }
 
-// recordModelVersion archives pre-serialized profile bytes as the system's
-// live version and WAL-logs the event (resulting bytes, not the operation:
-// replay reproduces IDs, live markers, and the serving estimator without
-// the in-memory execution logs tuning consumed). Caller holds tuneMu. A
-// non-nil error means the version is archived in memory but not durable.
-func (e *Engine) recordModelVersion(system, origin string, profile []byte, holdout *modelver.HoldoutScore) (*modelver.Version, error) {
-	v := e.versions.Record(system, origin, profile, holdout, time.Time{}, true)
-	err := e.logMutation(opModelVersion, modelVersionPayload{
-		System: system, Origin: origin, SavedAt: v.SavedAt, Holdout: holdout, Profile: profile,
-	})
-	return &v, err
-}
-
-// ensureBaseline archives the live profile bytes as the system's initial
-// version if no history exists yet, so the first promotion always has a
-// rollback target. WAL-logged like every version event.
-func (e *Engine) ensureBaseline(system string, live []byte) error {
-	if e.versions.Count(system) != 0 {
-		return nil
+// recordModelVersion archives r's profile bytes as the system's live version
+// and installs its estimator, WAL-logged (resulting bytes, not the operation:
+// replay reproduces IDs, live markers, and the serving estimator without the
+// in-memory execution logs tuning consumed). Caller holds tuneMu.
+func (e *Engine) recordModelVersion(r *modelVersion) (*modelver.Version, error) {
+	r.SavedAt = time.Now()
+	if err := e.mutate("model_version", r); err != nil {
+		return nil, err
 	}
-	_, err := e.recordModelVersion(system, modelver.OriginInitial, live, nil)
-	return err
+	v, _ := e.versions.Live(r.System)
+	return &v, nil
 }
 
 // tunePair is one (operator kind, live model) the candidate pass considers.
@@ -281,17 +270,18 @@ func (e *Engine) TuneCandidate(ctx context.Context, system string, opts TuneOpti
 		psp.EndErr(err)
 		return nil, fmt.Errorf("engine: serialize candidate profile for %q: %w", system, err)
 	}
-	if err = e.ensureBaseline(system, liveJSON); err != nil {
+	if e.versions.Count(system) == 0 {
+		// The first promotion archives the live model first, so that it has
+		// a rollback target.
+		_, err = e.recordModelVersion(&modelVersion{System: system, Origin: modelver.OriginInitial, Profile: liveJSON, est: h})
+	}
+	hs := out.Holdout
+	if err == nil {
+		out.Version, err = e.recordModelVersion(&modelVersion{System: system, Origin: modelver.OriginTuned, Holdout: &hs, Profile: candJSON, est: candEst})
+	}
+	if err != nil {
 		psp.EndErr(err)
 		return nil, err
-	}
-	e.installEstimator(system, candEst)
-	hs := out.Holdout
-	var verr error
-	out.Version, verr = e.recordModelVersion(system, modelver.OriginTuned, candJSON, &hs)
-	if verr != nil {
-		psp.EndErr(verr)
-		return nil, verr
 	}
 	// The accuracy windows scored the replaced model; clear them so the
 	// drift flag reflects the promoted one.
@@ -333,19 +323,7 @@ func (e *Engine) RollbackModel(system string) (*modelver.Version, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: system %q has no earlier model version to roll back to", system)
 	}
-	est, err := decodeProfile(prev.Profile)
-	if err != nil {
-		return nil, fmt.Errorf("engine: restore archived profile %q v%d: %w", system, prev.ID, err)
-	}
-	e.installEstimator(system, est)
-	if err := e.versions.SetLive(system, prev.ID); err != nil {
-		return nil, err
-	}
-	// The WAL record carries the restored profile bytes so replay is
-	// self-contained: install the estimator, mark the version live.
-	if err := e.logMutation(opModelLive, modelLivePayload{
-		System: system, ID: prev.ID, Profile: prev.Profile,
-	}); err != nil {
+	if err := e.mutate("model_live", &modelLive{System: system, ID: prev.ID}); err != nil {
 		return nil, err
 	}
 	e.resetAccuracy(system)

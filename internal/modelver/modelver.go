@@ -9,7 +9,6 @@
 package modelver
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -84,33 +83,29 @@ func NewStore(limit int) *Store {
 	}
 }
 
-// Record archives a profile snapshot for a system and returns its version.
-// savedAt stamps it; the zero time stamps it now (a replay passes the time
-// the version was first recorded). When markLive is set the new version
-// becomes the system's live version. The profile bytes are copied; callers
-// may reuse the slice.
-func (s *Store) Record(system, origin string, profile []byte, holdout *HoldoutScore, savedAt time.Time, markLive bool) Version {
-	if savedAt.IsZero() {
-		savedAt = time.Now()
-	}
+// Record archives a version and returns it as stored. A zero ID takes the
+// system's next ID and, when SavedAt is zero too, the current time; a version
+// with an ID (one replayed from a snapshot) keeps both, and later IDs continue
+// past it. Live makes it the system's live version. The profile bytes are
+// copied; callers may reuse the slice.
+func (s *Store) Record(v Version) Version {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID[system]++
-	v := &Version{
-		ID:      s.nextID[system],
-		System:  system,
-		Origin:  origin,
-		SavedAt: savedAt,
-		Holdout: holdout,
-		Profile: append([]byte(nil), profile...),
-		Size:    len(profile),
+	if v.ID == 0 {
+		v.ID = s.nextID[v.System] + 1
+		if v.SavedAt.IsZero() {
+			v.SavedAt = time.Now()
+		}
 	}
-	s.versions[system] = append(s.versions[system], v)
-	if markLive {
-		s.live[system] = v.ID
+	s.nextID[v.System] = max(s.nextID[v.System], v.ID)
+	if v.Live {
+		s.live[v.System] = v.ID
 	}
-	s.evictLocked(system)
-	return s.export(*v)
+	v.Profile = append([]byte(nil), v.Profile...)
+	v.Size = len(v.Profile)
+	s.versions[v.System] = append(s.versions[v.System], &v)
+	s.evictLocked(v.System)
+	return s.export(v)
 }
 
 // evictLocked drops the oldest non-live versions beyond the limit.
@@ -221,89 +216,4 @@ func (s *Store) Count(system string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.versions[system])
-}
-
-// State is the store's serializable form for engine-wide snapshots. Version
-// listings strip profile bytes (Version.Profile is json:"-"), so snapshots
-// use this parallel wire type that carries them: restoring a State
-// reproduces the store — IDs, live markers, and rollback targets —
-// byte-identically.
-type State struct {
-	Systems map[string]SystemState `json:"systems,omitempty"`
-}
-
-// SystemState is one system's archived history.
-type SystemState struct {
-	// NextID is the ID counter, preserved so versions recorded after a
-	// restore continue the original numbering.
-	NextID int `json:"next_id"`
-	// Live is the live version's ID (0 = none).
-	Live int `json:"live,omitempty"`
-	// Versions is the retained history, oldest first.
-	Versions []VersionState `json:"versions"`
-}
-
-// VersionState is one archived version with its profile bytes inline.
-type VersionState struct {
-	ID      int             `json:"id"`
-	Origin  string          `json:"origin"`
-	SavedAt time.Time       `json:"saved_at"`
-	Holdout *HoldoutScore   `json:"holdout,omitempty"`
-	Profile json.RawMessage `json:"profile"`
-}
-
-// Export captures the whole store as a State.
-func (s *Store) Export() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.versions) == 0 {
-		return State{}
-	}
-	st := State{Systems: make(map[string]SystemState, len(s.versions))}
-	for system, vs := range s.versions {
-		ss := SystemState{
-			NextID:   s.nextID[system],
-			Live:     s.live[system],
-			Versions: make([]VersionState, 0, len(vs)),
-		}
-		for _, v := range vs {
-			ss.Versions = append(ss.Versions, VersionState{
-				ID:      v.ID,
-				Origin:  v.Origin,
-				SavedAt: v.SavedAt,
-				Holdout: v.Holdout,
-				Profile: append(json.RawMessage(nil), v.Profile...),
-			})
-		}
-		st.Systems[system] = ss
-	}
-	return st
-}
-
-// Restore replaces the store's entire contents with a previously exported
-// State. The retention limit is the receiver's, so a restore into a store
-// with a smaller limit evicts oldest-first as usual on the next Record.
-func (s *Store) Restore(st State) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.versions = make(map[string][]*Version, len(st.Systems))
-	s.nextID = make(map[string]int, len(st.Systems))
-	s.live = make(map[string]int, len(st.Systems))
-	for system, ss := range st.Systems {
-		vs := make([]*Version, 0, len(ss.Versions))
-		for _, v := range ss.Versions {
-			vs = append(vs, &Version{
-				ID:      v.ID,
-				System:  system,
-				Origin:  v.Origin,
-				SavedAt: v.SavedAt,
-				Holdout: v.Holdout,
-				Profile: append([]byte(nil), v.Profile...),
-				Size:    len(v.Profile),
-			})
-		}
-		s.versions[system] = vs
-		s.nextID[system] = ss.NextID
-		s.live[system] = ss.Live
-	}
 }

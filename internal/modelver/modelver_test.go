@@ -10,7 +10,7 @@ import (
 
 func TestRecordAndLive(t *testing.T) {
 	s := NewStore(DefaultHistory)
-	v1 := s.Record("hive", "initial", []byte(`{"v":1}`), nil, time.Time{}, true)
+	v1 := s.Record(Version{System: "hive", Origin: "initial", Profile: []byte(`{"v":1}`), Live: true})
 	if v1.ID != 1 || !v1.Live || v1.Origin != "initial" || v1.Size != 7 {
 		t.Fatalf("v1 = %+v", v1)
 	}
@@ -29,7 +29,7 @@ func TestRecordAndLive(t *testing.T) {
 	// A replayed version keeps the time it was first recorded at.
 	hs := &HoldoutScore{Samples: 4, LiveQ: 9.5, CandidateQ: 1.2}
 	at := time.Date(2020, 3, 30, 14, 50, 30, 396869000, time.UTC)
-	v2 := s.Record("hive", "tuned", []byte(`{"v":2}`), hs, at, true)
+	v2 := s.Record(Version{System: "hive", Origin: "tuned", Profile: []byte(`{"v":2}`), Holdout: hs, SavedAt: at, Live: true})
 	if v2.ID != 2 || !v2.Live || !v2.Holdout.Improved() || !v2.SavedAt.Equal(at) {
 		t.Fatalf("v2 = %+v", v2)
 	}
@@ -40,10 +40,31 @@ func TestRecordAndLive(t *testing.T) {
 	}
 }
 
+// TestRecordKeepsReplayedID: a version recorded with its own ID (one replayed
+// from a snapshot) keeps it and its save time, and the next new version
+// continues the counter past it.
+func TestRecordKeepsReplayedID(t *testing.T) {
+	s := NewStore(DefaultHistory)
+	at := time.Date(2020, 3, 30, 14, 50, 30, 0, time.UTC)
+	v7 := s.Record(Version{ID: 7, System: "hive", Origin: "tuned", SavedAt: at, Profile: []byte(`7`), Live: true})
+	if v7.ID != 7 || !v7.Live || !v7.SavedAt.Equal(at) {
+		t.Fatalf("replayed version = %+v", v7)
+	}
+	if old := s.Record(Version{ID: 3, System: "hive", Origin: "initial", Profile: []byte(`3`)}); old.ID != 3 || !old.SavedAt.IsZero() || old.Live {
+		t.Fatalf("older replayed version = %+v, want ID 3 kept unstamped and not live", old)
+	}
+	if next := s.Record(Version{System: "hive", Origin: "tuned", Profile: []byte(`8`), Live: true}); next.ID != 8 {
+		t.Fatalf("next version after a replayed v7 = %d, want 8", next.ID)
+	}
+	if other := s.Record(Version{System: "spark", Origin: "initial", Profile: []byte(`1`)}); other.ID != 1 {
+		t.Fatalf("another system's first version = %d, want 1", other.ID)
+	}
+}
+
 func TestRecordCopiesBytes(t *testing.T) {
 	s := NewStore(DefaultHistory)
 	buf := []byte(`{"v":1}`)
-	s.Record("hive", "initial", buf, nil, time.Time{}, true)
+	s.Record(Version{System: "hive", Origin: "initial", Profile: buf, Live: true})
 	buf[2] = 'X'
 	got, _ := s.Live("hive")
 	if !bytes.Equal(got.Profile, []byte(`{"v":1}`)) {
@@ -53,8 +74,8 @@ func TestRecordCopiesBytes(t *testing.T) {
 
 func TestSetLiveRollback(t *testing.T) {
 	s := NewStore(DefaultHistory)
-	s.Record("hive", "initial", []byte(`1`), nil, time.Time{}, true)
-	s.Record("hive", "tuned", []byte(`2`), nil, time.Time{}, true)
+	s.Record(Version{System: "hive", Origin: "initial", Profile: []byte(`1`), Live: true})
+	s.Record(Version{System: "hive", Origin: "tuned", Profile: []byte(`2`), Live: true})
 	if err := s.SetLive("hive", 1); err != nil {
 		t.Fatalf("SetLive: %v", err)
 	}
@@ -73,9 +94,9 @@ func TestSetLiveRollback(t *testing.T) {
 
 func TestBoundedHistoryKeepsLive(t *testing.T) {
 	s := NewStore(3)
-	s.Record("hive", "initial", []byte(`1`), nil, time.Time{}, true)
+	s.Record(Version{System: "hive", Origin: "initial", Profile: []byte(`1`), Live: true})
 	for i := 2; i <= 6; i++ {
-		s.Record("hive", "tuned", []byte(fmt.Sprintf("%d", i)), nil, time.Time{}, false)
+		s.Record(Version{System: "hive", Origin: "tuned", Profile: []byte(fmt.Sprintf("%d", i))})
 	}
 	if n := s.Count("hive"); n != 3 {
 		t.Fatalf("retained = %d, want 3", n)

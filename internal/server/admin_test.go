@@ -93,7 +93,7 @@ func TestCatalogEndpoint(t *testing.T) {
 }
 
 func TestLinksEndpoint(t *testing.T) {
-	srv, eng, _ := newDurableTestServer(t)
+	srv, eng, d := newDurableTestServer(t)
 
 	var before linksResponse
 	getJSON(t, srv.URL+"/links", &before)
@@ -125,6 +125,20 @@ func TestLinksEndpoint(t *testing.T) {
 	}
 	if resp := postJSON(t, srv.URL+"/links", `{"link": {}}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing system status = %d", resp.StatusCode)
+	}
+
+	// A link for a system the server has not registered is a client error
+	// too: nothing is installed and nothing is logged for recovery to replay.
+	logged, _ := d.Stats()
+	if resp := postJSON(t, srv.URL+"/links",
+		`{"system": "impala", "link": {"bandwidth_bytes_per_sec": 5e7, "latency_sec": 0.1, "per_row_overhead_us": 1}}`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unregistered-system link status = %d", resp.StatusCode)
+	}
+	if _, ok := eng.Grid().Links()["impala"]; ok {
+		t.Error("a link for an unregistered system was installed")
+	}
+	if now, _ := d.Stats(); now.Seq != logged.Seq {
+		t.Errorf("a rejected link was logged: seq %d → %d", logged.Seq, now.Seq)
 	}
 }
 
