@@ -18,9 +18,11 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // WriteFileAtomic writes data to path via a same-directory temp file,
@@ -60,14 +62,22 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	return syncDir(dir)
 }
 
-// syncDir fsyncs a directory so a just-renamed entry is durable. Filesystems
-// that refuse directory fsync (some network mounts) degrade gracefully.
+// syncDir fsyncs a directory so a just-renamed or just-created entry is
+// durable. It fails when the directory cannot be opened or the fsync fails,
+// with one exception: EINVAL, which Linux returns from a directory fsync on a
+// filesystem that cannot sync directories (some FUSE and network mounts),
+// where there is nothing more to make durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return fmt.Errorf("durable: sync dir: %w", err)
 	}
 	defer d.Close()
-	d.Sync() // best-effort: EINVAL on exotic filesystems is not fatal
+	if err := fsyncDir(d); err != nil && !errors.Is(err, syscall.EINVAL) {
+		return fmt.Errorf("durable: sync dir %s: %w", dir, err)
+	}
 	return nil
 }
+
+// fsyncDir is the directory fsync itself, a variable so tests can fail it.
+var fsyncDir = (*os.File).Sync

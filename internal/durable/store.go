@@ -185,6 +185,9 @@ func (s *Store) Append(op string, data json.RawMessage) (uint64, error) {
 // WriteSnapshot persists data as the snapshot covering every mutation up to
 // and including seq, prunes old snapshots beyond the retention count, and
 // rotates (empties) the WAL when the snapshot covers its entire contents.
+// When the snapshot cannot be made durable (its write, rename or directory
+// fsync fails) it returns that error having pruned and rotated nothing, so
+// the older snapshots and the log still cover every acked mutation.
 // The caller must guarantee data really reflects all mutations ≤ seq —
 // in practice by capturing state and calling NextSeq under the same locks
 // that serialize Append callers.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -360,5 +361,81 @@ func TestWALPoisonedWhenUndoFails(t *testing.T) {
 	}
 	if _, err := s2.Append("d", nil); err != nil {
 		t.Fatalf("Append after reopening: %v", err)
+	}
+}
+
+// failDirSync makes every directory fsync fail with err until the test ends.
+func failDirSync(t *testing.T, err error) {
+	t.Helper()
+	fsyncDir = func(*os.File) error { return err }
+	t.Cleanup(func() { fsyncDir = (*os.File).Sync })
+}
+
+// TestSnapshotNotDurableKeepsLog: when the directory fsync after a
+// snapshot's rename fails, the rename may not survive a crash, so
+// WriteSnapshot must fail before it prunes the older snapshots or empties
+// the log. Before the fsync error was returned, the store went on to prune
+// snapshot 1 and truncate the WAL, and every acked record depended on a
+// directory entry that might not exist after the crash.
+func TestSnapshotNotDurableKeepsLog(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, &replayState{})
+	for i := uint64(1); i <= 2; i++ {
+		if _, err := s.Append("m", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteSnapshot(i, []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Append("acked", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failDirSync(t, errInjected)
+	if err := s.WriteSnapshot(s.Seq(), []byte(`{}`)); !errors.Is(err, errInjected) {
+		t.Errorf("WriteSnapshot with a failing directory fsync = %v, want the injected error", err)
+	}
+	if got := s.Stats(); got.SnapshotSeq != 2 || got.Snapshots != 2 {
+		t.Errorf("stats after the failed snapshot = %+v, want snapshot seq 2 and 2 snapshots", got)
+	}
+	s.Close()
+	fsyncDir = (*os.File).Sync
+
+	seqs, err := (&Store{dir: dir}).listSnapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) < 3 || seqs[0] != 1 || seqs[1] != 2 {
+		t.Errorf("snapshots on disk = %v, want 1 and 2 still beside the new one", seqs)
+	}
+	_, recs, _, err := OpenWAL(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[0].Seq != 3 || recs[2].Seq != 5 {
+		t.Errorf("WAL holds %+v, want the three acked records 3..5", recs)
+	}
+}
+
+// TestDirSyncErrors: OpenWAL refuses to ack into a log whose directory entry
+// it could not make durable, a directory that cannot be opened is an error,
+// and EINVAL (a filesystem that cannot fsync directories) is tolerated.
+func TestDirSyncErrors(t *testing.T) {
+	if err := syncDir(filepath.Join(t.TempDir(), "absent")); err == nil {
+		t.Error("syncDir of a missing directory succeeded")
+	}
+	dir := t.TempDir()
+	failDirSync(t, &os.PathError{Op: "sync", Path: dir, Err: syscall.EINVAL})
+	if err := WriteFileAtomic(filepath.Join(dir, "f"), []byte("x"), 0o644); err != nil {
+		t.Errorf("WriteFileAtomic with EINVAL from the directory fsync: %v", err)
+	}
+	failDirSync(t, errInjected)
+	if w, _, _, err := OpenWAL(filepath.Join(dir, "wal.log")); !errors.Is(err, errInjected) {
+		if w != nil {
+			w.Close()
+		}
+		t.Errorf("OpenWAL with a failing directory fsync = %v, want the injected error", err)
 	}
 }

@@ -676,11 +676,9 @@ type QueryResult struct {
 	// nil otherwise (statistics-only execution).
 	Rows *rowengine.Result
 	// Degraded reports the answer came from a fallback plan after one or
-	// more remotes failed or were open-circuited mid-query.
+	// more remotes failed or were open-circuited mid-query; Plan.Excluded
+	// lists the systems it avoided.
 	Degraded bool
-	// Excluded lists the systems the fallback plan(s) avoided, sorted;
-	// empty for a healthy execution.
-	Excluded []string
 	// Trace is the query's span tree when it ran through QueryTraced; nil
 	// for untraced queries.
 	Trace *trace.Trace
@@ -872,7 +870,7 @@ func (e *Engine) plan(ctx context.Context, clk *stageClock, ent *cachedStmt) (p 
 }
 
 // Query plans and executes a SQL statement across the federation. It is safe
-// for concurrent use: plans come from the (lock-free-read) statement cache,
+// for concurrent use: plans come from the mutex-guarded statement cache,
 // step execution only reads registry snapshots, and each executed operator's
 // actual cost is in its estimator's log by the time Query returns.
 func (e *Engine) Query(sql string) (*QueryResult, error) {
@@ -1025,11 +1023,6 @@ func (e *Engine) run(ctx context.Context, clk *stageClock, stmt *sqlparse.Select
 		res, err = e.execute(ctx, stmt, p2)
 		if err == nil {
 			res.Degraded = true
-			res.Excluded = make([]string, 0, len(excluded))
-			for s := range excluded {
-				res.Excluded = append(res.Excluded, s)
-			}
-			sort.Strings(res.Excluded)
 			e.degraded.Inc()
 			return res, nil
 		}

@@ -134,7 +134,7 @@ func TestChaosOutageFallbackAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy query: %v", err)
 	}
-	if res.Degraded || len(res.Excluded) != 0 {
+	if res.Degraded || len(res.Plan.Excluded) != 0 {
 		t.Fatalf("healthy query marked degraded: %+v", res)
 	}
 	if h := e.Health(); h.Status != "ok" || h.OpenCount != 0 {
@@ -151,8 +151,8 @@ func TestChaosOutageFallbackAndRecovery(t *testing.T) {
 		if !res.Degraded {
 			t.Fatalf("query %d during outage not degraded", i)
 		}
-		if len(res.Excluded) != 1 || res.Excluded[0] != "hive" {
-			t.Fatalf("query %d Excluded = %v", i, res.Excluded)
+		if len(res.Plan.Excluded) != 1 || res.Plan.Excluded[0] != "hive" {
+			t.Fatalf("query %d Excluded = %v", i, res.Plan.Excluded)
 		}
 		for _, s := range res.Plan.Steps {
 			if s.System == "hive" {
@@ -187,7 +187,7 @@ func TestChaosOutageFallbackAndRecovery(t *testing.T) {
 		t.Fatalf("query after recovery: %v", err)
 	}
 	if res.Degraded {
-		t.Fatalf("recovered query still degraded: %+v", res.Excluded)
+		t.Fatalf("recovered query still degraded: %+v", res.Plan.Excluded)
 	}
 	if st := e.Breaker("hive").State(); st != resilience.Closed {
 		t.Fatalf("hive breaker = %v after recovery, want Closed", st)

@@ -17,9 +17,9 @@ import (
 // goroutines hammer warm Explain while a mutator loops RegisterTable /
 // SetLink and one model change — a re-install of the live estimator, a forced
 // TuneCandidate or a RollbackModel, each a registry swap — every one of which
-// advances the epoch. Under -race this exercises every lock-free path (bucket
-// chains, CLOCK bits, the stamped plan swapped in place by racing re-plans)
-// against concurrent invalidation.
+// advances the epoch. Under -race this exercises the statement cache and the
+// stamped plan swapped in place by racing re-plans against concurrent
+// invalidation.
 //
 // The oracle reads Optimizer.Epoch — the very counter the engine stamps
 // plans with, not a re-derivation of it — so two equal reads bracket an

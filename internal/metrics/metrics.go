@@ -1,15 +1,14 @@
 // Package metrics provides the lightweight instrumentation primitives the
-// serving layer exports on /metrics/prom: lock-free counters, striped
-// fixed-bucket exponential latency histograms, and the estimator accuracy
-// windows, one ring behind one mutex each. Everything is safe for concurrent
-// use and allocation-free on the hot paths (Counter.Inc, Histogram.Observe,
-// untraced ObserveExemplar, Accuracy.Observe — TestHotPathsDoNotAllocate).
-// Only the histogram is striped, because only there did striping measure
-// faster with a second core recording (DESIGN.md §15).
+// serving layer exports on /metrics/prom: lock-free counters, fixed-bucket
+// exponential latency histograms of one set of atomic counters each, and the
+// estimator accuracy windows, one ring behind one mutex each. Everything is
+// safe for concurrent use and allocation-free on the hot paths (Counter.Inc,
+// Histogram.Observe, untraced ObserveExemplar, Accuracy.Observe —
+// TestHotPathsDoNotAllocate). Nothing is striped: on the one P the server
+// runs on, stripes only cost (DESIGN.md §15).
 package metrics
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -28,34 +27,15 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// histStripes is the write fan-out of a Histogram. Fixed rather than sized
-// from GOMAXPROCS so a histogram built early keeps scaling if the process is
-// later given more cores (benchmarks sweep -cpu); 8 stripes of ~2 cache
-// lines each is cheap enough to pay unconditionally.
-const histStripes = 8
-
-// histStripe is one independent accumulator. The trailing pad pushes the
-// next stripe's hot fields (count/sumNanos, written on every observation)
-// onto different cache lines.
-type histStripe struct {
+// Histogram accumulates duration observations into exponential buckets: one
+// set of atomic counters, so an observation is three atomic adds and a scan
+// of the bounds. The zero value is not usable; call NewLatencyHistogram.
+type Histogram struct {
+	bounds   []float64 // upper bound (seconds) per bucket, ascending
 	counts   []atomic.Uint64
 	overflow atomic.Uint64
 	count    atomic.Uint64
 	sumNanos atomic.Uint64
-	_        [64]byte
-}
-
-// Histogram accumulates duration observations into exponential buckets. The
-// zero value is not usable; call NewLatencyHistogram.
-//
-// Writes land on one of histStripes stripes; Snapshot merges them. Stripe
-// selection rides sync.Pool's per-P caching: each P that observes gets a
-// sticky stripe index from the pool, so steady-state recording touches only
-// that core's stripe with no shared writes at all.
-type Histogram struct {
-	bounds  []float64 // upper bound (seconds) per bucket, ascending
-	stripes [histStripes]histStripe
-	idxPool sync.Pool // *int stripe indices, handed out round-robin
 
 	// exemplars holds the most recent traced observation per bucket (index
 	// len(bounds) is the overflow bucket). Written only by ObserveExemplar
@@ -81,27 +61,11 @@ func NewLatencyHistogram() *Histogram {
 	for b := 50e-6; b < 110; b *= 2 {
 		bounds = append(bounds, b)
 	}
-	h := &Histogram{bounds: bounds, exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1)}
-	for i := range h.stripes {
-		h.stripes[i].counts = make([]atomic.Uint64, len(bounds))
+	return &Histogram{
+		bounds:    bounds,
+		counts:    make([]atomic.Uint64, len(bounds)),
+		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
 	}
-	var next atomic.Uint32
-	h.idxPool.New = func() any {
-		i := int(next.Add(1)-1) % histStripes
-		return &i
-	}
-	return h
-}
-
-// stripe picks this P's sticky stripe. Get immediately followed by Put keeps
-// the index in the pool's per-P private slot, so the same P keeps hitting the
-// same stripe while different Ps spread round-robin — no goroutine IDs, no
-// unsafe.
-func (h *Histogram) stripe() *histStripe {
-	v := h.idxPool.Get().(*int)
-	s := &h.stripes[*v]
-	h.idxPool.Put(v)
-	return s
 }
 
 // Observe records one duration.
@@ -115,16 +79,15 @@ func (h *Histogram) observe(d time.Duration) (sec float64, bucket int) {
 	if sec < 0 {
 		sec, d = 0, 0
 	}
-	st := h.stripe()
-	st.count.Add(1)
-	st.sumNanos.Add(uint64(d.Nanoseconds()))
+	h.count.Add(1)
+	h.sumNanos.Add(uint64(d.Nanoseconds()))
 	for i, b := range h.bounds {
 		if sec <= b {
-			st.counts[i].Add(1)
+			h.counts[i].Add(1)
 			return sec, i
 		}
 	}
-	st.overflow.Add(1)
+	h.overflow.Add(1)
 	return sec, len(h.bounds)
 }
 
@@ -166,24 +129,16 @@ type HistogramSnapshot struct {
 	OverflowExemplar *Exemplar `json:"overflow_exemplar,omitempty"`
 }
 
-// Snapshot captures the histogram by merging all stripes.
+// Snapshot captures the histogram, reading each counter once.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	var s HistogramSnapshot
-	var sumNanos uint64
-	counts := make([]uint64, len(h.bounds))
-	for i := range h.stripes {
-		st := &h.stripes[i]
-		s.Count += st.count.Load()
-		sumNanos += st.sumNanos.Load()
-		s.Overflow += st.overflow.Load()
-		for j := range counts {
-			counts[j] += st.counts[j].Load()
-		}
+	s := HistogramSnapshot{
+		Count:      h.count.Load(),
+		SumSeconds: float64(h.sumNanos.Load()) / 1e9,
+		Overflow:   h.overflow.Load(),
+		Buckets:    make([]Bucket, len(h.bounds)),
 	}
-	s.SumSeconds = float64(sumNanos) / 1e9
-	s.Buckets = make([]Bucket, len(h.bounds))
 	for i, b := range h.bounds {
-		s.Buckets[i] = Bucket{UpperBoundSec: b, Count: counts[i], Exemplar: h.exemplars[i].Load()}
+		s.Buckets[i] = Bucket{UpperBoundSec: b, Count: h.counts[i].Load(), Exemplar: h.exemplars[i].Load()}
 	}
 	s.OverflowExemplar = h.exemplars[len(h.bounds)].Load()
 	return s

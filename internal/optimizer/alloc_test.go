@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -55,5 +56,41 @@ func testPlanMissAllocs(t *testing.T) {
 			t.Errorf("Plan(%q) allocates %.1f times, budget %.0f", tc.sql, allocs, tc.budget)
 		}
 		t.Logf("Plan(%q): %.0f allocs", tc.sql, allocs)
+	}
+}
+
+// TestCacheAllocs pins the cache's four operations at zero allocations: a
+// hit, a miss, a Put over a resident key, and a Put of a new key into a full
+// cache, which evicts and reuses the victim's ring slot and index entry. The
+// lock-free table this cache replaced allocated one entry per new-key Put.
+func TestCacheAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const capacity = 64
+	keys := make([]string, 4*capacity)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("SELECT a1 FROM t10000_100 WHERE a1 < %d", i)
+	}
+	c := NewCache[int](capacity)
+	for i, k := range keys {
+		c.Put(k, i)
+	}
+	next := 0
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"get hit", func() { c.Get(keys[len(keys)-1]) }},
+		{"get miss", func() { c.Get(keys[0]) }},
+		{"put resident", func() { c.Put(keys[len(keys)-1], 1) }},
+		{"put new into full", func() { c.Put(keys[next%len(keys)], next); next++ }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {
+			t.Errorf("%s: %.1f allocs, want 0", tc.name, allocs)
+		}
+	}
+	if s := c.Stats(); s.Size != capacity || s.Evicted < 1000 {
+		t.Errorf("stats = %+v: the new-key puts did not all evict", s)
 	}
 }

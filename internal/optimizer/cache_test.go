@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -146,33 +147,27 @@ func TestOptimizerPlanCaching(t *testing.T) {
 	}
 }
 
-// chainsMatchRing checks the cache's two views of its entries agree: the
-// bucket chains hold exactly the ring's entries, once each and in their own
-// bucket, and both count Size. It returns every chained entry.
-func chainsMatchRing(t *testing.T, c *Cache[*Plan], op string) []*cacheEntry[*Plan] {
+// indexMatchesRing checks the cache's two views of its entries agree: every
+// ring slot is indexed under its own key at its own position, the index holds
+// nothing else, and both count Size. It returns the ring.
+func indexMatchesRing(t *testing.T, c *Cache[*Plan], op string) []cacheSlot[*Plan] {
 	t.Helper()
-	var chained []*cacheEntry[*Plan]
-	seen := map[*cacheEntry[*Plan]]bool{}
-	for b := range c.buckets {
-		for e := c.buckets[b].Load(); e != nil; e = e.next.Load() {
-			if seen[e] || e.bucket != uint64(b) || c.ring[e.slot] != e {
-				t.Fatalf("after %s: entry %q (bucket %d, slot %d) is chained twice or misplaced", op, e.key, e.bucket, e.slot)
-			}
-			seen[e] = true
-			chained = append(chained, e)
+	for i, e := range c.ring {
+		if j, ok := c.index[e.key]; !ok || j != i {
+			t.Fatalf("after %s: %q sits in slot %d but is indexed at %d (%v)", op, e.key, i, j, ok)
 		}
 	}
-	if len(chained) != len(c.ring) || len(chained) != c.Stats().Size || len(chained) > c.cap {
-		t.Fatalf("after %s: %d chained, %d in the ring, size %d, capacity %d",
-			op, len(chained), len(c.ring), c.Stats().Size, c.cap)
+	if len(c.index) != len(c.ring) || len(c.ring) != c.Stats().Size || len(c.ring) > c.cap {
+		t.Fatalf("after %s: %d indexed, %d in the ring, size %d, capacity %d",
+			op, len(c.index), len(c.ring), c.Stats().Size, c.cap)
 	}
-	return chained
+	return c.ring
 }
 
 // TestPlanCacheConcurrent hammers one cache from many goroutines mixing hits,
 // misses, inserts, replacements and stat scrapes; the race detector checks the
-// lock-free paths, every hit must return a plan stored under its key, and once
-// the goroutines are done the chains and the ring must still agree.
+// locking, every hit must return a plan stored under its key, and once the
+// goroutines are done the index and the ring must still agree.
 func TestPlanCacheConcurrent(t *testing.T) {
 	c := NewCache[*Plan](128)
 	plans := make([]*Plan, 48)
@@ -214,25 +209,31 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	if hits.Load() == 0 || misses.Load() == 0 {
 		t.Errorf("%d hits, %d misses: the run never exercised a path", hits.Load(), misses.Load())
 	}
-	chainsMatchRing(t, c, "the concurrent run")
+	indexMatchesRing(t, c, "the concurrent run")
 	if s := c.Stats(); s.Evicted != 0 {
 		t.Errorf("48 keys evicted from a cache of 128: %+v", s)
 	}
 }
 
-// TestPlanCacheChainsStayConsistent drives one small cache (8 entries over 16
-// buckets, 40 keys, so chains collide and every kind of relink happens in
-// the middle of one) through a seeded run of inserts, replacements and
-// evictions. After every insert the bucket chains must hold exactly the
-// ring's entries, once each and in their own bucket, each with the plan last
-// stored under its key; a hit must return that plan; and a key is findable
-// right after its put.
-func TestPlanCacheChainsStayConsistent(t *testing.T) {
+// TestPlanCacheIndexStaysConsistent drives one small cache (8 entries, 40
+// keys) through a seeded run of inserts, replacements and evictions. After
+// every insert the index must hold exactly the ring's entries, each at its own
+// slot and with the plan last stored under its key; a hit must return that
+// plan; and a key is findable right after its put.
+//
+// The run's outcomes — each Get's hit or miss and each Put's evicted key —
+// hash to the value the lock-free bucket table this cache replaced produced
+// for the same run, so the CLOCK eviction order is pinned across rewrites.
+func TestPlanCacheIndexStaysConsistent(t *testing.T) {
+	const wantOutcomes = 0xfdeb63e50d0b2a5c
 	c := NewCache[*Plan](8)
-	if len(c.buckets) != 16 {
-		t.Fatalf("%d buckets", len(c.buckets))
-	}
 	latest := map[string]*Plan{} // the plan last put under a key
+	outcomes := fnv.New64a()
+	get := func(key string) (*Plan, bool) {
+		p, ok := c.Get(key)
+		fmt.Fprintf(outcomes, "get %s %v;", key, ok)
+		return p, ok
+	}
 	hits := 0
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20000; i++ {
@@ -240,18 +241,28 @@ func TestPlanCacheChainsStayConsistent(t *testing.T) {
 		if rng.Intn(100) < 45 {
 			p := &Plan{}
 			latest[key] = p
+			resident := map[string]bool{}
+			for _, e := range c.ring {
+				resident[e.key] = true
+			}
 			c.Put(key, p)
-			for _, e := range chainsMatchRing(t, c, "put "+key) {
+			evicted := "-"
+			for _, e := range indexMatchesRing(t, c, "put "+key) {
 				if e.val != latest[e.key] {
 					t.Fatalf("after put %s: %q holds a plan that was replaced", key, e.key)
 				}
+				delete(resident, e.key)
 			}
-			if got, ok := c.Get(key); !ok || got != p {
+			for k := range resident {
+				evicted = k
+			}
+			fmt.Fprintf(outcomes, "put %s evicts %s;", key, evicted)
+			if got, ok := get(key); !ok || got != p {
 				t.Fatalf("get(%s) right after put = %v, %v", key, got, ok)
 			}
 			continue
 		}
-		if got, ok := c.Get(key); ok {
+		if got, ok := get(key); ok {
 			if got != latest[key] {
 				t.Fatalf("get(%s) returned a plan that was replaced", key)
 			}
@@ -260,6 +271,9 @@ func TestPlanCacheChainsStayConsistent(t *testing.T) {
 	}
 	if s := c.Stats(); s.Evicted == 0 || hits == 0 {
 		t.Errorf("the run never exercised a path: %d hits, %+v", hits, s)
+	}
+	if got := outcomes.Sum64(); got != wantOutcomes {
+		t.Errorf("outcome hash %#x, want %#x: the hit/miss or eviction sequence changed", got, uint64(wantOutcomes))
 	}
 }
 

@@ -435,7 +435,7 @@ func toQueryResponse(sql string, res *engine.QueryResult) queryResponse {
 		ActualSec:    res.ActualSec,
 		StepActuals:  res.StepActuals,
 		Degraded:     res.Degraded,
-		Excluded:     res.Excluded,
+		Excluded:     res.Plan.Excluded,
 	}
 	if res.Rows != nil {
 		resp.Columns = res.Rows.Columns
