@@ -14,7 +14,9 @@ build:
 # every tracked .go file, bench/ included: a name it prints fails the target.
 # Last scripts/loc.sh, quietly: it fails on a /metrics/prom series no tracked
 # .go file or script but prom.go names, a cmd/serve flag no test/e2e
-# scenario passes, or a route no test/e2e scenario requests.
+# scenario passes, a route no test/e2e scenario requests, or a function under
+# internal/ that no program (cmd/*, examples/*, bench/) links and that is not
+# on the script's keep-list.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
@@ -54,7 +56,8 @@ allocs:
 # parent commit for the "before"). Then the surface counts: routes, cmd/serve
 # flags, /metrics/prom series, environment variables read; then the tooling
 # counts: shell lines, make targets, CI steps, Benchmark functions, cmd/serve
-# flags no e2e test passes.
+# flags no e2e test passes; last the functions under internal/ no program
+# links.
 loc:
 	sh scripts/loc.sh
 

@@ -106,7 +106,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "\nafter logging %d executed out-of-range queries: α re-fit to %.2f\n", n, alpha)
 
 	// Offline tuning: fold the log into the network and expand the ranges.
-	if _, err := model.OfflineTune(nn.TrainConfig{Iterations: 600, LearningRate: 0.01, BatchSize: 64, Optimizer: nn.Adam, Seed: 23}); err != nil {
+	if _, err := model.OfflineTune(nn.TrainConfig{Iterations: 600, LearningRate: 0.01, BatchSize: 64, Seed: 23}); err != nil {
 		return err
 	}
 	est2, err := model.Estimate(spec.Dims())

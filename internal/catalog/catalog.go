@@ -93,19 +93,6 @@ func (s Schema) Column(name string) (Column, bool) {
 	return Column{}, false
 }
 
-// ProjectedSize sums the widths of the named columns.
-func (s Schema) ProjectedSize(names []string) (int, error) {
-	total := 0
-	for _, n := range names {
-		c, ok := s.Column(n)
-		if !ok {
-			return 0, fmt.Errorf("catalog: unknown column %q", n)
-		}
-		total += c.Width
-	}
-	return total, nil
-}
-
 // Table couples a name, schema, statistics, and the owning system. An empty
 // System means the table is local to the master engine.
 type Table struct {
@@ -161,9 +148,6 @@ func (t *Table) Validate() error {
 // RowSize returns the record width in bytes.
 func (t *Table) RowSize() int { return t.Schema.RowSize() }
 
-// Bytes returns the total table size in bytes.
-func (t *Table) Bytes() float64 { return float64(t.Rows) * float64(t.RowSize()) }
-
 // NDV estimates the number of distinct values of a column from its
 // duplication factor (rows / duplication, at least 1). Columns with unknown
 // duplication report the row count (assume unique).
@@ -214,8 +198,8 @@ func (c *Catalog) Register(t *Table) error {
 	return nil
 }
 
-// Generation returns the mutation counter: it advances on every Register
-// and Drop, never decreases, and is safe to read concurrently.
+// Generation returns the mutation counter: it advances on every Register,
+// never decreases, and is safe to read concurrently.
 func (c *Catalog) Generation() uint64 { return c.gen.Load() }
 
 // Lookup finds a table by name.
@@ -227,18 +211,6 @@ func (c *Catalog) Lookup(name string) (*Table, error) {
 		return nil, fmt.Errorf("catalog: unknown table %q", name)
 	}
 	return t, nil
-}
-
-// Drop removes a table.
-func (c *Catalog) Drop(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
-		return fmt.Errorf("catalog: unknown table %q", name)
-	}
-	delete(c.tables, name)
-	c.gen.Add(1)
-	return nil
 }
 
 // List returns all tables sorted by name.

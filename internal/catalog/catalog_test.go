@@ -49,20 +49,6 @@ func TestSchemaValidate(t *testing.T) {
 	}
 }
 
-func TestProjectedSize(t *testing.T) {
-	s := sampleSchema()
-	got, err := s.ProjectedSize([]string{"a1", "a5"})
-	if err != nil {
-		t.Fatalf("ProjectedSize: %v", err)
-	}
-	if got != 8 {
-		t.Errorf("ProjectedSize = %d, want 8", got)
-	}
-	if _, err := s.ProjectedSize([]string{"nope"}); err == nil {
-		t.Error("unknown column accepted")
-	}
-}
-
 func TestColTypeString(t *testing.T) {
 	if Int.String() != "INTEGER" || Char.String() != "CHAR" {
 		t.Error("unexpected type names")
@@ -96,13 +82,6 @@ func TestTableNDV(t *testing.T) {
 	empty.Rows = 0
 	if ndv, _ := empty.NDV("a1"); ndv != 0 {
 		t.Errorf("NDV of empty table = %v, want 0", ndv)
-	}
-}
-
-func TestTableBytes(t *testing.T) {
-	tb := sampleTable("t")
-	if got := tb.Bytes(); got != 100000 {
-		t.Errorf("Bytes = %v, want 100000", got)
 	}
 }
 
@@ -170,12 +149,6 @@ func TestCatalogCRUD(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
-	}
-	if err := c.Drop("t1"); err != nil {
-		t.Fatalf("Drop: %v", err)
-	}
-	if err := c.Drop("t1"); err == nil {
-		t.Error("double drop accepted")
 	}
 }
 

@@ -95,11 +95,6 @@ func (c Config) TaskWaves(tasks int) int {
 	return (tasks + slots - 1) / slots
 }
 
-// WavesForBytes is the common composition NumTaskWaves(NumTasks(bytes)).
-func (c Config) WavesForBytes(inputBytes float64) int {
-	return c.TaskWaves(c.NumTasks(inputBytes))
-}
-
 // HashTableBudget returns the bytes one task may devote to an in-memory
 // hash table before spilling.
 func (c Config) HashTableBudget() float64 {
@@ -129,17 +124,4 @@ func (c Config) BroadcastLimit() float64 {
 // small side of the given size into a broadcast join.
 func (c Config) BroadcastFits(bytes float64) bool {
 	return bytes <= c.BroadcastLimit()
-}
-
-// RecordsPerBlock returns how many records of the given size fit in one DFS
-// block (at least one).
-func (c Config) RecordsPerBlock(recordSize float64) float64 {
-	if recordSize <= 0 {
-		return 1
-	}
-	n := float64(c.DFSBlockBytes) / recordSize
-	if n < 1 {
-		return 1
-	}
-	return n
 }

@@ -85,19 +85,6 @@ func TestFitsInMemory(t *testing.T) {
 	}
 }
 
-func TestRecordsPerBlock(t *testing.T) {
-	c := DefaultHive()
-	if got := c.RecordsPerBlock(0); got != 1 {
-		t.Errorf("RecordsPerBlock(0) = %v, want 1", got)
-	}
-	if got := c.RecordsPerBlock(float64(c.DFSBlockBytes)); got != 1 {
-		t.Errorf("RecordsPerBlock(block) = %v, want 1", got)
-	}
-	if got := c.RecordsPerBlock(float64(c.DFSBlockBytes) / 4); got != 4 {
-		t.Errorf("RecordsPerBlock(block/4) = %v, want 4", got)
-	}
-}
-
 // Property: waves never decrease when input bytes grow, and waves*slots
 // always covers the task count.
 func TestWavesMonotoneProperty(t *testing.T) {
@@ -107,7 +94,7 @@ func TestWavesMonotoneProperty(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		wx, wy := c.WavesForBytes(x*1e5), c.WavesForBytes(y*1e5)
+		wx, wy := c.TaskWaves(c.NumTasks(x*1e5)), c.TaskWaves(c.NumTasks(y*1e5))
 		if wx > wy {
 			return false
 		}
@@ -144,11 +131,11 @@ func TestBroadcastLimit(t *testing.T) {
 
 func TestWavesForBytes(t *testing.T) {
 	c := DefaultHive()
-	if got := c.WavesForBytes(0); got != 1 {
-		t.Errorf("WavesForBytes(0) = %d", got)
+	if got := c.TaskWaves(c.NumTasks(0)); got != 1 {
+		t.Errorf("waves for 0 bytes = %d", got)
 	}
 	// 13 blocks over 6 slots → 3 waves.
-	if got := c.WavesForBytes(float64(c.DFSBlockBytes) * 12.5); got != 3 {
-		t.Errorf("WavesForBytes(12.5 blocks) = %d, want 3", got)
+	if got := c.TaskWaves(c.NumTasks(float64(c.DFSBlockBytes) * 12.5)); got != 3 {
+		t.Errorf("waves for 12.5 blocks = %d, want 3", got)
 	}
 }

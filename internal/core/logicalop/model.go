@@ -48,7 +48,6 @@ func DefaultConfig(inputDim int, seed int64) Config {
 				Iterations:   1500,
 				LearningRate: 0.01,
 				BatchSize:    64,
-				Optimizer:    nn.Adam,
 				Seed:         seed,
 			},
 			LogOutput: true,
@@ -116,8 +115,6 @@ type Model struct {
 	trainX [][]float64
 	trainY []float64
 	logRec []Record
-	// rejected counts the observations Observe refused.
-	rejected int
 }
 
 // Train executes the logical-op model-building phase over an already
@@ -181,9 +178,6 @@ func cloneMatrix(x [][]float64) [][]float64 {
 	return out
 }
 
-// Kind returns the operator kind the model costs.
-func (m *Model) Kind() string { return m.kind }
-
 // Alpha returns the current remedy combination weight.
 func (m *Model) Alpha() float64 {
 	m.mu.RLock()
@@ -226,13 +220,6 @@ func (m *Model) Dimensions() []DimensionMeta {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return append([]DimensionMeta(nil), m.dims...)
-}
-
-// TrainingSize returns the number of records currently backing the model.
-func (m *Model) TrainingSize() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.trainX)
 }
 
 // PendingLog returns the number of logged executions awaiting offline
@@ -416,13 +403,12 @@ func remedyFallback(px [][]float64, py []float64, q []float64) (float64, error) 
 // Observe logs an executed operator (Figure 3's logging phase). When the
 // estimate came from the remedy, pass its components so the α re-fit can
 // use them; otherwise pass zeros. A record that is not the model's input
-// width is dropped and counted (Rejected): in the log it would fail every
-// OfflineTune until it aged out.
+// width is dropped: in the log it would fail every OfflineTune until it aged
+// out.
 func (m *Model) Observe(x []float64, actualSec, nnSec, regSec float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(x) != len(m.dims) {
-		m.rejected++
 		return
 	}
 	m.appendLog(Record{
@@ -431,13 +417,6 @@ func (m *Model) Observe(x []float64, actualSec, nnSec, regSec float64) {
 		NNSec:  nnSec,
 		RegSec: regSec,
 	})
-}
-
-// Rejected counts the observations dropped for having the wrong width.
-func (m *Model) Rejected() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.rejected
 }
 
 // maxLogRecords bounds the pending execution log. Only OfflineTune empties

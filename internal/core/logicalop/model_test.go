@@ -65,11 +65,11 @@ func TestTrainValidation(t *testing.T) {
 
 func TestTrainAndEstimateInRange(t *testing.T) {
 	m := trainSynth(t)
-	if m.Kind() != "join" {
-		t.Errorf("Kind = %q", m.Kind())
+	if m.kind != "join" {
+		t.Errorf("kind = %q", m.kind)
 	}
-	if m.TrainingSize() != 48 {
-		t.Errorf("TrainingSize = %d, want 48", m.TrainingSize())
+	if len(m.trainX) != 48 {
+		t.Errorf("training size = %d, want 48", len(m.trainX))
 	}
 	// In-range estimate: no remedy, decent accuracy.
 	est, err := m.Estimate([]float64{4, 250})
@@ -244,7 +244,7 @@ func TestOfflineTuneExpandsAndImproves(t *testing.T) {
 	if m.PendingLog() != 12 {
 		t.Fatalf("pending log = %d", m.PendingLog())
 	}
-	res, err := m.OfflineTune(nn.TrainConfig{Iterations: 600, LearningRate: 0.01, BatchSize: 16, Optimizer: nn.Adam, Seed: 5})
+	res, err := m.OfflineTune(nn.TrainConfig{Iterations: 600, LearningRate: 0.01, BatchSize: 16, Seed: 5})
 	if err != nil {
 		t.Fatalf("OfflineTune: %v", err)
 	}
@@ -277,14 +277,14 @@ func TestOfflineTuneExpandsAndImproves(t *testing.T) {
 // bounds, weights and the pending log — so a retry folds every logged
 // execution in once, not twice.
 func TestOfflineTuneFailureChangesNothing(t *testing.T) {
-	good := nn.TrainConfig{Iterations: 50, BatchSize: 16, Optimizer: nn.Adam, Seed: 5}
+	good := nn.TrainConfig{Iterations: 50, BatchSize: 16, Seed: 5}
 	negBatch := good
 	negBatch.BatchSize = -1
 	cases := []struct {
 		name      string
 		extra     []float64 // one more logged record, of this shape, when set
 		failing   nn.TrainConfig
-		retrySize int // TrainingSize after a retry with good; 0 = the retry fails too
+		retrySize int // training size after a retry with good; 0 = the retry fails too
 	}{
 		{"negative batch size", nil, negBatch, 52},
 		// Observe refuses such a record; one seeded from another log reaches
@@ -318,8 +318,8 @@ func TestOfflineTuneFailureChangesNothing(t *testing.T) {
 			if string(after) != string(before) {
 				t.Error("failed tune changed the model")
 			}
-			if m.TrainingSize() != 48 || m.PendingLog() != pending {
-				t.Errorf("after the failure: training size %d, pending log %d; want 48, %d", m.TrainingSize(), m.PendingLog(), pending)
+			if len(m.trainX) != 48 || m.PendingLog() != pending {
+				t.Errorf("after the failure: training size %d, pending log %d; want 48, %d", len(m.trainX), m.PendingLog(), pending)
 			}
 			_, err = m.OfflineTune(good)
 			if c.retrySize == 0 {
@@ -331,16 +331,16 @@ func TestOfflineTuneFailureChangesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("retry: %v", err)
 			}
-			if m.TrainingSize() != c.retrySize || m.PendingLog() != 0 {
-				t.Errorf("after the retry: training size %d, pending log %d; want %d, 0", m.TrainingSize(), m.PendingLog(), c.retrySize)
+			if len(m.trainX) != c.retrySize || m.PendingLog() != 0 {
+				t.Errorf("after the retry: training size %d, pending log %d; want %d, 0", len(m.trainX), m.PendingLog(), c.retrySize)
 			}
 		})
 	}
 }
 
-// A record that is not the model's width never reaches the log: it is dropped
-// and counted, the log and the model are as they were, and the tune that
-// follows runs over the good records alone. (Accepted, it failed that tune and
+// A record that is not the model's width never reaches the log: it is
+// dropped, the log and the model are as they were, and the tune that follows
+// runs over the good records alone. (Accepted, it failed that tune and
 // every later one until 4096 newer records had pushed it out.)
 func TestObserveRejectsWrongWidth(t *testing.T) {
 	m := trainSynth(t)
@@ -352,8 +352,8 @@ func TestObserveRejectsWrongWidth(t *testing.T) {
 	for _, x := range [][]float64{{9, 100, 7}, {9}, nil} {
 		m.Observe(x, 1, 1, 1)
 	}
-	if m.PendingLog() != 1 || m.Rejected() != 3 {
-		t.Fatalf("pending log %d, rejected %d; want 1, 3", m.PendingLog(), m.Rejected())
+	if m.PendingLog() != 1 {
+		t.Fatalf("pending log %d, want 1", m.PendingLog())
 	}
 	if recs := m.LogRecords(); len(recs[0].X) != 2 {
 		t.Errorf("logged record has width %d", len(recs[0].X))
@@ -361,7 +361,7 @@ func TestObserveRejectsWrongWidth(t *testing.T) {
 	if after, err := json.Marshal(m); err != nil || string(after) != string(before) {
 		t.Errorf("refused observations changed the model (%v)", err)
 	}
-	if _, err := m.OfflineTune(nn.TrainConfig{Iterations: 50, BatchSize: 16, Optimizer: nn.Adam, Seed: 5}); err != nil {
+	if _, err := m.OfflineTune(nn.TrainConfig{Iterations: 50, BatchSize: 16, Seed: 5}); err != nil {
 		t.Errorf("tune after refused observations: %v", err)
 	}
 }
@@ -371,7 +371,7 @@ func TestOfflineTuneDiscontinuousCreatesIsland(t *testing.T) {
 	for _, size := range []float64{100, 500, 1000} {
 		m.Observe([]float64{80, size}, synthCost(80, size), 1, 1)
 	}
-	if _, err := m.OfflineTune(nn.TrainConfig{Iterations: 200, Optimizer: nn.Adam, BatchSize: 16, Seed: 1}); err != nil {
+	if _, err := m.OfflineTune(nn.TrainConfig{Iterations: 200, BatchSize: 16, Seed: 1}); err != nil {
 		t.Fatalf("OfflineTune: %v", err)
 	}
 	dims := m.Dimensions()
@@ -436,8 +436,8 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if back.Kind() != "join" || back.Alpha() != 0.62 {
-		t.Errorf("restored kind=%q α=%v", back.Kind(), back.Alpha())
+	if back.kind != "join" || back.Alpha() != 0.62 {
+		t.Errorf("restored kind=%q α=%v", back.kind, back.Alpha())
 	}
 	in := []float64{4, 250}
 	a, _ := m.Estimate(in)

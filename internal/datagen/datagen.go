@@ -105,20 +105,6 @@ func Tables(system string) ([]*catalog.Table, error) {
 	return out, nil
 }
 
-// Register builds all 120 tables and registers them in the catalog.
-func Register(c *catalog.Catalog, system string) error {
-	tables, err := Tables(system)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		if err := c.Register(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MaterializeLimit is the largest table Materialize builds, and therefore the
 // largest relation that can exist as rows: the row engine caps its results at
 // the same size.

@@ -66,7 +66,7 @@ func TestCachedAnswersMatchUncached(t *testing.T) {
 	slow := querygrid.DefaultLink()
 	slow.BandwidthBytesPerSec /= 8
 	tune := engine.TuneOptions{Holdout: 1, MinLog: 1, Force: true,
-		Train: nn.TrainConfig{Iterations: 20, Optimizer: nn.Adam, BatchSize: 32, Seed: 5}}
+		Train: nn.TrainConfig{Iterations: 20, BatchSize: 32, Seed: 5}}
 	var tunes, rollbacks int
 	mutate := func(step int) {
 		for _, e := range []*engine.Engine{cached, uncached} {

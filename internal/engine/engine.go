@@ -435,12 +435,6 @@ func (e *Engine) Health() Health {
 	return h
 }
 
-// Breaker exposes the circuit breaker guarding a system, creating it closed
-// on first use (tests and operational tooling flip or inspect it directly).
-func (e *Engine) Breaker(system string) *resilience.Breaker {
-	return e.breakers.For(system)
-}
-
 // Catalog exposes the engine's catalog.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
@@ -679,9 +673,6 @@ type QueryResult struct {
 	// more remotes failed or were open-circuited mid-query; Plan.Excluded
 	// lists the systems it avoided.
 	Degraded bool
-	// Trace is the query's span tree when it ran through QueryTraced; nil
-	// for untraced queries.
-	Trace *trace.Trace
 
 	stmtHash   obs.Hash   // the entry's, for the wide event: a hit does not hash again
 	actualsBuf [4]float64 // backs StepActuals for a plan of up to four steps
@@ -894,10 +885,10 @@ func (e *Engine) QueryBatched(ctx context.Context, sql string) (*QueryResult, er
 
 // QueryTraced is QueryContext with span-tree tracing enabled: the whole
 // pipeline (parse → plan with per-candidate costing spans → execute with
-// per-step and per-attempt spans) records into a trace that is attached to
-// the result and published to the engine's trace ring — the serving stack's
-// EXPLAIN ANALYZE. Failed queries are traced too (the trace lands in the
-// ring with the error recorded), so slow failures stay diagnosable.
+// per-step and per-attempt spans) records into a trace that is returned
+// beside the result and published to the engine's trace ring — the serving
+// stack's EXPLAIN ANALYZE. Failed queries are traced too (the trace lands in
+// the ring with the error recorded), so slow failures stay diagnosable.
 func (e *Engine) QueryTraced(ctx context.Context, sql string) (*QueryResult, *trace.Trace, error) {
 	// The trace ID is claimed before the query runs (NewTrace), so the
 	// histogram exemplars and the wide event emitted along the way carry
@@ -912,8 +903,8 @@ func (e *Engine) QueryTraced(ctx context.Context, sql string) (*QueryResult, *tr
 // moves the query and error counters, and — when a recorder is attached —
 // reports the statement's whole parse + plan + execute latency, off the
 // statement's one stageClock, as a wide event of the given kind. A non-nil tr
-// is the trace ctx records into: it is finished, published to the ring and
-// attached to the result before the event that carries its ID is emitted.
+// is the trace ctx records into: it is finished and published to the ring
+// before the event that carries its ID is emitted.
 func (e *Engine) serve(ctx context.Context, kind, sql string, tr *trace.Trace) (*QueryResult, error) {
 	clk := stageClock{start: time.Now()}
 	e.queries.Inc()
@@ -926,7 +917,7 @@ func (e *Engine) serve(ctx context.Context, kind, sql string, tr *trace.Trace) (
 		tr.Finish(err)
 		e.traces.Record(tr)
 		if res != nil {
-			res.Trace, res.recycle = tr, nil
+			res.recycle = nil
 		}
 		traceID = tr.ID
 	}

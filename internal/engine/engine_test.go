@@ -297,7 +297,7 @@ func registerHiveBB(t *testing.T, e *Engine) *hybrid.Estimator {
 		}
 	}
 	cfg := logicalop.DefaultConfig(4, 1)
-	cfg.NN.Train = nn.TrainConfig{Iterations: 100, Optimizer: nn.Adam, BatchSize: 32, Seed: 1}
+	cfg.NN.Train = nn.TrainConfig{Iterations: 100, BatchSize: 32, Seed: 1}
 	jcfg := logicalop.DefaultConfig(7, 2)
 	jcfg.NN.Train = cfg.NN.Train
 	est, _, err := e.RegisterRemoteLogicalOp(bb, remote.EngineHive, LogicalTrainOptions{JoinPairs: 4, Agg: cfg, Join: jcfg, Seed: 2})

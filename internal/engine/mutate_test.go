@@ -34,7 +34,7 @@ func flinkFeedback(t testing.TB, e *engine.Engine, round int) {
 // forceTune promotes a flink candidate whatever its holdout score.
 func forceTune(e *engine.Engine) (*engine.TuneOutcome, error) {
 	return e.TuneCandidate(context.Background(), "flink", engine.TuneOptions{Holdout: 1, MinLog: 1, Force: true,
-		Train: nn.TrainConfig{Iterations: 20, Optimizer: nn.Adam, BatchSize: 32, Seed: 5}})
+		Train: nn.TrainConfig{Iterations: 20, BatchSize: 32, Seed: 5}})
 }
 
 // recoveredView renders what a recovery must reproduce: Explain over the

@@ -160,7 +160,7 @@ func TestChaosOutageFallbackAndRecovery(t *testing.T) {
 			}
 		}
 	}
-	if st := e.Breaker("hive").State(); st != resilience.Open {
+	if st := e.breakers.For("hive").State(); st != resilience.Open {
 		t.Fatalf("hive breaker = %v after outage, want Open", st)
 	}
 	if h := e.Health(); h.Status != "degraded" || h.OpenCount != 1 {
@@ -176,7 +176,7 @@ func TestChaosOutageFallbackAndRecovery(t *testing.T) {
 	if !rig.hive.Stats().Down || rig.hive.Stats().OutageRejects == 0 {
 		t.Fatalf("injector stats = %+v", rig.hive.Stats())
 	}
-	genOpen := e.Breaker("hive").Generation()
+	genOpen := e.breakers.For("hive").Generation()
 
 	// Recovery: the breaker half-opens after the timeout; the first
 	// successful probe closes it and plans stop excluding hive.
@@ -189,10 +189,10 @@ func TestChaosOutageFallbackAndRecovery(t *testing.T) {
 	if res.Degraded {
 		t.Fatalf("recovered query still degraded: %+v", res.Plan.Excluded)
 	}
-	if st := e.Breaker("hive").State(); st != resilience.Closed {
+	if st := e.breakers.For("hive").State(); st != resilience.Closed {
 		t.Fatalf("hive breaker = %v after recovery, want Closed", st)
 	}
-	if gen := e.Breaker("hive").Generation(); gen <= genOpen {
+	if gen := e.breakers.For("hive").Generation(); gen <= genOpen {
 		t.Fatalf("breaker generation did not advance across recovery: %d <= %d", gen, genOpen)
 	}
 	if h := e.Health(); h.Status != "ok" || h.OpenCount != 0 {

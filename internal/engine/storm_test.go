@@ -128,7 +128,7 @@ func TestPlanCacheGenerationStorm(t *testing.T) {
 		defer close(mutatorDone)
 		slow := querygrid.DefaultLink()
 		slow.BandwidthBytesPerSec /= 4 // cheaper shipping vs default: plans re-cost
-		tune := nn.TrainConfig{Iterations: 20, Optimizer: nn.Adam, BatchSize: 32, Seed: 5}
+		tune := nn.TrainConfig{Iterations: 20, BatchSize: 32, Seed: 5}
 		for i := 0; i < 6; i++ {
 			tb, err := datagen.Table(int64(10000+i), 40, "hivebb")
 			if err != nil {

@@ -53,8 +53,8 @@ func TestQueryTracedSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("QueryTraced: %v", err)
 	}
-	if res.Trace != tr || tr == nil {
-		t.Fatal("result does not carry the trace")
+	if tr == nil {
+		t.Fatal("no trace returned")
 	}
 	if tr.ID != 1 {
 		t.Errorf("trace ID = %d, want 1 (first recorded)", tr.ID)
@@ -153,12 +153,8 @@ func TestUntracedQueryRecordsNothing(t *testing.T) {
 	e := newEngine(t)
 	registerHive(t, e)
 	registerTables(t, e, "hive", ts{100000, 100})
-	res, err := e.Query("SELECT a1 FROM t100000_100 WHERE a1 < 100")
-	if err != nil {
+	if _, err := e.Query("SELECT a1 FROM t100000_100 WHERE a1 < 100"); err != nil {
 		t.Fatal(err)
-	}
-	if res.Trace != nil {
-		t.Error("untraced query carries a trace")
 	}
 	if n := len(e.RecentTraces(0)); n != 0 {
 		t.Errorf("ring holds %d traces after untraced query", n)

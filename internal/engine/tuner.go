@@ -47,7 +47,7 @@ const (
 // DefaultTuneTrain is the candidate retraining run a zero TuneOptions.Train
 // selects (a profile clone carries no training config of its own), bounded to
 // keep tune latency predictable on a live server.
-var DefaultTuneTrain = nn.TrainConfig{Iterations: 300, LearningRate: 0.01, BatchSize: 32, Optimizer: nn.Adam}
+var DefaultTuneTrain = nn.TrainConfig{Iterations: 300, LearningRate: 0.01, BatchSize: 32}
 
 // TuneOptions controls one candidate tune pass.
 type TuneOptions struct {
@@ -62,8 +62,10 @@ type TuneOptions struct {
 	MinLog int
 	// MinGain is the fraction by which the candidate's holdout mean q-error
 	// must undercut the live model's to promote: candidate < live·(1-MinGain).
-	// 0 promotes on any strict improvement; 1 makes promotion impossible
-	// (tests use it to pin the rejection path).
+	// It must lie in [0, 1]: 0 promotes on any strict improvement; 1 makes
+	// promotion impossible (tests use it to pin the rejection path). A
+	// negative value would promote a worse model as "improved", so
+	// TuneCandidate refuses one outside that range before it trains.
 	MinGain float64
 	// Force promotes the candidate regardless of the holdout verdict
 	// (operator override through POST /models).
@@ -164,6 +166,9 @@ func candidatePairs(live, cand *hybrid.Profile) []tunePair {
 // invalidating every cached plan costed against the old model — and resets
 // the system's accuracy windows so the drift signal reflects the new model.
 func (e *Engine) TuneCandidate(ctx context.Context, system string, opts TuneOptions) (out *TuneOutcome, err error) {
+	if !(opts.MinGain >= 0 && opts.MinGain <= 1) {
+		return nil, fmt.Errorf("engine: min gain %v outside [0, 1]", opts.MinGain)
+	}
 	opts.normalize()
 	e.tuneMu.Lock()
 	defer e.tuneMu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -46,7 +47,7 @@ func newTuneRig(t *testing.T) (*Engine, *hybrid.Estimator, *faults.Injector) {
 		}
 	}
 	cfg := logicalop.DefaultConfig(4, 1)
-	cfg.NN.Train = nn.TrainConfig{Iterations: 100, Optimizer: nn.Adam, BatchSize: 32, Seed: 1}
+	cfg.NN.Train = nn.TrainConfig{Iterations: 100, BatchSize: 32, Seed: 1}
 	jcfg := logicalop.DefaultConfig(7, 2)
 	jcfg.NN.Train = cfg.NN.Train
 	est, _, err := e.RegisterRemoteLogicalOp(inj, remote.EngineHive, LogicalTrainOptions{JoinPairs: 4, Agg: cfg, Join: jcfg, Seed: 2})
@@ -61,7 +62,7 @@ func fastTune() TuneOptions {
 	return TuneOptions{
 		Holdout: 2,
 		MinLog:  4,
-		Train:   nn.TrainConfig{Iterations: 300, Optimizer: nn.Adam, BatchSize: 32, Seed: 3},
+		Train:   nn.TrainConfig{Iterations: 300, BatchSize: 32, Seed: 3},
 	}
 }
 
@@ -98,7 +99,7 @@ func TestTuneCandidatePromotion(t *testing.T) {
 	if len(out.Tuned) != 1 || out.Tuned[0] != "aggregation" {
 		t.Fatalf("Tuned = %v, want [aggregation]", out.Tuned)
 	}
-	if out.Holdout.Samples != 2 || !out.Holdout.Improved() {
+	if out.Holdout.Samples != 2 || out.Holdout.CandidateQ >= out.Holdout.LiveQ {
 		t.Fatalf("holdout = %+v, want 2 improved samples", out.Holdout)
 	}
 	if out.Version == nil || out.Version.Origin != modelver.OriginTuned || !out.Version.Live {
@@ -146,6 +147,43 @@ func TestTuneCandidatePromotion(t *testing.T) {
 	}
 }
 
+// TestTuneCandidateRejectsMinGainOutOfRange: a MinGain below 0 would promote
+// a candidate worse than the live model as "improved" (up to twice as bad at
+// -1). TuneCandidate refuses one outside [0, 1] before it trains anything,
+// and the live model and its versions stay as they were.
+func TestTuneCandidateRejectsMinGainOutOfRange(t *testing.T) {
+	e, est, inj := newTuneRig(t)
+	driftRig(t, e, inj, 8)
+	before, err := profileJSON(est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := len(e.ModelVersions("hivebb"))
+	for _, gain := range []float64{-0.5, 1.5, math.NaN()} {
+		opts := fastTune()
+		opts.MinGain = gain
+		if out, err := e.TuneCandidate(context.Background(), "hivebb", opts); err == nil {
+			t.Errorf("MinGain %v accepted: %+v", gain, out)
+		}
+	}
+	if cur, err := e.Estimator("hivebb"); err != nil || cur != est {
+		t.Fatalf("live estimator replaced (err %v)", err)
+	}
+	after, err := profileJSON(est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("refused tune changed the live model")
+	}
+	if n := len(e.ModelVersions("hivebb")); n != versions {
+		t.Errorf("versions %d -> %d after refused tunes", versions, n)
+	}
+	if ts := e.Stats().Tuning; ts.Attempts != 0 || ts.Promotions != 0 {
+		t.Errorf("tuning stats = %+v, want no attempt", ts)
+	}
+}
+
 func TestTuneCandidateRejectionLeavesLiveUntouched(t *testing.T) {
 	e, est, inj := newTuneRig(t)
 	driftRig(t, e, inj, 8)
@@ -187,7 +225,7 @@ func TestTuneCandidateRejectionLeavesLiveUntouched(t *testing.T) {
 // A tune asked for without a training config (POST /models with no
 // train_iterations) retrains with DefaultTuneTrain. The profile clone carries
 // no training config of its own, so the model's restored default (1500
-// full-batch SGD epochs) would otherwise have run.
+// full-batch epochs) would otherwise have run.
 func TestTuneCandidateZeroTrainUsesDefault(t *testing.T) {
 	candidateQ := func(train nn.TrainConfig) float64 {
 		e, _, inj := newTuneRig(t)

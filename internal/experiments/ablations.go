@@ -74,9 +74,8 @@ func RunLogOutputAblation(env *Env) (*LogOutputAblationResult, error) {
 	variants, err := parallel.Map(2, func(i int) (variant, error) {
 		logOut := i == 1
 		reg, _, err := nn.TrainRegressor(trainX, trainY, nn.RegressorConfig{
-			Network: nn.Config{InputDim: d, Hidden: []int{2 * d, d}, Activation: nn.Tanh, Seed: cfg.Seed},
-			Train: nn.TrainConfig{Iterations: cfg.NNIterations, LearningRate: 0.01,
-				BatchSize: 64, Optimizer: nn.Adam, Seed: cfg.Seed},
+			Network:   nn.Config{InputDim: d, Hidden: []int{2 * d, d}, Activation: nn.Tanh, Seed: cfg.Seed},
+			Train:     nn.TrainConfig{Iterations: cfg.NNIterations, LearningRate: 0.01, BatchSize: 64, Seed: cfg.Seed},
 			LogOutput: logOut,
 		})
 		if err != nil {
@@ -328,9 +327,8 @@ func RunTopologyAblation(env *Env) (*TopologyAblationResult, error) {
 		iters = 100
 	}
 	base := nn.RegressorConfig{
-		Network: nn.Config{InputDim: d, Activation: nn.Tanh, Seed: cfg.Seed},
-		Train: nn.TrainConfig{Iterations: iters, LearningRate: 0.01,
-			BatchSize: 64, Optimizer: nn.Adam, Seed: cfg.Seed},
+		Network:   nn.Config{InputDim: d, Activation: nn.Tanh, Seed: cfg.Seed},
+		Train:     nn.TrainConfig{Iterations: iters, LearningRate: 0.01, BatchSize: 64, Seed: cfg.Seed},
 		LogOutput: true,
 	}
 

@@ -73,9 +73,8 @@ func RunTrainingSizeCurve(env *Env, fractions []float64) (*TrainingSizeCurveResu
 			n = len(trainX)
 		}
 		reg, _, err := nn.TrainRegressor(trainX[:n], trainY[:n], nn.RegressorConfig{
-			Network: nn.Config{InputDim: d, Hidden: []int{2 * d, d}, Activation: nn.Tanh, Seed: cfg.Seed},
-			Train: nn.TrainConfig{Iterations: cfg.NNIterations, LearningRate: 0.01,
-				BatchSize: 64, Optimizer: nn.Adam, Seed: cfg.Seed},
+			Network:   nn.Config{InputDim: d, Hidden: []int{2 * d, d}, Activation: nn.Tanh, Seed: cfg.Seed},
+			Train:     nn.TrainConfig{Iterations: cfg.NNIterations, LearningRate: 0.01, BatchSize: 64, Seed: cfg.Seed},
 			LogOutput: true,
 		})
 		if err != nil {

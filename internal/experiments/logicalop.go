@@ -97,7 +97,6 @@ func runLogicalOp(env *Env, operator string, run *workload.RunResult, inputDim i
 	trainCfg := nn.TrainConfig{
 		LearningRate: 0.01,
 		BatchSize:    64,
-		Optimizer:    nn.Adam,
 		Seed:         cfg.Seed,
 	}
 	reg, curve, err := trainWithConvergence(trainX, trainY, netCfg, trainCfg, cfg.NNIterations, cfg.ConvergenceSamples)

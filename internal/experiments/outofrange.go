@@ -175,10 +175,7 @@ func (s *oorSetup) fig14() (*Fig14Result, error) {
 	for i := 0; i < cut; i++ {
 		tunedModel.Observe(s.specs[i].Dims(), s.actuals[i], 1, 1)
 	}
-	tc := nn.TrainConfig{
-		Iterations: s.env.Cfg.NNIterations, LearningRate: 0.01, BatchSize: 64,
-		Optimizer: nn.Adam, Seed: s.env.Cfg.Seed + 3,
-	}
+	tc := nn.TrainConfig{Iterations: s.env.Cfg.NNIterations, LearningRate: 0.01, BatchSize: 64, Seed: s.env.Cfg.Seed + 3}
 	if _, err := tunedModel.OfflineTune(tc); err != nil {
 		return nil, err
 	}

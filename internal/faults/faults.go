@@ -147,14 +147,8 @@ func (i *Injector) Stats() Stats {
 	}
 }
 
-// Unwrap returns the wrapped system.
-func (i *Injector) Unwrap() remote.System { return i.sys }
-
 // Name delegates to the wrapped system.
 func (i *Injector) Name() string { return i.sys.Name() }
-
-// Capabilities delegates to the wrapped system.
-func (i *Injector) Capabilities() remote.Capabilities { return i.sys.Capabilities() }
 
 // Cluster delegates to the wrapped system.
 func (i *Injector) Cluster() cluster.Config { return i.sys.Cluster() }

@@ -37,7 +37,7 @@ func TestPassthroughWhenQuiet(t *testing.T) {
 	if got != want {
 		t.Errorf("quiet injector perturbed execution: %+v vs %+v", got, want)
 	}
-	if inj.Name() != "hive" || inj.Capabilities() != h.Capabilities() || inj.Unwrap() != h {
+	if inj.Name() != "hive" || inj.sys != h {
 		t.Error("delegation broken")
 	}
 }

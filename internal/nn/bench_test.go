@@ -32,10 +32,7 @@ func benchTrain(b *testing.B, batch int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := n.Train(x, y, TrainConfig{
-			Iterations: 10, LearningRate: 0.01, BatchSize: batch,
-			Optimizer: Adam, Seed: 5,
-		}); err != nil {
+		if _, err := n.Train(x, y, TrainConfig{Iterations: 10, LearningRate: 0.01, BatchSize: batch, Seed: 5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +55,7 @@ func BenchmarkPredictAll(b *testing.B) {
 	x, y := benchData()
 	reg, _, err := TrainRegressor(x, y, RegressorConfig{
 		Network: Config{InputDim: 7, Hidden: []int{14, 7}, Activation: Tanh, Seed: 5},
-		Train:   TrainConfig{Iterations: 2, LearningRate: 0.01, BatchSize: 256, Optimizer: Adam, Seed: 5},
+		Train:   TrainConfig{Iterations: 2, LearningRate: 0.01, BatchSize: 256, Seed: 5},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -3,9 +3,9 @@
 // The networks are deliberately modest — the paper fixes two hidden layers
 // and sizes them by cross validation between the input dimensionality d and
 // 2d — so everything here is plain stdlib Go: dense layers, tanh/ReLU/
-// sigmoid activations, SGD-with-momentum and Adam trainers, min-max (and
-// optionally log-space) normalization, and the cross-validation topology
-// search described in the paper.
+// sigmoid activations, an Adam trainer, min-max (and optionally log-space)
+// normalization, and the cross-validation topology search described in the
+// paper.
 //
 // Weights live in one contiguous row-major slab per layer, so the forward
 // and backward passes are tight index loops with no per-sample allocations,
@@ -188,18 +188,6 @@ func (n *Network) initScratch() {
 		buf := make([]float64, 2*width)
 		return &buf
 	}
-}
-
-// Config returns the network's configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// NumParams returns the total number of weights and biases.
-func (n *Network) NumParams() int {
-	total := 0
-	for i := range n.layers {
-		total += len(n.layers[i].w) + len(n.layers[i].b)
-	}
-	return total
 }
 
 // Forward runs inference on a single (already normalized) input vector and

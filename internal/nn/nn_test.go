@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"intellisphere/internal/stats"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -59,14 +61,6 @@ func TestForwardPanicsOnWidth(t *testing.T) {
 	n.Forward([]float64{1})
 }
 
-func TestNumParams(t *testing.T) {
-	n, _ := New(Config{InputDim: 2, Hidden: []int{3}})
-	// layer1: 3*2 weights + 3 biases; output: 1*3 + 1 = 13
-	if got := n.NumParams(); got != 13 {
-		t.Errorf("NumParams = %d, want 13", got)
-	}
-}
-
 func TestActivationString(t *testing.T) {
 	if Tanh.String() != "tanh" || ReLU.String() != "relu" ||
 		Sigmoid.String() != "sigmoid" || Identity.String() != "identity" {
@@ -107,7 +101,7 @@ func TestTrainLearnsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := n.Train(x, y, TrainConfig{Iterations: 300, LearningRate: 0.02, Optimizer: Adam, BatchSize: 32, Seed: 1})
+	res, err := n.Train(x, y, TrainConfig{Iterations: 300, LearningRate: 0.02, BatchSize: 32, Seed: 1})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -125,30 +119,12 @@ func TestTrainLearnsNonlinear(t *testing.T) {
 		y[i] = x[i][0] * x[i][1] // product: not linearly representable
 	}
 	n, _ := New(Config{InputDim: 2, Hidden: []int{8, 4}, Activation: Tanh, Seed: 2})
-	res, err := n.Train(x, y, TrainConfig{Iterations: 500, LearningRate: 0.02, Optimizer: Adam, BatchSize: 32, Seed: 2})
+	res, err := n.Train(x, y, TrainConfig{Iterations: 500, LearningRate: 0.02, BatchSize: 32, Seed: 2})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	if res.FinalRMSE > 0.03 {
 		t.Errorf("final RMSE = %v, want < 0.03 for x*y", res.FinalRMSE)
-	}
-}
-
-func TestTrainSGDMomentum(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := make([][]float64, 100)
-	y := make([]float64, 100)
-	for i := range x {
-		x[i] = []float64{rng.Float64()}
-		y[i] = 0.8 * x[i][0]
-	}
-	n, _ := New(Config{InputDim: 1, Hidden: []int{4}, Activation: Tanh, Seed: 5})
-	res, err := n.Train(x, y, TrainConfig{Iterations: 400, LearningRate: 0.05, Momentum: 0.9, Optimizer: SGD, Seed: 5})
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	if res.FinalRMSE > 0.03 {
-		t.Errorf("SGD final RMSE = %v, want < 0.03", res.FinalRMSE)
 	}
 }
 
@@ -178,7 +154,7 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 	run := func() float64 {
 		n, _ := New(Config{InputDim: 1, Hidden: []int{4}, Seed: 3})
-		_, err := n.Train(x, y, TrainConfig{Iterations: 50, Optimizer: Adam, Seed: 3})
+		_, err := n.Train(x, y, TrainConfig{Iterations: 50, Seed: 3})
 		if err != nil {
 			t.Fatalf("Train: %v", err)
 		}
@@ -244,7 +220,7 @@ func TestRegressorPredictRawUnits(t *testing.T) {
 	}
 	reg, res, err := TrainRegressor(x, y, RegressorConfig{
 		Network: Config{InputDim: 2, Hidden: []int{6, 3}, Activation: Tanh, Seed: 7},
-		Train:   TrainConfig{Iterations: 400, LearningRate: 0.02, Optimizer: Adam, BatchSize: 32, Seed: 7},
+		Train:   TrainConfig{Iterations: 400, LearningRate: 0.02, BatchSize: 32, Seed: 7},
 	})
 	if err != nil {
 		t.Fatalf("TrainRegressor: %v", err)
@@ -252,7 +228,7 @@ func TestRegressorPredictRawUnits(t *testing.T) {
 	if res.FinalRMSE > 0.05 {
 		t.Errorf("normalized RMSE = %v too high", res.FinalRMSE)
 	}
-	pct, err := reg.RMSEPercent(x, y)
+	pct, err := stats.RMSEPercent(reg.PredictAll(x), y)
 	if err != nil {
 		t.Fatalf("RMSEPercent: %v", err)
 	}
@@ -266,7 +242,7 @@ func TestRegressorRetrainExpandsBounds(t *testing.T) {
 	y := []float64{1, 2, 3, 4}
 	reg, _, err := TrainRegressor(x, y, RegressorConfig{
 		Network: Config{InputDim: 1, Hidden: []int{4}, Seed: 1},
-		Train:   TrainConfig{Iterations: 50, Optimizer: Adam, Seed: 1},
+		Train:   TrainConfig{Iterations: 50, Seed: 1},
 	})
 	if err != nil {
 		t.Fatalf("TrainRegressor: %v", err)
@@ -274,7 +250,7 @@ func TestRegressorRetrainExpandsBounds(t *testing.T) {
 	if reg.Norm.InMax[0] != 4 {
 		t.Fatalf("InMax = %v, want 4", reg.Norm.InMax[0])
 	}
-	if _, err := reg.Retrain([][]float64{{10}}, []float64{10}, TrainConfig{Iterations: 10, Optimizer: Adam, Seed: 1}); err != nil {
+	if _, err := reg.Retrain([][]float64{{10}}, []float64{10}, TrainConfig{Iterations: 10, Seed: 1}); err != nil {
 		t.Fatalf("Retrain: %v", err)
 	}
 	if reg.Norm.InMax[0] != 10 {
@@ -362,7 +338,7 @@ func TestSearchTopology(t *testing.T) {
 	}
 	best, results, err := SearchTopology(x, y, RegressorConfig{
 		Network: Config{InputDim: 4, Activation: Tanh, Seed: 3},
-		Train:   TrainConfig{Iterations: 60, LearningRate: 0.02, Optimizer: Adam, BatchSize: 16, Seed: 3},
+		Train:   TrainConfig{Iterations: 60, LearningRate: 0.02, BatchSize: 16, Seed: 3},
 	})
 	if err != nil {
 		t.Fatalf("SearchTopology: %v", err)
@@ -479,7 +455,7 @@ func TestPredictAllMatchesPredict(t *testing.T) {
 	x, y := synthData(150, 4, 3)
 	reg, _, err := TrainRegressor(x, y, RegressorConfig{
 		Network:   Config{InputDim: 4, Hidden: []int{8, 4}, Activation: Tanh, Seed: 2},
-		Train:     TrainConfig{Iterations: 20, Optimizer: Adam, Seed: 2},
+		Train:     TrainConfig{Iterations: 20, Seed: 2},
 		LogOutput: true,
 	})
 	if err != nil {

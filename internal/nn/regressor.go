@@ -212,12 +212,6 @@ func (r *Regressor) Retrain(x [][]float64, y []float64, tc TrainConfig) (*TrainR
 	return r.Net.Train(nx, ny, tc)
 }
 
-// RMSEPercent evaluates the paper's error metric for the regressor on a raw
-// dataset.
-func (r *Regressor) RMSEPercent(x [][]float64, y []float64) (float64, error) {
-	return stats.RMSEPercent(r.PredictAll(x), y)
-}
-
 // TopologyResult records the cross-validation outcome for one candidate
 // hidden-layer configuration.
 type TopologyResult struct {

@@ -9,24 +9,13 @@ import (
 	"intellisphere/internal/stats"
 )
 
-// Optimizer selects the weight-update rule.
-type Optimizer int
-
-// Supported optimizers.
-const (
-	SGD Optimizer = iota // stochastic gradient descent with momentum
-	Adam
-)
-
 // TrainConfig controls a training run. An "iteration" is one pass over the
 // training set (the unit the paper's convergence plots use on their x axis).
 type TrainConfig struct {
-	Iterations   int       // number of epochs; must be positive
-	LearningRate float64   // step size; defaults to 0.01 if zero
-	BatchSize    int       // mini-batch size; 0 means full batch; negative is an error
-	Momentum     float64   // SGD momentum (ignored by Adam)
-	Optimizer    Optimizer // SGD or Adam
-	Seed         int64     // shuffling seed
+	Iterations   int     // number of epochs; must be positive
+	LearningRate float64 // Adam step size; defaults to 0.01 if zero
+	BatchSize    int     // mini-batch size; 0 means full batch; negative is an error
+	Seed         int64   // shuffling seed
 }
 
 // TrainResult summarizes a completed run.
@@ -83,8 +72,9 @@ func (n *Network) validate(x [][]float64, y []float64, tc TrainConfig) error {
 	return nil
 }
 
-// Train fits the network on (x, y) with mean-squared-error loss. Inputs are
-// expected to be normalized already (see Normalizer); Train does not scale.
+// Train fits the network on (x, y) with mean-squared-error loss and Adam
+// updates, one per mini-batch. Inputs are expected to be normalized already
+// (see Normalizer); Train does not scale.
 //
 // Each mini-batch accumulates its gradients one sample at a time, in shuffle
 // order, into one buffer on the calling goroutine: the models are ≈ 150
@@ -112,8 +102,7 @@ func (n *Network) Train(x [][]float64, y []float64, tc TrainConfig) (*TrainResul
 
 	grads := newGradients(n)
 	sc := newActivations(n)
-	// Momentum / Adam state, shaped like the gradients.
-	vel := newGradients(n)
+	// Adam's moment estimates, shaped like the gradients.
 	adamM := newGradients(n)
 	adamV := newGradients(n)
 	adamT := 0
@@ -129,14 +118,8 @@ func (n *Network) Train(x [][]float64, y []float64, tc TrainConfig) (*TrainResul
 			for _, idx := range order[start:end] {
 				n.accumulate(x[idx], y[idx], sc, grads)
 			}
-			scale := 1 / float64(end-start)
-			switch tc.Optimizer {
-			case Adam:
-				adamT++
-				n.stepAdam(grads, adamM, adamV, adamT, lr, scale)
-			default:
-				n.stepSGD(grads, vel, tc.Momentum, lr, scale)
-			}
+			adamT++
+			n.stepAdam(grads, adamM, adamV, adamT, lr, 1/float64(end-start))
 		}
 	}
 	return &TrainResult{FinalRMSE: n.rmse(x, y)}, nil
@@ -182,22 +165,6 @@ func (n *Network) accumulate(xi []float64, yi float64, sc *activations, grads *g
 			for i, v := range in {
 				row[i] += d * v
 			}
-		}
-	}
-}
-
-func (n *Network) stepSGD(grads, vel *gradients, momentum, lr, scale float64) {
-	for li := range n.layers {
-		l := &n.layers[li]
-		vw, gw := vel.w[li], grads.w[li]
-		for i := range l.w {
-			vw[i] = momentum*vw[i] - lr*gw[i]*scale
-			l.w[i] += vw[i]
-		}
-		vb, gb := vel.b[li], grads.b[li]
-		for o := range l.b {
-			vb[o] = momentum*vb[o] - lr*gb[o]*scale
-			l.b[o] += vb[o]
 		}
 	}
 }

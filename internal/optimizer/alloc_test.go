@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -9,7 +10,7 @@ import (
 )
 
 // TestPlanMissAllocs pins what a plan-cache miss allocates, per statement
-// family of the serving path (the cache is off, so every Plan call is the
+// family of the serving path (the cache is off, so every PlanCtx call is the
 // miss path: bind, derive the specs, cost every placement, assemble, render).
 // The count at the time of writing is 3 for each family — the plan, whose
 // steps, alternatives and operator specs live inside it, its EXPLAIN text and
@@ -48,14 +49,14 @@ func testPlanMissAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.opt.Plan(stmt); err != nil {
+		if _, err := f.opt.PlanCtx(context.Background(), stmt); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(200, func() { f.opt.Plan(stmt) })
+		allocs := testing.AllocsPerRun(200, func() { f.opt.PlanCtx(context.Background(), stmt) })
 		if allocs > tc.budget {
-			t.Errorf("Plan(%q) allocates %.1f times, budget %.0f", tc.sql, allocs, tc.budget)
+			t.Errorf("PlanCtx(%q) allocates %.1f times, budget %.0f", tc.sql, allocs, tc.budget)
 		}
-		t.Logf("Plan(%q): %.0f allocs", tc.sql, allocs)
+		t.Logf("PlanCtx(%q): %.0f allocs", tc.sql, allocs)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestPlanBatchCtxPlansPerStatement(t *testing.T) {
 			t.Errorf("statement %d failed beside a bad neighbour: %v", i, results[i].Err)
 		}
 	}
-	_, wantErr := f.opt.Plan(stmts[1])
+	_, wantErr := f.opt.PlanCtx(context.Background(), stmts[1])
 	if results[1].Err == nil || wantErr == nil || results[1].Err.Error() != wantErr.Error() {
 		t.Errorf("bad statement: error %v, Plan reports %v", results[1].Err, wantErr)
 	}

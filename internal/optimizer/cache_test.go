@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -89,7 +90,7 @@ func TestCacheHoldsOneTemplate(t *testing.T) {
 	}
 }
 
-// TestOptimizerPlanCaching covers the cache end to end through Plan():
+// TestOptimizerPlanCaching covers the cache end to end through PlanCtx():
 // identical statements share one *Plan, a catalog mutation invalidates, and a
 // cache-disabled optimizer still plans.
 func TestOptimizerPlanCaching(t *testing.T) {
@@ -142,8 +143,8 @@ func TestOptimizerPlanCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.opt.Plan(stmt); err != nil {
-		t.Fatalf("Plan without cache: %v", err)
+	if _, err := f.opt.PlanCtx(context.Background(), stmt); err != nil {
+		t.Fatalf("PlanCtx without cache: %v", err)
 	}
 }
 
@@ -342,7 +343,7 @@ func TestReplacingChangedEstimatorInvalidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := uncached.Plan(stmt)
+		fresh, err := uncached.PlanCtx(context.Background(), stmt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // optimizer.plan_miss_us row of bench/layers.go.)
 const benchSQL = "SELECT r.a1 FROM t10000000_100 r JOIN t1000000_100 s ON r.a1 = s.a1 JOIN s_items u ON s.a1 = u.a1 WHERE r.a1 + u.z < 50000"
 
-// TestPlanConcurrent drives many simultaneous Plan calls through the shared
+// TestPlanConcurrent drives many simultaneous PlanCtx calls through the shared
 // optimizer and its estimators. Run under -race this verifies the whole
 // costing path (estimators included) is safe for concurrent callers — every
 // in-flight query of a server plans through the one optimizer; a single plan
@@ -24,7 +25,7 @@ func TestPlanConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := f.opt.Plan(stmt)
+	ref, err := f.opt.PlanCtx(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +35,9 @@ func TestPlanConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				p, err := f.opt.Plan(stmt)
+				p, err := f.opt.PlanCtx(context.Background(), stmt)
 				if err != nil {
-					t.Errorf("concurrent Plan: %v", err)
+					t.Errorf("concurrent PlanCtx: %v", err)
 					return
 				}
 				if p.EstimatedSec != ref.EstimatedSec || len(p.Steps) != len(ref.Steps) {

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,9 +17,9 @@ func (f *fixture) planExcluding(t *testing.T, sql string, exclude map[string]boo
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	p, err := f.opt.PlanExcluding(stmt, exclude)
+	p, err := f.opt.PlanExcludingCtx(context.Background(), stmt, exclude)
 	if err != nil {
-		t.Fatalf("PlanExcluding(%q): %v", sql, err)
+		t.Fatalf("PlanExcludingCtx(%q): %v", sql, err)
 	}
 	return p
 }
@@ -103,10 +104,10 @@ func TestPlanExcludingUnreachableAndMaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	// t1000000_100 is hive-owned with no replica.
-	if _, err := f.opt.PlanExcluding(stmt, map[string]bool{"hive": true}); err == nil {
+	if _, err := f.opt.PlanExcludingCtx(context.Background(), stmt, map[string]bool{"hive": true}); err == nil {
 		t.Error("plan for an unreachable table succeeded")
 	}
-	if _, err := f.opt.PlanExcluding(stmt, map[string]bool{querygrid.Master: true}); err == nil {
+	if _, err := f.opt.PlanExcludingCtx(context.Background(), stmt, map[string]bool{querygrid.Master: true}); err == nil {
 		t.Error("excluding the master succeeded")
 	}
 }

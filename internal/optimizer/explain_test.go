@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,7 +17,7 @@ import (
 	"intellisphere/internal/sqlparse"
 )
 
-// refDescribe and refExplain are the fmt-based renderers Step.Describe and
+// refDescribe and refExplain are the fmt-based renderers the step lines and
 // Plan.Explain replaced, kept as the reference: the rendering is part of
 // every /query and /explain answer and must not change by a byte.
 func refDescribe(s optimizer.Step) string {
@@ -85,9 +86,6 @@ func (st *planStats) check(t *testing.T, what string, p *optimizer.Plan) {
 		if s.EstimatedSec < 0.005 {
 			st.tinyEstimates++
 		}
-		if got, want := s.Describe(), refDescribe(s); got != want {
-			t.Fatalf("%s: Describe() = %q, reference %q", what, got, want)
-		}
 	}
 	if got, want := p.Explain(), refExplain(p); got != want {
 		t.Fatalf("%s: Explain() differs from the reference\n got:\n%s\nwant:\n%s", what, got, want)
@@ -150,7 +148,7 @@ func TestExplainMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := opt.Plan(stmt)
+		p, err := opt.PlanCtx(context.Background(), stmt)
 		if err != nil {
 			t.Fatalf("Plan(%q): %v", sql, err)
 		}
@@ -158,7 +156,7 @@ func TestExplainMatchesReference(t *testing.T) {
 		if i%7 == 0 || i < 10 {
 			for _, exclude := range []map[string]bool{{"hive": true}, {"spark": true, "presto": true}} {
 				// A table with every copy excluded has no degraded plan.
-				if p, err := opt.PlanExcluding(stmt, exclude); err == nil {
+				if p, err := opt.PlanExcludingCtx(context.Background(), stmt, exclude); err == nil {
 					st.check(t, fmt.Sprint(sql, " excluding ", exclude), p)
 				}
 			}
@@ -269,9 +267,9 @@ func TestExplainPastInlineBacking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := opt.PlanExcluding(stmt, exclude)
+		p, err := opt.PlanExcludingCtx(context.Background(), stmt, exclude)
 		if err != nil {
-			t.Fatalf("PlanExcluding(%q, %v): %v", sql, exclude, err)
+			t.Fatalf("PlanExcludingCtx(%q, %v): %v", sql, exclude, err)
 		}
 		return p
 	}
@@ -322,11 +320,11 @@ func TestSharedPlanConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := opt.Plan(stmt)
+	shared, err := opt.PlanCtx(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := opt.Plan(stmt); err != nil || again != shared {
+	if again, err := opt.PlanCtx(context.Background(), stmt); err != nil || again != shared {
 		t.Fatalf("second Plan did not come from the cache (%v)", err)
 	}
 	wantText, wantSystems := refExplain(shared), fmt.Sprint(shared.Systems())
@@ -359,7 +357,7 @@ func TestSharedPlanConcurrentReaders(t *testing.T) {
 					errs <- err
 					return
 				}
-				p, err := opt.Plan(stmt)
+				p, err := opt.PlanCtx(context.Background(), stmt)
 				if err != nil {
 					errs <- err
 					return

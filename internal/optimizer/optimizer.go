@@ -58,9 +58,6 @@ type Step struct {
 	Estimate core.Estimate
 }
 
-// Describe renders the step for EXPLAIN output.
-func (s Step) Describe() string { return string(s.appendTo(nil)) }
-
 func (s *Step) appendTo(b []byte) []byte {
 	switch s.Kind {
 	case "transfer":
@@ -230,16 +227,11 @@ func (p *Plan) renderInto(r *rendering) {
 	r.explain = string(b)
 }
 
-// Plan builds the cheapest federated plan for a parsed statement, consulting
-// the plan cache first when one is configured. A cache hit returns the
-// previously built plan (callers must treat plans as immutable); any change
-// to the catalog, the grid links, or any estimator invalidates implicitly
-// by advancing the Epoch.
-func (o *Optimizer) Plan(stmt *sqlparse.SelectStmt) (*Plan, error) {
-	return o.PlanExcludingCtx(context.Background(), stmt, nil)
-}
-
-// PlanCtx is Plan with context plumbing: when the context carries an active
+// PlanCtx builds the cheapest federated plan for a parsed statement,
+// consulting the plan cache first when one is configured. A cache hit returns
+// the previously built plan (callers must treat plans as immutable); any
+// change to the catalog, the grid links, or any estimator invalidates
+// implicitly by advancing the Epoch. When the context carries an active
 // trace span, candidate-costing work records per-(system, operator) spans
 // under it.
 func (o *Optimizer) PlanCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (*Plan, error) {
@@ -251,11 +243,6 @@ func (o *Optimizer) PlanCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (*Pl
 // from the plan cache — the per-query verdict the wide-event log records.
 func (o *Optimizer) PlanCtxHit(ctx context.Context, stmt *sqlparse.SelectStmt) (*Plan, bool, error) {
 	return o.planExcludingHit(ctx, stmt, nil)
-}
-
-// PlanExcluding is PlanExcludingCtx without tracing.
-func (o *Optimizer) PlanExcluding(stmt *sqlparse.SelectStmt, exclude map[string]bool) (*Plan, error) {
-	return o.PlanExcludingCtx(context.Background(), stmt, exclude)
 }
 
 // PlanExcludingCtx plans a statement avoiding the named systems entirely — no

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,8 +27,14 @@ type fixture struct {
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	cat := catalog.New()
-	if err := datagen.Register(cat, "hive"); err != nil {
+	tables, err := datagen.Tables("hive")
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tb := range tables {
+		if err := cat.Register(tb); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A couple of spark-owned and master-owned tables.
 	for _, spec := range []struct {
@@ -94,7 +101,7 @@ func (f *fixture) plan(t *testing.T, sql string) *Plan {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	p, err := f.opt.Plan(stmt)
+	p, err := f.opt.PlanCtx(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("Plan(%q): %v", sql, err)
 	}
@@ -257,7 +264,7 @@ func TestPlanErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", sql, err)
 		}
-		if _, err := f.opt.Plan(stmt); err == nil {
+		if _, err := f.opt.PlanCtx(context.Background(), stmt); err == nil {
 			t.Errorf("Plan(%q) succeeded, want error", sql)
 		}
 	}
@@ -266,20 +273,26 @@ func TestPlanErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.opt.Plan(stmt); err == nil {
+	if _, err := f.opt.PlanCtx(context.Background(), stmt); err == nil {
 		t.Error("duplicate binding accepted")
 	}
 }
 
 func TestPlanRequiresMasterEstimator(t *testing.T) {
 	f := newFixture(t)
-	f.opt.Estimators.Delete(querygrid.Master)
+	noMaster := registry.New[core.Estimator]()
+	for _, name := range f.opt.Estimators.Names() {
+		if est, _ := f.opt.Estimators.Get(name); name != querygrid.Master {
+			noMaster.Set(name, est)
+		}
+	}
+	f.opt.Estimators = noMaster
 	stmt, _ := sqlparse.Parse("SELECT a1 FROM t10000_40")
-	if _, err := f.opt.Plan(stmt); err == nil {
+	if _, err := f.opt.PlanCtx(context.Background(), stmt); err == nil {
 		t.Error("plan without master estimator accepted")
 	}
 	empty := &Optimizer{}
-	if _, err := empty.Plan(stmt); err == nil {
+	if _, err := empty.PlanCtx(context.Background(), stmt); err == nil {
 		t.Error("unconfigured optimizer accepted")
 	}
 }
@@ -384,7 +397,7 @@ func TestPlanJoinConditionMustLinkChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.opt.Plan(stmt); err == nil {
+	if _, err := f.opt.PlanCtx(context.Background(), stmt); err == nil {
 		t.Error("dangling join condition accepted")
 	}
 }

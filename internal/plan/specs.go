@@ -176,21 +176,3 @@ func (s ScanSpec) Validate() error {
 
 // OutputRows returns the scan's estimated output cardinality.
 func (s ScanSpec) OutputRows() float64 { return s.InputRows * s.Selectivity }
-
-// Operator is the common interface of the operator specs.
-type Operator interface {
-	// Kind returns the operator's logical kind name ("join", "aggregation",
-	// "scan").
-	Kind() string
-	// Validate reports structural problems.
-	Validate() error
-}
-
-// Kind implements Operator.
-func (j JoinSpec) Kind() string { return "join" }
-
-// Kind implements Operator.
-func (a AggSpec) Kind() string { return "aggregation" }
-
-// Kind implements Operator.
-func (s ScanSpec) Kind() string { return "scan" }

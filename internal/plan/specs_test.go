@@ -132,16 +132,6 @@ func TestScanSpec(t *testing.T) {
 	}
 }
 
-func TestOperatorKinds(t *testing.T) {
-	var ops = []Operator{validJoin(), AggSpec{}, ScanSpec{}}
-	want := []string{"join", "aggregation", "scan"}
-	for i, op := range ops {
-		if op.Kind() != want[i] {
-			t.Errorf("Kind = %q, want %q", op.Kind(), want[i])
-		}
-	}
-}
-
 // Property: the small side never has more bytes than the big side.
 func TestSmallSideProperty(t *testing.T) {
 	f := func(lr, ls, rr, rs uint16) bool {

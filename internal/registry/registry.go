@@ -65,17 +65,6 @@ func (r *Map[V]) SetIfAbsent(name string, v V) bool {
 	return true
 }
 
-// Delete removes an entry, reporting whether it existed.
-func (r *Map[V]) Delete(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.snap.Load().m[name]; !ok {
-		return false
-	}
-	r.replace(func(m map[string]V) { delete(m, name) })
-	return true
-}
-
 // replace installs a mutated copy of the current snapshot. Caller holds mu.
 func (r *Map[V]) replace(mutate func(map[string]V)) {
 	old := r.snap.Load()

@@ -38,12 +38,6 @@ func TestBasicOperations(t *testing.T) {
 	if r.Generation() != gen+1 || r.Len() != 2 {
 		t.Errorf("re-Set: gen %d -> %d, len %d", gen, r.Generation(), r.Len())
 	}
-	if !r.Delete("a") || r.Delete("a") {
-		t.Error("Delete semantics wrong")
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len after delete = %d", r.Len())
-	}
 }
 
 func TestSnapshotIsStable(t *testing.T) {

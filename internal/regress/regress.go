@@ -1,9 +1,7 @@
-// Package regress implements the regression models used throughout the cost
-// estimation module: ordinary least squares (simple and multivariate, solved
-// via normal equations), and the two-segment regression used for regime-
-// switching sub-operators such as HashBuild (Figure 13(f) of the paper),
-// whose cost follows one linear model while the hash table fits in memory
-// and a different one once it spills.
+// Package regress implements the multivariate regression of the cost
+// estimation module: ordinary and weighted least squares, solved via normal
+// equations. One-dimensional sub-operator models, the two regimes of
+// HashBuild (Figure 13(f) of the paper) included, are stats.Line fits.
 package regress
 
 import (
@@ -131,16 +129,6 @@ func FitWeighted(x [][]float64, y []float64, w []float64) (*Model, error) {
 	return m, nil
 }
 
-// FitSimple fits y = slope*x + intercept and is a convenience wrapper used
-// for the one-dimensional sub-operator models.
-func FitSimple(x, y []float64) (*Model, error) {
-	rows := make([][]float64, len(x))
-	for i, v := range x {
-		rows[i] = []float64{v}
-	}
-	return Fit(rows, y)
-}
-
 // solve performs Gaussian elimination with partial pivoting on a·w = b.
 // a and b are modified in place.
 func solve(a [][]float64, b []float64) ([]float64, error) {
@@ -179,70 +167,4 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 		w[r] = s / a[r][r]
 	}
 	return w, nil
-}
-
-// TwoSegment is a regime-switching pair of simple linear models split at
-// Breakpoint on the x axis: Left applies for x <= Breakpoint, Right beyond.
-// It models sub-operators whose behaviour changes qualitatively at a
-// threshold, like HashBuild switching from in-memory to spilling.
-type TwoSegment struct {
-	Breakpoint float64
-	Left       stats.Line
-	Right      stats.Line
-}
-
-// Predict evaluates the appropriate segment at x.
-func (t *TwoSegment) Predict(x float64) float64 {
-	if x <= t.Breakpoint {
-		return t.Left.Eval(x)
-	}
-	return t.Right.Eval(x)
-}
-
-// FitTwoSegment searches candidate breakpoints between x values (which must
-// be sorted ascending along with their y pairs) and returns the split that
-// minimizes the total sum of squared residuals, fitting an independent OLS
-// line on each side. Each side must keep at least two points.
-func FitTwoSegment(x, y []float64) (*TwoSegment, error) {
-	if len(x) != len(y) {
-		return nil, stats.ErrLengthMismatch
-	}
-	if len(x) < 4 {
-		return nil, errors.New("regress: two-segment fit needs at least 4 points")
-	}
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[i-1] {
-			return nil, errors.New("regress: two-segment fit requires x sorted ascending")
-		}
-	}
-	best := math.Inf(1)
-	var out *TwoSegment
-	for split := 2; split <= len(x)-2; split++ {
-		left, errL := stats.FitLine(x[:split], y[:split])
-		right, errR := stats.FitLine(x[split:], y[split:])
-		if errL != nil || errR != nil {
-			continue
-		}
-		sse := 0.0
-		for i := 0; i < split; i++ {
-			d := left.Eval(x[i]) - y[i]
-			sse += d * d
-		}
-		for i := split; i < len(x); i++ {
-			d := right.Eval(x[i]) - y[i]
-			sse += d * d
-		}
-		if sse < best {
-			best = sse
-			out = &TwoSegment{
-				Breakpoint: (x[split-1] + x[split]) / 2,
-				Left:       left,
-				Right:      right,
-			}
-		}
-	}
-	if out == nil {
-		return nil, ErrSingular
-	}
-	return out, nil
 }

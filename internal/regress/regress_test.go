@@ -13,9 +13,13 @@ func TestFitSimpleExact(t *testing.T) {
 	for i, v := range x {
 		y[i] = 0.0314*v + 0.7403 // the paper's WriteDFS model
 	}
-	m, err := FitSimple(x, y)
+	rows := make([][]float64, len(x))
+	for i, v := range x {
+		rows[i] = []float64{v}
+	}
+	m, err := Fit(rows, y)
 	if err != nil {
-		t.Fatalf("FitSimple: %v", err)
+		t.Fatalf("Fit: %v", err)
 	}
 	if math.Abs(m.Coef[0]-0.0314) > 1e-9 || math.Abs(m.Intercept-0.7403) > 1e-9 {
 		t.Errorf("fit = %+v, want slope 0.0314 intercept 0.7403", m)
@@ -110,51 +114,6 @@ func TestFitNoisy(t *testing.T) {
 	}
 }
 
-func TestTwoSegmentRecoversRegimes(t *testing.T) {
-	// Mimic Figure 13(f): in-memory y=0.0248x+18.241, spill y=0.1821x-51.614,
-	// crossover in the 400–500 byte region.
-	var x, y []float64
-	for _, v := range []float64{40, 70, 100, 250, 400} {
-		x = append(x, v)
-		y = append(y, 0.0248*v+18.241)
-	}
-	for _, v := range []float64{500, 700, 900, 1000, 1100} {
-		x = append(x, v)
-		y = append(y, 0.1821*v-51.614)
-	}
-	ts, err := FitTwoSegment(x, y)
-	if err != nil {
-		t.Fatalf("FitTwoSegment: %v", err)
-	}
-	if math.Abs(ts.Left.Slope-0.0248) > 1e-6 {
-		t.Errorf("left slope = %v, want 0.0248", ts.Left.Slope)
-	}
-	if math.Abs(ts.Right.Slope-0.1821) > 1e-6 {
-		t.Errorf("right slope = %v, want 0.1821", ts.Right.Slope)
-	}
-	if ts.Breakpoint < 400 || ts.Breakpoint > 500 {
-		t.Errorf("breakpoint = %v, want in [400,500]", ts.Breakpoint)
-	}
-	if got := ts.Predict(100); math.Abs(got-(0.0248*100+18.241)) > 1e-6 {
-		t.Errorf("Predict(100) = %v", got)
-	}
-	if got := ts.Predict(1000); math.Abs(got-(0.1821*1000-51.614)) > 1e-6 {
-		t.Errorf("Predict(1000) = %v", got)
-	}
-}
-
-func TestTwoSegmentErrors(t *testing.T) {
-	if _, err := FitTwoSegment([]float64{1, 2, 3}, []float64{1, 2, 3}); err == nil {
-		t.Error("expected error for too few points")
-	}
-	if _, err := FitTwoSegment([]float64{3, 2, 1, 0}, []float64{1, 2, 3, 4}); err == nil {
-		t.Error("expected error for unsorted x")
-	}
-	if _, err := FitTwoSegment([]float64{1, 2, 3}, []float64{1, 2}); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-}
-
 // Property: Fit recovers arbitrary 2-dim linear relationships with negligible
 // residual when inputs are well-conditioned.
 func TestFitRecoversLinearProperty(t *testing.T) {
@@ -189,35 +148,6 @@ func TestFitRecoversLinearProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the two-segment fit never has larger SSE than the best of its
-// candidate splits evaluated directly, and its prediction is continuous in
-// the sense that each side uses its own line.
-func TestTwoSegmentSSEProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(10)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = float64(i*10) + rng.Float64()
-			if i < n/2 {
-				y[i] = 2*x[i] + rng.NormFloat64()
-			} else {
-				y[i] = 10*x[i] - 300 + rng.NormFloat64()
-			}
-		}
-		ts, err := FitTwoSegment(x, y)
-		if err != nil {
-			return false
-		}
-		// The recovered breakpoint must sit inside the x range.
-		return ts.Breakpoint > x[0] && ts.Breakpoint < x[n-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

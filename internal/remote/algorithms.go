@@ -36,29 +36,3 @@ const (
 	RDBMSMergeJoin      JoinAlgorithm = "rdbms.merge_join"
 	RDBMSNestedLoopJoin JoinAlgorithm = "rdbms.nested_loop_join"
 )
-
-// PrestoJoinAlgorithms lists Presto's physical join implementations.
-func PrestoJoinAlgorithms() []JoinAlgorithm {
-	return []JoinAlgorithm{PrestoPartitionedJoin, PrestoReplicatedJoin, PrestoCrossJoin}
-}
-
-// HiveJoinAlgorithms lists Hive's five physical join implementations.
-func HiveJoinAlgorithms() []JoinAlgorithm {
-	return []JoinAlgorithm{
-		HiveShuffleJoin, HiveBroadcastJoin, HiveBucketMapJoin,
-		HiveSortMergeBucketJoin, HiveSkewJoin,
-	}
-}
-
-// SparkJoinAlgorithms lists Spark's five physical join implementations.
-func SparkJoinAlgorithms() []JoinAlgorithm {
-	return []JoinAlgorithm{
-		SparkBroadcastHashJoin, SparkShuffleHashJoin, SparkSortMergeJoin,
-		SparkBroadcastNLJoin, SparkCartesianJoin,
-	}
-}
-
-// RDBMSJoinAlgorithms lists the RDBMS simulator's join implementations.
-func RDBMSJoinAlgorithms() []JoinAlgorithm {
-	return []JoinAlgorithm{RDBMSHashJoin, RDBMSMergeJoin, RDBMSNestedLoopJoin}
-}

@@ -117,14 +117,6 @@ func newDistributed(name string, kind EngineKind, cfg cluster.Config, opts Optio
 // Name implements System.
 func (d *Distributed) Name() string { return d.name }
 
-// Kind returns the engine kind.
-func (d *Distributed) Kind() EngineKind { return d.kind }
-
-// Capabilities implements System.
-func (d *Distributed) Capabilities() Capabilities {
-	return Capabilities{Join: true, Aggregation: true, Scan: true}
-}
-
 // Cluster implements System.
 func (d *Distributed) Cluster() cluster.Config { return d.cfg }
 

@@ -109,12 +109,12 @@ func TestPinnedExecutions(t *testing.T) {
 			}
 		}
 	}
-	var all []JoinAlgorithm
-	all = append(all, HiveJoinAlgorithms()...)
-	all = append(all, SparkJoinAlgorithms()...)
-	all = append(all, PrestoJoinAlgorithms()...)
-	all = append(all, RDBMSJoinAlgorithms()...)
-	for _, a := range all {
+	for _, a := range []JoinAlgorithm{
+		HiveShuffleJoin, HiveBroadcastJoin, HiveBucketMapJoin, HiveSortMergeBucketJoin, HiveSkewJoin,
+		SparkBroadcastHashJoin, SparkShuffleHashJoin, SparkSortMergeJoin, SparkBroadcastNLJoin, SparkCartesianJoin,
+		PrestoPartitionedJoin, PrestoReplicatedJoin, PrestoCrossJoin,
+		RDBMSHashJoin, RDBMSMergeJoin, RDBMSNestedLoopJoin,
+	} {
 		if !algs[string(a)] {
 			t.Errorf("no pinned run reaches join algorithm %s", a)
 		}

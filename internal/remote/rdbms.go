@@ -55,11 +55,6 @@ func NewRDBMS(name string, cfg cluster.Config, opts Options) (*RDBMS, error) {
 // Name implements System.
 func (r *RDBMS) Name() string { return r.name }
 
-// Capabilities implements System.
-func (r *RDBMS) Capabilities() Capabilities {
-	return Capabilities{Join: true, Aggregation: true, Scan: true}
-}
-
 // Cluster implements System.
 func (r *RDBMS) Cluster() cluster.Config { return r.cfg }
 

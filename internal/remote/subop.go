@@ -58,11 +58,6 @@ func BasicSubOps() []SubOp {
 	return []SubOp{ReadDFS, WriteDFS, ReadLocal, WriteLocal, Shuffle, Broadcast, Sort, Scan}
 }
 
-// SpecificSubOps lists the optional sub-operators of Figure 5.
-func SpecificSubOps() []SubOp {
-	return []SubOp{HashBuild, HashProbe, RecMerge}
-}
-
 // String returns the sub-operator's name.
 func (s SubOp) String() string {
 	switch s {

@@ -15,14 +15,6 @@ type Execution struct {
 	Algorithm  string  // physical algorithm the remote chose
 }
 
-// Capabilities declares which SQL operations a remote system supports. The
-// paper notes a remote may lack operations entirely (e.g. no join support).
-type Capabilities struct {
-	Join        bool `json:"join"`
-	Aggregation bool `json:"aggregation"`
-	Scan        bool `json:"scan"`
-}
-
 // Probe is a primitive calibration query from Figure 5's footnotes: it
 // exercises ReadDFS plus (for all but the ReadDFS probe itself) exactly one
 // target sub-operation, so the caller can difference out the read cost.
@@ -53,8 +45,6 @@ func (p Probe) Validate() error {
 type System interface {
 	// Name returns the system's registered name.
 	Name() string
-	// Capabilities reports which operations the system supports.
-	Capabilities() Capabilities
 	// Cluster exposes the cluster shape. Openbox costing may read it;
 	// blackbox costing must not.
 	Cluster() cluster.Config

@@ -170,7 +170,7 @@ func TestChaosServeOutageAndRecovery(t *testing.T) {
 			t.Fatal("queries still degraded after recovery")
 		}
 	}
-	if st := e.Breaker("hive").State(); st != resilience.Closed {
+	if st := e.ResilienceStats().Breakers["hive"].State; st != resilience.Closed {
 		t.Fatalf("hive breaker after recovery = %v", st)
 	}
 	if resp := getJSON(t, srv.URL+"/health", &h); resp.StatusCode != http.StatusOK || h.Status != "ok" {

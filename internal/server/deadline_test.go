@@ -146,13 +146,13 @@ func reconciles(st admission.Stats) bool {
 func TestQueuedPastDeadline(t *testing.T) {
 	s, srv, release := holdOnlySlot(t, 50*time.Millisecond)
 	defer release()
-	before := s.Admission()
+	before := s.adm.Stats()
 	resp, err := http.Get(srv.URL + "/query?q=SELECT+a1+FROM+t100000_100")
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantTimeout(t, resp)
-	st := s.Admission()
+	st := s.adm.Stats()
 	if st.Canceled != before.Canceled+1 || st.Queued != 0 || !reconciles(st) {
 		t.Errorf("admission after the deadline passed in the queue: %+v (before: %+v)", st, before)
 	}
@@ -208,7 +208,7 @@ func TestHostileLocalStatement(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/health after the hostile statement = %d, want 200", resp.StatusCode)
 	}
-	if st := s.Admission(); st.Offered != 2 || st.Admitted != 2 || st.InFlight != 0 || !reconciles(st) {
+	if st := s.adm.Stats(); st.Offered != 2 || st.Admitted != 2 || st.InFlight != 0 || !reconciles(st) {
 		t.Errorf("admission after the hostile statement: %+v", st)
 	}
 }
@@ -231,14 +231,14 @@ func TestClientHangsUpWhileQueued(t *testing.T) {
 		}
 		done <- err
 	}()
-	waitFor(t, "the request to queue", func() bool { return s.Admission().Queued == 1 })
+	waitFor(t, "the request to queue", func() bool { return s.adm.Stats().Queued == 1 })
 	hangUp()
 	if err := <-done; err == nil {
 		t.Error("the client got an answer after hanging up")
 	}
-	waitFor(t, "the queue to empty", func() bool { return s.Admission().Queued == 0 })
+	waitFor(t, "the queue to empty", func() bool { return s.adm.Stats().Queued == 0 })
 	release()
-	st := s.Admission()
+	st := s.adm.Stats()
 	if st.InFlight != 0 || st.Queued != 0 || st.Canceled != 1 || !reconciles(st) {
 		t.Errorf("admission after the client hung up: %+v", st)
 	}

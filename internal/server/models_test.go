@@ -64,14 +64,16 @@ func TestModelsEndpoint(t *testing.T) {
 		t.Fatalf("tuning counters after tune = %+v", mr.Tuning)
 	}
 
-	// Failure modes: no history to roll back, unknown action/system, and a
-	// request without a system all answer 400.
+	// Failure modes: no history to roll back, unknown action/system, a
+	// request without a system and a min_gain outside [0, 1] all answer 400.
 	for _, req := range []modelRequest{
 		{Action: "rollback", System: "hive"},
 		{Action: "defragment", System: "hive"},
 		{Action: "tune", System: "ghost"},
 		{Action: "tune", System: "teradata"},
 		{Action: "tune"},
+		{Action: "tune", System: "hive", MinGain: -1},
+		{Action: "tune", System: "hive", MinGain: 2},
 	} {
 		if code := postModels(t, srv.URL, req, nil); code != http.StatusBadRequest {
 			t.Errorf("POST %+v status = %d, want 400", req, code)

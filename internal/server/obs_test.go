@@ -238,8 +238,13 @@ func TestErrorCodes(t *testing.T) {
 	}{
 		{"/query?q=SELECT", "parse_error", http.StatusBadRequest},
 		{"/query?q=SELECT+%2B", "parse_error", http.StatusBadRequest}, // lexer error path
+		{"/query?q=SELECT+a1+FROM+no_such_table", "bad_request", http.StatusBadRequest},
 		{"/faults", "not_enabled", http.StatusNotFound},
 		{"/explain?q=SELECT+a1+FROM+no_such_table", "bad_request", http.StatusBadRequest},
+		// A traced failure is classified like the untraced one, beside its
+		// rendered span tree.
+		{"/query?trace=1&q=SELEC", "parse_error", http.StatusBadRequest},
+		{"/query?trace=1&q=SELECT+a1+FROM+no_such_table", "bad_request", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var out map[string]string
@@ -251,6 +256,9 @@ func TestErrorCodes(t *testing.T) {
 		}
 		if out["error"] == "" {
 			t.Errorf("%s: missing error message", tc.path)
+		}
+		if strings.Contains(tc.path, "trace=1") && out["trace_text"] == "" {
+			t.Errorf("%s: missing trace_text", tc.path)
 		}
 	}
 }

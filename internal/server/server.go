@@ -142,9 +142,6 @@ func (s *Server) WithAdmission(cfg admission.Config) *Server {
 	return s
 }
 
-// Admission exposes the controller's counters for observability surfaces.
-func (s *Server) Admission() admission.Stats { return s.adm.Stats() }
-
 // WithFaults enables the /faults chaos endpoint over the given per-system
 // injectors (typically demo.Federation.Injectors). Without it, /faults
 // reports that injection is not enabled.
@@ -467,7 +464,7 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 			// The trace survives the failure: slow failures are exactly
 			// what the span tree is for.
 			s.writeJSON(w, errStatus(err), map[string]string{
-				"error": err.Error(), "trace_text": tr.Render(),
+				"error": err.Error(), "code": errorCode(err), "trace_text": tr.Render(),
 			})
 			return
 		}

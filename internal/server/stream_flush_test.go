@@ -275,7 +275,7 @@ func TestIdleStreamGivesItsSlotBack(t *testing.T) {
 	if _, err := readFrame(body); err != io.EOF {
 		t.Errorf("the idle stream was not ended by the server: %v", err)
 	}
-	if st := s.Admission(); st.InFlight != 0 {
+	if st := s.adm.Stats(); st.InFlight != 0 {
 		t.Errorf("in flight after the idle stream ended = %d", st.InFlight)
 	}
 }

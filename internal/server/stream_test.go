@@ -158,7 +158,7 @@ func TestSaturationShedsAndRecovers(t *testing.T) {
 		queued <- r
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Admission().Queued == 0 {
+	for s.adm.Stats().Queued == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("second request never queued")
 		}
@@ -196,7 +196,7 @@ func TestSaturationShedsAndRecovers(t *testing.T) {
 		t.Fatalf("queued request status %d, want 200", qresp.StatusCode)
 	}
 
-	st := s.Admission()
+	st := s.adm.Stats()
 	if st.Offered != 3 || st.Admitted != 2 || st.ShedQueueFull != 1 {
 		t.Fatalf("ledger: %+v", st)
 	}
@@ -243,7 +243,7 @@ func TestRateLimit429(t *testing.T) {
 	if got := get("beta"); got != http.StatusOK {
 		t.Fatalf("beta: %d", got)
 	}
-	if st := s.Admission(); st.RateLimited != 1 {
+	if st := s.adm.Stats(); st.RateLimited != 1 {
 		t.Fatalf("rate-limited count: %+v", st)
 	}
 }
@@ -274,7 +274,7 @@ func TestClientIDHeaderSpellings(t *testing.T) {
 			t.Errorf("request %d, header spelled %q: status %d, want %d", i, name, resp.StatusCode, want)
 		}
 	}
-	if st := s.Admission(); st.RateLimited != 1 || st.Admitted != 3 {
+	if st := s.adm.Stats(); st.RateLimited != 1 || st.Admitted != 3 {
 		t.Errorf("admission: %+v, want 3 admitted and 1 rate-limited", st)
 	}
 }

@@ -66,17 +66,6 @@ func (e Expr) appendTo(b []byte) []byte {
 	return b
 }
 
-// Columns returns every column referenced by the expression.
-func (e Expr) Columns() []ColRef {
-	var out []ColRef
-	for _, t := range e.Terms {
-		if t.Col != nil {
-			out = append(out, *t.Col)
-		}
-	}
-	return out
-}
-
 // Predicate is one conjunct of the WHERE clause: expr OP literal.
 type Predicate struct {
 	Left  Expr
@@ -202,15 +191,6 @@ func grow[T any](s, buf []T, v T) []T {
 		s = buf[:0]
 	}
 	return append(s, v)
-}
-
-// Join returns the first join clause, or nil — a convenience for the common
-// two-table case.
-func (s *SelectStmt) Join() *JoinClause {
-	if len(s.Joins) == 0 {
-		return nil
-	}
-	return &s.Joins[0]
 }
 
 // HasAggregates reports whether any select item aggregates.

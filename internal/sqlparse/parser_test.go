@@ -21,7 +21,7 @@ func TestParseSimpleSelect(t *testing.T) {
 	if len(stmt.Items) != 2 || stmt.Items[0].Col.Column != "a1" {
 		t.Errorf("items = %+v", stmt.Items)
 	}
-	if stmt.From.Name != "t1" || stmt.Join() != nil || stmt.Where != nil || stmt.GroupBy != nil {
+	if stmt.From.Name != "t1" || len(stmt.Joins) != 0 || stmt.Where != nil || stmt.GroupBy != nil {
 		t.Errorf("stmt = %+v", stmt)
 	}
 }
@@ -44,10 +44,10 @@ func TestParseJoinFig10(t *testing.T) {
 	// The exact workload query shape of Figure 10.
 	sql := "SELECT r.a1, s.a1 FROM t80000000_1000 r JOIN t1000000_100 s ON r.a1 = s.a1 WHERE r.a1 + s.z < 500000"
 	stmt := mustParse(t, sql)
-	if stmt.From.Binding() != "r" || stmt.Join() == nil {
+	if stmt.From.Binding() != "r" || len(stmt.Joins) != 1 {
 		t.Fatalf("stmt = %+v", stmt)
 	}
-	j := stmt.Join()
+	j := stmt.Joins[0]
 	if j.Table.Name != "t1000000_100" || j.Table.Binding() != "s" {
 		t.Errorf("join table = %+v", j.Table)
 	}
@@ -61,9 +61,8 @@ func TestParseJoinFig10(t *testing.T) {
 	if p.Op != "<" || p.Value != 500000 {
 		t.Errorf("predicate = %+v", p)
 	}
-	cols := p.Left.Columns()
-	if len(cols) != 2 || cols[0].String() != "r.a1" || cols[1].String() != "s.z" {
-		t.Errorf("predicate columns = %v", cols)
+	if len(p.Left.Terms) != 2 || p.Left.Terms[0].Col.String() != "r.a1" || p.Left.Terms[1].Col.String() != "s.z" {
+		t.Errorf("predicate terms = %+v", p.Left.Terms)
 	}
 }
 
@@ -99,15 +98,15 @@ func TestParseAliases(t *testing.T) {
 
 func TestParseCrossJoin(t *testing.T) {
 	stmt := mustParse(t, "SELECT * FROM a CROSS JOIN b")
-	if stmt.Join() == nil || !stmt.Join().Cross {
-		t.Fatalf("join = %+v", stmt.Join())
+	if len(stmt.Joins) != 1 || !stmt.Joins[0].Cross {
+		t.Fatalf("joins = %+v", stmt.Joins)
 	}
 }
 
 func TestParseInnerJoin(t *testing.T) {
 	stmt := mustParse(t, "SELECT * FROM a INNER JOIN b ON a.k = b.k")
-	if stmt.Join() == nil || stmt.Join().Cross {
-		t.Fatalf("join = %+v", stmt.Join())
+	if len(stmt.Joins) != 1 || stmt.Joins[0].Cross {
+		t.Fatalf("joins = %+v", stmt.Joins)
 	}
 }
 

@@ -29,29 +29,6 @@ func Mean(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
 // RMSE returns the root-mean-square error between predicted and actual.
 func RMSE(predicted, actual []float64) (float64, error) {
 	if len(predicted) != len(actual) {
@@ -83,21 +60,6 @@ func RMSEPercent(predicted, actual []float64) (float64, error) {
 		return 0, errors.New("stats: zero mean actual value")
 	}
 	return e * 100 / v, nil
-}
-
-// MAE returns the mean absolute error between predicted and actual.
-func MAE(predicted, actual []float64) (float64, error) {
-	if len(predicted) != len(actual) {
-		return 0, ErrLengthMismatch
-	}
-	if len(predicted) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for i := range predicted {
-		s += math.Abs(predicted[i] - actual[i])
-	}
-	return s / float64(len(predicted)), nil
 }
 
 // RSquared returns the coefficient of determination of predictions against
@@ -207,30 +169,4 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }

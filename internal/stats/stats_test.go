@@ -27,24 +27,6 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	v, err := Variance(xs)
-	if err != nil {
-		t.Fatalf("Variance: %v", err)
-	}
-	if !almostEqual(v, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		t.Fatalf("StdDev: %v", err)
-	}
-	if !almostEqual(sd, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", sd)
-	}
-}
-
 func TestRMSEPerfect(t *testing.T) {
 	a := []float64{1, 2, 3}
 	e, err := RMSE(a, a)
@@ -90,16 +72,6 @@ func TestRMSEPercent(t *testing.T) {
 func TestRMSEPercentZeroMean(t *testing.T) {
 	if _, err := RMSEPercent([]float64{1}, []float64{0}); err == nil {
 		t.Error("expected error for zero-mean actual values")
-	}
-}
-
-func TestMAE(t *testing.T) {
-	got, err := MAE([]float64{1, 3}, []float64{2, 1})
-	if err != nil {
-		t.Fatalf("MAE: %v", err)
-	}
-	if !almostEqual(got, 1.5, 1e-12) {
-		t.Errorf("MAE = %v, want 1.5", got)
 	}
 }
 
@@ -187,25 +159,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 0})
-	if err != nil {
-		t.Fatalf("MinMax: %v", err)
-	}
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%v, %v), want (-1, 7)", min, max)
-	}
-}
-
-func TestSum(t *testing.T) {
-	if got := Sum([]float64{1, 2, 3}); got != 6 {
-		t.Errorf("Sum = %v, want 6", got)
-	}
-	if got := Sum(nil); got != 0 {
-		t.Errorf("Sum(nil) = %v, want 0", got)
-	}
-}
-
 // Property: FitLine recovers any non-degenerate linear relationship exactly.
 func TestFitLineRecoversLinearProperty(t *testing.T) {
 	f := func(slope, intercept float64, seed int64) bool {
@@ -277,13 +230,7 @@ func TestFitLineR2BoundsProperty(t *testing.T) {
 	}
 }
 
-func TestMAEAndRSquaredErrors(t *testing.T) {
-	if _, err := MAE(nil, nil); err != ErrEmpty {
-		t.Errorf("MAE(nil) err = %v", err)
-	}
-	if _, err := MAE([]float64{1}, []float64{1, 2}); err != ErrLengthMismatch {
-		t.Errorf("MAE mismatch err = %v", err)
-	}
+func TestRSquaredErrors(t *testing.T) {
 	if _, err := RSquared(nil, nil); err != ErrEmpty {
 		t.Errorf("RSquared(nil) err = %v", err)
 	}
@@ -296,15 +243,6 @@ func TestMAEAndRSquaredErrors(t *testing.T) {
 	}
 	if _, err := RSquared([]float64{1, 3}, []float64{2, 2}); err == nil {
 		t.Error("zero-variance actual with residuals accepted")
-	}
-}
-
-func TestVarianceEmpty(t *testing.T) {
-	if _, err := Variance(nil); err != ErrEmpty {
-		t.Errorf("Variance(nil) err = %v", err)
-	}
-	if _, err := StdDev(nil); err != ErrEmpty {
-		t.Errorf("StdDev(nil) err = %v", err)
 	}
 }
 
