@@ -172,12 +172,12 @@ func (e *Engine) TuneCandidate(ctx context.Context, system string, opts TuneOpti
 	opts.normalize()
 	e.tuneMu.Lock()
 	defer e.tuneMu.Unlock()
-	e.tuneAttempts.Inc()
 
 	h, err := e.hybridFor(system)
 	if err != nil {
 		return nil, err
 	}
+	e.tuneAttempts.Inc()
 	_, csp := trace.Start(ctx, "clone")
 	liveJSON, err := profileJSON(h)
 	if err != nil {

@@ -444,6 +444,20 @@ func TestTuneCandidateValidation(t *testing.T) {
 	}
 }
 
+// TestRefusedTuneIsNoAttempt: a tune refused for its system (an unknown one,
+// or the master) never started, so /models' tuning.attempts must not count it.
+func TestRefusedTuneIsNoAttempt(t *testing.T) {
+	e := newEngine(t)
+	for _, system := range []string{"ghost", "teradata"} {
+		if _, err := e.TuneCandidate(context.Background(), system, fastTune()); err == nil {
+			t.Errorf("tuning %q accepted", system)
+		}
+	}
+	if ts := e.Stats().Tuning; ts.Attempts != 0 {
+		t.Errorf("tuning stats = %+v after two refused tunes, want no attempt", ts)
+	}
+}
+
 // TestTunerBackgroundLoop drives the watch loop end to end: drifting windows
 // debounce into a tune pass, the pass promotes, and the drift flag clears.
 func TestTunerBackgroundLoop(t *testing.T) {

@@ -2,6 +2,7 @@ package optimizer_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -87,8 +88,16 @@ func (st *planStats) check(t *testing.T, what string, p *optimizer.Plan) {
 			st.tinyEstimates++
 		}
 	}
-	if got, want := p.Explain(), refExplain(p); got != want {
+	want := refExplain(p)
+	if got := p.Explain(); got != want {
 		t.Fatalf("%s: Explain() differs from the reference\n got:\n%s\nwant:\n%s", what, got, want)
+	}
+	quoted, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.ExplainJSON(); got != string(quoted) {
+		t.Fatalf("%s: ExplainJSON() is not encoding/json's quoting of the reference\n got: %s\nwant: %s", what, got, quoted)
 	}
 }
 
@@ -207,6 +216,38 @@ func TestExplainHandBuiltPlans(t *testing.T) {
 	st.check(t, "long plan", long)
 }
 
+// TestExplainHostileNames renders plans whose every interpolated name — step
+// system, source, kind and algorithm, alternative kind and system, excluded
+// systems — holds what a JSON string must escape: the quoted form must be
+// encoding/json's, and Explain() must unquote it back to the reference text.
+func TestExplainHostileNames(t *testing.T) {
+	var st planStats
+	for i, name := range []string{`"quoted"`, `back\slash`, "<tag>", "a&b", "ctl\x00\x01\x1f\x7f", "tab\tline\nret\r\b\f",
+		"sep\u2028par\u2029", "héllo → ×", `\u0041 is not an escape here`, `<"&\>`} {
+		other := fmt.Sprintf("%s-%d", name, i)
+		st.check(t, fmt.Sprintf("name %q", name), &optimizer.Plan{
+			EstimatedSec: 1.25,
+			Steps: []optimizer.Step{
+				{Kind: "transfer", From: name, System: other, Rows: 10, RowSize: 8, EstimatedSec: 0.5},
+				{Kind: "join", System: name, Estimate: core.Estimate{Algorithm: other}, EstimatedSec: 0.25},
+				{Kind: "aggregation", System: other, EstimatedSec: 0.125},
+				{Kind: "scan", System: name},
+				{Kind: "sort", System: other, Rows: 3},
+				{Kind: name},
+			},
+			Alternatives: []optimizer.Alternative{{Kind: name, System: other, EstimatedSec: 2}, {Kind: other, Join: 2, System: name}},
+			Excluded:     []string{name, other},
+		})
+	}
+	// Invalid UTF-8 is the one input the quoted form does not carry through:
+	// it reads U+FFFD there, as it does in every answer, and so in Explain().
+	// No registration path produces such a name (DESIGN §12).
+	bad := &optimizer.Plan{Steps: []optimizer.Step{{Kind: "scan", System: "hive\xff"}}}
+	if got, want := bad.Explain(), strings.ToValidUTF8(refExplain(bad), "\ufffd"); got != want {
+		t.Errorf("invalid UTF-8 name: Explain() = %q, want %q", got, want)
+	}
+}
+
 func TestPlanSystems(t *testing.T) {
 	p := &optimizer.Plan{Steps: []optimizer.Step{
 		{Kind: "transfer", From: "spark", System: "hive"},
@@ -227,7 +268,7 @@ func TestPlanSystems(t *testing.T) {
 
 // A plan assembled by hand renders on first use with no planner to do it
 // first: concurrent first users (run under -race) must all end up with the
-// one rendering that won.
+// one rendering that won — the same memoized quoted text and systems list.
 func TestHandBuiltPlanRendersOnceConcurrently(t *testing.T) {
 	p := &optimizer.Plan{EstimatedSec: 1.5}
 	for _, sys := range []string{"e", "d", "c", "b", "a", "c"} {
@@ -239,7 +280,7 @@ func TestHandBuiltPlanRendersOnceConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			texts[g], lists[g] = p.Explain(), p.Systems()
+			texts[g], lists[g] = p.ExplainJSON(), p.Systems()
 		}()
 	}
 	wg.Wait()

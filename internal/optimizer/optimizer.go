@@ -7,12 +7,14 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"intellisphere/internal/catalog"
 	"intellisphere/internal/core"
 	"intellisphere/internal/core/subop"
+	"intellisphere/internal/jsonstr"
 	"intellisphere/internal/plan"
 	"intellisphere/internal/querygrid"
 	"intellisphere/internal/registry"
@@ -58,27 +60,30 @@ type Step struct {
 	Estimate core.Estimate
 }
 
+// appendTo renders the step's EXPLAIN line as the inside of a JSON string:
+// the names it interpolates go through the escaper, and the fixed text and
+// the numbers need none.
 func (s *Step) appendTo(b []byte) []byte {
 	switch s.Kind {
 	case "transfer":
 		b = appendFixed(append(b, "transfer "...), s.Rows, 0)
 		b = appendFixed(append(b, " rows × "...), s.RowSize, 0)
-		b = append(append(b, " B  "...), s.From...)
-		b = append(append(b, " → "...), s.System...)
+		b = jsonstr.Append(append(b, " B  "...), s.From)
+		b = jsonstr.Append(append(b, " → "...), s.System)
 		b = append(b, "  "...)
 	case "join":
-		b = append(append(b, "join on "...), s.System...)
-		b = append(append(b, " via "...), s.Estimate.Algorithm...)
+		b = jsonstr.Append(append(b, "join on "...), s.System)
+		b = jsonstr.Append(append(b, " via "...), s.Estimate.Algorithm)
 		b = append(b, ' ')
 	case "aggregation", "scan":
-		b = append(append(b, s.Kind...), " on "...)
-		b = append(append(b, s.System...), ' ')
+		b = append(jsonstr.Append(b, s.Kind), " on "...)
+		b = append(jsonstr.Append(b, s.System), ' ')
 	case "sort":
 		b = appendFixed(append(b, "sort "...), s.Rows, 0)
-		b = append(append(b, " rows on "...), s.System...)
+		b = jsonstr.Append(append(b, " rows on "...), s.System)
 		b = append(b, ' ')
 	default:
-		return append(b, s.Kind...)
+		return jsonstr.Append(b, s.Kind)
 	}
 	return appendSeconds(b, s.EstimatedSec)
 }
@@ -97,13 +102,14 @@ type Alternative struct {
 	EstimatedSec float64
 }
 
-// appendTo renders the placement for EXPLAIN: "join 2 on spark".
+// appendTo renders the placement for EXPLAIN, escaped as Step.appendTo is:
+// "join 2 on spark".
 func (a *Alternative) appendTo(b []byte) []byte {
-	b = append(b, a.Kind...)
+	b = jsonstr.Append(b, a.Kind)
 	if a.Join > 0 {
 		b = strconv.AppendInt(append(b, ' '), int64(a.Join), 10)
 	}
-	return append(append(b, " on "...), a.System...)
+	return jsonstr.Append(append(b, " on "...), a.System)
 }
 
 // Plan is a chosen physical plan with its costed alternatives. Plans are
@@ -150,18 +156,19 @@ func newPlan() *Plan {
 // Release gives a plan back for the planner to build another on. Only the
 // plan's one owner may call it, once nothing reads the plan any more: never
 // for a plan a cache holds or a caller may still read. The rendering, which
-// is an allocation of its own, stays valid for whoever kept Explain's text or
-// the Systems list.
+// is an allocation of its own, stays valid for whoever kept ExplainJSON's
+// text or the Systems list.
 func Release(p *Plan) {
 	*p = Plan{}
 	plans.Put(p)
 }
 
-// rendering is what a finished plan derives from its steps. Both are
-// allocations of their own: wide events keep the systems list, and must not
-// keep the plan (and everything it points to) alive through it.
+// rendering is what a finished plan derives from its steps: EXPLAIN in the
+// form an answer carries it, a quoted JSON string, and the systems list. Both
+// are allocations of their own: wide events keep the systems list, and must
+// not keep the plan (and everything it points to) alive through it.
 type rendering struct {
-	explain string
+	quoted  string
 	systems []string
 }
 
@@ -180,9 +187,32 @@ func (p *Plan) rendered() *rendering {
 // plan and shared: callers must not modify it.
 func (p *Plan) Systems() []string { return p.rendered().systems }
 
-// Explain renders the plan. The rendering is computed once per plan, so
-// cache hits return byte-identical output without re-formatting.
-func (p *Plan) Explain() string { return p.rendered().explain }
+// ExplainJSON is the plan's EXPLAIN text as a quoted JSON string, escaped as
+// encoding/json escapes it with HTML escaping on: what an answer's "explain"
+// field holds, ready to copy. It is rendered once per plan, so cache hits
+// return the same bytes without re-formatting or re-escaping.
+func (p *Plan) ExplainJSON() string { return p.rendered().quoted }
+
+// Explain is the plan's EXPLAIN text, unquoted from ExplainJSON: a new string
+// on every call, for the callers that print or compare it.
+func (p *Plan) Explain() string {
+	q := p.rendered().quoted
+	q = q[1 : len(q)-1]
+	var b strings.Builder
+	b.Grow(len(q)) // an escape is never shorter than what it stands for
+	for {
+		i := strings.IndexByte(q, '\\')
+		if i < 0 {
+			b.WriteString(q)
+			return b.String()
+		}
+		b.WriteString(q[:i])
+		// The escaper writes only escapes UnquoteChar reads.
+		r, _, tail, _ := strconv.UnquoteChar(q[i:], '"')
+		b.WriteRune(r)
+		q = tail
+	}
+}
 
 func (p *Plan) renderInto(r *rendering) {
 	r.systems = make([]string, 0, 4)
@@ -197,34 +227,36 @@ func (p *Plan) renderInto(r *rendering) {
 	}
 	sort.Strings(r.systems)
 
+	// The text is rendered quoted in one pass: each line break is written as
+	// its escape, each name through the escaper.
 	var buf [1024]byte // most renderings fit: the text is then copied once
-	b := buf[:0]
+	b := append(buf[:0], '"')
 	if len(p.Excluded) > 0 {
 		b = append(b, "degraded plan (excluded: "...)
 		for i, sys := range p.Excluded {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = append(b, sys...)
+			b = jsonstr.Append(b, sys)
 		}
-		b = append(b, ")\n"...)
+		b = append(b, `)\n`...)
 	}
 	b = appendFixed(append(b, "plan (estimated "...), p.EstimatedSec, 2)
-	b = append(b, "s):\n"...)
+	b = append(b, `s):\n`...)
 	for i := range p.Steps {
 		b = strconv.AppendInt(append(b, "  "...), int64(i+1), 10)
 		b = p.Steps[i].appendTo(append(b, ". "...))
-		b = append(b, '\n')
+		b = append(b, `\n`...)
 	}
 	if len(p.Alternatives) > 0 {
-		b = append(b, "rejected alternatives:\n"...)
+		b = append(b, `rejected alternatives:\n`...)
 		for i := range p.Alternatives {
 			a := &p.Alternatives[i]
 			b = a.appendTo(append(b, "  - "...))
-			b = append(appendSeconds(append(b, ' '), a.EstimatedSec), '\n')
+			b = append(appendSeconds(append(b, ' '), a.EstimatedSec), `\n`...)
 		}
 	}
-	r.explain = string(b)
+	r.quoted = string(append(b, '"'))
 }
 
 // PlanCtx builds the cheapest federated plan for a parsed statement,

@@ -5,7 +5,8 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"unicode/utf8"
+
+	"intellisphere/internal/jsonstr"
 )
 
 // The hot serving endpoints (/query, /query/batch, /query/stream) answer
@@ -16,6 +17,11 @@ import (
 // json.NewEncoder with SetIndent("", " ") (the seed's writeJSON), which the
 // golden tests in encode_test.go pin — over pooled buffers, so a warm
 // request allocates nothing for its response.
+//
+// Strings are escaped by internal/jsonstr, the escaper the optimizer also
+// renders each plan's EXPLAIN with: a plan holds its EXPLAIN already quoted
+// (Plan.ExplainJSON), escaped once when it was rendered, and every answer
+// copies those bytes instead of escaping the text again.
 //
 // Responses carrying a span tree (?trace=1) fall back to encoding/json:
 // tracing is an opt-in diagnostic path, and trace.Trace is the one shape
@@ -58,87 +64,27 @@ func (w *jw) newline() {
 }
 
 // key starts an object member: separating comma (unless first), newline at
-// the current depth, quoted name, colon, space.
+// the current depth, quoted name, colon, space. Names are constants that need
+// no escaping, so they are copied as they are.
 func (w *jw) key(name string, first bool) {
 	if !first {
 		w.b.WriteByte(',')
 	}
 	w.newline()
-	w.str(name)
-	w.b.WriteString(": ")
+	w.b.WriteByte('"')
+	w.b.WriteString(name)
+	w.b.WriteString(`": `)
 }
 
-const hexDigits = "0123456789abcdef"
-
-// jsonSafe marks the ASCII bytes str copies as they are: everything but the
-// control characters, '"', '\' and the three HTML escaping takes ('<', '>',
-// '&') — one load per byte of every statement and EXPLAIN text answered.
-var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		safe[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-	}
-	return safe
-}()
-
-// str writes a quoted, escaped string exactly as encoding/json does with
-// HTML escaping on: ", \, control characters, <, >, &, U+2028/U+2029, and
-// invalid UTF-8 (replaced by �).
+// str writes s as a quoted JSON string, escaped as encoding/json escapes it
+// with HTML escaping on. The room for an unescaped s is made first, so the
+// escaper appends into the buffer's own spare capacity and Write's copy is
+// onto itself; an s whose escapes outgrow that room is appended elsewhere
+// and copied in.
 func (w *jw) str(s string) {
-	b := w.b
-	b.WriteByte('"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				i++
-				continue
-			}
-			b.WriteString(s[start:i])
-			switch c {
-			case '\\':
-				b.WriteString(`\\`)
-			case '"':
-				b.WriteString(`\"`)
-			case '\b':
-				b.WriteString(`\b`)
-			case '\f':
-				b.WriteString(`\f`)
-			case '\n':
-				b.WriteString(`\n`)
-			case '\r':
-				b.WriteString(`\r`)
-			case '\t':
-				b.WriteString(`\t`)
-			default: // other control chars and <, >, &
-				b.WriteString(`\u00`)
-				b.WriteByte(hexDigits[c>>4])
-				b.WriteByte(hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b.WriteString(s[start:i])
-			b.WriteString(`\ufffd`)
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b.WriteString(s[start:i])
-			b.WriteString(`\u202`)
-			b.WriteByte(hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b.WriteString(s[start:])
-	b.WriteByte('"')
+	w.b.Grow(len(s) + 2)
+	q := jsonstr.Append(append(w.b.AvailableBuffer(), '"'), s)
+	w.b.Write(append(q, '"'))
 }
 
 // float renders a float64 the way encoding/json does: shortest
@@ -220,15 +166,16 @@ func (w *jw) rows(rs [][]float64) {
 
 // encodeQueryResponse writes one queryResponse object, mirroring its struct
 // tags: step_actuals always present, degraded/excluded/columns/rows
-// omitempty. The caller guarantees resp.Trace is nil (traced responses take
-// the encoding/json fallback).
+// omitempty. "explain" is resp.explainJSON, copied as it is: the plan quoted
+// it once when it rendered. The caller guarantees resp.Trace is nil (traced
+// responses take the encoding/json fallback).
 func encodeQueryResponse(w *jw, resp *queryResponse) {
 	w.b.WriteByte('{')
 	w.depth++
 	w.key("sql", true)
 	w.str(resp.SQL)
 	w.key("explain", false)
-	w.str(resp.Explain)
+	w.b.WriteString(resp.explainJSON)
 	w.key("estimated_sec", false)
 	w.float(resp.EstimatedSec)
 	w.key("actual_sec", false)

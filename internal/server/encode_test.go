@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"intellisphere/internal/engine"
+	"intellisphere/internal/jsonstr"
 )
 
 // refEncode is the seed's writeJSON encoder: encoding/json with
@@ -32,10 +33,18 @@ func refEncode(t *testing.T, v any) string {
 	return b.String()
 }
 
+// quoteExplain quotes resp.Explain into explainJSON through the escaper a
+// plan renders its EXPLAIN with, as an answer carries it.
+func quoteExplain(resp *queryResponse) {
+	resp.explainJSON = string(append(jsonstr.Append([]byte{'"'}, resp.Explain), '"'))
+}
+
 func fastEncodeResponse(resp *queryResponse) string {
+	r := *resp
+	quoteExplain(&r)
 	var b bytes.Buffer
 	enc := jw{b: &b}
-	encodeQueryResponse(&enc, resp)
+	encodeQueryResponse(&enc, &r)
 	b.WriteByte('\n')
 	return b.String()
 }
@@ -141,6 +150,7 @@ func TestEncodeBatchEquivalence(t *testing.T) {
 		enc.newline()
 		switch item := v.(type) {
 		case queryResponse:
+			quoteExplain(&item)
 			encodeQueryResponse(&enc, &item)
 		case map[string]string:
 			encodeStatementError(&enc, item["sql"], item["error"])
@@ -254,7 +264,9 @@ func TestConcurrentFirstSightingsMatchReference(t *testing.T) {
 		if err != nil {
 			return map[string]string{"sql": sql, "error": err.Error()}
 		}
-		return toQueryResponse(sql, res)
+		resp := toQueryResponse(sql, res)
+		resp.Explain = res.Plan.Explain()
+		return resp
 	}
 	read := func(resp *http.Response, err error) []byte {
 		if err != nil {

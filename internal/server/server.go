@@ -420,6 +420,10 @@ type queryResponse struct {
 	// rendering when the request asked for ?trace=1.
 	Trace     *trace.Trace `json:"trace,omitempty"`
 	TraceText string       `json:"trace_text,omitempty"`
+	// explainJSON is what encodeQueryResponse writes for "explain": the
+	// plan's EXPLAIN already quoted (Plan.ExplainJSON). Explain is filled
+	// only on the traced path, for encoding/json.
+	explainJSON string
 }
 
 // toQueryResponse maps an engine result onto the wire shape shared by
@@ -427,7 +431,7 @@ type queryResponse struct {
 func toQueryResponse(sql string, res *engine.QueryResult) queryResponse {
 	resp := queryResponse{
 		SQL:          sql,
-		Explain:      res.Plan.Explain(),
+		explainJSON:  res.Plan.ExplainJSON(),
 		EstimatedSec: res.Plan.EstimatedSec,
 		ActualSec:    res.ActualSec,
 		StepActuals:  res.StepActuals,
@@ -469,6 +473,7 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 			return
 		}
 		resp := toQueryResponse(sql, res)
+		resp.Explain = res.Plan.Explain()
 		resp.Trace = tr
 		resp.TraceText = tr.Render()
 		// Traced responses carry the span tree; they take the reflective
