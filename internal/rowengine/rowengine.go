@@ -95,7 +95,9 @@ func ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, tables map[s
 	}
 	res := &Result{Columns: q.names}
 	if q.aggregate {
-		res.Rows = p.groupRows()
+		if res.Rows, err = p.groupRows(); err != nil {
+			return nil, err
+		}
 	} else {
 		res.Rows = cutRows(p.out, len(q.names))
 	}
@@ -351,8 +353,11 @@ func (p *pipeline) accumulate() error {
 
 // groupRows renders the groups as result rows, ordered by the text of their
 // key tuples ("%v|" per key, so 10 sorts before 2 and a million is 1e+06):
-// the order this engine has always answered in, rendered once per group.
-func (p *pipeline) groupRows() [][]float64 {
+// the order this engine has always answered in, rendered once per group. An
+// aggregate that left float64's range (SUM(a1 + 1e308) over many rows, or a
+// MAX over an expression that overflows per row) is refused, as PostgreSQL
+// refuses a float8 overflow: ±Inf or NaN has no JSON number to answer with.
+func (p *pipeline) groupRows() ([][]float64, error) {
 	n, width := len(p.groupOf), len(p.groupBy)
 	var text []byte
 	ends := make([]int, n+1)
@@ -389,10 +394,13 @@ func (p *pipeline) groupRows() [][]float64 {
 			case sqlparse.AggMax:
 				v = st.max
 			}
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, fmt.Errorf("rowengine: %s is out of range: float64 overflow", p.names[i])
+			}
 			slab = append(slab, v)
 		}
 	}
-	return cutRows(slab, len(p.items))
+	return cutRows(slab, len(p.items)), nil
 }
 
 // sortRows orders rows by the bound ORDER BY keys, stably.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -167,6 +168,34 @@ func TestAggregateExpressionArg(t *testing.T) {
 	res := exec(t, "SELECT SUM(a1 + 1) FROM t", ts)
 	if res.Rows[0][0] != 55 {
 		t.Errorf("SUM(a1+1) = %v, want 55", res.Rows[0][0])
+	}
+}
+
+// An aggregate that leaves float64's range is an error, not ±Inf in a row:
+// a sum that overflows across rows, a MAX over a value that overflows in
+// every row, a grouped sum that overflows within each group, an average of
+// an overflowing sum. Near the edge but inside it still answers.
+func TestAggregateOverflowRefused(t *testing.T) {
+	ts := tables(t, map[string]int64{"t": 100})
+	for _, sql := range []string{
+		"SELECT SUM(a1 + 1e308) FROM t",
+		"SELECT MAX(a1 + 1e308 + 1e308) FROM t",
+		"SELECT a2, SUM(a1 - 1e308) FROM t GROUP BY a2",
+		"SELECT AVG(a1 + 1e308) FROM t",
+		"SELECT MIN(a1 - 1e308 - 1e308) AS low FROM t",
+	} {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", sql, err)
+		}
+		res, err := Execute(stmt, ts)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Execute(%q) = %v, %v; want an out-of-range error", sql, res, err)
+		}
+	}
+	res := exec(t, "SELECT MIN(a1 - 1e308), MAX(a1 + 1e308), SUM(a1 + 1e306) FROM t", ts)
+	if row := res.Rows[0]; row[0] != -1e308 || row[1] != 1e308 || math.IsInf(row[2], 0) {
+		t.Errorf("in-range aggregates = %v", row)
 	}
 }
 

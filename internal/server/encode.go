@@ -89,8 +89,8 @@ func (w *jw) str(s string) {
 
 // float renders a float64 the way encoding/json does: shortest
 // representation, 'f' form in the ±[1e-6, 1e21) magnitude range, 'e'
-// otherwise with single-digit exponents unpadded. Engine outputs are finite
-// by construction; this path never sees NaN or ±Inf.
+// otherwise with single-digit exponents unpadded. It never sees NaN or ±Inf:
+// engine outputs are finite; rowengine refuses an aggregate that overflows.
 func (w *jw) float(f float64) {
 	abs := math.Abs(f)
 	format := byte('f')

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -142,6 +144,64 @@ func TestQueryEndpointGETAndErrors(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty body status = %d", r2.StatusCode)
+	}
+}
+
+// A local aggregate that overflows float64 is a statement error on every
+// route: 400 bad_request on /query (traced or not), an error element in a
+// /query/batch answer, an error frame in its /query/stream slot. Each answer
+// must stay JSON; ±Inf in a row used to be written as a bare token (or, traced,
+// as a 200 with an empty body) and poisoned a whole batch.
+func TestAggregateOverflowAnswersError(t *testing.T) {
+	srv, _ := newTestServer(t)
+	good := "SELECT a1 FROM t10000_100 WHERE a1 < 3"
+	bad := []string{
+		"SELECT SUM(a1 + 1e308) FROM t10000_100",
+		"SELECT MAX(a1 + 1e308 + 1e308) FROM t10000_100",
+		"SELECT a2, SUM(a1 - 1e308) FROM t10000_100 GROUP BY a2",
+	}
+	for _, sql := range bad {
+		for _, suffix := range []string{"", "&trace=1"} {
+			var e map[string]string
+			resp := getJSON(t, srv.URL+"/query?q="+url.QueryEscape(sql)+suffix, &e)
+			if resp.StatusCode != http.StatusBadRequest || e["code"] != "bad_request" || !strings.Contains(e["error"], "out of range") {
+				t.Errorf("/query %q%s: status %d, body %v", sql, suffix, resp.StatusCode, e)
+			}
+		}
+	}
+
+	stmts := append([]string{good}, bad...)
+	var got []map[string]any
+	if resp := postBatch(t, srv.URL, string(mustJSON(t, stmts)), &got); resp.StatusCode != http.StatusOK || len(got) != len(stmts) {
+		t.Fatalf("/query/batch: status %d, %d elements", resp.StatusCode, len(got))
+	}
+	if got[0]["error"] != nil || got[0]["rows"] == nil {
+		t.Errorf("batch element 0: %v", got[0])
+	}
+	for i := 1; i < len(got); i++ {
+		if msg, _ := got[i]["error"].(string); !strings.Contains(msg, "out of range") {
+			t.Errorf("batch element %d: %v", i, got[i])
+		}
+	}
+
+	resp, err := http.Post(srv.URL+"/query/stream", "application/x-ndjson", strings.NewReader(strings.Join(stmts, "\n")+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for i := range stmts {
+		frame, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("stream frame %d: %v", i, err)
+		}
+		var slot map[string]any
+		if err := json.Unmarshal(frame, &slot); err != nil {
+			t.Fatalf("stream frame %d is not JSON: %v (%s)", i, err, frame)
+		}
+		if msg, _ := slot["error"].(string); (i > 0) != strings.Contains(msg, "out of range") {
+			t.Errorf("stream frame %d: %s", i, frame)
+		}
 	}
 }
 

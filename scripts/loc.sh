@@ -23,7 +23,13 @@
 # off (-gcflags=all=-l), the text symbols of each binary are read with
 # `go tool nm` and normalised (type-parameter shapes stripped, (*T).M folded
 # into T.M, closure suffixes dropped), and every func declared under
-# internal/ that none of them contains is printed by name.
+# internal/ that none of them contains is printed by name. The builds pass
+# -pgo=off, so what counts as linked does not depend on cmd/serve/default.pgo
+# (profile-guided devirtualisation) and no third variant of std is compiled.
+# One report line follows, never a failure: how stale that profile is — the
+# share of its flat samples under internal/ (`go tool pprof -top`, names
+# normalised the same way) on functions no program links any more, and the
+# commits that touched a .go file since the profile last changed.
 # Exits 1, naming them on stderr, when a series has no reader, a flag no
 # scenario, a route no request or an unlinked function is not on the
 # keep-list below: a new series lands with a file that names it (a name
@@ -94,12 +100,13 @@ faults.Injector.Configure              driven by the engine and server tests
 '
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
-go build -gcflags=all=-l -o "$bin/" $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...)
-go -C bench build -gcflags=all=-l -o "$bin/bench" .
-for b in "$bin"/*; do go tool nm "$b"; done |
-	awk '$2 == "T" || $2 == "t" {
-		s = $0; sub(/^ *[0-9a-f]+ [Tt] /, "", s)
-		if (index(s, "intellisphere/internal/") != 1) next
+go build -pgo=off -gcflags=all=-l -o "$bin/" $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...)
+go -C bench build -pgo=off -gcflags=all=-l -o "$bin/bench" .
+# normalise reads "<weight> <symbol>" lines and prints "<weight> <function>"
+# for the functions under internal/, in the form the declared list below uses.
+normalise='
+	{ w = $1; s = $0; sub(/^ *[^ ]+ /, "", s); sub(/ \(inline\)$/, "", s) }
+	index(s, "intellisphere/internal/") == 1 {
 		out = ""; depth = 0
 		for (i = 1; i <= length(s); i++) {
 			c = substr(s, i, 1)
@@ -107,7 +114,9 @@ for b in "$bin"/*; do go tool nm "$b"; done |
 		}
 		gsub(/\(\*|\)/, "", out); sub(/-fm$/, "", out)
 		while (sub(/\.(func|gowrap|deferwrap)[0-9]+(\.[0-9]+)*$/, "", out)) {}
-		print out }' | sort -u >"$bin/linked"
+		print w, out }'
+for b in "$bin"/*; do go tool nm "$b"; done |
+	awk '$2 == "T" || $2 == "t" { sub(/^ *[0-9a-f]+ [Tt] /, "0 "); print }' | awk "$normalise" | cut -d' ' -f2 | sort -u >"$bin/linked"
 git ls-files -- 'internal/*.go' | grep -v -e '_test\.go$' -e '/testdata/' | xargs awk '
 	FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$/, "", pkg) }
 	/^func / { s = $0; sub(/^func /, "", s); recv = ""
@@ -120,6 +129,25 @@ git ls-files -- 'internal/*.go' | grep -v -e '_test\.go$' -e '/testdata/' | xarg
 		if (recv s != "init") print "intellisphere/" pkg "." recv s }' | sort -u >"$bin/declared"
 unlinked=$(comm -23 "$bin/declared" "$bin/linked" | sed 's,^intellisphere/internal/,,')
 printf '%7d  functions under internal/ no program links:%s\n' "$(echo $unlinked | wc -w)" "$(printf ' %s' $unlinked)"
+pgo=cmd/serve/default.pgo
+if [ -f "$pgo" ]; then
+	stale=$(go tool pprof -top -nodefraction=0 -unit=ms "$pgo" 2>/dev/null |
+		awk '$1 ~ /^[0-9.]+ms$/ && NF >= 6 { sub(/^ *[^ ]+ +[^ ]+ +[^ ]+ +[^ ]+ +[^ ]+ +/, sprintf("%s ", $1 + 0)); print }' |
+		awk "$normalise" | awk -v linked="$bin/linked" '
+			BEGIN { while ((getline f <linked) > 0) have[f] = 1 }
+			# A closure of a function inlined elsewhere is named after both
+			# (Server.Handler.Server.admit): any tail of the name may match.
+			{ pkg = $2; sub(/\.[^\/]*$/, "", pkg); rest = substr($2, length(pkg) + 2)
+			  ok = $2 in have
+			  while (!ok && (i = index(rest, ".")) > 0) { rest = substr(rest, i + 1); ok = (pkg "." rest) in have }
+			  all += $1; if (!ok) stale += $1 }
+			END { printf "%.1f%%", all ? 100 * stale / all : 0 }')
+	since=$(git log -1 --format=%H -- "$pgo")
+	printf '%7s  of %s'"'"'s internal/ flat samples on functions no program links; %d commits touched a .go file since it changed\n' \
+		"$stale" "$pgo" "$(if [ -n "$since" ]; then git rev-list --count "$since..HEAD" -- '*.go'; else echo 0; fi)"
+else
+	printf '%7s  no %s: the server builds without profile-guided optimisation\n' - "$pgo"
+fi
 unkept=$(for f in $unlinked; do
 	echo "$keep" | cut -d' ' -f1 | grep -qxF "$f" || printf ' %s' "$f"
 done)

@@ -1,6 +1,7 @@
 package e2e
 
 import (
+	"debug/buildinfo"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,7 +39,10 @@ func TestMain(m *testing.M) {
 
 // buildServe compiles cmd/serve once per test process, with -race when the
 // harness itself is race-instrumented, so the server under test is the same
-// build the suite is.
+// build the suite is. It is built as the benchmark builds it, with no -pgo
+// flag, and refused unless the binary records cmd/serve/default.pgo as its
+// profile: a moved main package, a deleted profile or GOFLAGS=-pgo=off would
+// otherwise drop the profile-guided build without a failing step.
 var buildServe = sync.OnceValues(func() (bin string, err error) {
 	if buildDir, err = os.MkdirTemp("", "e2e-serve-"); err != nil {
 		return "", err
@@ -57,7 +61,16 @@ var buildServe = sync.OnceValues(func() (bin string, err error) {
 	if out, err := cmd.CombinedOutput(); err != nil {
 		return "", fmt.Errorf("%v\n%s", err, out)
 	}
-	return bin, nil
+	info, err := buildinfo.ReadFile(bin)
+	if err != nil {
+		return "", fmt.Errorf("read build info: %w", err)
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-pgo" && strings.HasSuffix(filepath.ToSlash(s.Value), "/cmd/serve/default.pgo") {
+			return bin, nil
+		}
+	}
+	return "", fmt.Errorf("cmd/serve was built without cmd/serve/default.pgo as its profile; build settings: %v", info.Settings)
 })
 
 // skipIfShort opens every test of the package: they all build and boot the
