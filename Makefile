@@ -46,7 +46,8 @@ race:
 # This runs them — the warm /query path, the never-seen-statement path
 # (parse, plan miss, /query/stream), PredictAll, the untraced span and
 # noise-key paths, the row engine's local statements, the metrics hot paths
-# (counter, histogram, untraced exemplar, accuracy window) — without the
+# (counter, histogram, untraced exemplar, accuracy window), the shortest-float
+# kernel's two layouts (internal/ftoa's TestAppendAllocs) — without the
 # detector.
 allocs:
 	$(GO) test -run 'Alloc' ./internal/... -count=1

@@ -26,6 +26,9 @@ func refDescribe(s optimizer.Step) string {
 	case "transfer":
 		return fmt.Sprintf("transfer %.0f rows × %.0f B  %s → %s  (%.2fs)", s.Rows, s.RowSize, s.From, s.System, s.EstimatedSec)
 	case "join":
+		if s.Estimate.Algorithm == "" {
+			return fmt.Sprintf("join on %s (%.2fs)", s.System, s.EstimatedSec)
+		}
 		return fmt.Sprintf("join on %s via %s (%.2fs)", s.System, s.Estimate.Algorithm, s.EstimatedSec)
 	case "aggregation":
 		return fmt.Sprintf("aggregation on %s (%.2fs)", s.System, s.EstimatedSec)
@@ -179,9 +182,10 @@ func TestExplainMatchesReference(t *testing.T) {
 // TestExplainHandBuiltPlans pushes values no planner run over the demo
 // produces through the renderers (its cost models bottom out near 0.05 s and
 // it keeps huge intermediates where they are): sub-0.005 s estimates,
-// ≥ 1e15-row transfers, empty and unknown steps, non-finite and negative
-// numbers, magnitudes around the formatter's hand-over to strconv, and a
-// rendering longer than Explain's stack buffer.
+// ≥ 1e15-row transfers, empty and unknown steps, a join with no algorithm (a
+// logical-op estimate names none), non-finite and negative numbers,
+// magnitudes around the formatter's hand-over to strconv, and a rendering
+// longer than Explain's stack buffer.
 func TestExplainHandBuiltPlans(t *testing.T) {
 	var st planStats
 	values := []float64{0, 0.004, 0.005, 0.015, 0.995, 1e-9, -0.001, -3.5, 1e15, 6.4e15, 4503599627370496.5, 1e18, 1e25, math.Inf(1), math.NaN()}
@@ -192,6 +196,7 @@ func TestExplainHandBuiltPlans(t *testing.T) {
 			Steps: []optimizer.Step{
 				{Kind: "transfer", From: "hive", System: "spark", Rows: v, RowSize: w, EstimatedSec: w},
 				{Kind: "join", System: "spark", Estimate: core.Estimate{Algorithm: "broadcast-hash"}, EstimatedSec: v},
+				{Kind: "join", System: "flink", EstimatedSec: w},
 				{Kind: "aggregation", System: "hive", EstimatedSec: w},
 				{Kind: "scan", System: "teradata", EstimatedSec: v},
 				{Kind: "sort", System: "teradata", Rows: w, EstimatedSec: v},
@@ -206,6 +211,12 @@ func TestExplainHandBuiltPlans(t *testing.T) {
 		t.Errorf("the values missed a case they are there for: %+v", st)
 	}
 	st.check(t, "empty plan", &optimizer.Plan{})
+	// A join priced by a logical-op model has no algorithm to name.
+	flink := &optimizer.Plan{EstimatedSec: 139.52, Steps: []optimizer.Step{{Kind: "join", System: "flink", EstimatedSec: 139.52}}}
+	if got := flink.Explain(); !strings.Contains(got, "  1. join on flink (139.52s)\n") {
+		t.Errorf("logical-op join renders as\n%s", got)
+	}
+	st.check(t, "logical-op join", flink)
 	long := &optimizer.Plan{EstimatedSec: 12.345}
 	for i := 0; i < 60; i++ {
 		long.Steps = append(long.Steps, optimizer.Step{Kind: "transfer", From: "hive", System: "a-system-with-a-long-name", Rows: 1e9 + float64(i), RowSize: 128, EstimatedSec: float64(i) / 7})

@@ -73,7 +73,9 @@ func (s *Step) appendTo(b []byte) []byte {
 		b = append(b, "  "...)
 	case "join":
 		b = jsonstr.Append(append(b, "join on "...), s.System)
-		b = jsonstr.Append(append(b, " via "...), s.Estimate.Algorithm)
+		if s.Estimate.Algorithm != "" { // a logical-op estimate names none
+			b = jsonstr.Append(append(b, " via "...), s.Estimate.Algorithm)
+		}
 		b = append(b, ' ')
 	case "aggregation", "scan":
 		b = append(jsonstr.Append(b, s.Kind), " on "...)

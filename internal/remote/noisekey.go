@@ -3,6 +3,7 @@ package remote
 import (
 	"strconv"
 
+	"intellisphere/internal/ftoa"
 	"intellisphere/internal/plan"
 )
 
@@ -13,7 +14,9 @@ import (
 // append-only calls into a caller-provided stack buffer and feeds it to an
 // inline FNV-1a stream, so the hot path allocates nothing. Byte-for-byte
 // equality with the fmt rendering is pinned by noisekey_test.go — drifting
-// would silently change every simulated timing in the repo.
+// would silently change every simulated timing in the repo. Numbers go
+// through internal/ftoa's shortest-digit kernel, which its own tests hold to
+// strconv, and FuzzNoiseKeyFloat holds the key's numbers to strconv too.
 
 // noiseKey is an append-only builder for noise-key bytes.
 type noiseKey []byte
@@ -27,15 +30,16 @@ func (k noiseKey) str(s string) noiseKey { return append(k, s...) }
 func (k noiseKey) sep() noiseKey         { return append(k, '|') }
 
 // float appends a float64 exactly as fmt's %v verb renders one: shortest
-// 'g'-format via strconv. An integral value in [1, 1e6) — row counts and
+// 'g'-format (ftoa.AppendG). An integral value in [1, 1e6) — row counts and
 // widths, most calls when serving — is written as the integer: the same text
-// ('g' keeps an exponent below six positional) at a fraction of the cost.
-// Zero stays with strconv, which writes −0 as "-0".
+// ('g' keeps an exponent below six positional), and strconv.AppendInt, inlined
+// here, writes it about 4 ns sooner than the kernel's integer branch (DESIGN
+// §12, "Shortest floats").
 func (k noiseKey) float(f float64) noiseKey {
 	if f >= 1 && f < 1e6 && f == float64(int64(f)) {
 		return strconv.AppendInt(k, int64(f), 10)
 	}
-	return strconv.AppendFloat(k, f, 'g', -1, 64)
+	return ftoa.AppendG(k, f)
 }
 
 // dims appends a float slice exactly as %v renders one: "[a b c]".

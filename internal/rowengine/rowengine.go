@@ -27,9 +27,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"intellisphere/internal/datagen"
+	"intellisphere/internal/ftoa"
 	"intellisphere/internal/sqlparse"
 )
 
@@ -352,18 +352,19 @@ func (p *pipeline) accumulate() error {
 }
 
 // groupRows renders the groups as result rows, ordered by the text of their
-// key tuples ("%v|" per key, so 10 sorts before 2 and a million is 1e+06):
-// the order this engine has always answered in, rendered once per group. An
-// aggregate that left float64's range (SUM(a1 + 1e308) over many rows, or a
-// MAX over an expression that overflows per row) is refused, as PostgreSQL
-// refuses a float8 overflow: ±Inf or NaN has no JSON number to answer with.
+// key tuples ("%v|" per key, written by ftoa.AppendG, so 10 sorts before 2 and
+// a million is 1e+06): the order this engine has always answered in, rendered
+// once per group. An aggregate that left float64's range (SUM(a1 + 1e308)
+// over many rows, or a MAX over an expression that overflows per row) is
+// refused, as PostgreSQL refuses a float8 overflow: ±Inf or NaN has no JSON
+// number to answer with.
 func (p *pipeline) groupRows() ([][]float64, error) {
 	n, width := len(p.groupOf), len(p.groupBy)
 	var text []byte
 	ends := make([]int, n+1)
 	for g := 0; g < n; g++ {
 		for _, k := range p.keys[g*width : (g+1)*width] {
-			text = append(strconv.AppendFloat(text, float64(k), 'g', -1, 64), '|')
+			text = append(ftoa.AppendG(text, float64(k)), '|')
 		}
 		ends[g+1] = len(text)
 	}

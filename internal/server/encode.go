@@ -2,10 +2,9 @@ package server
 
 import (
 	"bytes"
-	"math"
-	"strconv"
 	"sync"
 
+	"intellisphere/internal/ftoa"
 	"intellisphere/internal/jsonstr"
 )
 
@@ -21,7 +20,10 @@ import (
 // Strings are escaped by internal/jsonstr, the escaper the optimizer also
 // renders each plan's EXPLAIN with: a plan holds its EXPLAIN already quoted
 // (Plan.ExplainJSON), escaped once when it was rendered, and every answer
-// copies those bytes instead of escaping the text again.
+// copies those bytes instead of escaping the text again. Floats are
+// rendered by internal/ftoa's shortest-digit kernel in encoding/json's
+// layout; ftoa's tests hold those bytes to strconv and encoding/json, and
+// the goldens and FuzzEncodeAnswer hold the whole answer to encoding/json.
 //
 // Responses carrying a span tree (?trace=1) fall back to encoding/json:
 // tracing is an opt-in diagnostic path, and trace.Trace is the one shape
@@ -87,24 +89,11 @@ func (w *jw) str(s string) {
 	w.b.Write(append(q, '"'))
 }
 
-// float renders a float64 the way encoding/json does: shortest
-// representation, 'f' form in the ±[1e-6, 1e21) magnitude range, 'e'
-// otherwise with single-digit exponents unpadded. It never sees NaN or ±Inf:
-// engine outputs are finite; rowengine refuses an aggregate that overflows.
+// float renders a float64 the way encoding/json does (ftoa.AppendJSON). It
+// never sees NaN or ±Inf: engine outputs are finite; rowengine refuses an
+// aggregate that overflows.
 func (w *jw) float(f float64) {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	out := strconv.AppendFloat(w.scratch[:0], f, format, -1, 64)
-	if format == 'e' {
-		if n := len(out); n >= 4 && out[n-4] == 'e' && out[n-3] == '-' && out[n-2] == '0' {
-			out[n-2] = out[n-1]
-			out = out[:n-1]
-		}
-	}
-	w.b.Write(out)
+	w.b.Write(ftoa.AppendJSON(w.scratch[:0], f))
 }
 
 // floats writes a []float64 with non-omitempty semantics: nil is null, an

@@ -255,8 +255,10 @@ func TestBatchBodyOverCap(t *testing.T) {
 // json.Encoder with SetIndent("", " ") byte for byte. The checked-in corpus
 // (testdata/fuzz/FuzzEncodeAnswer) holds the cases encoding/json treats
 // specially: invalid UTF-8, U+2028/U+2029, <>&, control bytes, ±0, the
-// subnormal floor, both sides of the 1e-6 and 1e21 notation switches, and nil
-// against empty slices at both nesting levels. shape picks the slices, two
+// subnormal floor, both sides of the 1e-6 and 1e21 notation switches, the
+// edges of internal/ftoa's branches (2^53, powers of two, the seam between
+// normals and subnormals), and nil against empty slices at both nesting
+// levels. shape picks the slices, two
 // bits a field (step_actuals, excluded, columns; three for rows) plus one for
 // degraded. NaN and ±Inf are skipped: encoding/json refuses them and the
 // engine never produces them.
