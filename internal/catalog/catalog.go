@@ -148,25 +148,21 @@ func (t *Table) Validate() error {
 // RowSize returns the record width in bytes.
 func (t *Table) RowSize() int { return t.Schema.RowSize() }
 
-// NDV estimates the number of distinct values of a column from its
-// duplication factor (rows / duplication, at least 1). Columns with unknown
-// duplication report the row count (assume unique).
-func (t *Table) NDV(column string) (float64, error) {
-	c, ok := t.Schema.Column(column)
-	if !ok {
-		return 0, fmt.Errorf("catalog: table %q has no column %q", t.Name, column)
-	}
+// NDV estimates the number of distinct values of c, one of the table's
+// columns, from its duplication factor (rows / duplication, at least 1).
+// Columns with unknown duplication report the row count (assume unique).
+func (t *Table) NDV(c Column) float64 {
 	if t.Rows == 0 {
-		return 0, nil
+		return 0
 	}
 	if c.Duplication <= 1 {
-		return float64(t.Rows), nil
+		return float64(t.Rows)
 	}
 	ndv := float64(t.Rows) / c.Duplication
 	if ndv < 1 {
 		ndv = 1
 	}
-	return ndv, nil
+	return ndv
 }
 
 // Catalog is a thread-safe table registry. Every mutation bumps a

@@ -60,27 +60,25 @@ func TestColTypeString(t *testing.T) {
 
 func TestTableNDV(t *testing.T) {
 	tb := sampleTable("t")
-	ndv, err := tb.NDV("a1")
-	if err != nil {
-		t.Fatalf("NDV: %v", err)
+	col := func(name string) Column {
+		c, ok := tb.Schema.Column(name)
+		if !ok {
+			t.Fatalf("no column %q", name)
+		}
+		return c
 	}
-	if ndv != 1000 {
+	if ndv := tb.NDV(col("a1")); ndv != 1000 {
 		t.Errorf("NDV(a1) = %v, want 1000 (unique)", ndv)
 	}
-	ndv, _ = tb.NDV("a5")
-	if ndv != 200 {
+	if ndv := tb.NDV(col("a5")); ndv != 200 {
 		t.Errorf("NDV(a5) = %v, want 200", ndv)
 	}
-	ndv, _ = tb.NDV("z") // unknown duplication: assume unique
-	if ndv != 1000 {
+	if ndv := tb.NDV(col("z")); ndv != 1000 { // unknown duplication: assume unique
 		t.Errorf("NDV(z) = %v, want 1000", ndv)
-	}
-	if _, err := tb.NDV("missing"); err == nil {
-		t.Error("NDV on missing column accepted")
 	}
 	empty := sampleTable("e")
 	empty.Rows = 0
-	if ndv, _ := empty.NDV("a1"); ndv != 0 {
+	if ndv := empty.NDV(col("a1")); ndv != 0 {
 		t.Errorf("NDV of empty table = %v, want 0", ndv)
 	}
 }
@@ -212,10 +210,7 @@ func TestNDVBoundsProperty(t *testing.T) {
 			}},
 			Rows: r,
 		}
-		ndv, err := tb.NDV("c")
-		if err != nil {
-			return false
-		}
+		ndv := tb.NDV(tb.Schema.Columns[0])
 		return ndv >= 1 && ndv <= float64(r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -244,9 +239,9 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	if back.PartitionedOn != "a1" || back.SortedOn != "a1" {
 		t.Error("layout flags lost")
 	}
-	ndv1, _ := tb.NDV("a5")
-	ndv2, err := back.NDV("a5")
-	if err != nil || ndv1 != ndv2 {
-		t.Errorf("NDV changed: %v vs %v (%v)", ndv1, ndv2, err)
+	c1, _ := tb.Schema.Column("a5")
+	c2, ok := back.Schema.Column("a5")
+	if ndv1, ndv2 := tb.NDV(c1), back.NDV(c2); !ok || ndv1 != ndv2 {
+		t.Errorf("NDV changed: %v vs %v (column restored: %v)", ndv1, ndv2, ok)
 	}
 }

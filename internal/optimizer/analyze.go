@@ -27,33 +27,72 @@ type binding struct {
 	// only this binding — the filter QueryGrid pushes down when the table
 	// ships, computed once per statement.
 	sel float64
+	// proj is the byte width of the binding's distinct columns that survive
+	// into the output (from the select list, aggregate arguments and GROUP
+	// BY): the whole row under a star select, and 4 when none does, since a
+	// minimal key column still flows.
+	proj float64
 }
 
 // predSpan records which bindings a WHERE predicate touches as the lowest
 // and highest index into analyzed.binds (-1, -1 when it names no column):
 // lo == hi is a single-table filter, lo < hi a cross-table predicate that a
-// left-deep chain can apply once binding hi has been joined in.
-type predSpan struct{ lo, hi int }
+// left-deep chain can apply once binding hi has been joined in. ndv is the
+// largest distinct count among its columns, the domain its selectivity is
+// taken over (0 when it names none).
+type predSpan struct {
+	lo, hi int
+	ndv    float64
+}
 
-// analyzed is the bound form of a statement.
+// joinStep is one resolved left-deep join: the new table's binding (an index
+// into analyzed.binds), its join column, and the earlier binding and column
+// it probes (-1 and zero columns for CROSS).
+type joinStep struct {
+	newBind  int
+	newCol   catalog.Column
+	probe    int
+	probeCol catalog.Column
+	cross    bool
+}
+
+// analyzed is the bound form of a statement: every column reference is
+// resolved once, by analyze, and the planning passes read what it derived.
 type analyzed struct {
 	stmt *sqlparse.SelectStmt
 	// binds lists the table bindings in FROM order. The chain is joined
 	// left-deep in that order, so the bindings available after join i are
 	// binds[:i+2].
 	binds []binding
-	// preds aligns with stmt.Where.
+	// preds aligns with stmt.Where, joins with stmt.Joins.
 	preds []predSpan
+	joins []joinStep
+	// groupNDV is the product of the GROUP BY columns' distinct counts, in
+	// GROUP BY order (1 without one). aggWidth is an aggregation's output
+	// row width, the group keys plus eight bytes per aggregate (at least 8),
+	// and numAggs its aggregate count.
+	groupNDV, aggWidth float64
+	numAggs            int
 	// exclude names systems degraded re-planning must avoid (failed or
 	// open-circuited remotes); nil for a normal plan.
 	exclude map[string]bool
 }
 
-// analyze resolves every table reference and checks column references. binds
-// and preds grow from the caller's backing, and the result is returned by
-// value: a slice stored through a pointer would take its backing to the heap.
-func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog, binds []binding, preds []predSpan) (analyzed, error) {
-	a := analyzed{stmt: stmt, binds: binds[:0], preds: preds[:0]}
+// projCol is a column counted into its binding's projected width.
+type projCol struct {
+	bind int
+	name string
+}
+
+// analyze resolves every table and column reference, each once, and derives
+// from them what planning reads: per binding its selectivity and projected
+// width, per predicate its span and dominant NDV, the join chain, and the
+// aggregation's group count and output width. A statement that binds can no
+// longer fail on a column. binds, preds and joins grow from the caller's
+// backing, and the result is returned by value: a slice stored through a
+// pointer would take its backing to the heap.
+func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog, binds []binding, preds []predSpan, joins []joinStep) (analyzed, error) {
+	a := analyzed{stmt: stmt, binds: binds[:0], preds: preds[:0], joins: joins[:0], groupNDV: 1}
 	add := func(tr sqlparse.TableRef) error {
 		t, err := cat.Lookup(tr.Name)
 		if err != nil {
@@ -74,50 +113,78 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog, binds []binding, p
 			return analyzed{}, err
 		}
 	}
-	// Validate column references in the select list, join condition,
-	// predicates, and group-by.
-	check := func(c sqlparse.ColRef) error {
-		_, _, err := a.resolve(c)
-		return err
+	var seenBuf [8]projCol
+	seen := seenBuf[:0]
+	project := func(b int, col catalog.Column) {
+		if k := (projCol{b, col.Name}); !slices.Contains(seen, k) {
+			seen = append(seen, k)
+			a.binds[b].proj += float64(col.Width)
+		}
 	}
+	star := false
 	for _, it := range stmt.Items {
 		if it.Star {
+			star = true
 			continue
 		}
 		if it.Agg != sqlparse.AggNone {
+			a.numAggs++
 			for _, t := range it.Arg.Terms {
 				if t.Col != nil {
-					if err := check(*t.Col); err != nil {
+					b, col, err := a.resolve(*t.Col)
+					if err != nil {
 						return analyzed{}, err
 					}
+					project(b, col)
 				}
 			}
 			continue
 		}
-		if err := check(it.Col); err != nil {
+		b, col, err := a.resolve(it.Col)
+		if err != nil {
 			return analyzed{}, err
 		}
+		project(b, col)
 	}
+	// Every non-cross condition must link the newly joined table to an
+	// earlier one. A condition that does not is reported after the other
+	// references have resolved.
+	var linkErr error
 	for i := range stmt.Joins {
-		if stmt.Joins[i].Cross {
-			continue
+		j := &stmt.Joins[i]
+		nb := i + 1
+		st := joinStep{newBind: nb, probe: -1, cross: j.Cross}
+		if !j.Cross {
+			lb, lcol, err := a.resolve(j.Left)
+			if err != nil {
+				return analyzed{}, err
+			}
+			rb, rcol, err := a.resolve(j.Right)
+			if err != nil {
+				return analyzed{}, err
+			}
+			switch {
+			case lb == nb && rb < nb:
+				st.newCol, st.probe, st.probeCol = lcol, rb, rcol
+			case rb == nb && lb < nb:
+				st.newCol, st.probe, st.probeCol = rcol, lb, lcol
+			case linkErr == nil:
+				linkErr = fmt.Errorf("optimizer: join %d condition %s = %s must link %q to an earlier table",
+					nb, j.Left, j.Right, a.binds[nb].name)
+			}
 		}
-		if err := check(stmt.Joins[i].Left); err != nil {
-			return analyzed{}, err
-		}
-		if err := check(stmt.Joins[i].Right); err != nil {
-			return analyzed{}, err
-		}
+		a.joins = append(a.joins, st)
 	}
 	// Predicates are bound as they are checked: which bindings each touches,
-	// and the single-table ones folded into their binding's selectivity.
+	// its dominant NDV, and the single-table ones folded into their
+	// binding's selectivity.
 	for _, p := range stmt.Where {
 		span := predSpan{lo: -1, hi: -1}
 		for _, t := range p.Left.Terms {
 			if t.Col == nil {
 				continue
 			}
-			b, _, err := a.resolve(*t.Col)
+			b, col, err := a.resolve(*t.Col)
 			if err != nil {
 				return analyzed{}, err
 			}
@@ -127,24 +194,47 @@ func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog, binds []binding, p
 			if b > span.hi {
 				span.hi = b
 			}
+			ndv := a.binds[b].table.NDV(col)
+			// The all-zero z column has a single value; its presence in a sum
+			// does not change the distribution.
+			if col.Name == "z" {
+				ndv = 1
+			}
+			if ndv > span.ndv {
+				span.ndv = ndv
+			}
 		}
 		a.preds = append(a.preds, span)
 		if span.lo >= 0 && span.lo == span.hi {
-			s, err := a.predicateSelectivity(p, 0)
-			if err != nil {
-				return analyzed{}, err
-			}
-			a.binds[span.lo].sel *= s
+			a.binds[span.lo].sel *= selectivity(p, span.ndv)
 		}
 	}
 	for _, g := range stmt.GroupBy {
-		if err := check(g); err != nil {
+		b, col, err := a.resolve(g)
+		if err != nil {
 			return analyzed{}, err
 		}
+		project(b, col)
+		a.groupNDV *= a.binds[b].table.NDV(col)
+		a.aggWidth += float64(col.Width)
+	}
+	if linkErr != nil {
+		return analyzed{}, linkErr
+	}
+	a.aggWidth += 8 * float64(a.numAggs)
+	if a.aggWidth <= 0 {
+		a.aggWidth = 8
 	}
 	for i := range a.binds {
-		if a.binds[i].sel <= 0 {
-			a.binds[i].sel = 1e-9
+		bd := &a.binds[i]
+		if bd.sel <= 0 {
+			bd.sel = 1e-9
+		}
+		switch {
+		case star:
+			bd.proj = float64(bd.table.RowSize())
+		case bd.proj == 0:
+			bd.proj = 4
 		}
 	}
 	return a, nil
@@ -163,7 +253,7 @@ func (a *analyzed) bindingIndex(name string) int {
 
 // resolve finds the binding (as an index into binds) and column for a
 // reference, handling unqualified names by searching every bound table
-// (ambiguity is an error).
+// (ambiguity is an error). Only analyze calls it.
 func (a *analyzed) resolve(c sqlparse.ColRef) (int, catalog.Column, error) {
 	if c.Qualifier != "" {
 		b := a.bindingIndex(c.Qualifier)
@@ -194,94 +284,18 @@ func (a *analyzed) resolve(c sqlparse.ColRef) (int, catalog.Column, error) {
 	return found, foundCol, nil
 }
 
-// projectedSize computes the projected byte width of one binding: the
-// distinct columns of it that survive into the output (from the select
-// list, aggregate arguments, and group-by). A star select keeps every
-// column.
-func (a *analyzed) projectedSize(b int) (float64, error) {
-	var seenBuf [8]string
-	seen := seenBuf[:0]
-	width := 0
-	addRef := func(c sqlparse.ColRef) error {
-		cb, col, err := a.resolve(c)
-		if err != nil || cb != b {
-			return err
-		}
-		if !slices.Contains(seen, col.Name) {
-			seen = append(seen, col.Name)
-			width += col.Width
-		}
-		return nil
-	}
-	t := a.binds[b].table
-	for _, it := range a.stmt.Items {
-		if it.Star {
-			return float64(t.RowSize()), nil
-		}
-		if it.Agg != sqlparse.AggNone {
-			for _, term := range it.Arg.Terms {
-				if term.Col != nil {
-					if err := addRef(*term.Col); err != nil {
-						return 0, err
-					}
-				}
-			}
-			continue
-		}
-		if err := addRef(it.Col); err != nil {
-			return 0, err
-		}
-	}
-	for _, g := range a.stmt.GroupBy {
-		if err := addRef(g); err != nil {
-			return 0, err
-		}
-	}
-	if len(seen) == 0 {
-		// Nothing projected from this side: a minimal key column still flows.
-		return 4, nil
-	}
-	return float64(width), nil
-}
-
-// predicateSelectivity estimates the fraction of rows surviving p using the
-// classic uniform-domain heuristics: equality on a column with NDV n keeps
-// 1/n; range predicates over a dominant column with values in [0, NDV) keep
-// threshold/NDV; inequality keeps (1 - 1/n). Columns with constant domains
-// (like Figure 10's all-zero z) don't affect the estimate.
-func (a *analyzed) predicateSelectivity(p sqlparse.Predicate, keyNDVOverride float64) (float64, error) {
-	// Find the dominant (largest-NDV) column in the expression.
-	maxNDV := 0.0
-	for _, term := range p.Left.Terms {
-		if term.Col == nil {
-			continue
-		}
-		b, col, err := a.resolve(*term.Col)
-		if err != nil {
-			return 0, err
-		}
-		ndv, err := a.binds[b].table.NDV(col.Name)
-		if err != nil {
-			return 0, err
-		}
-		// The all-zero z column has a single value; its presence in a sum
-		// does not change the distribution.
-		if col.Name == "z" {
-			ndv = 1
-		}
-		if ndv > maxNDV {
-			maxNDV = ndv
-		}
-	}
-	if keyNDVOverride > 0 {
-		maxNDV = keyNDVOverride
-	}
-	if maxNDV <= 0 {
-		return 1, nil
+// selectivity estimates the fraction of rows surviving p over a dominant
+// column with ndv distinct values, by the classic uniform-domain heuristics:
+// equality keeps 1/ndv; range predicates over values in [0, ndv) keep
+// threshold/ndv; inequality keeps 1 - 1/ndv. A predicate over no column
+// with a domain keeps every row.
+func selectivity(p sqlparse.Predicate, ndv float64) float64 {
+	if ndv <= 0 {
+		return 1
 	}
 	clamp := func(s float64) float64 {
 		if s <= 0 {
-			return 1.0 / maxNDV
+			return 1.0 / ndv
 		}
 		if s > 1 {
 			return 1
@@ -290,94 +304,52 @@ func (a *analyzed) predicateSelectivity(p sqlparse.Predicate, keyNDVOverride flo
 	}
 	switch p.Op {
 	case "=":
-		return clamp(1 / maxNDV), nil
+		return clamp(1 / ndv)
 	case "<>":
-		return clamp(1 - 1/maxNDV), nil
+		return clamp(1 - 1/ndv)
 	case "<", "<=":
-		return clamp(p.Value / maxNDV), nil
+		return clamp(p.Value / ndv)
 	case ">", ">=":
-		return clamp(1 - p.Value/maxNDV), nil
+		return clamp(1 - p.Value/ndv)
 	default:
-		return 1, nil
+		return 1
 	}
 }
 
-// side builds the plan.TableSide for one binding after its local filters.
-func (a *analyzed) side(b int, joinCol string) (plan.TableSide, error) {
-	t := a.binds[b].table
-	proj, err := a.projectedSize(b)
-	if err != nil {
-		return plan.TableSide{}, err
-	}
-	rows := float64(t.Rows) * a.binds[b].sel
+// side builds the plan.TableSide for one binding after its local filters,
+// keyed on key unless it is the zero column (no join condition).
+func (a *analyzed) side(b int, key catalog.Column) plan.TableSide {
+	bd := &a.binds[b]
+	t := bd.table
+	rows := float64(t.Rows) * bd.sel
 	if rows < 1 {
 		rows = 1
 	}
 	s := plan.TableSide{
 		Rows:          rows,
 		RowSize:       float64(t.RowSize()),
-		ProjectedSize: proj,
+		ProjectedSize: bd.proj,
 	}
-	if joinCol != "" {
-		ndv, err := t.NDV(joinCol)
-		if err != nil {
-			return plan.TableSide{}, err
-		}
-		s.KeyNDV = math.Min(ndv, rows)
-		s.PartitionedOn = t.PartitionedOn == joinCol
-		s.SortedOn = t.SortedOn == joinCol
+	if key.Name != "" {
+		s.KeyNDV = math.Min(t.NDV(key), rows)
+		s.PartitionedOn = t.PartitionedOn == key.Name
+		s.SortedOn = t.SortedOn == key.Name
 	}
-	return s, nil
+	return s
 }
 
-// groupOutputRows estimates GROUP BY output cardinality as the capped
-// product of the group columns' distinct counts.
-func (a *analyzed) groupOutputRows(inputRows float64) (float64, error) {
-	if len(a.stmt.GroupBy) == 0 {
-		return 1, nil // global aggregate
-	}
-	prod := 1.0
-	for _, g := range a.stmt.GroupBy {
-		b, col, err := a.resolve(g)
-		if err != nil {
-			return 0, err
-		}
-		ndv, err := a.binds[b].table.NDV(col.Name)
-		if err != nil {
-			return 0, err
-		}
-		prod *= ndv
-	}
+// groupRows estimates an aggregation's output cardinality over inputRows
+// (at least 1): the GROUP BY columns' distinct-count product, capped by the
+// input and at least 1, so 1 for a global aggregate.
+func (a *analyzed) groupRows(inputRows float64) float64 {
+	prod := a.groupNDV
 	if prod > inputRows {
 		prod = inputRows
 	}
 	if prod < 1 {
 		prod = 1
 	}
-	return prod, nil
-}
-
-// aggOutputRowSize sums group-key widths plus eight bytes per aggregate.
-func (a *analyzed) aggOutputRowSize() (float64, int, error) {
-	width := 0.0
-	numAggs := 0
-	for _, g := range a.stmt.GroupBy {
-		_, col, err := a.resolve(g)
-		if err != nil {
-			return 0, 0, err
-		}
-		width += float64(col.Width)
-	}
-	for _, it := range a.stmt.Items {
-		if it.Agg != sqlparse.AggNone {
-			numAggs++
-			width += 8
-		}
-	}
-	if width <= 0 {
-		width = 8
-	}
-	return width, numAggs, nil
+	return prod
 }
 
 // systemOf returns the system a binding's table should be read from,

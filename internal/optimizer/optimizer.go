@@ -343,7 +343,8 @@ func (o *Optimizer) Epoch() uint64 {
 func (o *Optimizer) planUncached(ctx context.Context, stmt *sqlparse.SelectStmt, exclude map[string]bool) (*Plan, error) {
 	var bindBuf [3]binding
 	var predBuf [2]predSpan
-	a, err := analyze(stmt, o.Catalog, bindBuf[:], predBuf[:])
+	var joinBuf [2]joinStep
+	a, err := analyze(stmt, o.Catalog, bindBuf[:], predBuf[:], joinBuf[:])
 	if err != nil {
 		return nil, err
 	}
@@ -508,29 +509,19 @@ func (o *Optimizer) unaryInputFor(a *analyzed, p *Plan, in *unaryInput) error {
 		if inRows < 1 {
 			inRows = 1
 		}
-		outRows, err := a.groupOutputRows(inRows)
-		if err != nil {
-			return err
-		}
-		outSize, numAggs, err := a.aggOutputRowSize()
-		if err != nil {
-			return err
-		}
+		outRows := a.groupRows(inRows)
 		p.agg = plan.AggSpec{
 			InputRows:     inRows,
 			InputRowSize:  in.rowSize,
 			OutputRows:    outRows,
-			OutputRowSize: outSize,
-			NumAggregates: numAggs,
+			OutputRowSize: a.aggWidth,
+			NumAggregates: a.numAggs,
 		}
 		in.agg = &p.agg
-		in.shipRows, in.outRows, in.outSize = inRows, outRows, outSize
+		in.shipRows, in.outRows, in.outSize = inRows, outRows, a.aggWidth
 		return nil
 	}
-	proj, err := a.projectedSize(0)
-	if err != nil {
-		return err
-	}
+	proj := a.binds[0].proj
 	p.scan = plan.ScanSpec{
 		InputRows:     in.rows,
 		InputRowSize:  in.rowSize,
@@ -657,49 +648,6 @@ func (o *Optimizer) planUnary(ctx context.Context, a *analyzed) (*Plan, error) {
 	return p, nil
 }
 
-// joinStep is one resolved left-deep join: the new table's binding (an index
-// into analyzed.binds), its join column, and the earlier binding/column it
-// probes (-1 and empty for CROSS).
-type joinStep struct {
-	newBind  int
-	newCol   string
-	probe    int
-	probeCol string
-	cross    bool
-}
-
-// resolveJoins validates the join chain, appending its steps to steps:
-// every non-cross condition must reference the newly joined table on one
-// side and an already-available binding (an earlier one) on the other.
-func (a *analyzed) resolveJoins(steps []joinStep) ([]joinStep, error) {
-	for i := range a.stmt.Joins {
-		j := &a.stmt.Joins[i]
-		nb := i + 1
-		st := joinStep{newBind: nb, probe: -1, cross: j.Cross}
-		if !j.Cross {
-			lb, lcol, err := a.resolve(j.Left)
-			if err != nil {
-				return nil, err
-			}
-			rb, rcol, err := a.resolve(j.Right)
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case lb == nb && rb < nb:
-				st.newCol, st.probe, st.probeCol = lcol.Name, rb, rcol.Name
-			case rb == nb && lb < nb:
-				st.newCol, st.probe, st.probeCol = rcol.Name, lb, lcol.Name
-			default:
-				return nil, fmt.Errorf("optimizer: join %d condition %s = %s must link %q to an earlier table",
-					i+1, j.Left, j.Right, a.binds[nb].name)
-			}
-		}
-		steps = append(steps, st)
-	}
-	return steps, nil
-}
-
 // joinSweep is one join of the chain awaiting placement: the operator spec,
 // where its two inputs sit, and which of them still ship as base tables.
 type joinSweep struct {
@@ -761,19 +709,8 @@ func (o *Optimizer) joinOption(ctx context.Context, a *analyzed, sw joinSweep, s
 // were produced until a cheaper placement pulls them (Section 2's "results
 // ... may remain on that remote system for further computations").
 func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
-	var joinBuf [2]joinStep
-	steps, err := a.resolveJoins(joinBuf[:0])
-	if err != nil {
-		return nil, err
-	}
-	baseCol := ""
-	if len(steps) > 0 && steps[0].probe == 0 {
-		baseCol = steps[0].probeCol
-	}
-	cur, err := a.side(0, baseCol)
-	if err != nil {
-		return nil, err
-	}
+	// The first join always probes binding 0 (a CROSS one probes nothing).
+	cur := a.side(0, a.joins[0].probeCol)
 	curLoc, err := a.systemOf(0)
 	if err != nil {
 		return nil, err
@@ -781,11 +718,8 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 	curBase := 0 // the intermediate's binding while it is still a base table
 	p := newPlan()
 
-	for i, st := range steps {
-		nxt, err := a.side(st.newBind, st.newCol)
-		if err != nil {
-			return nil, err
-		}
+	for i, st := range a.joins {
+		nxt := a.side(st.newBind, st.newCol)
 		nxtOwner, err := a.systemOf(st.newBind)
 		if err != nil {
 			return nil, err
@@ -795,11 +729,7 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 		// base table, capped by the intermediate cardinality.
 		left := cur
 		if st.probe >= 0 && st.probe != curBase {
-			ndv, err := a.binds[st.probe].table.NDV(st.probeCol)
-			if err != nil {
-				return nil, err
-			}
-			left.KeyNDV = math.Min(ndv, cur.Rows)
+			left.KeyNDV = math.Min(a.binds[st.probe].table.NDV(st.probeCol), cur.Rows)
 			left.PartitionedOn, left.SortedOn = false, false
 		}
 
@@ -815,17 +745,18 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 			outRows = left.Rows * nxt.Rows / maxNDV
 		}
 		// A cross-table predicate becomes applicable with the join that
-		// brings in the last of its tables.
+		// brings in the last of its tables, and is taken over the join key's
+		// domain when the join has one.
 		minNDV := math.Min(left.KeyNDV, nxt.KeyNDV)
 		for pi, span := range a.preds {
 			if span.lo == span.hi || span.hi != st.newBind {
 				continue
 			}
-			sel, err := a.predicateSelectivity(a.stmt.Where[pi], minNDV)
-			if err != nil {
-				return nil, err
+			ndv := span.ndv
+			if minNDV > 0 {
+				ndv = minNDV
 			}
-			outRows *= sel
+			outRows *= selectivity(a.stmt.Where[pi], ndv)
 		}
 		if outRows < 1 {
 			outRows = 1
@@ -893,17 +824,10 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 
 	finalRows, finalSize := cur.Rows, cur.RowSize
 	if a.stmt.HasAggregates() || len(a.stmt.GroupBy) > 0 {
-		aggRows, err := a.groupOutputRows(cur.Rows)
-		if err != nil {
-			return nil, err
-		}
-		aggSize, numAggs, err := a.aggOutputRowSize()
-		if err != nil {
-			return nil, err
-		}
+		aggRows := a.groupRows(cur.Rows)
 		p.agg = plan.AggSpec{
 			InputRows: cur.Rows, InputRowSize: cur.RowSize,
-			OutputRows: aggRows, OutputRowSize: aggSize, NumAggregates: numAggs,
+			OutputRows: aggRows, OutputRowSize: a.aggWidth, NumAggregates: a.numAggs,
 		}
 		est, err := o.estimator(curLoc)
 		if err != nil {
@@ -918,7 +842,7 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 		p.Steps = append(p.Steps, Step{Kind: "aggregation", System: curLoc, Agg: &p.agg,
 			EstimatedSec: ace.Seconds, Estimate: ace})
 		p.EstimatedSec += ace.Seconds
-		finalRows, finalSize = aggRows, aggSize
+		finalRows, finalSize = aggRows, a.aggWidth
 	}
 	if curLoc != querygrid.Master {
 		sec, err := o.Grid.TransferCost(curLoc, querygrid.Master, finalRows, finalSize)

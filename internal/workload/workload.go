@@ -51,10 +51,11 @@ func AggTrainingSet(tables []*catalog.Table) ([]AggQuery, error) {
 	var out []AggQuery
 	for _, t := range tables {
 		for _, col := range ShrinkColumns() {
-			ndv, err := t.NDV(col)
-			if err != nil {
-				return nil, fmt.Errorf("workload: %w", err)
+			c, ok := t.Schema.Column(col)
+			if !ok {
+				return nil, fmt.Errorf("workload: catalog: table %q has no column %q", t.Name, col)
 			}
+			ndv := t.NDV(c)
 			if ndv < 1 {
 				continue
 			}
