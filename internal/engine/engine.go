@@ -329,18 +329,6 @@ func (e *Engine) resetAccuracy(system string) {
 	}
 }
 
-// ErrUnknownSystem tags failures caused by a request or plan naming a
-// system that is not registered, so the serving layer can classify them
-// (errors.Is) without string matching.
-var ErrUnknownSystem = errors.New("unknown system")
-
-// unknownSystemError keeps the exact historical message text while
-// supporting errors.Is(err, ErrUnknownSystem).
-type unknownSystemError struct{ msg string }
-
-func (e *unknownSystemError) Error() string        { return e.msg }
-func (e *unknownSystemError) Is(target error) bool { return target == ErrUnknownSystem }
-
 // stepKey identifies one (system, operator kind) pair without the string
 // concatenation a combined key would cost on every lookup.
 type stepKey struct{ system, kind string }
@@ -380,7 +368,7 @@ func (e *Engine) stepStateFor(system, kind string) (*stepState, error) {
 	}
 	sys, ok := e.remotes.Get(system)
 	if !ok {
-		return nil, &unknownSystemError{msg: fmt.Sprintf("engine: plan step targets unknown system %q", system)}
+		return nil, fmt.Errorf("engine: plan step targets unknown system %q", system)
 	}
 	est, _ := e.estimators.Get(system)
 	st := &stepState{
@@ -445,7 +433,7 @@ func (e *Engine) Grid() *querygrid.Grid { return e.grid }
 func (e *Engine) Remote(name string) (remote.System, error) {
 	sys, ok := e.remotes.Get(name)
 	if !ok {
-		return nil, &unknownSystemError{msg: fmt.Sprintf("engine: unknown remote system %q", name)}
+		return nil, fmt.Errorf("engine: unknown remote system %q", name)
 	}
 	return sys, nil
 }

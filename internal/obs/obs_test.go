@@ -142,13 +142,6 @@ func TestRecorderSampling(t *testing.T) {
 	if head != 100 {
 		t.Fatalf("head-sampled %d of 400 at rate 0.25, want exactly 100", head)
 	}
-	// Nil recorder: every call is a no-op miss.
-	var nilRec *Recorder
-	if _, ok := nilRec.Sample(true, time.Hour); ok {
-		t.Fatal("nil recorder sampled")
-	}
-	nilRec.Observe(time.Second, 1)
-	nilRec.Record(&Event{})
 }
 
 func TestRecorderZeroRateStillCapturesErrors(t *testing.T) {

@@ -71,9 +71,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 // Callers check ok before building the Event, so skipped queries allocate
 // nothing.
 func (r *Recorder) Sample(failed bool, latency time.Duration) (capture string, ok bool) {
-	if r == nil {
-		return "", false
-	}
 	if failed {
 		r.errors.Inc()
 		return "error", true
@@ -91,37 +88,20 @@ func (r *Recorder) Sample(failed bool, latency time.Duration) (capture string, o
 // Observe feeds the engine-time latency histogram, pinning an exemplar when
 // the query was traced.
 func (r *Recorder) Observe(latency time.Duration, traceID uint64) {
-	if r == nil {
-		return
-	}
 	r.Latency.ObserveExemplar(latency, traceID)
 }
 
 // Record publishes an event to the ring, assigning its ID: the ring's
 // Count is the number of events ever captured.
 func (r *Recorder) Record(ev *Event) {
-	if r == nil || ev == nil {
-		return
-	}
 	r.ring.Record(ev)
 }
 
 // Ring exposes the event buffer for the /events endpoint and the file sink.
-func (r *Recorder) Ring() *Ring {
-	if r == nil {
-		return nil
-	}
-	return r.ring
-}
+func (r *Recorder) Ring() *Ring { return r.ring }
 
-// LatencySnapshot captures the query latency histogram (nil-safe; a zero
-// snapshot when no recorder is attached).
-func (r *Recorder) LatencySnapshot() metrics.HistogramSnapshot {
-	if r == nil {
-		return metrics.HistogramSnapshot{}
-	}
-	return r.Latency.Snapshot()
-}
+// LatencySnapshot captures the query latency histogram.
+func (r *Recorder) LatencySnapshot() metrics.HistogramSnapshot { return r.Latency.Snapshot() }
 
 // RecorderStats counts the captures of the two always-on rules, exported on
 // /metrics/prom. Every capture, head-sampled ones included, is Ring().Count().
@@ -132,8 +112,5 @@ type RecorderStats struct {
 
 // Stats reports the always-on rules' capture counters.
 func (r *Recorder) Stats() RecorderStats {
-	if r == nil {
-		return RecorderStats{}
-	}
 	return RecorderStats{Errors: r.errors.Value(), Slow: r.slow.Value()}
 }

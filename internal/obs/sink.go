@@ -173,9 +173,6 @@ type SinkStats struct {
 
 // Stats reports drain counters.
 func (s *FileSink) Stats() SinkStats {
-	if s == nil {
-		return SinkStats{}
-	}
 	return SinkStats{
 		Lost:      s.lost.Value(),
 		WriteErrs: s.writeErrs.Value(),

@@ -290,7 +290,6 @@ func (s *Server) writeErrorCode(w http.ResponseWriter, status int, code string, 
 //	shed            admission refused the request (queue full or hopeless
 //	                deadline)
 //	rate_limited    the client exceeded its admission rate limit
-//	unknown_system  a plan step targets an unregistered remote
 //	timeout         the request deadline expired mid-query
 //	too_large       the request body exceeded the byte cap
 //	bad_request     everything else
@@ -306,8 +305,6 @@ func errorCode(err error) string {
 			return "rate_limited"
 		}
 		return "shed"
-	case errors.Is(err, engine.ErrUnknownSystem):
-		return "unknown_system"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "timeout"
 	case errors.As(err, &mbe):

@@ -88,6 +88,27 @@ func TestDefaultsScenario(t *testing.T) {
 		t.Fatalf("/query/batch: want two answers and a per-statement error, got %+v", slots)
 	}
 
+	// ORDER BY and LIMIT, which README advertises and the row engine's
+	// result-cap error tells users to add: the master sorts the whole result
+	// as the plan's last step, and the rows come back ordered and cut.
+	var sorted struct {
+		Explain string      `json:"explain"`
+		Rows    [][]float64 `json:"rows"`
+	}
+	s.postJSON("/query", `{"sql": "SELECT a1 FROM t10000_100 ORDER BY a1 DESC LIMIT 3"}`, &sorted)
+	if got := fmt.Sprint(sorted.Rows); got != "[[9999] [9998] [9997]]" {
+		t.Errorf("ORDER BY a1 DESC LIMIT 3 answered rows %s, want [[9999] [9998] [9997]]", got)
+	}
+	lastStep := ""
+	for _, line := range strings.Split(sorted.Explain, "\n") {
+		if n, step, ok := strings.Cut(strings.TrimSpace(line), ". "); ok && n != "" && strings.Trim(n, "0123456789") == "" {
+			lastStep = step
+		}
+	}
+	if !strings.HasPrefix(lastStep, "sort 10000 rows on teradata ") {
+		t.Errorf("ORDER BY plan's last step is %q, want the sort of 10000 rows on teradata:\n%s", lastStep, sorted.Explain)
+	}
+
 	// A traced query returns the span tree with the whole pipeline: parse,
 	// plan with candidate-costing spans, execute with a per-step operator
 	// span. The ring replays it on /trace in both shapes. (A statement
