@@ -87,10 +87,10 @@ type projCol struct {
 // analyze resolves every table and column reference, each once, and derives
 // from them what planning reads: per binding its selectivity and projected
 // width, per predicate its span and dominant NDV, the join chain, and the
-// aggregation's group count and output width. A statement that binds can no
-// longer fail on a column. binds, preds and joins grow from the caller's
-// backing, and the result is returned by value: a slice stored through a
-// pointer would take its backing to the heap.
+// aggregation's group count and output width, so that planning a bound
+// statement cannot fail on a column. binds, preds and joins grow from the
+// caller's backing, and the result is returned by value: a slice stored
+// through a pointer would take its backing to the heap.
 func analyze(stmt *sqlparse.SelectStmt, cat *catalog.Catalog, binds []binding, preds []predSpan, joins []joinStep) (analyzed, error) {
 	a := analyzed{stmt: stmt, binds: binds[:0], preds: preds[:0], joins: joins[:0], groupNDV: 1}
 	add := func(tr sqlparse.TableRef) error {
