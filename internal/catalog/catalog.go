@@ -100,10 +100,13 @@ type Table struct {
 	Schema Schema `json:"schema"`
 	Rows   int64  `json:"rows"`
 	System string `json:"system"`
-	// Replicas lists additional systems the same table is linked on, in
-	// fallback-preference order. The optimizer plans against the primary
-	// System; replicas only come into play when degraded re-planning
-	// excludes the primary (a failed or open-circuited remote).
+	// Replicas lists additional systems the same table is linked on. The
+	// optimizer treats every copy alike: an operator over the table may run
+	// on any of them (or on the master), and a transfer of the table ships
+	// from the copy with the cheapest link. On a cost tie the owner comes
+	// first, then the replicas in this order. Degraded re-planning drops the
+	// copies on a failed or open-circuited remote. A copy is laid out like
+	// the primary: PartitionedOn and SortedOn describe every copy.
 	Replicas []string `json:"replicas,omitempty"`
 	// PartitionedOn / SortedOn record physical layout properties on the
 	// named column, which the sub-op applicability rules inspect.

@@ -8,7 +8,12 @@
 package subop
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"intellisphere/internal/cluster"
 	"intellisphere/internal/remote"
@@ -21,21 +26,108 @@ import (
 // Figure 13(f). BaselineSec is the learned fixed per-query latency (job
 // startup and friends) recovered from the probe fits' intercepts.
 type ModelSet struct {
-	Lines       map[remote.SubOp]stats.Line `json:"lines"`
-	HashSpill   stats.Line                  `json:"hash_spill"`
-	BaselineSec float64                     `json:"baseline_sec"`
-	Cluster     cluster.Config              `json:"cluster"`
+	Lines       Lines          `json:"lines"`
+	HashSpill   stats.Line     `json:"hash_spill"`
+	BaselineSec float64        `json:"baseline_sec"`
+	Cluster     cluster.Config `json:"cluster"`
+}
+
+// Lines holds the learned line of each modeled sub-operator, indexed by
+// remote.SubOp, so that a cost formula's look-up is an array index. Its JSON
+// is what a map from sub-operator number to line encodes to: an object keyed
+// by the decimal numbers in sorted string order ("0", "1", "10", "2", …), so
+// saved profiles, snapshots and /models answers keep their bytes.
+type Lines struct {
+	line    [remote.NumSubOps]stats.Line
+	modeled [remote.NumSubOps]bool
+}
+
+// Get returns op's learned line; ok is false when op was not modeled.
+func (l *Lines) Get(op remote.SubOp) (line stats.Line, ok bool) {
+	if op < 0 || op >= remote.NumSubOps || !l.modeled[op] {
+		return stats.Line{}, false
+	}
+	return l.line[op], true
+}
+
+// Set records op's learned line.
+func (l *Lines) Set(op remote.SubOp, line stats.Line) {
+	l.line[op], l.modeled[op] = line, true
+}
+
+// Len counts the modeled sub-operators.
+func (l *Lines) Len() int {
+	n := 0
+	for _, ok := range l.modeled {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
+// jsonOrder is the sub-operators in the order encoding/json writes a map's
+// integer keys: sorted as decimal strings.
+var jsonOrder = func() []remote.SubOp {
+	ops := remote.AllSubOps()
+	slices.SortFunc(ops, func(x, y remote.SubOp) int {
+		return cmp.Compare(strconv.Itoa(int(x)), strconv.Itoa(int(y)))
+	})
+	return ops
+}()
+
+// MarshalJSON writes the modeled lines as an object keyed by sub-operator
+// number.
+func (l Lines) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for _, op := range jsonOrder {
+		if !l.modeled[op] {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		v, err := json.Marshal(l.line[op])
+		if err != nil {
+			return nil, err
+		}
+		b = append(strconv.AppendQuote(b, strconv.Itoa(int(op))), ':')
+		b = append(b, v...)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON reads an object keyed by sub-operator number; null leaves
+// every sub-operator unmodeled, and a number naming no sub-operator is an
+// error.
+func (l *Lines) UnmarshalJSON(data []byte) error {
+	*l = Lines{}
+	if bytes.Equal(bytes.TrimSpace(data), []byte("null")) {
+		return nil
+	}
+	var m map[string]stats.Line
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	for k, line := range m {
+		n, err := strconv.ParseInt(k, 10, 64)
+		if err != nil || n < 0 || n >= int64(remote.NumSubOps) {
+			return fmt.Errorf("subop: no sub-operator numbered %q", k)
+		}
+		l.Set(remote.SubOp(n), line)
+	}
+	return nil
 }
 
 // Validate reports whether the mandatory (Basic) sub-operators are modeled.
 // Per Figure 5, missing Basic sub-ops disqualify the approach; missing
 // Specific ones merely degrade it.
 func (ms *ModelSet) Validate() error {
-	if ms == nil || len(ms.Lines) == 0 {
+	if ms == nil || ms.Lines.Len() == 0 {
 		return fmt.Errorf("subop: empty model set")
 	}
 	for _, op := range remote.BasicSubOps() {
-		if _, ok := ms.Lines[op]; !ok {
+		if _, ok := ms.Lines.Get(op); !ok {
 			return fmt.Errorf("subop: mandatory sub-operator %v is not modeled", op)
 		}
 	}
@@ -59,7 +151,7 @@ var defaultSpecific = map[remote.SubOp]stats.Line{
 // is floored at the in-memory one, mirroring the physical reality that
 // spilling can't be cheaper). Costs are floored at zero.
 func (ms *ModelSet) PerRecord(op remote.SubOp, size float64, inMemory bool) float64 {
-	line, ok := ms.Lines[op]
+	line, ok := ms.Lines.Get(op)
 	if !ok {
 		line, ok = defaultSpecific[op]
 		if !ok {

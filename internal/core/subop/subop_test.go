@@ -1,6 +1,8 @@
 package subop
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"slices"
 	"testing"
@@ -47,7 +49,7 @@ func TestTrainRecoversGroundTruth(t *testing.T) {
 		{remote.HashBuild, truth.Costs[remote.HashBuild].Slope},
 	}
 	for _, c := range cases {
-		line, ok := ms.Lines[c.op]
+		line, ok := ms.Lines.Get(c.op)
 		if !ok {
 			t.Fatalf("%v not learned", c.op)
 		}
@@ -59,8 +61,8 @@ func TestTrainRecoversGroundTruth(t *testing.T) {
 		}
 	}
 	// The spill regime must be recovered distinctly and steeper.
-	if ms.HashSpill.Slope <= ms.Lines[remote.HashBuild].Slope {
-		t.Errorf("spill slope %v not steeper than in-memory %v", ms.HashSpill.Slope, ms.Lines[remote.HashBuild].Slope)
+	if build, _ := ms.Lines.Get(remote.HashBuild); ms.HashSpill.Slope <= build.Slope {
+		t.Errorf("spill slope %v not steeper than in-memory %v", ms.HashSpill.Slope, build.Slope)
 	}
 	if !within(ms.HashSpill.Slope, truth.HashSpill.Slope, 0.3) {
 		t.Errorf("spill slope %v, truth %v", ms.HashSpill.Slope, truth.HashSpill.Slope)
@@ -138,14 +140,15 @@ func TestModelSetValidate(t *testing.T) {
 	if err := ms.Validate(); err == nil {
 		t.Error("nil model set accepted")
 	}
-	ms = &ModelSet{Lines: map[remote.SubOp]stats.Line{remote.ReadDFS: {}}}
+	ms = &ModelSet{}
+	ms.Lines.Set(remote.ReadDFS, stats.Line{})
 	if err := ms.Validate(); err == nil {
 		t.Error("incomplete model set accepted")
 	}
 }
 
 func TestPerRecordDefaults(t *testing.T) {
-	ms := &ModelSet{Lines: map[remote.SubOp]stats.Line{}, Cluster: cluster.DefaultHive()}
+	ms := &ModelSet{Cluster: cluster.DefaultHive()}
 	// Specific sub-ops fall back to rough defaults.
 	if got := ms.PerRecord(remote.RecMerge, 100, true); got <= 0 {
 		t.Errorf("default RecMerge = %v", got)
@@ -155,7 +158,7 @@ func TestPerRecordDefaults(t *testing.T) {
 		t.Errorf("unmodeled Shuffle = %v, want 0", got)
 	}
 	// Negative evaluations floor at zero.
-	ms.Lines[remote.Scan] = stats.Line{Slope: -1, Intercept: 0}
+	ms.Lines.Set(remote.Scan, stats.Line{Slope: -1, Intercept: 0})
 	if got := ms.PerRecord(remote.Scan, 100, true); got != 0 {
 		t.Errorf("negative cost not floored: %v", got)
 	}
@@ -463,7 +466,7 @@ func TestPrestoSubOpTrainingAndEstimation(t *testing.T) {
 		t.Fatalf("Train(presto): %v", err)
 	}
 	truth := remote.DefaultPrestoCosts()
-	line := ms.Lines[remote.Shuffle]
+	line, _ := ms.Lines.Get(remote.Shuffle)
 	if math.Abs(line.Slope-truth.Costs[remote.Shuffle].Slope) > 0.3*truth.Costs[remote.Shuffle].Slope {
 		t.Errorf("presto shuffle slope %v, truth %v", line.Slope, truth.Costs[remote.Shuffle].Slope)
 	}
@@ -582,5 +585,60 @@ func TestClampFloorsEstimates(t *testing.T) {
 	}
 	if c < floor {
 		t.Errorf("clamped cost %v below baseline %v", c, floor)
+	}
+}
+
+// TestLinesJSONMatchesMap: a model set's lines encode to the bytes a map from
+// sub-operator to line encodes to — full and partial sets, indented or not —
+// and decode back to the same lines, so saved profiles keep their bytes.
+func TestLinesJSONMatchesMap(t *testing.T) {
+	_, trained, _ := trainHive(t)
+	partial := &ModelSet{Cluster: cluster.DefaultHive()}
+	for _, op := range []remote.SubOp{remote.RecMerge, remote.ReadDFS, remote.Sort, remote.HashProbe} {
+		line, _ := trained.Lines.Get(op)
+		partial.Lines.Set(op, line)
+	}
+	for _, ms := range []*ModelSet{trained, partial} {
+		asMap := map[remote.SubOp]stats.Line{}
+		for _, op := range remote.AllSubOps() {
+			if line, ok := ms.Lines.Get(op); ok {
+				asMap[op] = line
+			}
+		}
+		for _, indent := range []string{"", "  "} {
+			got, err := json.MarshalIndent(ms, "", indent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.MarshalIndent(struct {
+				Lines       map[remote.SubOp]stats.Line `json:"lines"`
+				HashSpill   stats.Line                  `json:"hash_spill"`
+				BaselineSec float64                     `json:"baseline_sec"`
+				Cluster     cluster.Config              `json:"cluster"`
+			}{asMap, ms.HashSpill, ms.BaselineSec, ms.Cluster}, "", indent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("lines encode as\n%s\nwant\n%s", got, want)
+			}
+			var back ModelSet
+			if err := json.Unmarshal(got, &back); err != nil {
+				t.Fatal(err)
+			}
+			if back.Lines != ms.Lines {
+				t.Errorf("decoded lines %+v, want %+v", back.Lines, ms.Lines)
+			}
+		}
+	}
+	for _, bad := range []string{`{"11":{}}`, `{"-1":{}}`, `{"x":{}}`, `[]`} {
+		var l Lines
+		if err := json.Unmarshal([]byte(bad), &l); err == nil {
+			t.Errorf("lines %s decoded without an error", bad)
+		}
+	}
+	var l Lines
+	if err := json.Unmarshal([]byte(`null`), &l); err != nil || l.Len() != 0 {
+		t.Errorf("null lines: %v, %d modeled", err, l.Len())
 	}
 }

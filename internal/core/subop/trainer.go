@@ -85,7 +85,7 @@ func Train(sys remote.System, cfg TrainConfig) (*ModelSet, *Report, error) {
 		return nil, nil, fmt.Errorf("subop: need at least 2 record counts to difference out overheads")
 	}
 
-	ms := &ModelSet{Lines: make(map[remote.SubOp]stats.Line), Cluster: cc}
+	ms := &ModelSet{Cluster: cc}
 	rep := &Report{}
 
 	// seqRecords converts a probe's record count into effective sequential
@@ -160,7 +160,7 @@ func Train(sys remote.System, cfg TrainConfig) (*ModelSet, *Report, error) {
 		return nil, nil, fmt.Errorf("subop: ReadDFS model: %w", err)
 	}
 	readReport.Line = readLine
-	ms.Lines[remote.ReadDFS] = readLine
+	ms.Lines.Set(remote.ReadDFS, readLine)
 	ms.BaselineSec = baselineSum / float64(baselineN)
 	if ms.BaselineSec < 0 {
 		// Wave discretization can tilt the fit intercept slightly negative
@@ -217,7 +217,7 @@ func Train(sys remote.System, cfg TrainConfig) (*ModelSet, *Report, error) {
 			return nil, nil, fmt.Errorf("subop: %v model: %w", target, err)
 		}
 		r.Line = line
-		ms.Lines[target] = line
+		ms.Lines.Set(target, line)
 		if target == remote.HashBuild {
 			// At small record sizes the spill regime costs no more than the
 			// in-memory one (the engine floors it), so those points lie on

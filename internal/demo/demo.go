@@ -77,8 +77,8 @@ func Build(cfg Config) (*engine.Engine, error) {
 // Figure 10 tables, spark owns a handful, presto one warehouse, the master
 // one local dimension table, and two small hive tables are materialized.
 // The hive and spark tables are cross-replicated (and the warehouse
-// replicated onto hive), so degraded re-planning has somewhere to go when a
-// remote fails. Every remote is registered behind a disarmed fault injector.
+// replicated onto hive): the optimizer costs every copy, and degraded
+// re-planning has somewhere to go when a remote fails. Every remote is registered behind a disarmed fault injector.
 func BuildFederation(cfg Config) (*Federation, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -120,8 +120,9 @@ func BuildFederation(cfg Config) (*Federation, error) {
 		return nil, err
 	}
 
-	// Replicas change nothing while the owner is healthy (the optimizer
-	// always prefers the primary), but give degraded re-planning a place
+	// Every copy is a placement candidate: an operator over a hive table
+	// may run on its spark copy, and a table ships from whichever copy has
+	// the cheapest link. The copies also give degraded re-planning a place
 	// to go when a remote fails or open-circuits.
 	for _, rows := range []int64{10000, 100000, 1000000, 10000000, 80000000} {
 		for _, size := range []int{100, 250, 1000} {

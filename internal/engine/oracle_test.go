@@ -108,6 +108,10 @@ func runOracle(t *testing.T, e *engine.Engine) oracleScore {
 				continue // a table with every copy excluded
 			}
 			if mask > 0 && p.EstimatedSec < served.EstimatedSec*(1-1e-12) {
+				if !uncosted {
+					t.Errorf("%s: the served plan estimates %.4f s, a plan excluding %v %.4f s:\n%s\n%s",
+						sql, served.EstimatedSec, exclude, p.EstimatedSec, served.Explain(), p.Explain())
+				}
 				uncosted = true
 			}
 			key := placementKey(p)

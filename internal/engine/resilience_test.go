@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"intellisphere/internal/optimizer"
 	"intellisphere/internal/remote"
 	"intellisphere/internal/resilience"
+	"intellisphere/internal/sqlparse"
 )
 
 // chaosClock is a race-safe manual time source for breaker timeouts.
@@ -34,11 +36,13 @@ func (c *chaosClock) advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// chaosRig is a two-remote federation whose hive simulator sits behind a
-// fault injector, with a hive-owned table replicated onto spark.
+// chaosRig is a two-remote federation whose hive and spark simulators sit
+// behind fault injectors, with a hive-owned table replicated onto spark and
+// a hive-only one.
 type chaosRig struct {
 	eng   *Engine
 	hive  *faults.Injector
+	spark *faults.Injector
 	clock *chaosClock
 }
 
@@ -75,44 +79,101 @@ func newChaosRig(t *testing.T, breaker resilience.BreakerConfig) *chaosRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.RegisterRemoteSubOp(s, remote.EngineSpark, subop.InHouseComparable); err != nil {
+	sinj := faults.Wrap(s, faults.Config{Seed: 8})
+	if _, _, err := e.RegisterRemoteSubOp(sinj, remote.EngineSpark, subop.InHouseComparable); err != nil {
 		t.Fatalf("RegisterRemoteSubOp(spark): %v", err)
 	}
 	// Big rows make the transfer dominate, so the optimizer pushes
-	// operators down to hive rather than shipping the table to the master.
-	tb, err := datagen.Table(10000000, 1000, "hive")
-	if err != nil {
-		t.Fatal(err)
+	// operators down to a copy rather than shipping the table to the master.
+	for _, name := range []string{"rep_t", "hive_t"} {
+		tb, err := datagen.Table(10000000, 1000, "hive")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Name = name
+		if name == "rep_t" {
+			tb.Replicas = []string{"spark"}
+		}
+		if err := e.RegisterTable(tb); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tb.Name = "rep_t"
-	tb.Replicas = []string{"spark"}
-	if err := e.RegisterTable(tb); err != nil {
-		t.Fatal(err)
-	}
-	return &chaosRig{eng: e, hive: inj, clock: clock}
+	return &chaosRig{eng: e, hive: inj, spark: sinj, clock: clock}
 }
 
-// hiveQuery returns a statement whose healthy plan runs an operator step
-// (not just a transfer) on hive, failing the test if every candidate's
-// placement avoids hive compute.
-func (r *chaosRig) hiveQuery(t *testing.T) string {
+// configure sets the same fault rates on hive and spark, so a statement over
+// the replicated table fails wherever it runs on a remote.
+func (r *chaosRig) configure(rates faults.Rates) {
+	r.hive.Configure(faults.Config{Seed: 7, Rates: rates})
+	r.spark.Configure(faults.Config{Seed: 8, Rates: rates})
+}
+
+// pickQuery returns the first statement whose healthy plan has a step
+// (transfers included) that ok accepts, failing the test when none has.
+func (r *chaosRig) pickQuery(t *testing.T, what string, ok func(optimizer.Step) bool, candidates ...string) string {
 	t.Helper()
-	candidates := []string{
-		"SELECT a1 FROM rep_t WHERE a1 < 1000",
-		"SELECT a5, COUNT(a1) FROM rep_t GROUP BY a5",
-	}
 	for _, sql := range candidates {
 		res, err := r.eng.Query(sql)
 		if err != nil {
 			t.Fatalf("Query(%q): %v", sql, err)
 		}
-		for _, s := range res.Plan.Steps {
-			if s.System == "hive" && s.Kind != "transfer" {
+		if slices.ContainsFunc(res.Plan.Steps, ok) {
+			return sql
+		}
+	}
+	t.Fatalf("no candidate plan %s", what)
+	return ""
+}
+
+// hiveQuery returns a statement over the replicated table whose healthy plan
+// reads it from hive, so a hive outage degrades it onto the spark copy. Spark
+// runs every operator on that table cheaper than hive, so hive is where the
+// table ships from.
+func (r *chaosRig) hiveQuery(t *testing.T) string {
+	t.Helper()
+	return r.pickQuery(t, "reads from hive", func(s optimizer.Step) bool { return s.System == "hive" || s.From == "hive" },
+		"SELECT a1 FROM rep_t WHERE a1 < 1000",
+		"SELECT a5, COUNT(a1) FROM rep_t GROUP BY a5")
+}
+
+// hiveOperatorQuery returns a statement over the hive-only table whose
+// healthy plan runs an operator on hive, where hive's faults reach it.
+func (r *chaosRig) hiveOperatorQuery(t *testing.T) string {
+	t.Helper()
+	return r.pickQuery(t, "places an operator on hive", func(s optimizer.Step) bool { return s.System == "hive" && s.Kind != "transfer" },
+		"SELECT a1 FROM hive_t WHERE a1 < 1000",
+		"SELECT a5, COUNT(a1) FROM hive_t GROUP BY a5")
+}
+
+// remoteQuery returns a statement over the replicated table whose healthy
+// plan runs an operator on a remote and whose plan without that remote runs
+// its operator on the master, so faults on both remotes (configure) degrade
+// it onto the master.
+func (r *chaosRig) remoteQuery(t *testing.T) string {
+	t.Helper()
+	for _, sql := range []string{
+		"SELECT a5, COUNT(a1) FROM rep_t GROUP BY a5",
+		"SELECT a1, COUNT(*) FROM rep_t GROUP BY a1",
+	} {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := r.eng.opt.PlanCtx(context.Background(), stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(p.Steps, func(s optimizer.Step) bool { return s.Kind != "transfer" })
+		if sys := p.Steps[i].System; sys != "teradata" {
+			fallback, err := r.eng.opt.PlanExcludingCtx(context.Background(), stmt, map[string]bool{sys: true})
+			if err == nil && !slices.ContainsFunc(fallback.Steps, func(s optimizer.Step) bool {
+				return s.Kind != "transfer" && s.System != "teradata"
+			}) {
 				return sql
 			}
 		}
 	}
-	t.Fatal("no candidate plan places an operator on hive")
+	t.Fatal("no candidate plan runs on a remote and falls back onto the master")
 	return ""
 }
 
@@ -229,14 +290,14 @@ func TestChaosOpenBreakerShortCircuits(t *testing.T) {
 
 // TestChaosTransientRetries verifies that transient faults are retried with
 // the retry counter advancing, and that exhausted retries still degrade
-// onto the replica rather than failing the query.
+// onto the master rather than failing the query.
 func TestChaosTransientRetries(t *testing.T) {
 	rig := newChaosRig(t, resilience.BreakerConfig{
 		FailureThreshold: 100, // stay closed; this test isolates retries
 		OpenTimeout:      time.Hour,
 	})
-	sql := rig.hiveQuery(t)
-	rig.hive.Configure(faults.Config{Seed: 7, Rates: faults.Rates{Transient: 1}})
+	sql, hiveSQL := rig.remoteQuery(t), rig.hiveOperatorQuery(t)
+	rig.configure(faults.Rates{Transient: 1})
 	res, err := rig.eng.Query(sql)
 	if err != nil {
 		t.Fatalf("query under 100%% transient faults: %v", err)
@@ -248,9 +309,15 @@ func TestChaosTransientRetries(t *testing.T) {
 	if rs.Retries < 2 {
 		t.Errorf("Retries = %d, want >= 2 (MaxAttempts-1)", rs.Retries)
 	}
+	// A statement on the hive-only table has nowhere to fall back to: it
+	// fails with the injected fault that exhausted its retries.
+	_, err = rig.eng.Query(hiveSQL)
+	if err == nil || !strings.Contains(err.Error(), "faults: injected transient failure on hive/") {
+		t.Errorf("hive-only query under transient faults: %v, want the injected fault", err)
+	}
 
-	// Clearing the faults restores normal service on the primary.
-	rig.hive.Configure(faults.Config{Seed: 7})
+	// Clearing the faults restores normal service on the remote.
+	rig.configure(faults.Rates{})
 	res, err = rig.eng.Query(sql)
 	if err != nil || res.Degraded {
 		t.Fatalf("query after clearing faults: res=%+v err=%v", res, err)

@@ -167,7 +167,7 @@ func TestUntracedQueryRecordsNothing(t *testing.T) {
 // windows must drift while the untouched master stays calibrated.
 func TestAccuracyTracksLatencyFaults(t *testing.T) {
 	rig := newChaosRig(t, resilience.BreakerConfig{})
-	sql := rig.hiveQuery(t)
+	sql := rig.hiveOperatorQuery(t)
 	for i := 0; i < 5; i++ {
 		if _, err := rig.eng.Query(sql); err != nil {
 			t.Fatal(err)
@@ -219,16 +219,16 @@ func TestAccuracyTracksLatencyFaults(t *testing.T) {
 // dropped by tags — including the resilience and accuracy sections.
 func TestStatsJSONRoundTrip(t *testing.T) {
 	rig := newChaosRig(t, resilience.BreakerConfig{})
-	sql := rig.hiveQuery(t)
+	sql := rig.remoteQuery(t)
 	// Populate every section: traced queries, retries, a degraded re-plan.
 	if _, _, err := rig.eng.QueryTraced(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
-	rig.hive.Configure(faults.Config{Seed: 7, Rates: faults.Rates{Transient: 1}})
+	rig.configure(faults.Rates{Transient: 1})
 	if _, err := rig.eng.Query(sql); err != nil {
 		t.Fatal(err)
 	}
-	rig.hive.Configure(faults.Config{Seed: 7})
+	rig.configure(faults.Rates{})
 
 	st := rig.eng.Stats()
 	if st.Resilience.Retries == 0 || st.Resilience.Fallbacks == 0 {

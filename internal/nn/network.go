@@ -214,8 +214,8 @@ func (n *Network) Forward(x []float64) float64 {
 // ForwardBatch is Forward over each row of xs, written into dst (allocated
 // when nil). Nothing in this module calls it: it stays only because
 // bench/layers.go (nn.forward_batch_us_per_row) compiles against it and a
-// non-benchmark change may not edit bench/. ROADMAP 2(a) retires that row
-// and then deletes this.
+// non-benchmark change may not edit bench/. Retiring that ledger row lets
+// this go too.
 func (n *Network) ForwardBatch(xs [][]float64, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(xs))

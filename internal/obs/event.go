@@ -47,7 +47,7 @@ type Event struct {
 	// LatencySec is engine time: parse + plan + execute. The clock starts in
 	// Engine.serve, after admission and the request body read, and stops at
 	// the end of the execute stage, before the response is encoded and
-	// written; ROADMAP item 6 tracks those missing stages.
+	// written, so admission wait, body read, encode and write are not in it.
 	LatencySec float64 `json:"latency_sec"`
 	// ParseNS, PlanNS and ExecuteNS split the latency into the engine's
 	// stages, in nanoseconds: readings of one clock, so they sum to the

@@ -22,6 +22,9 @@ import (
 // end to end on a server that records events, since the first Explain() and
 // Systems() of a served plan then stopped allocating them; 34, 33 and 80 with
 // the fmt-and-map bookkeeping this path used to do.
+// A scan and a join over replicated tables, whose every copy is a candidate,
+// count 3 as well; a degraded re-plan counts 4, the fourth being its list of
+// excluded systems.
 // The same budgets hold at GOMAXPROCS 4, the only worker count the process
 // has: the planner costs its placements on the calling goroutine.
 func TestPlanMissAllocs(t *testing.T) {
@@ -37,26 +40,38 @@ func TestPlanMissAllocs(t *testing.T) {
 
 func testPlanMissAllocs(t *testing.T) {
 	f := newFixture(t)
+	registerReplicated(t, f, "rep_fact", 2000000)
+	registerReplicated(t, f, "rep_dim", 100000)
 	for _, tc := range []struct {
-		sql    string
-		budget float64
+		sql     string
+		exclude map[string]bool
+		budget  float64
 	}{
-		{"SELECT a1, a5 FROM t1000000_100 WHERE a5 < 1234", 4},
-		{"SELECT a100, SUM(a1), COUNT(*) FROM t10000_100 WHERE a2 < 17 GROUP BY a100", 4},
-		{"SELECT r.a1, s.a2 FROM t10000000_100 r JOIN s_orders s ON r.a1 = s.a1 WHERE r.a10 < 40123", 4},
+		{"SELECT a1, a5 FROM t1000000_100 WHERE a5 < 1234", nil, 4},
+		{"SELECT a100, SUM(a1), COUNT(*) FROM t10000_100 WHERE a2 < 17 GROUP BY a100", nil, 4},
+		{"SELECT r.a1, s.a2 FROM t10000000_100 r JOIN s_orders s ON r.a1 = s.a1 WHERE r.a10 < 40123", nil, 4},
+		// Every copy of a replicated table is a candidate; a degraded
+		// re-plan drops the excluded system's copies.
+		{"SELECT a1, a5 FROM rep_fact WHERE a5 < 1234", nil, 4},
+		{"SELECT r.a1, s.a2 FROM rep_fact r JOIN rep_dim s ON r.a1 = s.a1 WHERE r.a10 < 40123", nil, 4},
+		{"SELECT r.a1, s.a2 FROM rep_fact r JOIN rep_dim s ON r.a1 = s.a1 WHERE r.a10 < 40123", map[string]bool{"hive": true}, 4},
 	} {
 		stmt, err := sqlparse.Parse(tc.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.opt.PlanCtx(context.Background(), stmt); err != nil {
+		plan := func() (*Plan, error) { return f.opt.PlanCtx(context.Background(), stmt) }
+		if tc.exclude != nil {
+			plan = func() (*Plan, error) { return f.opt.PlanExcludingCtx(context.Background(), stmt, tc.exclude) }
+		}
+		if _, err := plan(); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(200, func() { f.opt.PlanCtx(context.Background(), stmt) })
+		allocs := testing.AllocsPerRun(200, func() { plan() })
 		if allocs > tc.budget {
-			t.Errorf("PlanCtx(%q) allocates %.1f times, budget %.0f", tc.sql, allocs, tc.budget)
+			t.Errorf("plan of %q excluding %v allocates %.1f times, budget %.0f", tc.sql, tc.exclude, allocs, tc.budget)
 		}
-		t.Logf("PlanCtx(%q): %.0f allocs", tc.sql, allocs)
+		t.Logf("plan of %q excluding %v: %.0f allocs", tc.sql, tc.exclude, allocs)
 	}
 }
 

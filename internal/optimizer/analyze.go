@@ -2,8 +2,8 @@
 // binds a parsed SQL statement against the catalog, derives operator specs
 // (cardinalities, row sizes, projections, selectivities), enumerates the
 // placement candidates the paper describes in Section 2 — an operator may
-// run on a remote system that owns (part of) its input, or on the master —
-// costs every candidate with the remote systems' cost estimators plus
+// run on a remote system that holds a copy of (part of) its input, or on the
+// master — costs every candidate with the remote systems' cost estimators plus
 // QueryGrid transfer estimates, and picks the cheapest plan.
 package optimizer
 
@@ -352,24 +352,26 @@ func (a *analyzed) groupRows(inputRows float64) float64 {
 	return prod
 }
 
-// systemOf returns the system a binding's table should be read from,
-// mapping local tables to the master. The primary owner wins unless it is
-// excluded (degraded re-planning), in which case the first non-excluded
-// replica takes over; a table whose owner and replicas are all excluded is
-// unreachable and fails the plan.
-func (a *analyzed) systemOf(b int) (string, error) {
+// copiesOf appends to buf the systems binding b's table can be read from:
+// its owner (the master for a local table), then its replicas in catalog
+// order, leaving out the systems degraded re-planning excludes. A table whose
+// owner and replicas are all excluded is unreachable and fails the plan.
+func (a *analyzed) copiesOf(b int, buf []string) ([]string, error) {
 	t := a.binds[b].table
 	owner := t.System
 	if owner == "" {
 		owner = querygrid.Master
 	}
 	if !a.exclude[owner] {
-		return owner, nil
+		buf = append(buf, owner)
 	}
 	for _, r := range t.Replicas {
 		if !a.exclude[r] {
-			return r, nil
+			buf = append(buf, r)
 		}
 	}
-	return "", fmt.Errorf("optimizer: table %q is unreachable: owner %q and every replica excluded", t.Name, owner)
+	if len(buf) == 0 {
+		return nil, fmt.Errorf("optimizer: table %q is unreachable: owner %q and every replica excluded", t.Name, owner)
+	}
+	return buf, nil
 }

@@ -137,9 +137,11 @@ type Plan struct {
 	own  rendering
 
 	// What the planner builds into, so that a plan is one allocation (of the
-	// 1152-B size class) besides its rendering; Steps may outgrow it by append.
+	// 1280-B size class) besides its rendering: room for the rejected
+	// placements of one operator over the demo federation's five systems.
+	// Steps and Alternatives may outgrow it by append.
 	stepBuf [4]Step
-	altBuf  [2]Alternative
+	altBuf  [fixedSites - 1]Alternative
 	scan    plan.ScanSpec
 	agg     plan.AggSpec
 	joins   [2]plan.JoinSpec
@@ -429,56 +431,69 @@ func transferStep(from, to string, rows, rowSize, sec float64) Step {
 	return Step{Kind: "transfer", From: from, System: to, Rows: rows, RowSize: rowSize, EstimatedSec: sec}
 }
 
-// maxPlacements bounds an operator's candidate systems: the owners of its at
-// most two inputs plus the master.
-const maxPlacements = 3
+// fixedSites is how many systems a placement sweep holds on the stack: the
+// demo federation's five, the master and four remotes. A table's replicas are
+// registered systems, so a sweep over a larger federation grows onto the
+// heap, bounded by the number of registered systems.
+const fixedSites = 5
 
-// placements is the set of candidate systems for one operator, in sweep
-// order.
-type placements struct {
-	sys [maxPlacements]string
-	n   int
+// addSite appends sys to a sweep's candidate systems unless it is there
+// already, so the first-seen order stands.
+func addSite(sites []string, sys string) []string {
+	if slices.Contains(sites, sys) {
+		return sites
+	}
+	return append(sites, sys)
 }
 
-// list returns the systems in sweep order.
-func (ps *placements) list() []string { return ps.sys[:ps.n] }
-
-// placements enumerates candidate systems for an operator over inputs owned
-// by the given (at most two) systems: every distinct non-excluded owner plus
-// the master (which is never excluded).
-func (a *analyzed) placements(owners ...string) (ps placements) {
-	add := func(s string) {
-		for _, seen := range ps.list() {
-			if seen == s {
-				return
-			}
-		}
-		ps.sys[ps.n] = s
-		ps.n++
-	}
-	for _, s := range owners {
-		if !a.exclude[s] {
-			add(s)
-		}
-	}
-	add(querygrid.Master)
-	return ps
-}
-
-// unaryInput is everything the placement sweep of a single-table statement
-// needs — its operator is a scan or an aggregation, so exactly one of
-// scan/agg is set, pointing into the plan the sweep builds, whose operator
-// step points at it too.
-type unaryInput struct {
-	owner string
-	// rows × rowSize filtered by sel is what QueryGrid prices when the table
-	// ships off its owner; shipRows is the row count that transfer reports.
+// operand is one input of an operator being placed: the systems holding a
+// copy of it, in preference order, and the volume its transfer moves.
+type operand struct {
+	copies []string
+	// rows × rowSize filtered by sel is what QueryGrid prices when the input
+	// ships (sel is 1 for an intermediate result, which ships whole);
+	// shipRows is the row count that transfer reports.
 	rows, rowSize, sel, shipRows float64
+}
+
+// bring prices bringing an operand to sys, for every placement sweep: free
+// where a copy already sits, else shipped from the copy with the cheapest
+// transfer (the first copy on a tie). from is where it ships from, sys itself
+// when it does not ship.
+func (o *Optimizer) bring(in *operand, sys string) (from string, sec float64, err error) {
+	if slices.Contains(in.copies, sys) {
+		return sys, 0, nil
+	}
+	for i, c := range in.copies {
+		cs, err := o.Grid.TransferCostFiltered(c, sys, in.rows, in.rowSize, in.sel)
+		if err != nil {
+			return "", 0, err
+		}
+		if i == 0 || cs < sec {
+			from, sec = c, cs
+		}
+	}
+	return from, sec, nil
+}
+
+// baseOperand describes binding b's table as an operand, its copies not yet
+// listed: it ships with QueryGrid predicate pushdown of its single-table
+// filters, and a transfer of it reports shipRows.
+func (a *analyzed) baseOperand(b int, shipRows float64) operand {
+	bd := &a.binds[b]
+	return operand{rows: float64(bd.table.Rows), rowSize: float64(bd.table.RowSize()), sel: bd.sel, shipRows: shipRows}
+}
+
+// unaryInput is the operator of a single-table statement's placement sweep —
+// a scan or an aggregation, so exactly one of scan/agg is set, pointing into
+// the plan the sweep builds, whose operator step points at it too. Its input
+// is an operand of its own: a plan's steps keep scan/agg, and the compiler
+// would then move what the operand's copies point at to the heap too.
+type unaryInput struct {
 	// outRows × outSize is the operator's result, shipped to the master.
 	outRows, outSize float64
 	scan             *plan.ScanSpec
 	agg              *plan.AggSpec
-	systems          placements // candidate placements, in sweep order
 }
 
 // kind names the operator the way plan steps and EXPLAIN do.
@@ -490,55 +505,42 @@ func (in *unaryInput) kind() string {
 }
 
 // unaryInputFor derives the operator spec of a single-table statement into
-// p and its candidate placements into in.
-func (o *Optimizer) unaryInputFor(a *analyzed, p *Plan, in *unaryInput) error {
-	t := a.binds[0].table
-	owner, err := a.systemOf(0)
-	if err != nil {
-		return err
-	}
-	*in = unaryInput{
-		owner:   owner,
-		rows:    float64(t.Rows),
-		rowSize: float64(t.RowSize()),
-		sel:     a.binds[0].sel,
-		systems: a.placements(owner),
-	}
+// p and in, and returns its input, the copies not yet listed.
+func (o *Optimizer) unaryInputFor(a *analyzed, p *Plan, in *unaryInput) operand {
+	bd := &a.binds[0]
+	rows := float64(bd.table.Rows)
 	if a.stmt.HasAggregates() || len(a.stmt.GroupBy) > 0 {
-		inRows := in.rows * in.sel
-		if inRows < 1 {
-			inRows = 1
-		}
+		inRows := max(rows*bd.sel, 1)
 		outRows := a.groupRows(inRows)
 		p.agg = plan.AggSpec{
 			InputRows:     inRows,
-			InputRowSize:  in.rowSize,
+			InputRowSize:  float64(bd.table.RowSize()),
 			OutputRows:    outRows,
 			OutputRowSize: a.aggWidth,
 			NumAggregates: a.numAggs,
 		}
 		in.agg = &p.agg
-		in.shipRows, in.outRows, in.outSize = inRows, outRows, a.aggWidth
-		return nil
+		in.outRows, in.outSize = outRows, a.aggWidth
+		return a.baseOperand(0, inRows)
 	}
-	proj := a.binds[0].proj
 	p.scan = plan.ScanSpec{
-		InputRows:     in.rows,
-		InputRowSize:  in.rowSize,
-		Selectivity:   in.sel,
-		OutputRowSize: proj,
+		InputRows:     rows,
+		InputRowSize:  float64(bd.table.RowSize()),
+		Selectivity:   bd.sel,
+		OutputRowSize: bd.proj,
 	}
 	in.scan = &p.scan
-	in.shipRows, in.outRows, in.outSize = in.rows*in.sel, in.scan.OutputRows(), proj
-	return nil
+	in.outRows, in.outSize = in.scan.OutputRows(), bd.proj
+	return a.baseOperand(0, rows*bd.sel)
 }
 
 // candidate is one costed placement of a single-table operator: what it
-// takes to ship the (filtered, thanks to QueryGrid pushdown) table to sys
-// unless sys owns it, run the operator there, and land the result on the
-// master. Steps are only built for the placement that wins.
+// takes to bring the (filtered, thanks to QueryGrid pushdown) table to sys
+// from the cheapest copy unless sys holds one, run the operator there, and
+// land the result on the master. Steps are only built for the placement that
+// wins.
 type candidate struct {
-	sys              string
+	sys, from        string
 	shipSec, backSec float64
 	est              core.Estimate
 	total            float64
@@ -546,12 +548,12 @@ type candidate struct {
 
 // pick selects the cheapest candidate (reordering cands), builds its steps
 // into p, and lists the rest as alternatives.
-func (in *unaryInput) pick(p *Plan, cands []candidate) {
+func (in *unaryInput) pick(p *Plan, src *operand, cands []candidate) {
 	slices.SortStableFunc(cands, func(x, y candidate) int { return byCost(x.total, y.total) })
 	best := &cands[0]
 	p.EstimatedSec, p.OutputRows, p.OutputRowSize = best.total, in.outRows, in.outSize
-	if best.sys != in.owner {
-		p.Steps = append(p.Steps, transferStep(in.owner, best.sys, in.shipRows, in.rowSize, best.shipSec))
+	if best.from != best.sys {
+		p.Steps = append(p.Steps, transferStep(best.from, best.sys, src.shipRows, src.rowSize, best.shipSec))
 	}
 	p.Steps = append(p.Steps, Step{Kind: in.kind(), System: best.sys, Scan: in.scan, Agg: in.agg,
 		EstimatedSec: best.est.Seconds, Estimate: best.est})
@@ -586,10 +588,9 @@ func endCostSpan(sp *trace.Span, ce core.Estimate, err error) {
 	sp.EndErr(err)
 }
 
-// costUnary estimates in's operator on its i-th candidate system and prices
-// the placement: the estimate plus the transfers there and back.
-func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, i int) (candidate, error) {
-	sys := in.systems.sys[i]
+// costUnary estimates in's operator on sys and prices the placement: the
+// estimate plus the transfers of src there and of the result back.
+func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, src *operand, sys string) (candidate, error) {
 	est, err := o.estimator(sys)
 	if err != nil {
 		return candidate{}, err
@@ -606,15 +607,10 @@ func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, i int) (candi
 		return candidate{}, fmt.Errorf("optimizer: %s estimate on %q: %w", in.kind(), sys, err)
 	}
 	c := candidate{sys: sys, est: ce}
-	if sys != in.owner {
-		sec, err := o.Grid.TransferCostFiltered(in.owner, sys, in.rows, in.rowSize, in.sel)
-		if err != nil {
-			return candidate{}, err
-		}
-		c.shipSec = sec
-		c.total += sec
+	if c.from, c.shipSec, err = o.bring(src, sys); err != nil {
+		return candidate{}, err
 	}
-	c.total += ce.Seconds
+	c.total = c.shipSec + ce.Seconds
 	if sys != querygrid.Master {
 		sec, err := o.Grid.TransferCost(sys, querygrid.Master, in.outRows, in.outSize)
 		if err != nil {
@@ -626,72 +622,83 @@ func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, i int) (candi
 	return c, nil
 }
 
-// planUnary places a single-table filter/project or aggregation.
+// planUnary places a single-table filter/project or aggregation on every
+// copy of its table and on the master.
 func (o *Optimizer) planUnary(ctx context.Context, a *analyzed) (*Plan, error) {
-	p := newPlan()
-	var in unaryInput
-	err := o.unaryInputFor(a, p, &in)
+	var copyBuf, siteBuf [fixedSites]string
+	copies, err := a.copiesOf(0, copyBuf[:0])
 	if err != nil {
 		return nil, err
 	}
-	// The at most maxPlacements estimates cost under a microsecond each, so
-	// they are swept on the calling goroutine: handing them to workers costs
-	// several times the estimates themselves (DESIGN.md §6).
-	var buf [maxPlacements]candidate
-	cands := buf[:in.systems.n]
-	for i := range cands {
-		if cands[i], err = o.costUnary(ctx, &in, i); err != nil {
+	p := newPlan()
+	var in unaryInput
+	src := o.unaryInputFor(a, p, &in)
+	src.copies = copies
+	sites := append(siteBuf[:0], copies...)
+	sites = addSite(sites, querygrid.Master)
+	// The few estimates cost under a microsecond each, so they are swept on
+	// the calling goroutine: handing them to workers costs several times the
+	// estimates themselves (DESIGN.md §6).
+	var buf [fixedSites]candidate
+	cands := buf[:0]
+	for _, sys := range sites {
+		c, err := o.costUnary(ctx, &in, &src, sys)
+		if err != nil {
 			return nil, err
 		}
+		cands = append(cands, c)
 	}
-	in.pick(p, cands)
+	in.pick(p, &src, cands)
 	return p, nil
 }
 
-// joinSweep is one join of the chain awaiting placement: the operator spec,
-// where its two inputs sit, and which of them still ship as base tables.
+// joinSweep is one join of the chain awaiting placement: the operator spec
+// and its two inputs, the left one (spec.Left) a base table at the first join
+// and an intermediate result after it, the right one (spec.Right) the newly
+// joined table. The last join of a chain also decides where the result lands
+// from, so its sweep carries that too.
 type joinSweep struct {
-	join int // 0-based position in the chain
-	spec *plan.JoinSpec
-	// The left input (spec.Left) sits on curLoc; curBase is its binding
-	// while it is still a base table, -1 once it is an intermediate result.
-	curLoc  string
-	curBase int
-	// The newly joined table (spec.Right, binding newBind) is read from
-	// nxtOwner.
-	nxtOwner string
-	newBind  int
+	join        int // 0-based position in the chain
+	spec        *plan.JoinSpec
+	left, right *operand
+	land        *landing // nil before the last join
+}
+
+// landing is the rest of a plan after its last join: the aggregation over the
+// join's result when the statement aggregates (nil when it does not), and
+// the rows × rowSize then shipped to the master.
+type landing struct {
+	agg           *plan.AggSpec
+	rows, rowSize float64
 }
 
 // joinOption is one costed placement of a join: the transfers that bring
-// each input to sys (zero when it is already there) plus the estimate.
+// each input to sys from where they ship (zero when a copy is already there)
+// plus the estimate, and after the last join what landing the result from
+// sys costs: the aggregation there and the transfer to the master.
 type joinOption struct {
 	sys                 string
+	fromLeft, fromRight string
 	shipLeft, shipRight float64
-	est                 core.Estimate
-	cost                float64
+	est, aggEst         core.Estimate
+	backSec             float64
+	cost, landCost      float64
 }
 
-// joinOption prices running sw's join on sys. a is not in the sweep, whose
-// strings escape into the grid's errors and would take a to the heap.
-func (o *Optimizer) joinOption(ctx context.Context, a *analyzed, sw joinSweep, sys string) (joinOption, error) {
+// joinOption prices running sw's join on sys.
+func (o *Optimizer) joinOption(ctx context.Context, sw joinSweep, sys string) (joinOption, error) {
 	est, err := o.estimator(sys)
 	if err != nil {
 		return joinOption{}, err
 	}
 	opt := joinOption{sys: sys}
-	if sys != sw.curLoc {
-		if opt.shipLeft, err = o.shipInput(sw.curLoc, sys, sw.curBase, a, sw.spec.Left); err != nil {
-			return joinOption{}, err
-		}
-		opt.cost += opt.shipLeft
+	if opt.fromLeft, opt.shipLeft, err = o.bring(sw.left, sys); err != nil {
+		return joinOption{}, err
 	}
-	if sys != sw.nxtOwner {
-		if opt.shipRight, err = o.shipInput(sw.nxtOwner, sys, sw.newBind, a, sw.spec.Right); err != nil {
-			return joinOption{}, err
-		}
-		opt.cost += opt.shipRight
+	if opt.fromRight, opt.shipRight, err = o.bring(sw.right, sys); err != nil {
+		return joinOption{}, err
 	}
+	opt.cost = opt.shipLeft + opt.shipRight
 	sp := costSpan(ctx, "join", sys)
 	sp.SetInt("join", sw.join+1)
 	opt.est, err = est.EstimateJoin(*sw.spec)
@@ -700,54 +707,76 @@ func (o *Optimizer) joinOption(ctx context.Context, a *analyzed, sw joinSweep, s
 		return joinOption{}, fmt.Errorf("optimizer: join estimate on %q: %w", sys, err)
 	}
 	opt.cost += opt.est.Seconds
+	if sw.land == nil {
+		return opt, nil
+	}
+	if sw.land.agg != nil {
+		sp := costSpan(ctx, "aggregation", sys)
+		opt.aggEst, err = est.EstimateAgg(*sw.land.agg)
+		endCostSpan(sp, opt.aggEst, err)
+		if err != nil {
+			return joinOption{}, fmt.Errorf("optimizer: post-join aggregation on %q: %w", sys, err)
+		}
+	}
+	if sys != querygrid.Master {
+		if opt.backSec, err = o.Grid.TransferCost(sys, querygrid.Master, sw.land.rows, sw.land.rowSize); err != nil {
+			return joinOption{}, err
+		}
+	}
+	opt.landCost = opt.aggEst.Seconds + opt.backSec
 	return opt, nil
 }
 
 // planJoin places a left-deep join chain (with optional aggregation on
 // top). Each join is placed greedily on the system minimizing the step's
-// transfers plus estimated execution; intermediate results stay where they
-// were produced until a cheaper placement pulls them (Section 2's "results
-// ... may remain on that remote system for further computations").
+// transfers plus estimated execution, among every copy of either input and
+// the master; the last join adds what landing its result from there costs.
+// Intermediate results stay where they were produced until a cheaper
+// placement pulls them (Section 2's "results ... may remain on that remote
+// system for further computations").
 func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 	// The first join always probes binding 0 (a CROSS one probes nothing).
 	cur := a.side(0, a.joins[0].probeCol)
-	curLoc, err := a.systemOf(0)
-	if err != nil {
+	var leftBuf, rightBuf, siteBuf [fixedSites]string
+	left := a.baseOperand(0, cur.Rows)
+	var err error
+	if left.copies, err = a.copiesOf(0, leftBuf[:0]); err != nil {
 		return nil, err
 	}
 	curBase := 0 // the intermediate's binding while it is still a base table
+	var land landing
 	p := newPlan()
 
 	for i, st := range a.joins {
 		nxt := a.side(st.newBind, st.newCol)
-		nxtOwner, err := a.systemOf(st.newBind)
-		if err != nil {
+		right := a.baseOperand(st.newBind, nxt.Rows)
+		if right.copies, err = a.copiesOf(st.newBind, rightBuf[:0]); err != nil {
 			return nil, err
 		}
 
 		// The probe side's key statistics: NDV of the probe column on its
 		// base table, capped by the intermediate cardinality.
-		left := cur
+		lside := cur
 		if st.probe >= 0 && st.probe != curBase {
-			left.KeyNDV = math.Min(a.binds[st.probe].table.NDV(st.probeCol), cur.Rows)
-			left.PartitionedOn, left.SortedOn = false, false
+			lside.KeyNDV = math.Min(a.binds[st.probe].table.NDV(st.probeCol), cur.Rows)
+			lside.PartitionedOn, lside.SortedOn = false, false
 		}
 
 		// Output cardinality.
 		var outRows float64
 		if st.cross {
-			outRows = left.Rows * nxt.Rows
+			outRows = lside.Rows * nxt.Rows
 		} else {
-			maxNDV := math.Max(left.KeyNDV, nxt.KeyNDV)
+			maxNDV := math.Max(lside.KeyNDV, nxt.KeyNDV)
 			if maxNDV < 1 {
 				maxNDV = 1
 			}
-			outRows = left.Rows * nxt.Rows / maxNDV
+			outRows = lside.Rows * nxt.Rows / maxNDV
 		}
 		// A cross-table predicate becomes applicable with the join that
 		// brings in the last of its tables, and is taken over the join key's
 		// domain when the join has one.
-		minNDV := math.Min(left.KeyNDV, nxt.KeyNDV)
+		minNDV := math.Min(lside.KeyNDV, nxt.KeyNDV)
 		for pi, span := range a.preds {
 			if span.lo == span.hi || span.hi != st.newBind {
 				continue
@@ -768,49 +797,10 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 		} else {
 			spec = new(plan.JoinSpec)
 		}
-		*spec = plan.JoinSpec{Left: left, Right: nxt, OutputRows: outRows, Cartesian: st.cross}
+		*spec = plan.JoinSpec{Left: lside, Right: nxt, OutputRows: outRows, Cartesian: st.cross}
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("optimizer: join %d spec: %w", i+1, err)
 		}
-
-		// Greedy placement of this join step: cost every candidate system,
-		// then select from the ordered results (first-seen wins cost ties).
-		sw := joinSweep{join: i, spec: spec,
-			curLoc: curLoc, curBase: curBase, nxtOwner: nxtOwner, newBind: st.newBind}
-		systems := a.placements(curLoc, nxtOwner)
-		var optBuf [maxPlacements]joinOption
-		options := optBuf[:systems.n]
-		for oi, sys := range systems.list() {
-			if options[oi], err = o.joinOption(ctx, a, sw, sys); err != nil {
-				return nil, err
-			}
-		}
-		best := 0
-		var rejBuf [maxPlacements]int
-		rejected := rejBuf[:0]
-		for oi := 1; oi < len(options); oi++ {
-			if options[oi].cost < options[best].cost {
-				rejected = append(rejected, best)
-				best = oi
-			} else {
-				rejected = append(rejected, oi)
-			}
-		}
-		win := &options[best]
-		if win.sys != curLoc {
-			p.Steps = append(p.Steps, transferStep(curLoc, win.sys, left.Rows, left.RowSize, win.shipLeft))
-		}
-		if win.sys != nxtOwner {
-			p.Steps = append(p.Steps, transferStep(nxtOwner, win.sys, nxt.Rows, nxt.RowSize, win.shipRight))
-		}
-		p.Steps = append(p.Steps, Step{Kind: "join", System: win.sys, Join: spec,
-			EstimatedSec: win.est.Seconds, Estimate: win.est})
-		p.EstimatedSec += win.cost
-		for _, r := range rejected {
-			p.Alternatives = append(p.Alternatives, Alternative{Kind: "join", Join: i + 1, System: options[r].sys,
-				EstimatedSec: p.EstimatedSec - win.cost + options[r].cost})
-		}
-
 		// The intermediate result: projected attributes of both inputs.
 		cur = plan.TableSide{
 			Rows:          outRows,
@@ -818,52 +808,76 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 			ProjectedSize: spec.OutputRowSize(),
 			KeyNDV:        outRows,
 		}
-		curLoc = win.sys
-		curBase = -1
-	}
+		sw := joinSweep{join: i, spec: spec, left: &left, right: &right}
+		if i == len(a.joins)-1 {
+			land.rows, land.rowSize = cur.Rows, cur.RowSize
+			if a.stmt.HasAggregates() || len(a.stmt.GroupBy) > 0 {
+				p.agg = plan.AggSpec{
+					InputRows: cur.Rows, InputRowSize: cur.RowSize,
+					OutputRows: a.groupRows(cur.Rows), OutputRowSize: a.aggWidth, NumAggregates: a.numAggs,
+				}
+				land.agg = &p.agg
+				land.rows, land.rowSize = p.agg.OutputRows, a.aggWidth
+			}
+			sw.land = &land
+		}
 
-	finalRows, finalSize := cur.Rows, cur.RowSize
-	if a.stmt.HasAggregates() || len(a.stmt.GroupBy) > 0 {
-		aggRows := a.groupRows(cur.Rows)
-		p.agg = plan.AggSpec{
-			InputRows: cur.Rows, InputRowSize: cur.RowSize,
-			OutputRows: aggRows, OutputRowSize: a.aggWidth, NumAggregates: a.numAggs,
+		// Greedy placement of this join step: cost every candidate system,
+		// then select from the ordered results (first-seen wins cost ties).
+		sites := append(siteBuf[:0], left.copies...)
+		for _, sys := range right.copies {
+			sites = addSite(sites, sys)
 		}
-		est, err := o.estimator(curLoc)
-		if err != nil {
-			return nil, err
+		sites = addSite(sites, querygrid.Master)
+		var optBuf [fixedSites]joinOption
+		options := optBuf[:0]
+		for _, sys := range sites {
+			opt, err := o.joinOption(ctx, sw, sys)
+			if err != nil {
+				return nil, err
+			}
+			options = append(options, opt)
 		}
-		sp := costSpan(ctx, "aggregation", curLoc)
-		ace, err := est.EstimateAgg(p.agg)
-		endCostSpan(sp, ace, err)
-		if err != nil {
-			return nil, fmt.Errorf("optimizer: post-join aggregation on %q: %w", curLoc, err)
+		best := 0
+		var rejBuf [fixedSites]int
+		rejected := rejBuf[:0]
+		for oi := 1; oi < len(options); oi++ {
+			if options[oi].cost+options[oi].landCost < options[best].cost+options[best].landCost {
+				rejected = append(rejected, best)
+				best = oi
+			} else {
+				rejected = append(rejected, oi)
+			}
 		}
-		p.Steps = append(p.Steps, Step{Kind: "aggregation", System: curLoc, Agg: &p.agg,
-			EstimatedSec: ace.Seconds, Estimate: ace})
-		p.EstimatedSec += ace.Seconds
-		finalRows, finalSize = aggRows, a.aggWidth
-	}
-	if curLoc != querygrid.Master {
-		sec, err := o.Grid.TransferCost(curLoc, querygrid.Master, finalRows, finalSize)
-		if err != nil {
-			return nil, err
+		win := &options[best]
+		if win.fromLeft != win.sys {
+			p.Steps = append(p.Steps, transferStep(win.fromLeft, win.sys, left.shipRows, left.rowSize, win.shipLeft))
 		}
-		p.Steps = append(p.Steps, transferStep(curLoc, querygrid.Master, finalRows, finalSize, sec))
-		p.EstimatedSec += sec
+		if win.fromRight != win.sys {
+			p.Steps = append(p.Steps, transferStep(win.fromRight, win.sys, right.shipRows, right.rowSize, win.shipRight))
+		}
+		p.Steps = append(p.Steps, Step{Kind: "join", System: win.sys, Join: spec,
+			EstimatedSec: win.est.Seconds, Estimate: win.est})
+		p.EstimatedSec += win.cost
+		for _, r := range rejected {
+			p.Alternatives = append(p.Alternatives, Alternative{Kind: "join", Join: i + 1, System: options[r].sys,
+				EstimatedSec: p.EstimatedSec - win.cost + options[r].cost + options[r].landCost})
+		}
+		if sw.land != nil {
+			if land.agg != nil {
+				p.Steps = append(p.Steps, Step{Kind: "aggregation", System: win.sys, Agg: land.agg,
+					EstimatedSec: win.aggEst.Seconds, Estimate: win.aggEst})
+				p.EstimatedSec += win.aggEst.Seconds
+			}
+			if win.sys != querygrid.Master {
+				p.Steps = append(p.Steps, transferStep(win.sys, querygrid.Master, land.rows, land.rowSize, win.backSec))
+				p.EstimatedSec += win.backSec
+			}
+		}
+		curBase = -1
+		left = operand{copies: append(leftBuf[:0], win.sys), rows: cur.Rows, rowSize: cur.RowSize, sel: 1, shipRows: cur.Rows}
 	}
 	slices.SortStableFunc(p.Alternatives, func(x, y Alternative) int { return byCost(x.EstimatedSec, y.EstimatedSec) })
-	p.OutputRows, p.OutputRowSize = finalRows, finalSize
+	p.OutputRows, p.OutputRowSize = land.rows, land.rowSize
 	return p, nil
-}
-
-// shipInput prices moving one join input to sys: base tables (binding ≥ 0)
-// ship with QueryGrid predicate pushdown applied to their single-table
-// filters; intermediates ship at full volume.
-func (o *Optimizer) shipInput(from, to string, binding int, a *analyzed, side plan.TableSide) (float64, error) {
-	if binding >= 0 {
-		b := &a.binds[binding]
-		return o.Grid.TransferCostFiltered(from, to, float64(b.table.Rows), float64(b.table.RowSize()), b.sel)
-	}
-	return o.Grid.TransferCost(from, to, side.Rows, side.RowSize)
 }

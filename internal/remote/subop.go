@@ -41,12 +41,14 @@ const (
 	HashBuild
 	HashProbe
 	RecMerge
-	numSubOps
+	// NumSubOps counts the sub-operators above; it is not one of them. An
+	// array of this length indexed by SubOp holds one value per sub-operator.
+	NumSubOps
 )
 
 // AllSubOps lists every sub-operator in declaration order.
 func AllSubOps() []SubOp {
-	ops := make([]SubOp, numSubOps)
+	ops := make([]SubOp, NumSubOps)
 	for i := range ops {
 		ops[i] = SubOp(i)
 	}
@@ -90,7 +92,7 @@ func (s SubOp) String() string {
 
 // probeLabels are the Execution.Algorithm names of the calibration probes,
 // built once so ExecuteProbe does not concatenate a string per call.
-var probeLabels = func() (l [numSubOps]string) {
+var probeLabels = func() (l [NumSubOps]string) {
 	for i := range l {
 		l[i] = "probe:" + SubOp(i).String()
 	}
@@ -144,7 +146,7 @@ func (c CostFn) At(s float64) float64 { return c.Slope*s + c.Intercept }
 // line can dip below the in-memory one at small record sizes, so evaluation
 // takes the max of the two in the spill regime).
 type SubOpCosts struct {
-	Costs         [numSubOps]CostFn
+	Costs         [NumSubOps]CostFn
 	HashSpill     CostFn  // spill-regime HashBuild model
 	BroadcastPer  bool    // if true, Broadcast cost multiplies by (dataNodes-1)
 	SortLogFactor float64 // extra per-record factor ·log2(records per task); 0 disables

@@ -21,7 +21,8 @@ import (
 )
 
 // newChaosServer builds a two-remote federation — hive behind a fault
-// injector, its big table replicated onto spark — and serves it with the
+// injector, one of its big tables replicated onto spark (rep_t) and one only
+// on hive (hive_t) — and serves it with the
 // /faults control plane enabled. The breaker is tuned tight so a handful
 // of requests drive the full closed → open → half-open → closed cycle.
 func newChaosServer(t *testing.T) (*httptest.Server, *engine.Engine, *faults.Injector) {
@@ -58,14 +59,18 @@ func newChaosServer(t *testing.T) (*httptest.Server, *engine.Engine, *faults.Inj
 	if _, _, err := e.RegisterRemoteSubOp(s, remote.EngineSpark, subop.InHouseComparable); err != nil {
 		t.Fatal(err)
 	}
-	tb, err := datagen.Table(10000000, 1000, "hive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Name = "rep_t"
-	tb.Replicas = []string{"spark"}
-	if err := e.RegisterTable(tb); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"rep_t", "hive_t"} {
+		tb, err := datagen.Table(10000000, 1000, "hive")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Name = name
+		if name == "rep_t" {
+			tb.Replicas = []string{"spark"}
+		}
+		if err := e.RegisterTable(tb); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv := httptest.NewServer(New(e).WithFaults(map[string]*faults.Injector{"hive": inj}).Handler(10 * time.Second))
 	t.Cleanup(srv.Close)
@@ -100,7 +105,12 @@ func outage(system string, down bool) faultRequest {
 // retries_total.
 func TestChaosServeOutageAndRecovery(t *testing.T) {
 	srv, e, _ := newChaosServer(t)
-	const q = "/query?q=SELECT+a5,+COUNT(a1)+FROM+rep_t+GROUP+BY+a5"
+	// Spark runs every operator on rep_t cheaper than hive, so q reads the
+	// table from hive and runs on the master; a hive outage moves the read
+	// onto the spark copy. hq runs on hive, where a transient fault reaches
+	// it.
+	const q = "/query?q=SELECT+a1+FROM+rep_t+WHERE+a1+<+1000"
+	const hq = "/query?q=SELECT+a5,+COUNT(a1)+FROM+hive_t+GROUP+BY+a5"
 
 	var qr queryResponse
 	if resp := getJSON(t, srv.URL+q, &qr); resp.StatusCode != http.StatusOK {
@@ -182,7 +192,7 @@ func TestChaosServeOutageAndRecovery(t *testing.T) {
 	}
 	before := retries()
 	postFault(t, srv.URL, faultRequest{System: "hive", Rates: &faults.Rates{Transient: 1}})
-	getJSON(t, srv.URL+q, &qr)
+	getJSON(t, srv.URL+hq, &map[string]any{})
 	postFault(t, srv.URL, faultRequest{System: "hive", Rates: &faults.Rates{}})
 	if after := retries(); after <= before || after != float64(e.Stats().Resilience.Retries) {
 		t.Errorf("retries_total %v before a query under transient faults, %v after; the engine counts %d",
@@ -229,7 +239,7 @@ func TestDriftThresholdIsOneDecision(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	query("SELECT a5, COUNT(a1) FROM rep_t GROUP BY a5")
+	query("SELECT a5, COUNT(a1) FROM hive_t GROUP BY a5")
 	tuner := e.StartTuner(engine.TunerConfig{Interval: 5 * time.Millisecond, DriftQ: 1.2})
 	defer tuner.Stop()
 	query("SELECT a1 FROM rep_t WHERE a1 < 100")

@@ -337,3 +337,37 @@ func TestQueryStreamOversizedLine(t *testing.T) {
 		t.Error("stream_oversized counter not exported")
 	}
 }
+
+// TestQueryStreamLineBeyondBuffer: a line that is still going when it passes
+// the cap, by more than the reader's buffer, is skipped to its newline in
+// buffer-sized reads; its slot answers the error frame and the next line's
+// statement runs.
+func TestQueryStreamLineBeyondBuffer(t *testing.T) {
+	srv, _ := newTestServer(t)
+	good := "SELECT a1 FROM t100000_100 WHERE a1 < 100"
+	body := strings.Repeat("x", maxStreamLine+256<<10) + "\n" + good + "\n"
+	resp, err := http.Post(srv.URL+"/query/stream", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	frame, err := readFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slot map[string]string
+	if err := json.Unmarshal(frame, &slot); err != nil || !strings.Contains(slot["error"], "exceeds") {
+		t.Fatalf("oversized slot = %s (%v), want the line-cap error", frame, err)
+	}
+	if frame, err = readFrame(br); err != nil {
+		t.Fatal(err)
+	}
+	var qr queryResponse
+	if err := json.Unmarshal(frame, &qr); err != nil || qr.SQL != good || qr.ActualSec <= 0 {
+		t.Fatalf("frame after the oversized line = %s (%v), want its statement's answer", frame, err)
+	}
+	if _, err := readFrame(br); err != io.EOF {
+		t.Fatalf("want EOF after the last frame, got %v", err)
+	}
+}

@@ -152,14 +152,6 @@ type OrderItem struct {
 	Desc bool
 }
 
-// String renders the key.
-func (o OrderItem) String() string {
-	if o.Desc {
-		return o.Col.String() + " DESC"
-	}
-	return o.Col.String()
-}
-
 // SelectStmt is the parsed statement. Limit is 0 when no LIMIT clause was
 // given. Joins holds the JOIN clauses in source order (a left-deep chain).
 type SelectStmt struct {

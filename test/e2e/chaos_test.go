@@ -189,11 +189,16 @@ func (s *soak) actRegisterTable() {
 func (s *soak) actSetLink() {
 	s.t.Helper()
 	system := []string{"hive", "spark", "presto", "flink"}[s.r.Intn(4)]
-	cfg := querygrid.LinkConfig{
+	s.setLink(system, querygrid.LinkConfig{
 		BandwidthBytesPerSec: 1e7 + s.r.Float64()*9e8,
 		LatencySec:           s.r.Float64() * 0.5,
 		PerRowOverheadUS:     s.r.Float64() * 5,
-	}
+	})
+}
+
+// setLink installs a QueryGrid override and mirrors it.
+func (s *soak) setLink(system string, cfg querygrid.LinkConfig) {
+	s.t.Helper()
 	body, err := json.Marshal(map[string]any{"system": system, "link": cfg})
 	if err != nil {
 		s.t.Fatal(err)
@@ -246,17 +251,55 @@ func (s *soak) actExplainCompare() {
 	}
 }
 
-// actFaultPulse forces an outage on hive and drives a statement whose table
-// has a spark replica: every answer must be degraded with hive excluded, and
-// enough of them open the breaker (health 503). Then it lifts the outage and
-// drives the statement until the breaker closes again (health 200) — the
-// breakers-recover assertion.
+// hiveCandidates are statements over tables with a hive copy and a copy
+// elsewhere. Each reads from whichever copy is cheapest under the links
+// installed so far, so hiveStatement asks the reference engine which of them
+// reads from hive.
+var hiveCandidates = []string{
+	"SELECT a2, COUNT(*) FROM t1000000_100 GROUP BY a2",
+	"SELECT a5, COUNT(a1) FROM t10000000_1000 GROUP BY a5",
+	"SELECT users.a1 FROM users JOIN events ON users.a1 = events.a1",
+	"SELECT warehouse.a1 FROM warehouse JOIN t10000000_250 ON warehouse.a1 = t10000000_250.a1",
+}
+
+// hiveStatement returns the first of hiveCandidates whose plan has a step on
+// hive or a transfer from it ("" when none has). A join algorithm's name may
+// say hive on any system, so the test is on the step's system.
+func (s *soak) hiveStatement() string {
+	s.t.Helper()
+	for _, sql := range hiveCandidates {
+		text, err := s.ref.Explain(sql)
+		if err != nil {
+			s.t.Fatalf("reference explain %q: %v", sql, err)
+		}
+		steps, _, _ := strings.Cut(text, "rejected alternatives:")
+		if strings.Contains(steps, "hive →") || strings.Contains(steps, "on hive ") {
+			return sql
+		}
+	}
+	return ""
+}
+
+// actFaultPulse forces an outage on hive and drives a statement whose plan
+// reads from hive and whose tables have another copy: every answer must be
+// degraded with hive excluded, and enough of them open the breaker (health
+// 503). Then it lifts the outage and drives the statement until the breaker
+// closes again (health 200) — the breakers-recover assertion. Hive is the
+// slowest engine, so a plan reads from it only when its link is competitive:
+// when the random links leave none that does, the pulse first gives hive a
+// link faster than any actSetLink draws.
 func (s *soak) actFaultPulse() {
 	s.t.Helper()
+	hiveSQL := s.hiveStatement()
+	if hiveSQL == "" {
+		s.setLink("hive", querygrid.LinkConfig{BandwidthBytesPerSec: 1e9})
+		if hiveSQL = s.hiveStatement(); hiveSQL == "" {
+			s.t.Fatalf("no statement reads from hive under links %+v", s.links)
+		}
+	}
 	if status, resp := s.post("/faults", `{"system": "hive", "outage": true}`); status != http.StatusOK {
 		s.t.Fatalf("force outage: status %d: %s", status, resp)
 	}
-	const hiveSQL = "SELECT a5, COUNT(a1) FROM t10000000_1000 GROUP BY a5"
 	s.eventually("hive's breaker to open under the forced outage", func() bool {
 		var out struct {
 			Degraded bool     `json:"degraded"`
