@@ -8,12 +8,8 @@
 package subop
 
 import (
-	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
-	"slices"
-	"strconv"
 
 	"intellisphere/internal/cluster"
 	"intellisphere/internal/remote"
@@ -34,9 +30,8 @@ type ModelSet struct {
 
 // Lines holds the learned line of each modeled sub-operator, indexed by
 // remote.SubOp, so that a cost formula's look-up is an array index. Its JSON
-// is what a map from sub-operator number to line encodes to: an object keyed
-// by the decimal numbers in sorted string order ("0", "1", "10", "2", …), so
-// saved profiles, snapshots and /models answers keep their bytes.
+// is that of the map from sub-operator to line it replaced, so saved
+// profiles, snapshots and /models answers keep their bytes.
 type Lines struct {
 	line    [remote.NumSubOps]stats.Line
 	modeled [remote.NumSubOps]bool
@@ -66,55 +61,30 @@ func (l *Lines) Len() int {
 	return n
 }
 
-// jsonOrder is the sub-operators in the order encoding/json writes a map's
-// integer keys: sorted as decimal strings.
-var jsonOrder = func() []remote.SubOp {
-	ops := remote.AllSubOps()
-	slices.SortFunc(ops, func(x, y remote.SubOp) int {
-		return cmp.Compare(strconv.Itoa(int(x)), strconv.Itoa(int(y)))
-	})
-	return ops
-}()
-
-// MarshalJSON writes the modeled lines as an object keyed by sub-operator
-// number.
+// MarshalJSON writes the modeled lines as the map it stands for.
 func (l Lines) MarshalJSON() ([]byte, error) {
-	b := []byte{'{'}
-	for _, op := range jsonOrder {
-		if !l.modeled[op] {
-			continue
+	m := make(map[remote.SubOp]stats.Line, l.Len())
+	for op, ok := range l.modeled {
+		if ok {
+			m[remote.SubOp(op)] = l.line[op]
 		}
-		if len(b) > 1 {
-			b = append(b, ',')
-		}
-		v, err := json.Marshal(l.line[op])
-		if err != nil {
-			return nil, err
-		}
-		b = append(strconv.AppendQuote(b, strconv.Itoa(int(op))), ':')
-		b = append(b, v...)
 	}
-	return append(b, '}'), nil
+	return json.Marshal(m)
 }
 
-// UnmarshalJSON reads an object keyed by sub-operator number; null leaves
-// every sub-operator unmodeled, and a number naming no sub-operator is an
-// error.
+// UnmarshalJSON reads the map MarshalJSON writes; null leaves every
+// sub-operator unmodeled, and a number naming no sub-operator is an error.
 func (l *Lines) UnmarshalJSON(data []byte) error {
-	*l = Lines{}
-	if bytes.Equal(bytes.TrimSpace(data), []byte("null")) {
-		return nil
-	}
-	var m map[string]stats.Line
+	var m map[remote.SubOp]stats.Line
 	if err := json.Unmarshal(data, &m); err != nil {
 		return err
 	}
-	for k, line := range m {
-		n, err := strconv.ParseInt(k, 10, 64)
-		if err != nil || n < 0 || n >= int64(remote.NumSubOps) {
-			return fmt.Errorf("subop: no sub-operator numbered %q", k)
+	*l = Lines{}
+	for op, line := range m {
+		if op < 0 || op >= remote.NumSubOps {
+			return fmt.Errorf("subop: no sub-operator numbered %d", int(op))
 		}
-		l.Set(remote.SubOp(n), line)
+		l.Set(op, line)
 	}
 	return nil
 }

@@ -147,9 +147,11 @@ func runOracle(t *testing.T, e *engine.Engine) oracleScore {
 // policy, the served plans' total simulated actual against the best
 // enumerated plan's, the share of statements served optimally, and how many
 // statements have an enumerated plan with a lower estimate than the served
-// one. Every enumerated plan is a subset of the served plan's search, so that
-// last count must be zero. One federation per policy, walked in a fixed
-// order, keeps the figures deterministic.
+// one. An exclusion only removes candidates and ship sources from the served
+// plan's search, and a statement of at most one join is priced whole (its
+// join with the result's landing), so that last count must be zero. One
+// federation per policy, walked in a fixed order, keeps the figures
+// deterministic.
 func TestPlanQualityOracle(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the oracle's totals are pinned on amd64, not %s", runtime.GOARCH)
