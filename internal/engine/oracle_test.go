@@ -153,9 +153,6 @@ func runOracle(t *testing.T, e *engine.Engine) oracleScore {
 // federation per policy, walked in a fixed order, keeps the figures
 // deterministic.
 func TestPlanQualityOracle(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("the oracle's totals are pinned on amd64, not %s", runtime.GOARCH)
-	}
 	var b strings.Builder
 	for _, policy := range []subop.ChoicePolicy{subop.InHouseComparable, subop.AverageCase, subop.WorstCase} {
 		e := federation(t, true)
@@ -166,6 +163,11 @@ func TestPlanQualityOracle(t *testing.T) {
 		fmt.Fprintf(&b, "%s: %s\n", policy, sc)
 	}
 	got := b.String()
+	// The uncosted-cheaper check above holds on every architecture; the
+	// totals depend on float rounding and are pinned on amd64 only.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the oracle's totals are pinned on amd64, not %s", runtime.GOARCH)
+	}
 	if *update {
 		if err := os.WriteFile("testdata/oracle.golden", []byte(got), 0o644); err != nil {
 			t.Fatal(err)

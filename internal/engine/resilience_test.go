@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"sync"
@@ -263,13 +264,14 @@ func TestChaosOutageFallbackAndRecovery(t *testing.T) {
 
 // TestChaosOpenBreakerShortCircuits verifies that once the breaker is open,
 // queries fall back immediately (rejected by ErrOpen) without touching the
-// downed remote.
+// downed remote, and that an operator bound for hive is stopped by the
+// breaker before it is dispatched.
 func TestChaosOpenBreakerShortCircuits(t *testing.T) {
 	rig := newChaosRig(t, resilience.BreakerConfig{
 		FailureThreshold: 1,
 		OpenTimeout:      time.Hour,
 	})
-	sql := rig.hiveQuery(t)
+	sql, hiveSQL := rig.hiveQuery(t), rig.hiveOperatorQuery(t)
 	rig.hive.SetOutage(true)
 	if _, err := rig.eng.Query(sql); err != nil {
 		t.Fatalf("query tripping the breaker: %v", err)
@@ -285,6 +287,15 @@ func TestChaosOpenBreakerShortCircuits(t *testing.T) {
 	}
 	if got := rig.eng.ResilienceStats().Breakers["hive"].Rejected; got <= rejectsBefore {
 		t.Errorf("no rejections recorded: %d <= %d", got, rejectsBefore)
+	}
+	// The hive-only table has no other copy: its operator is rejected by
+	// the open breaker and never dispatched to hive.
+	callsBefore = rig.hive.Stats().Calls
+	if _, err := rig.eng.Query(hiveSQL); !errors.Is(err, resilience.ErrOpen) {
+		t.Errorf("hive-only query behind open breaker: %v, want %v", err, resilience.ErrOpen)
+	}
+	if got := rig.hive.Stats().Calls; got != callsBefore {
+		t.Errorf("open breaker let an operator reach hive: %d calls, was %d", got, callsBefore)
 	}
 }
 

@@ -352,9 +352,10 @@ func (a *analyzed) groupRows(inputRows float64) float64 {
 	return prod
 }
 
-// copiesOf appends to buf the systems binding b's table can be read from:
-// its owner (the master for a local table), then its replicas in catalog
-// order, leaving out the systems degraded re-planning excludes. A table whose
+// copiesOf appends to an empty buf the systems binding b's table can be read
+// from: its owner (the master for a local table), then its replicas in
+// catalog order, each once (a local table may list the master as a replica),
+// leaving out the systems degraded re-planning excludes. A table whose
 // owner and replicas are all excluded is unreachable and fails the plan.
 func (a *analyzed) copiesOf(b int, buf []string) ([]string, error) {
 	t := a.binds[b].table
@@ -367,7 +368,7 @@ func (a *analyzed) copiesOf(b int, buf []string) ([]string, error) {
 	}
 	for _, r := range t.Replicas {
 		if !a.exclude[r] {
-			buf = append(buf, r)
+			buf = addSite(buf, r)
 		}
 	}
 	if len(buf) == 0 {

@@ -136,3 +136,38 @@ func TestPlanExcludingBypassesCache(t *testing.T) {
 		t.Error("normal plan no longer served from cache after degraded plan")
 	}
 }
+
+// A local table listing the master among its replicas has one copy there:
+// the master is costed once and never offered as an alternative to itself.
+func TestLocalTableMasterReplicaIsOneCopy(t *testing.T) {
+	f := newFixture(t)
+	tb, err := datagen.Table(50000, 100, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Name = "local_rep"
+	tb.Replicas = []string{querygrid.Master, "spark"}
+	if err := f.cat.Register(tb); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT a1 FROM local_rep WHERE a1 < 1000",
+		"SELECT a5, COUNT(a1) FROM local_rep GROUP BY a5",
+		"SELECT r.a1 FROM local_rep r JOIN t10000_100 d ON r.a1 = d.a1",
+	} {
+		p := f.plan(t, sql)
+		seen := map[Alternative]bool{}
+		for _, alt := range p.Alternatives {
+			key := Alternative{Kind: alt.Kind, Join: alt.Join, System: alt.System}
+			if seen[key] {
+				t.Errorf("%q: %s %d on %s offered twice:\n%s", sql, alt.Kind, alt.Join, alt.System, p.Explain())
+			}
+			seen[key] = true
+		}
+		for _, s := range p.Steps {
+			if s.Kind != "transfer" && s.Kind != "join" && seen[Alternative{Kind: s.Kind, System: s.System}] {
+				t.Errorf("%q: %s on %s is its own rejected alternative:\n%s", sql, s.Kind, s.System, p.Explain())
+			}
+		}
+	}
+}

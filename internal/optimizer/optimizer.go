@@ -610,16 +610,21 @@ func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, src *operand,
 	if c.from, c.shipSec, err = o.bring(src, sys); err != nil {
 		return candidate{}, err
 	}
-	c.total = c.shipSec + ce.Seconds
-	if sys != querygrid.Master {
-		sec, err := o.Grid.TransferCost(sys, querygrid.Master, in.outRows, in.outSize)
-		if err != nil {
-			return candidate{}, err
-		}
-		c.backSec = sec
-		c.total += sec
+	if c.backSec, err = o.landOnMaster(sys, in.outRows, in.outSize); err != nil {
+		return candidate{}, err
 	}
+	c.total = c.shipSec + ce.Seconds + c.backSec
 	return c, nil
+}
+
+// landOnMaster prices shipping a result of rows × rowSize from sys, where
+// the plan's last operator runs, to the master, where every plan ends: free
+// when sys is the master.
+func (o *Optimizer) landOnMaster(sys string, rows, rowSize float64) (float64, error) {
+	if sys == querygrid.Master {
+		return 0, nil
+	}
+	return o.Grid.TransferCost(sys, querygrid.Master, rows, rowSize)
 }
 
 // planUnary places a single-table filter/project or aggregation on every
@@ -718,10 +723,8 @@ func (o *Optimizer) joinOption(ctx context.Context, sw joinSweep, sys string) (j
 			return joinOption{}, fmt.Errorf("optimizer: post-join aggregation on %q: %w", sys, err)
 		}
 	}
-	if sys != querygrid.Master {
-		if opt.backSec, err = o.Grid.TransferCost(sys, querygrid.Master, sw.land.rows, sw.land.rowSize); err != nil {
-			return joinOption{}, err
-		}
+	if opt.backSec, err = o.landOnMaster(sys, sw.land.rows, sw.land.rowSize); err != nil {
+		return joinOption{}, err
 	}
 	opt.landCost = opt.aggEst.Seconds + opt.backSec
 	return opt, nil
