@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"os"
 	"runtime"
@@ -45,6 +47,25 @@ func oracleGrid(tables []*catalog.Table) []string {
 	return out
 }
 
+// oracleChains is the oracle's sample of three-table chains: a filtered
+// left-deep join of every ordered triple (i, j, k) of distinct demo tables
+// with (7i + 3j + k) mod 15 = 0, at the middle band.
+func oracleChains(tables []*catalog.Table) []string {
+	var out []string
+	for i, r := range tables {
+		for j, s := range tables {
+			for k, u := range tables {
+				if i == j || j == k || i == k || (7*i+3*j+k)%15 != 0 {
+					continue
+				}
+				out = append(out, fmt.Sprintf("SELECT r.a1, s.a2 FROM %s r JOIN %s s ON r.a1 = s.a1 JOIN %s u ON u.a1 = s.a1 WHERE r.a2 < %d",
+					r.Name, s.Name, u.Name, max(1, int64(math.Round(oracleBands[1]*float64(r.Rows)/2)))))
+			}
+		}
+	}
+	return out
+}
+
 // oracleScore is what the oracle pins for one choice policy.
 type oracleScore struct {
 	statements, plans int
@@ -55,12 +76,16 @@ type oracleScore struct {
 	// uncosted those with an enumerated plan of lower estimate than the
 	// served one, a placement the optimizer never priced.
 	optimal, uncosted int
+	// digest folds the EXPLAIN text of every plan enumerated, in walk order
+	// (FNV-64a), so that the text of the served plans and of every degraded
+	// one is pinned too: rejected alternatives, their order and their costs.
+	digest hash.Hash64
 }
 
 func (s oracleScore) String() string {
-	return fmt.Sprintf("statements %d, distinct plans %d, served %.3f s, best %.3f s (served +%.3f %%), optimal %d (%.1f %%), uncosted cheaper %d",
+	return fmt.Sprintf("statements %d, distinct plans %d, served %.3f s, best %.3f s (served +%.3f %%), optimal %d (%.1f %%), uncosted cheaper %d, plans digest %016x",
 		s.statements, s.plans, s.served, s.best, 100*(s.served/s.best-1),
-		s.optimal, 100*float64(s.optimal)/float64(s.statements), s.uncosted)
+		s.optimal, 100*float64(s.optimal)/float64(s.statements), s.uncosted, s.digest.Sum64())
 }
 
 // placementKey names a plan by its steps' kinds and systems: two plans with
@@ -74,11 +99,13 @@ func placementKey(p *optimizer.Plan) string {
 	return b.String()
 }
 
-// runOracle plans every grid statement under every exclusion set of the
+// runOracle plans every statement under every exclusion set of the
 // registered remotes, executes each distinct plan once, and scores the served
 // plan (the empty exclusion set) against them. Execution feeds the
-// estimators, so the walk's order is part of what it pins.
-func runOracle(t *testing.T, e *engine.Engine) oracleScore {
+// estimators, so the walk's order is part of what it pins. With priced set,
+// an enumerated plan estimated cheaper than the served one fails the test;
+// otherwise such statements are only counted.
+func runOracle(t *testing.T, e *engine.Engine, stmts []string, priced bool) oracleScore {
 	t.Helper()
 	var remotes []string
 	for _, sys := range e.Systems() {
@@ -86,8 +113,8 @@ func runOracle(t *testing.T, e *engine.Engine) oracleScore {
 			remotes = append(remotes, sys)
 		}
 	}
-	var sc oracleScore
-	for _, sql := range oracleGrid(e.Catalog().List()) {
+	sc := oracleScore{digest: fnv.New64a()}
+	for _, sql := range stmts {
 		var served *optimizer.Plan
 		var servedSec float64
 		best := math.Inf(1)
@@ -107,8 +134,10 @@ func runOracle(t *testing.T, e *engine.Engine) oracleScore {
 				}
 				continue // a table with every copy excluded
 			}
+			sc.digest.Write([]byte(p.ExplainJSON()))
+			sc.digest.Write([]byte{'\n'})
 			if mask > 0 && p.EstimatedSec < served.EstimatedSec*(1-1e-12) {
-				if !uncosted {
+				if priced && !uncosted {
 					t.Errorf("%s: the served plan estimates %.4f s, a plan excluding %v %.4f s:\n%s\n%s",
 						sql, served.EstimatedSec, exclude, p.EstimatedSec, served.Explain(), p.Explain())
 				}
@@ -145,13 +174,16 @@ func runOracle(t *testing.T, e *engine.Engine) oracleScore {
 // TestPlanQualityOracle pins plan quality on the demo federation
 // (testdata/oracle.golden, rewritten with -update): for each sub-op choice
 // policy, the served plans' total simulated actual against the best
-// enumerated plan's, the share of statements served optimally, and how many
+// enumerated plan's, the share of statements served optimally, how many
 // statements have an enumerated plan with a lower estimate than the served
-// one. An exclusion only removes candidates and ship sources from the served
-// plan's search, and a statement of at most one join is priced whole (its
-// join with the result's landing), so that last count must be zero. One
-// federation per policy, walked in a fixed order, keeps the figures
-// deterministic.
+// one, and a digest of every enumerated plan's EXPLAIN text. An exclusion
+// only removes candidates and ship sources from the served plan's search,
+// and a statement of at most one join is priced whole (its join with the
+// result's landing), so over the grid that count must be zero. A chain of
+// two joins is placed one join at a time, which can leave a cheaper
+// placement unpriced, so over the chain sample the count is pinned, not
+// asserted. One federation per policy, walking the grid and then the
+// chains in a fixed order, keeps the figures deterministic.
 func TestPlanQualityOracle(t *testing.T) {
 	var b strings.Builder
 	for _, policy := range []subop.ChoicePolicy{subop.InHouseComparable, subop.AverageCase, subop.WorstCase} {
@@ -159,12 +191,14 @@ func TestPlanQualityOracle(t *testing.T) {
 		if err := e.SetChoicePolicy(policy); err != nil {
 			t.Fatal(err)
 		}
-		sc := runOracle(t, e)
-		fmt.Fprintf(&b, "%s: %s\n", policy, sc)
+		tables := e.Catalog().List()
+		fmt.Fprintf(&b, "%s: %s\n", policy, runOracle(t, e, oracleGrid(tables), true))
+		fmt.Fprintf(&b, "%s chains: %s\n", policy, runOracle(t, e, oracleChains(tables), false))
 	}
 	got := b.String()
 	// The uncosted-cheaper check above holds on every architecture; the
-	// totals depend on float rounding and are pinned on amd64 only.
+	// totals and the digests depend on float rounding and are pinned on
+	// amd64 only.
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the oracle's totals are pinned on amd64, not %s", runtime.GOARCH)
 	}

@@ -23,8 +23,10 @@ import (
 // Systems() of a served plan then stopped allocating them; 34, 33 and 80 with
 // the fmt-and-map bookkeeping this path used to do.
 // A scan and a join over replicated tables, whose every copy is a candidate,
-// count 3 as well; a degraded re-plan counts 4, the fourth being its list of
-// excluded systems.
+// count 3 as well, and so does a join whose result is aggregated where it
+// lands; a degraded re-plan counts 4, the fourth being its list of excluded
+// systems, and so does a chain of two joins whose fifth step outgrows the
+// plan's own backing for its steps.
 // The same budgets hold at GOMAXPROCS 4, the only worker count the process
 // has: the planner costs its placements on the calling goroutine.
 func TestPlanMissAllocs(t *testing.T) {
@@ -55,6 +57,11 @@ func testPlanMissAllocs(t *testing.T) {
 		{"SELECT a1, a5 FROM rep_fact WHERE a5 < 1234", nil, 4},
 		{"SELECT r.a1, s.a2 FROM rep_fact r JOIN rep_dim s ON r.a1 = s.a1 WHERE r.a10 < 40123", nil, 4},
 		{"SELECT r.a1, s.a2 FROM rep_fact r JOIN rep_dim s ON r.a1 = s.a1 WHERE r.a10 < 40123", map[string]bool{"hive": true}, 4},
+		// An aggregation where the last join's result lands, and a chain
+		// whose second join places an intermediate result and whose fifth
+		// step grows Steps.
+		{"SELECT r.a10, COUNT(*) FROM t10000000_100 r JOIN s_orders s ON r.a1 = s.a1 WHERE r.a10 < 40123 GROUP BY r.a10", nil, 4},
+		{"SELECT r.a1, s.a2 FROM t10000000_100 r JOIN s_orders s ON r.a1 = s.a1 JOIN t100000_100 u ON u.a1 = s.a1 WHERE r.a10 < 40123", nil, 5},
 	} {
 		stmt, err := sqlparse.Parse(tc.sql)
 		if err != nil {
