@@ -368,6 +368,9 @@ func (o *Optimizer) planAnalyzed(ctx context.Context, a *analyzed) (*Plan, error
 	if err != nil {
 		return nil, err
 	}
+	// Each operator's rejected placements come out in order of cost; a chain
+	// interleaves its joins' placements by cost too.
+	slices.SortStableFunc(p.Alternatives, func(x, y Alternative) int { return byCost(x.EstimatedSec, y.EstimatedSec) })
 	if len(a.exclude) > 0 {
 		p.Excluded = make([]string, 0, len(a.exclude))
 		for s := range a.exclude {
@@ -456,10 +459,9 @@ type operand struct {
 	rows, rowSize, sel, shipRows float64
 }
 
-// bring prices bringing an operand to sys, for every placement sweep: free
-// where a copy already sits, else shipped from the copy with the cheapest
-// transfer (the first copy on a tie). from is where it ships from, sys itself
-// when it does not ship.
+// bring prices bringing an operand to sys: free where a copy already sits,
+// else shipped from the copy with the cheapest transfer (the first copy on a
+// tie). from is where it ships from, sys itself when it does not ship.
 func (o *Optimizer) bring(in *operand, sys string) (from string, sec float64, err error) {
 	if slices.Contains(in.copies, sys) {
 		return sys, 0, nil
@@ -484,85 +486,38 @@ func (a *analyzed) baseOperand(b int, shipRows float64) operand {
 	return operand{rows: float64(bd.table.Rows), rowSize: float64(bd.table.RowSize()), sel: bd.sel, shipRows: shipRows}
 }
 
-// unaryInput is the operator of a single-table statement's placement sweep —
-// a scan or an aggregation, so exactly one of scan/agg is set, pointing into
-// the plan the sweep builds, whose operator step points at it too. Its input
-// is an operand of its own: a plan's steps keep scan/agg, and the compiler
-// would then move what the operand's copies point at to the heap too.
-type unaryInput struct {
-	// outRows × outSize is the operator's result, shipped to the master.
-	outRows, outSize float64
-	scan             *plan.ScanSpec
-	agg              *plan.AggSpec
+// sweep is what placing one operator weighs: its inputs (ins[:n], the left
+// then the right one of a join) and, for the plan's last operator, where its
+// result lands. The operator itself travels beside it, never in it: the
+// compiler does not follow a field through a pointer, so a spec read from a
+// sweep and stored into the plan would move the operands' copies and the
+// landing to the heap.
+type sweep struct {
+	ins  [2]operand
+	n    int
+	join int      // the operator's 1-based place in a join chain, else 0
+	land *landing // nil before the plan's last operator
 }
 
-// kind names the operator the way plan steps and EXPLAIN do.
-func (in *unaryInput) kind() string {
-	if in.agg != nil {
-		return "aggregation"
-	}
-	return "scan"
+// landing is the rest of a plan after its last operator: the aggregation of
+// a join's result, the plan's agg spec, when agg is set, and the rows ×
+// rowSize then shipped to the master.
+type landing struct {
+	agg           bool
+	rows, rowSize float64
 }
 
-// unaryInputFor derives the operator spec of a single-table statement into
-// p and in, and returns its input, the copies not yet listed.
-func (o *Optimizer) unaryInputFor(a *analyzed, p *Plan, in *unaryInput) operand {
-	bd := &a.binds[0]
-	rows := float64(bd.table.Rows)
-	if a.stmt.HasAggregates() || len(a.stmt.GroupBy) > 0 {
-		inRows := max(rows*bd.sel, 1)
-		outRows := a.groupRows(inRows)
-		p.agg = plan.AggSpec{
-			InputRows:     inRows,
-			InputRowSize:  float64(bd.table.RowSize()),
-			OutputRows:    outRows,
-			OutputRowSize: a.aggWidth,
-			NumAggregates: a.numAggs,
-		}
-		in.agg = &p.agg
-		in.outRows, in.outSize = outRows, a.aggWidth
-		return a.baseOperand(0, inRows)
-	}
-	p.scan = plan.ScanSpec{
-		InputRows:     rows,
-		InputRowSize:  float64(bd.table.RowSize()),
-		Selectivity:   bd.sel,
-		OutputRowSize: bd.proj,
-	}
-	in.scan = &p.scan
-	in.outRows, in.outSize = in.scan.OutputRows(), bd.proj
-	return a.baseOperand(0, rows*bd.sel)
-}
-
-// candidate is one costed placement of a single-table operator: what it
-// takes to bring the (filtered, thanks to QueryGrid pushdown) table to sys
-// from the cheapest copy unless sys holds one, run the operator there, and
-// land the result on the master. Steps are only built for the placement that
-// wins.
-type candidate struct {
-	sys, from        string
-	shipSec, backSec float64
-	est              core.Estimate
-	total            float64
-}
-
-// pick selects the cheapest candidate (reordering cands), builds its steps
-// into p, and lists the rest as alternatives.
-func (in *unaryInput) pick(p *Plan, src *operand, cands []candidate) {
-	slices.SortStableFunc(cands, func(x, y candidate) int { return byCost(x.total, y.total) })
-	best := &cands[0]
-	p.EstimatedSec, p.OutputRows, p.OutputRowSize = best.total, in.outRows, in.outSize
-	if best.from != best.sys {
-		p.Steps = append(p.Steps, transferStep(best.from, best.sys, src.shipRows, src.rowSize, best.shipSec))
-	}
-	p.Steps = append(p.Steps, Step{Kind: in.kind(), System: best.sys, Scan: in.scan, Agg: in.agg,
-		EstimatedSec: best.est.Seconds, Estimate: best.est})
-	if best.sys != querygrid.Master {
-		p.Steps = append(p.Steps, transferStep(best.sys, querygrid.Master, in.outRows, in.outSize, best.backSec))
-	}
-	for _, c := range cands[1:] {
-		p.Alternatives = append(p.Alternatives, Alternative{Kind: in.kind(), System: c.sys, EstimatedSec: c.total})
-	}
+// option is one costed placement of an operator: the transfers that bring
+// each input to sys from where they ship (zero when a copy is already there)
+// plus the estimate, and for the last operator what landing the result from
+// sys costs: the aggregation there and the transfer to the master.
+type option struct {
+	sys            string
+	from           [2]string
+	ship           [2]float64
+	est, aggEst    core.Estimate
+	backSec        float64
+	cost, landCost float64
 }
 
 // costSpan opens one candidate-costing span (nil on untraced contexts) and
@@ -588,146 +543,156 @@ func endCostSpan(sp *trace.Span, ce core.Estimate, err error) {
 	sp.EndErr(err)
 }
 
-// costUnary estimates in's operator on sys and prices the placement: the
-// estimate plus the transfers of src there and of the result back.
-func (o *Optimizer) costUnary(ctx context.Context, in *unaryInput, src *operand, sys string) (candidate, error) {
+// price costs running op, with sw's inputs and landing, on sys. The
+// landing's aggregation is p.agg.
+func (o *Optimizer) price(ctx context.Context, p *Plan, sw *sweep, op *Step, sys string) (option, error) {
 	est, err := o.estimator(sys)
 	if err != nil {
-		return candidate{}, err
+		return option{}, err
 	}
-	sp := costSpan(ctx, in.kind(), sys)
-	var ce core.Estimate
-	if in.agg != nil {
-		ce, err = est.EstimateAgg(*in.agg)
-	} else {
-		ce, err = est.EstimateScan(*in.scan)
+	opt := option{sys: sys}
+	for i := range sw.n {
+		if opt.from[i], opt.ship[i], err = o.bring(&sw.ins[i], sys); err != nil {
+			return option{}, err
+		}
+		opt.cost += opt.ship[i]
 	}
-	endCostSpan(sp, ce, err)
+	sp := costSpan(ctx, op.Kind, sys)
+	if sw.join > 0 {
+		sp.SetInt("join", sw.join)
+	}
+	switch op.Kind {
+	case "join":
+		opt.est, err = est.EstimateJoin(*op.Join)
+	case "aggregation":
+		opt.est, err = est.EstimateAgg(*op.Agg)
+	default:
+		opt.est, err = est.EstimateScan(*op.Scan)
+	}
+	endCostSpan(sp, opt.est, err)
 	if err != nil {
-		return candidate{}, fmt.Errorf("optimizer: %s estimate on %q: %w", in.kind(), sys, err)
+		return option{}, fmt.Errorf("optimizer: %s estimate on %q: %w", op.Kind, sys, err)
 	}
-	c := candidate{sys: sys, est: ce}
-	if c.from, c.shipSec, err = o.bring(src, sys); err != nil {
-		return candidate{}, err
+	opt.cost += opt.est.Seconds
+	land := sw.land
+	if land == nil {
+		return opt, nil
 	}
-	if c.backSec, err = o.landOnMaster(sys, in.outRows, in.outSize); err != nil {
-		return candidate{}, err
+	if land.agg {
+		sp := costSpan(ctx, "aggregation", sys)
+		opt.aggEst, err = est.EstimateAgg(p.agg)
+		endCostSpan(sp, opt.aggEst, err)
+		if err != nil {
+			return option{}, fmt.Errorf("optimizer: post-join aggregation on %q: %w", sys, err)
+		}
 	}
-	c.total = c.shipSec + ce.Seconds + c.backSec
-	return c, nil
+	if sys != querygrid.Master {
+		if opt.backSec, err = o.Grid.TransferCost(sys, querygrid.Master, land.rows, land.rowSize); err != nil {
+			return option{}, err
+		}
+	}
+	opt.landCost = opt.aggEst.Seconds + opt.backSec
+	return opt, nil
 }
 
-// landOnMaster prices shipping a result of rows × rowSize from sys, where
-// the plan's last operator runs, to the master, where every plan ends: free
-// when sys is the master.
-func (o *Optimizer) landOnMaster(sys string, rows, rowSize float64) (float64, error) {
-	if sys == querygrid.Master {
-		return 0, nil
+// place is the one placement sweep, for a scan, an aggregation and each join
+// of a chain alike. It prices op on every copy of every input, then on the
+// master; the cheapest option, counting its landing, wins, and on a cost
+// tie the first listed does: the owner, then the replicas in catalog order,
+// then the master. The winner's steps go into p and the other options into
+// its alternatives; place returns the winner's system.
+func (o *Optimizer) place(ctx context.Context, p *Plan, sw *sweep, op Step) (string, error) {
+	var siteBuf [fixedSites]string
+	sites := siteBuf[:0]
+	for i := range sw.n {
+		for _, sys := range sw.ins[i].copies {
+			sites = addSite(sites, sys)
+		}
 	}
-	return o.Grid.TransferCost(sys, querygrid.Master, rows, rowSize)
+	sites = addSite(sites, querygrid.Master)
+	// The few estimates cost under a microsecond each, so they are swept on
+	// the calling goroutine: handing them to workers costs several times the
+	// estimates themselves (DESIGN.md §6).
+	var optBuf [fixedSites]option
+	opts := optBuf[:0]
+	for _, sys := range sites {
+		opt, err := o.price(ctx, p, sw, &op, sys)
+		if err != nil {
+			return "", err
+		}
+		opts = append(opts, opt)
+	}
+	slices.SortStableFunc(opts, func(x, y option) int { return byCost(x.cost+x.landCost, y.cost+y.landCost) })
+	win := &opts[0]
+	for i := range sw.n {
+		if in := &sw.ins[i]; win.from[i] != win.sys {
+			p.Steps = append(p.Steps, transferStep(win.from[i], win.sys, in.shipRows, in.rowSize, win.ship[i]))
+		}
+	}
+	op.System, op.EstimatedSec, op.Estimate = win.sys, win.est.Seconds, win.est
+	p.Steps = append(p.Steps, op)
+	p.EstimatedSec += win.cost
+	for _, r := range opts[1:] {
+		p.Alternatives = append(p.Alternatives, Alternative{Kind: op.Kind, Join: sw.join, System: r.sys,
+			EstimatedSec: p.EstimatedSec - win.cost + r.cost + r.landCost})
+	}
+	if land := sw.land; land != nil {
+		if land.agg {
+			p.Steps = append(p.Steps, Step{Kind: "aggregation", System: win.sys, Agg: &p.agg,
+				EstimatedSec: win.aggEst.Seconds, Estimate: win.aggEst})
+			p.EstimatedSec += win.aggEst.Seconds
+		}
+		if win.sys != querygrid.Master {
+			p.Steps = append(p.Steps, transferStep(win.sys, querygrid.Master, land.rows, land.rowSize, win.backSec))
+			p.EstimatedSec += win.backSec
+		}
+		p.OutputRows, p.OutputRowSize = land.rows, land.rowSize
+	}
+	return win.sys, nil
 }
 
-// planUnary places a single-table filter/project or aggregation on every
-// copy of its table and on the master.
+// planUnary derives a single-table statement's operator, a filter/project
+// scan or an aggregation, and places it.
 func (o *Optimizer) planUnary(ctx context.Context, a *analyzed) (*Plan, error) {
-	var copyBuf, siteBuf [fixedSites]string
+	var copyBuf [fixedSites]string
 	copies, err := a.copiesOf(0, copyBuf[:0])
 	if err != nil {
 		return nil, err
 	}
 	p := newPlan()
-	var in unaryInput
-	src := o.unaryInputFor(a, p, &in)
-	src.copies = copies
-	sites := append(siteBuf[:0], copies...)
-	sites = addSite(sites, querygrid.Master)
-	// The few estimates cost under a microsecond each, so they are swept on
-	// the calling goroutine: handing them to workers costs several times the
-	// estimates themselves (DESIGN.md §6).
-	var buf [fixedSites]candidate
-	cands := buf[:0]
-	for _, sys := range sites {
-		c, err := o.costUnary(ctx, &in, &src, sys)
-		if err != nil {
-			return nil, err
+	bd := &a.binds[0]
+	rows := float64(bd.table.Rows)
+	var land landing
+	sw := sweep{n: 1, land: &land}
+	var op Step
+	if a.stmt.HasAggregates() || len(a.stmt.GroupBy) > 0 {
+		inRows := max(rows*bd.sel, 1)
+		p.agg = plan.AggSpec{
+			InputRows:     inRows,
+			InputRowSize:  float64(bd.table.RowSize()),
+			OutputRows:    a.groupRows(inRows),
+			OutputRowSize: a.aggWidth,
+			NumAggregates: a.numAggs,
 		}
-		cands = append(cands, c)
+		op = Step{Kind: "aggregation", Agg: &p.agg}
+		sw.ins[0] = a.baseOperand(0, inRows)
+		land.rows, land.rowSize = p.agg.OutputRows, a.aggWidth
+	} else {
+		p.scan = plan.ScanSpec{
+			InputRows:     rows,
+			InputRowSize:  float64(bd.table.RowSize()),
+			Selectivity:   bd.sel,
+			OutputRowSize: bd.proj,
+		}
+		op = Step{Kind: "scan", Scan: &p.scan}
+		sw.ins[0] = a.baseOperand(0, rows*bd.sel)
+		land.rows, land.rowSize = p.scan.OutputRows(), bd.proj
 	}
-	in.pick(p, &src, cands)
+	sw.ins[0].copies = copies
+	if _, err := o.place(ctx, p, &sw, op); err != nil {
+		return nil, err
+	}
 	return p, nil
-}
-
-// joinSweep is one join of the chain awaiting placement: the operator spec
-// and its two inputs, the left one (spec.Left) a base table at the first join
-// and an intermediate result after it, the right one (spec.Right) the newly
-// joined table. The last join of a chain also decides where the result lands
-// from, so its sweep carries that too.
-type joinSweep struct {
-	join        int // 0-based position in the chain
-	spec        *plan.JoinSpec
-	left, right *operand
-	land        *landing // nil before the last join
-}
-
-// landing is the rest of a plan after its last join: the aggregation over the
-// join's result when the statement aggregates (nil when it does not), and
-// the rows × rowSize then shipped to the master.
-type landing struct {
-	agg           *plan.AggSpec
-	rows, rowSize float64
-}
-
-// joinOption is one costed placement of a join: the transfers that bring
-// each input to sys from where they ship (zero when a copy is already there)
-// plus the estimate, and after the last join what landing the result from
-// sys costs: the aggregation there and the transfer to the master.
-type joinOption struct {
-	sys                 string
-	fromLeft, fromRight string
-	shipLeft, shipRight float64
-	est, aggEst         core.Estimate
-	backSec             float64
-	cost, landCost      float64
-}
-
-// joinOption prices running sw's join on sys.
-func (o *Optimizer) joinOption(ctx context.Context, sw joinSweep, sys string) (joinOption, error) {
-	est, err := o.estimator(sys)
-	if err != nil {
-		return joinOption{}, err
-	}
-	opt := joinOption{sys: sys}
-	if opt.fromLeft, opt.shipLeft, err = o.bring(sw.left, sys); err != nil {
-		return joinOption{}, err
-	}
-	if opt.fromRight, opt.shipRight, err = o.bring(sw.right, sys); err != nil {
-		return joinOption{}, err
-	}
-	opt.cost = opt.shipLeft + opt.shipRight
-	sp := costSpan(ctx, "join", sys)
-	sp.SetInt("join", sw.join+1)
-	opt.est, err = est.EstimateJoin(*sw.spec)
-	endCostSpan(sp, opt.est, err)
-	if err != nil {
-		return joinOption{}, fmt.Errorf("optimizer: join estimate on %q: %w", sys, err)
-	}
-	opt.cost += opt.est.Seconds
-	if sw.land == nil {
-		return opt, nil
-	}
-	if sw.land.agg != nil {
-		sp := costSpan(ctx, "aggregation", sys)
-		opt.aggEst, err = est.EstimateAgg(*sw.land.agg)
-		endCostSpan(sp, opt.aggEst, err)
-		if err != nil {
-			return joinOption{}, fmt.Errorf("optimizer: post-join aggregation on %q: %w", sys, err)
-		}
-	}
-	if opt.backSec, err = o.landOnMaster(sys, sw.land.rows, sw.land.rowSize); err != nil {
-		return joinOption{}, err
-	}
-	opt.landCost = opt.aggEst.Seconds + opt.backSec
-	return opt, nil
 }
 
 // planJoin places a left-deep join chain (with optional aggregation on
@@ -740,10 +705,11 @@ func (o *Optimizer) joinOption(ctx context.Context, sw joinSweep, sys string) (j
 func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 	// The first join always probes binding 0 (a CROSS one probes nothing).
 	cur := a.side(0, a.joins[0].probeCol)
-	var leftBuf, rightBuf, siteBuf [fixedSites]string
-	left := a.baseOperand(0, cur.Rows)
+	var leftBuf, rightBuf [fixedSites]string
+	sw := sweep{n: 2}
+	sw.ins[0] = a.baseOperand(0, cur.Rows)
 	var err error
-	if left.copies, err = a.copiesOf(0, leftBuf[:0]); err != nil {
+	if sw.ins[0].copies, err = a.copiesOf(0, leftBuf[:0]); err != nil {
 		return nil, err
 	}
 	curBase := 0 // the intermediate's binding while it is still a base table
@@ -752,8 +718,8 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 
 	for i, st := range a.joins {
 		nxt := a.side(st.newBind, st.newCol)
-		right := a.baseOperand(st.newBind, nxt.Rows)
-		if right.copies, err = a.copiesOf(st.newBind, rightBuf[:0]); err != nil {
+		sw.ins[1] = a.baseOperand(st.newBind, nxt.Rows)
+		if sw.ins[1].copies, err = a.copiesOf(st.newBind, rightBuf[:0]); err != nil {
 			return nil, err
 		}
 
@@ -811,7 +777,7 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 			ProjectedSize: spec.OutputRowSize(),
 			KeyNDV:        outRows,
 		}
-		sw := joinSweep{join: i, spec: spec, left: &left, right: &right}
+		sw.join = i + 1
 		if i == len(a.joins)-1 {
 			land.rows, land.rowSize = cur.Rows, cur.RowSize
 			if a.stmt.HasAggregates() || len(a.stmt.GroupBy) > 0 {
@@ -819,68 +785,17 @@ func (o *Optimizer) planJoin(ctx context.Context, a *analyzed) (*Plan, error) {
 					InputRows: cur.Rows, InputRowSize: cur.RowSize,
 					OutputRows: a.groupRows(cur.Rows), OutputRowSize: a.aggWidth, NumAggregates: a.numAggs,
 				}
-				land.agg = &p.agg
+				land.agg = true
 				land.rows, land.rowSize = p.agg.OutputRows, a.aggWidth
 			}
 			sw.land = &land
 		}
-
-		// Greedy placement of this join step: cost every candidate system,
-		// then select from the ordered results (first-seen wins cost ties).
-		sites := append(siteBuf[:0], left.copies...)
-		for _, sys := range right.copies {
-			sites = addSite(sites, sys)
-		}
-		sites = addSite(sites, querygrid.Master)
-		var optBuf [fixedSites]joinOption
-		options := optBuf[:0]
-		for _, sys := range sites {
-			opt, err := o.joinOption(ctx, sw, sys)
-			if err != nil {
-				return nil, err
-			}
-			options = append(options, opt)
-		}
-		best := 0
-		var rejBuf [fixedSites]int
-		rejected := rejBuf[:0]
-		for oi := 1; oi < len(options); oi++ {
-			if options[oi].cost+options[oi].landCost < options[best].cost+options[best].landCost {
-				rejected = append(rejected, best)
-				best = oi
-			} else {
-				rejected = append(rejected, oi)
-			}
-		}
-		win := &options[best]
-		if win.fromLeft != win.sys {
-			p.Steps = append(p.Steps, transferStep(win.fromLeft, win.sys, left.shipRows, left.rowSize, win.shipLeft))
-		}
-		if win.fromRight != win.sys {
-			p.Steps = append(p.Steps, transferStep(win.fromRight, win.sys, right.shipRows, right.rowSize, win.shipRight))
-		}
-		p.Steps = append(p.Steps, Step{Kind: "join", System: win.sys, Join: spec,
-			EstimatedSec: win.est.Seconds, Estimate: win.est})
-		p.EstimatedSec += win.cost
-		for _, r := range rejected {
-			p.Alternatives = append(p.Alternatives, Alternative{Kind: "join", Join: i + 1, System: options[r].sys,
-				EstimatedSec: p.EstimatedSec - win.cost + options[r].cost + options[r].landCost})
-		}
-		if sw.land != nil {
-			if land.agg != nil {
-				p.Steps = append(p.Steps, Step{Kind: "aggregation", System: win.sys, Agg: land.agg,
-					EstimatedSec: win.aggEst.Seconds, Estimate: win.aggEst})
-				p.EstimatedSec += win.aggEst.Seconds
-			}
-			if win.sys != querygrid.Master {
-				p.Steps = append(p.Steps, transferStep(win.sys, querygrid.Master, land.rows, land.rowSize, win.backSec))
-				p.EstimatedSec += win.backSec
-			}
+		sys, err := o.place(ctx, p, &sw, Step{Kind: "join", Join: spec})
+		if err != nil {
+			return nil, err
 		}
 		curBase = -1
-		left = operand{copies: append(leftBuf[:0], win.sys), rows: cur.Rows, rowSize: cur.RowSize, sel: 1, shipRows: cur.Rows}
+		sw.ins[0] = operand{copies: append(leftBuf[:0], sys), rows: cur.Rows, rowSize: cur.RowSize, sel: 1, shipRows: cur.Rows}
 	}
-	slices.SortStableFunc(p.Alternatives, func(x, y Alternative) int { return byCost(x.EstimatedSec, y.EstimatedSec) })
-	p.OutputRows, p.OutputRowSize = land.rows, land.rowSize
 	return p, nil
 }
