@@ -171,3 +171,46 @@ func TestLocalTableMasterReplicaIsOneCopy(t *testing.T) {
 		}
 	}
 }
+
+// On a cost tie the owner wins, then the replicas in catalog order, then the
+// master, for a scan, an aggregation and a join alike: hive2 runs hive's
+// estimator over the same link, so each of its placements ties with hive's,
+// and where both lose they are listed hive first.
+func TestTiedPlacementsListOwnerFirst(t *testing.T) {
+	f := newFixture(t)
+	hive, _ := f.opt.Estimators.Get("hive")
+	f.opt.Estimators.Set("hive2", hive)
+	for _, name := range []string{"tie_small", "tie_small2"} {
+		tb, err := datagen.Table(10000, 100, "hive")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Name, tb.Replicas = name, []string{"hive2"}
+		if err := f.cat.Register(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT a1, a5 FROM tie_small WHERE a5 < 100",
+		"SELECT a10, COUNT(*) FROM tie_small GROUP BY a10",
+		"SELECT r.a1, s.a2 FROM tie_small r JOIN tie_small2 s ON r.a1 = s.a1",
+	} {
+		p := f.plan(t, sql)
+		at := map[string]int{}
+		for i, alt := range p.Alternatives {
+			at[alt.System] = i
+		}
+		h, ok1 := at["hive"]
+		h2, ok2 := at["hive2"]
+		if !ok1 || !ok2 {
+			t.Errorf("%q: want hive and hive2 both rejected:\n%s", sql, p.Explain())
+			continue
+		}
+		if p.Alternatives[h].EstimatedSec != p.Alternatives[h2].EstimatedSec {
+			t.Errorf("%q: hive and hive2 do not tie:\n%s", sql, p.Explain())
+		}
+		if h > h2 {
+			t.Errorf("%q: tied hive2 listed before the owner hive:\n%s", sql, p.Explain())
+		}
+	}
+}
