@@ -192,7 +192,18 @@ func TestChaosServeOutageAndRecovery(t *testing.T) {
 	}
 	before := retries()
 	postFault(t, srv.URL, faultRequest{System: "hive", Rates: &faults.Rates{Transient: 1}})
-	getJSON(t, srv.URL+hq, &map[string]any{})
+	// hive_t has no other copy, so no degraded plan avoids hive: the remote's
+	// failure is answered as the server's, never as the client's statement.
+	for _, path := range []string{hq, hq + "&trace=1"} {
+		var out map[string]any
+		resp := getJSON(t, srv.URL+path, &out)
+		if resp.StatusCode != http.StatusServiceUnavailable || out["code"] != "unavailable" {
+			t.Errorf("%s under transient hive faults = %d %v: %v", path, resp.StatusCode, out["code"], out["error"])
+		}
+		if traced := strings.Contains(path, "trace=1"); traced != (out["trace_text"] != nil) {
+			t.Errorf("%s: trace_text present = %v", path, !traced)
+		}
+	}
 	postFault(t, srv.URL, faultRequest{System: "hive", Rates: &faults.Rates{}})
 	if after := retries(); after <= before || after != float64(e.Stats().Resilience.Retries) {
 		t.Errorf("retries_total %v before a query under transient faults, %v after; the engine counts %d",

@@ -79,6 +79,7 @@ import (
 	"intellisphere/internal/metrics"
 	"intellisphere/internal/modelver"
 	"intellisphere/internal/obs"
+	"intellisphere/internal/resilience"
 	"intellisphere/internal/sqlparse"
 	"intellisphere/internal/trace"
 )
@@ -292,6 +293,8 @@ func (s *Server) writeErrorCode(w http.ResponseWriter, status int, code string, 
 //	rate_limited    the client exceeded its admission rate limit
 //	timeout         the request deadline expired mid-query
 //	too_large       the request body exceeded the byte cap
+//	unavailable     a remote the statement needs failed or is down, and no
+//	                degraded plan avoids it
 //	bad_request     everything else
 func errorCode(err error) string {
 	var pe *sqlparse.ParseError
@@ -309,6 +312,8 @@ func errorCode(err error) string {
 		return "timeout"
 	case errors.As(err, &mbe):
 		return "too_large"
+	case resilience.Infrastructural(err):
+		return "unavailable"
 	default:
 		return "bad_request"
 	}
@@ -334,10 +339,11 @@ func (s *Server) writeBuf(w http.ResponseWriter, status int, buf *bytes.Buffer) 
 }
 
 // errStatus maps an engine error onto its HTTP status: a deadline that
-// expired mid-query keeps the old http.TimeoutHandler's 503 semantics,
-// everything else is the client's bad statement.
+// expired mid-query keeps the old http.TimeoutHandler's 503 semantics, and so
+// does a remote failure no degraded plan avoids; everything else is the
+// client's bad statement.
 func errStatus(err error) int {
-	if errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, context.DeadlineExceeded) || resilience.Infrastructural(err) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest
