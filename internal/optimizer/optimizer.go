@@ -499,9 +499,9 @@ type sweep struct {
 	land *landing // nil before the plan's last operator
 }
 
-// landing is the rest of a plan after its last operator: the aggregation of
-// a join's result, the plan's agg spec, when agg is set, and the rows ×
-// rowSize then shipped to the master.
+// landing is the rest of a plan after its last operator: when agg is set,
+// the aggregation of a join's result by the plan's agg spec, then the rows ×
+// rowSize shipped to the master.
 type landing struct {
 	agg           bool
 	rows, rowSize float64
