@@ -599,8 +599,9 @@ func (o *Optimizer) price(ctx context.Context, p *Plan, sw *sweep, op *Step, sys
 // of a chain alike. It prices op on every copy of every input, then on the
 // master; the cheapest option, counting its landing, wins, and on a cost
 // tie the first listed does: the owner, then the replicas in catalog order,
-// then the master. The winner's steps go into p and the other options into
-// its alternatives; place returns the winner's system.
+// then the master. The winner's steps go into p and the other options, in
+// that order, into its alternatives, which planAnalyzed sorts by cost;
+// place returns the winner's system.
 func (o *Optimizer) place(ctx context.Context, p *Plan, sw *sweep, op Step) (string, error) {
 	var siteBuf [fixedSites]string
 	sites := siteBuf[:0]
@@ -622,8 +623,13 @@ func (o *Optimizer) place(ctx context.Context, p *Plan, sw *sweep, op Step) (str
 		}
 		opts = append(opts, opt)
 	}
-	slices.SortStableFunc(opts, func(x, y option) int { return byCost(x.cost+x.landCost, y.cost+y.landCost) })
-	win := &opts[0]
+	best := 0
+	for i := 1; i < len(opts); i++ {
+		if opts[i].cost+opts[i].landCost < opts[best].cost+opts[best].landCost {
+			best = i
+		}
+	}
+	win := &opts[best]
 	for i := range sw.n {
 		if in := &sw.ins[i]; win.from[i] != win.sys {
 			p.Steps = append(p.Steps, transferStep(win.from[i], win.sys, in.shipRows, in.rowSize, win.ship[i]))
@@ -632,9 +638,11 @@ func (o *Optimizer) place(ctx context.Context, p *Plan, sw *sweep, op Step) (str
 	op.System, op.EstimatedSec, op.Estimate = win.sys, win.est.Seconds, win.est
 	p.Steps = append(p.Steps, op)
 	p.EstimatedSec += win.cost
-	for _, r := range opts[1:] {
-		p.Alternatives = append(p.Alternatives, Alternative{Kind: op.Kind, Join: sw.join, System: r.sys,
-			EstimatedSec: p.EstimatedSec - win.cost + r.cost + r.landCost})
+	for i := range opts {
+		if r := &opts[i]; i != best {
+			p.Alternatives = append(p.Alternatives, Alternative{Kind: op.Kind, Join: sw.join, System: r.sys,
+				EstimatedSec: p.EstimatedSec - win.cost + r.cost + r.landCost})
+		}
 	}
 	if land := sw.land; land != nil {
 		if land.agg {
