@@ -247,9 +247,9 @@ func (c *Controller) rateRetry() time.Duration {
 	return time.Duration(float64(time.Second) / c.cfg.RateLimit)
 }
 
-// maxBuckets bounds the per-client bucket map; beyond it, stale buckets
-// (full and idle) are pruned on insert so an ID-churning client cannot grow
-// memory without bound.
+// maxBuckets bounds the per-client bucket map: an insert into a full map
+// first evicts one bucket, so an ID-churning client cannot grow memory
+// without bound.
 const maxBuckets = 4096
 
 // allowClient spends one token from the client's bucket. An empty client ID
@@ -264,7 +264,7 @@ func (c *Controller) allowClient(client string) bool {
 	b, ok := c.buckets[client]
 	if !ok {
 		if len(c.buckets) >= maxBuckets {
-			c.pruneLocked(now)
+			c.pruneLocked()
 		}
 		b = &bucket{tokens: c.cfg.Burst, last: now}
 		c.buckets[client] = b
@@ -281,13 +281,15 @@ func (c *Controller) allowClient(client string) bool {
 	return true
 }
 
-// pruneLocked drops buckets that have refilled to capacity — their clients
-// are idle and lose nothing by starting fresh. Caller holds mu.
-func (c *Controller) pruneLocked(now time.Time) {
-	for id, b := range c.buckets {
-		if b.tokens+now.Sub(b.last).Seconds()*c.cfg.RateLimit >= c.cfg.Burst {
-			delete(c.buckets, id)
-		}
+// pruneLocked makes room for one bucket by evicting one, the first the map's
+// randomised iteration yields: constant work per insert, not a sweep. An
+// evicted client that comes back starts on a fresh bucket, which is what any
+// never-seen ID gets, so eviction grants no client more than changing its ID
+// would. Caller holds mu.
+func (c *Controller) pruneLocked() {
+	for id := range c.buckets {
+		delete(c.buckets, id)
+		return
 	}
 }
 

@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,5 +248,27 @@ func TestHoldStaysOutOfServiceTime(t *testing.T) {
 	}
 	if after.AvgServiceSec != before.AvgServiceSec {
 		t.Errorf("a 28 s connection moved the service-time estimate %v -> %v", before.AvgServiceSec, after.AvgServiceSec)
+	}
+}
+
+// An ID-churning client under a slow refill: every bucket stays far from
+// full, so none has refilled, and still the map never outgrows maxBuckets.
+func TestBucketMapStaysBounded(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c := NewController(Config{MaxInFlight: 8, RateLimit: 0.01, Clock: func() time.Time { return now }})
+	for i := 0; i < 3*maxBuckets; i++ {
+		rel, err := c.Acquire(context.Background(), "client-"+strconv.Itoa(i))
+		if err != nil {
+			t.Fatalf("first request of client %d: %v", i, err)
+		}
+		rel()
+		now = now.Add(time.Millisecond)
+	}
+	if n := len(c.buckets); n > maxBuckets {
+		t.Fatalf("bucket map holds %d buckets, want at most %d", n, maxBuckets)
+	}
+	// A client still resident keeps its spent bucket: no refill for it.
+	if err := c.acquire(context.Background(), "client-"+strconv.Itoa(3*maxBuckets-1)); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("resident client's second request: want ErrRateLimited, got %v", err)
 	}
 }
