@@ -14,9 +14,12 @@ build:
 # every tracked .go file, bench/ included: a name it prints fails the target.
 # Last scripts/loc.sh, quietly: it fails on a /metrics/prom series no tracked
 # .go file or script but prom.go names, a cmd/serve flag no test/e2e
-# scenario passes, a route no test/e2e scenario requests, or a function under
+# scenario passes, a route no test/e2e scenario requests, a function under
 # internal/ that no program (cmd/*, examples/*, bench/) links and that is not
-# on the script's keep-list.
+# on the script's keep-list, or a document that names what does not exist: a
+# backticked name in DESIGN.md or README.md no .go file declares, a DESIGN
+# section reference to no section, or a PR or ROADMAP item number cited where
+# the script forbids it.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \

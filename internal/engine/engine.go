@@ -747,7 +747,7 @@ const sightingsPerEntry = 8
 // its bucket — one slot a statement would let two hot statements that share
 // it overwrite each other for ever. Never reset, atomics only: a race, or a
 // zero fingerprint in an unwritten slot, moves one admission a sighting
-// earlier or later and can do nothing else (DESIGN.md §12).
+// earlier or later and can do nothing else (DESIGN.md §7).
 func (e *Engine) admit(hash uint64) bool {
 	buckets := uint32(len(e.sighted) / sightingsPerEntry)
 	b := e.sighted[uint32(hash)%buckets*sightingsPerEntry:][:sightingsPerEntry]

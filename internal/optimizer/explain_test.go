@@ -252,7 +252,7 @@ func TestExplainHostileNames(t *testing.T) {
 	}
 	// Invalid UTF-8 is the one input the quoted form does not carry through:
 	// it reads U+FFFD there, as it does in every answer, and so in Explain().
-	// No registration path produces such a name (DESIGN §12).
+	// No registration path produces such a name (DESIGN §11).
 	bad := &optimizer.Plan{Steps: []optimizer.Step{{Kind: "scan", System: "hive\xff"}}}
 	if got, want := bad.Explain(), strings.ToValidUTF8(refExplain(bad), "\ufffd"); got != want {
 		t.Errorf("invalid UTF-8 name: Explain() = %q, want %q", got, want)

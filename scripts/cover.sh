@@ -1,8 +1,8 @@
 #!/bin/sh
 # Statement coverage of what the programs run, beside what the tests run:
-# the block-level audit of ROADMAP item 13. A report, never a gate; it is not
-# part of `make ci`, and a timed bench run covers a little more or less from
-# one run to the next.
+# the block-level audit of what no program runs. A report, never a gate; it
+# is not part of `make ci`, and a timed bench run covers a little more or
+# less from one run to the next.
 #
 #   sh scripts/cover.sh        (about 3 min on 2 vCPUs)
 #

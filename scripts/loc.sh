@@ -30,12 +30,24 @@
 # share of its flat samples under internal/ (`go tool pprof -top`, names
 # normalised the same way) on functions no program links any more, and the
 # commits that touched a .go file since the profile last changed.
+# Last the documents' audit, one line each: the backticked pkg.Name or
+# Type.Method names in DESIGN.md and README.md that no tracked .go file
+# declares (each consecutive pair of parts must be a package's top-level
+# name, or a type's method or field; a dotted string a .go file quotes, such
+# as a bench ledger row, counts too; standard-library names are on a
+# keep-list with their reasons), the "DESIGN §n" references in tracked files
+# that name no section of DESIGN.md (CHANGES.md and ISSUE.md, which record
+# the past, excepted), the PR numbers DESIGN.md cites, and the ROADMAP item
+# numbers that DESIGN.md, code, scripts/ or the Makefile cite: items are
+# renumbered when the roadmap is re-anchored, so a citation goes stale (the
+# score label above is the one exception).
 # Exits 1, naming them on stderr, when a series has no reader, a flag no
 # scenario, a route no request or an unlinked function is not on the
-# keep-list below: a new series lands with a file that names it (a name
-# search, so that the file asserts the value is left to review), a new flag
-# or route with an e2e scenario that passes or requests it, and code no
-# program runs does not land at all (`make vet` runs this with stdout
+# keep-list below, or when the documents' audit finds anything: a new series
+# lands with a file that names it (a name search, so that the file asserts
+# the value is left to review), a new flag or route with an e2e scenario that
+# passes or requests it, code no program runs does not land at all, and
+# DESIGN.md names only what exists (`make vet` runs this with stdout
 # discarded).
 set -eu
 cd "$(git rev-parse --show-toplevel)"
@@ -148,13 +160,104 @@ if [ -f "$pgo" ]; then
 else
 	printf '%7s  no %s: the server builds without profile-guided optimisation\n' - "$pgo"
 fi
+# The standard-library packages whose names the documents may backtick, one a
+# line: the directory under $GOROOT/src, then why the documents name it. A
+# name in one of them is checked against the toolchain's own source of the
+# package, as a name of this module is checked against the tracked files.
+stdkeep='
+bytes          the pooled response buffers
+context        the request deadline the server keeps instead of a timer
+encoding/json  the reference the answer encoder and the statement scanners are held to
+io             the capped body the batch fallback decodes
+math/bits      the 128-bit products of the shortest-float kernel
+net/http       the server the transports are built on, and its profile frames
+net/url        the query-string parse in the front door'"'"'s profile
+reflect        the allocation behind the reflective batch decode
+runtime        the allocator, clock and processor count in the profiles
+strconv        the float and integer formatting internal/ftoa is held to
+sync           the pools and mutexes of the hot path
+sync/atomic    how registries, the recent-N ring and rendered plans publish
+time           the clock reads a statement costs
+'
+# The declarations of every tracked .go file, as "qualifier.name": pkg.Name
+# for a top-level func, type, var or const, Type.Name for a method, a struct
+# field or an interface method.
+decls='
+	FNR == 1 { pkg = ""; grp = ""; typ = ""; depth = 0 }
+	/^package / { pkg = $2; next }
+	/^func / { s = $0; sub(/^func /, "", s)
+		if (s ~ /^\(/) {
+			recv = s; sub(/\).*/, "", recv); n = split(recv, w, " ")
+			recv = w[n]; sub(/^\(?\*?/, "", recv); sub(/\[.*/, "", recv)
+			sub(/^\([^)]*\) */, "", s); sub(/[\[(].*/, "", s); print recv "." s
+		} else { sub(/[\[(].*/, "", s); print pkg "." s }
+		next }
+	/^(type|var|const) \($/ { grp = $1; next }
+	grp != "" && /^\)/ { grp = ""; next }
+	/^(type|var|const) [A-Za-z_]/ || (grp != "" && depth == 0 && /^\t[A-Za-z_]/) {
+		s = $0; sub(/^(type|var|const) /, "", s); sub(/^\t/, "", s)
+		if ((grp != "" ? grp : $1) == "type") {
+			name = s; sub(/[ \[=].*/, "", name); print pkg "." name
+			if (s ~ /(struct|interface) \{$/) { typ = name; depth = 1 }
+		} else { sub(/[ =].*/, "", s); n = split(s, w, ",")
+			for (i = 1; i <= n; i++) { gsub(/ /, "", w[i]); print pkg "." w[i] } }
+		next }
+	depth > 0 {
+		if (depth == 1 && $0 ~ /^\t+[A-Za-z_]/) { s = $0; sub(/^\t+/, "", s)
+			if (s ~ /^[A-Za-z_][A-Za-z0-9_]*\(/) { sub(/\(.*/, "", s); print typ "." s }
+			else if (match(s, /^[A-Za-z_][A-Za-z0-9_]*(,[ \t]*[A-Za-z_][A-Za-z0-9_]*)*[ \t]+/)) {
+				s = substr(s, 1, RLENGTH); n = split(s, w, ",")
+				for (i = 1; i <= n; i++) { gsub(/[ \t]/, "", w[i]); print typ "." w[i] }
+			} else { sub(/^\*/, "", s); sub(/.*\./, "", s); sub(/[ `].*/, "", s); print typ "." s } }
+		depth += gsub(/\{/, "{") - gsub(/\}/, "}"); if (depth <= 0) { depth = 0; typ = "" } }
+	'
+git ls-files -- '*.go' | xargs awk "$decls" >"$bin/names"
+gosrc=$(go env GOROOT)/src
+echo "$stdkeep" | cut -d' ' -f1 | while read -r d; do
+	[ -z "$d" ] || ls "$gosrc/$d"/*.go | grep -v '_test\.go$'
+done | xargs awk "$decls" >>"$bin/names"
+git ls-files -- '*.go' | xargs grep -ohE '"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)+"' | tr -d '"' >>"$bin/names"
+stale_names=$(awk -v names="$bin/names" '
+	BEGIN { while ((getline d <names) > 0) have[d] = 1 }
+	FNR == 1 { fence = 0 }
+	/^ *```/ { fence = !fence; next }
+	!fence { text[FILENAME] = text[FILENAME] " " $0 }
+	END { for (f in text) { n = split(text[f], part, "`")
+		for (i = 2; i <= n; i += 2) {
+			s = part[i]; sub(/\(.*/, "", s); gsub(/\[[^]]*\]/, "", s)
+			if (s !~ /^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)+$/ || s in have) continue
+			if (s ~ /\.(go|md|json|sh|txt|golden|pgo|mod|csv)$/) continue
+			k = split(s, w, ".")
+			for (j = 1; j < k; j++) if (!((w[j] "." w[j+1]) in have)) { print s; break } } } }
+	' DESIGN.md README.md | sort -u)
+printf '%7d  backticked names in DESIGN.md and README.md no tracked .go file declares:%s\n' \
+	"$(echo $stale_names | wc -w)" "$(printf ' %s' $stale_names)"
+sections=$(sed -n 's/^## \([0-9][0-9]*\)\. .*/\1/p' DESIGN.md)
+# Each file is read with its lines joined, so a reference wrapped after
+# "DESIGN.md" is still seen.
+bad_refs=$(git grep -l DESIGN -- ':!CHANGES.md' ':!ISSUE.md' | while read -r f; do tr '\n' ' ' <"$f"; echo; done |
+	grep -oE 'DESIGN(\.md)? +§[0-9]+((, | and | or )§[0-9]+)*' |
+	grep -oE '§[0-9]+' | tr -d '§' | sort -un | while read -r n; do
+		echo "$sections" | grep -qx "$n" || printf ' §%s' "$n"
+	done)
+printf '%7d  "DESIGN §n" references in tracked files to no section of DESIGN.md:%s\n' "$(echo $bad_refs | wc -w)" "$bad_refs"
+pr_cites=$(grep -noE '\bPRs? [0-9]+' DESIGN.md | tr ' ' '_' || true)
+printf '%7d  PR numbers DESIGN.md cites:%s\n' "$(echo $pr_cites | wc -w)" "$(printf ' %s' $pr_cites)"
+item_cites=$(git grep -noE "ROADMAP('s)?( items?)? [0-9]+( ?%)?" -- DESIGN.md '*.go' 'scripts/*' Makefile |
+	grep -vE -e '%$' -e '^scripts/loc\.sh:[0-9]+:ROADMAP item 12$' | tr ' ' '_' || true)
+printf '%7d  ROADMAP item numbers DESIGN.md, code, scripts/ or the Makefile cite:%s\n' \
+	"$(echo $item_cites | wc -w)" "$(printf ' %s' $item_cites)"
 unkept=$(for f in $unlinked; do
 	echo "$keep" | cut -d' ' -f1 | grep -qxF "$f" || printf ' %s' "$f"
 done)
-if [ -n "$unread$unset_flags$unasked$unkept" ]; then
+if [ -n "$unread$unset_flags$unasked$unkept$stale_names$bad_refs$pr_cites$item_cites" ]; then
 	[ -z "$unread" ] || echo "loc.sh: series no .go file or script but prom.go names:$unread" >&2
 	[ -z "$unset_flags" ] || echo "loc.sh: cmd/serve flags no e2e scenario passes:$unset_flags" >&2
 	[ -z "$unasked" ] || echo "loc.sh: routes no e2e scenario requests:$unasked" >&2
 	[ -z "$unkept" ] || echo "loc.sh: functions under internal/ no program links (delete them, or keep-list them with a reason):$unkept" >&2
+	[ -z "$stale_names" ] || echo "loc.sh: backticked names no tracked .go file declares (fix the name, or keep-list its standard-library package with a reason):" $stale_names >&2
+	[ -z "$bad_refs" ] || echo "loc.sh: DESIGN § references to no section:$bad_refs" >&2
+	[ -z "$pr_cites" ] || echo "loc.sh: PR numbers in DESIGN.md (describe the tree; CHANGES.md holds the history):" $pr_cites >&2
+	[ -z "$item_cites" ] || echo "loc.sh: ROADMAP item numbers (cite the mechanism instead):" $item_cites >&2
 	exit 1
 fi
