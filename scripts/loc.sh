@@ -34,8 +34,9 @@
 # Type.Method names in DESIGN.md and README.md that no tracked .go file
 # declares (each consecutive pair of parts must be a package's top-level
 # name, or a type's method or field; a dotted string a .go file quotes, such
-# as a bench ledger row, counts too; standard-library names are on a
-# keep-list with their reasons), the "DESIGN §n" references in tracked files
+# as a bench ledger row, counts too; a name in a standard-library package on
+# the keep-list below is checked against the toolchain's source of that
+# package), the "DESIGN §n" references in tracked files
 # that name no section of DESIGN.md (CHANGES.md and ISSUE.md, which record
 # the past, excepted), the PR numbers DESIGN.md cites, and the ROADMAP item
 # numbers that DESIGN.md, code, scripts/ or the Makefile cite: items are
