@@ -37,8 +37,9 @@
 # as a bench ledger row, counts too; a name in a standard-library package on
 # the keep-list below is checked against the toolchain's source of that
 # package), the "DESIGN §n" references in tracked files
-# that name no section of DESIGN.md (CHANGES.md and ISSUE.md, which record
-# the past, excepted), the PR numbers DESIGN.md cites, and the ROADMAP item
+# that name no section of DESIGN.md (of the top-level Markdown files only the
+# reader-facing documents listed below are read: a record of past changes may
+# cite old numbering), the PR numbers DESIGN.md cites, and the ROADMAP item
 # numbers that DESIGN.md, code, scripts/ or the Makefile cite: items are
 # renumbered when the roadmap is re-anchored, so a citation goes stale (the
 # score label above is the one exception).
@@ -236,7 +237,9 @@ printf '%7d  backticked names in DESIGN.md and README.md no tracked .go file dec
 sections=$(sed -n 's/^## \([0-9][0-9]*\)\. .*/\1/p' DESIGN.md)
 # Each file is read with its lines joined, so a reference wrapped after
 # "DESIGN.md" is still seen.
-bad_refs=$(git grep -l DESIGN -- ':!CHANGES.md' ':!ISSUE.md' | while read -r f; do tr '\n' ' ' <"$f"; echo; done |
+bad_refs=$({ git grep -l DESIGN -- ':(exclude,glob)*.md' || true
+	git grep -l DESIGN -- DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md README.md ROADMAP.md SNIPPETS.md || true; } |
+	while read -r f; do tr '\n' ' ' <"$f"; echo; done |
 	grep -oE 'DESIGN(\.md)? +§[0-9]+((, | and | or )§[0-9]+)*' |
 	grep -oE '§[0-9]+' | tr -d '§' | sort -un | while read -r n; do
 		echo "$sections" | grep -qx "$n" || printf ' §%s' "$n"
